@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import model, sde_sim
 from .model import Constant, SpmParams
@@ -89,13 +88,10 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: int, seed=0,
         _, rec = sde_sim.simulate(p, Constant(omega), duration, seed=rng)
         return rec.outcomes[n_burn:n_burn + k] / p.g_D
 
-    # exact discrete law: J_y + i J_z is a complex AR(1) with pole
-    # exp(-Delta/T2 - i omega Delta)
-    pole = np.exp(-p.Delta / t2 - 1j * omega * p.Delta)
     b = model.discrete_spin_noise_std(p.q, p.N, p.Delta, t2)
     stat_std = math.sqrt(0.5 * p.q * p.N)
 
     z0 = stat_std * (rng.standard_normal() + 1j * rng.standard_normal())
     eta = b * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-    z, _ = lfilter([1.0], [1.0, -pole], eta, zi=np.array([pole * z0]))
+    z = model.damped_rotation_ar1(omega, p.Delta, t2, z0, eta)
     return z.imag + shot_std * rng.standard_normal(k)

@@ -93,7 +93,7 @@ def _step_constants(cfg: FilterConfig):
     t2 = model.coherence_time(p)
     phi, offset, d1 = model.signal_discrete_params(cfg.signal, p.Delta)
     decay = math.exp(-p.Delta / t2)
-    d2 = 0.5 * p.q * p.N * (1.0 - math.exp(-2.0 * p.Delta / t2))
+    d2 = model.discrete_spin_noise_var(p.q, p.N, p.Delta, t2)
     return phi, offset, d1, decay, d2
 
 

@@ -173,11 +173,13 @@ def _run_rng(seed: int, run_index: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(run_index,)))
 
 
-def _grid_indices(times, delta: float, n_meas: int):
+def _grid_indices(times, delta: float):
+    """Sample index of each probe time; the record is simulated up to the
+    largest, so only a time that rounds to no sample lies outside it."""
     ks = []
     for t in times:
         k = int(round(t / delta))
-        if not 1 <= k <= n_meas:
+        if k < 1:
             raise InvalidParametersError(
                 f"grid time {t} outside the simulated record")
         ks.append(k)
@@ -256,36 +258,55 @@ def _time_bounds(cfg: ExperimentConfig, p: SpmParams, times):
     return out, out_se
 
 
+def _sweep(cfg: ExperimentConfig, axis_name: str, axis, points) -> ErrorCurve:
+    """Monte-Carlo driver of every sweep axis.
+
+    ``points`` lists (params, substeps, probe times), one per grid point;
+    each contributes one curve entry per probe time.  Every point runs
+    ``cfg.runs`` shots on the same per-run RNG streams, and the configured
+    bounds are evaluated at its probe times.
+    """
+    ks = [_grid_indices(times, p.Delta) for p, _, times in points]
+    rmse = {e: [] for e in cfg.estimators}
+    rmse_se = {e: [] for e in cfg.estimators}
+    bound, bound_se = {}, {}
+    excluded = 0
+    for (p, substeps, times), point_ks in zip(points, ks):
+        sq = {e: [] for e in cfg.estimators}
+        failures = []
+        for r in range(cfg.runs):
+            rng = _run_rng(cfg.seed, r)
+            try:
+                errs = _single_run_errors(cfg, p, rng, point_ks, substeps)
+            except _RUN_ERRORS as exc:
+                failures.append(exc)
+                continue
+            for e, vals in errs.items():
+                sq[e].append(np.square(vals))
+        excluded += _check_exclusions(failures, cfg.runs)
+        for e in cfg.estimators:
+            rms, se = _rms_and_stderr(np.array(sq[e]).T)
+            rmse[e].append(rms)
+            rmse_se[e].append(se)
+        b, b_se = _time_bounds(cfg, p, times)
+        for name, vals in b.items():
+            bound.setdefault(name, []).append(vals)
+        for name, vals in b_se.items():
+            bound_se.setdefault(name, []).append(vals)
+
+    def joined(d):
+        return {k: np.concatenate(v) for k, v in d.items()}
+    return ErrorCurve(axis_name, np.array(axis), joined(rmse), joined(rmse_se),
+                      joined(bound), joined(bound_se), excluded)
+
+
 def run_error_vs_time(cfg: ExperimentConfig) -> ErrorCurve:
     """RMS estimation error at each grid time, true frequency drawn from the
     prior per run and held constant over the shot."""
     if cfg.sweep_axis != "time":
         raise InvalidParametersError("config must declare a time sweep")
-    p = cfg.params
     times = sorted(cfg.sweep_values)
-    n_meas = int(round(max(times) / p.Delta))
-    ks = _grid_indices(times, p.Delta, n_meas)
-
-    sq = {e: [] for e in cfg.estimators}
-    failures = []
-    for r in range(cfg.runs):
-        rng = _run_rng(cfg.seed, r)
-        try:
-            errs = _single_run_errors(cfg, p, rng, ks, cfg.substeps)
-        except _RUN_ERRORS as exc:
-            failures.append(exc)
-            continue
-        for e, vals in errs.items():
-            sq[e].append(np.square(vals))
-    excluded = _check_exclusions(failures, cfg.runs)
-
-    rmse, rmse_se = {}, {}
-    for e in cfg.estimators:
-        rms, se = _rms_and_stderr(np.array(sq[e]).T)
-        rmse[e], rmse_se[e] = rms, se
-    bound, bound_se = _time_bounds(cfg, p, times)
-    return ErrorCurve("t", np.array(times), rmse, rmse_se, bound, bound_se,
-                      excluded)
+    return _sweep(cfg, "t", times, [(cfg.params, cfg.substeps, times)])
 
 
 def run_error_vs_N(cfg: ExperimentConfig) -> ErrorCurve:
@@ -295,42 +316,9 @@ def run_error_vs_N(cfg: ExperimentConfig) -> ErrorCurve:
     if cfg.sweep_axis != "atoms":
         raise InvalidParametersError("config must declare an atom-number sweep")
     ns = sorted(cfg.sweep_values)
-    rmse = {e: [] for e in cfg.estimators}
-    rmse_se = {e: [] for e in cfg.estimators}
-    bound = {b: [] for b in cfg.bounds}
-    bound_se = {}
-    excluded = 0
-    for n in ns:
-        p = cfg.params.with_atom_number(n)
-        k_end = int(round(cfg.duration / p.Delta))
-        sq = {e: [] for e in cfg.estimators}
-        failures = []
-        for r in range(cfg.runs):
-            rng = _run_rng(cfg.seed, r)
-            try:
-                errs = _single_run_errors(cfg, p, rng, [k_end], cfg.substeps)
-            except _RUN_ERRORS as exc:
-                failures.append(exc)
-                continue
-            for e, vals in errs.items():
-                sq[e].append(vals[0] ** 2)
-        excluded += _check_exclusions(failures, cfg.runs)
-        for e in cfg.estimators:
-            rms, se = _rms_and_stderr(np.array(sq[e]))
-            rmse[e].append(rms)
-            rmse_se[e].append(se)
-        b, b_se = _time_bounds(cfg, p, [cfg.duration])
-        for name, vals in b.items():
-            bound[name].append(vals[0])
-        for name, vals in b_se.items():
-            bound_se.setdefault(name, []).append(vals[0])
-    return ErrorCurve(
-        "N", np.array(ns),
-        {e: np.array(v) for e, v in rmse.items()},
-        {e: np.array(v) for e, v in rmse_se.items()},
-        {b: np.array(v) for b, v in bound.items()},
-        {b: np.array(v) for b, v in bound_se.items()},
-        excluded)
+    return _sweep(cfg, "N", ns, [
+        (cfg.params.with_atom_number(n), cfg.substeps, [cfg.duration])
+        for n in ns])
 
 
 def run_error_vs_delta(cfg: ExperimentConfig) -> ErrorCurve:
@@ -339,39 +327,12 @@ def run_error_vs_delta(cfg: ExperimentConfig) -> ErrorCurve:
     if cfg.sweep_axis != "sampling":
         raise InvalidParametersError("config must declare a sampling-period sweep")
     deltas = sorted(cfg.sweep_values)
-    rmse = {e: [] for e in cfg.estimators}
-    rmse_se = {e: [] for e in cfg.estimators}
-    excluded = 0
-    for d in deltas:
-        p = replace(cfg.params, Delta=d)
-        # tolerance absorbs roundoff so e.g. 5e-6/1e-6 = 5.0000000000000009
-        # does not force a sixth substep
-        substeps = max(1, int(math.ceil(d / 1.0e-6 - 1e-9)))
-        k_end = int(round(cfg.duration / d))
-        if k_end < 1:
-            raise InvalidParametersError(
-                f"duration {cfg.duration} shorter than sampling period {d}")
-        sq = {e: [] for e in cfg.estimators}
-        failures = []
-        for r in range(cfg.runs):
-            rng = _run_rng(cfg.seed, r)
-            try:
-                errs = _single_run_errors(cfg, p, rng, [k_end], substeps)
-            except _RUN_ERRORS as exc:
-                failures.append(exc)
-                continue
-            for e, vals in errs.items():
-                sq[e].append(vals[0] ** 2)
-        excluded += _check_exclusions(failures, cfg.runs)
-        for e in cfg.estimators:
-            rms, se = _rms_and_stderr(np.array(sq[e]))
-            rmse[e].append(rms)
-            rmse_se[e].append(se)
-    return ErrorCurve(
-        "Delta", np.array(deltas),
-        {e: np.array(v) for e, v in rmse.items()},
-        {e: np.array(v) for e, v in rmse_se.items()},
-        {}, {}, excluded)
+    # tolerance absorbs roundoff so e.g. 5e-6/1e-6 = 5.0000000000000009
+    # does not force a sixth substep
+    return _sweep(cfg, "Delta", deltas, [
+        (replace(cfg.params, Delta=d), max(1, int(math.ceil(d / 1.0e-6 - 1e-9))),
+         [cfg.duration])
+        for d in deltas])
 
 
 def run_tracking(cfg: ExperimentConfig) -> TrackingResult:

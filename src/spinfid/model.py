@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .errors import InvalidParametersError
 
@@ -235,10 +236,29 @@ def discrete_spin_transition(omega: float, delta: float, t2: float) -> np.ndarra
     return np.array([[e * c, e * s], [-e * s, e * c]])
 
 
+def discrete_spin_noise_var(q: float, n: float, delta: float, t2: float) -> float:
+    """Isotropic noise variance b^2 of the exact discretization: the
+    integrated diffusion over one step, with stationary limit qN/2."""
+    return 0.5 * q * n * (1.0 - math.exp(-2.0 * delta / t2))
+
+
 def discrete_spin_noise_std(q: float, n: float, delta: float, t2: float) -> float:
-    """Isotropic noise std b of the exact discretization; b^2 I is the
-    integrated diffusion over one step and qN/2 its stationary limit."""
-    return math.sqrt(0.5 * q * n * (1.0 - math.exp(-2.0 * delta / t2)))
+    """Isotropic noise std b of the exact discretization."""
+    return math.sqrt(discrete_spin_noise_var(q, n, delta, t2))
+
+
+def damped_rotation_ar1(omega: float, delta: float, t2: float, z0: complex,
+                        eta: np.ndarray) -> np.ndarray:
+    """Path z_1..z_n of the spin pair z = J_y + i J_z at constant omega.
+
+    The exact discretization is the complex AR(1) z' = pole z + eta with
+    pole exp(-delta/T2 - i omega delta): the damped rotation of
+    ``discrete_spin_transition`` plus the additive noise ``eta`` (complex,
+    one entry per step) that the caller draws.
+    """
+    pole = np.exp(-delta / t2 - 1j * omega * delta)
+    z, _ = lfilter([1.0], [1.0, -pole], eta, zi=np.array([pole * z0]))
+    return z
 
 
 def signal_discrete_params(s: SignalModel, delta: float) -> tuple[float, float, float]:

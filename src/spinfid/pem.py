@@ -43,7 +43,7 @@ def _spin_step_constants(omega: float, p: SpmParams):
     e = math.exp(-p.Delta / t2)
     ca = e * math.cos(omega * p.Delta)
     sa = e * math.sin(omega * p.Delta)
-    b2 = 0.5 * p.q * p.N * (1.0 - math.exp(-2.0 * p.Delta / t2))
+    b2 = model.discrete_spin_noise_var(p.q, p.N, p.Delta, t2)
     return ca, sa, b2
 
 
@@ -106,7 +106,7 @@ def neg_log_joint_grid(omegas: np.ndarray, rec: MeasurementRecord, p: SpmParams,
     e = math.exp(-p.Delta / t2)
     ca = e * np.cos(omegas * p.Delta)
     sa = e * np.sin(omegas * p.Delta)
-    b2 = 0.5 * p.q * p.N * (1.0 - math.exp(-2.0 * p.Delta / t2))
+    b2 = model.discrete_spin_noise_var(p.q, p.N, p.Delta, t2)
     g = p.g_D
     r = p.R / p.Delta
 

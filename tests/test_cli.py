@@ -180,3 +180,32 @@ class TestSubcommands:
         assert code == 0
         lines = (out / "atoms.csv").read_text().splitlines()
         assert len(lines) == 4
+
+
+class TestPublicSurface:
+    # a deletion or rename must not silently drop a public name
+    def test_package_all(self):
+        import spinfid
+        assert sorted(spinfid.__all__) == [
+            "AtomCountEstimate", "BoundResult", "Constant", "ErrorCurve",
+            "ExperimentConfig", "FilterConfig", "FilterTrace",
+            "GaussianBelief", "GaussianPrior", "IntegrationBlowupError",
+            "InvalidParametersError", "MapBoundaryError", "MeasurementRecord",
+            "NumericalDegeneracyError", "OrnsteinUhlenbeck", "Sinusoid",
+            "SpinFidError", "SpmParams", "Step", "TrackingResult",
+            "Trajectory", "Wiener", "__version__", "atomic_noise_strength",
+            "bcrb_analytic_gaussian_prior", "bcrb_numeric",
+            "bcrb_numeric_curve", "coherence_time", "default_prior",
+            "estimate_atom_number", "fi_asymptotic", "fi_no_decoherence",
+            "fi_noiseless_continuous", "fi_noiseless_discrete",
+            "fi_short_time", "kalman_neg_log_joint", "map_estimate",
+            "neg_log_joint_grid", "noiseless_bcrb_floor", "run_error_vs_N",
+            "run_error_vs_delta", "run_error_vs_time", "run_filter",
+            "run_tracking", "signal_from_dict", "simulate",
+            "steady_state_variance"]
+        assert all(hasattr(spinfid, name) for name in spinfid.__all__)
+
+    def test_cli_subcommands(self):
+        assert list(cli._COMMANDS) == [
+            "simulate", "estimate", "bcrb", "sweep-time", "sweep-n",
+            "sweep-delta", "track", "atoms"]

@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spinfid import harness
+from spinfid.bounds import noiseless_bcrb_floor
 from spinfid.errors import InvalidParametersError, MapBoundaryError
 from spinfid.harness import (ErrorCurve, ExperimentConfig, run_error_vs_N,
                              run_error_vs_delta, run_error_vs_time,
@@ -146,6 +148,17 @@ class TestSweepReductions:
                                duration=1e-3, runs=2)
         with pytest.raises(InvalidParametersError):
             run_error_vs_delta(cfg)
+
+    def test_delta_sweep_reports_configured_bounds(self):
+        cfg = ExperimentConfig(sweep_axis="sampling",
+                               sweep_values=(1e-5, 2.5e-6), duration=1e-4,
+                               runs=2, bounds=("floor",))
+        curve = run_error_vs_delta(cfg)
+        expected = [math.sqrt(noiseless_bcrb_floor(
+            replace(cfg.params, Delta=d), cfg.sigma_omega))
+            for d in (2.5e-6, 1e-5)]
+        assert set(curve.bound) == {"floor"}
+        assert np.array_equal(curve.bound["floor"], expected)
 
     def test_axis_guards(self):
         cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4,))

@@ -1,0 +1,112 @@
+"""Outputs at fixed seeds, pinned bit for bit to digests recorded before the
+order-1.5 step, the damped-rotation AR(1) and the sweep loops were each
+merged into one implementation.
+
+A digest is the leading 16 hex digits of the SHA-256 of the outputs' float64
+bytes.  They were recorded with numpy 2.4 and scipy 1.17 on x86-64 Linux; a
+different libm or BLAS build may legitimately change the last bits.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from spinfid import atoms, harness, sde_sim
+from spinfid.harness import ExperimentConfig
+from spinfid.model import (Constant, OrnsteinUhlenbeck, Sinusoid, SpmParams,
+                           Step, Wiener)
+
+P = SpmParams()
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _simulate(p, s, duration, substeps, seed, **kw):
+    traj, rec = sde_sim.simulate(p, s, duration, substeps=substeps, seed=seed,
+                                 **kw)
+    return [traj.times, traj.states, rec.outcomes]
+
+
+def _constant(n):
+    p = SpmParams(N=n)
+    return [a for sub in (1, 5, 50)
+            for a in _simulate(p, Constant(p.omega_bar * 1.01), 2e-4, sub,
+                               seed=sub)]
+
+
+def _curve(c):
+    out = [c.axis, np.array([c.excluded_runs])]
+    for group in (c.rmse, c.rmse_stderr, c.bound, c.bound_stderr):
+        out += [np.asarray(group[k]) for k in sorted(group)]
+    return out
+
+
+CASES = {
+    "simulate constant N=1e9": lambda: _constant(1e9),
+    "simulate constant N=4.4e11": lambda: _constant(4.4e11),
+    "simulate constant N=1e13": lambda: _constant(1e13),
+    "simulate constant omega_init": lambda: _simulate(
+        P, Constant(1.0), 1e-4, 5, seed=3, omega_init=5.0),
+    "simulate ou": lambda: _simulate(
+        SpmParams(Delta=1e-6), OrnsteinUhlenbeck(P.omega_bar, 1.0, 1e9),
+        1e-3, 8, seed=11),
+    "simulate ou omega_start": lambda: _simulate(
+        P, OrnsteinUhlenbeck(P.omega_bar, 0.3, 1e7,
+                             omega_start=P.omega_bar + 50.0), 3e-4, 1, seed=7),
+    "simulate wiener": lambda: _simulate(
+        P, Wiener(P.omega_bar, 1e8), 3e-4, 8, seed=7),
+    "simulate sinusoid": lambda: _simulate(
+        P, Sinusoid(P.omega_bar, 2e3, 500.0), 3e-4, 8, seed=7),
+    "simulate step": lambda: _simulate(
+        P, Step(P.omega_bar, ((1e-4, P.omega_bar + 300.0),)), 3e-4, 8, seed=7),
+    "sweep time": lambda: _curve(harness.run_error_vs_time(ExperimentConfig(
+        sweep_axis="time", sweep_values=(1e-4, 5e-5, 2e-4), runs=3,
+        estimators=("ekf", "pem"),
+        bounds=("bcrb_numeric", "bcrb_analytic", "crb", "floor"),
+        bound_samples=5, seed=4))),
+    "sweep time 13 runs": lambda: _curve(harness.run_error_vs_time(
+        ExperimentConfig(sweep_axis="time", sweep_values=(5e-5, 1e-4, 1.5e-4),
+                         runs=13, estimators=("ekf", "ckf"), seed=5))),
+    "sweep N": lambda: _curve(harness.run_error_vs_N(ExperimentConfig(
+        params=SpmParams(T2_override=None), sweep_axis="atoms",
+        sweep_values=(4e11, 1e11), duration=1e-4, runs=11,
+        estimators=("ekf", "pem"),
+        bounds=("bcrb_numeric", "bcrb_analytic", "crb", "floor"),
+        bound_samples=4, seed=2))),
+    "sweep delta": lambda: _curve(harness.run_error_vs_delta(ExperimentConfig(
+        sweep_axis="sampling", sweep_values=(5e-6, 2.5e-6, 1e-5),
+        duration=1e-4, runs=10, estimators=("ekf", "pem"), seed=3))),
+    "atoms exact": lambda: [atoms.sample_steady_state_outcomes(
+        P, P.omega_bar, 1000, seed=seed) for seed in (0, 1)],
+    "atoms integrator": lambda: [atoms.sample_steady_state_outcomes(
+        SpmParams(N=1e9), P.omega_bar, 50, seed=2, use_integrator=True)],
+}
+
+RECORDED = {
+    "atoms exact": "9a770dab6687b5e2",
+    "atoms integrator": "98e5da1ea34b9001",
+    "simulate constant N=1e13": "fc457814d0c6e9ec",
+    "simulate constant N=1e9": "345a1085e0d43254",
+    "simulate constant N=4.4e11": "02b3d8266d3fbba5",
+    "simulate constant omega_init": "30af6f4f332ebe0e",
+    "simulate ou": "57f0366e5cec1514",
+    "simulate ou omega_start": "ba29d6b634112139",
+    "simulate sinusoid": "c874f7649013a2e1",
+    "simulate step": "6f5d45608b346496",
+    "simulate wiener": "5a568a0311f0ce69",
+    "sweep N": "f4333af43c963ea6",
+    "sweep delta": "57320b78ea832ca9",
+    "sweep time": "bd1c697ee16c3a03",
+    "sweep time 13 runs": "cc6d9705128b36e4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_recorded(name):
+    assert _digest(CASES[name]()) == RECORDED[name]

@@ -17,24 +17,48 @@ def _fd_jacobian(f, x, h=1e-3):
     return jac
 
 
+def _coupling_columns(x, h, p, s):
+    """Columns of the step's F (Qm zeta) term, isolated by differencing the
+    kernel at unit zeta along each axis against zeta = 0 (the step is
+    affine in zeta)."""
+    c = sde_sim._taylor_constants(h, p, s)
+    zero = (0.0, 0.0, 0.0)
+    base = np.array(sde_sim._taylor_step(x, zero, zero, c))
+    cols = [np.array(sde_sim._taylor_step(x, zero, tuple(e), c)) - base
+            for e in np.eye(3)]
+    return np.array(cols).T
+
+
+def _noise_scales(p, s):
+    q = math.sqrt(model.atomic_noise_strength(p))
+    return np.array([sde_sim._signal_noise_std(s), q, q])
+
+
 class TestDrift:
+    # the order-1.5 step's F (Qm zeta) term carries the drift Jacobian F;
+    # it is checked against a finite-difference Jacobian of ``drift``
     def test_jacobian_matches_finite_differences(self):
         p = SpmParams()
         s = OrnsteinUhlenbeck(p.omega_bar, 0.3, 1e6)
-        x = np.array([p.omega_bar * 1.01, 0.2 * p.N, 0.4 * p.N])
-        jac = sde_sim.drift_jacobian(0.0, x, p, s)
-        fd = _fd_jacobian(lambda v: sde_sim.drift(0.0, v, p, s), x, h=1e-7)
-        assert np.allclose(jac, fd, rtol=1e-5)
+        x = (p.omega_bar * 1.01, 0.2 * p.N, 0.4 * p.N)
+        cols = _coupling_columns(x, 1e-6, p, s)
+        fd = _fd_jacobian(lambda v: sde_sim.drift(0.0, v, p, s), np.array(x),
+                          h=1e-7)
+        assert np.allclose(cols, fd * _noise_scales(p, s), rtol=1e-5)
 
     def test_jacobian_wiener_frequency_row(self):
         p = SpmParams()
-        x = np.array([1e4, 1.0, 2.0])
-        jac = sde_sim.drift_jacobian(0.0, x, p, Wiener(1e4, 1e6))
-        assert jac[0, 0] == 0.0
+        s = Wiener(1e4, 1e6)
+        x = (1e4, 1.0, 2.0)
+        cols = _coupling_columns(x, 1e-6, p, s)
+        fd = _fd_jacobian(lambda v: sde_sim.drift(0.0, v, p, s), np.array(x))
+        assert np.array_equal(cols[0], np.zeros(3))
+        assert np.allclose(cols, fd * _noise_scales(p, s), rtol=1e-5)
 
     def test_second_order_correction_vanishes(self):
-        # oracle: contract numerical Hessians of each drift component with the
-        # (diagonal) squared diffusion; every diagonal second derivative is 0
+        # why the order-1.5 step has no b term: contract numerical Hessians
+        # of each drift component with the (diagonal) squared diffusion;
+        # every diagonal second derivative is 0
         p = SpmParams()
         s = OrnsteinUhlenbeck(p.omega_bar, 0.3, 1e6)
         x = np.array([1.1e4, 0.5, -0.3])
@@ -48,8 +72,49 @@ class TestDrift:
             f0 = sde_sim.drift(0.0, x, p, s)
             b += (fp - 2.0 * f0 + fm) / h ** 2  # diagonal Hessian entries
         assert np.allclose(b, 0.0, atol=1e-2)
-        assert np.array_equal(
-            sde_sim.second_order_drift_correction(x, p, s), np.zeros(3))
+
+
+class TestTaylorStep:
+    @pytest.mark.parametrize("signal", [OrnsteinUhlenbeck(1e3, 1.0, 1e9),
+                                        Wiener(1e3, 1e9)],
+                             ids=["ou", "wiener"])
+    def test_strong_order_with_frequency_noise(self, signal):
+        # the frequency-spin noise coupling that simulate runs for OU/Wiener;
+        # endpoint RMS error vs a fine run of the same step on shared paths.
+        # The low omega_bar keeps the rotation truncation small: at
+        # 2*pi*10 kHz it dominates and a broken coupling term goes unseen.
+        p = SpmParams(omega_bar=1e3)
+        t_end = 1e-4
+        hs = [4e-6, 2e-6, 1e-6, 5e-7]
+        hf = hs[-1] / 16
+        nf = int(round(t_end / hf))
+        x0 = np.array([p.omega_bar, 0.0, 0.5 * p.N])
+        n_paths = 40
+        sq_errs = np.zeros((len(hs), n_paths))
+        for path in range(n_paths):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(321, spawn_key=(path,)))
+            dw, zi = sde_sim.sample_correlated_increments(hf, rng, n=3 * nf)
+            dw, zi = dw.reshape(nf, 3), zi.reshape(nf, 3)
+            x = x0
+            for i in range(nf):
+                x = sde_sim.ito_taylor_1p5_step(x, hf, p, signal,
+                                                increments=(dw[i], zi[i]))
+            ref = x
+            for j, h in enumerate(hs):
+                m = int(round(h / hf))
+                seg_dw = dw.reshape(-1, m, 3)
+                before = np.cumsum(seg_dw, axis=1) - seg_dw
+                xi_c = seg_dw.sum(axis=1)
+                ze_c = (before * hf + zi.reshape(-1, m, 3)).sum(axis=1)
+                x = x0
+                for k in range(len(xi_c)):
+                    x = sde_sim.ito_taylor_1p5_step(
+                        x, h, p, signal, increments=(xi_c[k], ze_c[k]))
+                sq_errs[j, path] = np.sum((x - ref) ** 2)
+        slope = np.polyfit(np.log(hs), np.log(np.sqrt(sq_errs.mean(axis=1))),
+                           1)[0]
+        assert slope >= 1.4
 
 
 class TestIncrements:
@@ -69,27 +134,34 @@ class TestIncrements:
         assert np.var(zeta) == pytest.approx(h ** 3 / 3.0, rel=3 * tol)
         assert np.mean(xi * zeta) == pytest.approx(h ** 2 / 2.0, rel=5 * tol)
 
-    def test_exact_linear_step_moments(self):
+
+class TestDampedRotation:
+    def test_one_step_moments(self):
         p = SpmParams(N=1e6)
         t2 = model.coherence_time(p)
         omega, h = 2e4, 1e-4
         j0 = np.array([0.0, 0.5 * p.N])
-        rng = np.random.default_rng(1)
-        samples = np.array([
-            sde_sim.exact_linear_step(j0, omega, h, p, rng=rng)
-            for _ in range(20_000)])
-        a = model.discrete_spin_transition(omega, h, t2)
         b = model.discrete_spin_noise_std(p.q, p.N, h, t2)
+        rng = np.random.default_rng(1)
+        z = np.array([
+            model.damped_rotation_ar1(
+                omega, h, t2, complex(*j0),
+                b * (rng.standard_normal(1) + 1j * rng.standard_normal(1)))[0]
+            for _ in range(20_000)])
+        samples = np.column_stack([z.real, z.imag])
+        a = model.discrete_spin_transition(omega, h, t2)
         assert np.allclose(samples.mean(axis=0), a @ j0, atol=5 * b / 100.0)
         assert np.allclose(samples.var(axis=0), b * b, rtol=0.05)
 
-    def test_exact_linear_step_noise_override(self):
+    def test_zero_noise_is_damped_rotation(self):
         p = SpmParams()
-        j0 = np.array([1.0, 2.0])
-        out = sde_sim.exact_linear_step(j0, 1e4, 1e-5, p,
-                                        noise=np.array([0.0, 0.0]))
         t2 = model.coherence_time(p)
-        assert np.allclose(out, model.discrete_spin_transition(1e4, 1e-5, t2) @ j0)
+        j = np.array([1.0, 2.0])
+        z = model.damped_rotation_ar1(1e4, 1e-5, t2, complex(*j), np.zeros(3))
+        a = model.discrete_spin_transition(1e4, 1e-5, t2)
+        for zk in z:
+            j = a @ j
+            assert np.allclose([zk.real, zk.imag], j)
 
 
 class TestSimulate:
@@ -204,3 +276,24 @@ class TestMeasurementRecord:
         rec.to_csv(path)
         raw = path.read_bytes()
         assert raw.startswith(b"t,y\r\n")
+
+    def test_csv_long_round_trip(self, tmp_path):
+        # 9-digit timestamps of an inexact period still load as k * t_1
+        rec = sde_sim.MeasurementRecord(1e-5 / 3.0, np.arange(200_000.0))
+        path = tmp_path / "rec.csv"
+        rec.to_csv(path)
+        back = sde_sim.MeasurementRecord.from_csv(path)
+        assert back.delta == pytest.approx(rec.delta, rel=1e-8)
+        assert np.array_equal(back.outcomes, rec.outcomes)
+
+    def test_csv_header_only_rejected(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_bytes(b"t,y\r\n")
+        with pytest.raises(InvalidParametersError, match="empty"):
+            sde_sim.MeasurementRecord.from_csv(path)
+
+    def test_csv_nonuniform_times_rejected(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_bytes(b"t,y\r\n5e-06,1.0\r\n1e-05,2.0\r\n3e-05,3.0\r\n")
+        with pytest.raises(InvalidParametersError, match="uniform"):
+            sde_sim.MeasurementRecord.from_csv(path)
