@@ -20,6 +20,7 @@ from scipy import integrate
 from scipy.special import roots_hermite
 
 from . import model, pem, sde_sim
+from .errors import InvalidParametersError
 from .model import Constant, GaussianPrior, SpmParams
 
 GRADIENT_STEP_FRACTION = 1e-4   # of the prior sigma
@@ -64,38 +65,10 @@ def _validated_step(omega: float, rec, p, prior_omega, prior_spin,
 def bcrb_numeric(p: SpmParams, prior_omega: GaussianPrior,
                  prior_spin: GaussianPrior, t: float, n_samples: int,
                  seed=0, substeps: int = 5) -> BoundResult:
-    """Monte-Carlo Bayesian bound 1 / E[(dJ/d omega)^2] at probing time t.
-
-    Valid with atomic noise on (q from the parameter set); the standard
-    error of the bound is the jackknife error of the inverted mean.
-    """
-    if n_samples < 2:
-        raise ValueError("need at least 2 Monte-Carlo samples")
-    mu = float(prior_omega.mean[0])
-    sigma = math.sqrt(float(prior_omega.cov[0, 0]))
-    children = np.random.SeedSequence(seed).spawn(n_samples)
-
-    sq_grads = np.empty(n_samples)
-    h = None
-    for m, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        omega_true = mu + sigma * rng.standard_normal()
-        _, rec = sde_sim.simulate(p, Constant(omega_true), t, substeps=substeps,
-                                  seed=rng)
-        if h is None:
-            h = _validated_step(omega_true, rec, p, prior_omega, prior_spin, sigma)
-        grad = neg_log_joint_gradient(omega_true, rec, p, prior_omega,
-                                      prior_spin, h)
-        sq_grads[m] = grad * grad
-
-    info = sq_grads.mean()
-    # jackknife over the inverted mean
-    total = sq_grads.sum()
-    loo = (total - sq_grads) / (n_samples - 1)
-    theta = 1.0 / loo
-    std_err = math.sqrt((n_samples - 1) / n_samples * np.sum((theta - theta.mean()) ** 2))
-    return BoundResult(1.0 / info, std_err,
-                       {"t": t, "samples": n_samples, "h": h})
+    """Monte-Carlo Bayesian bound 1 / E[(dJ/d omega)^2] at probing time t,
+    the one-time case of :func:`bcrb_numeric_curve`."""
+    return bcrb_numeric_curve(p, prior_omega, prior_spin, [t], n_samples,
+                              seed=seed, substeps=substeps)[0]
 
 
 def bcrb_numeric_curve(p: SpmParams, prior_omega: GaussianPrior,
@@ -103,10 +76,15 @@ def bcrb_numeric_curve(p: SpmParams, prior_omega: GaussianPrior,
                        seed=0, substeps: int = 5):
     """Monte-Carlo bound at several probing times from shared simulations.
 
-    Each sample simulates once to max(times) and evaluates the score on the
-    truncated record, so the per-time bounds are correlated but each is the
-    same estimator as :func:`bcrb_numeric`.  Returns a list of BoundResult.
+    Valid with atomic noise on (q from the parameter set).  Each sample
+    simulates once to max(times); one likelihood pass at omega + h and one
+    at omega - h give the central-difference score of every truncated
+    record, so the per-time bounds are correlated.  The standard error of
+    each bound is the jackknife error of the inverted mean.  Returns a list
+    of BoundResult in ascending time order.
     """
+    if n_samples < 2:
+        raise InvalidParametersError("need at least 2 Monte-Carlo samples")
     times = sorted(float(t) for t in times)
     if not times or times[0] <= 0.0:
         raise ValueError("probing times must be positive")
@@ -124,9 +102,12 @@ def bcrb_numeric_curve(p: SpmParams, prior_omega: GaussianPrior,
                                   substeps=substeps, seed=rng)
         if h is None:
             h = _validated_step(omega_true, rec, p, prior_omega, prior_spin, sigma)
-        for i, k in enumerate(ks):
-            grad = neg_log_joint_gradient(omega_true, rec.truncated(k), p,
-                                          prior_omega, prior_spin, h)
+        j_plus = pem.neg_log_joint_prefixes(omega_true + h, rec, p,
+                                            prior_omega, prior_spin, ks)
+        j_minus = pem.neg_log_joint_prefixes(omega_true - h, rec, p,
+                                             prior_omega, prior_spin, ks)
+        for i, (jp, jm) in enumerate(zip(j_plus, j_minus)):
+            grad = (jp - jm) / (2.0 * h)
             sq_grads[i, m] = grad * grad
 
     results = []

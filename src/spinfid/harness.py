@@ -68,6 +68,8 @@ class ExperimentConfig:
         for b in self.bounds:
             if b not in BOUNDS:
                 raise InvalidParametersError(f"unknown bound {b!r}")
+        if "bcrb_numeric" in self.bounds and self.bound_samples < 2:
+            raise InvalidParametersError("bcrb_numeric needs bound_samples >= 2")
         if self.true_signal is None:
             object.__setattr__(self, "true_signal",
                                Constant(self.params.omega_bar))
@@ -195,10 +197,13 @@ def _check_exclusions(failures: list, runs: int) -> int:
 
 
 def _rms_and_stderr(sq_errors: np.ndarray):
-    """Delta-method standard error of the RMS from per-run squared errors."""
+    """Delta-method standard error of the RMS from per-run squared errors;
+    NaN when a single run leaves no spread to estimate it from."""
     mse = sq_errors.mean(axis=-1)
     rms = np.sqrt(mse)
     n = sq_errors.shape[-1]
+    if n < 2:
+        return rms, np.full_like(rms, math.nan)
     se_mse = sq_errors.std(axis=-1, ddof=1) / math.sqrt(n)
     return rms, np.where(rms > 0.0, se_mse / (2.0 * np.maximum(rms, 1e-300)), 0.0)
 
@@ -222,11 +227,8 @@ def _single_run_errors(cfg: ExperimentConfig, p: SpmParams, rng, ks, substeps):
     if "pem" in cfg.estimators:
         prior_w = _omega_prior(p, cfg.sigma_omega)
         prior_s = _spin_prior(p, cfg.spin_cov_scale)
-        errs = []
-        for k in ks:
-            omega_hat, _ = pem.map_estimate(rec.truncated(k), p, prior_w, prior_s)
-            errs.append(omega_hat - omega_true)
-        out["pem"] = errs
+        out["pem"] = [omega_hat - omega_true for omega_hat, _ in
+                      pem.map_estimates(rec, ks, p, prior_w, prior_s)]
     return out
 
 
@@ -248,10 +250,9 @@ def _time_bounds(cfg: ExperimentConfig, p: SpmParams, times):
             bounds.bcrb_analytic_gaussian_prior(p, cfg.sigma_omega, t)
             for t in times])
     if "crb" in cfg.bounds:
-        out["crb"] = np.array([
-            1.0 / math.sqrt(bounds.fi_noiseless_discrete(p.omega_bar, t, p))
-            if bounds.fi_noiseless_discrete(p.omega_bar, t, p) > 0.0 else math.inf
-            for t in times])
+        fis = [bounds.fi_noiseless_discrete(p.omega_bar, t, p) for t in times]
+        out["crb"] = np.array([1.0 / math.sqrt(fi) if fi > 0.0 else math.inf
+                               for fi in fis])
     if "floor" in cfg.bounds:
         floor = math.sqrt(bounds.noiseless_bcrb_floor(p, cfg.sigma_omega))
         out["floor"] = np.full(len(times), floor)

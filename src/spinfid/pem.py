@@ -7,9 +7,12 @@ form of the Kalman filter gives the exact negative log-joint
     J(omega) = 1/2 sum_j [ (y_j - C m_j^-)^2 / S_j + ln S_j ]
                + (omega - omega_prior)^2 / (2 sigma^2)
 
-up to omega-independent constants.  The 2x2 recursion is unrolled into
-scalars (and, for grid searches, into numpy arrays over the omega axis)
-because it sits in the inner loop of every Monte-Carlo experiment.
+up to omega-independent constants.  ``neg_log_joint_prefixes`` is the one
+2x2 recursion, unrolled into scalars because it sits in the inner loop of
+every Monte-Carlo experiment.  It takes omega as a float or as a numpy grid
+and, since J is a running sum, returns J of every requested record prefix
+from a single pass; the scalar likelihood, the grid, the MAP fit at several
+probing times and the bound's score are all read from it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import MapBoundaryError
+from .errors import InvalidParametersError, MapBoundaryError
 from .model import GaussianPrior, SpmParams
 from .sde_sim import MeasurementRecord
 
@@ -38,13 +41,70 @@ class LikelihoodEval:
     innovation_vars: np.ndarray  # S_j
 
 
-def _spin_step_constants(omega: float, p: SpmParams):
+def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
+                           prior_omega: GaussianPrior,
+                           prior_spin: GaussianPrior, lengths,
+                           innovations: list | None = None) -> list:
+    """J of the first k samples for each k in ascending ``lengths`` (repeats
+    allowed), from one strict left-to-right pass over the record.
+
+    ``omega`` is a float or an array of frequencies; one body serves both,
+    because ``*``, ``+`` and ``/`` round alike on Python floats and float64
+    arrays.  A float keeps math's cos/sin/log (numpy's log differs from it
+    in the last bit for a few doubles in a million).  ``innovations``, if
+    given, receives (residual, S_j) for every sample processed.  A
+    non-finite J raises FloatingPointError.
+    """
+    if isinstance(omega, np.ndarray):
+        cos, sin, log = np.cos, np.sin, np.log
+    else:
+        cos, sin, log = math.cos, math.sin, math.log
     t2 = model.coherence_time(p)
     e = math.exp(-p.Delta / t2)
-    ca = e * math.cos(omega * p.Delta)
-    sa = e * math.sin(omega * p.Delta)
+    ca = e * cos(omega * p.Delta)
+    sa = e * sin(omega * p.Delta)
     b2 = model.discrete_spin_noise_var(p.q, p.N, p.Delta, t2)
-    return ca, sa, b2
+    g = p.g_D
+    r = p.R / p.Delta
+
+    m1, m2 = (float(v) for v in prior_spin.mean)
+    cov = prior_spin.cov
+    p11, p12, p22 = float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1])
+    mu = float(prior_omega.mean[0])
+    var = float(prior_omega.cov[0, 0])
+    prior = 0.5 * (omega - mu) ** 2 / var
+
+    ys = rec.outcomes[:lengths[-1]].tolist()
+    out = []
+    total = 0.0
+    start = 0
+    for k in lengths:
+        for y in ys[start:k]:
+            m1p = ca * m1 + sa * m2
+            m2p = -sa * m1 + ca * m2
+            p11p = ca * ca * p11 + 2.0 * ca * sa * p12 + sa * sa * p22 + b2
+            p12p = -ca * sa * p11 + (ca * ca - sa * sa) * p12 + ca * sa * p22
+            p22p = sa * sa * p11 - 2.0 * sa * ca * p12 + ca * ca * p22 + b2
+
+            s_var = r + g * g * p22p
+            resid = y - g * m2p
+            k1 = g * p12p / s_var
+            k2 = g * p22p / s_var
+            m1 = m1p + k1 * resid
+            m2 = m2p + k2 * resid
+            p11 = p11p - s_var * k1 * k1
+            p12 = p12p - s_var * k1 * k2
+            p22 = p22p - s_var * k2 * k2
+            total += 0.5 * (resid * resid / s_var + log(s_var))
+            if innovations is not None:
+                innovations.append((resid, s_var))
+        start = k
+        # a new object, so the in-place += on a grid leaves it alone
+        out.append(total + prior)
+    # a sum that is finite at the longest prefix is finite at every one
+    if not np.isfinite(out[-1]).all():
+        raise FloatingPointError("non-finite negative log-joint accumulation")
+    return out
 
 
 def kalman_neg_log_joint(omega: float, rec: MeasurementRecord, p: SpmParams,
@@ -55,90 +115,68 @@ def kalman_neg_log_joint(omega: float, rec: MeasurementRecord, p: SpmParams,
     Accumulation is strict left-to-right over the record, so equal inputs
     reproduce bit-identical values.
     """
-    ca, sa, b2 = _spin_step_constants(omega, p)
-    g = p.g_D
-    r = p.R / p.Delta
-
-    m1, m2 = (float(v) for v in prior_spin.mean)
-    cov = prior_spin.cov
-    p11, p12, p22 = float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1])
-
-    n = len(rec.outcomes)
-    residuals = np.empty(n)
-    s_vars = np.empty(n)
-    total = 0.0
-    for j, y in enumerate(rec.outcomes.tolist()):
-        m1p = ca * m1 + sa * m2
-        m2p = -sa * m1 + ca * m2
-        p11p = ca * ca * p11 + 2.0 * ca * sa * p12 + sa * sa * p22 + b2
-        p12p = -ca * sa * p11 + (ca * ca - sa * sa) * p12 + ca * sa * p22
-        p22p = sa * sa * p11 - 2.0 * sa * ca * p12 + ca * ca * p22 + b2
-
-        s_var = r + g * g * p22p
-        resid = y - g * m2p
-        k1 = g * p12p / s_var
-        k2 = g * p22p / s_var
-        m1 = m1p + k1 * resid
-        m2 = m2p + k2 * resid
-        p11 = p11p - s_var * k1 * k1
-        p12 = p12p - s_var * k1 * k2
-        p22 = p22p - s_var * k2 * k2
-
-        residuals[j] = resid
-        s_vars[j] = s_var
-        total += 0.5 * (resid * resid / s_var + math.log(s_var))
-
-    mu = float(prior_omega.mean[0])
-    var = float(prior_omega.cov[0, 0])
-    total += 0.5 * (omega - mu) ** 2 / var
-    if not math.isfinite(total):
-        raise FloatingPointError("non-finite negative log-joint accumulation")
+    innovations = []
+    total, = neg_log_joint_prefixes(omega, rec, p, prior_omega, prior_spin,
+                                    [len(rec.outcomes)], innovations)
+    residuals, s_vars = np.array(innovations, dtype=float).reshape(-1, 2).T
     return LikelihoodEval(omega, total, residuals, s_vars)
 
 
 def neg_log_joint_grid(omegas: np.ndarray, rec: MeasurementRecord, p: SpmParams,
                        prior_omega: GaussianPrior,
                        prior_spin: GaussianPrior) -> np.ndarray:
-    """Vectorized J over a grid of omega values (same recursion as the
-    scalar path, broadcast over the omega axis)."""
-    omegas = np.asarray(omegas, dtype=float)
-    t2 = model.coherence_time(p)
-    e = math.exp(-p.Delta / t2)
-    ca = e * np.cos(omegas * p.Delta)
-    sa = e * np.sin(omegas * p.Delta)
-    b2 = model.discrete_spin_noise_var(p.q, p.N, p.Delta, t2)
-    g = p.g_D
-    r = p.R / p.Delta
+    """J over a grid of omega values (the same recursion, broadcast over the
+    omega axis)."""
+    return neg_log_joint_prefixes(np.asarray(omegas, dtype=float), rec, p,
+                                  prior_omega, prior_spin,
+                                  [len(rec.outcomes)])[0]
 
-    m1 = np.full_like(omegas, float(prior_spin.mean[0]))
-    m2 = np.full_like(omegas, float(prior_spin.mean[1]))
-    cov = prior_spin.cov
-    p11 = np.full_like(omegas, float(cov[0, 0]))
-    p12 = np.full_like(omegas, float(cov[0, 1]))
-    p22 = np.full_like(omegas, float(cov[1, 1]))
 
-    total = np.zeros_like(omegas)
-    for y in rec.outcomes.tolist():
-        m1p = ca * m1 + sa * m2
-        m2p = -sa * m1 + ca * m2
-        p11p = ca * ca * p11 + 2.0 * ca * sa * p12 + sa * sa * p22 + b2
-        p12p = -ca * sa * p11 + (ca * ca - sa * sa) * p12 + ca * sa * p22
-        p22p = sa * sa * p11 - 2.0 * sa * ca * p12 + ca * ca * p22 + b2
-
-        s_var = r + g * g * p22p
-        resid = y - g * m2p
-        k1 = g * p12p / s_var
-        k2 = g * p22p / s_var
-        m1 = m1p + k1 * resid
-        m2 = m2p + k2 * resid
-        p11 = p11p - s_var * k1 * k1
-        p12 = p12p - s_var * k1 * k2
-        p22 = p22p - s_var * k2 * k2
-        total += 0.5 * (resid * resid / s_var + np.log(s_var))
-
+def map_estimates(rec: MeasurementRecord, lengths, p: SpmParams,
+                  prior_omega: GaussianPrior,
+                  prior_spin: GaussianPrior) -> list[tuple[float, float]]:
+    """:func:`map_estimate` of ``rec.truncated(k)`` for each k in ascending
+    ``lengths``; one likelihood pass gives the grid at every k."""
+    lengths = list(lengths)
+    if len(rec.outcomes) == 0:
+        raise ValueError("empty measurement record")
+    if (not lengths or lengths[0] < 1 or lengths[-1] > len(rec.outcomes)
+            or lengths != sorted(lengths)):
+        raise InvalidParametersError(
+            "record lengths must ascend within 1..len(record)")
     mu = float(prior_omega.mean[0])
-    var = float(prior_omega.cov[0, 0])
-    return total + 0.5 * (omegas - mu) ** 2 / var
+    sigma = math.sqrt(float(prior_omega.cov[0, 0]))
+    grid = np.linspace(mu - MAP_BRACKET_SIGMAS * sigma,
+                       mu + MAP_BRACKET_SIGMAS * sigma, MAP_GRID_POINTS)
+    j_grids = neg_log_joint_prefixes(grid, rec, p, prior_omega, prior_spin,
+                                     lengths)
+    fits = []
+    for k, j_grid in zip(lengths, j_grids):
+        i = int(np.argmin(j_grid))  # argmin takes the first (smallest omega) on ties
+        if i == 0 or i == len(grid) - 1:
+            raise MapBoundaryError(
+                "MAP search hit the bracket edge; prior too narrow or data inconsistent")
+
+        def j_of(w: float) -> float:
+            return neg_log_joint_prefixes(w, rec, p, prior_omega, prior_spin,
+                                          [k])[0]
+
+        a, b = grid[i - 1], grid[i + 1]
+        c = b - _INV_GOLDEN * (b - a)
+        d = a + _INV_GOLDEN * (b - a)
+        jc, jd = j_of(c), j_of(d)
+        while b - a > MAP_TOL:
+            if jc < jd:
+                b, d, jd = d, c, jc
+                c = b - _INV_GOLDEN * (b - a)
+                jc = j_of(c)
+            else:
+                a, c, jc = c, d, jd
+                d = a + _INV_GOLDEN * (b - a)
+                jd = j_of(d)
+        omega_hat = c if jc < jd else d
+        fits.append((float(omega_hat), min(jc, jd) / k))
+    return fits
 
 
 def map_estimate(rec: MeasurementRecord, p: SpmParams,
@@ -151,34 +189,5 @@ def map_estimate(rec: MeasurementRecord, p: SpmParams,
     golden-section search refines to 1e-3 rad/s.  Returns (omega_hat,
     J(omega_hat)/k).  A minimum on the bracket edge raises MapBoundaryError.
     """
-    if len(rec.outcomes) == 0:
-        raise ValueError("empty measurement record")
-    mu = float(prior_omega.mean[0])
-    sigma = math.sqrt(float(prior_omega.cov[0, 0]))
-    grid = np.linspace(mu - MAP_BRACKET_SIGMAS * sigma,
-                       mu + MAP_BRACKET_SIGMAS * sigma, MAP_GRID_POINTS)
-    j_grid = neg_log_joint_grid(grid, rec, p, prior_omega, prior_spin)
-    i = int(np.argmin(j_grid))  # argmin takes the first (smallest omega) on ties
-    if i == 0 or i == len(grid) - 1:
-        raise MapBoundaryError(
-            "MAP search hit the bracket edge; prior too narrow or data inconsistent")
-
-    def j_of(w: float) -> float:
-        return kalman_neg_log_joint(w, rec, p, prior_omega, prior_spin).neg_log_joint
-
-    a, b = grid[i - 1], grid[i + 1]
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    jc, jd = j_of(c), j_of(d)
-    while b - a > MAP_TOL:
-        if jc < jd:
-            b, d, jd = d, c, jc
-            c = b - _INV_GOLDEN * (b - a)
-            jc = j_of(c)
-        else:
-            a, c, jc = c, d, jd
-            d = a + _INV_GOLDEN * (b - a)
-            jd = j_of(d)
-    omega_hat = c if jc < jd else d
-    j_min = min(jc, jd)
-    return float(omega_hat), j_min / len(rec.outcomes)
+    return map_estimates(rec, [len(rec.outcomes)], p, prior_omega,
+                         prior_spin)[0]

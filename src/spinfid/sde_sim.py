@@ -50,8 +50,9 @@ class Trajectory:
     states: np.ndarray  # (n+1, 3) columns omega, J_y, J_z
 
 
-# to_csv writes 9 significant digits, so t_k and t_1 are each rounded by up
-# to 5e-9 relative; k * t_1 then matches t_k to 1e-8 relative
+# to_csv writes round-trip timestamps; files written with 9 significant
+# digits round t_k and t_1 by up to 5e-9 relative each, so k * t_1 matches
+# t_k to 1e-8 relative there
 _CSV_TIME_RTOL = 2e-8
 
 
@@ -73,7 +74,7 @@ class MeasurementRecord:
         with open(path, "w", newline="") as fh:
             fh.write("t,y\r\n")
             for t, y in zip(self.times, self.outcomes):
-                fh.write(f"{t:.9g},{float(y)!r}\r\n")
+                fh.write(f"{float(t)!r},{float(y)!r}\r\n")
 
     @classmethod
     def from_csv(cls, path) -> "MeasurementRecord":
@@ -266,12 +267,18 @@ def simulate(p: SpmParams, s: SignalModel, duration: float, substeps: int = 5,
     t_k = k*Delta up to ``duration``; the integrator runs at step
     Delta/substeps.  Diffusing frequencies use the order-1.5 Taylor scheme,
     deterministic waveforms the exact frozen-frequency step (see the module
-    docstring).  Identical inputs give bit-identical outputs.
+    docstring).  ``omega_init`` overrides the starting frequency of a
+    Constant, OU or Wiener signal.  Identical inputs give bit-identical
+    outputs.
     """
     if substeps < 1:
         raise InvalidParametersError("substeps must be >= 1")
     if duration < p.Delta:
         raise InvalidParametersError("duration must cover at least one sample")
+    if omega_init is not None and isinstance(s, (model.Sinusoid, model.Step)):
+        raise InvalidParametersError(
+            "omega_init applies to Constant, OU and Wiener signals only; a "
+            "waveform fixes its own frequency")
     rng = _as_rng(seed)
     n_meas = int(round(duration / p.Delta))
     n_sub = n_meas * substeps

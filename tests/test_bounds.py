@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinfid import bounds, model
+from spinfid.errors import InvalidParametersError
 from spinfid.model import Constant, GaussianPrior, SpmParams
 from spinfid.sde_sim import simulate
 
@@ -68,6 +69,37 @@ class TestNumericBound:
         prior_omega, prior_spin = _priors(p, 1e3)
         with pytest.raises(ValueError):
             bounds.bcrb_numeric(p, prior_omega, prior_spin, 1e-4, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_curve_requires_two_samples(self, n_samples):
+        p = SpmParams()
+        prior_omega, prior_spin = _priors(p, 1e3)
+        with pytest.raises(InvalidParametersError, match="2 Monte-Carlo"):
+            bounds.bcrb_numeric_curve(p, prior_omega, prior_spin,
+                                      [1e-4, 2e-4], n_samples)
+
+    def test_curve_matches_per_time_finite_differences(self):
+        # the score read from one +h and one -h pass equals the
+        # central-difference gradient of each truncated record
+        p = SpmParams()
+        prior_omega, prior_spin = _priors(p, TWO_PI * 2e3)
+        times = [5e-5, 1e-4, 1e-4, 2e-4]
+        curve = bounds.bcrb_numeric_curve(p, prior_omega, prior_spin, times,
+                                          2, seed=3)
+        h = curve[0].meta["h"]
+        sigma = TWO_PI * 2e3
+        sq = np.empty((len(times), 2))
+        for m, child in enumerate(np.random.SeedSequence(3).spawn(2)):
+            rng = np.random.default_rng(child)
+            omega = p.omega_bar + sigma * rng.standard_normal()
+            _, rec = simulate(p, Constant(omega), times[-1], seed=rng)
+            for i, t in enumerate(times):
+                grad = bounds.neg_log_joint_gradient(
+                    omega, rec.truncated(round(t / p.Delta)), p, prior_omega,
+                    prior_spin, h)
+                sq[i, m] = grad * grad
+        assert [c.value for c in curve] == list(1.0 / sq.mean(axis=1))
 
     def test_curve_matches_single_time(self):
         p = SpmParams()

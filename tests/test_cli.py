@@ -49,6 +49,16 @@ class TestExitCodes:
         assert code == 3
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("payload", [
+        {"bound_samples": 1},
+        {"bound_samples": 1, "bounds": ["bcrb_numeric"]},
+    ])
+    def test_bcrb_needs_two_samples(self, tmp_path, payload):
+        cfg = _write_cfg(tmp_path, {"duration": 1e-4, **payload})
+        code, out = _run(tmp_path, "bcrb", "--config", cfg)
+        assert code == 2
+        assert not (out / "bcrb.csv").exists()
+
     def test_success_writes_manifest(self, tmp_path):
         code, out = _run(tmp_path, "simulate", "--seed", "4")
         assert code == 0

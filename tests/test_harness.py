@@ -36,10 +36,15 @@ class TestConfig:
         {"sweep_axis": "time", "sweep_values": (-1.0,)},
         {"estimators": ("ekf", "mystery")},
         {"bounds": ("bcrb_numeric", "mystery")},
+        {"bounds": ("bcrb_numeric",), "bound_samples": 1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParametersError):
             ExperimentConfig(**kwargs)
+
+    def test_bound_samples_checked_only_for_numeric_bound(self):
+        cfg = ExperimentConfig(bounds=("crb", "floor"), bound_samples=1)
+        assert cfg.bound_samples == 1
 
     def test_from_dict_round_trip(self):
         d = {
@@ -93,6 +98,28 @@ class TestErrorVsTime:
         assert curve.bound["floor"][0] == curve.bound["floor"][1]
         assert curve.excluded_runs == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_single_run_reports_nan_stderr(self):
+        cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4, 2e-4),
+                               runs=1, estimators=("ekf", "pem"))
+        curve = run_error_vs_time(cfg)
+        for e in ("ekf", "pem"):
+            assert np.all(curve.rmse[e] > 0.0)
+            assert np.all(np.isnan(curve.rmse_stderr[e]))
+
+    def test_crb_evaluates_fisher_information_once_per_time(self, monkeypatch):
+        calls = []
+        fi = harness.bounds.fi_noiseless_discrete
+
+        def counted(*args):
+            calls.append(args[1])
+            return fi(*args)
+        monkeypatch.setattr(harness.bounds, "fi_noiseless_discrete", counted)
+        cfg = ExperimentConfig(bounds=("crb",))
+        out, _ = harness._time_bounds(cfg, cfg.params, [1e-4, 2e-4])
+        assert calls == [1e-4, 2e-4]
+        assert np.all(np.isfinite(out["crb"]))
+
     def test_stderr_shrinks_with_runs(self):
         base = dict(sweep_axis="time", sweep_values=(1e-4,),
                     estimators=("ekf",))
@@ -105,7 +132,7 @@ class TestErrorVsTime:
     def test_exclusion_cap_enforced(self, monkeypatch):
         def boom(*args, **kwargs):
             raise MapBoundaryError("forced failure")
-        monkeypatch.setattr(harness.pem, "map_estimate", boom)
+        monkeypatch.setattr(harness.pem, "map_estimates", boom)
         cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4,),
                                runs=5, estimators=("pem",))
         with pytest.raises(RuntimeError, match="forced failure"):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from spinfid import model, pem
-from spinfid.errors import MapBoundaryError
+from spinfid.errors import InvalidParametersError, MapBoundaryError
 from spinfid.model import Constant, GaussianPrior, SpmParams
 from spinfid.sde_sim import MeasurementRecord, simulate
 
@@ -103,6 +105,42 @@ class TestNegLogJoint:
                        for w in omegas]
         assert np.allclose(grid_vals, scalar_vals, rtol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(ys=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40),
+           cuts=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+           omega=st.floats(0.5, 6.0))
+    def test_prefixes_match_truncated_records(self, ys, cuts, omega):
+        # one pass must give, at every length (repeats included), exactly
+        # the J of the truncated record, for a float omega and for a grid
+        p = _small_params()
+        prior_omega, prior_spin = _priors(p, spin_sigma=1.0)
+        rec = MeasurementRecord(p.Delta, np.array(ys))
+        lengths = sorted(min(c, len(ys)) for c in cuts)
+        grid = np.linspace(omega - 0.4, omega + 0.4, 5)
+        scalar = pem.neg_log_joint_prefixes(omega, rec, p, prior_omega,
+                                            prior_spin, lengths)
+        gridded = pem.neg_log_joint_prefixes(grid, rec, p, prior_omega,
+                                             prior_spin, lengths)
+        for k, j_scalar, j_grid in zip(lengths, scalar, gridded):
+            sub = rec.truncated(k)
+            assert j_scalar == pem.kalman_neg_log_joint(
+                omega, sub, p, prior_omega, prior_spin).neg_log_joint
+            assert np.array_equal(j_grid, pem.neg_log_joint_grid(
+                grid, sub, p, prior_omega, prior_spin))
+
+    def test_innovations_of_wrapper(self):
+        p = _small_params()
+        prior_omega, prior_spin = _priors(p, spin_sigma=1.0)
+        rec = MeasurementRecord(p.Delta, np.random.default_rng(2).normal(size=12))
+        out = pem.kalman_neg_log_joint(3.1, rec, p, prior_omega, prior_spin)
+        assert out.residuals.shape == out.innovation_vars.shape == (12,)
+        assert np.all(out.innovation_vars > 0.0)
+        data_term = 0.5 * np.sum(out.residuals ** 2 / out.innovation_vars
+                                 + np.log(out.innovation_vars))
+        prior_term = 0.5 * (3.1 - p.omega_bar) ** 2
+        assert out.neg_log_joint == pytest.approx(data_term + prior_term,
+                                                  rel=1e-12)
+
     def test_nonfinite_input_raises(self):
         p = _small_params()
         prior_omega, prior_spin = _priors(p)
@@ -171,3 +209,25 @@ class TestMapEstimate:
         with pytest.raises(ValueError):
             pem.map_estimate(MeasurementRecord(p.Delta, np.empty(0)), p,
                              prior_omega, prior_spin)
+
+    def test_multi_length_fit_matches_truncated_fits(self):
+        p = SpmParams()
+        sigma = 2.0 * math.pi * 2e3
+        _, rec = simulate(p, Constant(p.omega_bar + 800.0), 5e-4, seed=6)
+        prior_omega = GaussianPrior(np.array([p.omega_bar]),
+                                    np.array([[sigma ** 2]]))
+        prior_spin = GaussianPrior(np.array([0.0, 0.5 * p.N]),
+                                   0.01 * p.N ** 2 * np.eye(2))
+        lengths = [10, 40, 40, 100]
+        fits = pem.map_estimates(rec, lengths, p, prior_omega, prior_spin)
+        assert fits == [pem.map_estimate(rec.truncated(k), p, prior_omega,
+                                         prior_spin) for k in lengths]
+
+    @pytest.mark.parametrize("lengths", [[], [0], [5, 3], [101]])
+    def test_multi_length_fit_rejects_bad_lengths(self, lengths):
+        p = SpmParams()
+        prior_omega = GaussianPrior(np.array([p.omega_bar]), np.array([[1e6]]))
+        prior_spin = GaussianPrior(np.zeros(2), np.zeros((2, 2)))
+        rec = MeasurementRecord(p.Delta, np.zeros(100))
+        with pytest.raises(InvalidParametersError):
+            pem.map_estimates(rec, lengths, p, prior_omega, prior_spin)

@@ -5,7 +5,8 @@ import pytest
 
 from spinfid import model, sde_sim
 from spinfid.errors import IntegrationBlowupError, InvalidParametersError
-from spinfid.model import Constant, OrnsteinUhlenbeck, Sinusoid, SpmParams, Wiener
+from spinfid.model import (Constant, OrnsteinUhlenbeck, Sinusoid, SpmParams,
+                           Step, Wiener)
 
 
 def _fd_jacobian(f, x, h=1e-3):
@@ -247,6 +248,14 @@ class TestSimulate:
         with pytest.raises(InvalidParametersError):
             sde_sim.simulate(p, Constant(1.0), 1e-4, substeps=0)
 
+    @pytest.mark.parametrize("signal", [
+        Sinusoid(2e4, 2e3, 500.0), Step(2e4, ((1e-4, 2e4 + 300.0),))])
+    def test_omega_init_rejected_for_waveforms(self, signal):
+        # a waveform fixes the frequency at every substep, so an initial
+        # value could only be recorded at t = 0 and never act on the spin
+        with pytest.raises(InvalidParametersError, match="omega_init"):
+            sde_sim.simulate(SpmParams(), signal, 1e-4, omega_init=5.0)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_detection(self):
         p = SpmParams()
@@ -278,13 +287,32 @@ class TestMeasurementRecord:
         assert raw.startswith(b"t,y\r\n")
 
     def test_csv_long_round_trip(self, tmp_path):
-        # 9-digit timestamps of an inexact period still load as k * t_1
+        # a long record of an inexact period loads as k * t_1
         rec = sde_sim.MeasurementRecord(1e-5 / 3.0, np.arange(200_000.0))
         path = tmp_path / "rec.csv"
         rec.to_csv(path)
         back = sde_sim.MeasurementRecord.from_csv(path)
         assert back.delta == pytest.approx(rec.delta, rel=1e-8)
         assert np.array_equal(back.outcomes, rec.outcomes)
+
+    def test_csv_round_trip_keeps_delta_exactly(self, tmp_path):
+        rec = sde_sim.MeasurementRecord(1e-5 / 3.0, np.arange(1000.0))
+        path = tmp_path / "rec.csv"
+        rec.to_csv(path)
+        back = sde_sim.MeasurementRecord.from_csv(path)
+        assert back.delta == rec.delta
+        assert np.array_equal(back.times, rec.times)
+
+    def test_csv_nine_digit_times_still_load(self, tmp_path):
+        # files written with 9-digit timestamps, before to_csv wrote
+        # round-trip ones, load to within their rounding
+        delta = 1e-5 / 3.0
+        path = tmp_path / "rec.csv"
+        path.write_text("t,y\n" + "".join(
+            f"{delta * k:.9g},{float(k)!r}\n" for k in range(1, 200_001)))
+        back = sde_sim.MeasurementRecord.from_csv(path)
+        assert back.delta == pytest.approx(delta, rel=1e-8)
+        assert len(back.outcomes) == 200_000
 
     def test_csv_header_only_rejected(self, tmp_path):
         path = tmp_path / "rec.csv"
