@@ -79,7 +79,7 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: int, seed=0,
         raise ValueError("need at least one sample")
     rng = sde_sim._as_rng(seed)
     t2 = model.coherence_time(p)
-    shot_std = math.sqrt(p.R / p.Delta) / p.g_D
+    shot_std = math.sqrt(model.measurement_noise_variance(p)) / p.g_D
 
     if use_integrator:
         burn = burn_in_coherence_times * t2

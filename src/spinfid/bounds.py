@@ -80,15 +80,17 @@ def bcrb_numeric_curve(p: SpmParams, prior_omega: GaussianPrior,
     simulates once to max(times); one likelihood pass at omega + h and one
     at omega - h give the central-difference score of every truncated
     record, so the per-time bounds are correlated.  The standard error of
-    each bound is the jackknife error of the inverted mean.  Returns a list
-    of BoundResult in ascending time order.
+    each bound is the jackknife error of the inverted mean.  Each time maps
+    to its nearest sample; one that rounds to no sample raises
+    InvalidParametersError.  Returns a list of BoundResult in ascending time
+    order.
     """
     if n_samples < 2:
         raise InvalidParametersError("need at least 2 Monte-Carlo samples")
     times = sorted(float(t) for t in times)
-    if not times or times[0] <= 0.0:
-        raise ValueError("probing times must be positive")
-    ks = [max(1, int(round(t / p.Delta))) for t in times]
+    if not times:
+        raise ValueError("no probing times")
+    ks = sde_sim.sample_indices(times, p.Delta)
     mu = float(prior_omega.mean[0])
     sigma = math.sqrt(float(prior_omega.cov[0, 0]))
     children = np.random.SeedSequence(seed).spawn(n_samples)

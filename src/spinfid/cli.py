@@ -96,26 +96,19 @@ def _cmd_estimate(cfg: ExperimentConfig, out_dir: Path) -> None:
     rng = harness._run_rng(cfg.seed, 0)
     _, rec = sde_sim.simulate(p, cfg.true_signal, cfg.duration,
                               substeps=cfg.substeps, seed=rng)
-    omega_hat, j_per_sample = pem.map_estimate(
-        rec, p, harness._omega_prior(p, cfg.sigma_omega),
-        harness._spin_prior(p, cfg.spin_cov_scale))
-    with open(out_dir / "estimate.csv", "w", newline="") as fh:
-        fh.write("omega_hat,neg_log_joint_per_sample\r\n")
-        fh.write(f"{omega_hat:.10g},{j_per_sample:.10g}\r\n")
+    fit = pem.map_estimate(rec, p, *harness._blocks(harness._prior(cfg, p)))
+    sde_sim._write_csv(out_dir / "estimate.csv",
+                       "omega_hat,neg_log_joint_per_sample", [fit])
 
 
 def _cmd_bcrb(cfg: ExperimentConfig, out_dir: Path) -> None:
     p = cfg.params
     times = cfg.sweep_values if cfg.sweep_axis == "time" else (cfg.duration,)
     results = bounds.bcrb_numeric_curve(
-        p, harness._omega_prior(p, cfg.sigma_omega),
-        harness._spin_prior(p, cfg.spin_cov_scale), times, cfg.bound_samples,
+        p, *harness._blocks(harness._prior(cfg, p)), times, cfg.bound_samples,
         seed=cfg.seed, substeps=cfg.substeps)
-    with open(out_dir / "bcrb.csv", "w", newline="") as fh:
-        fh.write("t,bound,stderr,kind\r\n")
-        for r in results:
-            fh.write(f"{r.meta['t']:.10g},{r.value:.10g},"
-                     f"{r.mc_std_err:.10g},bcrb_numeric\r\n")
+    sde_sim._write_csv(out_dir / "bcrb.csv", "t,bound,stderr,kind", (
+        (r.meta["t"], r.value, r.mc_std_err, "bcrb_numeric") for r in results))
 
 
 def _cmd_sweep_time(cfg: ExperimentConfig, out_dir: Path) -> None:
@@ -143,11 +136,8 @@ def _cmd_atoms(cfg: ExperimentConfig, out_dir: Path) -> None:
             p, p.omega_bar, k, seed=harness._run_rng(cfg.seed, r))
         est = atoms.estimate_atom_number(samples, p)
         rows.append((r, est.n_hat, est.sigma_n, est.k_used, int(est.degenerate)))
-    with open(out_dir / "atoms.csv", "w", newline="") as fh:
-        fh.write("run,n_hat,sigma_n,k,degenerate\r\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.10g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\r\n")
+    sde_sim._write_csv(out_dir / "atoms.csv", "run,n_hat,sigma_n,k,degenerate",
+                       rows)
 
 
 _COMMANDS = {

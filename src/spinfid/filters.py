@@ -6,13 +6,14 @@ evaluated at the current frequency estimate, and the frequency itself follows
 the exact discrete OU/Wiener law.  The process noise is
 D = diag(d1, d2, d2) with d1 from the frequency model and
 d2 = (qN/2)(1 - exp(-2 Delta/T2)).  Correction is a scalar Kalman update on
-y_k = g_D * J_z + v_k with measurement variance R/Delta.
+y_k = g_D * J_z + v_k with measurement variance R/Delta.  These constants
+depend on the configuration alone, so ``FilterConfig`` computes them once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import model
 from .errors import NumericalDegeneracyError
 from .model import GaussianPrior, SignalModel, SpmParams
-from .sde_sim import MeasurementRecord
+from .sde_sim import MeasurementRecord, _write_csv
 
 _JITTER_START = 1e-12
 _JITTER_MAX = 1e-6
@@ -41,6 +42,8 @@ class FilterConfig:
     signal: SignalModel          # assumed frequency model (OU or Wiener)
     prior: GaussianPrior         # over the 3-dim extended state
     params: SpmParams
+    # (phi, offset, decay, read-only D, R/Delta), set from the fields above
+    step: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("ekf", "ckf"):
@@ -49,6 +52,15 @@ class FilterConfig:
             raise ValueError("the filter's internal signal model must be OU or Wiener")
         if self.prior.mean.size != 3:
             raise ValueError("filter prior must be over the 3-dim extended state")
+        p = self.params
+        t2 = model.coherence_time(p)
+        phi, offset, d1 = model.signal_discrete_params(self.signal, p.Delta)
+        d2 = model.discrete_spin_noise_var(p.q, p.N, p.Delta, t2)
+        noise = np.diag([d1, d2, d2])
+        noise.flags.writeable = False
+        object.__setattr__(self, "step", (
+            phi, offset, math.exp(-p.Delta / t2), noise,
+            model.measurement_noise_variance(p)))
 
 
 @dataclass
@@ -56,8 +68,6 @@ class FilterTrace:
     """Per-step filter output; row k corresponds to the k-th measurement."""
 
     times: np.ndarray
-    pred_mean: np.ndarray   # (K, 3)
-    pred_cov: np.ndarray    # (K, 3, 3)
     mean: np.ndarray        # (K, 3) corrected
     cov: np.ndarray         # (K, 3, 3) corrected
     innovation: np.ndarray  # (K,)
@@ -76,31 +86,19 @@ class FilterTrace:
         return self.innovation ** 2 / self.innovation_var
 
     def to_csv(self, path) -> None:
-        header = "k,t,omega_hat,sigma_omega_pred,jy_hat,jz_hat,innovation,S,nis"
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "\r\n")
-            nis = self.nis
-            for k in range(len(self.times)):
-                row = (k + 1, self.times[k], self.mean[k, 0],
-                       math.sqrt(self.cov[k, 0, 0]), self.mean[k, 1],
-                       self.mean[k, 2], self.innovation[k],
-                       self.innovation_var[k], nis[k])
-                fh.write(",".join(f"{v:.10g}" for v in row) + "\r\n")
-
-
-def _step_constants(cfg: FilterConfig):
-    p = cfg.params
-    t2 = model.coherence_time(p)
-    phi, offset, d1 = model.signal_discrete_params(cfg.signal, p.Delta)
-    decay = math.exp(-p.Delta / t2)
-    d2 = model.discrete_spin_noise_var(p.q, p.N, p.Delta, t2)
-    return phi, offset, d1, decay, d2
+        nis = self.nis
+        _write_csv(path, "k,t,omega_hat,sigma_omega_pred,jy_hat,jz_hat,"
+                         "innovation,S,nis", (
+            (k + 1, self.times[k], self.mean[k, 0],
+             math.sqrt(self.cov[k, 0, 0]), self.mean[k, 1], self.mean[k, 2],
+             self.innovation[k], self.innovation_var[k], nis[k])
+            for k in range(len(self.times))))
 
 
 def discrete_f(m: np.ndarray, cfg: FilterConfig) -> np.ndarray:
     """One-step mean map: exact frequency step, damped rotation of the spin
     at the frozen frequency m[0]."""
-    phi, offset, _, decay, _ = _step_constants(cfg)
+    phi, offset, decay, _, _ = cfg.step
     delta = cfg.params.Delta
     c = math.cos(m[0] * delta)
     s = math.sin(m[0] * delta)
@@ -112,7 +110,7 @@ def discrete_f(m: np.ndarray, cfg: FilterConfig) -> np.ndarray:
 
 
 def discrete_f_jacobian(m: np.ndarray, cfg: FilterConfig) -> np.ndarray:
-    phi, _, _, decay, _ = _step_constants(cfg)
+    phi, _, decay, _, _ = cfg.step
     delta = cfg.params.Delta
     c = math.cos(m[0] * delta)
     s = math.sin(m[0] * delta)
@@ -127,8 +125,8 @@ def discrete_f_jacobian(m: np.ndarray, cfg: FilterConfig) -> np.ndarray:
 
 
 def process_noise(cfg: FilterConfig) -> np.ndarray:
-    _, _, d1, _, d2 = _step_constants(cfg)
-    return np.diag([d1, d2, d2])
+    """D = diag(d1, d2, d2), read-only."""
+    return cfg.step[3]
 
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
@@ -166,13 +164,20 @@ def _cholesky_with_jitter(p: np.ndarray) -> np.ndarray:
     raise NumericalDegeneracyError("covariance not factorizable after jitter escalation")
 
 
-def ekf_predict(b: GaussianBelief, cfg: FilterConfig) -> GaussianBelief:
-    mean = discrete_f(b.mean, cfg)
-    jac = discrete_f_jacobian(b.mean, cfg)
-    cov = _ensure_psd(_symmetrize(jac @ b.cov @ jac.T + process_noise(cfg)))
+def _predicted(mean: np.ndarray, spread: np.ndarray,
+               cfg: FilterConfig) -> GaussianBelief:
+    """Predicted belief from the propagated mean and covariance spread: adds
+    the process noise and keeps the covariance symmetric PSD."""
+    cov = _ensure_psd(_symmetrize(spread + process_noise(cfg)))
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise NumericalDegeneracyError("non-finite EKF prediction")
+        raise NumericalDegeneracyError(
+            f"non-finite {cfg.kind.upper()} prediction")
     return GaussianBelief(mean, cov)
+
+
+def ekf_predict(b: GaussianBelief, cfg: FilterConfig) -> GaussianBelief:
+    jac = discrete_f_jacobian(b.mean, cfg)
+    return _predicted(discrete_f(b.mean, cfg), jac @ b.cov @ jac.T, cfg)
 
 
 def ckf_predict(b: GaussianBelief, cfg: FilterConfig) -> GaussianBelief:
@@ -186,10 +191,7 @@ def ckf_predict(b: GaussianBelief, cfg: FilterConfig) -> GaussianBelief:
     fz = np.array([discrete_f(z, cfg) for z in points])
     mean = fz.mean(axis=0)
     dev = fz - mean
-    cov = _ensure_psd(_symmetrize(dev.T @ dev / 6.0 + process_noise(cfg)))
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise NumericalDegeneracyError("non-finite CKF prediction")
-    return GaussianBelief(mean, cov)
+    return _predicted(mean, dev.T @ dev / 6.0, cfg)
 
 
 def kalman_correct(b_minus: GaussianBelief, y: float, cfg: FilterConfig):
@@ -199,9 +201,8 @@ def kalman_correct(b_minus: GaussianBelief, y: float, cfg: FilterConfig):
     under the extreme gains of unstable (undersampled) regimes where the
     plain downdate loses definiteness to cancellation.
     """
-    p = cfg.params
-    g = p.g_D
-    r = p.R / p.Delta
+    g = cfg.params.g_D
+    r = cfg.step[4]
     pm = b_minus.cov
     s_var = r + g * g * pm[2, 2]
     if not s_var > 0.0:
@@ -225,18 +226,14 @@ def run_filter(cfg: FilterConfig, rec: MeasurementRecord) -> FilterTrace:
     n = len(rec.outcomes)
     trace = FilterTrace(
         times=rec.times,
-        pred_mean=np.empty((n, 3)),
-        pred_cov=np.empty((n, 3, 3)),
         mean=np.empty((n, 3)),
         cov=np.empty((n, 3, 3)),
         innovation=np.empty(n),
         innovation_var=np.empty(n),
     )
     for k, y in enumerate(rec.outcomes):
-        belief = predict(belief, cfg)
-        trace.pred_mean[k] = belief.mean
-        trace.pred_cov[k] = belief.cov
-        belief, innovation, s_var = kalman_correct(belief, float(y), cfg)
+        belief, innovation, s_var = kalman_correct(predict(belief, cfg),
+                                                   float(y), cfg)
         trace.mean[k] = belief.mean
         trace.cov[k] = belief.cov
         trace.innovation[k] = innovation

@@ -55,6 +55,8 @@ class ExperimentConfig:
             raise InvalidParametersError("run count must be >= 1")
         if self.duration <= 0.0:
             raise InvalidParametersError("duration must be positive")
+        if not self.sigma_omega > 0.0:
+            raise InvalidParametersError("sigma_omega must be positive")
         if self.sweep_axis not in SWEEP_AXES:
             raise InvalidParametersError(f"unknown sweep axis {self.sweep_axis!r}")
         if self.sweep_axis != "none":
@@ -120,7 +122,8 @@ class ErrorCurve:
 
     def to_csv(self, path) -> None:
         cols = [self.axis_name]
-        series = [self.axis]
+        # float, so a grid of ints is also written with .10g
+        series = [np.asarray(self.axis, dtype=float)]
         for name in sorted(self.rmse):
             cols += [f"rmse_{name}", f"stderr_{name}"]
             series += [self.rmse[name], self.rmse_stderr[name]]
@@ -130,10 +133,7 @@ class ErrorCurve:
             if name in self.bound_stderr:
                 cols.append(f"stderr_{name}")
                 series.append(self.bound_stderr[name])
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(cols) + "\r\n")
-            for row in zip(*series):
-                fh.write(",".join(f"{v:.10g}" for v in row) + "\r\n")
+        sde_sim._write_csv(path, ",".join(cols), zip(*series))
 
 
 @dataclass
@@ -148,44 +148,36 @@ class TrackingResult:
         return self.trace.omega_hat - self.truth_omega
 
     def to_csv(self, path) -> None:
-        header = "k,t,omega_true,omega_hat,sigma_omega_pred,innovation,S,nis"
         tr = self.trace
         nis = tr.nis
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "\r\n")
-            for k in range(len(tr.times)):
-                row = (k + 1, tr.times[k], self.truth_omega[k], tr.mean[k, 0],
-                       math.sqrt(tr.cov[k, 0, 0]), tr.innovation[k],
-                       tr.innovation_var[k], nis[k])
-                fh.write(",".join(f"{v:.10g}" for v in row) + "\r\n")
+        sde_sim._write_csv(
+            path, "k,t,omega_true,omega_hat,sigma_omega_pred,innovation,S,nis", (
+                (k + 1, tr.times[k], self.truth_omega[k], tr.mean[k, 0],
+                 math.sqrt(tr.cov[k, 0, 0]), tr.innovation[k],
+                 tr.innovation_var[k], nis[k])
+                for k in range(len(tr.times))))
 
 
-def _omega_prior(p: SpmParams, sigma_omega: float) -> GaussianPrior:
-    return GaussianPrior(np.array([p.omega_bar]),
-                         np.array([[sigma_omega ** 2]]))
+def _prior(cfg: ExperimentConfig, p: SpmParams) -> GaussianPrior:
+    """The reference prior over (omega, J_y, J_z) at the configured scales."""
+    return filters.default_prior(p, cfg.sigma_omega, cfg.spin_cov_scale)
+
+
+def _blocks(prior: GaussianPrior) -> tuple[GaussianPrior, GaussianPrior]:
+    """The (omega, spin) blocks of a prior over (omega, J_y, J_z), the pair
+    of priors the likelihood layer takes."""
+    return (GaussianPrior(prior.mean[:1], prior.cov[:1, :1]),
+            GaussianPrior(prior.mean[1:], prior.cov[1:, 1:]))
 
 
 def _spin_prior(p: SpmParams, scale: float) -> GaussianPrior:
-    return GaussianPrior(np.array([0.0, 0.5 * p.N]),
-                         np.diag([scale * p.N ** 2, scale * p.N ** 2]))
+    """The spin block alone; it does not depend on sigma_omega."""
+    return _blocks(filters.default_prior(p, DEFAULT_SIGMA_OMEGA, scale))[1]
 
 
 def _run_rng(seed: int, run_index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(run_index,)))
-
-
-def _grid_indices(times, delta: float):
-    """Sample index of each probe time; the record is simulated up to the
-    largest, so only a time that rounds to no sample lies outside it."""
-    ks = []
-    for t in times:
-        k = int(round(t / delta))
-        if k < 1:
-            raise InvalidParametersError(
-                f"grid time {t} outside the simulated record")
-        ks.append(k)
-    return ks
 
 
 def _check_exclusions(failures: list, runs: int) -> int:
@@ -219,25 +211,20 @@ def _single_run_errors(cfg: ExperimentConfig, p: SpmParams, rng, ks, substeps):
     out = {}
     for kind in ("ekf", "ckf"):
         if kind in cfg.estimators:
-            fcfg = filters.FilterConfig(
-                kind, cfg.filter_signal(p),
-                filters.default_prior(p, cfg.sigma_omega, cfg.spin_cov_scale), p)
+            fcfg = filters.FilterConfig(kind, cfg.filter_signal(p),
+                                        _prior(cfg, p), p)
             trace = filters.run_filter(fcfg, rec)
             out[kind] = [trace.omega_hat[k - 1] - omega_true for k in ks]
     if "pem" in cfg.estimators:
-        prior_w = _omega_prior(p, cfg.sigma_omega)
-        prior_s = _spin_prior(p, cfg.spin_cov_scale)
         out["pem"] = [omega_hat - omega_true for omega_hat, _ in
-                      pem.map_estimates(rec, ks, p, prior_w, prior_s)]
+                      pem.map_estimates(rec, ks, p, *_blocks(_prior(cfg, p)))]
     return out
 
 
 def _time_bounds(cfg: ExperimentConfig, p: SpmParams, times):
-    prior_w = _omega_prior(p, cfg.sigma_omega)
-    prior_s = _spin_prior(p, cfg.spin_cov_scale)
     out, out_se = {}, {}
     if "bcrb_numeric" in cfg.bounds:
-        results = bounds.bcrb_numeric_curve(p, prior_w, prior_s, times,
+        results = bounds.bcrb_numeric_curve(p, *_blocks(_prior(cfg, p)), times,
                                             cfg.bound_samples,
                                             seed=cfg.seed + 1,
                                             substeps=cfg.substeps)
@@ -267,7 +254,7 @@ def _sweep(cfg: ExperimentConfig, axis_name: str, axis, points) -> ErrorCurve:
     ``cfg.runs`` shots on the same per-run RNG streams, and the configured
     bounds are evaluated at its probe times.
     """
-    ks = [_grid_indices(times, p.Delta) for p, _, times in points]
+    ks = [sde_sim.sample_indices(times, p.Delta) for p, _, times in points]
     rmse = {e: [] for e in cfg.estimators}
     rmse_se = {e: [] for e in cfg.estimators}
     bound, bound_se = {}, {}
@@ -344,9 +331,7 @@ def run_tracking(cfg: ExperimentConfig) -> TrackingResult:
     rng = _run_rng(cfg.seed, 0)
     traj, rec = sde_sim.simulate(p, cfg.true_signal, cfg.duration,
                                  substeps=cfg.substeps, seed=rng)
-    fcfg = filters.FilterConfig(
-        kind, cfg.filter_signal(p),
-        filters.default_prior(p, cfg.sigma_omega, cfg.spin_cov_scale), p)
+    fcfg = filters.FilterConfig(kind, cfg.filter_signal(p), _prior(cfg, p), p)
     trace = filters.run_filter(fcfg, rec)
     truth = traj.states[cfg.substeps::cfg.substeps, 0]
     return TrackingResult(trace, truth)

@@ -65,7 +65,7 @@ def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
     sa = e * sin(omega * p.Delta)
     b2 = model.discrete_spin_noise_var(p.q, p.N, p.Delta, t2)
     g = p.g_D
-    r = p.R / p.Delta
+    r = model.measurement_noise_variance(p)
 
     m1, m2 = (float(v) for v in prior_spin.mean)
     cov = prior_spin.cov

@@ -50,6 +50,29 @@ class Trajectory:
     states: np.ndarray  # (n+1, 3) columns omega, J_y, J_z
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """The package's CSV layout: CRLF line ends, floats written with .10g
+    and every other cell with str."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.10g}" if isinstance(v, float) else str(v)
+                              for v in row) + "\r\n")
+
+
+def sample_indices(times, delta: float) -> list[int]:
+    """Index k of the sample t_k = k*delta nearest each probing time; a time
+    that rounds to no sample (k < 1) raises InvalidParametersError."""
+    ks = []
+    for t in times:
+        k = int(round(t / delta))
+        if k < 1:
+            raise InvalidParametersError(
+                f"probing time {t} rounds to no sample at Delta = {delta}")
+        ks.append(k)
+    return ks
+
+
 # to_csv writes round-trip timestamps; files written with 9 significant
 # digits round t_k and t_1 by up to 5e-9 relative each, so k * t_1 matches
 # t_k to 1e-8 relative there
@@ -71,10 +94,8 @@ class MeasurementRecord:
         return MeasurementRecord(self.delta, self.outcomes[:k])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,y\r\n")
-            for t, y in zip(self.times, self.outcomes):
-                fh.write(f"{float(t)!r},{float(y)!r}\r\n")
+        _write_csv(path, "t,y", ((repr(float(t)), repr(float(y)))
+                                 for t, y in zip(self.times, self.outcomes)))
 
     @classmethod
     def from_csv(cls, path) -> "MeasurementRecord":
@@ -289,7 +310,7 @@ def simulate(p: SpmParams, s: SignalModel, duration: float, substeps: int = 5,
     states = path(p, s, n_sub, h, rng, x1)
     times = h * np.arange(n_sub + 1)
     # photon shot-noise, independent of the atomic noise stream
-    v = math.sqrt(p.R / p.Delta) * rng.standard_normal(n_meas)
+    v = math.sqrt(model.measurement_noise_variance(p)) * rng.standard_normal(n_meas)
     jz_samples = states[substeps::substeps, 2]
     outcomes = p.g_D * jz_samples + v
     return Trajectory(times, states), MeasurementRecord(p.Delta, outcomes)

@@ -128,6 +128,10 @@ class TestNumericBound:
             bounds.bcrb_numeric_curve(p, prior_omega, prior_spin, [], 5)
         with pytest.raises(ValueError):
             bounds.bcrb_numeric_curve(p, prior_omega, prior_spin, [-1e-4], 5)
+        # 1 us rounds to no sample at Delta = 5 us
+        with pytest.raises(InvalidParametersError):
+            bounds.bcrb_numeric_curve(p, prior_omega, prior_spin,
+                                      [1e-6, 1e-4], 5)
 
     def test_numeric_agrees_with_analytic_when_noiseless(self):
         # q = 0 and a deterministic polarized start is exactly the regime of

@@ -59,6 +59,15 @@ class TestExitCodes:
         assert code == 2
         assert not (out / "bcrb.csv").exists()
 
+    def test_bound_time_between_samples(self, tmp_path):
+        # 1 us rounds to no sample at the default Delta = 5 us
+        cfg = _write_cfg(tmp_path, {"sweep_axis": "time",
+                                    "sweep_values": [1e-6, 1e-4],
+                                    "bound_samples": 2})
+        code, out = _run(tmp_path, "bcrb", "--config", cfg)
+        assert code == 2
+        assert not (out / "bcrb.csv").exists()
+
     def test_success_writes_manifest(self, tmp_path):
         code, out = _run(tmp_path, "simulate", "--seed", "4")
         assert code == 0

@@ -53,6 +53,24 @@ class TestOneStepMap:
         d2 = 0.5 * p.q * p.N * (1.0 - math.exp(-2.0 * p.Delta / t2))
         assert np.allclose(d, np.diag([7.0 * p.Delta, d2, d2]))
 
+    def test_run_filter_reads_the_step_model_of_its_config(self, monkeypatch):
+        # the model constants are computed once, when the config is built
+        p = SpmParams()
+        signal = OrnsteinUhlenbeck(p.omega_bar, 1.0, 1e7)
+        cfgs = [_cfg(kind, signal, p) for kind in ("ekf", "ckf")]
+        rec = MeasurementRecord(
+            p.Delta, np.random.default_rng(1).standard_normal(20))
+        calls = []
+        for name in ("coherence_time", "signal_discrete_params",
+                     "discrete_spin_noise_var"):
+            def counted(*args, _name=name, _orig=getattr(model, name)):
+                calls.append(_name)
+                return _orig(*args)
+            monkeypatch.setattr(model, name, counted)
+        for cfg in cfgs:
+            run_filter(cfg, rec)
+        assert calls == []
+
 
 class TestPredict:
     def test_ckf_exact_for_linear_map(self, monkeypatch):

@@ -37,6 +37,7 @@ class TestConfig:
         {"estimators": ("ekf", "mystery")},
         {"bounds": ("bcrb_numeric", "mystery")},
         {"bounds": ("bcrb_numeric",), "bound_samples": 1},
+        {"sigma_omega": 0.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParametersError):

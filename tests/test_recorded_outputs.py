@@ -1,18 +1,22 @@
 """Outputs at fixed seeds, pinned bit for bit to digests recorded before the
 order-1.5 step, the damped-rotation AR(1) and the sweep loops were each
-merged into one implementation.
+merged into one implementation.  The tracking cases and the CLI files were
+recorded before the filter's step model moved onto its config and the CSV
+writers were merged into one.
 
 A digest is the leading 16 hex digits of the SHA-256 of the outputs' float64
-bytes.  They were recorded with numpy 2.4 and scipy 1.17 on x86-64 Linux; a
-different libm or BLAS build may legitimately change the last bits.
+bytes, or of a CLI output file's bytes.  They were recorded with numpy 2.4
+and scipy 1.17 on x86-64 Linux; a different libm or BLAS build may
+legitimately change the last bits.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from spinfid import atoms, harness, sde_sim
+from spinfid import atoms, cli, harness, sde_sim
 from spinfid.harness import ExperimentConfig
 from spinfid.model import (Constant, OrnsteinUhlenbeck, Sinusoid, SpmParams,
                            Step, Wiener)
@@ -45,6 +49,18 @@ def _curve(c):
     for group in (c.rmse, c.rmse_stderr, c.bound, c.bound_stderr):
         out += [np.asarray(group[k]) for k in sorted(group)]
     return out
+
+
+def _track(kind):
+    # the track_ou benchmark config at d_c = 1e9, cut to 1 ms
+    p = SpmParams(Delta=1e-6)
+    s = OrnsteinUhlenbeck(p.omega_bar, 1.0, 1e9)
+    result = harness.run_tracking(ExperimentConfig(
+        params=p, true_signal=s, assumed_signal=s, estimators=(kind,),
+        duration=1e-3, substeps=8, seed=0))
+    tr = result.trace
+    return [tr.mean, tr.cov, tr.innovation, tr.innovation_var,
+            result.truth_omega]
 
 
 CASES = {
@@ -82,6 +98,8 @@ CASES = {
     "sweep delta": lambda: _curve(harness.run_error_vs_delta(ExperimentConfig(
         sweep_axis="sampling", sweep_values=(5e-6, 2.5e-6, 1e-5),
         duration=1e-4, runs=10, estimators=("ekf", "pem"), seed=3))),
+    "track ou ekf": lambda: _track("ekf"),
+    "track ou ckf": lambda: _track("ckf"),
     "atoms exact": lambda: [atoms.sample_steady_state_outcomes(
         P, P.omega_bar, 1000, seed=seed) for seed in (0, 1)],
     "atoms integrator": lambda: [atoms.sample_steady_state_outcomes(
@@ -104,9 +122,54 @@ RECORDED = {
     "sweep delta": "57320b78ea832ca9",
     "sweep time": "bd1c697ee16c3a03",
     "sweep time 13 runs": "cc6d9705128b36e4",
+    "track ou ckf": "6fae5aa661c50a1f",
+    "track ou ekf": "e68ae6d26b5ec7e9",
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_recorded(name):
     assert _digest(CASES[name]()) == RECORDED[name]
+
+
+WIENER = {"kind": "wiener", "omega0": P.omega_bar, "d_c": 1e7}
+
+# subcommand -> JSON config; each run at --seed 9
+CLI_CASES = {
+    "track": {"true_signal": WIENER, "assumed_signal": WIENER,
+              "estimators": ["ckf"], "duration": 5e-4},
+    "sweep-time": {"sweep_axis": "time", "sweep_values": [1e-4, 5e-5, 2e-4],
+                   "runs": 3, "estimators": ["ekf", "ckf", "pem"],
+                   "bounds": ["bcrb_numeric", "bcrb_analytic", "crb", "floor"],
+                   "bound_samples": 3},
+    # integer grid values, written with the same .10g as float ones
+    "sweep-n": {"params": {"T2_override": None}, "sweep_axis": "atoms",
+                "sweep_values": [100000000000, 400000000000],
+                "duration": 1e-4, "runs": 2},
+    "estimate": {"true_signal": {"kind": "constant",
+                                 "omega0": P.omega_bar + 500.0},
+                 "duration": 1e-3},
+    "bcrb": {"sweep_axis": "time", "sweep_values": [1e-4, 5e-5],
+             "bound_samples": 4},
+    "atoms": {"duration": 5e-2, "runs": 2},
+}
+
+RECORDED_CSV = {
+    "atoms": "8888285670638245",
+    "bcrb": "152240f41454a005",
+    "estimate": "8e2dd7d97590a029",
+    "sweep-n": "43ddca81fd9f8cb2",
+    "sweep-time": "573dbf65a196da82",
+    "track": "4cb516eee932b13d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_csv_matches_recorded(name, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CLI_CASES[name]))
+    out = tmp_path / "out"
+    assert cli.main([name, "--config", str(cfg), "--seed", "9",
+                     "--out", str(out)]) == 0
+    data = (out / f"{name}.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == RECORDED_CSV[name]
