@@ -16,8 +16,7 @@ from .bounds import (BoundResult, bcrb_analytic_gaussian_prior, bcrb_numeric,
                      fi_short_time, noiseless_bcrb_floor)
 from .errors import (IntegrationBlowupError, InvalidParametersError,
                      MapBoundaryError, NumericalDegeneracyError, SpinFidError)
-from .filters import (FilterConfig, FilterTrace, GaussianBelief, default_prior,
-                      run_filter)
+from .filters import FilterConfig, FilterTrace, default_prior, run_filter
 from .harness import (ErrorCurve, ExperimentConfig, TrackingResult,
                       run_error_vs_N, run_error_vs_delta, run_error_vs_time,
                       run_tracking)
@@ -37,8 +36,7 @@ __all__ = [
     "noiseless_bcrb_floor",
     "IntegrationBlowupError", "InvalidParametersError", "MapBoundaryError",
     "NumericalDegeneracyError", "SpinFidError",
-    "FilterConfig", "FilterTrace", "GaussianBelief", "default_prior",
-    "run_filter",
+    "FilterConfig", "FilterTrace", "default_prior", "run_filter",
     "ErrorCurve", "ExperimentConfig", "TrackingResult", "run_error_vs_N",
     "run_error_vs_delta", "run_error_vs_time", "run_tracking",
     "Constant", "GaussianPrior", "OrnsteinUhlenbeck", "Sinusoid", "SpmParams",

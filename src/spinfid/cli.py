@@ -129,7 +129,11 @@ def _cmd_track(cfg: ExperimentConfig, out_dir: Path) -> None:
 
 def _cmd_atoms(cfg: ExperimentConfig, out_dir: Path) -> None:
     p = cfg.params
-    k = max(2, int(round(cfg.duration / p.Delta)))
+    k = sde_sim.sample_indices([cfg.duration], p.Delta)[0]
+    if k < 2:
+        raise InvalidParametersError(
+            f"atom counting needs at least 2 samples; duration {cfg.duration} "
+            f"holds 1 at Delta = {p.Delta}")
     rows = []
     for r in range(cfg.runs):
         samples = atoms.sample_steady_state_outcomes(

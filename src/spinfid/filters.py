@@ -8,11 +8,20 @@ D = diag(d1, d2, d2) with d1 from the frequency model and
 d2 = (qN/2)(1 - exp(-2 Delta/T2)).  Correction is a scalar Kalman update on
 y_k = g_D * J_z + v_k with measurement variance R/Delta.  These constants
 depend on the configuration alone, so ``FilterConfig`` computes them once.
+
+A step runs on Python floats: the filter state is the tuple
+(omega, J_y, J_z, P00, P01, P02, P11, P12, P22) of the mean and the six
+unique entries of the symmetric covariance, and the matrix products are
+unrolled on it with the known zeros of the Jacobian and of the measurement
+row.  At this size numpy's per-call overhead outweighs the arithmetic.  The
+PSD safeguard tests the pivots of a scalar Cholesky factorization and
+decomposes only a covariance that fails it.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -25,15 +34,15 @@ from .sde_sim import MeasurementRecord, _write_csv
 
 _JITTER_START = 1e-12
 _JITTER_MAX = 1e-6
-
-
-@dataclass
-class GaussianBelief:
-    mean: np.ndarray  # (3,)
-    cov: np.ndarray   # (3, 3) symmetric PSD
-
-    def copy(self) -> "GaussianBelief":
-        return GaussianBelief(self.mean.copy(), self.cov.copy())
+_TINY = float(np.finfo(float).tiny)
+_SQRT3 = math.sqrt(3.0)
+# (rows, columns) of the 6 unique covariance entries, and the entry at
+# each position of the row-major 3x3 matrix
+_UPPER = ([0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2])
+_FULL = [0, 1, 2, 1, 3, 4, 2, 4, 5]
+# one row of a filter pass: the corrected mean, its covariance in row-major
+# order, the innovation and its variance
+_ROW = struct.Struct("14d")
 
 
 @dataclass(frozen=True)
@@ -42,7 +51,7 @@ class FilterConfig:
     signal: SignalModel          # assumed frequency model (OU or Wiener)
     prior: GaussianPrior         # over the 3-dim extended state
     params: SpmParams
-    # (phi, offset, decay, read-only D, R/Delta), set from the fields above
+    # (phi, offset, decay, d1, d2, R/Delta), set from the fields above
     step: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -55,11 +64,9 @@ class FilterConfig:
         p = self.params
         t2 = model.coherence_time(p)
         phi, offset, d1 = model.signal_discrete_params(self.signal, p.Delta)
-        d2 = model.discrete_spin_noise_var(p.q, p.N, p.Delta, t2)
-        noise = np.diag([d1, d2, d2])
-        noise.flags.writeable = False
         object.__setattr__(self, "step", (
-            phi, offset, math.exp(-p.Delta / t2), noise,
+            phi, offset, math.exp(-p.Delta / t2), d1,
+            model.discrete_spin_noise_var(p.q, p.N, p.Delta, t2),
             model.measurement_noise_variance(p)))
 
 
@@ -95,125 +102,175 @@ class FilterTrace:
             for k in range(len(self.times))))
 
 
-def discrete_f(m: np.ndarray, cfg: FilterConfig) -> np.ndarray:
-    """One-step mean map: exact frequency step, damped rotation of the spin
-    at the frozen frequency m[0]."""
-    phi, offset, decay, _, _ = cfg.step
-    delta = cfg.params.Delta
-    c = math.cos(m[0] * delta)
-    s = math.sin(m[0] * delta)
-    return np.array([
-        phi * m[0] + offset,
-        decay * (m[1] * c + m[2] * s),
-        decay * (-m[1] * s + m[2] * c),
-    ])
+def _step_mean(w: float, jy: float, jz: float, cfg: FilterConfig):
+    """One-step mean map and the (cos, sin) of its rotation angle omega*Delta:
+    exact frequency step, damped rotation of the spin at the frozen frequency
+    w."""
+    phi, offset, decay = cfg.step[:3]
+    angle = w * cfg.params.Delta
+    c = math.cos(angle)
+    s = math.sin(angle)
+    return (phi * w + offset, decay * (jy * c + jz * s),
+            decay * (-jy * s + jz * c), c, s)
 
 
-def discrete_f_jacobian(m: np.ndarray, cfg: FilterConfig) -> np.ndarray:
-    phi, _, decay, _, _ = cfg.step
-    delta = cfg.params.Delta
-    c = math.cos(m[0] * delta)
-    s = math.sin(m[0] * delta)
-    f2 = decay * (m[1] * c + m[2] * s)
-    f3 = decay * (-m[1] * s + m[2] * c)
-    # note d f2/d m1 = Delta * f3 and d f3/d m1 = -Delta * f2
-    return np.array([
-        [phi, 0.0, 0.0],
-        [delta * f3, decay * c, decay * s],
-        [-delta * f2, -decay * s, decay * c],
-    ])
+def discrete_f(w: float, jy: float, jz: float, cfg: FilterConfig) -> tuple:
+    """One-step mean map of the state (omega, J_y, J_z)."""
+    return _step_mean(w, jy, jz, cfg)[:3]
 
 
-def process_noise(cfg: FilterConfig) -> np.ndarray:
-    """D = diag(d1, d2, d2), read-only."""
-    return cfg.step[3]
+def _state(mean: np.ndarray, cov: np.ndarray) -> tuple:
+    """The 9-float filter state of a mean and a symmetric 3x3 covariance."""
+    return tuple(mean.tolist()) + tuple(cov[_UPPER].tolist())
 
 
-def _symmetrize(p: np.ndarray) -> np.ndarray:
-    return 0.5 * (p + p.T)
+def _matrix(p: tuple) -> np.ndarray:
+    """The symmetric 3x3 matrix of 6 unique covariance entries."""
+    return np.array(p)[_FULL].reshape(3, 3)
 
 
-def _ensure_psd(p: np.ndarray) -> np.ndarray:
+def _cholesky(p: tuple, shift: float = 0.0):
+    """Lower Cholesky factor (l00, l10, l20, l11, l21, l22) of P + shift*I,
+    or None when a pivot is not positive.  As in LAPACK's potrf a NaN pivot
+    passes, so non-finite entries reach the callers' finiteness checks."""
+    p00, p01, p02, p11, p12, p22 = p
+    a = p00 + shift
+    if a <= 0.0:
+        return None
+    l00 = math.sqrt(a)
+    l10 = p01 / l00
+    l20 = p02 / l00
+    a = p11 + shift - l10 * l10
+    if a <= 0.0:
+        return None
+    l11 = math.sqrt(a)
+    l21 = (p12 - l20 * l10) / l11
+    a = p22 + shift - (l20 * l20 + l21 * l21)
+    if a <= 0.0:
+        return None
+    return l00, l10, l20, l11, l21, math.sqrt(a)
+
+
+def _ensure_psd(p: tuple) -> tuple:
     """Project a symmetric matrix back onto the PSD cone if roundoff pushed
     it out (clipping negative eigenvalues to zero).  In the undersampled
     regime the filter covariance swings over many orders of magnitude and
     cancellation can leave small negative eigenvalues that would otherwise
-    snowball."""
-    try:
-        np.linalg.cholesky(p + np.finfo(float).tiny * np.eye(3))
-        return p
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(p)
-        return _symmetrize((v * np.maximum(w, 0.0)) @ v.T)
+    snowball.  The test is a scalar Cholesky of P + tiny*I; only a matrix
+    that fails it is decomposed."""
+    return p if _cholesky(p, _TINY) is not None else _clip_to_psd(p)
 
 
-def _cholesky_with_jitter(p: np.ndarray) -> np.ndarray:
+def _clip_to_psd(p: tuple) -> tuple:
+    """Nearest PSD matrix: negative eigenvalues clipped to zero."""
+    w, v = np.linalg.eigh(_matrix(p))
+    q = (v * np.maximum(w, 0.0)) @ v.T
+    return tuple((0.5 * (q + q.T))[_UPPER].tolist())
+
+
+def _cholesky_with_jitter(p: tuple) -> tuple:
     """Lower-triangular Cholesky factor with a bounded, deterministic jitter
     escalation to recover from roundoff-induced indefiniteness."""
-    try:
-        return np.linalg.cholesky(p)
-    except np.linalg.LinAlgError:
-        pass
-    scale = np.trace(p) / 3.0
+    root = _cholesky(p)
+    if root is not None:
+        return root
+    scale = (p[0] + p[3] + p[5]) / 3.0
     eps = _JITTER_START
     while eps <= _JITTER_MAX:
-        try:
-            return np.linalg.cholesky(p + eps * scale * np.eye(3))
-        except np.linalg.LinAlgError:
-            eps *= 10.0
+        root = _cholesky(p, eps * scale)
+        if root is not None:
+            return root
+        eps *= 10.0
     raise NumericalDegeneracyError("covariance not factorizable after jitter escalation")
 
 
-def _predicted(mean: np.ndarray, spread: np.ndarray,
-               cfg: FilterConfig) -> GaussianBelief:
-    """Predicted belief from the propagated mean and covariance spread: adds
-    the process noise and keeps the covariance symmetric PSD."""
-    cov = _ensure_psd(_symmetrize(spread + process_noise(cfg)))
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+def _predicted(mean: tuple, spread: tuple, cfg: FilterConfig) -> tuple:
+    """Predicted state from the propagated mean and covariance spread: adds
+    the process noise and keeps the covariance PSD."""
+    d1, d2 = cfg.step[3], cfg.step[4]
+    s00, s01, s02, s11, s12, s22 = spread
+    x = mean + _ensure_psd((s00 + d1, s01, s02, s11 + d2, s12, s22 + d2))
+    if not all(map(math.isfinite, x)):
         raise NumericalDegeneracyError(
             f"non-finite {cfg.kind.upper()} prediction")
-    return GaussianBelief(mean, cov)
+    return x
 
 
-def ekf_predict(b: GaussianBelief, cfg: FilterConfig) -> GaussianBelief:
-    jac = discrete_f_jacobian(b.mean, cfg)
-    return _predicted(discrete_f(b.mean, cfg), jac @ b.cov @ jac.T, cfg)
+def ekf_predict(x: tuple, cfg: FilterConfig) -> tuple:
+    """Mean through the one-step map f, covariance J P J^T + D through its
+    Jacobian J.  The rows of J are (phi, 0, 0), (Delta f3, e c, e s) and
+    (-Delta f2, -e s, e c), with (f2, f3) the predicted spin, e the spin
+    decay per step and (c, s) the cosine and sine of omega*Delta: the
+    rotation gives d f2/d omega = Delta f3 and d f3/d omega = -Delta f2."""
+    w, jy, jz, p00, p01, p02, p11, p12, p22 = x
+    w1, f2, f3, c, s = _step_mean(w, jy, jz, cfg)
+    phi, decay, delta = cfg.step[0], cfg.step[2], cfg.params.Delta
+    a1, a2 = delta * f3, -delta * f2
+    ec, es = decay * c, decay * s
+    # P times rows 1 and 2 of J
+    u0 = p00 * a1 + p01 * ec + p02 * es
+    u1 = p01 * a1 + p11 * ec + p12 * es
+    u2 = p02 * a1 + p12 * ec + p22 * es
+    v0 = p00 * a2 - p01 * es + p02 * ec
+    v1 = p01 * a2 - p11 * es + p12 * ec
+    v2 = p02 * a2 - p12 * es + p22 * ec
+    return _predicted((w1, f2, f3), (
+        phi * (phi * p00), phi * u0, phi * v0,
+        a1 * u0 + ec * u1 + es * u2, a1 * v0 + ec * v1 + es * v2,
+        a2 * v0 - es * v1 + ec * v2), cfg)
 
 
-def ckf_predict(b: GaussianBelief, cfg: FilterConfig) -> GaussianBelief:
+def ckf_predict(x: tuple, cfg: FilterConfig) -> tuple:
     """Third-degree spherical cubature prediction: 6 points at +-sqrt(3)
     along the columns of the lower-triangular Cholesky factor of P."""
-    root = _cholesky_with_jitter(b.cov)
-    scale = math.sqrt(3.0)
-    points = np.empty((6, 3))
-    points[:3] = b.mean + scale * root.T
-    points[3:] = b.mean - scale * root.T
-    fz = np.array([discrete_f(z, cfg) for z in points])
-    mean = fz.mean(axis=0)
-    dev = fz - mean
-    return _predicted(mean, dev.T @ dev / 6.0, cfg)
+    w, jy, jz = x[:3]
+    l00, l10, l20, l11, l21, l22 = _cholesky_with_jitter(x[3:])
+    cols = ((_SQRT3 * l00, _SQRT3 * l10, _SQRT3 * l20),
+            (0.0, _SQRT3 * l11, _SQRT3 * l21),
+            (0.0, 0.0, _SQRT3 * l22))
+    fz = ([discrete_f(w + a, jy + b, jz + c, cfg) for a, b, c in cols]
+          + [discrete_f(w - a, jy - b, jz - c, cfg) for a, b, c in cols])
+    m0, m1, m2 = (sum(col) / 6.0 for col in zip(*fz))
+    s00 = s01 = s02 = s11 = s12 = s22 = 0.0
+    for f0, f1, f2 in fz:
+        e0, e1, e2 = f0 - m0, f1 - m1, f2 - m2
+        s00 += e0 * e0
+        s01 += e0 * e1
+        s02 += e0 * e2
+        s11 += e1 * e1
+        s12 += e1 * e2
+        s22 += e2 * e2
+    return _predicted((m0, m1, m2), (s00 / 6.0, s01 / 6.0, s02 / 6.0,
+                                     s11 / 6.0, s12 / 6.0, s22 / 6.0), cfg)
 
 
-def kalman_correct(b_minus: GaussianBelief, y: float, cfg: FilterConfig):
-    """Scalar measurement update; returns (belief, innovation, S).
+def kalman_correct(x: tuple, y: float, cfg: FilterConfig):
+    """Scalar measurement update; returns (state, innovation, S).
 
-    The covariance uses the Joseph form, which stays positive semidefinite
-    under the extreme gains of unstable (undersampled) regimes where the
-    plain downdate loses definiteness to cancellation.
+    The covariance uses the Joseph form (I - K h^T) P (I - K h^T)^T + R K K^T
+    with h = (0, 0, g_D), which stays positive semidefinite under the
+    extreme gains of unstable (undersampled) regimes where the plain
+    downdate loses definiteness to cancellation.
     """
+    w, jy, jz, p00, p01, p02, p11, p12, p22 = x
     g = cfg.params.g_D
-    r = cfg.step[4]
-    pm = b_minus.cov
-    s_var = r + g * g * pm[2, 2]
+    r = cfg.step[5]
+    s_var = r + g * g * p22
     if not s_var > 0.0:
         raise NumericalDegeneracyError(f"innovation variance not positive: {s_var}")
-    k_gain = g * pm[:, 2] / s_var
-    innovation = y - g * b_minus.mean[2]
-    mean = b_minus.mean + k_gain * innovation
-    ikh = np.eye(3)
-    ikh[:, 2] -= g * k_gain
-    cov = _ensure_psd(_symmetrize(ikh @ pm @ ikh.T + r * np.outer(k_gain, k_gain)))
-    return GaussianBelief(mean, cov), innovation, s_var
+    k0, k1, k2 = g * p02 / s_var, g * p12 / s_var, g * p22 / s_var
+    innovation = y - g * jz
+    # column 2 of I - K h^T; its other columns are those of I
+    c0, c1, c2 = -(g * k0), -(g * k1), 1.0 - g * k2
+    # rows 0 and 1 of (I - K h^T) P; row 2 is c2 * P[2, :]
+    m00, m01, m02 = p00 + c0 * p02, p01 + c0 * p12, p02 + c0 * p22
+    m11, m12 = p11 + c1 * p12, p12 + c1 * p22
+    cov = _ensure_psd((
+        m00 + c0 * m02 + r * (k0 * k0), m01 + c1 * m02 + r * (k0 * k1),
+        c2 * m02 + r * (k0 * k2), m11 + c1 * m12 + r * (k1 * k1),
+        c2 * m12 + r * (k1 * k2), c2 * (c2 * p22) + r * (k2 * k2)))
+    return ((w + k0 * innovation, jy + k1 * innovation, jz + k2 * innovation)
+            + cov, innovation, s_var)
 
 
 def run_filter(cfg: FilterConfig, rec: MeasurementRecord) -> FilterTrace:
@@ -221,24 +278,18 @@ def run_filter(cfg: FilterConfig, rec: MeasurementRecord) -> FilterTrace:
     if len(rec.outcomes) == 0:
         raise ValueError("empty measurement record")
     predict = ekf_predict if cfg.kind == "ekf" else ckf_predict
-    belief = GaussianBelief(cfg.prior.mean.copy(), cfg.prior.cov.copy())
-
-    n = len(rec.outcomes)
-    trace = FilterTrace(
-        times=rec.times,
-        mean=np.empty((n, 3)),
-        cov=np.empty((n, 3, 3)),
-        innovation=np.empty(n),
-        innovation_var=np.empty(n),
-    )
+    x = _state(cfg.prior.mean, cfg.prior.cov)
+    # the trace's arrays are views of this one buffer
+    out = np.empty((len(rec.outcomes), 14))
+    write_row = _ROW.pack_into
     for k, y in enumerate(rec.outcomes):
-        belief, innovation, s_var = kalman_correct(predict(belief, cfg),
-                                                   float(y), cfg)
-        trace.mean[k] = belief.mean
-        trace.cov[k] = belief.cov
-        trace.innovation[k] = innovation
-        trace.innovation_var[k] = s_var
-    return trace
+        x, innovation, s_var = kalman_correct(predict(x, cfg), float(y), cfg)
+        w, jy, jz, p00, p01, p02, p11, p12, p22 = x
+        write_row(out, k * _ROW.size, w, jy, jz, p00, p01, p02, p01, p11, p12,
+                  p02, p12, p22, innovation, s_var)
+    return FilterTrace(times=rec.times, mean=out[:, :3],
+                       cov=out[:, 3:12].reshape(-1, 3, 3),
+                       innovation=out[:, 12], innovation_var=out[:, 13])
 
 
 def default_prior(p: SpmParams, sigma_omega: float,

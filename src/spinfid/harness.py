@@ -324,10 +324,14 @@ def run_error_vs_delta(cfg: ExperimentConfig) -> ErrorCurve:
 
 
 def run_tracking(cfg: ExperimentConfig) -> TrackingResult:
-    """One simulated shot of the configured true signal plus a filter pass
-    with its assumed (OU or random-walk) model."""
+    """One simulated shot of the configured true signal plus a pass of the
+    first filter among the estimators, with its assumed (OU or random-walk)
+    model."""
     p = cfg.params
-    kind = next((e for e in cfg.estimators if e in ("ekf", "ckf")), "ekf")
+    kind = next((e for e in cfg.estimators if e in ("ekf", "ckf")), None)
+    if kind is None:
+        raise InvalidParametersError(
+            "tracking needs a filter: estimators must include 'ekf' or 'ckf'")
     rng = _run_rng(cfg.seed, 0)
     traj, rec = sde_sim.simulate(p, cfg.true_signal, cfg.duration,
                                  substeps=cfg.substeps, seed=rng)

@@ -1,0 +1,154 @@
+"""Matrix-form EKF/CKF step kept as the test oracle of ``spinfid.filters``.
+
+This is the filter as it ran on 3x3 numpy arrays before the step was
+unrolled on the six unique covariance entries, with the same arithmetic: it
+reproduces the outputs the pinned digests in ``test_recorded_outputs.py``
+were recorded from bit for bit.  It reads the configuration's step model
+(phi, offset, decay, d1, d2, R/Delta) and writes the package's
+``FilterTrace``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from spinfid.errors import NumericalDegeneracyError
+from spinfid.filters import FilterConfig, FilterTrace
+from spinfid.sde_sim import MeasurementRecord
+
+_JITTER_START = 1e-12
+_JITTER_MAX = 1e-6
+
+
+@dataclass
+class GaussianBelief:
+    mean: np.ndarray  # (3,)
+    cov: np.ndarray   # (3, 3) symmetric PSD
+
+
+def discrete_f(m: np.ndarray, cfg: FilterConfig) -> np.ndarray:
+    phi, offset, decay = cfg.step[:3]
+    delta = cfg.params.Delta
+    c = math.cos(m[0] * delta)
+    s = math.sin(m[0] * delta)
+    return np.array([
+        phi * m[0] + offset,
+        decay * (m[1] * c + m[2] * s),
+        decay * (-m[1] * s + m[2] * c),
+    ])
+
+
+def discrete_f_jacobian(m: np.ndarray, cfg: FilterConfig) -> np.ndarray:
+    phi, _, decay = cfg.step[:3]
+    delta = cfg.params.Delta
+    c = math.cos(m[0] * delta)
+    s = math.sin(m[0] * delta)
+    f2 = decay * (m[1] * c + m[2] * s)
+    f3 = decay * (-m[1] * s + m[2] * c)
+    return np.array([
+        [phi, 0.0, 0.0],
+        [delta * f3, decay * c, decay * s],
+        [-delta * f2, -decay * s, decay * c],
+    ])
+
+
+def process_noise(cfg: FilterConfig) -> np.ndarray:
+    _, _, _, d1, d2, _ = cfg.step
+    return np.diag([d1, d2, d2])
+
+
+def _symmetrize(p: np.ndarray) -> np.ndarray:
+    return 0.5 * (p + p.T)
+
+
+def _ensure_psd(p: np.ndarray) -> np.ndarray:
+    try:
+        np.linalg.cholesky(p + np.finfo(float).tiny * np.eye(3))
+        return p
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(p)
+        return _symmetrize((v * np.maximum(w, 0.0)) @ v.T)
+
+
+def _cholesky_with_jitter(p: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(p)
+    except np.linalg.LinAlgError:
+        pass
+    scale = np.trace(p) / 3.0
+    eps = _JITTER_START
+    while eps <= _JITTER_MAX:
+        try:
+            return np.linalg.cholesky(p + eps * scale * np.eye(3))
+        except np.linalg.LinAlgError:
+            eps *= 10.0
+    raise NumericalDegeneracyError("covariance not factorizable after jitter escalation")
+
+
+def _predicted(mean: np.ndarray, spread: np.ndarray,
+               cfg: FilterConfig) -> GaussianBelief:
+    cov = _ensure_psd(_symmetrize(spread + process_noise(cfg)))
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise NumericalDegeneracyError(
+            f"non-finite {cfg.kind.upper()} prediction")
+    return GaussianBelief(mean, cov)
+
+
+def ekf_predict(b: GaussianBelief, cfg: FilterConfig) -> GaussianBelief:
+    jac = discrete_f_jacobian(b.mean, cfg)
+    return _predicted(discrete_f(b.mean, cfg), jac @ b.cov @ jac.T, cfg)
+
+
+def ckf_predict(b: GaussianBelief, cfg: FilterConfig) -> GaussianBelief:
+    root = _cholesky_with_jitter(b.cov)
+    scale = math.sqrt(3.0)
+    points = np.empty((6, 3))
+    points[:3] = b.mean + scale * root.T
+    points[3:] = b.mean - scale * root.T
+    fz = np.array([discrete_f(z, cfg) for z in points])
+    mean = fz.mean(axis=0)
+    dev = fz - mean
+    return _predicted(mean, dev.T @ dev / 6.0, cfg)
+
+
+def kalman_correct(b_minus: GaussianBelief, y: float, cfg: FilterConfig):
+    g = cfg.params.g_D
+    r = cfg.step[5]
+    pm = b_minus.cov
+    s_var = r + g * g * pm[2, 2]
+    if not s_var > 0.0:
+        raise NumericalDegeneracyError(f"innovation variance not positive: {s_var}")
+    k_gain = g * pm[:, 2] / s_var
+    innovation = y - g * b_minus.mean[2]
+    mean = b_minus.mean + k_gain * innovation
+    ikh = np.eye(3)
+    ikh[:, 2] -= g * k_gain
+    cov = _ensure_psd(_symmetrize(ikh @ pm @ ikh.T + r * np.outer(k_gain, k_gain)))
+    return GaussianBelief(mean, cov), innovation, s_var
+
+
+def run_filter(cfg: FilterConfig, rec: MeasurementRecord) -> FilterTrace:
+    if len(rec.outcomes) == 0:
+        raise ValueError("empty measurement record")
+    predict = ekf_predict if cfg.kind == "ekf" else ckf_predict
+    belief = GaussianBelief(cfg.prior.mean.copy(), cfg.prior.cov.copy())
+
+    n = len(rec.outcomes)
+    trace = FilterTrace(
+        times=rec.times,
+        mean=np.empty((n, 3)),
+        cov=np.empty((n, 3, 3)),
+        innovation=np.empty(n),
+        innovation_var=np.empty(n),
+    )
+    for k, y in enumerate(rec.outcomes):
+        belief, innovation, s_var = kalman_correct(predict(belief, cfg),
+                                                   float(y), cfg)
+        trace.mean[k] = belief.mean
+        trace.cov[k] = belief.cov
+        trace.innovation[k] = innovation
+        trace.innovation_var[k] = s_var
+    return trace

@@ -68,6 +68,20 @@ class TestExitCodes:
         assert code == 2
         assert not (out / "bcrb.csv").exists()
 
+    def test_track_without_a_filter(self, tmp_path):
+        cfg = _write_cfg(tmp_path, {"estimators": ["pem"], "duration": 1e-4})
+        code, out = _run(tmp_path, "track", "--config", cfg)
+        assert code == 2
+        assert not (out / "track.csv").exists()
+
+    def test_atoms_record_below_two_samples(self, tmp_path):
+        # 1 ns is no sample at the default Delta = 5 us, 6 us is one
+        for duration, code_wanted in ((1e-9, 2), (6e-6, 2), (1e-5, 0)):
+            cfg = _write_cfg(tmp_path, {"duration": duration, "runs": 1})
+            code, out = _run(tmp_path, "atoms", "--config", cfg)
+            assert code == code_wanted
+            assert (out / "atoms.csv").exists() == (code_wanted == 0)
+
     def test_success_writes_manifest(self, tmp_path):
         code, out = _run(tmp_path, "simulate", "--seed", "4")
         assert code == 0
@@ -208,7 +222,7 @@ class TestPublicSurface:
         assert sorted(spinfid.__all__) == [
             "AtomCountEstimate", "BoundResult", "Constant", "ErrorCurve",
             "ExperimentConfig", "FilterConfig", "FilterTrace",
-            "GaussianBelief", "GaussianPrior", "IntegrationBlowupError",
+            "GaussianPrior", "IntegrationBlowupError",
             "InvalidParametersError", "MapBoundaryError", "MeasurementRecord",
             "NumericalDegeneracyError", "OrnsteinUhlenbeck", "Sinusoid",
             "SpinFidError", "SpmParams", "Step", "TrackingResult",

@@ -216,6 +216,11 @@ class TestTracking:
         result = run_tracking(cfg)
         assert abs(result.true_error[-1]) < 1.0
 
+    def test_rejects_config_without_a_filter(self):
+        cfg = ExperimentConfig(estimators=("pem",), duration=1e-4)
+        with pytest.raises(InvalidParametersError):
+            run_tracking(cfg)
+
     def test_csv_outputs(self, tmp_path):
         cfg = ExperimentConfig(true_signal=Constant(SpmParams().omega_bar),
                                duration=1e-4)

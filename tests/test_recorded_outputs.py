@@ -4,6 +4,12 @@ merged into one implementation.  The tracking cases and the CLI files were
 recorded before the filter's step model moved onto its config and the CSV
 writers were merged into one.
 
+The outputs that run a filter were re-recorded when the filter step moved
+from 3x3 numpy arrays to unrolled Python floats, which rounds differently.
+The matrix-form filter is kept as ``filter_reference``; run in its place it
+still reproduces the digests recorded before, and ``test_filters`` bounds
+the distance between the two paths.
+
 A digest is the leading 16 hex digits of the SHA-256 of the outputs' float64
 bytes, or of a CLI output file's bytes.  They were recorded with numpy 2.4
 and scipy 1.17 on x86-64 Linux; a different libm or BLAS build may
@@ -16,7 +22,8 @@ import json
 import numpy as np
 import pytest
 
-from spinfid import atoms, cli, harness, sde_sim
+import filter_reference as reference
+from spinfid import atoms, cli, filters, harness, sde_sim
 from spinfid.harness import ExperimentConfig
 from spinfid.model import (Constant, OrnsteinUhlenbeck, Sinusoid, SpmParams,
                            Step, Wiener)
@@ -118,6 +125,17 @@ RECORDED = {
     "simulate sinusoid": "c874f7649013a2e1",
     "simulate step": "6f5d45608b346496",
     "simulate wiener": "5a568a0311f0ce69",
+    "sweep N": "34520be996d781bd",
+    "sweep delta": "fb0c07ed287b0078",
+    "sweep time": "a5f9f8c9c3f0f3a1",
+    "sweep time 13 runs": "ee5dd9632c9729eb",
+    "track ou ckf": "86b101ad693b9619",
+    "track ou ekf": "6154e867c4de71d6",
+}
+
+
+# the outputs that run a filter, as the matrix-form filter gave them
+RECORDED_MATRIX_FILTER = {
     "sweep N": "f4333af43c963ea6",
     "sweep delta": "57320b78ea832ca9",
     "sweep time": "bd1c697ee16c3a03",
@@ -130,6 +148,12 @@ RECORDED = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_recorded(name):
     assert _digest(CASES[name]()) == RECORDED[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_MATRIX_FILTER))
+def test_matrix_filter_output_matches_recorded(name, monkeypatch):
+    monkeypatch.setattr(filters, "run_filter", reference.run_filter)
+    assert _digest(CASES[name]()) == RECORDED_MATRIX_FILTER[name]
 
 
 WIENER = {"kind": "wiener", "omega0": P.omega_bar, "d_c": 1e7}
@@ -158,18 +182,34 @@ RECORDED_CSV = {
     "atoms": "8888285670638245",
     "bcrb": "152240f41454a005",
     "estimate": "8e2dd7d97590a029",
+    "sweep-n": "e33b298b5c217210",
+    "sweep-time": "5afafaac5d3c4218",
+    "track": "98697494fabff3dd",
+}
+
+
+RECORDED_MATRIX_FILTER_CSV = {
     "sweep-n": "43ddca81fd9f8cb2",
     "sweep-time": "573dbf65a196da82",
     "track": "4cb516eee932b13d",
 }
 
 
-@pytest.mark.parametrize("name", sorted(CLI_CASES))
-def test_cli_csv_matches_recorded(name, tmp_path):
+def _cli_digest(name, tmp_path) -> str:
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(CLI_CASES[name]))
     out = tmp_path / "out"
     assert cli.main([name, "--config", str(cfg), "--seed", "9",
                      "--out", str(out)]) == 0
-    data = (out / f"{name}.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest()[:16] == RECORDED_CSV[name]
+    return hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_csv_matches_recorded(name, tmp_path):
+    assert _cli_digest(name, tmp_path) == RECORDED_CSV[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_MATRIX_FILTER_CSV))
+def test_matrix_filter_cli_csv_matches_recorded(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(filters, "run_filter", reference.run_filter)
+    assert _cli_digest(name, tmp_path) == RECORDED_MATRIX_FILTER_CSV[name]
