@@ -14,8 +14,9 @@ from .bounds import (BoundResult, bcrb_analytic_gaussian_prior, bcrb_numeric,
                      bcrb_numeric_curve, fi_asymptotic, fi_no_decoherence,
                      fi_noiseless_continuous, fi_noiseless_discrete,
                      fi_short_time, noiseless_bcrb_floor)
-from .errors import (IntegrationBlowupError, InvalidParametersError,
-                     MapBoundaryError, NumericalDegeneracyError, SpinFidError)
+from .errors import (ExclusionLimitError, IntegrationBlowupError,
+                     InvalidParametersError, MapBoundaryError,
+                     NumericalDegeneracyError, SpinFidError)
 from .filters import FilterConfig, FilterTrace, default_prior, run_filter
 from .harness import (ErrorCurve, ExperimentConfig, TrackingResult,
                       run_error_vs_N, run_error_vs_delta, run_error_vs_time,
@@ -34,8 +35,8 @@ __all__ = [
     "bcrb_numeric_curve", "fi_asymptotic", "fi_no_decoherence",
     "fi_noiseless_continuous", "fi_noiseless_discrete", "fi_short_time",
     "noiseless_bcrb_floor",
-    "IntegrationBlowupError", "InvalidParametersError", "MapBoundaryError",
-    "NumericalDegeneracyError", "SpinFidError",
+    "ExclusionLimitError", "IntegrationBlowupError", "InvalidParametersError",
+    "MapBoundaryError", "NumericalDegeneracyError", "SpinFidError",
     "FilterConfig", "FilterTrace", "default_prior", "run_filter",
     "ErrorCurve", "ExperimentConfig", "TrackingResult", "run_error_vs_N",
     "run_error_vs_delta", "run_error_vs_time", "run_tracking",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, sde_sim
-from .model import Constant, SpmParams
+from .model import SpmParams
 
 
 @dataclass(frozen=True)
@@ -63,35 +63,24 @@ def estimate_atom_number(samples, p: SpmParams) -> AtomCountEstimate:
     return AtomCountEstimate(n_hat, sigma_n, k, degenerate=n_hat <= 0.0)
 
 
-def sample_steady_state_outcomes(p: SpmParams, omega: float, k: int, seed=0,
-                                 use_integrator: bool = False,
-                                 burn_in_coherence_times: float = 10.0) -> np.ndarray:
+def sample_steady_state_outcomes(p: SpmParams, omega: float, k: int,
+                                 seed=0) -> np.ndarray:
     """Draw k renormalized steady-state outcomes y_k / g_D.
 
-    By default the spin starts from its thermal stationary law (each
-    component N(0, qN/2)) and advances by the exact discrete damped rotation,
-    which samples the same stationary process as a long pumped run at a tiny
-    fraction of the cost.  ``use_integrator=True`` instead runs the full
-    stochastic integrator from the polarized state and discards a burn-in of
-    ``burn_in_coherence_times`` * T2.
+    The spin starts from its thermal stationary law (each component
+    N(0, qN/2)) and advances by the exact discrete damped rotation, which
+    samples the same stationary process as a long pumped run at a tiny
+    fraction of the cost.
     """
     if k < 1:
         raise ValueError("need at least one sample")
     rng = sde_sim._as_rng(seed)
     t2 = model.coherence_time(p)
     shot_std = math.sqrt(model.measurement_noise_variance(p)) / p.g_D
-
-    if use_integrator:
-        burn = burn_in_coherence_times * t2
-        n_burn = int(math.ceil(burn / p.Delta))
-        duration = (n_burn + k) * p.Delta
-        _, rec = sde_sim.simulate(p, Constant(omega), duration, seed=rng)
-        return rec.outcomes[n_burn:n_burn + k] / p.g_D
-
     b = model.discrete_spin_noise_std(p.q, p.N, p.Delta, t2)
     stat_std = math.sqrt(0.5 * p.q * p.N)
 
     z0 = stat_std * (rng.standard_normal() + 1j * rng.standard_normal())
     eta = b * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-    z = model.damped_rotation_ar1(omega, p.Delta, t2, z0, eta)
+    z = model.damped_rotation(model.rotation_pole(omega, p.Delta, t2), eta, z0)
     return z.imag + shot_std * rng.standard_normal(k)

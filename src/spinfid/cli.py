@@ -196,8 +196,7 @@ def main(argv=None) -> int:
     except InvalidParametersError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SpinFidError, FloatingPointError, ArithmeticError,
-            RuntimeError) as exc:
+    except (SpinFidError, FloatingPointError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     _write_manifest(out_dir, args.subcommand, cfg, cfg.seed,

@@ -18,6 +18,10 @@ class NumericalDegeneracyError(SpinFidError, ArithmeticError):
     failure beyond the jitter escalation limit)."""
 
 
+class ExclusionLimitError(SpinFidError, RuntimeError):
+    """More Monte-Carlo runs of a sweep failed than it may exclude."""
+
+
 class MapBoundaryError(SpinFidError, RuntimeError):
     """The MAP search ended on the edge of its bracket; the prior is too
     narrow or the data is inconsistent with it."""

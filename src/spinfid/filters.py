@@ -170,11 +170,13 @@ def _clip_to_psd(p: tuple) -> tuple:
 
 def _cholesky_with_jitter(p: tuple) -> tuple:
     """Lower-triangular Cholesky factor with a bounded, deterministic jitter
-    escalation to recover from roundoff-induced indefiniteness."""
+    escalation to recover from roundoff-induced indefiniteness.  The jitter
+    is relative to the mean variance, floored so that its first rung is a
+    normal float: a zero covariance (a certain prior) then factors too."""
     root = _cholesky(p)
     if root is not None:
         return root
-    scale = (p[0] + p[3] + p[5]) / 3.0
+    scale = max((p[0] + p[3] + p[5]) / 3.0, _TINY / _JITTER_START)
     eps = _JITTER_START
     while eps <= _JITTER_MAX:
         root = _cholesky(p, eps * scale)

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bounds, filters, model, pem, sde_sim
-from .errors import (IntegrationBlowupError, InvalidParametersError,
-                     MapBoundaryError, NumericalDegeneracyError)
+from .errors import (ExclusionLimitError, IntegrationBlowupError,
+                     InvalidParametersError, MapBoundaryError,
+                     NumericalDegeneracyError)
 from .model import Constant, GaussianPrior, SignalModel, SpmParams, Wiener
 
 ESTIMATORS = ("ekf", "ckf", "pem")
@@ -182,7 +183,7 @@ def _run_rng(seed: int, run_index: int) -> np.random.Generator:
 
 def _check_exclusions(failures: list, runs: int) -> int:
     if len(failures) > MAX_EXCLUSION_FRACTION * runs:
-        raise RuntimeError(
+        raise ExclusionLimitError(
             f"{len(failures)} of {runs} runs failed (limit "
             f"{MAX_EXCLUSION_FRACTION:.0%}); first failure: {failures[0]}")
     return len(failures)

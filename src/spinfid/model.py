@@ -1,5 +1,5 @@
-"""Physical parameters of the magnetometer and exact discrete-time matrices
-of the linear spin subsystem.
+"""Physical parameters of the magnetometer, the frequency signal models and
+the exact discrete-time law of the linear spin subsystem.
 
 Everything is SI: angular frequencies in rad/s, times in s, photocurrents in
 pA.  The transverse spin pair (J_y, J_z) obeys
@@ -168,18 +168,18 @@ def initial_omega(s: SignalModel) -> float:
     return deterministic_omega(s, 0.0)
 
 
-def deterministic_omega(s: SignalModel, t: float) -> float:
-    """Waveform value at time t for the exogenously-driven signal models."""
+def deterministic_omega(s: SignalModel, t):
+    """Waveform value at time t (a float or an array of times) for the
+    exogenously-driven signal models."""
     if isinstance(s, Constant):
         return s.omega0
     if isinstance(s, Sinusoid):
-        return s.omega_bar + s.amplitude * math.sin(TWO_PI * s.mod_freq * t)
+        return s.omega_bar + s.amplitude * np.sin(TWO_PI * s.mod_freq * t)
     if isinstance(s, Step):
-        value = s.omega_bar
-        for t_jump, new in s.jumps:
-            if t >= t_jump:
-                value = new
-        return value
+        # the value after the last jump at or before t
+        values = np.array([s.omega_bar] + [new for _, new in s.jumps])
+        return values[np.searchsorted([t_jump for t_jump, _ in s.jumps], t,
+                                      "right")]
     raise InvalidParametersError(f"{type(s).__name__} is not a deterministic waveform")
 
 
@@ -228,14 +228,6 @@ def measurement_noise_variance(p: SpmParams) -> float:
     return p.R / p.Delta
 
 
-def discrete_spin_transition(omega: float, delta: float, t2: float) -> np.ndarray:
-    """Exact one-step transition of (J_y, J_z): damped rotation by omega*delta."""
-    e = math.exp(-delta / t2)
-    c = math.cos(omega * delta)
-    s = math.sin(omega * delta)
-    return np.array([[e * c, e * s], [-e * s, e * c]])
-
-
 def discrete_spin_noise_var(q: float, n: float, delta: float, t2: float) -> float:
     """Isotropic noise variance b^2 of the exact discretization: the
     integrated diffusion over one step, with stationary limit qN/2."""
@@ -247,18 +239,31 @@ def discrete_spin_noise_std(q: float, n: float, delta: float, t2: float) -> floa
     return math.sqrt(discrete_spin_noise_var(q, n, delta, t2))
 
 
-def damped_rotation_ar1(omega: float, delta: float, t2: float, z0: complex,
-                        eta: np.ndarray) -> np.ndarray:
-    """Path z_1..z_n of the spin pair z = J_y + i J_z at constant omega.
+def rotation_pole(omega, delta: float, t2: float):
+    """Pole exp(-delta/T2 - i omega delta) of the exact damped rotation of
+    z = J_y + i J_z over a step of length delta at the frozen frequency
+    omega (a float or an array of frequencies)."""
+    return np.exp(-delta / t2 - 1j * omega * delta)
 
-    The exact discretization is the complex AR(1) z' = pole z + eta with
-    pole exp(-delta/T2 - i omega delta): the damped rotation of
-    ``discrete_spin_transition`` plus the additive noise ``eta`` (complex,
-    one entry per step) that the caller draws.
+
+def damped_rotation(pole, eta: np.ndarray, z0: complex) -> np.ndarray:
+    """Path z_1..z_n of the recurrence z_k = pole_k z_{k-1} + eta_k from z0.
+
+    For the spin pair z = J_y + i J_z the pole is a damped rotation and eta
+    the additive noise that the caller draws.  A scalar pole, as at a
+    constant frequency, runs as one linear filter.  An array holds one pole
+    per step and runs as a prefix-product scan with the decay d = |pole_1|
+    taken out: with R = cumprod(pole / d), w = z / R obeys the
+    constant-pole recurrence w_k = d w_{k-1} + eta_k / R_k.  |R| stays near
+    1, so nothing underflows however much the path decays, as
+    P = cumprod(pole) would in z = P (z0 + cumsum(eta / P)).
     """
-    pole = np.exp(-delta / t2 - 1j * omega * delta)
-    z, _ = lfilter([1.0], [1.0, -pole], eta, zi=np.array([pole * z0]))
-    return z
+    if np.ndim(pole) == 0:
+        z, _ = lfilter([1.0], [1.0, -pole], eta, zi=np.array([pole * z0]))
+        return z
+    d = abs(pole[0])
+    r = np.cumprod(pole / d)
+    return r * damped_rotation(d, eta / r, z0)
 
 
 def signal_discrete_params(s: SignalModel, delta: float) -> tuple[float, float, float]:

@@ -1,8 +1,22 @@
 """Ground-truth simulation of the extended state (omega, J_y, J_z).
 
-The extended state obeys an Ito SDE with constant diagonal diffusion
-diag(sqrt(d_c), sqrt(Q), sqrt(Q)), which permits the strong order 1.5
-Ito-Taylor scheme:
+Every signal advances the spin pair z = J_y + i J_z by one recurrence,
+z_k = a_k z_{k-1} + c_k, solved block by block by ``model.damped_rotation``.
+Two rules build the frequency path and the coefficients.
+
+Deterministic waveforms (Constant, Sinusoid, Step) are injected exogenously:
+the frequency follows the waveform, and the spin takes the exact step at the
+frequency frozen over each substep, a_k = exp(-h/T2 - i omega_k h), plus the
+exact integrated noise c_k; at a constant frequency a_k is one scalar.  That
+path is statistically exact for Constant and Step signals and avoids the
+order-h^2 rotation truncation of the Taylor scheme, whose accumulated phase
+error (an effective frequency shift of about omega^3 h^2 / 6) would
+otherwise dominate the sub-rad/s estimation errors this model supports.
+
+Diffusing frequencies (OU, Wiener) use the strong order 1.5 Ito-Taylor
+scheme, which captures the frequency-spin noise coupling.  The extended
+state obeys an Ito SDE with constant diagonal diffusion
+Qm = diag(sqrt(d_c), sqrt(Q), sqrt(Q)), for which the scheme is
 
     x' = x + h f + (h^2/2) F f + Qm xi + F Qm zeta,
 
@@ -11,18 +25,14 @@ cov [[h, h^2/2], [h^2/2, h^3/3]] per component.  The scheme's
 diffusion-weighted second-derivative correction b is identically zero here:
 the diffusion matrix is diagonal, so only diagonal second derivatives of the
 drift contribute, and those all vanish (the only curvature is in the mixed
-x1*x3 and x1*x2 terms).  ``simulate`` and ``ito_taylor_1p5_step`` run the
-same scalar kernel, ``_taylor_step``.
+x1*x3 and x1*x2 terms).  The frequency drift f1 depends on omega alone, so
+the frequency path is a real AR(1); given it, the spin step is the
+recurrence with kappa = 1/T2 + i omega and g1 = sqrt(d_c) zeta_omega:
 
-Deterministic waveforms (Constant, Sinusoid, Step) are injected exogenously:
-the first state component follows the waveform, and the spin pair advances by
-the exact frozen-frequency discretization per substep (a damped rotation plus
-additive Gaussian noise).  That path is statistically exact for Constant and
-Step signals and avoids the order-h^2 rotation truncation of the Taylor
-scheme, whose accumulated phase error (an effective frequency shift of about
-omega^3 h^2 / 6) would otherwise dominate the sub-rad/s estimation errors
-this model supports.  Diffusing frequencies (OU, Wiener) use the Ito-Taylor
-scheme, which captures the frequency-spin noise coupling.
+    a = 1 - h kappa + (h^2/2)(kappa^2 - i f1) - i g1,
+    c = sqrt(Q) (xi_y + i xi_z) - kappa sqrt(Q) (zeta_y + i zeta_z).
+
+``simulate`` and ``ito_taylor_1p5_step`` build these with the same code.
 """
 
 from __future__ import annotations
@@ -37,9 +47,10 @@ from . import model
 from .errors import IntegrationBlowupError, InvalidParametersError
 from .model import SignalModel, SpmParams
 
-# substeps per block of noise converted to Python floats; the block size
-# bounds the memory of those lists and does not change the random stream
-_CHUNK = 4096
+# substeps per block: the noise is drawn and the recurrence solved one block
+# at a time, which keeps the temporaries this size without changing the
+# random stream
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -151,39 +162,35 @@ def sample_correlated_increments(h: float, rng: np.random.Generator, n: int = 3)
     return _correlated_pair(h, z1, z2)
 
 
-def _taylor_constants(h: float, p: SpmParams, s: SignalModel) -> tuple:
-    """Scalars of ``_taylor_step`` at step h: (h, h^2/2, 1/tau, omega_bar,
-    1/T2, sqrt(d_c), sqrt(Q)); the OU terms are zero for other signals."""
+def _ou_terms(s: SignalModel) -> tuple:
+    """(1/tau, omega_bar) of an OU signal; zero for the other signals."""
     if isinstance(s, model.OrnsteinUhlenbeck):
-        tau_inv, omega_bar = 1.0 / s.tau, s.omega_bar
-    else:
-        tau_inv, omega_bar = 0.0, 0.0
-    return (h, 0.5 * h * h, tau_inv, omega_bar, 1.0 / model.coherence_time(p),
-            _signal_noise_std(s), math.sqrt(model.atomic_noise_strength(p)))
+        return 1.0 / s.tau, s.omega_bar
+    return 0.0, 0.0
 
 
-def _taylor_step(x, xi, zeta, c) -> tuple:
-    """Order-1.5 step x' = x + h f + (h^2/2) F f + Qm xi + F Qm zeta on
-    scalars, with c from ``_taylor_constants``."""
-    x1, x2, x3 = x
-    h, half_h2, tau_inv, omega_bar, t2_inv, sq_dc, sq_q = c
-    f1 = -tau_inv * (x1 - omega_bar)
-    f2 = -x2 * t2_inv + x1 * x3
-    f3 = -x3 * t2_inv - x1 * x2
-    # F f with F the drift Jacobian (row 1 = (-tau_inv, 0, 0))
-    ff1 = -tau_inv * f1
-    ff2 = x3 * f1 - f2 * t2_inv + x1 * f3
-    ff3 = -x2 * f1 - x1 * f2 - f3 * t2_inv
-    # F (Qm zeta)
-    g1 = sq_dc * zeta[0]
-    g2 = sq_q * zeta[1]
-    g3 = sq_q * zeta[2]
-    fq1 = -tau_inv * g1
-    fq2 = x3 * g1 - g2 * t2_inv + x1 * g3
-    fq3 = -x2 * g1 - x1 * g2 - g3 * t2_inv
-    return (x1 + h * f1 + half_h2 * ff1 + sq_dc * xi[0] + fq1,
-            x2 + h * f2 + half_h2 * ff2 + sq_q * xi[1] + fq2,
-            x3 + h * f3 + half_h2 * ff3 + sq_q * xi[2] + fq3)
+def _taylor_frequency(h: float, s: SignalModel, xi, zeta) -> tuple:
+    """(phi, omega_bar, e) of the order-1.5 frequency step, the real AR(1)
+    omega' - omega_bar = phi (omega - omega_bar) + e, from the frequency
+    components of the increment pair."""
+    tau_inv, omega_bar = _ou_terms(s)
+    phi = 1.0 - h * tau_inv + 0.5 * h * h * tau_inv * tau_inv
+    return phi, omega_bar, _signal_noise_std(s) * (xi - tau_inv * zeta)
+
+
+def _taylor_spin(h: float, p: SpmParams, s: SignalModel, omega, xi,
+                 zeta) -> tuple:
+    """(a, c) of the order-1.5 spin step z' = a z + c at the start-of-substep
+    frequency omega, from the increment pair (xi, zeta) of (omega, J_y, J_z)
+    indexed by component first."""
+    tau_inv, omega_bar = _ou_terms(s)
+    kappa = 1.0 / model.coherence_time(p) + 1j * omega
+    f1 = -tau_inv * (omega - omega_bar)
+    sq_q = math.sqrt(model.atomic_noise_strength(p))
+    a = (1.0 - h * kappa + 0.5 * h * h * (kappa * kappa - 1j * f1)
+         - 1j * (_signal_noise_std(s) * zeta[0]))
+    c = sq_q * (xi[1] + 1j * xi[2]) - kappa * (sq_q * (zeta[1] + 1j * zeta[2]))
+    return a, c
 
 
 def ito_taylor_1p5_step(x: np.ndarray, h: float, p: SpmParams, s: SignalModel,
@@ -196,7 +203,10 @@ def ito_taylor_1p5_step(x: np.ndarray, h: float, p: SpmParams, s: SignalModel,
     by default they are drawn from ``rng``.
     """
     xi, zeta = sample_correlated_increments(h, rng) if increments is None else increments
-    x_new = np.array(_taylor_step(x, xi, zeta, _taylor_constants(h, p, s)))
+    phi, omega_bar, e = _taylor_frequency(h, s, xi[0], zeta[0])
+    a, c = _taylor_spin(h, p, s, x[0], xi, zeta)
+    z = a * complex(x[1], x[2]) + c
+    x_new = np.array([omega_bar + phi * (x[0] - omega_bar) + e, z.real, z.imag])
     if not np.all(np.isfinite(x_new)):
         raise IntegrationBlowupError("non-finite state after Ito-Taylor step")
     return x_new
@@ -218,57 +228,38 @@ def euler_maruyama_step(x: np.ndarray, h: float, p: SpmParams, s: SignalModel,
     return x_new
 
 
-def _simulate_exogenous(p: SpmParams, s: SignalModel, n_sub: int, h: float,
-                        rng: np.random.Generator, x1: float) -> np.ndarray:
-    """Substep path for deterministic waveforms: exact damped rotation at the
-    frequency frozen over each substep, plus the exact integrated noise."""
+def _states(p: SpmParams, s: SignalModel, n_sub: int, h: float,
+            rng: np.random.Generator, x1: float) -> np.ndarray:
+    """Substep path (n_sub + 1, 3) from (x1, 0, N/2), one block at a time."""
     t2 = model.coherence_time(p)
     b = model.discrete_spin_noise_std(p.q, p.N, h, t2)
-    x2, x3 = 0.0, 0.5 * p.N
-    w = rng.standard_normal((n_sub, 2))
-
+    stochastic = model.is_stochastic(s)
+    constant = isinstance(s, model.Constant)
     states = np.empty((n_sub + 1, 3))
-    states[0] = (x1, x2, x3)
-    if isinstance(s, model.Constant):
-        z = model.damped_rotation_ar1(x1, h, t2, complex(x2, x3),
-                                      b * (w[:, 0] + 1j * w[:, 1]))
-        states[1:, 0] = x1
-        states[1:, 1] = z.real
-        states[1:, 2] = z.imag
-    else:
-        decay = math.exp(-h / t2)
-        for start in range(0, n_sub, _CHUNK):
-            for step, (w1, w2) in enumerate(w[start:start + _CHUNK].tolist(), start):
-                # frequency frozen at its start-of-substep value
-                x1 = model.deterministic_omega(s, step * h)
-                ec = decay * math.cos(x1 * h)
-                es = decay * math.sin(x1 * h)
-                x2, x3 = (ec * x2 + es * x3 + b * w1,
-                          -es * x2 + ec * x3 + b * w2)
-                states[step + 1] = (model.deterministic_omega(s, (step + 1) * h),
-                                    x2, x3)
-    if not np.all(np.isfinite(states[-1, 1:])):
-        raise IntegrationBlowupError("trajectory diverged during simulation")
-    return states
-
-
-def _simulate_taylor(p: SpmParams, s: SignalModel, n_sub: int, h: float,
-                     rng: np.random.Generator, x1: float) -> np.ndarray:
-    """Substep path for diffusing frequencies by the order-1.5 kernel."""
-    c = _taylor_constants(h, p, s)
-    x = (x1, 0.0, 0.5 * p.N)
-    states = np.empty((n_sub + 1, 3))
-    states[0] = x
-    step = 0
-    while step < n_sub:
-        block = min(_CHUNK, n_sub - step)
-        z = rng.standard_normal((block, 2, 3))
-        xi, zeta = _correlated_pair(h, z[:, 0], z[:, 1])
-        for xi_i, zeta_i in zip(xi.tolist(), zeta.tolist()):
-            x = _taylor_step(x, xi_i, zeta_i, c)
-            step += 1
-            states[step] = x
-        if not all(map(math.isfinite, x)):
+    states[:, 0] = x1 if stochastic or constant else model.deterministic_omega(
+        s, h * np.arange(n_sub + 1))
+    states[0, 1:] = (0.0, 0.5 * p.N)
+    for start in range(0, n_sub, _BLOCK):
+        block = states[start + 1:start + 1 + _BLOCK]
+        n = len(block)
+        if stochastic:
+            w = rng.standard_normal((n, 2, 3))
+            xi, zeta = _correlated_pair(h, w[:, 0].T, w[:, 1].T)
+            phi, omega_bar, e = _taylor_frequency(h, s, xi[0], zeta[0])
+            block[:, 0] = omega_bar + model.damped_rotation(
+                phi, e, states[start, 0] - omega_bar)
+            pole, eta = _taylor_spin(h, p, s, states[start:start + n, 0], xi,
+                                     zeta)
+        else:
+            w = rng.standard_normal((n, 2))
+            eta = b * (w[:, 0] + 1j * w[:, 1])
+            # frequency frozen at its start-of-substep value
+            pole = model.rotation_pole(
+                x1 if constant else states[start:start + n, 0], h, t2)
+        z = model.damped_rotation(pole, eta, complex(*states[start, 1:]))
+        block[:, 1] = z.real
+        block[:, 2] = z.imag
+        if not np.all(np.isfinite(block)):
             raise IntegrationBlowupError("trajectory diverged during simulation")
     return states
 
@@ -306,8 +297,7 @@ def simulate(p: SpmParams, s: SignalModel, duration: float, substeps: int = 5,
     h = p.Delta / substeps
     x1 = model.initial_omega(s) if omega_init is None else float(omega_init)
 
-    path = _simulate_taylor if model.is_stochastic(s) else _simulate_exogenous
-    states = path(p, s, n_sub, h, rng, x1)
+    states = _states(p, s, n_sub, h, rng, x1)
     times = h * np.arange(n_sub + 1)
     # photon shot-noise, independent of the atomic noise stream
     v = math.sqrt(model.measurement_noise_variance(p)) * rng.standard_normal(n_meas)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import sim_reference
 from spinfid import atoms
 from spinfid.atoms import (AtomCountEstimate, estimate_atom_number,
                            sample_steady_state_outcomes, steady_state_variance)
@@ -91,7 +92,7 @@ class TestSampler:
         v_fast = steady_state_variance(
             sample_steady_state_outcomes(p, p.omega_bar, k, seed=0))
         v_slow = steady_state_variance(
-            sample_steady_state_outcomes(p, p.omega_bar, k, seed=1,
-                                         use_integrator=True))
+            sim_reference.integrated_steady_state_outcomes(
+                p, p.omega_bar, k, seed=1))
         assert v_fast == pytest.approx(expected, rel=0.05)
         assert v_slow == pytest.approx(expected, rel=0.05)

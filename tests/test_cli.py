@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from spinfid import cli
+from spinfid import cli, harness
+from spinfid.errors import NumericalDegeneracyError
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,6 +48,19 @@ class TestExitCodes:
         })
         code, out = _run(tmp_path, "estimate", "--config", cfg)
         assert code == 3
+        assert not (out / "manifest.json").exists()
+
+    def test_sweep_with_every_run_failed(self, tmp_path, monkeypatch):
+        # the sweep excludes each failed run, then stops at the exclusion
+        # cap with a typed error
+        def boom(*args, **kwargs):
+            raise NumericalDegeneracyError("forced failure")
+        monkeypatch.setattr(harness.filters, "run_filter", boom)
+        cfg = _write_cfg(tmp_path, {"sweep_axis": "time",
+                                    "sweep_values": [1e-4], "runs": 3})
+        code, out = _run(tmp_path, "sweep-time", "--config", cfg)
+        assert code == 3
+        assert not (out / "sweep-time.csv").exists()
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("payload", [
@@ -221,7 +235,7 @@ class TestPublicSurface:
         import spinfid
         assert sorted(spinfid.__all__) == [
             "AtomCountEstimate", "BoundResult", "Constant", "ErrorCurve",
-            "ExperimentConfig", "FilterConfig", "FilterTrace",
+            "ExclusionLimitError", "ExperimentConfig", "FilterConfig", "FilterTrace",
             "GaussianPrior", "IntegrationBlowupError",
             "InvalidParametersError", "MapBoundaryError", "MeasurementRecord",
             "NumericalDegeneracyError", "OrnsteinUhlenbeck", "Sinusoid",

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filter_reference as reference
+import sim_reference
 from spinfid import filters, harness, model
 from spinfid.errors import NumericalDegeneracyError
 from spinfid.filters import FilterConfig, default_prior, run_filter
 from spinfid.harness import ExperimentConfig
 from spinfid.model import GaussianPrior, OrnsteinUhlenbeck, SpmParams, Wiener
-from spinfid.sde_sim import MeasurementRecord
+from spinfid.sde_sim import MeasurementRecord, simulate
 
 
 def _cfg(kind="ekf", signal=None, p=None, sigma_omega=2e3):
@@ -59,8 +60,8 @@ class TestOneStepMap:
         cfg = _cfg(signal=Wiener(p.omega_bar, 0.0), p=p)
         m = np.array([p.omega_bar, 1e11, 2e11])
         out = filters.discrete_f(*m, cfg)
-        a = model.discrete_spin_transition(p.omega_bar, p.Delta,
-                                           model.coherence_time(p))
+        a = sim_reference.discrete_spin_transition(p.omega_bar, p.Delta,
+                                                   model.coherence_time(p))
         assert out[0] == m[0]
         assert np.allclose(out[1:], a @ m[1:])
 
@@ -244,6 +245,20 @@ class TestNumericalGuards:
         with pytest.raises(NumericalDegeneracyError):
             filters._cholesky_with_jitter(_upper(np.diag([1.0, 1.0, -1.0])))
 
+    def test_zero_covariance_prior(self):
+        # a certain prior, which GaussianPrior accepts: the CKF factors it
+        # on the jitter floor, and its first step then matches the EKF's
+        p = SpmParams()
+        prior = GaussianPrior(np.array([p.omega_bar, 0.0, 0.5 * p.N]),
+                              np.zeros((3, 3)))
+        _, rec = simulate(p, model.Constant(p.omega_bar), 2e-4, seed=1)
+        ekf, ckf = (run_filter(FilterConfig(kind, Wiener(p.omega_bar, 1e7),
+                                            prior, p), rec)
+                    for kind in ("ekf", "ckf"))
+        assert np.all(np.isfinite(ckf.mean)) and np.all(np.isfinite(ckf.cov))
+        assert np.allclose(ckf.mean[0], ekf.mean[0], rtol=1e-12, atol=0.0)
+        assert np.allclose(ckf.cov[0], ekf.cov[0], rtol=1e-9, atol=0.0)
+
     @settings(max_examples=300, deadline=None)
     @given(_symmetric(), st.sampled_from([None, (0, 0), (0, 1), (1, 2), (2, 2)]))
     def test_pd_check_agrees_with_numpy(self, p, nan_at):
@@ -415,7 +430,6 @@ class TestConfigAndTrace:
         p = SpmParams()
         cfg = _cfg(p=p, sigma_omega=2e3)
         truth = p.omega_bar + 500.0
-        from spinfid.sde_sim import simulate
         _, rec = simulate(p, model.Constant(truth), 5e-4, seed=7)
         trace = run_filter(cfg, rec)
         sig = np.sqrt(trace.cov[:, 0, 0])

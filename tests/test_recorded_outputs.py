@@ -10,6 +10,13 @@ The matrix-form filter is kept as ``filter_reference``; run in its place it
 still reproduces the digests recorded before, and ``test_filters`` bounds
 the distance between the two paths.
 
+The outputs whose truth has a per-step pole (OU, Wiener, Sinusoid and Step
+signals) were re-recorded when every ``simulate`` path moved onto one
+vectorised recurrence, which rounds differently from the per-substep loops.
+The loops are kept as ``sim_reference``; run in their place they still
+reproduce every digest recorded before, and ``test_sde`` bounds the distance
+between the two paths.
+
 A digest is the leading 16 hex digits of the SHA-256 of the outputs' float64
 bytes, or of a CLI output file's bytes.  They were recorded with numpy 2.4
 and scipy 1.17 on x86-64 Linux; a different libm or BLAS build may
@@ -23,6 +30,7 @@ import numpy as np
 import pytest
 
 import filter_reference as reference
+import sim_reference
 from spinfid import atoms, cli, filters, harness, sde_sim
 from spinfid.harness import ExperimentConfig
 from spinfid.model import (Constant, OrnsteinUhlenbeck, Sinusoid, SpmParams,
@@ -109,8 +117,9 @@ CASES = {
     "track ou ckf": lambda: _track("ckf"),
     "atoms exact": lambda: [atoms.sample_steady_state_outcomes(
         P, P.omega_bar, 1000, seed=seed) for seed in (0, 1)],
-    "atoms integrator": lambda: [atoms.sample_steady_state_outcomes(
-        SpmParams(N=1e9), P.omega_bar, 50, seed=2, use_integrator=True)],
+    "atoms integrator": lambda: [
+        sim_reference.integrated_steady_state_outcomes(
+            SpmParams(N=1e9), P.omega_bar, 50, seed=2)],
 }
 
 RECORDED = {
@@ -120,17 +129,17 @@ RECORDED = {
     "simulate constant N=1e9": "345a1085e0d43254",
     "simulate constant N=4.4e11": "02b3d8266d3fbba5",
     "simulate constant omega_init": "30af6f4f332ebe0e",
-    "simulate ou": "57f0366e5cec1514",
-    "simulate ou omega_start": "ba29d6b634112139",
-    "simulate sinusoid": "c874f7649013a2e1",
-    "simulate step": "6f5d45608b346496",
-    "simulate wiener": "5a568a0311f0ce69",
+    "simulate ou": "0e80f00f7ba2de60",
+    "simulate ou omega_start": "738e55cebedc23c3",
+    "simulate sinusoid": "9490538c3e788554",
+    "simulate step": "7cc907eb36f4c259",
+    "simulate wiener": "ab8be40e3e877a6a",
     "sweep N": "34520be996d781bd",
     "sweep delta": "fb0c07ed287b0078",
     "sweep time": "a5f9f8c9c3f0f3a1",
     "sweep time 13 runs": "ee5dd9632c9729eb",
-    "track ou ckf": "86b101ad693b9619",
-    "track ou ekf": "6154e867c4de71d6",
+    "track ou ckf": "d08bd277eac3f881",
+    "track ou ekf": "09154eb67c2dadcd",
 }
 
 
@@ -140,9 +149,36 @@ RECORDED_MATRIX_FILTER = {
     "sweep delta": "57320b78ea832ca9",
     "sweep time": "bd1c697ee16c3a03",
     "sweep time 13 runs": "cc6d9705128b36e4",
+    "track ou ckf": "83aa1571be8c4a2c",
+    "track ou ekf": "0f30baa317046f7c",
+}
+
+
+# the outputs that changed, as the per-substep simulator loops gave them
+RECORDED_LOOP_SIMULATOR = {
+    "simulate ou": "57f0366e5cec1514",
+    "simulate ou omega_start": "ba29d6b634112139",
+    "simulate sinusoid": "c874f7649013a2e1",
+    "simulate step": "6f5d45608b346496",
+    "simulate wiener": "5a568a0311f0ce69",
+    "track ou ckf": "86b101ad693b9619",
+    "track ou ekf": "6154e867c4de71d6",
+}
+
+RECORDED_LOOP_SIMULATOR_MATRIX_FILTER = {
     "track ou ckf": "6fae5aa661c50a1f",
     "track ou ekf": "e68ae6d26b5ec7e9",
 }
+
+
+@pytest.fixture
+def loop_simulator(monkeypatch):
+    monkeypatch.setattr(sde_sim, "_states", sim_reference.states)
+
+
+@pytest.fixture
+def matrix_filter(monkeypatch):
+    monkeypatch.setattr(filters, "run_filter", reference.run_filter)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -151,9 +187,21 @@ def test_output_matches_recorded(name):
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED_MATRIX_FILTER))
-def test_matrix_filter_output_matches_recorded(name, monkeypatch):
-    monkeypatch.setattr(filters, "run_filter", reference.run_filter)
+def test_matrix_filter_output_matches_recorded(name, matrix_filter):
     assert _digest(CASES[name]()) == RECORDED_MATRIX_FILTER[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_loop_simulator_output_matches_recorded(name, loop_simulator):
+    expected = {**RECORDED, **RECORDED_LOOP_SIMULATOR}
+    assert _digest(CASES[name]()) == expected[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_MATRIX_FILTER))
+def test_loop_simulator_matrix_filter_output_matches_recorded(
+        name, loop_simulator, matrix_filter):
+    expected = {**RECORDED_MATRIX_FILTER, **RECORDED_LOOP_SIMULATOR_MATRIX_FILTER}
+    assert _digest(CASES[name]()) == expected[name]
 
 
 WIENER = {"kind": "wiener", "omega0": P.omega_bar, "d_c": 1e7}
@@ -184,15 +232,19 @@ RECORDED_CSV = {
     "estimate": "8e2dd7d97590a029",
     "sweep-n": "e33b298b5c217210",
     "sweep-time": "5afafaac5d3c4218",
-    "track": "98697494fabff3dd",
+    "track": "5c32a5b2c1d34f2b",
 }
 
 
 RECORDED_MATRIX_FILTER_CSV = {
     "sweep-n": "43ddca81fd9f8cb2",
     "sweep-time": "573dbf65a196da82",
-    "track": "4cb516eee932b13d",
+    "track": "cb02e0ebcbd9facd",
 }
+
+RECORDED_LOOP_SIMULATOR_CSV = {"track": "98697494fabff3dd"}
+
+RECORDED_LOOP_SIMULATOR_MATRIX_FILTER_CSV = {"track": "4cb516eee932b13d"}
 
 
 def _cli_digest(name, tmp_path) -> str:
@@ -210,6 +262,20 @@ def test_cli_csv_matches_recorded(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED_MATRIX_FILTER_CSV))
-def test_matrix_filter_cli_csv_matches_recorded(name, tmp_path, monkeypatch):
-    monkeypatch.setattr(filters, "run_filter", reference.run_filter)
+def test_matrix_filter_cli_csv_matches_recorded(name, tmp_path, matrix_filter):
     assert _cli_digest(name, tmp_path) == RECORDED_MATRIX_FILTER_CSV[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_loop_simulator_cli_csv_matches_recorded(name, tmp_path,
+                                                  loop_simulator):
+    expected = {**RECORDED_CSV, **RECORDED_LOOP_SIMULATOR_CSV}
+    assert _cli_digest(name, tmp_path) == expected[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_MATRIX_FILTER_CSV))
+def test_loop_simulator_matrix_filter_cli_csv_matches_recorded(
+        name, tmp_path, loop_simulator, matrix_filter):
+    expected = {**RECORDED_MATRIX_FILTER_CSV,
+                **RECORDED_LOOP_SIMULATOR_MATRIX_FILTER_CSV}
+    assert _cli_digest(name, tmp_path) == expected[name]

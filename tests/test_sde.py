@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sim_reference
 from spinfid import model, sde_sim
 from spinfid.errors import IntegrationBlowupError, InvalidParametersError
 from spinfid.model import (Constant, OrnsteinUhlenbeck, Sinusoid, SpmParams,
@@ -20,14 +23,15 @@ def _fd_jacobian(f, x, h=1e-3):
 
 def _coupling_columns(x, h, p, s):
     """Columns of the step's F (Qm zeta) term, isolated by differencing the
-    kernel at unit zeta along each axis against zeta = 0 (the step is
-    affine in zeta)."""
-    c = sde_sim._taylor_constants(h, p, s)
-    zero = (0.0, 0.0, 0.0)
-    base = np.array(sde_sim._taylor_step(x, zero, zero, c))
-    cols = [np.array(sde_sim._taylor_step(x, zero, tuple(e), c)) - base
-            for e in np.eye(3)]
-    return np.array(cols).T
+    step at unit zeta along each axis against zeta = 0 (the step is affine
+    in zeta)."""
+    zero = np.zeros(3)
+
+    def step(zeta):
+        return sde_sim.ito_taylor_1p5_step(np.array(x), h, p, s,
+                                           increments=(zero, zeta))
+    base = step(zero)
+    return np.array([step(e) - base for e in np.eye(3)]).T
 
 
 def _noise_scales(p, s):
@@ -76,6 +80,25 @@ class TestDrift:
 
 
 class TestTaylorStep:
+    @pytest.mark.parametrize("signal", [OrnsteinUhlenbeck(2e4, 0.3, 1e9),
+                                        Wiener(2e4, 1e9), Constant(2e4)],
+                             ids=["ou", "wiener", "constant"])
+    def test_step_matches_scalar_kernel(self, signal):
+        # the recurrence coefficients against the order-1.5 step written out
+        # on scalars, over the state and increment scales simulate meets
+        p = SpmParams()
+        rng = np.random.default_rng(8)
+        h = 1e-6
+        for _ in range(200):
+            x = np.array([2e4 + 3e3 * rng.standard_normal(),
+                          *(0.5 * p.N * rng.uniform(-1.0, 1.0, 2))])
+            xi, zeta = sde_sim.sample_correlated_increments(h, rng)
+            new = sde_sim.ito_taylor_1p5_step(x, h, p, signal,
+                                              increments=(xi, zeta))
+            old = sim_reference.taylor_step(x, h, p, signal, xi, zeta)
+            assert new[0] == pytest.approx(old[0], rel=1e-14)
+            assert np.max(np.abs(new[1:] - old[1:])) <= 1e-14 * 0.5 * p.N
+
     @pytest.mark.parametrize("signal", [OrnsteinUhlenbeck(1e3, 1.0, 1e9),
                                         Wiener(1e3, 1e9)],
                              ids=["ou", "wiener"])
@@ -144,25 +167,44 @@ class TestDampedRotation:
         j0 = np.array([0.0, 0.5 * p.N])
         b = model.discrete_spin_noise_std(p.q, p.N, h, t2)
         rng = np.random.default_rng(1)
+        pole = model.rotation_pole(omega, h, t2)
         z = np.array([
-            model.damped_rotation_ar1(
-                omega, h, t2, complex(*j0),
-                b * (rng.standard_normal(1) + 1j * rng.standard_normal(1)))[0]
+            model.damped_rotation(
+                pole, b * (rng.standard_normal(1) + 1j * rng.standard_normal(1)),
+                complex(*j0))[0]
             for _ in range(20_000)])
         samples = np.column_stack([z.real, z.imag])
-        a = model.discrete_spin_transition(omega, h, t2)
+        a = sim_reference.discrete_spin_transition(omega, h, t2)
         assert np.allclose(samples.mean(axis=0), a @ j0, atol=5 * b / 100.0)
         assert np.allclose(samples.var(axis=0), b * b, rtol=0.05)
 
     def test_zero_noise_is_damped_rotation(self):
+        # a scalar pole and one pole per step
         p = SpmParams()
         t2 = model.coherence_time(p)
-        j = np.array([1.0, 2.0])
-        z = model.damped_rotation_ar1(1e4, 1e-5, t2, complex(*j), np.zeros(3))
-        a = model.discrete_spin_transition(1e4, 1e-5, t2)
-        for zk in z:
-            j = a @ j
-            assert np.allclose([zk.real, zk.imag], j)
+        a = sim_reference.discrete_spin_transition(1e4, 1e-5, t2)
+        for omega in (1e4, np.full(3, 1e4)):
+            j = np.array([1.0, 2.0])
+            z = model.damped_rotation(model.rotation_pole(omega, 1e-5, t2),
+                                      np.zeros(3), complex(*j))
+            for zk in z:
+                j = a @ j
+                assert np.allclose([zk.real, zk.imag], j)
+
+    def test_per_step_poles_match_the_recurrence(self):
+        # the scan against z_k = pole_k z_{k-1} + eta_k one step at a time,
+        # with the poles decaying by 50 e-folds per step: their plain
+        # prefix product underflows after 15 steps
+        rng = np.random.default_rng(4)
+        n = 40
+        pole = np.exp(-50.0 - 1j * rng.uniform(0.0, 6.0, n))
+        eta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z = model.damped_rotation(pole, eta, 3.0 - 1.0j)
+        expected, zk = [], 3.0 - 1.0j
+        for a, e in zip(pole, eta):
+            zk = a * zk + e
+            expected.append(zk)
+        assert np.allclose(z, expected, rtol=1e-13, atol=0.0)
 
 
 class TestSimulate:
@@ -223,7 +265,7 @@ class TestSimulate:
         duration = 2.0 * t2
         omega = p.omega_bar
         finals = []
-        rot = model.discrete_spin_transition(omega, duration, t2)
+        rot = sim_reference.discrete_spin_transition(omega, duration, t2)
         for seed in range(400):
             traj, _ = sde_sim.simulate(p, Constant(omega), duration,
                                        substeps=1, seed=seed)
@@ -262,6 +304,93 @@ class TestSimulate:
         s = Wiener(p.omega_bar, 1e300)
         with pytest.raises(IntegrationBlowupError):
             sde_sim.simulate(p, s, 1e-3, seed=0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blowup_detected_in_its_block(self):
+        # a frequency that is infinite over a few substeps of the first block
+        # and finite from then on: the run stops at that block, before the
+        # noise of the next one is drawn
+        p = SpmParams()
+        h = p.Delta
+        s = Step(p.omega_bar, ((100 * h, math.inf), (110 * h, p.omega_bar)))
+        rng = np.random.default_rng(5)
+        with pytest.raises(IntegrationBlowupError):
+            sde_sim.simulate(p, s, 3 * sde_sim._BLOCK * h, substeps=1, seed=rng)
+        expected = np.random.default_rng(5)
+        expected.standard_normal((sde_sim._BLOCK, 2))
+        assert rng.standard_normal() == expected.standard_normal()
+
+
+P_REF = SpmParams()
+P_FAST = SpmParams(Delta=1e-6)
+
+# simulate's configs for the comparison with the loops: the track_ou
+# benchmark shots, the pinned-digest cases of test_recorded_outputs, and a
+# waveform that decays by 5 e-folds per substep
+LOOP_CASES = {
+    "track_ou d_c=1e7": (P_FAST, OrnsteinUhlenbeck(P_FAST.omega_bar, 1.0, 1e7),
+                         5e-3, 8, 0),
+    "track_ou d_c=1e9": (P_FAST, OrnsteinUhlenbeck(P_FAST.omega_bar, 1.0, 1e9),
+                         5e-3, 8, 0),
+    "ou": (P_FAST, OrnsteinUhlenbeck(P_REF.omega_bar, 1.0, 1e9), 1e-3, 8, 11),
+    "ou omega_start": (P_REF, OrnsteinUhlenbeck(
+        P_REF.omega_bar, 0.3, 1e7, omega_start=P_REF.omega_bar + 50.0),
+        3e-4, 1, 7),
+    "wiener": (P_REF, Wiener(P_REF.omega_bar, 1e8), 3e-4, 8, 7),
+    "sinusoid": (P_REF, Sinusoid(P_REF.omega_bar, 2e3, 500.0), 3e-4, 8, 7),
+    "step": (P_REF, Step(P_REF.omega_bar, ((1e-4, P_REF.omega_bar + 300.0),)),
+             3e-4, 8, 7),
+    "constant": (SpmParams(N=1e9), Constant(P_REF.omega_bar * 1.01), 2e-4, 5,
+                 5),
+    "sinusoid T2 = h/5": (SpmParams(T2_override=1e-6),
+                          Sinusoid(P_REF.omega_bar, 2e3, 500.0), 1e-3, 1, 3),
+}
+
+
+class TestAgainstLoops:
+    @pytest.mark.parametrize("name", sorted(LOOP_CASES))
+    def test_every_substep_matches_the_loops(self, name, monkeypatch):
+        p, s, duration, substeps, seed = LOOP_CASES[name]
+        new, _ = sde_sim.simulate(p, s, duration, substeps, seed)
+        monkeypatch.setattr(sde_sim, "_states", sim_reference.states)
+        old, _ = sde_sim.simulate(p, s, duration, substeps, seed)
+        assert np.array_equal(new.times, old.times)
+        omega = old.states[:, 0]
+        assert np.all(np.abs(new.states[:, 0] - omega) <= 1e-10 * np.abs(omega))
+        assert np.max(np.abs(new.states[:, 1:] - old.states[:, 1:])) <= (
+            1e-10 * 0.5 * p.N)
+
+
+SIGNALS = {
+    "constant": Constant(P_REF.omega_bar),
+    "ou": OrnsteinUhlenbeck(P_REF.omega_bar, 0.3, 1e9),
+    "wiener": Wiener(P_REF.omega_bar, 1e8),
+    "sinusoid": Sinusoid(P_REF.omega_bar, 2e3, 500.0),
+    "step": Step(P_REF.omega_bar, ((2e-3, P_REF.omega_bar + 300.0),
+                                   (5e-2, P_REF.omega_bar - 100.0))),
+}
+
+
+class TestBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(SIGNALS)),
+           substeps=st.integers(1, 8),
+           blocks=st.floats(0.0, 3.0), extra=st.floats(0.0, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_shorter_run_is_a_prefix(self, kind, substeps, blocks, extra,
+                                     seed):
+        # the state carried from block to block must not depend on where
+        # the record ends
+        n_short = 1 + int(blocks * sde_sim._BLOCK / substeps)
+        n_long = n_short + 1 + int(extra * sde_sim._BLOCK / substeps)
+        short, _ = sde_sim.simulate(P_REF, SIGNALS[kind], n_short * P_REF.Delta,
+                                    substeps, seed)
+        long, _ = sde_sim.simulate(P_REF, SIGNALS[kind], n_long * P_REF.Delta,
+                                   substeps, seed)
+        n = len(short.times)
+        assert n == n_short * substeps + 1
+        assert np.array_equal(long.times[:n], short.times)
+        assert np.array_equal(long.states[:n], short.states)
 
 
 class TestMeasurementRecord:
