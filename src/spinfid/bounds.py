@@ -2,9 +2,10 @@
 negative log-joint, and the analytic noiseless Fisher-information family.
 
 The numeric bound samples omega from its Gaussian prior, simulates a
-measurement record, and averages the squared central-difference derivative
-of the exact negative log-joint J (from :mod:`spinfid.pem`); the bound is
-the inverse of that average.  The analytic expressions hold when the atomic
+measurement record, and averages the squared score dJ/d omega of the exact
+negative log-joint J; the bound is the inverse of that average.  The score
+is exact, read by complex step through the likelihood recursion of
+:mod:`spinfid.pem`.  The analytic expressions hold when the atomic
 noise is switched off and the spin starts deterministically polarized; they
 are the damped-sinusoid Fisher information in discrete, continuous,
 short-time, asymptotic and no-decoherence form.
@@ -23,10 +24,6 @@ from . import model, pem, sde_sim
 from .errors import InvalidParametersError
 from .model import Constant, GaussianPrior, SpmParams
 
-GRADIENT_STEP_FRACTION = 1e-4   # of the prior sigma
-GRADIENT_STEP_RTOL = 1e-3
-GRADIENT_STEP_MAX_HALVINGS = 6
-
 
 @dataclass(frozen=True)
 class BoundResult:
@@ -38,28 +35,13 @@ class BoundResult:
 def neg_log_joint_gradient(omega: float, rec: sde_sim.MeasurementRecord,
                            p: SpmParams, prior_omega: GaussianPrior,
                            prior_spin: GaussianPrior, h: float) -> float:
-    """Central-difference derivative of J with respect to omega."""
+    """Central-difference derivative of J with respect to omega, the
+    finite-difference reference of :func:`pem.neg_log_joint_score`."""
     if not h > 0.0:
         raise ValueError("finite-difference step must be positive")
     j_plus = pem.kalman_neg_log_joint(omega + h, rec, p, prior_omega, prior_spin)
     j_minus = pem.kalman_neg_log_joint(omega - h, rec, p, prior_omega, prior_spin)
     return (j_plus.neg_log_joint - j_minus.neg_log_joint) / (2.0 * h)
-
-
-def _validated_step(omega: float, rec, p, prior_omega, prior_spin,
-                    sigma_omega: float) -> float:
-    """Halve the default step until halving changes the gradient by <= 1e-3
-    relative (truncation under control), up to 6 halvings."""
-    h = GRADIENT_STEP_FRACTION * sigma_omega
-    grad = neg_log_joint_gradient(omega, rec, p, prior_omega, prior_spin, h)
-    for _ in range(GRADIENT_STEP_MAX_HALVINGS):
-        grad_half = neg_log_joint_gradient(omega, rec, p, prior_omega, prior_spin, h / 2.0)
-        denom = abs(grad_half) if grad_half != 0.0 else 1.0
-        if abs(grad - grad_half) / denom <= GRADIENT_STEP_RTOL:
-            return h
-        h /= 2.0
-        grad = grad_half
-    return h
 
 
 def bcrb_numeric(p: SpmParams, prior_omega: GaussianPrior,
@@ -77,11 +59,11 @@ def bcrb_numeric_curve(p: SpmParams, prior_omega: GaussianPrior,
     """Monte-Carlo bound at several probing times from shared simulations.
 
     Valid with atomic noise on (q from the parameter set).  Each sample
-    simulates once to max(times); one likelihood pass at omega + h and one
-    at omega - h give the central-difference score of every truncated
-    record, so the per-time bounds are correlated.  The standard error of
-    each bound is the jackknife error of the inverted mean.  Each time maps
-    to its nearest sample; one that rounds to no sample raises
+    simulates once to max(times); one complex likelihood pass
+    (:func:`pem.neg_log_joint_score`) gives the exact score of every
+    truncated record, so the per-time bounds are correlated.  The standard
+    error of each bound is the jackknife error of the inverted mean.  Each
+    time maps to its nearest sample; one that rounds to no sample raises
     InvalidParametersError.  Returns a list of BoundResult in ascending time
     order.
     """
@@ -95,34 +77,23 @@ def bcrb_numeric_curve(p: SpmParams, prior_omega: GaussianPrior,
     sigma = math.sqrt(float(prior_omega.cov[0, 0]))
     children = np.random.SeedSequence(seed).spawn(n_samples)
 
-    sq_grads = np.empty((len(times), n_samples))
-    h = None
+    sq_scores = np.empty((len(times), n_samples))
     for m, child in enumerate(children):
         rng = np.random.default_rng(child)
         omega_true = mu + sigma * rng.standard_normal()
         _, rec = sde_sim.simulate(p, Constant(omega_true), times[-1],
                                   substeps=substeps, seed=rng)
-        if h is None:
-            h = _validated_step(omega_true, rec, p, prior_omega, prior_spin, sigma)
-        j_plus = pem.neg_log_joint_prefixes(omega_true + h, rec, p,
-                                            prior_omega, prior_spin, ks)
-        j_minus = pem.neg_log_joint_prefixes(omega_true - h, rec, p,
-                                             prior_omega, prior_spin, ks)
-        for i, (jp, jm) in enumerate(zip(j_plus, j_minus)):
-            grad = (jp - jm) / (2.0 * h)
-            sq_grads[i, m] = grad * grad
+        sq_scores[:, m] = np.square(pem.neg_log_joint_score(
+            omega_true, rec, p, prior_omega, prior_spin, ks))
 
-    results = []
-    for i, t in enumerate(times):
-        row = sq_grads[i]
-        total = row.sum()
-        loo = (total - row) / (n_samples - 1)
-        theta = 1.0 / loo
-        std_err = math.sqrt((n_samples - 1) / n_samples
-                            * np.sum((theta - theta.mean()) ** 2))
-        results.append(BoundResult(1.0 / row.mean(), std_err,
-                                   {"t": t, "samples": n_samples, "h": h}))
-    return results
+    # jackknife: the bound with each sample left out in turn
+    total = sq_scores.sum(axis=1, keepdims=True)
+    theta = (n_samples - 1) / (total - sq_scores)
+    std_errs = np.sqrt((n_samples - 1) / n_samples * np.sum(
+        (theta - theta.mean(axis=1, keepdims=True)) ** 2, axis=1))
+    return [BoundResult(1.0 / row.mean(), float(se),
+                        {"t": t, "samples": n_samples})
+            for t, row, se in zip(times, sq_scores, std_errs)]
 
 
 # --------------------------------------------------------------------------

@@ -83,51 +83,34 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> None:
+def _cmd_simulate(cfg: ExperimentConfig, path: Path) -> None:
     rng = harness._run_rng(cfg.seed, 0)
     _, rec = sde_sim.simulate(cfg.params, cfg.true_signal, cfg.duration,
                               substeps=cfg.substeps, seed=rng)
-    rec.to_csv(out_dir / "simulate.csv")
+    rec.to_csv(path)
 
 
-def _cmd_estimate(cfg: ExperimentConfig, out_dir: Path) -> None:
+def _cmd_estimate(cfg: ExperimentConfig, path: Path) -> None:
     """Simulate one shot and fit the constant-frequency MAP estimate."""
     p = cfg.params
     rng = harness._run_rng(cfg.seed, 0)
     _, rec = sde_sim.simulate(p, cfg.true_signal, cfg.duration,
                               substeps=cfg.substeps, seed=rng)
     fit = pem.map_estimate(rec, p, *harness._blocks(harness._prior(cfg, p)))
-    sde_sim._write_csv(out_dir / "estimate.csv",
-                       "omega_hat,neg_log_joint_per_sample", [fit])
+    sde_sim._write_csv(path, "omega_hat,neg_log_joint_per_sample", [fit])
 
 
-def _cmd_bcrb(cfg: ExperimentConfig, out_dir: Path) -> None:
+def _cmd_bcrb(cfg: ExperimentConfig, path: Path) -> None:
     p = cfg.params
     times = cfg.sweep_values if cfg.sweep_axis == "time" else (cfg.duration,)
     results = bounds.bcrb_numeric_curve(
         p, *harness._blocks(harness._prior(cfg, p)), times, cfg.bound_samples,
         seed=cfg.seed, substeps=cfg.substeps)
-    sde_sim._write_csv(out_dir / "bcrb.csv", "t,bound,stderr,kind", (
+    sde_sim._write_csv(path, "t,bound,stderr,kind", (
         (r.meta["t"], r.value, r.mc_std_err, "bcrb_numeric") for r in results))
 
 
-def _cmd_sweep_time(cfg: ExperimentConfig, out_dir: Path) -> None:
-    harness.run_error_vs_time(cfg).to_csv(out_dir / "sweep-time.csv")
-
-
-def _cmd_sweep_n(cfg: ExperimentConfig, out_dir: Path) -> None:
-    harness.run_error_vs_N(cfg).to_csv(out_dir / "sweep-n.csv")
-
-
-def _cmd_sweep_delta(cfg: ExperimentConfig, out_dir: Path) -> None:
-    harness.run_error_vs_delta(cfg).to_csv(out_dir / "sweep-delta.csv")
-
-
-def _cmd_track(cfg: ExperimentConfig, out_dir: Path) -> None:
-    harness.run_tracking(cfg).to_csv(out_dir / "track.csv")
-
-
-def _cmd_atoms(cfg: ExperimentConfig, out_dir: Path) -> None:
+def _cmd_atoms(cfg: ExperimentConfig, path: Path) -> None:
     p = cfg.params
     k = sde_sim.sample_indices([cfg.duration], p.Delta)[0]
     if k < 2:
@@ -140,18 +123,18 @@ def _cmd_atoms(cfg: ExperimentConfig, out_dir: Path) -> None:
             p, p.omega_bar, k, seed=harness._run_rng(cfg.seed, r))
         est = atoms.estimate_atom_number(samples, p)
         rows.append((r, est.n_hat, est.sigma_n, est.k_used, int(est.degenerate)))
-    sde_sim._write_csv(out_dir / "atoms.csv", "run,n_hat,sigma_n,k,degenerate",
-                       rows)
+    sde_sim._write_csv(path, "run,n_hat,sigma_n,k,degenerate", rows)
 
 
+# subcommand -> command(cfg, path of <subcommand>.csv)
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "estimate": _cmd_estimate,
     "bcrb": _cmd_bcrb,
-    "sweep-time": _cmd_sweep_time,
-    "sweep-n": _cmd_sweep_n,
-    "sweep-delta": _cmd_sweep_delta,
-    "track": _cmd_track,
+    "sweep-time": lambda cfg, f: harness.run_error_vs_time(cfg).to_csv(f),
+    "sweep-n": lambda cfg, f: harness.run_error_vs_N(cfg).to_csv(f),
+    "sweep-delta": lambda cfg, f: harness.run_error_vs_delta(cfg).to_csv(f),
+    "track": lambda cfg, f: harness.run_tracking(cfg).to_csv(f),
     "atoms": _cmd_atoms,
 }
 
@@ -177,22 +160,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    out_dir = args.out
     try:
         cfg = _load_config(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out_dir = Path(args.out)
-    try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     start = time.monotonic()
     try:
-        _COMMANDS[args.subcommand](cfg, out_dir)
+        _COMMANDS[args.subcommand](cfg, out_dir / f"{args.subcommand}.csv")
     except InvalidParametersError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,8 +64,10 @@ class ExperimentConfig:
         if self.sweep_axis != "none":
             if not self.sweep_values:
                 raise InvalidParametersError("sweep grid must be non-empty")
-            if any(not v > 0.0 for v in self.sweep_values):
-                raise InvalidParametersError("sweep grid values must be positive")
+            if any(not (isinstance(v, numbers.Real) and v > 0.0)
+                   for v in self.sweep_values):
+                raise InvalidParametersError(
+                    "sweep grid values must be positive numbers")
         for e in self.estimators:
             if e not in ESTIMATORS:
                 raise InvalidParametersError(f"unknown estimator {e!r}")
@@ -79,7 +82,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
+        d = dict(model.check_json(cls, d, "config"))
         if "params" in d:
             d["params"] = SpmParams.from_dict(d["params"])
         for key in ("true_signal", "assumed_signal"):
@@ -88,10 +91,6 @@ class ExperimentConfig:
         for key in ("estimators", "bounds", "sweep_values"):
             if key in d:
                 d[key] = tuple(d[key])
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise InvalidParametersError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
 
     @classmethod

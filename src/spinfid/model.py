@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
@@ -25,6 +26,33 @@ from scipy.signal import lfilter
 from .errors import InvalidParametersError
 
 TWO_PI = 2.0 * math.pi
+
+# field annotation -> (the JSON values it takes, their name); a bool is
+# none of them
+_JSON_TYPES = {
+    "float": (numbers.Real, "a number"),
+    "Optional[float]": ((numbers.Real, type(None)), "a number or null"),
+    "int": (numbers.Integral, "an integer"),
+    "tuple": ((list, tuple), "a list"),
+}
+
+
+def check_json(cls, d, what: str) -> dict:
+    """``d`` if it is a JSON object whose keys are fields of ``cls`` and
+    whose number, integer and list fields hold one; else
+    InvalidParametersError."""
+    if not isinstance(d, dict):
+        raise InvalidParametersError(f"{what} must be an object, got {d!r}")
+    by_name = {f.name: f for f in fields(cls)}
+    unknown = set(d) - set(by_name)
+    if unknown:
+        raise InvalidParametersError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in d.items():
+        types, name = _JSON_TYPES.get(by_name[key].type, (object, None))
+        if name and (isinstance(value, bool) or not isinstance(value, types)):
+            raise InvalidParametersError(
+                f"{what} {key!r} must be {name}, got {value!r}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -61,11 +89,7 @@ class SpmParams:
     @classmethod
     def from_dict(cls, d: dict) -> "SpmParams":
         """Build from a JSON-style dict; missing keys keep their defaults."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise InvalidParametersError(f"unknown parameter keys: {sorted(unknown)}")
-        return cls(**d)
+        return cls(**check_json(cls, d, "parameter"))
 
     @classmethod
     def from_json(cls, path) -> "SpmParams":
@@ -127,6 +151,8 @@ class Step:
     jumps: tuple = ()  # ordered (time s, new value rad/s) pairs
 
     def __post_init__(self):
+        object.__setattr__(self, "jumps", tuple((float(t), float(w))
+                                                for t, w in self.jumps))
         times = [t for t, _ in self.jumps]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise InvalidParametersError("step jump times must be strictly increasing")
@@ -144,13 +170,18 @@ _SIGNAL_KINDS = {
 
 
 def signal_from_dict(d: dict) -> SignalModel:
+    if not isinstance(d, dict):
+        raise InvalidParametersError(f"signal must be an object, got {d!r}")
     d = dict(d)
     kind = d.pop("kind", None)
-    if kind not in _SIGNAL_KINDS:
+    if not (isinstance(kind, str) and kind in _SIGNAL_KINDS):
         raise InvalidParametersError(f"unknown signal kind: {kind!r}")
-    if kind == "step" and "jumps" in d:
-        d["jumps"] = tuple((float(t), float(w)) for t, w in d["jumps"])
-    return _SIGNAL_KINDS[kind](**d)
+    cls = _SIGNAL_KINDS[kind]
+    check_json(cls, d, f"{kind} signal")
+    try:
+        return cls(**d)
+    except (TypeError, ValueError) as exc:  # a missing field, or bad jumps
+        raise InvalidParametersError(f"{kind} signal: {exc}") from exc
 
 
 def is_stochastic(s: SignalModel) -> bool:
@@ -256,11 +287,14 @@ def damped_rotation(pole, eta: np.ndarray, z0: complex) -> np.ndarray:
     taken out: with R = cumprod(pole / d), w = z / R obeys the
     constant-pole recurrence w_k = d w_{k-1} + eta_k / R_k.  |R| stays near
     1, so nothing underflows however much the path decays, as
-    P = cumprod(pole) would in z = P (z0 + cumsum(eta / P)).
+    P = cumprod(pole) would in z = P (z0 + cumsum(eta / P)).  Poles that
+    are all 0, as when the decay exp(-h/T2) underflows, give z_k = eta_k.
     """
     if np.ndim(pole) == 0:
         z, _ = lfilter([1.0], [1.0, -pole], eta, zi=np.array([pole * z0]))
         return z
+    if not np.any(pole):
+        return np.array(eta, dtype=complex)
     d = abs(pole[0])
     r = np.cumprod(pole / d)
     return r * damped_rotation(d, eta / r, z0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinfid import bounds, model
+from spinfid import bounds, model, pem
 from spinfid.errors import InvalidParametersError
 from spinfid.model import Constant, GaussianPrior, SpmParams
 from spinfid.sde_sim import simulate
@@ -31,6 +31,9 @@ class TestScore:
         grad = bounds.neg_log_joint_gradient(omega, rec, p, prior_omega,
                                              prior_spin, h=1e-2)
         assert grad == pytest.approx(700.0 / sigma ** 2, rel=1e-6)
+        score, = pem.neg_log_joint_score(omega, rec, p, prior_omega,
+                                         prior_spin, [len(rec.outcomes)])
+        assert score == pytest.approx(700.0 / sigma ** 2, rel=1e-12)
 
     def test_gradient_rejects_bad_step(self):
         p = SpmParams()
@@ -79,15 +82,14 @@ class TestNumericBound:
             bounds.bcrb_numeric_curve(p, prior_omega, prior_spin,
                                       [1e-4, 2e-4], n_samples)
 
-    def test_curve_matches_per_time_finite_differences(self):
-        # the score read from one +h and one -h pass equals the
-        # central-difference gradient of each truncated record
+    def test_curve_matches_per_time_scores(self):
+        # the score read from one complex pass per sample equals the exact
+        # score of each truncated record
         p = SpmParams()
         prior_omega, prior_spin = _priors(p, TWO_PI * 2e3)
         times = [5e-5, 1e-4, 1e-4, 2e-4]
         curve = bounds.bcrb_numeric_curve(p, prior_omega, prior_spin, times,
                                           2, seed=3)
-        h = curve[0].meta["h"]
         sigma = TWO_PI * 2e3
         sq = np.empty((len(times), 2))
         for m, child in enumerate(np.random.SeedSequence(3).spawn(2)):
@@ -95,10 +97,10 @@ class TestNumericBound:
             omega = p.omega_bar + sigma * rng.standard_normal()
             _, rec = simulate(p, Constant(omega), times[-1], seed=rng)
             for i, t in enumerate(times):
-                grad = bounds.neg_log_joint_gradient(
-                    omega, rec.truncated(round(t / p.Delta)), p, prior_omega,
-                    prior_spin, h)
-                sq[i, m] = grad * grad
+                k = round(t / p.Delta)
+                score, = pem.neg_log_joint_score(
+                    omega, rec.truncated(k), p, prior_omega, prior_spin, [k])
+                sq[i, m] = score * score
         assert [c.value for c in curve] == list(1.0 / sq.mean(axis=1))
 
     def test_curve_matches_single_time(self):

@@ -82,6 +82,20 @@ class TestExitCodes:
         assert code == 2
         assert not (out / "bcrb.csv").exists()
 
+    @pytest.mark.parametrize("payload", [
+        {"runs": "3"},
+        {"params": {"N": "1e12"}},
+        {"true_signal": {"kind": "constant"}},
+        {"estimators": "ekf"},
+    ], ids=["string run count", "string parameter", "signal missing a field",
+            "string estimators"])
+    def test_mistyped_config(self, tmp_path, payload):
+        cfg = _write_cfg(tmp_path, payload)
+        code, out = _run(tmp_path, "simulate", "--config", cfg)
+        assert code == 2
+        assert not (out / "simulate.csv").exists()
+        assert not (out / "manifest.json").exists()
+
     def test_track_without_a_filter(self, tmp_path):
         cfg = _write_cfg(tmp_path, {"estimators": ["pem"], "duration": 1e-4})
         code, out = _run(tmp_path, "track", "--config", cfg)

@@ -68,6 +68,19 @@ class TestConfig:
         with pytest.raises(InvalidParametersError):
             ExperimentConfig.from_dict({"bogus": 1})
 
+    @pytest.mark.parametrize("d, message", [
+        ({"estimators": "ekf"}, "'estimators' must be a list"),
+        ({"runs": 3.0}, "'runs' must be an integer"),
+        ({"seed": True}, "'seed' must be an integer"),
+        ({"duration": "1e-3"}, "'duration' must be a number"),
+        ({"sweep_axis": "time", "sweep_values": ["1e-4"]}, "positive numbers"),
+        ({"true_signal": 5}, "signal must be an object"),
+        ([("runs", 3)], "config must be an object"),
+    ])
+    def test_from_dict_rejects_mistyped_values(self, d, message):
+        with pytest.raises(InvalidParametersError, match=message):
+            ExperimentConfig.from_dict(d)
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"runs": 3}))
@@ -139,6 +152,25 @@ class TestErrorVsTime:
                                runs=5, estimators=("pem",))
         with pytest.raises(RuntimeError, match="forced failure"):
             run_error_vs_time(cfg)
+
+    def test_score_without_sign_change_excludes_the_run(self, monkeypatch):
+        # the score is positive at both ends of the first run's MAP bracket,
+        # so that fit raises and the sweep keeps only the second run
+        score = harness.pem.neg_log_joint_score
+        calls = []
+
+        def first_bracket_positive(*args):
+            calls.append(args[0])
+            out = score(*args)
+            return [abs(s) for s in out] if len(calls) <= 2 else out
+        monkeypatch.setattr(harness.pem, "neg_log_joint_score",
+                            first_bracket_positive)
+        monkeypatch.setattr(harness, "MAX_EXCLUSION_FRACTION", 0.5)
+        cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4,),
+                               runs=2, estimators=("pem",))
+        curve = run_error_vs_time(cfg)
+        assert curve.excluded_runs == 1
+        assert np.all(np.isfinite(curve.rmse["pem"]))
 
     def test_check_exclusions_unit(self):
         assert harness._check_exclusions([], 10) == 0

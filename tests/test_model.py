@@ -53,6 +53,12 @@ class TestSpmParams:
         assert p.N == 1e11
         assert p.R == 96.0
 
+    def test_from_dict_types(self):
+        assert SpmParams.from_dict({"T2_override": None}).T2_override is None
+        for value in ("1e12", None, True, [1e12]):
+            with pytest.raises(InvalidParametersError, match="'N' must be"):
+                SpmParams.from_dict({"N": value})
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text('{"Delta": 1e-6}')
@@ -136,6 +142,19 @@ class TestSignals:
         assert s == Step(1.0, ((0.5, 2.0),))
         with pytest.raises(InvalidParametersError):
             model.signal_from_dict({"kind": "nope"})
+
+    @pytest.mark.parametrize("d", [
+        {"kind": "constant"},
+        {"kind": "constant", "omega0": "1.0"},
+        {"kind": "ou", "omega_bar": 1.0, "tau": 2.0},
+        {"kind": "step", "omega_bar": 1.0, "jumps": 0.5},
+        {"kind": "step", "omega_bar": 1.0, "jumps": [[0.5]]},
+        {"kind": "step", "omega_bar": 1.0, "jumps": [[0.5, "x"]]},
+        "constant",
+    ])
+    def test_signal_from_dict_rejects_bad_fields(self, d):
+        with pytest.raises(InvalidParametersError):
+            model.signal_from_dict(d)
 
     def test_is_stochastic(self):
         assert model.is_stochastic(Wiener(1.0, 1.0))

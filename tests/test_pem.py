@@ -6,11 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
+import pem_reference
 import sim_reference
-from spinfid import pem
+from spinfid import bounds, harness, pem, sde_sim
 from spinfid.errors import InvalidParametersError, MapBoundaryError
+from spinfid.harness import ExperimentConfig
 from spinfid.model import Constant, GaussianPrior, SpmParams
 from spinfid.sde_sim import MeasurementRecord, simulate
+
+# the probing times of the c06/c07/c08/c14 acceptance fixture
+C06_TIMES = (5e-5, 1e-4, 2e-4, 3.5e-4, 5e-4, 1e-3, 2e-3, 5e-3)
 
 
 def _small_params():
@@ -112,22 +117,29 @@ class TestNegLogJoint:
            omega=st.floats(0.5, 6.0))
     def test_prefixes_match_truncated_records(self, ys, cuts, omega):
         # one pass must give, at every length (repeats included), exactly
-        # the J of the truncated record, for a float omega and for a grid
+        # the J of the truncated record, for a float omega, for a grid and
+        # for a complex omega
         p = _small_params()
         prior_omega, prior_spin = _priors(p, spin_sigma=1.0)
         rec = MeasurementRecord(p.Delta, np.array(ys))
         lengths = sorted(min(c, len(ys)) for c in cuts)
         grid = np.linspace(omega - 0.4, omega + 0.4, 5)
+        stepped = complex(omega, 1e-20)
         scalar = pem.neg_log_joint_prefixes(omega, rec, p, prior_omega,
                                             prior_spin, lengths)
         gridded = pem.neg_log_joint_prefixes(grid, rec, p, prior_omega,
                                              prior_spin, lengths)
-        for k, j_scalar, j_grid in zip(lengths, scalar, gridded):
+        complexed = pem.neg_log_joint_prefixes(stepped, rec, p, prior_omega,
+                                               prior_spin, lengths)
+        for k, j_scalar, j_grid, j_complex in zip(lengths, scalar, gridded,
+                                                  complexed):
             sub = rec.truncated(k)
             assert j_scalar == pem.kalman_neg_log_joint(
                 omega, sub, p, prior_omega, prior_spin).neg_log_joint
             assert np.array_equal(j_grid, pem.neg_log_joint_grid(
                 grid, sub, p, prior_omega, prior_spin))
+            assert j_complex == pem.neg_log_joint_prefixes(
+                stepped, sub, p, prior_omega, prior_spin, [k])[0]
 
     def test_innovations_of_wrapper(self):
         p = _small_params()
@@ -148,6 +160,33 @@ class TestNegLogJoint:
         rec = MeasurementRecord(p.Delta, np.array([1.0, math.inf]))
         with pytest.raises(FloatingPointError):
             pem.kalman_neg_log_joint(3.0, rec, p, prior_omega, prior_spin)
+
+
+class TestScore:
+    @pytest.mark.parametrize("p, spin_scale", [(SpmParams(q=0.0), None),
+                                               (SpmParams(), 0.1)],
+                             ids=["q=0 pinned spin", "default"])
+    def test_matches_richardson_central_difference(self, p, spin_scale):
+        # the complex-step score of every prefix against the central
+        # difference of each truncated record with its h^2 error
+        # extrapolated away; that reference is good to about 1e-6
+        sigma = 2.0 * math.pi * 2e3
+        prior_omega, prior_spin = _priors(
+            p, sigma, None if spin_scale is None else spin_scale * p.N)
+        rng = np.random.default_rng(3)
+        omega = p.omega_bar + sigma * rng.standard_normal()
+        _, rec = simulate(p, Constant(omega), 1e-3, seed=rng)
+        lengths = list(range(1, len(rec.outcomes) + 1))
+        scores = pem.neg_log_joint_score(omega, rec, p, prior_omega,
+                                         prior_spin, lengths)
+        h = 1e-4 * sigma
+        for k, score in zip(lengths, scores):
+            sub = rec.truncated(k)
+            coarse, fine = (bounds.neg_log_joint_gradient(
+                omega, sub, p, prior_omega, prior_spin, step)
+                for step in (h, h / 2.0))
+            assert score == pytest.approx((4.0 * fine - coarse) / 3.0,
+                                          rel=1e-5)
 
 
 class TestMapEstimate:
@@ -223,6 +262,36 @@ class TestMapEstimate:
         fits = pem.map_estimates(rec, lengths, p, prior_omega, prior_spin)
         assert fits == [pem.map_estimate(rec.truncated(k), p, prior_omega,
                                          prior_spin) for k in lengths]
+
+    @pytest.mark.parametrize("sigma", [harness.DEFAULT_SIGMA_OMEGA, 1.0],
+                             ids=["c06 prior", "sigma=1"])
+    def test_matches_golden_section_reference(self, sigma):
+        # the score root against the golden-section minimum on runs of the
+        # c06 fixture, and on a prior as narrow as its 50 us bound
+        p = SpmParams()
+        priors = harness._blocks(harness._prior(
+            ExperimentConfig(sigma_omega=sigma), p))
+        ks = sde_sim.sample_indices(C06_TIMES, p.Delta)
+        for r in range(3):
+            rng = harness._run_rng(0, r)
+            omega = p.omega_bar + sigma * rng.standard_normal()
+            _, rec = simulate(p, Constant(omega), ks[-1] * p.Delta, seed=rng)
+            fits = pem.map_estimates(rec, ks, p, *priors)
+            golden = pem_reference.map_estimates(rec, ks, p, *priors)
+            for (w, j), (w_ref, j_ref) in zip(fits, golden):
+                assert abs(w - w_ref) <= pem.MAP_TOL
+                assert j == pytest.approx(j_ref, rel=1e-6)
+
+    def test_score_without_sign_change_raises(self, monkeypatch):
+        score = pem.neg_log_joint_score
+        monkeypatch.setattr(pem, "neg_log_joint_score",
+                            lambda *args: [abs(s) for s in score(*args)])
+        p = SpmParams()
+        sigma = 2.0 * math.pi * 2e3
+        _, rec = simulate(p, Constant(p.omega_bar + 500.0), 5e-4, seed=4)
+        prior_omega, prior_spin = _priors(p, sigma_omega=sigma)
+        with pytest.raises(MapBoundaryError, match="sign"):
+            pem.map_estimate(rec, p, prior_omega, prior_spin)
 
     @pytest.mark.parametrize("lengths", [[], [0], [5, 3], [101]])
     def test_multi_length_fit_rejects_bad_lengths(self, lengths):

@@ -17,6 +17,13 @@ The loops are kept as ``sim_reference``; run in their place they still
 reproduce every digest recorded before, and ``test_sde`` bounds the distance
 between the two paths.
 
+The outputs that fit a MAP estimate or evaluate the Monte-Carlo bound were
+re-recorded when both moved from a golden-section search and a
+central-difference score to the exact score by complex step.  The old pair
+is kept as ``pem_reference``; run in place of the new code it still
+reproduces the digests recorded before, and ``test_pem`` bounds the distance
+between the two.
+
 A digest is the leading 16 hex digits of the SHA-256 of the outputs' float64
 bytes, or of a CLI output file's bytes.  They were recorded with numpy 2.4
 and scipy 1.17 on x86-64 Linux; a different libm or BLAS build may
@@ -30,8 +37,9 @@ import numpy as np
 import pytest
 
 import filter_reference as reference
+import pem_reference
 import sim_reference
-from spinfid import atoms, cli, filters, harness, sde_sim
+from spinfid import atoms, bounds, cli, filters, harness, pem, sde_sim
 from spinfid.harness import ExperimentConfig
 from spinfid.model import (Constant, OrnsteinUhlenbeck, Sinusoid, SpmParams,
                            Step, Wiener)
@@ -134,9 +142,9 @@ RECORDED = {
     "simulate sinusoid": "9490538c3e788554",
     "simulate step": "7cc907eb36f4c259",
     "simulate wiener": "ab8be40e3e877a6a",
-    "sweep N": "34520be996d781bd",
-    "sweep delta": "fb0c07ed287b0078",
-    "sweep time": "a5f9f8c9c3f0f3a1",
+    "sweep N": "8a0c639fdb3334a0",
+    "sweep delta": "0ac13ec6de9b82f2",
+    "sweep time": "977517b704669345",
     "sweep time 13 runs": "ee5dd9632c9729eb",
     "track ou ckf": "d08bd277eac3f881",
     "track ou ekf": "09154eb67c2dadcd",
@@ -145,9 +153,9 @@ RECORDED = {
 
 # the outputs that run a filter, as the matrix-form filter gave them
 RECORDED_MATRIX_FILTER = {
-    "sweep N": "f4333af43c963ea6",
-    "sweep delta": "57320b78ea832ca9",
-    "sweep time": "bd1c697ee16c3a03",
+    "sweep N": "accb7c6c1c7d1cbd",
+    "sweep delta": "7e8780e1f3bb0318",
+    "sweep time": "52f7e3cf9f424074",
     "sweep time 13 runs": "cc6d9705128b36e4",
     "track ou ckf": "83aa1571be8c4a2c",
     "track ou ekf": "0f30baa317046f7c",
@@ -163,6 +171,14 @@ RECORDED_LOOP_SIMULATOR = {
     "simulate wiener": "5a568a0311f0ce69",
     "track ou ckf": "86b101ad693b9619",
     "track ou ekf": "6154e867c4de71d6",
+}
+
+# the outputs that changed, as the golden-section fit and the
+# central-difference bound gave them
+RECORDED_GOLDEN_SECTION = {
+    "sweep N": "34520be996d781bd",
+    "sweep delta": "fb0c07ed287b0078",
+    "sweep time": "a5f9f8c9c3f0f3a1",
 }
 
 RECORDED_LOOP_SIMULATOR_MATRIX_FILTER = {
@@ -181,6 +197,13 @@ def matrix_filter(monkeypatch):
     monkeypatch.setattr(filters, "run_filter", reference.run_filter)
 
 
+@pytest.fixture
+def golden_section(monkeypatch):
+    monkeypatch.setattr(pem, "map_estimates", pem_reference.map_estimates)
+    monkeypatch.setattr(bounds, "bcrb_numeric_curve",
+                        pem_reference.bcrb_numeric_curve)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_recorded(name):
     assert _digest(CASES[name]()) == RECORDED[name]
@@ -189,6 +212,11 @@ def test_output_matches_recorded(name):
 @pytest.mark.parametrize("name", sorted(RECORDED_MATRIX_FILTER))
 def test_matrix_filter_output_matches_recorded(name, matrix_filter):
     assert _digest(CASES[name]()) == RECORDED_MATRIX_FILTER[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_GOLDEN_SECTION))
+def test_golden_section_output_matches_recorded(name, golden_section):
+    assert _digest(CASES[name]()) == RECORDED_GOLDEN_SECTION[name]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -228,18 +256,24 @@ CLI_CASES = {
 
 RECORDED_CSV = {
     "atoms": "8888285670638245",
-    "bcrb": "152240f41454a005",
-    "estimate": "8e2dd7d97590a029",
+    "bcrb": "647089fa7e3732be",
+    "estimate": "89004b7223e647ec",
     "sweep-n": "e33b298b5c217210",
-    "sweep-time": "5afafaac5d3c4218",
+    "sweep-time": "215d7bc1a7848c91",
     "track": "5c32a5b2c1d34f2b",
 }
 
 
 RECORDED_MATRIX_FILTER_CSV = {
     "sweep-n": "43ddca81fd9f8cb2",
-    "sweep-time": "573dbf65a196da82",
+    "sweep-time": "315556ae632e0f48",
     "track": "cb02e0ebcbd9facd",
+}
+
+RECORDED_GOLDEN_SECTION_CSV = {
+    "bcrb": "152240f41454a005",
+    "estimate": "8e2dd7d97590a029",
+    "sweep-time": "5afafaac5d3c4218",
 }
 
 RECORDED_LOOP_SIMULATOR_CSV = {"track": "98697494fabff3dd"}
@@ -264,6 +298,12 @@ def test_cli_csv_matches_recorded(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(RECORDED_MATRIX_FILTER_CSV))
 def test_matrix_filter_cli_csv_matches_recorded(name, tmp_path, matrix_filter):
     assert _cli_digest(name, tmp_path) == RECORDED_MATRIX_FILTER_CSV[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_GOLDEN_SECTION_CSV))
+def test_golden_section_cli_csv_matches_recorded(name, tmp_path,
+                                                 golden_section):
+    assert _cli_digest(name, tmp_path) == RECORDED_GOLDEN_SECTION_CSV[name]
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))

@@ -325,8 +325,9 @@ P_REF = SpmParams()
 P_FAST = SpmParams(Delta=1e-6)
 
 # simulate's configs for the comparison with the loops: the track_ou
-# benchmark shots, the pinned-digest cases of test_recorded_outputs, and a
-# waveform that decays by 5 e-folds per substep
+# benchmark shots, the pinned-digest cases of test_recorded_outputs, a
+# waveform that decays by 5 e-folds per substep, and waveforms whose
+# substep decay underflows
 LOOP_CASES = {
     "track_ou d_c=1e7": (P_FAST, OrnsteinUhlenbeck(P_FAST.omega_bar, 1.0, 1e7),
                          5e-3, 8, 0),
@@ -344,6 +345,11 @@ LOOP_CASES = {
                  5),
     "sinusoid T2 = h/5": (SpmParams(T2_override=1e-6),
                           Sinusoid(P_REF.omega_bar, 2e3, 500.0), 1e-3, 1, 3),
+    # exp(-h/T2) underflows to 0, so every pole is 0 and z_k = eta_k
+    "sinusoid T2 = 1e-9": (SpmParams(T2_override=1e-9),
+                           Sinusoid(P_REF.omega_bar, 2e3, 500.0), 1e-4, 1, 3),
+    "step T2 = 1e-9": (SpmParams(T2_override=1e-9), Step(
+        P_REF.omega_bar, ((5e-5, P_REF.omega_bar + 300.0),)), 1e-4, 1, 3),
 }
 
 
