@@ -14,8 +14,13 @@ A step runs on Python floats: the filter state is the tuple
 unique entries of the symmetric covariance, and the matrix products are
 unrolled on it with the known zeros of the Jacobian and of the measurement
 row.  At this size numpy's per-call overhead outweighs the arithmetic.  The
+CKF's cubature rule is evaluated in closed form on three rotations.  The
 PSD safeguard tests the pivots of a scalar Cholesky factorization and
 decomposes only a covariance that fails it.
+
+A filter pass is one loop, ``_steps``, with prediction and correction in
+its body; ``ekf_predict``, ``ckf_predict`` and ``kalman_correct`` are
+one-step views of the same loop, so each piece of the step exists once.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Literal
 import numpy as np
 
 from . import model
-from .errors import NumericalDegeneracyError
+from .errors import InvalidParametersError, NumericalDegeneracyError
 from .model import GaussianPrior, SignalModel, SpmParams
 from .sde_sim import MeasurementRecord, _write_csv
 
@@ -56,11 +61,13 @@ class FilterConfig:
 
     def __post_init__(self):
         if self.kind not in ("ekf", "ckf"):
-            raise ValueError(f"unknown filter kind {self.kind!r}")
+            raise InvalidParametersError(f"unknown filter kind {self.kind!r}")
         if not model.is_stochastic(self.signal):
-            raise ValueError("the filter's internal signal model must be OU or Wiener")
+            raise InvalidParametersError(
+                "the filter's internal signal model must be OU or Wiener")
         if self.prior.mean.size != 3:
-            raise ValueError("filter prior must be over the 3-dim extended state")
+            raise InvalidParametersError(
+                "filter prior must be over the 3-dim extended state")
         p = self.params
         t2 = model.coherence_time(p)
         phi, offset, d1 = model.signal_discrete_params(self.signal, p.Delta)
@@ -102,23 +109,6 @@ class FilterTrace:
             for k in range(len(self.times))))
 
 
-def _step_mean(w: float, jy: float, jz: float, cfg: FilterConfig):
-    """One-step mean map and the (cos, sin) of its rotation angle omega*Delta:
-    exact frequency step, damped rotation of the spin at the frozen frequency
-    w."""
-    phi, offset, decay = cfg.step[:3]
-    angle = w * cfg.params.Delta
-    c = math.cos(angle)
-    s = math.sin(angle)
-    return (phi * w + offset, decay * (jy * c + jz * s),
-            decay * (-jy * s + jz * c), c, s)
-
-
-def discrete_f(w: float, jy: float, jz: float, cfg: FilterConfig) -> tuple:
-    """One-step mean map of the state (omega, J_y, J_z)."""
-    return _step_mean(w, jy, jz, cfg)[:3]
-
-
 def _state(mean: np.ndarray, cov: np.ndarray) -> tuple:
     """The 9-float filter state of a mean and a symmetric 3x3 covariance."""
     return tuple(mean.tolist()) + tuple(cov[_UPPER].tolist())
@@ -132,7 +122,12 @@ def _matrix(p: tuple) -> np.ndarray:
 def _cholesky(p: tuple, shift: float = 0.0):
     """Lower Cholesky factor (l00, l10, l20, l11, l21, l22) of P + shift*I,
     or None when a pivot is not positive.  As in LAPACK's potrf a NaN pivot
-    passes, so non-finite entries reach the callers' finiteness checks."""
+    passes, so non-finite entries reach the callers' finiteness checks.
+
+    With shift = tiny this is the filter's PSD test: in the undersampled
+    regime the covariance swings over many orders of magnitude, and
+    cancellation can leave small negative eigenvalues that would otherwise
+    snowball, so a covariance that fails it goes to ``_clip_to_psd``."""
     p00, p01, p02, p11, p12, p22 = p
     a = p00 + shift
     if a <= 0.0:
@@ -149,16 +144,6 @@ def _cholesky(p: tuple, shift: float = 0.0):
     if a <= 0.0:
         return None
     return l00, l10, l20, l11, l21, math.sqrt(a)
-
-
-def _ensure_psd(p: tuple) -> tuple:
-    """Project a symmetric matrix back onto the PSD cone if roundoff pushed
-    it out (clipping negative eigenvalues to zero).  In the undersampled
-    regime the filter covariance swings over many orders of magnitude and
-    cancellation can leave small negative eigenvalues that would otherwise
-    snowball.  The test is a scalar Cholesky of P + tiny*I; only a matrix
-    that fails it is decomposed."""
-    return p if _cholesky(p, _TINY) is not None else _clip_to_psd(p)
 
 
 def _clip_to_psd(p: tuple) -> tuple:
@@ -186,109 +171,181 @@ def _cholesky_with_jitter(p: tuple) -> tuple:
     raise NumericalDegeneracyError("covariance not factorizable after jitter escalation")
 
 
-def _predicted(mean: tuple, spread: tuple, cfg: FilterConfig) -> tuple:
-    """Predicted state from the propagated mean and covariance spread: adds
-    the process noise and keeps the covariance PSD."""
-    d1, d2 = cfg.step[3], cfg.step[4]
-    s00, s01, s02, s11, s12, s22 = spread
-    x = mean + _ensure_psd((s00 + d1, s01, s02, s11 + d2, s12, s22 + d2))
-    if not all(map(math.isfinite, x)):
-        raise NumericalDegeneracyError(
-            f"non-finite {cfg.kind.upper()} prediction")
-    return x
+def _steps(cfg: FilterConfig, x: tuple, ys, predict, correct: bool = True,
+           out=None):
+    """Predict with ``predict`` ("ekf", "ckf" or None for no prediction),
+    then correct on y if ``correct``, for each y of ``ys`` in turn, from
+    the state ``x``.  Returns (state, innovation, S) after the last step, and
+    writes one ``_ROW`` per step into the buffer ``out`` if one is given.
+
+    The mean map freezes the frequency over a step: (omega, J) goes to
+    (phi omega + offset, e R(omega) J), with e the spin decay per step and
+    R(omega) the rotation by omega*Delta.
+
+    EKF: the covariance goes through the Jacobian of this map, J P J^T.
+    Its rows are (phi, 0, 0), (Delta f3, e c, e s) and (-Delta f2, -e s,
+    e c), with (f2, f3) the predicted spin and (c, s) the cosine and sine of
+    omega*Delta: the rotation gives d f2/d omega = Delta f3 and
+    d f3/d omega = -Delta f2.
+
+    CKF: the third-degree spherical cubature rule, 6 points m +- sqrt(3) L_i
+    along the columns of the lower Cholesky factor L of P (Arasaratnam &
+    Haykin, IEEE TAC 54(6), 2009), evaluated in closed form.  The frequency
+    map is affine, and at a fixed frequency the spin map is the linear
+    e R(omega).  The four points along L_1 and L_2 share the frequency m_0,
+    so they are g0 +- sqrt(3) e R(m_0) L_i with g0 = e R(m_0) J; the two
+    along L_0 are g+- = e R(m_0 +- sqrt(3) l00)(J +- sqrt(3) (l10, l20)).
+    Three rotations give the whole rule: the spin mean is
+    mu = (4 g0 + g+ + g-)/6, and with d = g0 - mu the spread is
+    S00 = phi^2 l00^2, S0s = phi sqrt(3) l00 (g+ - g-)/6 and
+    Sss = (4 d d^T + (g+ - mu)(g+ - mu)^T + (g- - mu)(g- - mu)^T)/6
+          + a a^T + b b^T,
+    with a = e R(m_0)(l11, l21) and b = e R(m_0)(0, l22).
+
+    Both add the process noise D = diag(d1, d2, d2); the predicted
+    covariance must pass the PSD test and the predicted state be finite.
+
+    Correction: scalar measurement y = g_D J_z + v with Var v = R/Delta.  The
+    covariance uses the Joseph form (I - K h^T) P (I - K h^T)^T + R K K^T
+    with h = (0, 0, g_D), which stays positive semidefinite under the
+    extreme gains of unstable (undersampled) regimes where the plain
+    downdate loses definiteness to cancellation; it too must pass the PSD
+    test.
+
+    A step calls no Python function unless a safeguard fires, apart from the
+    PSD test after each half step and the CKF's factorization of P.
+    """
+    phi, offset, decay, d1, d2, r = cfg.step
+    delta, g = cfg.params.Delta, cfg.params.g_D
+    ckf = predict == "ckf"
+    cos, sin, isfinite = math.cos, math.sin, math.isfinite
+    cholesky, write_row, row_size = _cholesky, _ROW.pack_into, _ROW.size
+    w, jy, jz, p00, p01, p02, p11, p12, p22 = x
+    innovation = s_var = None
+    at = 0
+    for y in ys:
+        if predict:
+            angle = w * delta
+            c = cos(angle)
+            s = sin(angle)
+            f2 = decay * (jy * c + jz * s)
+            f3 = decay * (-jy * s + jz * c)
+            if ckf:
+                p = (p00, p01, p02, p11, p12, p22)
+                l00, l10, l20, l11, l21, l22 = (cholesky(p)
+                                                or _cholesky_with_jitter(p))
+                h = _SQRT3 * l00
+                by, bz = _SQRT3 * l10, _SQRT3 * l20
+                # g0 = (f2, f3), and g+- at omega +- h
+                angle = (w + h) * delta
+                ca = cos(angle)
+                sa = sin(angle)
+                gy, gz = jy + by, jz + bz
+                gpy = decay * (gy * ca + gz * sa)
+                gpz = decay * (-gy * sa + gz * ca)
+                angle = (w - h) * delta
+                ca = cos(angle)
+                sa = sin(angle)
+                gy, gz = jy - by, jz - bz
+                gmy = decay * (gy * ca + gz * sa)
+                gmz = decay * (-gy * sa + gz * ca)
+                jy = (4.0 * f2 + gpy + gmy) / 6.0
+                jz = (4.0 * f3 + gpz + gmz) / 6.0
+                s00 = (phi * l00) * (phi * l00)
+                s01 = phi * h * (gpy - gmy) / 6.0
+                s02 = phi * h * (gpz - gmz) / 6.0
+                # deviations from the spin mean
+                dy, dz = f2 - jy, f3 - jz
+                gpy, gpz, gmy, gmz = gpy - jy, gpz - jz, gmy - jy, gmz - jz
+                # e R(omega) (l11, l21) and e R(omega) (0, l22)
+                ay = decay * (l11 * c + l21 * s)
+                az = decay * (-l11 * s + l21 * c)
+                by, bz = decay * (l22 * s), decay * (l22 * c)
+                s11 = ((4.0 * (dy * dy) + gpy * gpy + gmy * gmy) / 6.0
+                       + (ay * ay + by * by))
+                s12 = ((4.0 * (dy * dz) + gpy * gpz + gmy * gmz) / 6.0
+                       + (ay * az + by * bz))
+                s22 = ((4.0 * (dz * dz) + gpz * gpz + gmz * gmz) / 6.0
+                       + (az * az + bz * bz))
+            else:
+                a1, a2 = delta * f3, -delta * f2
+                ec, es = decay * c, decay * s
+                # P times rows 1 and 2 of J
+                u0 = p00 * a1 + p01 * ec + p02 * es
+                u1 = p01 * a1 + p11 * ec + p12 * es
+                u2 = p02 * a1 + p12 * ec + p22 * es
+                v0 = p00 * a2 - p01 * es + p02 * ec
+                v1 = p01 * a2 - p11 * es + p12 * ec
+                v2 = p02 * a2 - p12 * es + p22 * ec
+                s00, s01, s02 = phi * (phi * p00), phi * u0, phi * v0
+                s11 = a1 * u0 + ec * u1 + es * u2
+                s12 = a1 * v0 + ec * v1 + es * v2
+                s22 = a2 * v0 - es * v1 + ec * v2
+                jy, jz = f2, f3
+            w = phi * w + offset
+            p = (s00 + d1, s01, s02, s11 + d2, s12, s22 + d2)
+            if cholesky(p, _TINY) is None:
+                p = _clip_to_psd(p)
+            p00, p01, p02, p11, p12, p22 = p
+            if not all(map(isfinite, (w, jy, jz) + p)):
+                raise NumericalDegeneracyError(
+                    f"non-finite {cfg.kind.upper()} prediction")
+        if correct:
+            s_var = r + g * g * p22
+            if not s_var > 0.0:
+                raise NumericalDegeneracyError(
+                    f"innovation variance not positive: {s_var}")
+            k0, k1, k2 = g * p02 / s_var, g * p12 / s_var, g * p22 / s_var
+            innovation = y - g * jz
+            # column 2 of I - K h^T; its other columns are those of I
+            c0, c1, c2 = -(g * k0), -(g * k1), 1.0 - g * k2
+            # rows 0 and 1 of (I - K h^T) P; row 2 is c2 * P[2, :]
+            m00, m01, m02 = p00 + c0 * p02, p01 + c0 * p12, p02 + c0 * p22
+            m11, m12 = p11 + c1 * p12, p12 + c1 * p22
+            p = (m00 + c0 * m02 + r * (k0 * k0),
+                 m01 + c1 * m02 + r * (k0 * k1),
+                 c2 * m02 + r * (k0 * k2),
+                 m11 + c1 * m12 + r * (k1 * k1),
+                 c2 * m12 + r * (k1 * k2),
+                 c2 * (c2 * p22) + r * (k2 * k2))
+            if cholesky(p, _TINY) is None:
+                p = _clip_to_psd(p)
+            p00, p01, p02, p11, p12, p22 = p
+            w, jy, jz = (w + k0 * innovation, jy + k1 * innovation,
+                         jz + k2 * innovation)
+        if out is not None:
+            write_row(out, at, w, jy, jz, p00, p01, p02, p01, p11, p12,
+                      p02, p12, p22, innovation, s_var)
+            at += row_size
+    return (w, jy, jz, p00, p01, p02, p11, p12, p22), innovation, s_var
 
 
 def ekf_predict(x: tuple, cfg: FilterConfig) -> tuple:
-    """Mean through the one-step map f, covariance J P J^T + D through its
-    Jacobian J.  The rows of J are (phi, 0, 0), (Delta f3, e c, e s) and
-    (-Delta f2, -e s, e c), with (f2, f3) the predicted spin, e the spin
-    decay per step and (c, s) the cosine and sine of omega*Delta: the
-    rotation gives d f2/d omega = Delta f3 and d f3/d omega = -Delta f2."""
-    w, jy, jz, p00, p01, p02, p11, p12, p22 = x
-    w1, f2, f3, c, s = _step_mean(w, jy, jz, cfg)
-    phi, decay, delta = cfg.step[0], cfg.step[2], cfg.params.Delta
-    a1, a2 = delta * f3, -delta * f2
-    ec, es = decay * c, decay * s
-    # P times rows 1 and 2 of J
-    u0 = p00 * a1 + p01 * ec + p02 * es
-    u1 = p01 * a1 + p11 * ec + p12 * es
-    u2 = p02 * a1 + p12 * ec + p22 * es
-    v0 = p00 * a2 - p01 * es + p02 * ec
-    v1 = p01 * a2 - p11 * es + p12 * ec
-    v2 = p02 * a2 - p12 * es + p22 * ec
-    return _predicted((w1, f2, f3), (
-        phi * (phi * p00), phi * u0, phi * v0,
-        a1 * u0 + ec * u1 + es * u2, a1 * v0 + ec * v1 + es * v2,
-        a2 * v0 - es * v1 + ec * v2), cfg)
+    """One EKF prediction of the state x: mean through the one-step map,
+    covariance J P J^T + D through its Jacobian J (see ``_steps``)."""
+    return _steps(cfg, x, (None,), "ekf", correct=False)[0]
 
 
 def ckf_predict(x: tuple, cfg: FilterConfig) -> tuple:
-    """Third-degree spherical cubature prediction: 6 points at +-sqrt(3)
-    along the columns of the lower-triangular Cholesky factor of P."""
-    w, jy, jz = x[:3]
-    l00, l10, l20, l11, l21, l22 = _cholesky_with_jitter(x[3:])
-    cols = ((_SQRT3 * l00, _SQRT3 * l10, _SQRT3 * l20),
-            (0.0, _SQRT3 * l11, _SQRT3 * l21),
-            (0.0, 0.0, _SQRT3 * l22))
-    fz = ([discrete_f(w + a, jy + b, jz + c, cfg) for a, b, c in cols]
-          + [discrete_f(w - a, jy - b, jz - c, cfg) for a, b, c in cols])
-    m0, m1, m2 = (sum(col) / 6.0 for col in zip(*fz))
-    s00 = s01 = s02 = s11 = s12 = s22 = 0.0
-    for f0, f1, f2 in fz:
-        e0, e1, e2 = f0 - m0, f1 - m1, f2 - m2
-        s00 += e0 * e0
-        s01 += e0 * e1
-        s02 += e0 * e2
-        s11 += e1 * e1
-        s12 += e1 * e2
-        s22 += e2 * e2
-    return _predicted((m0, m1, m2), (s00 / 6.0, s01 / 6.0, s02 / 6.0,
-                                     s11 / 6.0, s12 / 6.0, s22 / 6.0), cfg)
+    """One third-degree spherical cubature prediction of the state x (see
+    ``_steps``)."""
+    return _steps(cfg, x, (None,), "ckf", correct=False)[0]
 
 
 def kalman_correct(x: tuple, y: float, cfg: FilterConfig):
-    """Scalar measurement update; returns (state, innovation, S).
-
-    The covariance uses the Joseph form (I - K h^T) P (I - K h^T)^T + R K K^T
-    with h = (0, 0, g_D), which stays positive semidefinite under the
-    extreme gains of unstable (undersampled) regimes where the plain
-    downdate loses definiteness to cancellation.
-    """
-    w, jy, jz, p00, p01, p02, p11, p12, p22 = x
-    g = cfg.params.g_D
-    r = cfg.step[5]
-    s_var = r + g * g * p22
-    if not s_var > 0.0:
-        raise NumericalDegeneracyError(f"innovation variance not positive: {s_var}")
-    k0, k1, k2 = g * p02 / s_var, g * p12 / s_var, g * p22 / s_var
-    innovation = y - g * jz
-    # column 2 of I - K h^T; its other columns are those of I
-    c0, c1, c2 = -(g * k0), -(g * k1), 1.0 - g * k2
-    # rows 0 and 1 of (I - K h^T) P; row 2 is c2 * P[2, :]
-    m00, m01, m02 = p00 + c0 * p02, p01 + c0 * p12, p02 + c0 * p22
-    m11, m12 = p11 + c1 * p12, p12 + c1 * p22
-    cov = _ensure_psd((
-        m00 + c0 * m02 + r * (k0 * k0), m01 + c1 * m02 + r * (k0 * k1),
-        c2 * m02 + r * (k0 * k2), m11 + c1 * m12 + r * (k1 * k1),
-        c2 * m12 + r * (k1 * k2), c2 * (c2 * p22) + r * (k2 * k2)))
-    return ((w + k0 * innovation, jy + k1 * innovation, jz + k2 * innovation)
-            + cov, innovation, s_var)
+    """One Joseph-form measurement update of the state x on y; returns
+    (state, innovation, S)."""
+    return _steps(cfg, x, (y,), None)
 
 
 def run_filter(cfg: FilterConfig, rec: MeasurementRecord) -> FilterTrace:
     """Alternate predict/correct over the whole record."""
     if len(rec.outcomes) == 0:
-        raise ValueError("empty measurement record")
-    predict = ekf_predict if cfg.kind == "ekf" else ckf_predict
-    x = _state(cfg.prior.mean, cfg.prior.cov)
+        raise InvalidParametersError("empty measurement record")
     # the trace's arrays are views of this one buffer
     out = np.empty((len(rec.outcomes), 14))
-    write_row = _ROW.pack_into
-    for k, y in enumerate(rec.outcomes):
-        x, innovation, s_var = kalman_correct(predict(x, cfg), float(y), cfg)
-        w, jy, jz, p00, p01, p02, p11, p12, p22 = x
-        write_row(out, k * _ROW.size, w, jy, jz, p00, p01, p02, p01, p11, p12,
-                  p02, p12, p22, innovation, s_var)
+    _steps(cfg, _state(cfg.prior.mean, cfg.prior.cov), rec.outcomes.tolist(),
+           cfg.kind, out=out)
     return FilterTrace(times=rec.times, mean=out[:, :3],
                        cov=out[:, 3:12].reshape(-1, 3, 3),
                        innovation=out[:, 12], innovation_var=out[:, 13])

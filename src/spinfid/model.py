@@ -37,6 +37,11 @@ _JSON_TYPES = {
 }
 
 
+def _holds(value, types) -> bool:
+    """Whether a JSON value is one of ``types``; a bool is no number."""
+    return not isinstance(value, bool) and isinstance(value, types)
+
+
 def check_json(cls, d, what: str) -> dict:
     """``d`` if it is a JSON object whose keys are fields of ``cls`` and
     whose number, integer and list fields hold one; else
@@ -49,7 +54,7 @@ def check_json(cls, d, what: str) -> dict:
         raise InvalidParametersError(f"unknown {what} keys: {sorted(unknown)}")
     for key, value in d.items():
         types, name = _JSON_TYPES.get(by_name[key].type, (object, None))
-        if name and (isinstance(value, bool) or not isinstance(value, types)):
+        if name and not _holds(value, types):
             raise InvalidParametersError(
                 f"{what} {key!r} must be {name}, got {value!r}")
     return d
@@ -178,9 +183,17 @@ def signal_from_dict(d: dict) -> SignalModel:
         raise InvalidParametersError(f"unknown signal kind: {kind!r}")
     cls = _SIGNAL_KINDS[kind]
     check_json(cls, d, f"{kind} signal")
+    number = _JSON_TYPES["float"][0]
+    if cls is Step:
+        for pair in d.get("jumps", ()):
+            if not (_holds(pair, (list, tuple)) and len(pair) == 2
+                    and all(_holds(v, number) for v in pair)):
+                raise InvalidParametersError(
+                    f"step signal jumps must be [time, value] number pairs, "
+                    f"got {pair!r}")
     try:
         return cls(**d)
-    except (TypeError, ValueError) as exc:  # a missing field, or bad jumps
+    except (TypeError, ValueError) as exc:  # a missing field, unordered jumps
         raise InvalidParametersError(f"{kind} signal: {exc}") from exc
 
 
@@ -296,7 +309,10 @@ def damped_rotation(pole, eta: np.ndarray, z0: complex) -> np.ndarray:
     if not np.any(pole):
         return np.array(eta, dtype=complex)
     d = abs(pole[0])
-    r = np.cumprod(pole / d)
+    # the leading 1 keeps every product in sequence: numpy's cumprod of
+    # exactly two complex numbers rounds unlike that of longer arrays, and a
+    # path would then depend on where its record ends
+    r = np.cumprod(np.concatenate(([1.0], pole / d)))[1:]
     return r * damped_rotation(d, eta / r, z0)
 
 

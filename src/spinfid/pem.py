@@ -158,7 +158,7 @@ def map_estimates(rec: MeasurementRecord, lengths, p: SpmParams,
     ``lengths``; one likelihood pass gives the grid at every k."""
     lengths = list(lengths)
     if len(rec.outcomes) == 0:
-        raise ValueError("empty measurement record")
+        raise InvalidParametersError("empty measurement record")
     if (not lengths or lengths[0] < 1 or lengths[-1] > len(rec.outcomes)
             or lengths != sorted(lengths)):
         raise InvalidParametersError(

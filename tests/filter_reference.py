@@ -1,11 +1,17 @@
-"""Matrix-form EKF/CKF step kept as the test oracle of ``spinfid.filters``.
+"""Test oracles of ``spinfid.filters``.
 
-This is the filter as it ran on 3x3 numpy arrays before the step was
-unrolled on the six unique covariance entries, with the same arithmetic: it
-reproduces the outputs the pinned digests in ``test_recorded_outputs.py``
-were recorded from bit for bit.  It reads the configuration's step model
-(phi, offset, decay, d1, d2, R/Delta) and writes the package's
-``FilterTrace``.
+The matrix-form EKF/CKF step is the filter as it ran on 3x3 numpy arrays
+before the step was unrolled on the six unique covariance entries, with the
+same arithmetic: it reproduces the outputs the pinned digests in
+``test_recorded_outputs.py`` were recorded from bit for bit.  It reads the
+configuration's step model (phi, offset, decay, d1, d2, R/Delta) and writes
+the package's ``FilterTrace``.
+
+The scalar six-point cubature prediction is the CKF step as it ran on the
+nine-float state before the rule was evaluated in closed form on three
+rotations: one call of the one-step mean map per cubature point.  Run in
+place of the closed form, with the package's EKF prediction and correction,
+it reproduces the digests recorded before that change bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from spinfid import filters
 from spinfid.errors import NumericalDegeneracyError
 from spinfid.filters import FilterConfig, FilterTrace
 from spinfid.sde_sim import MeasurementRecord
@@ -152,3 +159,81 @@ def run_filter(cfg: FilterConfig, rec: MeasurementRecord) -> FilterTrace:
         trace.innovation[k] = innovation
         trace.innovation_var[k] = s_var
     return trace
+
+
+# ------------------------------------------------ scalar six-point cubature
+
+def point_map(w: float, jy: float, jz: float, cfg: FilterConfig) -> tuple:
+    """One-step mean map of the state (omega, J_y, J_z) on floats."""
+    phi, offset, decay = cfg.step[:3]
+    angle = w * cfg.params.Delta
+    c = math.cos(angle)
+    s = math.sin(angle)
+    return (phi * w + offset, decay * (jy * c + jz * s),
+            decay * (-jy * s + jz * c))
+
+
+def _scalar_predicted(mean: tuple, spread: tuple, cfg: FilterConfig) -> tuple:
+    d1, d2 = cfg.step[3], cfg.step[4]
+    s00, s01, s02, s11, s12, s22 = spread
+    p = (s00 + d1, s01, s02, s11 + d2, s12, s22 + d2)
+    if filters._cholesky(p, filters._TINY) is None:
+        p = filters._clip_to_psd(p)
+    x = mean + p
+    if not all(map(math.isfinite, x)):
+        raise NumericalDegeneracyError(
+            f"non-finite {cfg.kind.upper()} prediction")
+    return x
+
+
+def six_point_predict(x: tuple, cfg: FilterConfig) -> tuple:
+    """Third-degree spherical cubature prediction of the nine-float state:
+    ``point_map`` at the 6 points +-sqrt(3) along the columns of the lower
+    Cholesky factor of P."""
+    w, jy, jz = x[:3]
+    l00, l10, l20, l11, l21, l22 = filters._cholesky_with_jitter(x[3:])
+    scale = math.sqrt(3.0)
+    cols = ((scale * l00, scale * l10, scale * l20),
+            (0.0, scale * l11, scale * l21),
+            (0.0, 0.0, scale * l22))
+    fz = ([point_map(w + a, jy + b, jz + c, cfg) for a, b, c in cols]
+          + [point_map(w - a, jy - b, jz - c, cfg) for a, b, c in cols])
+    m0, m1, m2 = (sum(col) / 6.0 for col in zip(*fz))
+    s00 = s01 = s02 = s11 = s12 = s22 = 0.0
+    for f0, f1, f2 in fz:
+        e0, e1, e2 = f0 - m0, f1 - m1, f2 - m2
+        s00 += e0 * e0
+        s01 += e0 * e1
+        s02 += e0 * e2
+        s11 += e1 * e1
+        s12 += e1 * e2
+        s22 += e2 * e2
+    return _scalar_predicted((m0, m1, m2), (
+        s00 / 6.0, s01 / 6.0, s02 / 6.0, s11 / 6.0, s12 / 6.0, s22 / 6.0), cfg)
+
+
+def run_stepwise(cfg: FilterConfig, rec: MeasurementRecord,
+                 ckf_predict=None) -> FilterTrace:
+    """A filter pass composed step by step of the package's one-step views
+    ``ekf_predict``/``ckf_predict`` and ``kalman_correct``; ``ckf_predict``,
+    if given, replaces the package's CKF prediction."""
+    if cfg.kind == "ekf":
+        predict = filters.ekf_predict
+    else:
+        predict = ckf_predict or filters.ckf_predict
+    x = filters._state(cfg.prior.mean, cfg.prior.cov)
+    n = len(rec.outcomes)
+    trace = FilterTrace(times=rec.times, mean=np.empty((n, 3)),
+                        cov=np.empty((n, 3, 3)), innovation=np.empty(n),
+                        innovation_var=np.empty(n))
+    for k, y in enumerate(rec.outcomes.tolist()):
+        x, trace.innovation[k], trace.innovation_var[k] = filters.kalman_correct(
+            predict(x, cfg), y, cfg)
+        trace.mean[k] = x[:3]
+        trace.cov[k] = filters._matrix(x[3:])
+    return trace
+
+
+def six_point_run_filter(cfg: FilterConfig, rec: MeasurementRecord) -> FilterTrace:
+    """``run_filter`` with the six-point cubature prediction."""
+    return run_stepwise(cfg, rec, six_point_predict)

@@ -87,8 +87,10 @@ class TestExitCodes:
         {"params": {"N": "1e12"}},
         {"true_signal": {"kind": "constant"}},
         {"estimators": "ekf"},
+        {"true_signal": {"kind": "step", "omega_bar": 1.0,
+                         "jumps": [[0.5, "2.0"]]}},
     ], ids=["string run count", "string parameter", "signal missing a field",
-            "string estimators"])
+            "string estimators", "string step jump"])
     def test_mistyped_config(self, tmp_path, payload):
         cfg = _write_cfg(tmp_path, payload)
         code, out = _run(tmp_path, "simulate", "--config", cfg)

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 import filter_reference as reference
 import sim_reference
 from spinfid import filters, harness, model
-from spinfid.errors import NumericalDegeneracyError
+from spinfid.errors import InvalidParametersError, NumericalDegeneracyError
 from spinfid.filters import FilterConfig, default_prior, run_filter
 from spinfid.harness import ExperimentConfig
 from spinfid.model import GaussianPrior, OrnsteinUhlenbeck, SpmParams, Wiener
@@ -48,18 +50,18 @@ class TestOneStepMap:
         for j in range(3):
             e = np.zeros(3)
             e[j] = 1e-6 * max(1.0, abs(m[j]))
-            fd[:, j] = (np.array(filters.discrete_f(*(m + e), cfg))
-                        - np.array(filters.discrete_f(*(m - e), cfg))) / (2.0 * e[j])
+            fd[:, j] = (np.array(reference.point_map(*(m + e), cfg))
+                        - np.array(reference.point_map(*(m - e), cfg))) / (2.0 * e[j])
         out = filters.ekf_predict(filters._state(m, cov), cfg)
         expected = fd @ cov @ fd.T + reference.process_noise(cfg)
-        assert out[:3] == filters.discrete_f(*m, cfg)
+        assert out[:3] == reference.point_map(*m, cfg)
         assert _rel(_cov(out), expected) < 1e-6
 
     def test_mean_map_matches_discrete_spin_law(self):
         p = SpmParams()
         cfg = _cfg(signal=Wiener(p.omega_bar, 0.0), p=p)
         m = np.array([p.omega_bar, 1e11, 2e11])
-        out = filters.discrete_f(*m, cfg)
+        out = reference.point_map(*m, cfg)
         a = sim_reference.discrete_spin_transition(p.omega_bar, p.Delta,
                                                    model.coherence_time(p))
         assert out[0] == m[0]
@@ -98,16 +100,17 @@ class TestOneStepMap:
 class TestPredict:
     def test_ckf_exact_for_linear_map(self, monkeypatch):
         # the degree-3 spherical cubature rule integrates affine maps of a
-        # Gaussian exactly, so with the one-step map replaced by a known
-        # affine function the prediction must equal L m + c, L P L^T + D
+        # Gaussian exactly, so with the one-step map of the six-point oracle
+        # replaced by a known affine function its prediction must equal
+        # L m + c, L P L^T + D
         rng = np.random.default_rng(5)
         lin = rng.standard_normal((3, 3))
         off = rng.standard_normal(3)
-        monkeypatch.setattr(filters, "discrete_f", lambda w, jy, jz, cfg: tuple(
+        monkeypatch.setattr(reference, "point_map", lambda w, jy, jz, cfg: tuple(
             (lin @ np.array([w, jy, jz]) + off).tolist()))
         cfg = _cfg("ckf")
         mean, cov = _random_belief(rng)
-        out = filters.ckf_predict(filters._state(mean, cov), cfg)
+        out = reference.six_point_predict(filters._state(mean, cov), cfg)
         expected_cov = lin @ cov @ lin.T + reference.process_noise(cfg)
         assert np.allclose(out[:3], lin @ mean + off)
         assert np.allclose(_cov(out), expected_cov)
@@ -123,10 +126,37 @@ class TestPredict:
         out = filters.ckf_predict(filters._state(mean, cov), cfg)
         rng = np.random.default_rng(0)
         x = mean + rng.standard_normal((200_000, 3)) * np.sqrt(np.diag(cov))
-        fx = np.array([filters.discrete_f(*z, cfg) for z in x.tolist()])
+        fx = np.array([reference.point_map(*z, cfg) for z in x.tolist()])
         mc_cov = np.cov(fx.T) + reference.process_noise(cfg)
         assert np.allclose(out[:3], fx.mean(axis=0), rtol=1e-3)
         assert np.allclose(np.diag(_cov(out)), np.diag(mc_cov), rtol=0.02)
+
+    def test_closed_form_matches_six_point_rule(self):
+        # the closed form is the same cubature rule as the six-point oracle,
+        # evaluated in another order: on random beliefs of the benchmark's
+        # scales, and on one whose factorization needs a jitter rung
+        rng = np.random.default_rng(8)
+        p = SpmParams()
+        beliefs = []
+        for _ in range(199):
+            scale = np.array([10.0 ** rng.uniform(0.0, 4.0),
+                              10.0 ** rng.uniform(8.0, 12.0),
+                              10.0 ** rng.uniform(8.0, 12.0)])
+            mean, cov = _random_belief(rng)
+            mean = mean * scale + [p.omega_bar, 0.0, 0.5 * p.N]
+            beliefs.append((mean, cov * np.outer(scale, scale)))
+        beliefs.append((np.array([p.omega_bar, 1e11, 2e11]),
+                        np.diag([1e4, 1e18, -1e4])))
+        assert filters._cholesky(_upper(beliefs[-1][1])) is None
+        for i, (mean, cov) in enumerate(beliefs):
+            cfg = _cfg("ckf", OrnsteinUhlenbeck(p.omega_bar, 0.5, 1e7),
+                       SpmParams(Delta=(1e-6, 5e-6, 5e-5)[i % 3]))
+            x = filters._state(mean, cov)
+            out = filters.ckf_predict(x, cfg)
+            want = reference.six_point_predict(x, cfg)
+            assert _rel(out[:3], want[:3]) < 1e-12
+            assert abs(out[0] - want[0]) <= 1e-12 * abs(want[0])
+            assert _rel(_cov(out), _cov(want)) < 1e-12
 
     def test_ekf_predict_propagates_jacobian(self):
         rng = np.random.default_rng(0)
@@ -227,15 +257,33 @@ def _symmetric(draw, pivots=st.tuples(_PIVOT, _PIVOT, _PIVOT)):
 
 class TestNumericalGuards:
     def test_ensure_psd_clips_negative_eigenvalue(self):
+        # the Joseph update of this covariance keeps P22 < 0, which fails
+        # the PSD test: the step returns the clipped matrix instead
         p = _upper(np.diag([1.0, 1.0, -1e-3]))
-        out = filters._matrix(filters._ensure_psd(p))
+        out = filters._matrix(filters.kalman_correct((6e4, 0.0, 1e11) + p,
+                                                     0.0, _cfg())[0][3:])
         w = np.linalg.eigvalsh(out)
         assert w.min() >= 0.0
         assert np.allclose(out[:2, :2], np.eye(2))
+        assert np.array_equal(out, filters._matrix(filters._clip_to_psd(p)))
 
-    def test_ensure_psd_leaves_spd_untouched(self):
-        p = _upper(np.diag([1.0, 2.0, 3.0]))
-        assert filters._ensure_psd(p) is p
+    def test_ensure_psd_leaves_spd_untouched(self, monkeypatch):
+        # a covariance that passes the PSD test is not decomposed: each
+        # half step gives its unclipped arithmetic
+        def no_clip(p):
+            raise AssertionError("clipped a positive definite covariance")
+        monkeypatch.setattr(filters, "_clip_to_psd", no_clip)
+        rng = np.random.default_rng(6)
+        cfg = _cfg(signal=OrnsteinUhlenbeck(6e4, 0.5, 1e4))
+        mean, cov = _random_belief(rng, scale=1e3)
+        mean[0] += 6e4
+        x, b = filters._state(mean, cov), reference.GaussianBelief(mean, cov)
+        for out, want in (
+                (filters.ekf_predict(x, cfg), reference.ekf_predict(b, cfg)),
+                (filters.ckf_predict(x, cfg), reference.ckf_predict(b, cfg)),
+                (filters.kalman_correct(x, 0.5, cfg)[0],
+                 reference.kalman_correct(b, 0.5, cfg)[0])):
+            assert _rel(_cov(out), want.cov) < 1e-12
 
     def test_cholesky_jitter_recovers_near_singular(self):
         root = filters._cholesky_with_jitter(_upper(np.diag([1.0, 1.0, -1e-14])))
@@ -269,10 +317,8 @@ class TestNumericalGuards:
         passes = filters._cholesky(entries, tiny) is not None
         # like LAPACK, a NaN pivot passes and is left to the finiteness checks
         assert passes == _numpy_factors(p + tiny * np.eye(3))
-        if passes:
-            assert filters._ensure_psd(entries) is entries
-        elif nan_at is None:
-            w = np.linalg.eigvalsh(filters._matrix(filters._ensure_psd(entries)))
+        if not passes and nan_at is None:
+            w = np.linalg.eigvalsh(filters._matrix(filters._clip_to_psd(entries)))
             assert w.min() >= -1e-12 * np.abs(np.linalg.eigvalsh(p)).max()
 
     @settings(max_examples=300, deadline=None)
@@ -290,6 +336,57 @@ class TestNumericalGuards:
         for predict in (filters.ekf_predict, filters.ckf_predict):
             with pytest.raises(NumericalDegeneracyError):
                 predict(x, cfg)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+class TestFilterPass:
+    @settings(max_examples=100, deadline=None)
+    @given(n_atoms=_log_uniform(1e9, 1e13), delta=_log_uniform(5e-7, 5e-5),
+           t2=st.one_of(st.none(), _log_uniform(1e-4, 1e-2)),
+           tau=st.one_of(st.none(), _log_uniform(1e-4, 10.0)),
+           d_c=st.one_of(st.just(0.0), _log_uniform(1.0, 1e9)),
+           kind=st.sampled_from(["ekf", "ckf"]),
+           sigma_omega=_log_uniform(1.0, 1e4), samples=st.integers(1, 300),
+           seed=st.integers(0, 2 ** 16))
+    def test_covariance_psd_and_pass_is_step_composition(
+            self, n_atoms, delta, t2, tau, d_c, kind, sigma_omega, samples,
+            seed):
+        # on random configs (OU when tau is set, else Wiener) every
+        # corrected covariance passes the PSD test or is what the clip
+        # returned, and the pass equals its one-step views composed, bit for
+        # bit; a pass that diverges (the undersampled EKF can) must fail the
+        # same way step by step
+        p = SpmParams(N=n_atoms, Delta=delta, T2_override=t2)
+        s = (Wiener(p.omega_bar, d_c) if tau is None
+             else OrnsteinUhlenbeck(p.omega_bar, tau, d_c))
+        _, rec = simulate(p, s, samples * delta, substeps=2, seed=seed)
+        cfg = FilterConfig(kind, s, default_prior(p, sigma_omega), p)
+        clipped = set()
+        clip = filters._clip_to_psd
+
+        def recorded_clip(cov):
+            out = clip(cov)
+            clipped.add(out)
+            return out
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filters, "_clip_to_psd", recorded_clip)
+            try:
+                trace = run_filter(cfg, rec)
+            except NumericalDegeneracyError as exc:
+                with pytest.raises(NumericalDegeneracyError,
+                                   match=re.escape(str(exc))):
+                    reference.run_stepwise(cfg, rec)
+                return
+        for cov in trace.cov:
+            entries = _upper(cov)
+            assert (filters._cholesky(entries, filters._TINY) is not None
+                    or entries in clipped)
+        steps = reference.run_stepwise(cfg, rec)
+        for name in ("mean", "cov", "innovation", "innovation_var"):
+            assert np.array_equal(getattr(trace, name), getattr(steps, name))
 
 
 class _Safeguards:
@@ -316,14 +413,14 @@ class _Safeguards:
 @pytest.fixture(scope="module")
 def benchmark_runs():
     """Every filter run of the benchmark's mc_sampling sweep (EKF and CKF)
-    and track_ou configs at seed 0: (config, trace, matrix-reference trace),
-    and the safeguards that fired on the way."""
+    and track_ou configs at seed 0: (config, record, trace, matrix-reference
+    trace), and the safeguards that fired on the way."""
     runs = []
     new_run = filters.run_filter
 
     def both(cfg, rec):
         trace = new_run(cfg, rec)
-        runs.append((cfg, trace, reference.run_filter(cfg, rec)))
+        runs.append((cfg, rec, trace, reference.run_filter(cfg, rec)))
         return trace
     with pytest.MonkeyPatch.context() as mp:
         guards = _Safeguards(mp)
@@ -365,10 +462,26 @@ class TestBenchmarkConfigs:
         # bounds while every safeguard stays idle.  The innovation bound is
         # the omega bound in units of the signal amplitude g_D |J|: the
         # lock-in transient multiplies a relative mean error by
-        # g_D |J| / sqrt(S), about 4e4 at Delta = 5 us.
+        # g_D |J| / sqrt(S), about 4e4 at Delta = 5 us.  On the track_ou
+        # configs (Delta = 1 us) each step is also held against the
+        # six-point cubature oracle: the closed form rounds differently,
+        # and the EKF, which did not change, not at all.
         runs, _ = benchmark_runs
-        compared = 0
-        for cfg, new, ref in runs:
+        compared = six_point = 0
+        for cfg, rec, new, ref in runs:
+            if cfg.params.Delta == 1e-6:
+                six_point += 1
+                old = reference.six_point_run_filter(cfg, rec)
+                if cfg.kind == "ekf":
+                    for name in ("mean", "cov", "innovation",
+                                 "innovation_var"):
+                        assert np.array_equal(getattr(new, name),
+                                              getattr(old, name))
+                assert np.all(np.abs(new.omega_hat - old.omega_hat)
+                              <= 1e-12 * np.abs(old.omega_hat))
+                for a, b in ((new.innovation_var, old.innovation_var),
+                             (new.sigma_omega_pred, old.sigma_omega_pred)):
+                    assert np.all(np.abs(a - b) <= 1e-9 * b)
             if cfg.params.Delta > 5e-6:
                 continue
             compared += 1
@@ -383,28 +496,60 @@ class TestBenchmarkConfigs:
             assert np.all(np.linalg.norm(new.cov - ref.cov, axis=(1, 2))
                           <= 1e-6 * np.linalg.norm(ref.cov, axis=(1, 2)))
         assert compared == 8
+        assert six_point == 4
+
+    def test_call_budget(self):
+        # while no safeguard fires an EKF step calls 2 Python functions, the
+        # PSD test after prediction and after correction, and a CKF step 3,
+        # with the factorization of P (8 and 27 when each half step was a
+        # call of its own)
+        p = SpmParams(Delta=1e-6)
+        s = OrnsteinUhlenbeck(p.omega_bar, 1.0, 1e9)
+        _, rec = simulate(p, s, 1e-3, substeps=8, seed=0)
+        assert len(rec.outcomes) == 1000
+
+        def calls(cfg, rec):
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                count += event == "call"
+            sys.setprofile(profile)
+            try:
+                run_filter(cfg, rec)
+            finally:
+                sys.setprofile(None)
+            return count
+        for kind, budget in (("ekf", 2), ("ckf", 3)):
+            cfg = FilterConfig(kind, s, default_prior(p, 2000.0), p)
+            with pytest.MonkeyPatch.context() as mp:
+                guards = _Safeguards(mp)
+                run_filter(cfg, rec)
+            assert (guards.clips, guards.jitters) == (0, [])
+            per_step = (calls(cfg, rec) - calls(cfg, rec.truncated(1))) / 999
+            assert per_step <= budget
 
 
 class TestConfigAndTrace:
     def test_rejects_unknown_kind(self):
         p = SpmParams()
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParametersError):
             FilterConfig("ukf", Wiener(1.0, 0.0), default_prior(p, 1.0), p)
 
     def test_rejects_deterministic_internal_signal(self):
         p = SpmParams()
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParametersError):
             FilterConfig("ekf", model.Constant(1.0), default_prior(p, 1.0), p)
 
     def test_rejects_wrong_prior_dimension(self):
         p = SpmParams()
         prior = GaussianPrior(np.zeros(2), np.eye(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParametersError):
             FilterConfig("ekf", Wiener(1.0, 0.0), prior, p)
 
     def test_empty_record_rejected(self):
         cfg = _cfg()
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParametersError):
             run_filter(cfg, MeasurementRecord(5e-6, np.empty(0)))
 
     def test_run_filter_trace_shapes_and_csv(self, tmp_path):

@@ -246,7 +246,7 @@ class TestMapEstimate:
         p = SpmParams()
         prior_omega = GaussianPrior(np.array([p.omega_bar]), np.array([[1.0]]))
         prior_spin = GaussianPrior(np.zeros(2), np.zeros((2, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParametersError):
             pem.map_estimate(MeasurementRecord(p.Delta, np.empty(0)), p,
                              prior_omega, prior_spin)
 

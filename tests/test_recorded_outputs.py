@@ -24,6 +24,14 @@ is kept as ``pem_reference``; run in place of the new code it still
 reproduces the digests recorded before, and ``test_pem`` bounds the distance
 between the two.
 
+The outputs that run the CKF were re-recorded when its six-point cubature
+prediction was evaluated in closed form on three rotations, which rounds
+differently.  The six-point rule is kept in ``filter_reference``; run in
+place of the closed form it still reproduces the digests recorded before,
+and ``test_filters`` bounds the distance between the two.  The loop-simulator
+and golden-section oracles run with it, so that each oracle still
+reproduces every digest recorded before its own change.
+
 A digest is the leading 16 hex digits of the SHA-256 of the outputs' float64
 bytes, or of a CLI output file's bytes.  They were recorded with numpy 2.4
 and scipy 1.17 on x86-64 Linux; a different libm or BLAS build may
@@ -145,9 +153,16 @@ RECORDED = {
     "sweep N": "8a0c639fdb3334a0",
     "sweep delta": "0ac13ec6de9b82f2",
     "sweep time": "977517b704669345",
+    "sweep time 13 runs": "b63e5ecf8296e2b0",
+    "track ou ckf": "0ec1678974ce00c3",
+    "track ou ekf": "09154eb67c2dadcd",
+}
+
+
+# the outputs that run the CKF, as the six-point cubature rule gave them
+RECORDED_SIX_POINT = {
     "sweep time 13 runs": "ee5dd9632c9729eb",
     "track ou ckf": "d08bd277eac3f881",
-    "track ou ekf": "09154eb67c2dadcd",
 }
 
 
@@ -198,6 +213,11 @@ def matrix_filter(monkeypatch):
 
 
 @pytest.fixture
+def six_point_cubature(monkeypatch):
+    monkeypatch.setattr(filters, "run_filter", reference.six_point_run_filter)
+
+
+@pytest.fixture
 def golden_section(monkeypatch):
     monkeypatch.setattr(pem, "map_estimates", pem_reference.map_estimates)
     monkeypatch.setattr(bounds, "bcrb_numeric_curve",
@@ -214,14 +234,21 @@ def test_matrix_filter_output_matches_recorded(name, matrix_filter):
     assert _digest(CASES[name]()) == RECORDED_MATRIX_FILTER[name]
 
 
+@pytest.mark.parametrize("name", sorted(RECORDED_SIX_POINT))
+def test_six_point_cubature_output_matches_recorded(name, six_point_cubature):
+    assert _digest(CASES[name]()) == RECORDED_SIX_POINT[name]
+
+
 @pytest.mark.parametrize("name", sorted(RECORDED_GOLDEN_SECTION))
-def test_golden_section_output_matches_recorded(name, golden_section):
+def test_golden_section_output_matches_recorded(name, golden_section,
+                                                six_point_cubature):
     assert _digest(CASES[name]()) == RECORDED_GOLDEN_SECTION[name]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_loop_simulator_output_matches_recorded(name, loop_simulator):
-    expected = {**RECORDED, **RECORDED_LOOP_SIMULATOR}
+def test_loop_simulator_output_matches_recorded(name, loop_simulator,
+                                                six_point_cubature):
+    expected = {**RECORDED, **RECORDED_SIX_POINT, **RECORDED_LOOP_SIMULATOR}
     assert _digest(CASES[name]()) == expected[name]
 
 
@@ -259,6 +286,11 @@ RECORDED_CSV = {
     "bcrb": "647089fa7e3732be",
     "estimate": "89004b7223e647ec",
     "sweep-n": "e33b298b5c217210",
+    "sweep-time": "26d240a3a96a2373",
+    "track": "9a479d4ceac395e2",
+}
+
+RECORDED_SIX_POINT_CSV = {
     "sweep-time": "215d7bc1a7848c91",
     "track": "5c32a5b2c1d34f2b",
 }
@@ -300,16 +332,25 @@ def test_matrix_filter_cli_csv_matches_recorded(name, tmp_path, matrix_filter):
     assert _cli_digest(name, tmp_path) == RECORDED_MATRIX_FILTER_CSV[name]
 
 
+@pytest.mark.parametrize("name", sorted(RECORDED_SIX_POINT_CSV))
+def test_six_point_cubature_cli_csv_matches_recorded(name, tmp_path,
+                                                     six_point_cubature):
+    assert _cli_digest(name, tmp_path) == RECORDED_SIX_POINT_CSV[name]
+
+
 @pytest.mark.parametrize("name", sorted(RECORDED_GOLDEN_SECTION_CSV))
 def test_golden_section_cli_csv_matches_recorded(name, tmp_path,
-                                                 golden_section):
+                                                 golden_section,
+                                                 six_point_cubature):
     assert _cli_digest(name, tmp_path) == RECORDED_GOLDEN_SECTION_CSV[name]
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_loop_simulator_cli_csv_matches_recorded(name, tmp_path,
-                                                  loop_simulator):
-    expected = {**RECORDED_CSV, **RECORDED_LOOP_SIMULATOR_CSV}
+                                                  loop_simulator,
+                                                  six_point_cubature):
+    expected = {**RECORDED_CSV, **RECORDED_SIX_POINT_CSV,
+                **RECORDED_LOOP_SIMULATOR_CSV}
     assert _cli_digest(name, tmp_path) == expected[name]
 
 
