@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, sde_sim
+from .errors import InvalidParametersError
 from .model import SpmParams
 
 
@@ -27,22 +28,19 @@ class AtomCountEstimate:
 
     def __post_init__(self):
         if self.k_used < 2:
-            raise ValueError("atom-count estimate needs at least 2 samples")
+            raise InvalidParametersError(
+                "atom-count estimate needs at least 2 samples")
 
 
-def steady_state_variance(samples, subtract_mean: bool = False) -> float:
-    """Variance estimator (1/(k-1)) sum y_k^2 of the renormalized outcomes.
-
-    The sequence mean is known to be zero in steady state, so by default no
-    sample mean is subtracted; ``subtract_mean`` switches to the centered
-    estimator.
-    """
+def steady_state_variance(samples) -> float:
+    """Variance estimator (1/(k-1)) sum y_k^2 of the renormalized outcomes;
+    the sequence mean is known to be zero in steady state, so no sample mean
+    is subtracted."""
     y = np.asarray(samples, dtype=float)
     k = y.size
     if k < 2:
-        raise ValueError("variance estimation needs at least 2 samples")
-    if subtract_mean:
-        y = y - y.mean()
+        raise InvalidParametersError(
+            "variance estimation needs at least 2 samples")
     return float(y @ y) / (k - 1)
 
 
@@ -73,7 +71,7 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: int,
     fraction of the cost.
     """
     if k < 1:
-        raise ValueError("need at least one sample")
+        raise InvalidParametersError("need at least one sample")
     rng = sde_sim._as_rng(seed)
     t2 = model.coherence_time(p)
     shot_std = math.sqrt(model.measurement_noise_variance(p)) / p.g_D

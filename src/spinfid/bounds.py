@@ -38,7 +38,7 @@ def neg_log_joint_gradient(omega: float, rec: sde_sim.MeasurementRecord,
     """Central-difference derivative of J with respect to omega, the
     finite-difference reference of :func:`pem.neg_log_joint_score`."""
     if not h > 0.0:
-        raise ValueError("finite-difference step must be positive")
+        raise InvalidParametersError("finite-difference step must be positive")
     j_plus = pem.kalman_neg_log_joint(omega + h, rec, p, prior_omega, prior_spin)
     j_minus = pem.kalman_neg_log_joint(omega - h, rec, p, prior_omega, prior_spin)
     return (j_plus.neg_log_joint - j_minus.neg_log_joint) / (2.0 * h)
@@ -71,7 +71,7 @@ def bcrb_numeric_curve(p: SpmParams, prior_omega: GaussianPrior,
         raise InvalidParametersError("need at least 2 Monte-Carlo samples")
     times = sorted(float(t) for t in times)
     if not times:
-        raise ValueError("no probing times")
+        raise InvalidParametersError("no probing times")
     ks = sde_sim.sample_indices(times, p.Delta)
     mu = float(prior_omega.mean[0])
     sigma = math.sqrt(float(prior_omega.cov[0, 0]))
@@ -100,14 +100,20 @@ def bcrb_numeric_curve(p: SpmParams, prior_omega: GaussianPrior,
 # Analytic noiseless expressions (q = 0, deterministic polarized start)
 # --------------------------------------------------------------------------
 
+# nodes of the Gauss-Hermite rule for the prior average of the information
+HERMITE_NODES = 41
+
+
 def _fi_prefactor(p: SpmParams) -> float:
     return p.N ** 2 * p.g_D ** 2 / (4.0 * p.R)
 
 
 def fi_noiseless_discrete(omega: float, t: float, p: SpmParams) -> float:
-    """Fisher information of the sampled damped sinusoid (sum over t_j = j*Delta)."""
+    """Fisher information of the sampled damped sinusoid: the sum over the
+    samples t_j = j*Delta that a record of duration t holds, counted by
+    :func:`sde_sim.sample_indices` as ``simulate`` counts them."""
     t2 = model.coherence_time(p)
-    tj = p.Delta * np.arange(1, int(math.floor(t / p.Delta)) + 1)
+    tj = p.Delta * np.arange(1, sde_sim.sample_indices([t], p.Delta)[0] + 1)
     terms = np.exp(-2.0 * tj / t2) * tj ** 2 * np.sin(omega * tj) ** 2
     return _fi_prefactor(p) * p.Delta * float(terms.sum())
 
@@ -162,11 +168,12 @@ def noiseless_bcrb_floor(p: SpmParams, sigma_omega: float) -> float:
     return 1.0 / (info + 1.0 / sigma_omega ** 2)
 
 
-def bcrb_analytic_gaussian_prior(p: SpmParams, sigma_omega: float, t: float,
-                                 nodes: int = 41) -> float:
+def bcrb_analytic_gaussian_prior(p: SpmParams, sigma_omega: float,
+                                 t: float) -> float:
     """Noiseless Bayesian bound 1 / (sigma^-2 + E_prior[I_F]) with the prior
-    expectation taken by Gauss-Hermite quadrature over omega."""
-    x, w = roots_hermite(nodes)
+    expectation taken by ``HERMITE_NODES``-point Gauss-Hermite quadrature
+    over omega."""
+    x, w = roots_hermite(HERMITE_NODES)
     omegas = p.omega_bar + math.sqrt(2.0) * sigma_omega * x
     values = np.array([fi_noiseless_continuous(om, t, p) for om in omegas])
     expected = float(np.dot(w, values)) / math.sqrt(math.pi)

@@ -84,18 +84,13 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _cmd_simulate(cfg: ExperimentConfig, path: Path) -> None:
-    rng = harness._run_rng(cfg.seed, 0)
-    _, rec = sde_sim.simulate(cfg.params, cfg.true_signal, cfg.duration,
-                              substeps=cfg.substeps, seed=rng)
-    rec.to_csv(path)
+    harness._shot(cfg)[1].to_csv(path)
 
 
 def _cmd_estimate(cfg: ExperimentConfig, path: Path) -> None:
     """Simulate one shot and fit the constant-frequency MAP estimate."""
     p = cfg.params
-    rng = harness._run_rng(cfg.seed, 0)
-    _, rec = sde_sim.simulate(p, cfg.true_signal, cfg.duration,
-                              substeps=cfg.substeps, seed=rng)
+    _, rec = harness._shot(cfg)
     fit = pem.map_estimate(rec, p, *harness._blocks(harness._prior(cfg, p)))
     sde_sim._write_csv(path, "omega_hat,neg_log_joint_per_sample", [fit])
 

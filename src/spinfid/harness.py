@@ -55,6 +55,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise InvalidParametersError("run count must be >= 1")
+        if self.seed < 0:
+            raise InvalidParametersError("seed must be non-negative")
         if self.duration <= 0.0:
             raise InvalidParametersError("duration must be positive")
         if not self.sigma_omega > 0.0:
@@ -178,6 +180,13 @@ def _spin_prior(p: SpmParams, scale: float) -> GaussianPrior:
 def _run_rng(seed: int, run_index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(run_index,)))
+
+
+def _shot(cfg: ExperimentConfig):
+    """(trajectory, record) of run 0 of the configured true signal: the one
+    shot that ``simulate``, ``estimate`` and ``track`` work on."""
+    return sde_sim.simulate(cfg.params, cfg.true_signal, cfg.duration,
+                            substeps=cfg.substeps, seed=_run_rng(cfg.seed, 0))
 
 
 def _check_exclusions(failures: list, runs: int) -> int:
@@ -332,9 +341,7 @@ def run_tracking(cfg: ExperimentConfig) -> TrackingResult:
     if kind is None:
         raise InvalidParametersError(
             "tracking needs a filter: estimators must include 'ekf' or 'ckf'")
-    rng = _run_rng(cfg.seed, 0)
-    traj, rec = sde_sim.simulate(p, cfg.true_signal, cfg.duration,
-                                 substeps=cfg.substeps, seed=rng)
+    traj, rec = _shot(cfg)
     fcfg = filters.FilterConfig(kind, cfg.filter_signal(p), _prior(cfg, p), p)
     trace = filters.run_filter(fcfg, rec)
     truth = traj.states[cfg.substeps::cfg.substeps, 0]

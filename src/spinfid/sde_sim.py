@@ -33,6 +33,13 @@ recurrence with kappa = 1/T2 + i omega and g1 = sqrt(d_c) zeta_omega:
     c = sqrt(Q) (xi_y + i xi_z) - kappa sqrt(Q) (zeta_y + i zeta_z).
 
 ``simulate`` and ``ito_taylor_1p5_step`` build these with the same code.
+
+Each question about a shot has one answer here.  The frequency starts where
+the signal says (``model.initial_omega``).  ``_frequency_sde`` is the one
+lookup of (1/tau, omega_bar, sqrt(d_c)) per signal, zeros for a waveform;
+the step coefficients, ``drift`` and the Euler-Maruyama reference all read
+it.  ``sample_indices`` is the one rule for how many samples a time holds.
+The one-step functions take the caller's increments and draw nothing.
 """
 
 from __future__ import annotations
@@ -72,14 +79,16 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def sample_indices(times, delta: float) -> list[int]:
-    """Index k of the sample t_k = k*delta nearest each probing time; a time
-    that rounds to no sample (k < 1) raises InvalidParametersError."""
+    """Index k of the sample t_k = k*delta nearest each time: the one rule
+    for how many samples a probing time, a record duration or a bound time
+    holds.  A time that rounds to no sample (k < 1, i.e. below delta/2)
+    raises InvalidParametersError."""
     ks = []
     for t in times:
         k = int(round(t / delta))
         if k < 1:
             raise InvalidParametersError(
-                f"probing time {t} rounds to no sample at Delta = {delta}")
+                f"time {t} rounds to no sample at Delta = {delta}")
         ks.append(k)
     return ks
 
@@ -127,55 +136,43 @@ class MeasurementRecord:
         return cls(delta, outcomes)
 
 
-def _signal_noise_std(s: SignalModel) -> float:
-    if isinstance(s, (model.OrnsteinUhlenbeck, model.Wiener)):
-        return math.sqrt(s.d_c)
-    return 0.0
+def _frequency_sde(s: SignalModel) -> tuple:
+    """(1/tau, omega_bar, sqrt(d_c)) of the frequency SDE
+    d omega = -(omega - omega_bar)/tau dt + sqrt(d_c) dW; a Wiener signal has
+    no mean reversion, and a waveform's frequency does not diffuse (zeros)."""
+    if not model.is_stochastic(s):
+        return 0.0, 0.0, 0.0
+    if isinstance(s, model.OrnsteinUhlenbeck):
+        return 1.0 / s.tau, s.omega_bar, math.sqrt(s.d_c)
+    return 0.0, 0.0, math.sqrt(s.d_c)
 
 
-def drift(t: float, x: np.ndarray, p: SpmParams, s: SignalModel) -> np.ndarray:
+def drift(x: np.ndarray, p: SpmParams, s: SignalModel) -> np.ndarray:
     """Drift of the extended state; frequency component only for OU
     (mean reversion), zero for Wiener and for exogenous waveforms."""
     t2 = model.coherence_time(p)
+    tau_inv, omega_bar, _ = _frequency_sde(s)
     x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
-    if isinstance(s, model.OrnsteinUhlenbeck):
-        f1 = -(x1 - s.omega_bar) / s.tau
-    else:
-        f1 = 0.0
-    return np.array([f1, -x2 / t2 + x1 * x3, -x3 / t2 - x1 * x2])
+    return np.array([-tau_inv * (x1 - omega_bar), -x2 / t2 + x1 * x3,
+                     -x3 / t2 - x1 * x2])
 
 
 def _correlated_pair(h: float, z1, z2):
     """(xi, zeta) from independent standard normals z1, z2 (scalars or
     arrays): per component, the increment of W over h and its time
-    integral."""
+    integral, jointly Gaussian with cov [[h, h^2/2], [h^2/2, h^3/3]]."""
     xi = 0.5 * math.sqrt(h) * (math.sqrt(3.0) * z1 + z2)
     zeta = (h ** 1.5 / math.sqrt(3.0)) * z1
     return xi, zeta
-
-
-def sample_correlated_increments(h: float, rng: np.random.Generator, n: int = 3):
-    """Draw the (xi, zeta) pair: per component, xi ~ increment of W over h and
-    zeta ~ its time integral, jointly Gaussian with cov [[h, h^2/2], [h^2/2, h^3/3]]."""
-    z1 = rng.standard_normal(n)
-    z2 = rng.standard_normal(n)
-    return _correlated_pair(h, z1, z2)
-
-
-def _ou_terms(s: SignalModel) -> tuple:
-    """(1/tau, omega_bar) of an OU signal; zero for the other signals."""
-    if isinstance(s, model.OrnsteinUhlenbeck):
-        return 1.0 / s.tau, s.omega_bar
-    return 0.0, 0.0
 
 
 def _taylor_frequency(h: float, s: SignalModel, xi, zeta) -> tuple:
     """(phi, omega_bar, e) of the order-1.5 frequency step, the real AR(1)
     omega' - omega_bar = phi (omega - omega_bar) + e, from the frequency
     components of the increment pair."""
-    tau_inv, omega_bar = _ou_terms(s)
+    tau_inv, omega_bar, sq_dc = _frequency_sde(s)
     phi = 1.0 - h * tau_inv + 0.5 * h * h * tau_inv * tau_inv
-    return phi, omega_bar, _signal_noise_std(s) * (xi - tau_inv * zeta)
+    return phi, omega_bar, sq_dc * (xi - tau_inv * zeta)
 
 
 def _taylor_spin(h: float, p: SpmParams, s: SignalModel, omega, xi,
@@ -183,26 +180,22 @@ def _taylor_spin(h: float, p: SpmParams, s: SignalModel, omega, xi,
     """(a, c) of the order-1.5 spin step z' = a z + c at the start-of-substep
     frequency omega, from the increment pair (xi, zeta) of (omega, J_y, J_z)
     indexed by component first."""
-    tau_inv, omega_bar = _ou_terms(s)
+    tau_inv, omega_bar, sq_dc = _frequency_sde(s)
     kappa = 1.0 / model.coherence_time(p) + 1j * omega
     f1 = -tau_inv * (omega - omega_bar)
     sq_q = math.sqrt(model.atomic_noise_strength(p))
     a = (1.0 - h * kappa + 0.5 * h * h * (kappa * kappa - 1j * f1)
-         - 1j * (_signal_noise_std(s) * zeta[0]))
+         - 1j * (sq_dc * zeta[0]))
     c = sq_q * (xi[1] + 1j * xi[2]) - kappa * (sq_q * (zeta[1] + 1j * zeta[2]))
     return a, c
 
 
 def ito_taylor_1p5_step(x: np.ndarray, h: float, p: SpmParams, s: SignalModel,
-                        rng: np.random.Generator | None = None,
-                        increments=None) -> np.ndarray:
-    """One strong order 1.5 step of the extended-state SDE.
-
-    ``increments`` overrides the (xi, zeta) pair with externally supplied
-    Brownian increment/integral values (used when coupling to a shared path);
-    by default they are drawn from ``rng``.
-    """
-    xi, zeta = sample_correlated_increments(h, rng) if increments is None else increments
+                        increments) -> np.ndarray:
+    """One strong order 1.5 step of the extended-state SDE from the caller's
+    increment pair (xi, zeta), each indexed by component (omega, J_y, J_z);
+    ``_correlated_pair`` builds one from standard normals."""
+    xi, zeta = increments
     phi, omega_bar, e = _taylor_frequency(h, s, xi[0], zeta[0])
     a, c = _taylor_spin(h, p, s, x[0], xi, zeta)
     z = a * complex(x[1], x[2]) + c
@@ -213,16 +206,12 @@ def ito_taylor_1p5_step(x: np.ndarray, h: float, p: SpmParams, s: SignalModel,
 
 
 def euler_maruyama_step(x: np.ndarray, h: float, p: SpmParams, s: SignalModel,
-                        rng: np.random.Generator | None = None,
-                        increment=None) -> np.ndarray:
-    """One Euler-Maruyama (strong order 1.0) step; reference scheme only.
-
-    ``increment`` overrides the Brownian increment vector (shared-path use).
-    """
-    q_big = model.atomic_noise_strength(p)
-    qm = np.array([_signal_noise_std(s), math.sqrt(q_big), math.sqrt(q_big)])
-    dw = math.sqrt(h) * rng.standard_normal(3) if increment is None else increment
-    x_new = x + h * drift(0.0, x, p, s) + qm * dw
+                        increment) -> np.ndarray:
+    """One Euler-Maruyama (strong order 1.0) step from the caller's Brownian
+    increment vector; reference scheme only."""
+    sq_q = math.sqrt(model.atomic_noise_strength(p))
+    qm = np.array([_frequency_sde(s)[2], sq_q, sq_q])
+    x_new = x + h * drift(x, p, s) + qm * increment
     if not np.all(np.isfinite(x_new)):
         raise IntegrationBlowupError("non-finite state after Euler-Maruyama step")
     return x_new
@@ -271,33 +260,27 @@ def _as_rng(seed) -> np.random.Generator:
 
 
 def simulate(p: SpmParams, s: SignalModel, duration: float, substeps: int = 5,
-             seed=0, omega_init: float | None = None) -> tuple[Trajectory, MeasurementRecord]:
+             seed=0) -> tuple[Trajectory, MeasurementRecord]:
     """Integrate the extended state and emit the synthetic photocurrent record.
 
-    The spin starts exactly at the polarized mean (0, N/2).  Measurements
-    y_k = g_D * J_z(t_k) + v_k with v_k ~ N(0, R/Delta) are taken at every
-    t_k = k*Delta up to ``duration``; the integrator runs at step
+    The frequency starts where the signal says (``Constant.omega0``,
+    ``OrnsteinUhlenbeck.omega_start``, ``Wiener.omega0``, a waveform's value
+    at t = 0) and the spin exactly at the polarized mean (0, N/2).
+    Measurements y_k = g_D * J_z(t_k) + v_k with v_k ~ N(0, R/Delta) are
+    taken at every t_k = k*Delta, k = 1..K, with K the sample nearest
+    ``duration`` (:func:`sample_indices`); the integrator runs at step
     Delta/substeps.  Diffusing frequencies use the order-1.5 Taylor scheme,
     deterministic waveforms the exact frozen-frequency step (see the module
-    docstring).  ``omega_init`` overrides the starting frequency of a
-    Constant, OU or Wiener signal.  Identical inputs give bit-identical
-    outputs.
+    docstring).  Identical inputs give bit-identical outputs.
     """
     if substeps < 1:
         raise InvalidParametersError("substeps must be >= 1")
-    if duration < p.Delta:
-        raise InvalidParametersError("duration must cover at least one sample")
-    if omega_init is not None and isinstance(s, (model.Sinusoid, model.Step)):
-        raise InvalidParametersError(
-            "omega_init applies to Constant, OU and Wiener signals only; a "
-            "waveform fixes its own frequency")
+    n_meas = sample_indices([duration], p.Delta)[0]
     rng = _as_rng(seed)
-    n_meas = int(round(duration / p.Delta))
     n_sub = n_meas * substeps
     h = p.Delta / substeps
-    x1 = model.initial_omega(s) if omega_init is None else float(omega_init)
 
-    states = _states(p, s, n_sub, h, rng, x1)
+    states = _states(p, s, n_sub, h, rng, model.initial_omega(s))
     times = h * np.arange(n_sub + 1)
     # photon shot-noise, independent of the atomic noise stream
     v = math.sqrt(model.measurement_noise_variance(p)) * rng.standard_normal(n_meas)

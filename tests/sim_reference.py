@@ -35,13 +35,9 @@ def discrete_spin_transition(omega: float, delta: float, t2: float) -> np.ndarra
 def _taylor_constants(h: float, p: SpmParams, s: SignalModel) -> tuple:
     """Scalars of ``_taylor_step`` at step h: (h, h^2/2, 1/tau, omega_bar,
     1/T2, sqrt(d_c), sqrt(Q)); the OU terms are zero for other signals."""
-    if isinstance(s, model.OrnsteinUhlenbeck):
-        tau_inv, omega_bar = 1.0 / s.tau, s.omega_bar
-    else:
-        tau_inv, omega_bar = 0.0, 0.0
+    tau_inv, omega_bar, sq_dc = sde_sim._frequency_sde(s)
     return (h, 0.5 * h * h, tau_inv, omega_bar, 1.0 / model.coherence_time(p),
-            sde_sim._signal_noise_std(s),
-            math.sqrt(model.atomic_noise_strength(p)))
+            sq_dc, math.sqrt(model.atomic_noise_strength(p)))
 
 
 def _taylor_step(x, xi, zeta, c) -> tuple:

@@ -21,8 +21,6 @@ class TestVarianceEstimator:
     def test_known_values(self):
         assert steady_state_variance([1.0, -1.0]) == pytest.approx(2.0)
         assert steady_state_variance([2.0, 4.0]) == pytest.approx(20.0)
-        assert steady_state_variance([2.0, 4.0], subtract_mean=True) == \
-            pytest.approx(2.0)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):

@@ -126,9 +126,9 @@ class TestNumericBound:
     def test_curve_rejects_bad_times(self):
         p = SpmParams()
         prior_omega, prior_spin = _priors(p, 1e3)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParametersError):
             bounds.bcrb_numeric_curve(p, prior_omega, prior_spin, [], 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParametersError):
             bounds.bcrb_numeric_curve(p, prior_omega, prior_spin, [-1e-4], 5)
         # 1 us rounds to no sample at Delta = 5 us
         with pytest.raises(InvalidParametersError):
@@ -158,6 +158,26 @@ class TestFisherInformation:
                     * math.exp(-2.0 * d / t2) * d * d
                     * math.sin(omega * d) ** 2)
         assert bounds.fi_noiseless_discrete(omega, d, p) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("t", [70e-6, 300e-6, 5e-3])
+    def test_discrete_sums_over_the_simulated_record(self, t):
+        # as many samples as a record of duration t holds; at 70 us
+        # t / Delta = 13.999..., so flooring it would drop the 14th
+        p = SpmParams()
+        t2 = model.coherence_time(p)
+        omega = TWO_PI * 1e4
+        k = len(simulate(p, Constant(omega), t)[1].outcomes)
+        expected = sum(math.exp(-2.0 * tj / t2) * tj * tj
+                       * math.sin(omega * tj) ** 2
+                       for tj in (j * p.Delta for j in range(1, k + 1)))
+        expected *= p.N ** 2 * p.g_D ** 2 / (4.0 * p.R) * p.Delta
+        assert bounds.fi_noiseless_discrete(omega, t, p) == pytest.approx(
+            expected, rel=1e-12)
+
+    def test_discrete_rejects_a_time_below_one_sample(self):
+        p = SpmParams()
+        with pytest.raises(InvalidParametersError):
+            bounds.fi_noiseless_discrete(TWO_PI * 1e4, 0.4 * p.Delta, p)
 
     def test_discrete_vanishes_at_aliased_frequency(self):
         # sin(omega * j * Delta) = 0 for all j when omega = pi / Delta

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -36,6 +37,18 @@ class TestExitCodes:
         cfg = _write_cfg(tmp_path, {"runs": 0})
         code, _ = _run(tmp_path, "simulate", "--config", cfg)
         assert code == 2
+
+    # numpy would stop either one mid-run with a bare ValueError
+    def test_negative_seed_override(self, tmp_path):
+        code, out = _run(tmp_path, "simulate", "--seed", "-1")
+        assert code == 2
+        assert not (out / "simulate.csv").exists()
+
+    def test_negative_seed_in_config(self, tmp_path):
+        cfg = _write_cfg(tmp_path, {"seed": -1})
+        code, out = _run(tmp_path, "simulate", "--config", cfg)
+        assert code == 2
+        assert not (out / "simulate.csv").exists()
 
     def test_numerical_failure(self, tmp_path):
         # truth far outside a very narrow prior drives the MAP search into
@@ -267,6 +280,70 @@ class TestPublicSurface:
             "run_tracking", "signal_from_dict", "simulate",
             "steady_state_variance"]
         assert all(hasattr(spinfid, name) for name in spinfid.__all__)
+
+    def test_parameter_names(self):
+        # every option of the public callables; an exception class takes
+        # Exception's arguments
+        import spinfid
+        signatures = {
+            name: list(inspect.signature(obj).parameters)
+            for name in spinfid.__all__
+            for obj in [getattr(spinfid, name)]
+            if callable(obj) and not (isinstance(obj, type)
+                                      and issubclass(obj, BaseException))}
+        assert signatures == {
+            "AtomCountEstimate": ["n_hat", "sigma_n", "k_used", "degenerate"],
+            "BoundResult": ["value", "mc_std_err", "meta"],
+            "Constant": ["omega0"],
+            "ErrorCurve": ["axis_name", "axis", "rmse", "rmse_stderr",
+                           "bound", "bound_stderr", "excluded_runs"],
+            "ExperimentConfig": [
+                "params", "true_signal", "assumed_signal", "sigma_omega",
+                "spin_cov_scale", "duration", "substeps", "runs", "seed",
+                "estimators", "bounds", "bound_samples", "sweep_axis",
+                "sweep_values"],
+            "FilterConfig": ["kind", "signal", "prior", "params"],
+            "FilterTrace": ["times", "mean", "cov", "innovation",
+                            "innovation_var"],
+            "GaussianPrior": ["mean", "cov"],
+            "MeasurementRecord": ["delta", "outcomes"],
+            "OrnsteinUhlenbeck": ["omega_bar", "tau", "d_c", "omega_start"],
+            "Sinusoid": ["omega_bar", "amplitude", "mod_freq"],
+            "SpmParams": ["omega_bar", "g_D", "R", "N", "q", "Gamma", "alpha",
+                          "Delta", "T2_override"],
+            "Step": ["omega_bar", "jumps"],
+            "TrackingResult": ["trace", "truth_omega"],
+            "Trajectory": ["times", "states"],
+            "Wiener": ["omega0", "d_c"],
+            "atomic_noise_strength": ["p"],
+            "bcrb_analytic_gaussian_prior": ["p", "sigma_omega", "t"],
+            "bcrb_numeric": ["p", "prior_omega", "prior_spin", "t",
+                             "n_samples", "seed", "substeps"],
+            "bcrb_numeric_curve": ["p", "prior_omega", "prior_spin", "times",
+                                   "n_samples", "seed", "substeps"],
+            "coherence_time": ["p"],
+            "default_prior": ["p", "sigma_omega", "spin_cov_scale"],
+            "estimate_atom_number": ["samples", "p"],
+            "fi_asymptotic": ["omega", "p"],
+            "fi_no_decoherence": ["omega", "t", "p"],
+            "fi_noiseless_continuous": ["omega", "t", "p"],
+            "fi_noiseless_discrete": ["omega", "t", "p"],
+            "fi_short_time": ["omega", "t", "p"],
+            "kalman_neg_log_joint": ["omega", "rec", "p", "prior_omega",
+                                     "prior_spin"],
+            "map_estimate": ["rec", "p", "prior_omega", "prior_spin"],
+            "neg_log_joint_grid": ["omegas", "rec", "p", "prior_omega",
+                                   "prior_spin"],
+            "noiseless_bcrb_floor": ["p", "sigma_omega"],
+            "run_error_vs_N": ["cfg"],
+            "run_error_vs_delta": ["cfg"],
+            "run_error_vs_time": ["cfg"],
+            "run_filter": ["cfg", "rec"],
+            "run_tracking": ["cfg"],
+            "signal_from_dict": ["d"],
+            "simulate": ["p", "s", "duration", "substeps", "seed"],
+            "steady_state_variance": ["samples"],
+        }
 
     def test_cli_subcommands(self):
         assert list(cli._COMMANDS) == [

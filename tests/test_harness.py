@@ -39,6 +39,7 @@ class TestConfig:
         {"bounds": ("bcrb_numeric", "mystery")},
         {"bounds": ("bcrb_numeric",), "bound_samples": 1},
         {"sigma_omega": 0.0},
+        {"seed": -1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParametersError):
@@ -134,6 +135,18 @@ class TestErrorVsTime:
         out, _ = harness._time_bounds(cfg, cfg.params, [1e-4, 2e-4])
         assert calls == [1e-4, 2e-4]
         assert np.all(np.isfinite(out["crb"]))
+
+    def test_crb_counts_the_samples_of_the_record(self):
+        # at 70 us, t / Delta = 13.999...; the record holds 14 samples and
+        # the crb column is the information of those 14
+        p = SpmParams()
+        t = 70e-6
+        assert len(harness.sde_sim.simulate(p, Constant(p.omega_bar),
+                                            t)[1].outcomes) == 14
+        curve = run_error_vs_time(ExperimentConfig(
+            sweep_axis="time", sweep_values=(t,), bounds=("crb",)))
+        fi = harness.bounds.fi_noiseless_discrete(p.omega_bar, 14 * p.Delta, p)
+        assert curve.bound["crb"][0] == 1.0 / math.sqrt(fi)
 
     def test_stderr_shrinks_with_runs(self):
         base = dict(sweep_axis="time", sweep_values=(1e-4,),

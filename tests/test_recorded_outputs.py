@@ -62,9 +62,8 @@ def _digest(arrays) -> str:
     return h.hexdigest()[:16]
 
 
-def _simulate(p, s, duration, substeps, seed, **kw):
-    traj, rec = sde_sim.simulate(p, s, duration, substeps=substeps, seed=seed,
-                                 **kw)
+def _simulate(p, s, duration, substeps, seed):
+    traj, rec = sde_sim.simulate(p, s, duration, substeps=substeps, seed=seed)
     return [traj.times, traj.states, rec.outcomes]
 
 
@@ -98,8 +97,10 @@ CASES = {
     "simulate constant N=1e9": lambda: _constant(1e9),
     "simulate constant N=4.4e11": lambda: _constant(4.4e11),
     "simulate constant N=1e13": lambda: _constant(1e13),
+    # recorded as Constant(1.0) started at omega = 5 by the former
+    # ``omega_init`` argument; the start frequency is now the signal's own
     "simulate constant omega_init": lambda: _simulate(
-        P, Constant(1.0), 1e-4, 5, seed=3, omega_init=5.0),
+        P, Constant(5.0), 1e-4, 5, seed=3),
     "simulate ou": lambda: _simulate(
         SpmParams(Delta=1e-6), OrnsteinUhlenbeck(P.omega_bar, 1.0, 1e9),
         1e-3, 8, seed=11),

@@ -36,7 +36,7 @@ def _coupling_columns(x, h, p, s):
 
 def _noise_scales(p, s):
     q = math.sqrt(model.atomic_noise_strength(p))
-    return np.array([sde_sim._signal_noise_std(s), q, q])
+    return np.array([sde_sim._frequency_sde(s)[2], q, q])
 
 
 class TestDrift:
@@ -47,7 +47,7 @@ class TestDrift:
         s = OrnsteinUhlenbeck(p.omega_bar, 0.3, 1e6)
         x = (p.omega_bar * 1.01, 0.2 * p.N, 0.4 * p.N)
         cols = _coupling_columns(x, 1e-6, p, s)
-        fd = _fd_jacobian(lambda v: sde_sim.drift(0.0, v, p, s), np.array(x),
+        fd = _fd_jacobian(lambda v: sde_sim.drift(v, p, s), np.array(x),
                           h=1e-7)
         assert np.allclose(cols, fd * _noise_scales(p, s), rtol=1e-5)
 
@@ -56,7 +56,7 @@ class TestDrift:
         s = Wiener(1e4, 1e6)
         x = (1e4, 1.0, 2.0)
         cols = _coupling_columns(x, 1e-6, p, s)
-        fd = _fd_jacobian(lambda v: sde_sim.drift(0.0, v, p, s), np.array(x))
+        fd = _fd_jacobian(lambda v: sde_sim.drift(v, p, s), np.array(x))
         assert np.array_equal(cols[0], np.zeros(3))
         assert np.allclose(cols, fd * _noise_scales(p, s), rtol=1e-5)
 
@@ -72,9 +72,9 @@ class TestDrift:
         for j in range(3):
             e = np.zeros(3)
             e[j] = h
-            fp = sde_sim.drift(0.0, x + e, p, s)
-            fm = sde_sim.drift(0.0, x - e, p, s)
-            f0 = sde_sim.drift(0.0, x, p, s)
+            fp = sde_sim.drift(x + e, p, s)
+            fm = sde_sim.drift(x - e, p, s)
+            f0 = sde_sim.drift(x, p, s)
             b += (fp - 2.0 * f0 + fm) / h ** 2  # diagonal Hessian entries
         assert np.allclose(b, 0.0, atol=1e-2)
 
@@ -92,7 +92,8 @@ class TestTaylorStep:
         for _ in range(200):
             x = np.array([2e4 + 3e3 * rng.standard_normal(),
                           *(0.5 * p.N * rng.uniform(-1.0, 1.0, 2))])
-            xi, zeta = sde_sim.sample_correlated_increments(h, rng)
+            xi, zeta = sde_sim._correlated_pair(
+                h, rng.standard_normal(3), rng.standard_normal(3))
             new = sde_sim.ito_taylor_1p5_step(x, h, p, signal,
                                               increments=(xi, zeta))
             old = sim_reference.taylor_step(x, h, p, signal, xi, zeta)
@@ -118,7 +119,8 @@ class TestTaylorStep:
         for path in range(n_paths):
             rng = np.random.default_rng(
                 np.random.SeedSequence(321, spawn_key=(path,)))
-            dw, zi = sde_sim.sample_correlated_increments(hf, rng, n=3 * nf)
+            dw, zi = sde_sim._correlated_pair(
+                hf, rng.standard_normal(3 * nf), rng.standard_normal(3 * nf))
             dw, zi = dw.reshape(nf, 3), zi.reshape(nf, 3)
             x = x0
             for i in range(nf):
@@ -149,7 +151,8 @@ class TestIncrements:
         xi = np.empty(n)
         zeta = np.empty(n)
         for i in range(n // 1000):
-            a, b = sde_sim.sample_correlated_increments(h, rng, n=1000)
+            a, b = sde_sim._correlated_pair(h, rng.standard_normal(1000),
+                                            rng.standard_normal(1000))
             xi[i * 1000:(i + 1) * 1000] = a
             zeta[i * 1000:(i + 1) * 1000] = b
         # cov [[h, h^2/2], [h^2/2, h^3/3]] within 5 MC sigmas
@@ -283,20 +286,23 @@ class TestSimulate:
         expected = np.array([model.deterministic_omega(s, t) for t in traj.times])
         assert np.allclose(traj.states[:, 0], expected)
 
+    def test_duration_rounds_to_the_nearest_sample(self):
+        # the record count follows sample_indices, as a probing time does
+        p = SpmParams()
+        for duration, k in ((0.6 * p.Delta, 1), (70e-6, 14),
+                            (20.4 * p.Delta, 20)):
+            _, rec = sde_sim.simulate(p, Constant(p.omega_bar), duration)
+            assert len(rec.outcomes) == k
+            assert sde_sim.sample_indices([duration], p.Delta) == [k]
+        with pytest.raises(InvalidParametersError):
+            sde_sim.simulate(p, Constant(p.omega_bar), 0.4 * p.Delta)
+
     def test_rejects_bad_arguments(self):
         p = SpmParams()
         with pytest.raises(InvalidParametersError):
             sde_sim.simulate(p, Constant(1.0), 1e-6)  # shorter than Delta
         with pytest.raises(InvalidParametersError):
             sde_sim.simulate(p, Constant(1.0), 1e-4, substeps=0)
-
-    @pytest.mark.parametrize("signal", [
-        Sinusoid(2e4, 2e3, 500.0), Step(2e4, ((1e-4, 2e4 + 300.0),))])
-    def test_omega_init_rejected_for_waveforms(self, signal):
-        # a waveform fixes the frequency at every substep, so an initial
-        # value could only be recorded at t = 0 and never act on the spin
-        with pytest.raises(InvalidParametersError, match="omega_init"):
-            sde_sim.simulate(SpmParams(), signal, 1e-4, omega_init=5.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_detection(self):
