@@ -10,6 +10,7 @@ relative error shrinks as 1/sqrt(k).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,16 +70,46 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: int,
     N(0, qN/2)) and advances by the exact discrete damped rotation, which
     samples the same stationary process as a long pumped run at a tiny
     fraction of the cost.
+
+    The k real parts of the spin noise are drawn straight into the returned
+    array, which is then walked one block of ``sde_sim._BLOCK`` samples at a
+    time: each block draws its imaginary parts, advances the rotation from
+    the state the previous block left and is overwritten with J_z; a second
+    walk adds the shot noise.  The draws keep their order (k real, k
+    imaginary, k shot) and every sample takes the same operations, so the
+    record does not depend on the block size, and the working set is the
+    output plus one block.
     """
-    if k < 1:
-        raise InvalidParametersError("need at least one sample")
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1:
+        raise InvalidParametersError(
+            f"atom sample count must be an integer >= 1, got {k!r}")
     rng = sde_sim._as_rng(seed)
     t2 = model.coherence_time(p)
     shot_std = math.sqrt(model.measurement_noise_variance(p)) / p.g_D
     b = model.discrete_spin_noise_std(p.q, p.N, p.Delta, t2)
     stat_std = math.sqrt(0.5 * p.q * p.N)
+    pole = model.rotation_pole(omega, p.Delta, t2)
+    block = sde_sim._BLOCK
 
-    z0 = stat_std * (rng.standard_normal() + 1j * rng.standard_normal())
-    eta = b * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-    z = model.damped_rotation(model.rotation_pole(omega, p.Delta, t2), eta, z0)
-    return z.imag + shot_std * rng.standard_normal(k)
+    z = stat_std * (rng.standard_normal() + 1j * rng.standard_normal())
+    out = rng.standard_normal(k)
+    eta = np.empty(min(k, block), dtype=complex)
+    noise = np.empty(len(eta))
+    for start in range(0, k, block):
+        y = out[start:start + block]
+        im, e = noise[:len(y)], eta[:len(y)]
+        rng.standard_normal(out=im)
+        # e = b * (y + 1j * im), rounded as on whole arrays
+        np.multiply(1j, im, out=e)
+        np.add(y, e, out=e)
+        e *= b
+        path = model.damped_rotation(pole, e, z)
+        z = path[-1]
+        y[:] = path.imag
+    for start in range(0, k, block):
+        y = out[start:start + block]
+        v = noise[:len(y)]
+        rng.standard_normal(out=v)
+        v *= shot_std
+        y += v
+    return out

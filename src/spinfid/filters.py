@@ -148,7 +148,11 @@ def _cholesky(p: tuple, shift: float = 0.0):
 
 def _clip_to_psd(p: tuple) -> tuple:
     """Nearest PSD matrix: negative eigenvalues clipped to zero."""
-    w, v = np.linalg.eigh(_matrix(p))
+    try:
+        w, v = np.linalg.eigh(_matrix(p))
+    except np.linalg.LinAlgError as exc:  # an infinite entry
+        raise NumericalDegeneracyError(
+            "covariance not decomposable for the PSD projection") from exc
     q = (v * np.maximum(w, 0.0)) @ v.T
     return tuple((0.5 * (q + q.T))[_UPPER].tolist())
 
@@ -223,100 +227,108 @@ def _steps(cfg: FilterConfig, x: tuple, ys, predict, correct: bool = True,
     w, jy, jz, p00, p01, p02, p11, p12, p22 = x
     innovation = s_var = None
     at = 0
-    for y in ys:
-        if predict:
-            angle = w * delta
-            c = cos(angle)
-            s = sin(angle)
-            f2 = decay * (jy * c + jz * s)
-            f3 = decay * (-jy * s + jz * c)
-            if ckf:
-                p = (p00, p01, p02, p11, p12, p22)
-                l00, l10, l20, l11, l21, l22 = (cholesky(p)
-                                                or _cholesky_with_jitter(p))
-                h = _SQRT3 * l00
-                by, bz = _SQRT3 * l10, _SQRT3 * l20
-                # g0 = (f2, f3), and g+- at omega +- h
-                angle = (w + h) * delta
-                ca = cos(angle)
-                sa = sin(angle)
-                gy, gz = jy + by, jz + bz
-                gpy = decay * (gy * ca + gz * sa)
-                gpz = decay * (-gy * sa + gz * ca)
-                angle = (w - h) * delta
-                ca = cos(angle)
-                sa = sin(angle)
-                gy, gz = jy - by, jz - bz
-                gmy = decay * (gy * ca + gz * sa)
-                gmz = decay * (-gy * sa + gz * ca)
-                jy = (4.0 * f2 + gpy + gmy) / 6.0
-                jz = (4.0 * f3 + gpz + gmz) / 6.0
-                s00 = (phi * l00) * (phi * l00)
-                s01 = phi * h * (gpy - gmy) / 6.0
-                s02 = phi * h * (gpz - gmz) / 6.0
-                # deviations from the spin mean
-                dy, dz = f2 - jy, f3 - jz
-                gpy, gpz, gmy, gmz = gpy - jy, gpz - jz, gmy - jy, gmz - jz
-                # e R(omega) (l11, l21) and e R(omega) (0, l22)
-                ay = decay * (l11 * c + l21 * s)
-                az = decay * (-l11 * s + l21 * c)
-                by, bz = decay * (l22 * s), decay * (l22 * c)
-                s11 = ((4.0 * (dy * dy) + gpy * gpy + gmy * gmy) / 6.0
-                       + (ay * ay + by * by))
-                s12 = ((4.0 * (dy * dz) + gpy * gpz + gmy * gmz) / 6.0
-                       + (ay * az + by * bz))
-                s22 = ((4.0 * (dz * dz) + gpz * gpz + gmz * gmz) / 6.0
-                       + (az * az + bz * bz))
-            else:
-                a1, a2 = delta * f3, -delta * f2
-                ec, es = decay * c, decay * s
-                # P times rows 1 and 2 of J
-                u0 = p00 * a1 + p01 * ec + p02 * es
-                u1 = p01 * a1 + p11 * ec + p12 * es
-                u2 = p02 * a1 + p12 * ec + p22 * es
-                v0 = p00 * a2 - p01 * es + p02 * ec
-                v1 = p01 * a2 - p11 * es + p12 * ec
-                v2 = p02 * a2 - p12 * es + p22 * ec
-                s00, s01, s02 = phi * (phi * p00), phi * u0, phi * v0
-                s11 = a1 * u0 + ec * u1 + es * u2
-                s12 = a1 * v0 + ec * v1 + es * v2
-                s22 = a2 * v0 - es * v1 + ec * v2
-                jy, jz = f2, f3
-            w = phi * w + offset
-            p = (s00 + d1, s01, s02, s11 + d2, s12, s22 + d2)
-            if cholesky(p, _TINY) is None:
-                p = _clip_to_psd(p)
-            p00, p01, p02, p11, p12, p22 = p
-            if not all(map(isfinite, (w, jy, jz) + p)):
-                raise NumericalDegeneracyError(
-                    f"non-finite {cfg.kind.upper()} prediction")
-        if correct:
-            s_var = r + g * g * p22
-            if not s_var > 0.0:
-                raise NumericalDegeneracyError(
-                    f"innovation variance not positive: {s_var}")
-            k0, k1, k2 = g * p02 / s_var, g * p12 / s_var, g * p22 / s_var
-            innovation = y - g * jz
-            # column 2 of I - K h^T; its other columns are those of I
-            c0, c1, c2 = -(g * k0), -(g * k1), 1.0 - g * k2
-            # rows 0 and 1 of (I - K h^T) P; row 2 is c2 * P[2, :]
-            m00, m01, m02 = p00 + c0 * p02, p01 + c0 * p12, p02 + c0 * p22
-            m11, m12 = p11 + c1 * p12, p12 + c1 * p22
-            p = (m00 + c0 * m02 + r * (k0 * k0),
-                 m01 + c1 * m02 + r * (k0 * k1),
-                 c2 * m02 + r * (k0 * k2),
-                 m11 + c1 * m12 + r * (k1 * k1),
-                 c2 * m12 + r * (k1 * k2),
-                 c2 * (c2 * p22) + r * (k2 * k2))
-            if cholesky(p, _TINY) is None:
-                p = _clip_to_psd(p)
-            p00, p01, p02, p11, p12, p22 = p
-            w, jy, jz = (w + k0 * innovation, jy + k1 * innovation,
-                         jz + k2 * innovation)
-        if out is not None:
-            write_row(out, at, w, jy, jz, p00, p01, p02, p01, p11, p12,
-                      p02, p12, p22, innovation, s_var)
-            at += row_size
+    try:
+        for y in ys:
+            if predict:
+                angle = w * delta
+                c = cos(angle)
+                s = sin(angle)
+                f2 = decay * (jy * c + jz * s)
+                f3 = decay * (-jy * s + jz * c)
+                if ckf:
+                    p = (p00, p01, p02, p11, p12, p22)
+                    l00, l10, l20, l11, l21, l22 = (cholesky(p)
+                                                    or _cholesky_with_jitter(p))
+                    h = _SQRT3 * l00
+                    by, bz = _SQRT3 * l10, _SQRT3 * l20
+                    # g0 = (f2, f3), and g+- at omega +- h
+                    angle = (w + h) * delta
+                    ca = cos(angle)
+                    sa = sin(angle)
+                    gy, gz = jy + by, jz + bz
+                    gpy = decay * (gy * ca + gz * sa)
+                    gpz = decay * (-gy * sa + gz * ca)
+                    angle = (w - h) * delta
+                    ca = cos(angle)
+                    sa = sin(angle)
+                    gy, gz = jy - by, jz - bz
+                    gmy = decay * (gy * ca + gz * sa)
+                    gmz = decay * (-gy * sa + gz * ca)
+                    jy = (4.0 * f2 + gpy + gmy) / 6.0
+                    jz = (4.0 * f3 + gpz + gmz) / 6.0
+                    s00 = (phi * l00) * (phi * l00)
+                    s01 = phi * h * (gpy - gmy) / 6.0
+                    s02 = phi * h * (gpz - gmz) / 6.0
+                    # deviations from the spin mean
+                    dy, dz = f2 - jy, f3 - jz
+                    gpy, gpz, gmy, gmz = gpy - jy, gpz - jz, gmy - jy, gmz - jz
+                    # e R(omega) (l11, l21) and e R(omega) (0, l22)
+                    ay = decay * (l11 * c + l21 * s)
+                    az = decay * (-l11 * s + l21 * c)
+                    by, bz = decay * (l22 * s), decay * (l22 * c)
+                    s11 = ((4.0 * (dy * dy) + gpy * gpy + gmy * gmy) / 6.0
+                           + (ay * ay + by * by))
+                    s12 = ((4.0 * (dy * dz) + gpy * gpz + gmy * gmz) / 6.0
+                           + (ay * az + by * bz))
+                    s22 = ((4.0 * (dz * dz) + gpz * gpz + gmz * gmz) / 6.0
+                           + (az * az + bz * bz))
+                else:
+                    a1, a2 = delta * f3, -delta * f2
+                    ec, es = decay * c, decay * s
+                    # P times rows 1 and 2 of J
+                    u0 = p00 * a1 + p01 * ec + p02 * es
+                    u1 = p01 * a1 + p11 * ec + p12 * es
+                    u2 = p02 * a1 + p12 * ec + p22 * es
+                    v0 = p00 * a2 - p01 * es + p02 * ec
+                    v1 = p01 * a2 - p11 * es + p12 * ec
+                    v2 = p02 * a2 - p12 * es + p22 * ec
+                    s00, s01, s02 = phi * (phi * p00), phi * u0, phi * v0
+                    s11 = a1 * u0 + ec * u1 + es * u2
+                    s12 = a1 * v0 + ec * v1 + es * v2
+                    s22 = a2 * v0 - es * v1 + ec * v2
+                    jy, jz = f2, f3
+                w = phi * w + offset
+                p = (s00 + d1, s01, s02, s11 + d2, s12, s22 + d2)
+                if cholesky(p, _TINY) is None:
+                    p = _clip_to_psd(p)
+                p00, p01, p02, p11, p12, p22 = p
+                if not (isfinite(w) and isfinite(jy) and isfinite(jz)
+                        and isfinite(p00) and isfinite(p01) and isfinite(p02)
+                        and isfinite(p11) and isfinite(p12) and isfinite(p22)):
+                    raise NumericalDegeneracyError(
+                        f"non-finite {cfg.kind.upper()} prediction")
+            if correct:
+                s_var = r + g * g * p22
+                if not s_var > 0.0:
+                    raise NumericalDegeneracyError(
+                        f"innovation variance not positive: {s_var}")
+                k0, k1, k2 = g * p02 / s_var, g * p12 / s_var, g * p22 / s_var
+                innovation = y - g * jz
+                # column 2 of I - K h^T; its other columns are those of I
+                c0, c1, c2 = -(g * k0), -(g * k1), 1.0 - g * k2
+                # rows 0 and 1 of (I - K h^T) P; row 2 is c2 * P[2, :]
+                m00, m01, m02 = p00 + c0 * p02, p01 + c0 * p12, p02 + c0 * p22
+                m11, m12 = p11 + c1 * p12, p12 + c1 * p22
+                p = (m00 + c0 * m02 + r * (k0 * k0),
+                     m01 + c1 * m02 + r * (k0 * k1),
+                     c2 * m02 + r * (k0 * k2),
+                     m11 + c1 * m12 + r * (k1 * k1),
+                     c2 * m12 + r * (k1 * k2),
+                     c2 * (c2 * p22) + r * (k2 * k2))
+                if cholesky(p, _TINY) is None:
+                    p = _clip_to_psd(p)
+                p00, p01, p02, p11, p12, p22 = p
+                w, jy, jz = (w + k0 * innovation, jy + k1 * innovation,
+                             jz + k2 * innovation)
+            if out is not None:
+                write_row(out, at, w, jy, jz, p00, p01, p02, p01, p11, p12,
+                          p02, p12, p22, innovation, s_var)
+                at += row_size
+    except ValueError as exc:
+        # math.cos and math.sin reject an infinite angle, which only an
+        # infinite frequency or frequency variance gives
+        raise NumericalDegeneracyError(
+            f"non-finite {cfg.kind.upper()} prediction") from exc
     return (w, jy, jz, p00, p01, p02, p11, p12, p22), innovation, s_var
 
 

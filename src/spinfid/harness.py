@@ -29,7 +29,6 @@ SWEEP_AXES = ("none", "time", "atoms", "sampling")
 MAX_EXCLUSION_FRACTION = 0.01
 
 DEFAULT_SIGMA_OMEGA = model.TWO_PI * 2.0e3  # rad/s
-DEFAULT_SPIN_COV_SCALE = 0.01
 
 _RUN_ERRORS = (IntegrationBlowupError, NumericalDegeneracyError,
                MapBoundaryError, FloatingPointError)
@@ -41,7 +40,6 @@ class ExperimentConfig:
     true_signal: SignalModel = None
     assumed_signal: SignalModel = None    # filter-side model; None -> static frequency
     sigma_omega: float = DEFAULT_SIGMA_OMEGA
-    spin_cov_scale: float = DEFAULT_SPIN_COV_SCALE
     duration: float = 5.0e-3
     substeps: int = 5
     runs: int = 1
@@ -161,8 +159,9 @@ class TrackingResult:
 
 
 def _prior(cfg: ExperimentConfig, p: SpmParams) -> GaussianPrior:
-    """The reference prior over (omega, J_y, J_z) at the configured scales."""
-    return filters.default_prior(p, cfg.sigma_omega, cfg.spin_cov_scale)
+    """The reference prior over (omega, J_y, J_z) at the configured
+    frequency spread."""
+    return filters.default_prior(p, cfg.sigma_omega)
 
 
 def _blocks(prior: GaussianPrior) -> tuple[GaussianPrior, GaussianPrior]:

@@ -9,7 +9,8 @@ form of the Kalman filter gives the exact negative log-joint
 
 up to omega-independent constants.  ``neg_log_joint_prefixes`` is the one
 2x2 recursion, unrolled into scalars because it sits in the inner loop of
-every Monte-Carlo experiment.  It takes omega as a float, a complex number
+every Monte-Carlo experiment; the products of its constant coefficients are
+formed once per pass.  It takes omega as a float, a complex number
 or a numpy grid and, since J is a running sum, returns J of every requested
 record prefix from a single pass; the scalar likelihood, the grid, the MAP
 fit at several probing times and the bound's score are all read from it.
@@ -83,6 +84,13 @@ def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
     var = float(prior_omega.cov[0, 0])
     prior = 0.5 * (omega - mu) ** 2 / var
 
+    # products of the step's coefficients, each rounded as the expression
+    # it replaces in the written-out recursion (c*c*p is (c*c)*p, and
+    # 2*s*c equals 2*c*s exactly), so every J keeps its last bit
+    cc, ss, cs = ca * ca, sa * sa, ca * sa
+    two_cs, neg_cs, cc_ss, neg_sa = 2.0 * ca * sa, -ca * sa, cc - ss, -sa
+    g2 = g * g
+
     ys = rec.outcomes[:lengths[-1]].tolist()
     out = []
     total = 0.0
@@ -90,19 +98,20 @@ def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
     for k in lengths:
         for y in ys[start:k]:
             m1p = ca * m1 + sa * m2
-            m2p = -sa * m1 + ca * m2
-            p11p = ca * ca * p11 + 2.0 * ca * sa * p12 + sa * sa * p22 + b2
-            p12p = -ca * sa * p11 + (ca * ca - sa * sa) * p12 + ca * sa * p22
-            p22p = sa * sa * p11 - 2.0 * sa * ca * p12 + ca * ca * p22 + b2
+            m2p = neg_sa * m1 + ca * m2
+            p11p = cc * p11 + two_cs * p12 + ss * p22 + b2
+            p12p = neg_cs * p11 + cc_ss * p12 + cs * p22
+            p22p = ss * p11 - two_cs * p12 + cc * p22 + b2
 
-            s_var = r + g * g * p22p
+            s_var = r + g2 * p22p
             resid = y - g * m2p
             k1 = g * p12p / s_var
             k2 = g * p22p / s_var
             m1 = m1p + k1 * resid
             m2 = m2p + k2 * resid
-            p11 = p11p - s_var * k1 * k1
-            p12 = p12p - s_var * k1 * k2
+            s_k1 = s_var * k1
+            p11 = p11p - s_k1 * k1
+            p12 = p12p - s_k1 * k2
             p22 = p22p - s_var * k2 * k2
             total += 0.5 * (resid * resid / s_var + log(s_var))
             if innovations is not None:

@@ -79,13 +79,17 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def sample_indices(times, delta: float) -> list[int]:
-    """Index k of the sample t_k = k*delta nearest each time: the one rule
-    for how many samples a probing time, a record duration or a bound time
-    holds.  A time that rounds to no sample (k < 1, i.e. below delta/2)
-    raises InvalidParametersError."""
+    """Index k of the sample t_k = k*delta nearest each time, a time halfway
+    between two samples going to the later one: the one rule for how many
+    samples a probing time, a record duration or a bound time holds.  A
+    time that rounds to no sample (k < 1, i.e. below delta/2) raises
+    InvalidParametersError."""
     ks = []
     for t in times:
-        k = int(round(t / delta))
+        x = t / delta
+        # floor(x + 0.5) would round 0.49999999999999994 up to 1
+        k = math.floor(x)
+        k += x - k >= 0.5
         if k < 1:
             raise InvalidParametersError(
                 f"time {t} rounds to no sample at Delta = {delta}")

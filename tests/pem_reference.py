@@ -1,4 +1,5 @@
-"""Golden-section MAP refinement and central-difference Bayesian bound kept
+"""Golden-section MAP refinement, central-difference Bayesian bound and the
+likelihood recursion with its coefficients written out in every step, kept
 as the test oracles of ``spinfid.pem`` and ``spinfid.bounds``.
 
 These are the two estimators as they ran before both read the exact score
@@ -8,16 +9,18 @@ outputs that the pinned digests in ``test_recorded_outputs.py`` were
 recorded from bit for bit.  The MAP fit refines the grid minimum by a
 golden-section search to ``MAP_TOL``; the bound validates one
 central-difference step on the first sample and reuses it for every sample
-and probing time.
+and probing time.  ``neg_log_joint_prefixes`` is the likelihood pass as it
+ran before its loop invariants were computed once per pass.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from spinfid import bounds, pem, sde_sim
+from spinfid import bounds, model, pem, sde_sim
 from spinfid.errors import InvalidParametersError, MapBoundaryError
 from spinfid.model import Constant
 
@@ -26,6 +29,57 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GRADIENT_STEP_FRACTION = 1e-4   # of the prior sigma
 GRADIENT_STEP_RTOL = 1e-3
 GRADIENT_STEP_MAX_HALVINGS = 6
+
+
+def neg_log_joint_prefixes(omega, rec, p, prior_omega, prior_spin, lengths):
+    """Drop-in for ``pem.neg_log_joint_prefixes`` without ``innovations``:
+    every product of ca and sa formed again in every step."""
+    if isinstance(omega, np.ndarray):
+        cos, sin, log = np.cos, np.sin, np.log
+    elif isinstance(omega, complex):
+        cos, sin, log = cmath.cos, cmath.sin, cmath.log
+    else:
+        cos, sin, log = math.cos, math.sin, math.log
+    t2 = model.coherence_time(p)
+    e = math.exp(-p.Delta / t2)
+    ca = e * cos(omega * p.Delta)
+    sa = e * sin(omega * p.Delta)
+    b2 = model.discrete_spin_noise_var(p.q, p.N, p.Delta, t2)
+    g = p.g_D
+    r = model.measurement_noise_variance(p)
+
+    m1, m2 = (float(v) for v in prior_spin.mean)
+    cov = prior_spin.cov
+    p11, p12, p22 = float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1])
+    mu = float(prior_omega.mean[0])
+    var = float(prior_omega.cov[0, 0])
+    prior = 0.5 * (omega - mu) ** 2 / var
+
+    ys = rec.outcomes[:lengths[-1]].tolist()
+    out = []
+    total = 0.0
+    start = 0
+    for k in lengths:
+        for y in ys[start:k]:
+            m1p = ca * m1 + sa * m2
+            m2p = -sa * m1 + ca * m2
+            p11p = ca * ca * p11 + 2.0 * ca * sa * p12 + sa * sa * p22 + b2
+            p12p = -ca * sa * p11 + (ca * ca - sa * sa) * p12 + ca * sa * p22
+            p22p = sa * sa * p11 - 2.0 * sa * ca * p12 + ca * ca * p22 + b2
+
+            s_var = r + g * g * p22p
+            resid = y - g * m2p
+            k1 = g * p12p / s_var
+            k2 = g * p22p / s_var
+            m1 = m1p + k1 * resid
+            m2 = m2p + k2 * resid
+            p11 = p11p - s_var * k1 * k1
+            p12 = p12p - s_var * k1 * k2
+            p22 = p22p - s_var * k2 * k2
+            total += 0.5 * (resid * resid / s_var + log(s_var))
+        start = k
+        out.append(total + prior)
+    return out
 
 
 def map_estimates(rec, lengths, p, prior_omega, prior_spin):

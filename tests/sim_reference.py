@@ -144,3 +144,19 @@ def integrated_steady_state_outcomes(p: SpmParams, omega: float, k: int, seed,
     _, rec = sde_sim.simulate(p, Constant(omega), (n_burn + k) * p.Delta,
                               seed=seed)
     return rec.outcomes[n_burn:n_burn + k] / p.g_D
+
+
+def one_shot_steady_state_outcomes(p: SpmParams, omega: float, k: int,
+                                   seed=0) -> np.ndarray:
+    """``atoms.sample_steady_state_outcomes`` as it ran before it walked the
+    record in blocks: every draw and the whole rotation in one array each."""
+    rng = sde_sim._as_rng(seed)
+    t2 = model.coherence_time(p)
+    shot_std = math.sqrt(model.measurement_noise_variance(p)) / p.g_D
+    b = model.discrete_spin_noise_std(p.q, p.N, p.Delta, t2)
+    stat_std = math.sqrt(0.5 * p.q * p.N)
+
+    z0 = stat_std * (rng.standard_normal() + 1j * rng.standard_normal())
+    eta = b * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    z = model.damped_rotation(model.rotation_pole(omega, p.Delta, t2), eta, z0)
+    return z.imag + shot_std * rng.standard_normal(k)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sim_reference
-from spinfid import atoms
+from spinfid import atoms, sde_sim
+from spinfid.errors import InvalidParametersError
 from spinfid.atoms import (AtomCountEstimate, estimate_atom_number,
                            sample_steady_state_outcomes, steady_state_variance)
 from spinfid.model import SpmParams
@@ -80,6 +82,46 @@ class TestSampler:
     def test_needs_positive_count(self):
         with pytest.raises(ValueError):
             sample_steady_state_outcomes(SpmParams(), 1.0, 0)
+
+    @pytest.mark.parametrize("k", [10.0, True, "10", None, np.float64(10.0)])
+    def test_rejects_a_count_that_is_no_integer(self, k):
+        with pytest.raises(InvalidParametersError):
+            sample_steady_state_outcomes(SpmParams(), 1.0, k)
+
+    def test_takes_a_numpy_integer_count(self):
+        p = SpmParams()
+        assert np.array_equal(
+            sample_steady_state_outcomes(p, p.omega_bar, np.int64(10), seed=2),
+            sample_steady_state_outcomes(p, p.omega_bar, 10, seed=2))
+
+    @pytest.mark.parametrize("block", [None, 1, 7, 4096])
+    def test_blocks_match_the_one_shot_sampler(self, monkeypatch, block):
+        # the blocked walk draws in the one-shot order and takes the same
+        # operations on every sample, so the records agree bit for bit
+        # around the boundaries of the default block and of the one in use
+        sizes = {sde_sim._BLOCK}
+        if block is not None:
+            monkeypatch.setattr(sde_sim, "_BLOCK", block)
+            sizes.add(block)
+        p = SpmParams()
+        ks = {1} | {k for b in sizes for k in (b - 1, b, b + 1, 3 * b + 17)}
+        for k in sorted(ks - {0}):
+            want = sim_reference.one_shot_steady_state_outcomes(
+                p, p.omega_bar, k, seed=k)
+            got = sample_steady_state_outcomes(p, p.omega_bar, k, seed=k)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_working_set_is_the_output_plus_a_block(self):
+        # the one-shot sampler peaked at five arrays of k floats
+        p = SpmParams()
+        k = 1_000_000
+        tracemalloc.start()
+        try:
+            sample_steady_state_outcomes(p, p.omega_bar, k, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * k
 
     def test_fast_and_integrator_paths_agree(self):
         # both sampling routes must reproduce the stationary variance

@@ -38,6 +38,13 @@ class TestExitCodes:
         code, _ = _run(tmp_path, "simulate", "--config", cfg)
         assert code == 2
 
+    def test_removed_spin_cov_scale_key(self, tmp_path):
+        # the spin prior's scale is no longer a config field
+        cfg = _write_cfg(tmp_path, {"spin_cov_scale": 0.01})
+        code, out = _run(tmp_path, "simulate", "--config", cfg)
+        assert code == 2
+        assert not (out / "simulate.csv").exists()
+
     # numpy would stop either one mid-run with a bare ValueError
     def test_negative_seed_override(self, tmp_path):
         code, out = _run(tmp_path, "simulate", "--seed", "-1")
@@ -299,9 +306,8 @@ class TestPublicSurface:
                            "bound", "bound_stderr", "excluded_runs"],
             "ExperimentConfig": [
                 "params", "true_signal", "assumed_signal", "sigma_omega",
-                "spin_cov_scale", "duration", "substeps", "runs", "seed",
-                "estimators", "bounds", "bound_samples", "sweep_axis",
-                "sweep_values"],
+                "duration", "substeps", "runs", "seed", "estimators",
+                "bounds", "bound_samples", "sweep_axis", "sweep_values"],
             "FilterConfig": ["kind", "signal", "prior", "params"],
             "FilterTrace": ["times", "mean", "cov", "innovation",
                             "innovation_var"],

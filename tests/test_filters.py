@@ -329,6 +329,32 @@ class TestNumericalGuards:
         mine = np.array([[l00, 0.0, 0.0], [l10, l11, 0.0], [l20, l21, l22]])
         assert _rel(mine, np.linalg.cholesky(p)) < 1e-12
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", range(9))
+    @pytest.mark.parametrize("kind", ["ekf", "ckf"])
+    def test_nonfinite_prior_raises(self, kind, at, bad):
+        # a non-finite entry at position ``at`` of the state (omega, J_y,
+        # J_z, P00, P01, P02, P11, P12, P22) fails the prediction with the
+        # typed error, also where math.cos meets an infinite angle or the
+        # PSD projection an infinite matrix before the finiteness check
+        cfg = _cfg(kind)
+        x = list(filters._state(cfg.prior.mean, cfg.prior.cov))
+        x[at] = bad
+        match = f"non-finite {kind.upper()} prediction" if at < 3 else None
+        for predict in (filters.ekf_predict, filters.ckf_predict):
+            with pytest.raises(NumericalDegeneracyError, match=match):
+                predict(tuple(x), cfg)
+        # GaussianPrior rejects a non-finite covariance, so the prior of a
+        # filter pass is altered in place
+        if at < 3:
+            cfg.prior.mean[at] = bad
+        else:
+            i, j = (rows[at - 3] for rows in filters._UPPER)
+            cfg.prior.cov[i, j] = cfg.prior.cov[j, i] = bad
+        rec = MeasurementRecord(cfg.params.Delta, np.zeros(3))
+        with pytest.raises(NumericalDegeneracyError, match=match):
+            run_filter(cfg, rec)
+
     def test_nan_covariance_raises_in_prediction(self):
         cfg = _cfg()
         x = filters._state(np.array([6e4, 0.0, 1e11]),

@@ -141,6 +141,34 @@ class TestNegLogJoint:
             assert j_complex == pem.neg_log_joint_prefixes(
                 stepped, sub, p, prior_omega, prior_spin, [k])[0]
 
+    @settings(max_examples=300, deadline=None)
+    @given(params=st.builds(
+               SpmParams, omega_bar=st.floats(0.1, 1e5),
+               g_D=st.floats(1e-3, 10.0), R=st.floats(1e-2, 1e3),
+               N=st.floats(1.0, 1e6), q=st.floats(0.0, 1.0),
+               Delta=st.floats(1e-6, 1.0), T2_override=st.floats(1e-4, 10.0)),
+           ys=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30),
+           cuts=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+           shift=st.floats(-3.0, 3.0), spin_sigma=st.floats(0.0, 10.0))
+    def test_matches_unhoisted_reference(self, params, ys, cuts, shift,
+                                         spin_sigma):
+        # the coefficient products formed once per pass round as the
+        # expressions they replace, for a float, a complex omega and a grid
+        prior_omega, prior_spin = _priors(params, spin_sigma=spin_sigma)
+        rec = MeasurementRecord(params.Delta, np.array(ys))
+        lengths = sorted(min(c, len(ys)) for c in cuts)
+        omega = params.omega_bar + shift
+        for w in (omega, complex(omega, 1e-20 * omega),
+                  np.linspace(omega - 1.0, omega + 1.0, 7)):
+            got = pem.neg_log_joint_prefixes(w, rec, params, prior_omega,
+                                             prior_spin, lengths)
+            want = pem_reference.neg_log_joint_prefixes(
+                w, rec, params, prior_omega, prior_spin, lengths)
+            assert len(got) == len(want)
+            for j_got, j_want in zip(got, want):
+                assert np.array_equal(np.atleast_1d(j_got).view(np.int64),
+                                      np.atleast_1d(j_want).view(np.int64))
+
     def test_innovations_of_wrapper(self):
         p = _small_params()
         prior_omega, prior_spin = _priors(p, spin_sigma=1.0)

@@ -297,6 +297,19 @@ class TestSimulate:
         with pytest.raises(InvalidParametersError):
             sde_sim.simulate(p, Constant(p.omega_bar), 0.4 * p.Delta)
 
+    def test_halfway_times_round_up(self):
+        # a time halfway between two samples holds the later one, at every
+        # half (round() would give 0, 2 and 2); just below delta/2 is none
+        for delta, halves in ((1.0, (0.5, 1.5, 2.5)),
+                              (5e-6, (2.5e-6, 7.5e-6, 12.5e-6))):
+            assert sde_sim.sample_indices(halves, delta) == [1, 2, 3]
+            with pytest.raises(InvalidParametersError):
+                sde_sim.sample_indices([math.nextafter(0.5 * delta, 0.0)],
+                                       delta)
+        # the float just below a half rounds down (floor(x + 0.5) would
+        # take 0.49999999999999994 to 1)
+        assert sde_sim.sample_indices([math.nextafter(1.5, 0.0)], 1.0) == [1]
+
     def test_rejects_bad_arguments(self):
         p = SpmParams()
         with pytest.raises(InvalidParametersError):
