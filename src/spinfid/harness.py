@@ -171,11 +171,6 @@ def _blocks(prior: GaussianPrior) -> tuple[GaussianPrior, GaussianPrior]:
             GaussianPrior(prior.mean[1:], prior.cov[1:, 1:]))
 
 
-def _spin_prior(p: SpmParams, scale: float) -> GaussianPrior:
-    """The spin block alone; it does not depend on sigma_omega."""
-    return _blocks(filters.default_prior(p, DEFAULT_SIGMA_OMEGA, scale))[1]
-
-
 def _run_rng(seed: int, run_index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(run_index,)))

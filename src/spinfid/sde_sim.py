@@ -110,6 +110,12 @@ class MeasurementRecord:
     delta: float
     outcomes: np.ndarray  # pA
 
+    def __post_init__(self):
+        # a filter checks its state after each prediction only, so a
+        # non-finite last sample would come out as its final estimate
+        if not np.isfinite(self.outcomes).all():
+            raise InvalidParametersError("measurement outcomes must be finite")
+
     @property
     def times(self) -> np.ndarray:
         return self.delta * np.arange(1, len(self.outcomes) + 1)

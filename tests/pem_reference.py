@@ -1,16 +1,21 @@
-"""Golden-section MAP refinement, central-difference Bayesian bound and the
-likelihood recursion with its coefficients written out in every step, kept
-as the test oracles of ``spinfid.pem`` and ``spinfid.bounds``.
+"""Golden-section and Brent MAP refinements, central-difference Bayesian
+bound and the likelihood recursion with its coefficients written out in
+every step, kept as the test oracles of ``spinfid.pem`` and
+``spinfid.bounds``.
 
-These are the two estimators as they ran before both read the exact score
-by complex step, with the same arithmetic: installed as
-``pem.map_estimates`` and ``bounds.bcrb_numeric_curve`` they reproduce the
-outputs that the pinned digests in ``test_recorded_outputs.py`` were
-recorded from bit for bit.  The MAP fit refines the grid minimum by a
-golden-section search to ``MAP_TOL``; the bound validates one
-central-difference step on the first sample and reuses it for every sample
-and probing time.  ``neg_log_joint_prefixes`` is the likelihood pass as it
-ran before its loop invariants were computed once per pass.
+``map_estimates`` and ``bcrb_numeric_curve`` are the two estimators as they
+ran before both read the exact score by complex step, with the same
+arithmetic: installed as ``pem.map_estimates`` and
+``bounds.bcrb_numeric_curve`` they reproduce the outputs that the pinned
+digests in ``test_recorded_outputs.py`` were recorded from bit for bit.
+The MAP fit refines the grid minimum by a golden-section search to
+``MAP_TOL``; the bound validates one central-difference step on the first
+sample and reuses it for every sample and probing time.
+``brent_map_estimates`` is the MAP fit as it ran before Fisher scoring:
+Brent's method on the exact score, then a float pass for J.
+``neg_log_joint_prefixes`` is the likelihood pass as it ran before its loop
+invariants were computed once per pass, with the gains and the mean
+advanced in one loop.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import cmath
 import math
 
 import numpy as np
+from scipy import optimize
 
 from spinfid import bounds, model, pem, sde_sim
 from spinfid.errors import InvalidParametersError, MapBoundaryError
@@ -123,6 +129,45 @@ def map_estimates(rec, lengths, p, prior_omega, prior_spin):
                 jd = j_of(d)
         omega_hat = c if jc < jd else d
         fits.append((float(omega_hat), min(jc, jd) / k))
+    return fits
+
+
+def brent_map_estimates(rec, lengths, p, prior_omega, prior_spin):
+    """Drop-in for ``pem.map_estimates``: grid plus Brent's method on the
+    score between the grid neighbours of the grid minimum."""
+    lengths = list(lengths)
+    if len(rec.outcomes) == 0:
+        raise InvalidParametersError("empty measurement record")
+    if (not lengths or lengths[0] < 1 or lengths[-1] > len(rec.outcomes)
+            or lengths != sorted(lengths)):
+        raise InvalidParametersError(
+            "record lengths must ascend within 1..len(record)")
+    mu = float(prior_omega.mean[0])
+    sigma = math.sqrt(float(prior_omega.cov[0, 0]))
+    grid = np.linspace(mu - pem.MAP_BRACKET_SIGMAS * sigma,
+                       mu + pem.MAP_BRACKET_SIGMAS * sigma, pem.MAP_GRID_POINTS)
+    j_grids = pem.neg_log_joint_prefixes(grid, rec, p, prior_omega, prior_spin,
+                                         lengths)
+    fits = []
+    for k, j_grid in zip(lengths, j_grids):
+        i = int(np.argmin(j_grid))
+        if i == 0 or i == len(grid) - 1:
+            raise MapBoundaryError(
+                "MAP search hit the bracket edge; prior too narrow or data inconsistent")
+
+        def score(w: float) -> float:
+            return pem.neg_log_joint_score(w, rec, p, prior_omega, prior_spin,
+                                           [k])[0]
+
+        try:
+            omega_hat = optimize.brentq(score, grid[i - 1], grid[i + 1],
+                                        xtol=pem.MAP_TOL)
+        except ValueError as exc:  # no sign change across the bracket
+            raise MapBoundaryError(
+                "the score has one sign across the MAP bracket") from exc
+        j_hat = pem.neg_log_joint_prefixes(omega_hat, rec, p, prior_omega,
+                                           prior_spin, [k])[0]
+        fits.append((omega_hat, j_hat / k))
     return fits
 
 

@@ -57,6 +57,15 @@ class TestExitCodes:
         assert code == 2
         assert not (out / "simulate.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nonfinite_outcomes(self, tmp_path):
+        # g_D * J_z overflows, so the record would hold inf samples
+        cfg = _write_cfg(tmp_path, {"params": {"g_D": 1e300},
+                                    "duration": 1e-4})
+        code, out = _run(tmp_path, "simulate", "--config", cfg)
+        assert code == 2
+        assert not (out / "simulate.csv").exists()
+
     def test_numerical_failure(self, tmp_path):
         # truth far outside a very narrow prior drives the MAP search into
         # the bracket edge

@@ -167,22 +167,32 @@ class TestErrorVsTime:
             run_error_vs_time(cfg)
 
     def test_score_without_sign_change_excludes_the_run(self, monkeypatch):
-        # the score is positive at both ends of the first run's MAP bracket,
-        # so that fit raises and the sweep keeps only the second run
-        score = harness.pem.neg_log_joint_score
-        calls = []
+        # the score is positive across the first run's MAP bracket, so that
+        # fit raises and the sweep keeps only the second run
+        terms = harness.pem.score_and_information
+        records = []
 
-        def first_bracket_positive(*args):
-            calls.append(args[0])
-            out = score(*args)
-            return [abs(s) for s in out] if len(calls) <= 2 else out
-        monkeypatch.setattr(harness.pem, "neg_log_joint_score",
-                            first_bracket_positive)
+        def first_record_positive(omega, rec, *args):
+            records.append(rec)
+            j, score, info = terms(omega, rec, *args)
+            return j, abs(score) if rec is records[0] else score, info
+        monkeypatch.setattr(harness.pem, "score_and_information",
+                            first_record_positive)
+        failures = []
+        check = harness._check_exclusions
+
+        def kept_failures(found, runs):
+            failures.extend(found)
+            return check(found, runs)
+        monkeypatch.setattr(harness, "_check_exclusions", kept_failures)
         monkeypatch.setattr(harness, "MAX_EXCLUSION_FRACTION", 0.5)
         cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4,),
                                runs=2, estimators=("pem",))
         curve = run_error_vs_time(cfg)
         assert curve.excluded_runs == 1
+        failure, = failures
+        assert isinstance(failure, MapBoundaryError)
+        assert "sign" in str(failure)
         assert np.all(np.isfinite(curve.rmse["pem"]))
 
     def test_check_exclusions_unit(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,8 +153,10 @@ class TestNegLogJoint:
            shift=st.floats(-3.0, 3.0), spin_sigma=st.floats(0.0, 10.0))
     def test_matches_unhoisted_reference(self, params, ys, cuts, shift,
                                          spin_sigma):
-        # the coefficient products formed once per pass round as the
-        # expressions they replace, for a float, a complex omega and a grid
+        # the split passes (gains, then mean and J) with the coefficient
+        # products formed once per pass round as the fused recursion with
+        # the expressions written out, for a float, a complex omega and a
+        # grid
         prior_omega, prior_spin = _priors(params, spin_sigma=spin_sigma)
         rec = MeasurementRecord(params.Delta, np.array(ys))
         lengths = sorted(min(c, len(ys)) for c in cuts)
@@ -183,11 +186,114 @@ class TestNegLogJoint:
                                                   rel=1e-12)
 
     def test_nonfinite_input_raises(self):
+        # a record holds finite samples only, but the square of one can
+        # still overflow the running sum
         p = _small_params()
         prior_omega, prior_spin = _priors(p)
-        rec = MeasurementRecord(p.Delta, np.array([1.0, math.inf]))
+        rec = MeasurementRecord(p.Delta, np.array([1.0, 1e200]))
         with pytest.raises(FloatingPointError):
             pem.kalman_neg_log_joint(3.0, rec, p, prior_omega, prior_spin)
+
+
+def _c06_priors(p, sigma=harness.DEFAULT_SIGMA_OMEGA):
+    return harness._blocks(harness._prior(
+        ExperimentConfig(sigma_omega=sigma), p))
+
+
+def _c06_record(p, run, sigma=harness.DEFAULT_SIGMA_OMEGA):
+    """Run ``run`` of the c06 fixture, simulated to its last probing time."""
+    rng = harness._run_rng(0, run)
+    omega = p.omega_bar + sigma * rng.standard_normal()
+    duration = sde_sim.sample_indices(C06_TIMES, p.Delta)[-1] * p.Delta
+    return simulate(p, Constant(omega), duration, seed=rng)[1]
+
+
+class TestGainTable:
+    @settings(max_examples=60, deadline=None)
+    @given(ys_a=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=30),
+           ys_b=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=30),
+           cuts=st.lists(st.integers(1, 30), min_size=1, max_size=4),
+           sigma=st.floats(0.01, 3.0))
+    def test_warm_table_matches_cold(self, ys_a, ys_b, cuts, sigma):
+        # J of record B from a table that record A built (or, when A is
+        # shorter, from the table built again for B) equals J from a cold
+        # table, bit for bit
+        p = _small_params()
+        prior_omega, prior_spin = _priors(p, sigma_omega=sigma, spin_sigma=1.0)
+        grid = np.linspace(p.omega_bar - 5.0 * sigma,
+                           p.omega_bar + 5.0 * sigma, 9)
+        rec_a = MeasurementRecord(p.Delta, np.array(ys_a))
+        rec_b = MeasurementRecord(p.Delta, np.array(ys_b))
+        lengths = sorted(min(c, len(ys_b)) for c in cuts)
+        pem._gain_memo.clear()
+        cold = pem.neg_log_joint_prefixes(grid, rec_b, p, prior_omega,
+                                          prior_spin, lengths)
+        pem._gain_memo.clear()
+        pem.neg_log_joint_grid(grid, rec_a, p, prior_omega, prior_spin)
+        warm = pem.neg_log_joint_prefixes(grid, rec_b, p, prior_omega,
+                                          prior_spin, lengths)
+        assert len(pem._gain_memo) == 1
+        for j_cold, j_warm in zip(cold, warm):
+            assert j_cold.tobytes() == j_warm.tobytes()
+
+    def test_fit_after_another_record_matches_fit_alone(self):
+        p = SpmParams()
+        priors = _c06_priors(p)
+        rec_a, rec_b = _c06_record(p, 0), _c06_record(p, 1).truncated(300)
+        pem._gain_memo.clear()
+        alone = pem.map_estimates(rec_b, [40, 100, 300], p, *priors)
+        pem._gain_memo.clear()
+        pem.map_estimates(rec_a, [len(rec_a.outcomes)], p, *priors)
+        assert pem.map_estimates(rec_b, [40, 100, 300], p, *priors) == alone
+
+    @pytest.mark.parametrize("change", ["grid", "params", "spin prior"])
+    def test_table_is_not_reused_for_other_inputs(self, change):
+        # a table built for other gains must not serve the pass
+        p = _small_params()
+        prior_omega, prior_spin = _priors(p, spin_sigma=1.0)
+        grid = np.linspace(2.0, 4.0, 5)
+        rec = MeasurementRecord(p.Delta,
+                                np.random.default_rng(7).normal(size=20))
+        other = {"grid": (grid + 1e-9, p, prior_spin),
+                 "params": (grid, replace(p, q=0.6), prior_spin),
+                 "spin prior": (grid, p, _priors(p, spin_sigma=1.1)[1])}
+        pem._gain_memo.clear()
+        cold = pem.neg_log_joint_grid(grid, rec, p, prior_omega, prior_spin)
+        pem._gain_memo.clear()
+        g, q, s = other[change]
+        pem.neg_log_joint_grid(g, rec, q, prior_omega, s)
+        warm = pem.neg_log_joint_grid(grid, rec, p, prior_omega, prior_spin)
+        assert warm.tobytes() == cold.tobytes()
+
+    def test_table_is_read_only(self):
+        p = _small_params()
+        prior_omega, prior_spin = _priors(p, spin_sigma=1.0)
+        rec = MeasurementRecord(p.Delta, np.arange(6.0))
+        pem.neg_log_joint_grid(np.linspace(2.0, 4.0, 5), rec, p, prior_omega,
+                               prior_spin)
+        table, = pem._gain_memo.values()
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 0.0
+
+    def test_record_over_the_limit_keeps_no_table(self, monkeypatch):
+        # one step past the limit, the gains are streamed, the table kept
+        # before is evicted, and J keeps its bits
+        p = _small_params()
+        prior_omega, prior_spin = _priors(p, spin_sigma=1.0)
+        rec = MeasurementRecord(p.Delta,
+                                np.random.default_rng(5).normal(size=40))
+        grid = np.linspace(2.0, 4.0, 7)
+        kept = pem.neg_log_joint_grid(grid, rec, p, prior_omega, prior_spin)
+        assert len(pem._gain_memo) == 1
+        monkeypatch.setattr(pem, "_TABLE_BYTES", 39 * 4 * grid.nbytes)
+        streamed = pem.neg_log_joint_grid(grid + 0.5, rec, p, prior_omega,
+                                          prior_spin)
+        assert not pem._gain_memo
+        assert streamed.tobytes() == pem_reference.neg_log_joint_prefixes(
+            grid + 0.5, rec, p, prior_omega, prior_spin, [40])[0].tobytes()
+        again = pem.neg_log_joint_grid(grid, rec, p, prior_omega, prior_spin)
+        assert not pem._gain_memo
+        assert again.tobytes() == kept.tobytes()
 
 
 class TestScore:
@@ -215,6 +321,55 @@ class TestScore:
                 for step in (h, h / 2.0))
             assert score == pytest.approx((4.0 * fine - coarse) / 3.0,
                                           rel=1e-5)
+
+
+    @pytest.mark.parametrize("t", [1e-4, 1e-3, 5e-3])
+    def test_information_matches_noiseless_fisher_information(self, t):
+        # q = 0 and a pinned spin leave a deterministic damped sinusoid in
+        # white noise, whose Fisher information is known in closed form
+        p = SpmParams(q=0.0)
+        sigma = 2.0 * math.pi * 2e3
+        prior_omega, prior_spin = _priors(p, sigma)
+        omega = p.omega_bar + 300.0
+        _, rec = simulate(p, Constant(omega), t, seed=1)
+        _, _, info = pem.score_and_information(
+            omega, rec, p, prior_omega, prior_spin, len(rec.outcomes))
+        assert info - 1.0 / sigma ** 2 == pytest.approx(
+            bounds.fi_noiseless_discrete(omega, t, p), rel=1e-12)
+
+    def test_information_matches_central_differences(self):
+        # both terms of I, (d eps/d omega)^2 / S and (d S/d omega / S)^2 / 2,
+        # from central differences of the float passes' innovations; the
+        # parameters make S depend on omega strongly
+        p = _small_params()
+        prior_omega, prior_spin = _priors(p, sigma_omega=10.0, spin_sigma=50.0)
+        rec = MeasurementRecord(p.Delta,
+                                np.random.default_rng(8).normal(size=30) * 5.0)
+        omega, h = 3.2, 1e-5
+        _, _, info = pem.score_and_information(omega, rec, p, prior_omega,
+                                               prior_spin, 30)
+        mid, plus, minus = (pem.kalman_neg_log_joint(
+            w, rec, p, prior_omega, prior_spin) for w in (omega, omega + h,
+                                                          omega - h))
+        d_resid = (plus.residuals - minus.residuals) / (2.0 * h)
+        d_s = (plus.innovation_vars - minus.innovation_vars) / (2.0 * h)
+        s = mid.innovation_vars
+        s_term = 0.5 * np.sum((d_s / s) ** 2)
+        assert s_term > 0.1 * info
+        want = np.sum(d_resid ** 2 / s) + s_term + 1.0 / 10.0 ** 2
+        assert info == pytest.approx(want, rel=1e-7)
+
+    def test_score_and_j_match_their_own_passes(self):
+        p = SpmParams()
+        prior_omega, prior_spin = _priors(p, 2.0 * math.pi * 2e3, 0.1 * p.N)
+        rec = _c06_record(p, 2)
+        omega = p.omega_bar + 123.0
+        j, score, _ = pem.score_and_information(omega, rec, p, prior_omega,
+                                                prior_spin, 700)
+        assert score == pem.neg_log_joint_score(omega, rec, p, prior_omega,
+                                                prior_spin, [700])[0]
+        assert j == pytest.approx(pem.neg_log_joint_prefixes(
+            omega, rec, p, prior_omega, prior_spin, [700])[0], rel=1e-14)
 
 
 class TestMapEstimate:
@@ -305,15 +460,20 @@ class TestMapEstimate:
             omega = p.omega_bar + sigma * rng.standard_normal()
             _, rec = simulate(p, Constant(omega), ks[-1] * p.Delta, seed=rng)
             fits = pem.map_estimates(rec, ks, p, *priors)
-            golden = pem_reference.map_estimates(rec, ks, p, *priors)
-            for (w, j), (w_ref, j_ref) in zip(fits, golden):
-                assert abs(w - w_ref) <= pem.MAP_TOL
-                assert j == pytest.approx(j_ref, rel=1e-6)
+            for oracle in (pem_reference.map_estimates,
+                           pem_reference.brent_map_estimates):
+                for (w, j), (w_ref, j_ref) in zip(
+                        fits, oracle(rec, ks, p, *priors)):
+                    assert abs(w - w_ref) <= pem.MAP_TOL
+                    assert j == pytest.approx(j_ref, rel=1e-6)
 
     def test_score_without_sign_change_raises(self, monkeypatch):
-        score = pem.neg_log_joint_score
-        monkeypatch.setattr(pem, "neg_log_joint_score",
-                            lambda *args: [abs(s) for s in score(*args)])
+        terms = pem.score_and_information
+
+        def positive_score(*args):
+            j, score, info = terms(*args)
+            return j, abs(score), info
+        monkeypatch.setattr(pem, "score_and_information", positive_score)
         p = SpmParams()
         sigma = 2.0 * math.pi * 2e3
         _, rec = simulate(p, Constant(p.omega_bar + 500.0), 5e-4, seed=4)
@@ -329,3 +489,58 @@ class TestMapEstimate:
         rec = MeasurementRecord(p.Delta, np.zeros(100))
         with pytest.raises(InvalidParametersError):
             pem.map_estimates(rec, lengths, p, prior_omega, prior_spin)
+
+
+class TestMapPassBudget:
+    @staticmethod
+    def _count_passes(monkeypatch):
+        passes = {"grid": 0, "float": 0, "complex": 0}
+        prefixes = pem.neg_log_joint_prefixes
+
+        def counted(omega, *args, **kwargs):
+            kind = ("grid" if isinstance(omega, np.ndarray) else
+                    "complex" if isinstance(omega, complex) else "float")
+            passes[kind] += 1
+            return prefixes(omega, *args, **kwargs)
+        monkeypatch.setattr(pem, "neg_log_joint_prefixes", counted)
+        return passes
+
+    def test_fits_take_one_grid_pass_and_few_complex_passes(self,
+                                                            monkeypatch):
+        p = SpmParams()
+        priors = _c06_priors(p)
+        ks = sde_sim.sample_indices(C06_TIMES, p.Delta)
+        passes = self._count_passes(monkeypatch)
+        complex_passes = 0
+        runs = 4
+        for r in range(runs):
+            rec = _c06_record(p, r)
+            passes.update(grid=0, float=0, complex=0)
+            pem.map_estimates(rec, ks, p, *priors)
+            assert passes["grid"] == 1
+            assert passes["float"] == 0
+            complex_passes += passes["complex"]
+        assert complex_passes <= 4 * runs * len(ks)
+
+    def test_bisection_fallback_converges(self, monkeypatch):
+        # an information a million times too small makes every scoring step
+        # leave the bracket, so the fit runs on bisection alone
+        p = SpmParams()
+        priors = _c06_priors(p)
+        ks = sde_sim.sample_indices(C06_TIMES, p.Delta)
+        rec = _c06_record(p, 0)
+        fits = pem.map_estimates(rec, ks, p, *priors)
+        terms = pem.score_and_information
+        passes = []
+
+        def weak_information(*args):
+            passes.append(args[-1])
+            j, score, info = terms(*args)
+            return j, score, 1e-6 * info
+        monkeypatch.setattr(pem, "score_and_information", weak_information)
+        forced = pem.map_estimates(rec, ks, p, *priors)
+        assert len(passes) > 10 * len(ks)
+        for k, (w, j), (w_ref, _) in zip(ks, forced, fits):
+            assert abs(w - w_ref) <= pem.MAP_TOL
+            assert j == pytest.approx(pem.neg_log_joint_prefixes(
+                w, rec, p, *priors, [k])[0] / k, rel=1e-12)

@@ -32,6 +32,15 @@ and ``test_filters`` bounds the distance between the two.  The loop-simulator
 and golden-section oracles run with it, so that each oracle still
 reproduces every digest recorded before its own change.
 
+The outputs that fit a MAP estimate were re-recorded when the fit moved from
+Brent's method on the score, followed by a float pass for J, to Fisher
+scoring that reads J from its last complex pass.  Brent's fit is kept as
+``pem_reference.brent_map_estimates``; run in place of the new fit it still
+reproduces the digests recorded before, and ``test_pem`` bounds the distance
+between the two.  The matrix-filter, six-point and loop-simulator oracles run
+with it, so that each of them still reproduces every digest recorded before
+its own change.
+
 A digest is the leading 16 hex digits of the SHA-256 of the outputs' float64
 bytes, or of a CLI output file's bytes.  They were recorded with numpy 2.4
 and scipy 1.17 on x86-64 Linux; a different libm or BLAS build may
@@ -151,9 +160,9 @@ RECORDED = {
     "simulate sinusoid": "9490538c3e788554",
     "simulate step": "7cc907eb36f4c259",
     "simulate wiener": "ab8be40e3e877a6a",
-    "sweep N": "8a0c639fdb3334a0",
-    "sweep delta": "0ac13ec6de9b82f2",
-    "sweep time": "977517b704669345",
+    "sweep N": "8acb62f5284ca016",
+    "sweep delta": "5f1147f0962eb67a",
+    "sweep time": "a12786444d91da48",
     "sweep time 13 runs": "b63e5ecf8296e2b0",
     "track ou ckf": "0ec1678974ce00c3",
     "track ou ekf": "09154eb67c2dadcd",
@@ -197,6 +206,13 @@ RECORDED_GOLDEN_SECTION = {
     "sweep time": "a5f9f8c9c3f0f3a1",
 }
 
+# the outputs that changed, as Brent's method on the score gave them
+RECORDED_BRENT = {
+    "sweep N": "8a0c639fdb3334a0",
+    "sweep delta": "0ac13ec6de9b82f2",
+    "sweep time": "977517b704669345",
+}
+
 RECORDED_LOOP_SIMULATOR_MATRIX_FILTER = {
     "track ou ckf": "6fae5aa661c50a1f",
     "track ou ekf": "e68ae6d26b5ec7e9",
@@ -209,17 +225,22 @@ def loop_simulator(monkeypatch):
 
 
 @pytest.fixture
-def matrix_filter(monkeypatch):
+def brent(monkeypatch):
+    monkeypatch.setattr(pem, "map_estimates", pem_reference.brent_map_estimates)
+
+
+@pytest.fixture
+def matrix_filter(monkeypatch, brent):
     monkeypatch.setattr(filters, "run_filter", reference.run_filter)
 
 
 @pytest.fixture
-def six_point_cubature(monkeypatch):
+def six_point_cubature(monkeypatch, brent):
     monkeypatch.setattr(filters, "run_filter", reference.six_point_run_filter)
 
 
 @pytest.fixture
-def golden_section(monkeypatch):
+def golden_section(monkeypatch, brent):
     monkeypatch.setattr(pem, "map_estimates", pem_reference.map_estimates)
     monkeypatch.setattr(bounds, "bcrb_numeric_curve",
                         pem_reference.bcrb_numeric_curve)
@@ -228,6 +249,11 @@ def golden_section(monkeypatch):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_recorded(name):
     assert _digest(CASES[name]()) == RECORDED[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_BRENT))
+def test_brent_output_matches_recorded(name, brent):
+    assert _digest(CASES[name]()) == RECORDED_BRENT[name]
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED_MATRIX_FILTER))
@@ -249,7 +275,8 @@ def test_golden_section_output_matches_recorded(name, golden_section,
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_loop_simulator_output_matches_recorded(name, loop_simulator,
                                                 six_point_cubature):
-    expected = {**RECORDED, **RECORDED_SIX_POINT, **RECORDED_LOOP_SIMULATOR}
+    expected = {**RECORDED, **RECORDED_BRENT, **RECORDED_SIX_POINT,
+                **RECORDED_LOOP_SIMULATOR}
     assert _digest(CASES[name]()) == expected[name]
 
 
@@ -287,7 +314,7 @@ RECORDED_CSV = {
     "bcrb": "647089fa7e3732be",
     "estimate": "89004b7223e647ec",
     "sweep-n": "e33b298b5c217210",
-    "sweep-time": "26d240a3a96a2373",
+    "sweep-time": "24f2153a187cb7b0",
     "track": "9a479d4ceac395e2",
 }
 
@@ -309,6 +336,8 @@ RECORDED_GOLDEN_SECTION_CSV = {
     "sweep-time": "5afafaac5d3c4218",
 }
 
+RECORDED_BRENT_CSV = {"sweep-time": "26d240a3a96a2373"}
+
 RECORDED_LOOP_SIMULATOR_CSV = {"track": "98697494fabff3dd"}
 
 RECORDED_LOOP_SIMULATOR_MATRIX_FILTER_CSV = {"track": "4cb516eee932b13d"}
@@ -326,6 +355,11 @@ def _cli_digest(name, tmp_path) -> str:
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_csv_matches_recorded(name, tmp_path):
     assert _cli_digest(name, tmp_path) == RECORDED_CSV[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_BRENT_CSV))
+def test_brent_cli_csv_matches_recorded(name, tmp_path, brent):
+    assert _cli_digest(name, tmp_path) == RECORDED_BRENT_CSV[name]
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED_MATRIX_FILTER_CSV))
@@ -350,7 +384,7 @@ def test_golden_section_cli_csv_matches_recorded(name, tmp_path,
 def test_loop_simulator_cli_csv_matches_recorded(name, tmp_path,
                                                   loop_simulator,
                                                   six_point_cubature):
-    expected = {**RECORDED_CSV, **RECORDED_SIX_POINT_CSV,
+    expected = {**RECORDED_CSV, **RECORDED_BRENT_CSV, **RECORDED_SIX_POINT_CSV,
                 **RECORDED_LOOP_SIMULATOR_CSV}
     assert _cli_digest(name, tmp_path) == expected[name]
 

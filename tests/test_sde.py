@@ -477,6 +477,22 @@ class TestMeasurementRecord:
         with pytest.raises(InvalidParametersError, match="empty"):
             sde_sim.MeasurementRecord.from_csv(path)
 
+    @pytest.mark.parametrize("at", [-1, -2], ids=["last", "next to last"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_outcome_rejected(self, tmp_path, at, bad):
+        # a filter pass checks the state after each prediction, so an inf in
+        # the last sample would come out as its final estimate unchecked
+        outcomes = np.arange(1.0, 5.0)
+        outcomes[at] = bad
+        with pytest.raises(InvalidParametersError, match="finite"):
+            sde_sim.MeasurementRecord(5e-6, outcomes)
+        path = tmp_path / "rec.csv"
+        rows = enumerate(outcomes.tolist(), 1)
+        path.write_text("t,y\n" + "".join(f"{5e-6 * k!r},{y!r}\n"
+                                           for k, y in rows))
+        with pytest.raises(InvalidParametersError, match="finite"):
+            sde_sim.MeasurementRecord.from_csv(path)
+
     def test_csv_nonuniform_times_rejected(self, tmp_path):
         path = tmp_path / "rec.csv"
         path.write_bytes(b"t,y\r\n5e-06,1.0\r\n1e-05,2.0\r\n3e-05,3.0\r\n")
