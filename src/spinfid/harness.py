@@ -6,6 +6,17 @@ streams are spawned from the master seed by run index, so results are
 reproducible and independent of evaluation order.  Estimator errors are
 always measured against the true instantaneous frequency of the simulated
 shot, never against the nominal value.
+
+A sweep point's Monte-Carlo runs and its ``bcrb_numeric`` bound are
+independent, so they are spread over W worker processes, W = the number of
+CPUs in the process's affinity mask (``os.sched_getaffinity``), at most one
+per item; ``taskset -c 0`` makes every sweep serial.  The calling process
+is worker 0 and ``os.fork`` starts the others.  Results are unchanged, bit
+for bit: the parent merges the outcomes in run order, then excludes failed
+runs and evaluates the bounds exactly as one process would, so excluded
+runs and raised errors are the same too.  Fan-out happens only where
+``os.fork`` and ``os.sched_getaffinity`` exist (Linux); elsewhere, and for
+a point with one item, everything runs in the calling process.
 """
 
 from __future__ import annotations
@@ -13,6 +24,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -224,17 +238,22 @@ def _single_run_errors(cfg: ExperimentConfig, p: SpmParams, rng, ks, substeps):
     return out
 
 
-def _time_bounds(cfg: ExperimentConfig, p: SpmParams, times):
+def _numeric_bound(cfg: ExperimentConfig, p: SpmParams, times):
+    """(bcrb_numeric, its MC standard error) at ``times``, in rad/s."""
+    results = bounds.bcrb_numeric_curve(p, *_blocks(_prior(cfg, p)), times,
+                                        cfg.bound_samples, seed=cfg.seed + 1,
+                                        substeps=cfg.substeps)
+    vals = np.array([r.value for r in results])
+    ses = np.array([r.mc_std_err for r in results])
+    return np.sqrt(vals), ses / (2.0 * np.sqrt(vals))
+
+
+def _time_bounds(cfg: ExperimentConfig, p: SpmParams, times, numeric=None):
+    """The configured bounds at ``times``: ``numeric``, the
+    ``_numeric_bound`` pair a sweep worker computed, and the closed forms."""
     out, out_se = {}, {}
-    if "bcrb_numeric" in cfg.bounds:
-        results = bounds.bcrb_numeric_curve(p, *_blocks(_prior(cfg, p)), times,
-                                            cfg.bound_samples,
-                                            seed=cfg.seed + 1,
-                                            substeps=cfg.substeps)
-        vals = np.array([r.value for r in results])
-        ses = np.array([r.mc_std_err for r in results])
-        out["bcrb_numeric"] = np.sqrt(vals)
-        out_se["bcrb_numeric"] = ses / (2.0 * np.sqrt(vals))
+    if numeric is not None:
+        out["bcrb_numeric"], out_se["bcrb_numeric"] = numeric
     if "bcrb_analytic" in cfg.bounds:
         out["bcrb_analytic"] = np.sqrt([
             bounds.bcrb_analytic_gaussian_prior(p, cfg.sigma_omega, t)
@@ -249,13 +268,118 @@ def _time_bounds(cfg: ExperimentConfig, p: SpmParams, times):
     return out, out_se
 
 
+def _cpus() -> int:
+    """Worker processes a sweep point may use: the CPUs of the affinity
+    mask, or 1 where this platform cannot fork or has no such mask."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _work(task, share) -> dict:
+    """{i: task(i), or the exception it raised} for i in ``share``, in
+    order.  An exception that is not a run failure ends the sweep, so the
+    items after it are not run."""
+    out = {}
+    for i in share:
+        try:
+            out[i] = task(i)
+        except Exception as exc:
+            out[i] = exc
+            if not isinstance(exc, _RUN_ERRORS):
+                break
+    return out
+
+
+def _fork(task, share) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a child that sends ``_work(task,
+    share)`` back pickled, then exits without returning to the caller."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid:
+        os.close(wfd)
+        return pid, rfd
+    status = 1
+    try:
+        os.close(rfd)
+        data = pickle.dumps(_work(task, share), pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(wfd, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(pid: int, rfd: int) -> dict:
+    """The outcomes a forked child sent, once it has exited."""
+    try:
+        with os.fdopen(rfd, "rb") as fh:
+            data = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0 or not data:
+        raise RuntimeError("a sweep worker exited without its results (exit "
+                           f"code {os.waitstatus_to_exitcode(status)})")
+    return pickle.loads(data)
+
+
+def _fan_out(task, shares) -> dict:
+    """``_work`` over every share: the first in this process, each of the
+    others in a forked child (in this process too if no child can be
+    forked).  Every child is reaped before this returns or raises."""
+    own = list(shares[0])
+    children = {}
+    try:
+        for share in shares[1:]:
+            try:
+                pid, rfd = _fork(task, share)
+            except OSError:
+                own += share
+                continue
+            children[pid] = rfd
+        out = _work(task, sorted(own))
+        for pid in list(children):
+            out.update(_receive(pid, children.pop(pid)))
+        return out
+    finally:
+        for pid, rfd in children.items():
+            os.close(rfd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _point_outcomes(cfg: ExperimentConfig, p: SpmParams, substeps, times,
+                    ks) -> dict:
+    """{run r: its errors or exception} for every run of a sweep point and,
+    when ``bcrb_numeric`` is configured, {cfg.runs: its ``_numeric_bound``
+    pair or exception}.  Run r goes to worker r mod W and the bound to
+    worker W - 1, so run 0 stays in this process."""
+    def task(i):
+        if i == cfg.runs:
+            return _numeric_bound(cfg, p, times)
+        return _single_run_errors(cfg, p, _run_rng(cfg.seed, i), ks, substeps)
+
+    numeric = "bcrb_numeric" in cfg.bounds
+    workers = min(_cpus(), cfg.runs + numeric)
+    shares = [list(range(w, cfg.runs, workers)) for w in range(workers)]
+    if numeric:
+        shares[-1].append(cfg.runs)
+    return _fan_out(task, shares)
+
+
 def _sweep(cfg: ExperimentConfig, axis_name: str, axis, points) -> ErrorCurve:
     """Monte-Carlo driver of every sweep axis.
 
     ``points`` lists (params, substeps, probe times), one per grid point;
     each contributes one curve entry per probe time.  Every point runs
     ``cfg.runs`` shots on the same per-run RNG streams, and the configured
-    bounds are evaluated at its probe times.
+    bounds are evaluated at its probe times.  The outcomes are read in run
+    order, as if the runs had been made one after the other here.
     """
     ks = [sde_sim.sample_indices(times, p.Delta) for p, _, times in points]
     rmse = {e: [] for e in cfg.estimators}
@@ -263,15 +387,16 @@ def _sweep(cfg: ExperimentConfig, axis_name: str, axis, points) -> ErrorCurve:
     bound, bound_se = {}, {}
     excluded = 0
     for (p, substeps, times), point_ks in zip(points, ks):
+        outcomes = _point_outcomes(cfg, p, substeps, times, point_ks)
         sq = {e: [] for e in cfg.estimators}
         failures = []
         for r in range(cfg.runs):
-            rng = _run_rng(cfg.seed, r)
-            try:
-                errs = _single_run_errors(cfg, p, rng, point_ks, substeps)
-            except _RUN_ERRORS as exc:
-                failures.append(exc)
+            errs = outcomes[r]
+            if isinstance(errs, _RUN_ERRORS):
+                failures.append(errs)
                 continue
+            if isinstance(errs, Exception):
+                raise errs
             for e, vals in errs.items():
                 sq[e].append(np.square(vals))
         excluded += _check_exclusions(failures, cfg.runs)
@@ -279,7 +404,10 @@ def _sweep(cfg: ExperimentConfig, axis_name: str, axis, points) -> ErrorCurve:
             rms, se = _rms_and_stderr(np.array(sq[e]).T)
             rmse[e].append(rms)
             rmse_se[e].append(se)
-        b, b_se = _time_bounds(cfg, p, times)
+        numeric = outcomes.get(cfg.runs)
+        if isinstance(numeric, Exception):
+            raise numeric
+        b, b_se = _time_bounds(cfg, p, times, numeric)
         for name, vals in b.items():
             bound.setdefault(name, []).append(vals)
         for name, vals in b_se.items():

@@ -159,8 +159,14 @@ def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
     kept table (see ``_grid_gains``), a scalar from ``_gains`` step by
     step; both give the same bits.  ``innovations``, if given, receives
     (residual, S_j) for every sample processed.  A non-finite J raises
-    FloatingPointError.
+    FloatingPointError; lengths that are empty, do not ascend or leave
+    1..len(record) raise InvalidParametersError before any pass or table.
     """
+    lengths = list(lengths)
+    if (not lengths or lengths[0] < 1 or lengths[-1] > len(rec.outcomes)
+            or lengths != sorted(lengths)):
+        raise InvalidParametersError(
+            "record lengths must ascend within 1..len(record)")
     ca, sa = _rotation(omega, p)
     neg_sa = -sa
     g = p.g_D
@@ -305,12 +311,6 @@ def map_estimates(rec: MeasurementRecord, lengths, p: SpmParams,
     """:func:`map_estimate` of ``rec.truncated(k)`` for each k in ascending
     ``lengths``; one likelihood pass gives the grid at every k."""
     lengths = list(lengths)
-    if len(rec.outcomes) == 0:
-        raise InvalidParametersError("empty measurement record")
-    if (not lengths or lengths[0] < 1 or lengths[-1] > len(rec.outcomes)
-            or lengths != sorted(lengths)):
-        raise InvalidParametersError(
-            "record lengths must ascend within 1..len(record)")
     mu = float(prior_omega.mean[0])
     sigma = math.sqrt(float(prior_omega.cov[0, 0]))
     grid = np.linspace(mu - MAP_BRACKET_SIGMAS * sigma,

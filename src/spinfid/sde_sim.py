@@ -111,6 +111,9 @@ class MeasurementRecord:
     outcomes: np.ndarray  # pA
 
     def __post_init__(self):
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise InvalidParametersError(
+                "sampling period must be finite and positive")
         # a filter checks its state after each prediction only, so a
         # non-finite last sample would come out as its final estimate
         if not np.isfinite(self.outcomes).all():

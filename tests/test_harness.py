@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from spinfid import harness
 from spinfid.bounds import noiseless_bcrb_floor
 from spinfid.errors import (ExclusionLimitError, InvalidParametersError,
-                            MapBoundaryError)
+                            MapBoundaryError, NumericalDegeneracyError)
 from spinfid.harness import (ErrorCurve, ExperimentConfig, run_error_vs_N,
                              run_error_vs_delta, run_error_vs_time,
                              run_tracking)
@@ -16,6 +17,18 @@ from spinfid.model import (Constant, OrnsteinUhlenbeck, Sinusoid, SpmParams,
                            Wiener, deterministic_omega)
 
 TWO_PI = 2.0 * math.pi
+
+
+def _run_outcomes(cfg: ExperimentConfig, r: int) -> np.ndarray:
+    """The outcomes of run r's record in a time sweep, simulated as the
+    sweep simulates them."""
+    p = cfg.params
+    rng = harness._run_rng(cfg.seed, r)
+    omega = p.omega_bar + cfg.sigma_omega * rng.standard_normal()
+    k = max(harness.sde_sim.sample_indices(cfg.sweep_values, p.Delta))
+    _, rec = harness.sde_sim.simulate(p, Constant(omega), k * p.Delta,
+                                      substeps=cfg.substeps, seed=rng)
+    return rec.outcomes
 
 
 class TestConfig:
@@ -167,15 +180,18 @@ class TestErrorVsTime:
             run_error_vs_time(cfg)
 
     def test_score_without_sign_change_excludes_the_run(self, monkeypatch):
-        # the score is positive across the first run's MAP bracket, so that
-        # fit raises and the sweep keeps only the second run
+        # the score is positive across run 0's MAP bracket, so that fit
+        # raises and the sweep keeps only the second run; run 0's record is
+        # recognised by its outcomes, in whichever process fits it
+        cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4,),
+                               runs=2, estimators=("pem",))
+        first = _run_outcomes(cfg, 0)
         terms = harness.pem.score_and_information
-        records = []
 
         def first_record_positive(omega, rec, *args):
-            records.append(rec)
             j, score, info = terms(omega, rec, *args)
-            return j, abs(score) if rec is records[0] else score, info
+            return (j, abs(score) if np.array_equal(rec.outcomes, first)
+                    else score, info)
         monkeypatch.setattr(harness.pem, "score_and_information",
                             first_record_positive)
         failures = []
@@ -186,8 +202,6 @@ class TestErrorVsTime:
             return check(found, runs)
         monkeypatch.setattr(harness, "_check_exclusions", kept_failures)
         monkeypatch.setattr(harness, "MAX_EXCLUSION_FRACTION", 0.5)
-        cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4,),
-                               runs=2, estimators=("pem",))
         curve = run_error_vs_time(cfg)
         assert curve.excluded_runs == 1
         failure, = failures
@@ -298,3 +312,197 @@ class TestTracking:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,rmse_ekf,stderr_ekf,floor"
         assert lines[1].startswith("1,0.5,0.05,0.1")
+
+
+def _sweep_on(monkeypatch, workers, run, cfg):
+    """run(cfg) with ``workers`` sweep workers: its curve, or the exception
+    it raised.  No child process is left either way."""
+    monkeypatch.setattr(harness, "_cpus", lambda: workers)
+    try:
+        return run(cfg)
+    except Exception as exc:
+        return exc
+    finally:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_same_curves(a, b):
+    assert isinstance(a, ErrorCurve) and isinstance(b, ErrorCurve)
+    assert a.axis_name == b.axis_name
+    assert a.axis.tobytes() == b.axis.tobytes()
+    assert a.excluded_runs == b.excluded_runs
+    for group in ("rmse", "rmse_stderr", "bound", "bound_stderr"):
+        da, db = getattr(a, group), getattr(b, group)
+        assert list(da) == list(db)
+        for key in da:
+            assert da[key].dtype == db[key].dtype
+            assert da[key].tobytes() == db[key].tobytes(), (group, key)
+
+
+def _assert_same_error(a, b):
+    assert isinstance(a, Exception) and type(a) is type(b)
+    assert str(a) == str(b)
+
+
+def _fail_runs(monkeypatch, cfg, errors):
+    """Make the MAP fit of run r raise errors[r]; the other runs fit as
+    usual."""
+    fit = harness.pem.map_estimates
+    marked = {_run_outcomes(cfg, r).tobytes(): exc for r, exc in errors.items()}
+
+    def fit_or_fail(rec, *args):
+        exc = marked.get(rec.outcomes.tobytes())
+        if exc is not None:
+            raise exc
+        return fit(rec, *args)
+    monkeypatch.setattr(harness.pem, "map_estimates", fit_or_fail)
+
+
+_EVERY_KIND = dict(runs=3, estimators=("ekf", "ckf", "pem"), bound_samples=4,
+                   bounds=("bcrb_numeric", "bcrb_analytic", "crb", "floor"))
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("run, cfg", [
+        (run_error_vs_time, ExperimentConfig(
+            sweep_axis="time", sweep_values=(1e-4, 2e-4), seed=3,
+            **_EVERY_KIND)),
+        (run_error_vs_N, ExperimentConfig(
+            sweep_axis="atoms", sweep_values=(1e11, 2e11), duration=1e-4,
+            params=SpmParams(T2_override=None), **_EVERY_KIND)),
+        (run_error_vs_delta, ExperimentConfig(
+            sweep_axis="sampling", sweep_values=(1e-5, 5e-6), duration=1e-4,
+            **_EVERY_KIND)),
+    ], ids=["time", "atoms", "sampling"])
+    def test_parallel_equals_serial(self, monkeypatch, run, cfg):
+        serial = _sweep_on(monkeypatch, 1, run, cfg)
+        assert isinstance(serial, ErrorCurve)
+        assert set(serial.bound) == set(cfg.bounds)
+        # 2 workers: runs 0, 2 here, runs 1, 3 and the bound in a child;
+        # 4: every item in its own process
+        for workers in (2, 4):
+            _assert_same_curves(_sweep_on(monkeypatch, workers, run, cfg),
+                                serial)
+
+    def test_split(self, monkeypatch):
+        # run r on worker r mod W, the bound on the last worker
+        monkeypatch.setattr(harness, "_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_single_run_errors",
+                            lambda *args: os.getpid())
+        monkeypatch.setattr(harness, "_numeric_bound",
+                            lambda *args: os.getpid())
+        cfg = ExperimentConfig(runs=3, bounds=("bcrb_numeric",))
+        pids = harness._point_outcomes(cfg, cfg.params, 5, [1e-4], [20])
+        here = os.getpid()
+        assert pids[0] == pids[2] == here
+        assert pids[1] == pids[3] != here
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_item_never_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+        monkeypatch.setattr(harness.os, "fork", no_fork)
+        cfg = ExperimentConfig(sweep_axis="sampling", sweep_values=(1e-5, 5e-6),
+                               duration=1e-4, bounds=("crb", "floor"))
+        assert isinstance(_sweep_on(monkeypatch, 2, run_error_vs_delta, cfg),
+                          ErrorCurve)
+
+    def test_run_0_warms_the_gain_table_here(self, monkeypatch):
+        # the bound goes to a child, and the MAP table of run 0 stays here
+        monkeypatch.setattr(harness.pem, "_gain_memo", {})
+        cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4,),
+                               estimators=("pem",), bounds=("bcrb_numeric",),
+                               bound_samples=4)
+        assert isinstance(_sweep_on(monkeypatch, 2, run_error_vs_time, cfg),
+                          ErrorCurve)
+        assert len(harness.pem._gain_memo) == 1
+
+    @pytest.mark.parametrize("limit", [0.5, harness.MAX_EXCLUSION_FRACTION])
+    def test_runs_failed_in_a_child_are_excluded_as_in_serial(
+            self, monkeypatch, limit):
+        cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4,),
+                               runs=4, estimators=("pem",))
+        # run 1 fails in the child, run 2 here
+        _fail_runs(monkeypatch, cfg, {1: MapBoundaryError("run 1"),
+                                      2: MapBoundaryError("run 2")})
+        monkeypatch.setattr(harness, "MAX_EXCLUSION_FRACTION", limit)
+        serial = _sweep_on(monkeypatch, 1, run_error_vs_time, cfg)
+        parallel = _sweep_on(monkeypatch, 2, run_error_vs_time, cfg)
+        if limit == 0.5:
+            assert serial.excluded_runs == 2
+            _assert_same_curves(parallel, serial)
+        else:
+            assert isinstance(serial, ExclusionLimitError)
+            assert str(serial) == ("2 of 4 runs failed (limit 1%); "
+                                   "first failure: run 1")
+            _assert_same_error(parallel, serial)
+
+    @pytest.mark.parametrize("errors, message", [
+        ({1: ValueError("run 1"), 3: ValueError("run 3")}, "run 1"),
+        ({1: MapBoundaryError("run 1"), 2: ValueError("run 2"),
+          3: ValueError("run 3")}, "run 2"),
+        ({2: ValueError("run 2"), 3: ValueError("run 3")}, "run 2"),
+        ({1: ValueError("run 1"), 2: ValueError("run 2")}, "run 1"),
+    ])
+    def test_the_first_run_error_is_raised_as_in_serial(self, monkeypatch,
+                                                         errors, message):
+        cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4,),
+                               runs=4, estimators=("pem",))
+        _fail_runs(monkeypatch, cfg, errors)
+        monkeypatch.setattr(harness, "MAX_EXCLUSION_FRACTION", 0.5)
+        serial = _sweep_on(monkeypatch, 1, run_error_vs_time, cfg)
+        assert isinstance(serial, ValueError) and str(serial) == message
+        _assert_same_error(_sweep_on(monkeypatch, 2, run_error_vs_time, cfg),
+                           serial)
+
+    @pytest.mark.parametrize("failed_runs", [{}, {1: MapBoundaryError("run 1")}])
+    def test_bound_error_is_raised_after_the_exclusion_check(
+            self, monkeypatch, failed_runs):
+        def broken(*args, **kwargs):
+            raise NumericalDegeneracyError("bound broke")
+        monkeypatch.setattr(harness.bounds, "bcrb_numeric_curve", broken)
+        cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4,),
+                               runs=2, estimators=("pem",),
+                               bounds=("bcrb_numeric", "floor"))
+        _fail_runs(monkeypatch, cfg, failed_runs)
+        serial = _sweep_on(monkeypatch, 1, run_error_vs_time, cfg)
+        expected = (ExclusionLimitError if failed_runs
+                    else NumericalDegeneracyError)
+        assert type(serial) is expected
+        _assert_same_error(_sweep_on(monkeypatch, 2, run_error_vs_time, cfg),
+                           serial)
+
+    def test_no_fork_runs_everything_here(self, monkeypatch):
+        cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4,),
+                               seed=3, **_EVERY_KIND)
+        serial = _sweep_on(monkeypatch, 1, run_error_vs_time, cfg)
+
+        def no_process(*args):
+            raise BlockingIOError("no process to be had")
+        monkeypatch.setattr(harness.os, "fork", no_process)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        _assert_same_curves(_sweep_on(monkeypatch, 2, run_error_vs_time, cfg),
+                            serial)
+        assert sorted(os.listdir("/proc/self/fd")) == fds  # no pipe left open
+
+    def test_a_child_that_dies_is_reported(self, monkeypatch):
+        parent = os.getpid()
+        run = harness._single_run_errors
+
+        def die_in_a_child(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run(*args)
+        monkeypatch.setattr(harness, "_single_run_errors", die_in_a_child)
+        cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4,), runs=2)
+        error = _sweep_on(monkeypatch, 2, run_error_vs_time, cfg)
+        assert isinstance(error, RuntimeError)
+        assert str(error) == ("a sweep worker exited without its results "
+                              "(exit code 3)")
+
+    def test_cpus_is_the_affinity_mask(self, monkeypatch):
+        assert harness._cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "fork")
+        assert harness._cpus() == 1

@@ -194,6 +194,39 @@ class TestNegLogJoint:
         with pytest.raises(FloatingPointError):
             pem.kalman_neg_log_joint(3.0, rec, p, prior_omega, prior_spin)
 
+    @pytest.mark.parametrize("lengths", [[], [0], [-1, 3], [4, 3], [5, 6],
+                                         [5, 50]])
+    @pytest.mark.parametrize("omega", [3.0, complex(3.0, 1e-20),
+                                       np.linspace(2.0, 4.0, 5)],
+                             ids=["float", "complex", "grid"])
+    def test_bad_lengths_raise_before_any_table(self, omega, lengths):
+        # lengths must ascend (repeats allowed) within 1..len(record); the
+        # kept table is neither replaced nor evicted by a rejected call
+        p = _small_params()
+        priors = _priors(p, spin_sigma=1.0)
+        rec = MeasurementRecord(p.Delta, np.arange(5.0))
+        kept = pem.neg_log_joint_grid(np.linspace(1.0, 2.0, 3), rec, p,
+                                      *priors)
+        table, = pem._gain_memo.values()
+        with pytest.raises(InvalidParametersError, match="lengths"):
+            pem.neg_log_joint_prefixes(omega, rec, p, *priors, lengths)
+        assert list(pem._gain_memo.values()) == [table]
+        assert pem.neg_log_joint_prefixes(
+            3.0, rec, p, *priors, [2, 2, 5])[2] == pem.kalman_neg_log_joint(
+                3.0, rec, p, *priors).neg_log_joint
+        assert kept.tobytes() == pem.neg_log_joint_grid(
+            np.linspace(1.0, 2.0, 3), rec, p, *priors).tobytes()
+
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_score_passes_check_their_lengths(self, k):
+        p = _small_params()
+        priors = _priors(p, spin_sigma=1.0)
+        rec = MeasurementRecord(p.Delta, np.arange(5.0))
+        with pytest.raises(InvalidParametersError, match="lengths"):
+            pem.neg_log_joint_score(3.0, rec, p, *priors, [k])
+        with pytest.raises(InvalidParametersError, match="lengths"):
+            pem.score_and_information(3.0, rec, p, *priors, k)
+
 
 def _c06_priors(p, sigma=harness.DEFAULT_SIGMA_OMEGA):
     return harness._blocks(harness._prior(

@@ -493,6 +493,18 @@ class TestMeasurementRecord:
         with pytest.raises(InvalidParametersError, match="finite"):
             sde_sim.MeasurementRecord.from_csv(path)
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_sampling_period_rejected(self, tmp_path, delta):
+        with pytest.raises(InvalidParametersError, match="sampling period"):
+            sde_sim.MeasurementRecord(delta, np.ones(3))
+        if math.isfinite(delta):
+            # from_csv reports a non-positive t_1 with its own check
+            path = tmp_path / "rec.csv"
+            path.write_text("t,y\n" + "".join(f"{k * delta!r},1.0\n"
+                                              for k in range(1, 4)))
+            with pytest.raises(InvalidParametersError, match="uniform"):
+                sde_sim.MeasurementRecord.from_csv(path)
+
     def test_csv_nonuniform_times_rejected(self, tmp_path):
         path = tmp_path / "rec.csv"
         path.write_bytes(b"t,y\r\n5e-06,1.0\r\n1e-05,2.0\r\n3e-05,3.0\r\n")
