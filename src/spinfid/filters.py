@@ -351,9 +351,11 @@ def kalman_correct(x: tuple, y: float, cfg: FilterConfig):
 
 
 def run_filter(cfg: FilterConfig, rec: MeasurementRecord) -> FilterTrace:
-    """Alternate predict/correct over the whole record."""
+    """Alternate predict/correct over the whole record, which must be
+    sampled every cfg.params.Delta."""
     if len(rec.outcomes) == 0:
         raise InvalidParametersError("empty measurement record")
+    rec.check_delta(cfg.params.Delta)
     # the trace's arrays are views of this one buffer
     out = np.empty((len(rec.outcomes), 14))
     _steps(cfg, _state(cfg.prior.mean, cfg.prior.cov), rec.outcomes.tolist(),
@@ -363,11 +365,10 @@ def run_filter(cfg: FilterConfig, rec: MeasurementRecord) -> FilterTrace:
                        innovation=out[:, 12], innovation_var=out[:, 13])
 
 
-def default_prior(p: SpmParams, sigma_omega: float,
-                  spin_cov_scale: float = 0.01) -> GaussianPrior:
+def default_prior(p: SpmParams, sigma_omega: float) -> GaussianPrior:
     """Broad reference prior: omega ~ N(omega_bar, sigma_omega^2), spin mean
-    at the polarized state with isotropic covariance spin_cov_scale * N^2."""
+    at the polarized state with isotropic covariance 0.01 N^2."""
     mean = np.array([p.omega_bar, 0.0, 0.5 * p.N])
-    cov = np.diag([sigma_omega ** 2, spin_cov_scale * p.N ** 2,
-                   spin_cov_scale * p.N ** 2])
+    spin_var = 0.01 * p.N ** 2
+    cov = np.diag([sigma_omega ** 2, spin_var, spin_var])
     return GaussianPrior(mean, cov)

@@ -7,16 +7,18 @@ reproducible and independent of evaluation order.  Estimator errors are
 always measured against the true instantaneous frequency of the simulated
 shot, never against the nominal value.
 
-A sweep point's Monte-Carlo runs and its ``bcrb_numeric`` bound are
-independent, so they are spread over W worker processes, W = the number of
-CPUs in the process's affinity mask (``os.sched_getaffinity``), at most one
-per item; ``taskset -c 0`` makes every sweep serial.  The calling process
-is worker 0 and ``os.fork`` starts the others.  Results are unchanged, bit
-for bit: the parent merges the outcomes in run order, then excludes failed
-runs and evaluates the bounds exactly as one process would, so excluded
-runs and raised errors are the same too.  Fan-out happens only where
-``os.fork`` and ``os.sched_getaffinity`` exist (Linux); elsewhere, and for
-a point with one item, everything runs in the calling process.
+A sweep point is a list of independent zero-argument tasks: its
+Monte-Carlo runs in run order, then its ``bcrb_numeric`` bound when one is
+configured.  Task i runs on worker i mod W, W = the number of CPUs in the
+process's affinity mask (``os.sched_getaffinity``), at most one per task;
+``taskset -c 0`` makes every sweep serial.  The calling process is worker
+0, so task 0 always runs here, and ``os.fork`` starts the others.  Results
+are unchanged, bit for bit: the outcomes come back in task order, and
+failed runs are excluded and the bounds evaluated from them exactly as one
+process would, so excluded runs and raised errors are the same too.
+Fan-out happens only where ``os.fork`` and ``os.sched_getaffinity`` exist
+(Linux); elsewhere, and for a point with one task, everything runs in the
+calling process.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -65,23 +68,29 @@ class ExperimentConfig:
     sweep_values: tuple = ()
 
     def __post_init__(self):
+        for name in ("runs", "seed", "substeps", "bound_samples"):
+            value = getattr(self, name)
+            if not model._holds(value, numbers.Integral):
+                raise InvalidParametersError(
+                    f"{name} must be an integer, got {value!r}")
         if self.runs < 1:
             raise InvalidParametersError("run count must be >= 1")
         if self.seed < 0:
             raise InvalidParametersError("seed must be non-negative")
-        if self.duration <= 0.0:
-            raise InvalidParametersError("duration must be positive")
-        if not self.sigma_omega > 0.0:
-            raise InvalidParametersError("sigma_omega must be positive")
+        for name in ("duration", "sigma_omega"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidParametersError(
+                    f"{name} must be finite and positive")
         if self.sweep_axis not in SWEEP_AXES:
             raise InvalidParametersError(f"unknown sweep axis {self.sweep_axis!r}")
         if self.sweep_axis != "none":
             if not self.sweep_values:
                 raise InvalidParametersError("sweep grid must be non-empty")
-            if any(not (isinstance(v, numbers.Real) and v > 0.0)
-                   for v in self.sweep_values):
+            if any(not (isinstance(v, numbers.Real) and math.isfinite(v)
+                        and v > 0.0) for v in self.sweep_values):
                 raise InvalidParametersError(
-                    "sweep grid values must be positive numbers")
+                    "sweep grid values must be finite positive numbers")
         for e in self.estimators:
             if e not in ESTIMATORS:
                 raise InvalidParametersError(f"unknown estimator {e!r}")
@@ -276,14 +285,14 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _work(task, share) -> dict:
-    """{i: task(i), or the exception it raised} for i in ``share``, in
+def _work(tasks, share) -> dict:
+    """{i: tasks[i](), or the exception it raised} for i in ``share``, in
     order.  An exception that is not a run failure ends the sweep, so the
-    items after it are not run."""
+    tasks after it are not run."""
     out = {}
     for i in share:
         try:
-            out[i] = task(i)
+            out[i] = tasks[i]()
         except Exception as exc:
             out[i] = exc
             if not isinstance(exc, _RUN_ERRORS):
@@ -291,8 +300,8 @@ def _work(task, share) -> dict:
     return out
 
 
-def _fork(task, share) -> tuple[int, int]:
-    """(pid, read end of its pipe) of a child that sends ``_work(task,
+def _fork(tasks, share) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a child that sends ``_work(tasks,
     share)`` back pickled, then exits without returning to the caller."""
     rfd, wfd = os.pipe()
     try:
@@ -307,7 +316,7 @@ def _fork(task, share) -> tuple[int, int]:
     status = 1
     try:
         os.close(rfd)
-        data = pickle.dumps(_work(task, share), pickle.HIGHEST_PROTOCOL)
+        data = pickle.dumps(_work(tasks, share), pickle.HIGHEST_PROTOCOL)
         with os.fdopen(wfd, "wb") as fh:
             fh.write(data)
         status = 0
@@ -328,48 +337,34 @@ def _receive(pid: int, rfd: int) -> dict:
     return pickle.loads(data)
 
 
-def _fan_out(task, shares) -> dict:
-    """``_work`` over every share: the first in this process, each of the
-    others in a forked child (in this process too if no child can be
-    forked).  Every child is reaped before this returns or raises."""
-    own = list(shares[0])
+def _fan_out(tasks) -> list:
+    """[task(), or the exception it raised] for each zero-argument callable
+    of ``tasks``, in order.  Task i runs on worker i mod W, W =
+    min(``_cpus()``, len(tasks)): worker 0 is this process, each other one
+    a forked child (this process too if no child can be forked).  A task
+    that follows a non-run exception on its worker is not run and reads
+    None.  Every child is reaped before this returns or raises."""
+    workers = min(_cpus(), len(tasks))
+    own = list(range(0, len(tasks), workers))
     children = {}
     try:
-        for share in shares[1:]:
+        for w in range(1, workers):
+            share = range(w, len(tasks), workers)
             try:
-                pid, rfd = _fork(task, share)
+                pid, rfd = _fork(tasks, share)
             except OSError:
                 own += share
                 continue
             children[pid] = rfd
-        out = _work(task, sorted(own))
+        out = _work(tasks, sorted(own))
         for pid in list(children):
             out.update(_receive(pid, children.pop(pid)))
-        return out
+        return [out.get(i) for i in range(len(tasks))]
     finally:
         for pid, rfd in children.items():
             os.close(rfd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def _point_outcomes(cfg: ExperimentConfig, p: SpmParams, substeps, times,
-                    ks) -> dict:
-    """{run r: its errors or exception} for every run of a sweep point and,
-    when ``bcrb_numeric`` is configured, {cfg.runs: its ``_numeric_bound``
-    pair or exception}.  Run r goes to worker r mod W and the bound to
-    worker W - 1, so run 0 stays in this process."""
-    def task(i):
-        if i == cfg.runs:
-            return _numeric_bound(cfg, p, times)
-        return _single_run_errors(cfg, p, _run_rng(cfg.seed, i), ks, substeps)
-
-    numeric = "bcrb_numeric" in cfg.bounds
-    workers = min(_cpus(), cfg.runs + numeric)
-    shares = [list(range(w, cfg.runs, workers)) for w in range(workers)]
-    if numeric:
-        shares[-1].append(cfg.runs)
-    return _fan_out(task, shares)
 
 
 def _sweep(cfg: ExperimentConfig, axis_name: str, axis, points) -> ErrorCurve:
@@ -378,8 +373,9 @@ def _sweep(cfg: ExperimentConfig, axis_name: str, axis, points) -> ErrorCurve:
     ``points`` lists (params, substeps, probe times), one per grid point;
     each contributes one curve entry per probe time.  Every point runs
     ``cfg.runs`` shots on the same per-run RNG streams, and the configured
-    bounds are evaluated at its probe times.  The outcomes are read in run
-    order, as if the runs had been made one after the other here.
+    bounds are evaluated at its probe times.  A point's tasks are its runs,
+    then its ``bcrb_numeric`` bound; their outcomes are read in that order,
+    as if the tasks had been run one after the other here.
     """
     ks = [sde_sim.sample_indices(times, p.Delta) for p, _, times in points]
     rmse = {e: [] for e in cfg.estimators}
@@ -387,11 +383,14 @@ def _sweep(cfg: ExperimentConfig, axis_name: str, axis, points) -> ErrorCurve:
     bound, bound_se = {}, {}
     excluded = 0
     for (p, substeps, times), point_ks in zip(points, ks):
-        outcomes = _point_outcomes(cfg, p, substeps, times, point_ks)
+        tasks = [partial(_single_run_errors, cfg, p, _run_rng(cfg.seed, r),
+                         point_ks, substeps) for r in range(cfg.runs)]
+        if "bcrb_numeric" in cfg.bounds:
+            tasks.append(partial(_numeric_bound, cfg, p, times))
+        outcomes = _fan_out(tasks)
         sq = {e: [] for e in cfg.estimators}
         failures = []
-        for r in range(cfg.runs):
-            errs = outcomes[r]
+        for errs in outcomes[:cfg.runs]:
             if isinstance(errs, _RUN_ERRORS):
                 failures.append(errs)
                 continue
@@ -404,7 +403,7 @@ def _sweep(cfg: ExperimentConfig, axis_name: str, axis, points) -> ErrorCurve:
             rms, se = _rms_and_stderr(np.array(sq[e]).T)
             rmse[e].append(rms)
             rmse_se[e].append(se)
-        numeric = outcomes.get(cfg.runs)
+        numeric = outcomes[cfg.runs] if len(tasks) > cfg.runs else None
         if isinstance(numeric, Exception):
             raise numeric
         b, b_se = _time_bounds(cfg, p, times, numeric)

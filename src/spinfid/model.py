@@ -81,6 +81,11 @@ class SpmParams:
     T2_override: Optional[float] = 0.87e-3  # coherence time, s; None -> 1/(Gamma + alpha*N)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParametersError(
+                    f"{f.name} must be finite, got {value!r}")
         for name in ("g_D", "R", "N", "Delta"):
             if not getattr(self, name) > 0.0:
                 raise InvalidParametersError(f"{name} must be strictly positive")

@@ -160,13 +160,15 @@ def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
     step; both give the same bits.  ``innovations``, if given, receives
     (residual, S_j) for every sample processed.  A non-finite J raises
     FloatingPointError; lengths that are empty, do not ascend or leave
-    1..len(record) raise InvalidParametersError before any pass or table.
+    1..len(record), and a record sampled at another period than p.Delta,
+    raise InvalidParametersError before any pass or table.
     """
     lengths = list(lengths)
     if (not lengths or lengths[0] < 1 or lengths[-1] > len(rec.outcomes)
             or lengths != sorted(lengths)):
         raise InvalidParametersError(
             "record lengths must ascend within 1..len(record)")
+    rec.check_delta(p.Delta)
     ca, sa = _rotation(omega, p)
     neg_sa = -sa
     g = p.g_D

@@ -82,11 +82,13 @@ def sample_indices(times, delta: float) -> list[int]:
     """Index k of the sample t_k = k*delta nearest each time, a time halfway
     between two samples going to the later one: the one rule for how many
     samples a probing time, a record duration or a bound time holds.  A
-    time that rounds to no sample (k < 1, i.e. below delta/2) raises
-    InvalidParametersError."""
+    time that is not finite or rounds to no sample (k < 1, i.e. below
+    delta/2) raises InvalidParametersError."""
     ks = []
     for t in times:
         x = t / delta
+        if not math.isfinite(x):
+            raise InvalidParametersError(f"time {t} is not finite")
         # floor(x + 0.5) would round 0.49999999999999994 up to 1
         k = math.floor(x)
         k += x - k >= 0.5
@@ -114,6 +116,9 @@ class MeasurementRecord:
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise InvalidParametersError(
                 "sampling period must be finite and positive")
+        if np.ndim(self.outcomes) != 1:
+            raise InvalidParametersError(
+                "measurement outcomes must be one-dimensional")
         # a filter checks its state after each prediction only, so a
         # non-finite last sample would come out as its final estimate
         if not np.isfinite(self.outcomes).all():
@@ -122,6 +127,15 @@ class MeasurementRecord:
     @property
     def times(self) -> np.ndarray:
         return self.delta * np.arange(1, len(self.outcomes) + 1)
+
+    def check_delta(self, delta: float) -> None:
+        """InvalidParametersError unless the record was sampled every
+        ``delta`` s, to the rounding of a CSV timestamp: a model at another
+        period would read every sample at the wrong time."""
+        if abs(self.delta - delta) > _CSV_TIME_RTOL * delta:
+            raise InvalidParametersError(
+                f"record sampled every {self.delta} s, but the parameters "
+                f"have Delta = {delta} s")
 
     def truncated(self, k: int) -> "MeasurementRecord":
         return MeasurementRecord(self.delta, self.outcomes[:k])

@@ -19,11 +19,11 @@ from spinfid.model import (Constant, GaussianPrior, OrnsteinUhlenbeck,
 TWO_PI = 2.0 * math.pi
 
 
-def _spin_prior(p: SpmParams, scale: float) -> GaussianPrior:
+def _spin_prior(p: SpmParams) -> GaussianPrior:
     """The spin block of the filters' default prior; it does not depend on
     sigma_omega."""
     return harness._blocks(filters.default_prior(
-        p, harness.DEFAULT_SIGMA_OMEGA, scale))[1]
+        p, harness.DEFAULT_SIGMA_OMEGA))[1]
 
 
 def _report(capsys, num, desc, ok, detail=""):
@@ -213,7 +213,7 @@ def test_c09_atom_number_sweep(capsys):
         p = SpmParams().with_atom_number(n)
         prior_omega = GaussianPrior(np.array([p.omega_bar]),
                                     np.array([[sigma ** 2]]))
-        prior_spin = _spin_prior(p, 0.01)
+        prior_spin = _spin_prior(p)
         vals.append(bounds.bcrb_numeric(p, prior_omega, prior_spin, duration,
                                         n_samples=60, seed=0).value)
     i_min = int(np.argmin(vals))

@@ -38,6 +38,20 @@ class TestExitCodes:
         code, _ = _run(tmp_path, "simulate", "--config", cfg)
         assert code == 2
 
+    @pytest.mark.parametrize("command, payload", [
+        ("estimate", {"duration": math.nan}),
+        ("estimate", {"duration": math.inf}),
+        ("sweep-time", {"sweep_axis": "time", "sweep_values": [math.inf]}),
+        ("estimate", {"params": {"q": math.nan}}),
+        ("estimate", {"sigma_omega": math.inf}),
+    ])
+    def test_nonfinite_numbers(self, tmp_path, capsys, command, payload):
+        cfg = _write_cfg(tmp_path, payload)  # json writes NaN and Infinity
+        code, out = _run(tmp_path, command, "--config", cfg)
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (out / f"{command}.csv").exists()
+
     def test_removed_spin_cov_scale_key(self, tmp_path):
         # the spin prior's scale is no longer a config field
         cfg = _write_cfg(tmp_path, {"spin_cov_scale": 0.01})
@@ -337,7 +351,7 @@ class TestPublicSurface:
             "bcrb_numeric_curve": ["p", "prior_omega", "prior_spin", "times",
                                    "n_samples", "seed", "substeps"],
             "coherence_time": ["p"],
-            "default_prior": ["p", "sigma_omega", "spin_cov_scale"],
+            "default_prior": ["p", "sigma_omega"],
             "estimate_atom_number": ["samples", "p"],
             "fi_asymptotic": ["omega", "p"],
             "fi_no_decoherence": ["omega", "t", "p"],

@@ -557,6 +557,16 @@ class TestBenchmarkConfigs:
 
 
 class TestConfigAndTrace:
+    @pytest.mark.parametrize("kind", ["ekf", "ckf"])
+    def test_rejects_a_record_at_another_period(self, kind):
+        # a 1 us shot read at the default 5 us would be off by ~5e4 rad/s
+        p = SpmParams()
+        fast = SpmParams(Delta=1e-6)
+        _, rec = simulate(fast, model.Constant(p.omega_bar), 1e-4, seed=1)
+        with pytest.raises(InvalidParametersError, match="Delta"):
+            run_filter(_cfg(kind, p=p), rec)
+        assert len(run_filter(_cfg(kind, p=fast), rec).times) == 100
+
     def test_rejects_unknown_kind(self):
         p = SpmParams()
         with pytest.raises(InvalidParametersError):
@@ -619,7 +629,7 @@ class TestConfigAndTrace:
 
     def test_default_prior_structure(self):
         p = SpmParams()
-        prior = default_prior(p, 123.0, spin_cov_scale=0.5)
+        prior = default_prior(p, 123.0)
         assert np.array_equal(prior.mean, [p.omega_bar, 0.0, 0.5 * p.N])
-        assert prior.cov[0, 0] == pytest.approx(123.0 ** 2)
-        assert prior.cov[1, 1] == pytest.approx(0.5 * p.N ** 2)
+        assert np.array_equal(prior.cov, np.diag(
+            [123.0 ** 2, 0.01 * p.N ** 2, 0.01 * p.N ** 2]))

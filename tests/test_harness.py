@@ -2,6 +2,7 @@ import json
 import math
 import os
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -53,10 +54,24 @@ class TestConfig:
         {"bounds": ("bcrb_numeric",), "bound_samples": 1},
         {"sigma_omega": 0.0},
         {"seed": -1},
+        {"duration": math.nan},
+        {"duration": math.inf},
+        {"sigma_omega": math.inf},
+        {"sweep_axis": "time", "sweep_values": (1e-4, math.inf)},
+        {"sweep_axis": "time", "sweep_values": (math.nan,)},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParametersError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["runs", "seed", "substeps",
+                                      "bound_samples"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(InvalidParametersError,
+                           match=f"{name} must be an integer"):
+            ExperimentConfig(**{name: value})
+        assert getattr(ExperimentConfig(**{name: np.int64(3)}), name) == 3
 
     def test_bound_samples_checked_only_for_numeric_bound(self):
         cfg = ExperimentConfig(bounds=("crb", "floor"), bound_samples=1)
@@ -385,18 +400,25 @@ class TestFanOut:
             _assert_same_curves(_sweep_on(monkeypatch, workers, run, cfg),
                                 serial)
 
-    def test_split(self, monkeypatch):
-        # run r on worker r mod W, the bound on the last worker
-        monkeypatch.setattr(harness, "_cpus", lambda: 2)
-        monkeypatch.setattr(harness, "_single_run_errors",
-                            lambda *args: os.getpid())
-        monkeypatch.setattr(harness, "_numeric_bound",
-                            lambda *args: os.getpid())
-        cfg = ExperimentConfig(runs=3, bounds=("bcrb_numeric",))
-        pids = harness._point_outcomes(cfg, cfg.params, 5, [1e-4], [20])
-        here = os.getpid()
-        assert pids[0] == pids[2] == here
-        assert pids[1] == pids[3] != here
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_task_i_runs_on_worker_i_mod_w(self, monkeypatch, workers):
+        monkeypatch.setattr(harness, "_cpus", lambda: workers)
+        errors = {4: MapBoundaryError, 6: ValueError}
+
+        def task(i):
+            if i in errors:
+                raise errors[i]((i, os.getpid()))
+            return i, os.getpid()
+        outcomes = harness._fan_out([partial(task, i) for i in range(7)])
+        for i, exc in errors.items():
+            assert type(outcomes[i]) is exc
+        seen = [o.args[0] if isinstance(o, Exception) else o
+                for o in outcomes]
+        assert [i for i, _ in seen] == list(range(7))
+        pids = [pid for _, pid in seen]
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == workers
+        assert pids == [pids[i % workers] for i in range(7)]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

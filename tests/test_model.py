@@ -44,6 +44,14 @@ class TestSpmParams:
         with pytest.raises(InvalidParametersError):
             SpmParams(**{field: value})
 
+    @pytest.mark.parametrize("field", [
+        "omega_bar", "g_D", "R", "N", "q", "Gamma", "alpha", "Delta",
+        "T2_override"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_values_rejected(self, field, value):
+        with pytest.raises(InvalidParametersError, match=f"{field} must be finite"):
+            SpmParams(**{field: value})
+
     def test_from_dict_unknown_key(self):
         with pytest.raises(InvalidParametersError):
             SpmParams.from_dict({"bogus": 1.0})

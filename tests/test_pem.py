@@ -228,6 +228,25 @@ class TestNegLogJoint:
             pem.score_and_information(3.0, rec, p, *priors, k)
 
 
+    def test_record_at_another_period_raises_before_any_table(self):
+        p = _small_params()
+        priors = _priors(p, spin_sigma=1.0)
+        rec = MeasurementRecord(p.Delta, np.arange(5.0))
+        pem.neg_log_joint_grid(np.linspace(1.0, 2.0, 3), rec, p, *priors)
+        table, = pem._gain_memo.values()
+        other = MeasurementRecord(0.5 * p.Delta, np.arange(5.0))
+        for call in (
+                lambda: pem.kalman_neg_log_joint(3.0, other, p, *priors),
+                lambda: pem.neg_log_joint_grid(np.linspace(2.0, 4.0, 5),
+                                               other, p, *priors),
+                lambda: pem.neg_log_joint_score(3.0, other, p, *priors, [5]),
+                lambda: pem.score_and_information(3.0, other, p, *priors, 5),
+                lambda: pem.map_estimate(other, p, *priors)):
+            with pytest.raises(InvalidParametersError, match="Delta"):
+                call()
+        assert list(pem._gain_memo.values()) == [table]
+
+
 def _c06_priors(p, sigma=harness.DEFAULT_SIGMA_OMEGA):
     return harness._blocks(harness._prior(
         ExperimentConfig(sigma_omega=sigma), p))

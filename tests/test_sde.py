@@ -310,6 +310,11 @@ class TestSimulate:
         # take 0.49999999999999994 to 1)
         assert sde_sim.sample_indices([math.nextafter(1.5, 0.0)], 1.0) == [1]
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_time_rejected(self, t):
+        with pytest.raises(InvalidParametersError, match="not finite"):
+            sde_sim.sample_indices([1e-4, t], 5e-6)
+
     def test_rejects_bad_arguments(self):
         p = SpmParams()
         with pytest.raises(InvalidParametersError):
@@ -504,6 +509,18 @@ class TestMeasurementRecord:
                                               for k in range(1, 4)))
             with pytest.raises(InvalidParametersError, match="uniform"):
                 sde_sim.MeasurementRecord.from_csv(path)
+
+    @pytest.mark.parametrize("outcomes", [np.ones((3, 2)), np.float64(1.0)],
+                             ids=["2-D", "0-D"])
+    def test_outcomes_must_be_one_dimensional(self, outcomes):
+        with pytest.raises(InvalidParametersError, match="one-dimensional"):
+            sde_sim.MeasurementRecord(5e-6, outcomes)
+
+    def test_check_delta(self):
+        rec = sde_sim.MeasurementRecord(5e-6 * (1.0 + 1e-8), np.ones(3))
+        rec.check_delta(5e-6)  # within a CSV timestamp's rounding
+        with pytest.raises(InvalidParametersError, match="Delta = 5e-06"):
+            sde_sim.MeasurementRecord(1e-6, np.ones(3)).check_delta(5e-6)
 
     def test_csv_nonuniform_times_rejected(self, tmp_path):
         path = tmp_path / "rec.csv"
