@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import roots_hermite
 
 from . import model, pem, sde_sim
 from .errors import InvalidParametersError
@@ -122,6 +120,10 @@ def fi_noiseless_continuous(omega: float, t: float, p: SpmParams) -> float:
     """Continuous-probing limit of the Fisher information, by adaptive
     quadrature to 1e-10 relative (the closed form is deliberately not
     transcribed)."""
+    # scipy is imported here, by its only two users, so that importing the
+    # package and every simulating path load numpy alone
+    from scipy import integrate
+
     t2 = model.coherence_time(p)
 
     def integrand(tau: float) -> float:
@@ -173,6 +175,8 @@ def bcrb_analytic_gaussian_prior(p: SpmParams, sigma_omega: float,
     """Noiseless Bayesian bound 1 / (sigma^-2 + E_prior[I_F]) with the prior
     expectation taken by ``HERMITE_NODES``-point Gauss-Hermite quadrature
     over omega."""
+    from scipy.special import roots_hermite
+
     x, w = roots_hermite(HERMITE_NODES)
     omegas = p.omega_bar + math.sqrt(2.0) * sigma_omega * x
     values = np.array([fi_noiseless_continuous(om, t, p) for om in omegas])

@@ -87,7 +87,7 @@ class ExperimentConfig:
         if self.sweep_axis != "none":
             if not self.sweep_values:
                 raise InvalidParametersError("sweep grid must be non-empty")
-            if any(not (isinstance(v, numbers.Real) and math.isfinite(v)
+            if any(not (model._holds(v, numbers.Real) and math.isfinite(v)
                         and v > 0.0) for v in self.sweep_values):
                 raise InvalidParametersError(
                     "sweep grid values must be finite positive numbers")

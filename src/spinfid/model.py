@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InvalidParametersError
 
@@ -60,6 +59,18 @@ def check_json(cls, d, what: str) -> dict:
     return d
 
 
+def _check_finite(obj) -> None:
+    """InvalidParametersError naming the first field of the dataclass
+    ``obj`` that holds a number that is not finite; None is no number, and a
+    tuple field holds number pairs."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        values = np.ravel(value) if isinstance(value, tuple) else [value]
+        if not all(v is None or math.isfinite(v) for v in values):
+            raise InvalidParametersError(
+                f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SpmParams:
     """Constants of the simulated magnetometer.
@@ -81,11 +92,7 @@ class SpmParams:
     T2_override: Optional[float] = 0.87e-3  # coherence time, s; None -> 1/(Gamma + alpha*N)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None and not math.isfinite(value):
-                raise InvalidParametersError(
-                    f"{f.name} must be finite, got {value!r}")
+        _check_finite(self)
         for name in ("g_D", "R", "N", "Delta"):
             if not getattr(self, name) > 0.0:
                 raise InvalidParametersError(f"{name} must be strictly positive")
@@ -119,6 +126,9 @@ class SpmParams:
 class Constant:
     omega0: float  # rad/s
 
+    def __post_init__(self):
+        _check_finite(self)
+
 
 @dataclass(frozen=True)
 class OrnsteinUhlenbeck:
@@ -130,6 +140,7 @@ class OrnsteinUhlenbeck:
     omega_start: Optional[float] = None  # initial value; None -> omega_bar
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.tau > 0.0:
             raise InvalidParametersError("OU tau must be strictly positive")
         if self.d_c < 0.0:
@@ -144,6 +155,7 @@ class Wiener:
     d_c: float     # rad^2/s^3
 
     def __post_init__(self):
+        _check_finite(self)
         if self.d_c < 0.0:
             raise InvalidParametersError("Wiener d_c must be non-negative")
 
@@ -154,6 +166,9 @@ class Sinusoid:
     amplitude: float   # rad/s
     mod_freq: float    # Hz
 
+    def __post_init__(self):
+        _check_finite(self)
+
 
 @dataclass(frozen=True)
 class Step:
@@ -163,6 +178,7 @@ class Step:
     def __post_init__(self):
         object.__setattr__(self, "jumps", tuple((float(t), float(w))
                                                 for t, w in self.jumps))
+        _check_finite(self)
         times = [t for t, _ in self.jumps]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise InvalidParametersError("step jump times must be strictly increasing")
@@ -246,6 +262,8 @@ class GaussianPrior:
         object.__setattr__(self, "cov", cov)
         if cov.shape != (mean.size, mean.size):
             raise InvalidParametersError("prior covariance shape does not match mean")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise InvalidParametersError("prior mean and covariance must be finite")
         scale = max(1.0, float(np.max(np.abs(cov))))
         if not np.allclose(cov, cov.T, atol=1e-12 * scale):
             raise InvalidParametersError("prior covariance must be symmetric")
@@ -295,22 +313,108 @@ def rotation_pole(omega, delta: float, t2: float):
     return np.exp(-delta / t2 - 1j * omega * delta)
 
 
+# samples per chunk of the constant-pole recurrence (a power of two, so that
+# sde_sim._BLOCK is a multiple of it); a pole far from the unit circle halves
+# it until |pole|^L and |pole|^-L both stay within 1e100
+_CHUNK = 256
+_LOG_RANGE = 100.0 * math.log(10.0)
+
+
+def _chunk_powers(pole) -> tuple[np.ndarray, np.ndarray]:
+    """(pole^1..pole^L, pole^-1..pole^-L) for the pole's chunk length L: the
+    powers are products in sequence, so a real pole keeps a real dtype."""
+    rate = abs(math.log(abs(pole)))
+    size = _CHUNK
+    while size > 1 and size * rate > _LOG_RANGE:
+        size //= 2
+    powers = np.cumprod(np.full(size, pole, dtype=np.result_type(pole, 1.0)))
+    return powers, 1.0 / powers
+
+
+def _recurrence(pole, eta: np.ndarray, z0) -> np.ndarray:
+    """z_1..z_n of z_k = pole z_{k-1} + eta_k for one scalar pole, chunk by
+    chunk (see ``damped_rotation``)."""
+    eta = np.asarray(eta)
+    dtype = np.result_type(pole, eta, z0)
+    if pole == 0:
+        return eta.astype(dtype)
+    powers, inverse = _chunk_powers(pole)
+    size = len(powers)
+    start = dtype.type(z0).item()
+    if size == 1:
+        # |pole|^-1 beyond 1e100 leaves no room for a chunk: one step at a
+        # time, on Python scalars
+        path = [start]
+        p = powers[0].item()
+        for e in eta.tolist():
+            path.append(p * path[-1] + e)
+        return np.array(path[1:], dtype)
+    n = len(eta)
+    n_full = n // size * size
+    # one chunk per row, the last partial one padded with zeros, so that
+    # every sample goes through the same array operations, each an inner
+    # loop of length L: numpy's vector loops may round the remainder of a
+    # shorter product, or a product written over its input, unlike their body
+    part = np.empty((-(-n // size), size), dtype)
+    # S_j = sum_{i<=j} eta_{c+i} p^-i
+    np.multiply(eta[:n_full].reshape(-1, size), inverse,
+                out=part[:n_full // size])
+    if n_full < n:
+        tail = np.zeros(size, eta.dtype)
+        tail[:n - n_full] = eta[n_full:]
+        np.multiply(tail, inverse, out=part[-1])
+    np.cumsum(part, axis=1, out=part)
+    # the path from 0 within each chunk, S_j p^j
+    z = np.empty_like(part)
+    np.multiply(part, powers, out=z)
+    # each chunk's start from the one before, z_{c+L} = p^L z_c + S_L p^L
+    starts = [start]
+    p_last = powers[-1].item()
+    for local in z[:, -1].tolist():
+        starts.append(p_last * starts[-1] + local)
+    starts = np.array(starts, dtype)
+    np.multiply(starts[:-1, None], powers, out=part)
+    z += part
+    # a chunk ends on the start it hands on, so that a block that ends
+    # there hands the next block the same state
+    z[:, -1] = starts[1:]
+    return z.reshape(-1)[:n]
+
+
 def damped_rotation(pole, eta: np.ndarray, z0: complex) -> np.ndarray:
     """Path z_1..z_n of the recurrence z_k = pole_k z_{k-1} + eta_k from z0.
 
     For the spin pair z = J_y + i J_z the pole is a damped rotation and eta
-    the additive noise that the caller draws.  A scalar pole, as at a
-    constant frequency, runs as one linear filter.  An array holds one pole
-    per step and runs as a prefix-product scan with the decay d = |pole_1|
-    taken out: with R = cumprod(pole / d), w = z / R obeys the
-    constant-pole recurrence w_k = d w_{k-1} + eta_k / R_k.  |R| stays near
-    1, so nothing underflows however much the path decays, as
+    the additive noise that the caller draws.  A scalar pole p splits the
+    path into chunks of L samples from its first one (L = ``_CHUNK``,
+    halved while |p|^L or |p|^-L exceeds 1e100).  Within a chunk that
+    starts after z_c,
+
+        z_{c+j} = S_j p^j + z_c p^j,    S_j = sum_{i<=j} eta_{c+i} p^-i,
+
+    by a cumsum, and the chunk starts follow one another by
+    z_{c+L} = p^L z_c + S_L p^L.  Every sample takes the same operations
+    given its place in its chunk, the last partial chunk included (it is
+    padded with zeros to a whole chunk), so a shorter path is a
+    bit-identical prefix of a longer one, and paths solved block by block
+    from the last state equal one solve over the whole array when each
+    block is a multiple of L.  That rests on numpy rounding element j of an
+    inner loop of length L the same way in every row; it was checked with
+    numpy 2.4 on an AVX-512 x86-64 CPU, and the prefix tests in
+    ``test_sde`` and ``test_atoms`` fail if another build rounds otherwise.
+    A pole with |p|^-1 beyond 1e100 (L = 1) is stepped one sample at a time.
+    The output has the dtype of (pole, eta, z0), real for a real
+    recurrence; a pole of 0 gives z_k = eta_k.
+
+    An array holds one pole per step and runs as a prefix-product scan with
+    the decay d = |pole_1| taken out: with R = cumprod(pole / d), w = z / R
+    obeys the constant-pole recurrence w_k = d w_{k-1} + eta_k / R_k.  |R|
+    stays near 1, so nothing underflows however much the path decays, as
     P = cumprod(pole) would in z = P (z0 + cumsum(eta / P)).  Poles that
     are all 0, as when the decay exp(-h/T2) underflows, give z_k = eta_k.
     """
     if np.ndim(pole) == 0:
-        z, _ = lfilter([1.0], [1.0, -pole], eta, zi=np.array([pole * z0]))
-        return z
+        return _recurrence(pole, eta, z0)
     if not np.any(pole):
         return np.array(eta, dtype=complex)
     d = abs(pole[0])

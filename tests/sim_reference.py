@@ -4,8 +4,10 @@ These are the substep paths as they ran before every signal moved onto one
 vectorised recurrence, with the same arithmetic: installed as
 ``sde_sim._states`` they reproduce the outputs that the pinned digests in
 ``test_recorded_outputs.py`` were recorded from bit for bit.  The module also
-holds the exact one-step spin transition as a matrix, and the atom-count
-sampler's integrator route, for the tests that use them as references.
+holds the constant-pole recurrence as the linear filter it ran as before it
+was solved in numpy, the exact one-step spin transition as a matrix, and the
+atom-count sampler's integrator route, for the tests that use them as
+references.
 """
 
 from __future__ import annotations
@@ -119,6 +121,13 @@ def _simulate_taylor(p: SpmParams, s: SignalModel, n_sub: int, h: float,
         if not all(map(math.isfinite, x)):
             raise IntegrationBlowupError("trajectory diverged during simulation")
     return states
+
+
+def lfilter_recurrence(pole, eta: np.ndarray, z0) -> np.ndarray:
+    """``model._recurrence`` as one linear filter, as it ran before the
+    constant-pole recurrence was solved chunk by chunk in numpy."""
+    z, _ = lfilter([1.0], [1.0, -pole], eta, zi=np.array([pole * z0]))
+    return z
 
 
 def states(p: SpmParams, s: SignalModel, n_sub: int, h: float,

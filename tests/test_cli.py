@@ -52,6 +52,25 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not (out / f"{command}.csv").exists()
 
+    @pytest.mark.parametrize("command, payload", [
+        ("simulate", {"true_signal": {"kind": "constant",
+                                      "omega0": math.nan}}),
+        ("track", {"true_signal": {"kind": "ou", "omega_bar": TWO_PI * 1e4,
+                                   "tau": 1.0, "d_c": math.nan},
+                   "duration": 1e-4}),
+        ("simulate", {"true_signal": {"kind": "step", "omega_bar": 1.0,
+                                      "jumps": [[math.nan, 1.0]]}}),
+        ("track", {"assumed_signal": {"kind": "wiener", "omega0": math.nan,
+                                      "d_c": 1e7}, "duration": 1e-4}),
+    ], ids=["constant omega0", "ou d_c", "step jump time", "wiener omega0"])
+    def test_nonfinite_signal_fields(self, tmp_path, capsys, command, payload):
+        # a configuration error, not a diverged run or a silent one
+        cfg = _write_cfg(tmp_path, payload)
+        code, out = _run(tmp_path, command, "--config", cfg)
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (out / f"{command}.csv").exists()
+
     def test_removed_spin_cov_scale_key(self, tmp_path):
         # the spin prior's scale is no longer a config field
         cfg = _write_cfg(tmp_path, {"spin_cov_scale": 0.01})
@@ -132,8 +151,9 @@ class TestExitCodes:
         {"estimators": "ekf"},
         {"true_signal": {"kind": "step", "omega_bar": 1.0,
                          "jumps": [[0.5, "2.0"]]}},
+        {"sweep_axis": "time", "sweep_values": [True, 1e-4]},
     ], ids=["string run count", "string parameter", "signal missing a field",
-            "string estimators", "string step jump"])
+            "string estimators", "string step jump", "bool sweep value"])
     def test_mistyped_config(self, tmp_path, payload):
         cfg = _write_cfg(tmp_path, payload)
         code, out = _run(tmp_path, "simulate", "--config", cfg)

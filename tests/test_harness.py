@@ -59,6 +59,7 @@ class TestConfig:
         {"sigma_omega": math.inf},
         {"sweep_axis": "time", "sweep_values": (1e-4, math.inf)},
         {"sweep_axis": "time", "sweep_values": (math.nan,)},
+        {"sweep_axis": "time", "sweep_values": (True, 1e-4)},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParametersError):

@@ -164,6 +164,27 @@ class TestSignals:
         with pytest.raises(InvalidParametersError):
             model.signal_from_dict(d)
 
+    @pytest.mark.parametrize("signal, field", [
+        (lambda v: Constant(v), "omega0"),
+        (lambda v: OrnsteinUhlenbeck(v, 1.0, 1.0), "omega_bar"),
+        (lambda v: OrnsteinUhlenbeck(1.0, v, 1.0), "tau"),
+        (lambda v: OrnsteinUhlenbeck(1.0, 1.0, v), "d_c"),
+        (lambda v: OrnsteinUhlenbeck(1.0, 1.0, 1.0, omega_start=v),
+         "omega_start"),
+        (lambda v: Wiener(v, 1.0), "omega0"),
+        (lambda v: Wiener(1.0, v), "d_c"),
+        (lambda v: Sinusoid(v, 1.0, 1.0), "omega_bar"),
+        (lambda v: Sinusoid(1.0, v, 1.0), "amplitude"),
+        (lambda v: Sinusoid(1.0, 1.0, v), "mod_freq"),
+        (lambda v: Step(v), "omega_bar"),
+        (lambda v: Step(1.0, ((0.5, 2.0), (v, 3.0))), "jumps"),
+        (lambda v: Step(1.0, ((0.5, v),)), "jumps"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_fields_rejected(self, signal, field, value):
+        with pytest.raises(InvalidParametersError, match=f"{field} must be finite"):
+            signal(value)
+
     def test_is_stochastic(self):
         assert model.is_stochastic(Wiener(1.0, 1.0))
         assert model.is_stochastic(OrnsteinUhlenbeck(1.0, 1.0, 1.0))
@@ -183,6 +204,16 @@ class TestGaussianPrior:
     def test_rejects_indefinite(self):
         with pytest.raises(InvalidParametersError):
             GaussianPrior(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("mean, cov", [
+        ([math.nan], [[1.0]]),
+        ([0.0], [[math.inf]]),
+        ([0.0, 0.0], [[1.0, math.nan], [math.nan, 1.0]]),
+    ])
+    def test_rejects_nonfinite(self, mean, cov):
+        # checked before np.allclose, which warns on an inf entry
+        with pytest.raises(InvalidParametersError, match="must be finite"):
+            GaussianPrior(mean, cov)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InvalidParametersError):

@@ -41,6 +41,18 @@ between the two.  The matrix-filter, six-point and loop-simulator oracles run
 with it, so that each of them still reproduces every digest recorded before
 its own change.
 
+Every output that simulates was re-recorded when ``model.damped_rotation``
+solved its constant-pole recurrence in numpy, chunk by chunk, in place of
+scipy's linear filter, which rounds differently.  The filter is kept as
+``sim_reference.lfilter_recurrence``; run in place of the numpy solve it
+still reproduces the digests recorded before, and ``test_sde`` bounds the
+distance between the two.  The new digests, and the bit-identical prefixes
+and blocks that the numpy solve gives, were checked with numpy 2.4 on an
+AVX-512 x86-64 CPU; the prefix tests in ``test_sde`` and ``test_atoms`` fail
+loudly if another numpy build rounds a sample by its place in the array.
+Every other oracle runs with it, so that each of them still reproduces every
+digest recorded before its own change.
+
 A digest is the leading 16 hex digits of the SHA-256 of the outputs' float64
 bytes, or of a CLI output file's bytes.  They were recorded with numpy 2.4
 and scipy 1.17 on x86-64 Linux; a different libm or BLAS build may
@@ -56,7 +68,7 @@ import pytest
 import filter_reference as reference
 import pem_reference
 import sim_reference
-from spinfid import atoms, bounds, cli, filters, harness, pem, sde_sim
+from spinfid import atoms, bounds, cli, filters, harness, model, pem, sde_sim
 from spinfid.harness import ExperimentConfig
 from spinfid.model import (Constant, OrnsteinUhlenbeck, Sinusoid, SpmParams,
                            Step, Wiener)
@@ -149,23 +161,23 @@ CASES = {
 }
 
 RECORDED = {
-    "atoms exact": "9a770dab6687b5e2",
-    "atoms integrator": "98e5da1ea34b9001",
-    "simulate constant N=1e13": "fc457814d0c6e9ec",
-    "simulate constant N=1e9": "345a1085e0d43254",
-    "simulate constant N=4.4e11": "02b3d8266d3fbba5",
-    "simulate constant omega_init": "30af6f4f332ebe0e",
-    "simulate ou": "0e80f00f7ba2de60",
-    "simulate ou omega_start": "738e55cebedc23c3",
-    "simulate sinusoid": "9490538c3e788554",
-    "simulate step": "7cc907eb36f4c259",
-    "simulate wiener": "ab8be40e3e877a6a",
-    "sweep N": "8acb62f5284ca016",
-    "sweep delta": "5f1147f0962eb67a",
-    "sweep time": "a12786444d91da48",
-    "sweep time 13 runs": "b63e5ecf8296e2b0",
-    "track ou ckf": "0ec1678974ce00c3",
-    "track ou ekf": "09154eb67c2dadcd",
+    "atoms exact": "212fd4825b89b71c",
+    "atoms integrator": "7a3d7e0239b5855b",
+    "simulate constant N=1e13": "6793976ead011c1e",
+    "simulate constant N=1e9": "d88071635877d7e5",
+    "simulate constant N=4.4e11": "5886fb89959ad416",
+    "simulate constant omega_init": "f5a15c115b79fe98",
+    "simulate ou": "deae06e61ce91737",
+    "simulate ou omega_start": "71b0cc8a25b828d6",
+    "simulate sinusoid": "77a5b2dd90681071",
+    "simulate step": "d31af5218b5b7ddf",
+    "simulate wiener": "b196deef86ff7640",
+    "sweep N": "70a763293964c0bf",
+    "sweep delta": "3b0e309575ae54aa",
+    "sweep time": "58f2210060500b90",
+    "sweep time 13 runs": "70ca2853355ff9b8",
+    "track ou ckf": "0f511365827980b9",
+    "track ou ekf": "4f5dce05db71f42c",
 }
 
 
@@ -218,14 +230,41 @@ RECORDED_LOOP_SIMULATOR_MATRIX_FILTER = {
     "track ou ekf": "e68ae6d26b5ec7e9",
 }
 
+# the outputs that changed, as scipy's linear filter solved the
+# constant-pole recurrence
+RECORDED_LFILTER = {
+    "atoms exact": "9a770dab6687b5e2",
+    "atoms integrator": "98e5da1ea34b9001",
+    "simulate constant N=1e13": "fc457814d0c6e9ec",
+    "simulate constant N=1e9": "345a1085e0d43254",
+    "simulate constant N=4.4e11": "02b3d8266d3fbba5",
+    "simulate constant omega_init": "30af6f4f332ebe0e",
+    "simulate ou": "0e80f00f7ba2de60",
+    "simulate ou omega_start": "738e55cebedc23c3",
+    "simulate sinusoid": "9490538c3e788554",
+    "simulate step": "7cc907eb36f4c259",
+    "simulate wiener": "ab8be40e3e877a6a",
+    "sweep N": "8acb62f5284ca016",
+    "sweep delta": "5f1147f0962eb67a",
+    "sweep time": "a12786444d91da48",
+    "sweep time 13 runs": "b63e5ecf8296e2b0",
+    "track ou ckf": "0ec1678974ce00c3",
+    "track ou ekf": "09154eb67c2dadcd",
+}
+
 
 @pytest.fixture
-def loop_simulator(monkeypatch):
+def lfilter_recurrence(monkeypatch):
+    monkeypatch.setattr(model, "_recurrence", sim_reference.lfilter_recurrence)
+
+
+@pytest.fixture
+def loop_simulator(monkeypatch, lfilter_recurrence):
     monkeypatch.setattr(sde_sim, "_states", sim_reference.states)
 
 
 @pytest.fixture
-def brent(monkeypatch):
+def brent(monkeypatch, lfilter_recurrence):
     monkeypatch.setattr(pem, "map_estimates", pem_reference.brent_map_estimates)
 
 
@@ -249,6 +288,11 @@ def golden_section(monkeypatch, brent):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_recorded(name):
     assert _digest(CASES[name]()) == RECORDED[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_LFILTER))
+def test_lfilter_output_matches_recorded(name, lfilter_recurrence):
+    assert _digest(CASES[name]()) == RECORDED_LFILTER[name]
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED_BRENT))
@@ -275,8 +319,8 @@ def test_golden_section_output_matches_recorded(name, golden_section,
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_loop_simulator_output_matches_recorded(name, loop_simulator,
                                                 six_point_cubature):
-    expected = {**RECORDED, **RECORDED_BRENT, **RECORDED_SIX_POINT,
-                **RECORDED_LOOP_SIMULATOR}
+    expected = {**RECORDED, **RECORDED_LFILTER, **RECORDED_BRENT,
+                **RECORDED_SIX_POINT, **RECORDED_LOOP_SIMULATOR}
     assert _digest(CASES[name]()) == expected[name]
 
 
@@ -311,11 +355,11 @@ CLI_CASES = {
 
 RECORDED_CSV = {
     "atoms": "8888285670638245",
-    "bcrb": "647089fa7e3732be",
+    "bcrb": "64a4858fc177f70b",
     "estimate": "89004b7223e647ec",
-    "sweep-n": "e33b298b5c217210",
-    "sweep-time": "24f2153a187cb7b0",
-    "track": "9a479d4ceac395e2",
+    "sweep-n": "2f5bcf83c88fac7d",
+    "sweep-time": "f01a6d248233b0ab",
+    "track": "b024089ed5726cd3",
 }
 
 RECORDED_SIX_POINT_CSV = {
@@ -342,6 +386,13 @@ RECORDED_LOOP_SIMULATOR_CSV = {"track": "98697494fabff3dd"}
 
 RECORDED_LOOP_SIMULATOR_MATRIX_FILTER_CSV = {"track": "4cb516eee932b13d"}
 
+RECORDED_LFILTER_CSV = {
+    "bcrb": "647089fa7e3732be",
+    "sweep-n": "e33b298b5c217210",
+    "sweep-time": "24f2153a187cb7b0",
+    "track": "9a479d4ceac395e2",
+}
+
 
 def _cli_digest(name, tmp_path) -> str:
     cfg = tmp_path / "cfg.json"
@@ -355,6 +406,11 @@ def _cli_digest(name, tmp_path) -> str:
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_csv_matches_recorded(name, tmp_path):
     assert _cli_digest(name, tmp_path) == RECORDED_CSV[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_LFILTER_CSV))
+def test_lfilter_cli_csv_matches_recorded(name, tmp_path, lfilter_recurrence):
+    assert _cli_digest(name, tmp_path) == RECORDED_LFILTER_CSV[name]
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED_BRENT_CSV))
@@ -384,8 +440,8 @@ def test_golden_section_cli_csv_matches_recorded(name, tmp_path,
 def test_loop_simulator_cli_csv_matches_recorded(name, tmp_path,
                                                   loop_simulator,
                                                   six_point_cubature):
-    expected = {**RECORDED_CSV, **RECORDED_BRENT_CSV, **RECORDED_SIX_POINT_CSV,
-                **RECORDED_LOOP_SIMULATOR_CSV}
+    expected = {**RECORDED_CSV, **RECORDED_LFILTER_CSV, **RECORDED_BRENT_CSV,
+                **RECORDED_SIX_POINT_CSV, **RECORDED_LOOP_SIMULATOR_CSV}
     assert _cli_digest(name, tmp_path) == expected[name]
 
 

@@ -1,0 +1,64 @@
+"""The runtime loads numpy alone: importing the package and the CLI,
+simulating, filtering, fitting, the Monte-Carlo bound, the atom sampler and
+``spinfid simulate`` import no scipy module.  Only the continuous Fisher
+information and the analytic bound that integrates it import scipy, on their
+first call."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = """
+import sys
+import tempfile
+
+from spinfid import atoms, bounds, cli, filters, pem, sde_sim
+from spinfid.model import (Constant, GaussianPrior, OrnsteinUhlenbeck,
+                           SpmParams, Wiener)
+
+p = SpmParams()
+_, rec = sde_sim.simulate(p, Constant(p.omega_bar + 30.0), 2e-4, seed=1)
+sde_sim.simulate(p, OrnsteinUhlenbeck(p.omega_bar, 1.0, 1e9), 2e-4, seed=2)
+prior = filters.default_prior(p, 100.0)
+for kind in ("ekf", "ckf"):
+    filters.run_filter(filters.FilterConfig(
+        kind, Wiener(p.omega_bar, 0.0), prior, p), rec)
+prior_omega = GaussianPrior(prior.mean[:1], prior.cov[:1, :1])
+prior_spin = GaussianPrior(prior.mean[1:], prior.cov[1:, 1:])
+pem.map_estimate(rec, p, prior_omega, prior_spin)
+bounds.bcrb_numeric(p, prior_omega, prior_spin, 1e-4, 2, seed=3)
+atoms.sample_steady_state_outcomes(p, p.omega_bar, 5000, seed=4)
+with tempfile.TemporaryDirectory() as out:
+    assert cli.main(["simulate", "--out", out]) == 0
+print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def _scipy_modules_after(script: str) -> list:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    return out.stdout.split()
+
+
+def test_runtime_imports_no_scipy():
+    assert _scipy_modules_after(SCRIPT) == []
+
+
+def test_analytic_bound_imports_scipy():
+    # the guard above would pass vacuously if the child could not see scipy
+    # being imported
+    script = """
+import sys
+
+from spinfid import bounds, model
+
+bounds.bcrb_analytic_gaussian_prior(model.SpmParams(), 100.0, 1e-4)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+    modules = _scipy_modules_after(script)
+    assert "scipy.integrate" in modules and "scipy.special" in modules

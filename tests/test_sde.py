@@ -209,6 +209,58 @@ class TestDampedRotation:
             expected.append(zk)
         assert np.allclose(z, expected, rtol=1e-13, atol=0.0)
 
+    @settings(max_examples=300, deadline=None)
+    @example(log_decay=-9.0, angle=0.5, n=3 * model._CHUNK + 1,
+             kind="complex", log_scale=0.0, seed=0)
+    @example(log_decay=math.log10(300.0), angle=-2.0, n=40, kind="real",
+             log_scale=3.0, seed=1)
+    @example(log_decay=0.0, angle=0.0, n=7, kind="zero", log_scale=0.0, seed=2)
+    @given(log_decay=st.floats(-9.0, math.log10(300.0)),
+           angle=st.floats(-math.pi, math.pi),
+           n=st.integers(1, 3 * model._CHUNK + 1),
+           kind=st.sampled_from(["complex", "real", "zero"]),
+           log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_scalar_pole_matches_the_linear_filter(self, log_decay, angle, n,
+                                                   kind, log_scale, seed):
+        # a decay per step of 1e-9 to 300 e-folds, from a start of
+        # 1e-3 to 1e3 times the noise
+        rng = np.random.default_rng(seed)
+        decay = 10.0 ** log_decay
+        eta = rng.standard_normal(n)
+        z0 = 10.0 ** log_scale * rng.standard_normal()
+        if kind == "real":
+            pole = math.copysign(math.exp(-decay), angle)
+        else:
+            pole = 0j if kind == "zero" else complex(
+                np.exp(complex(-decay, angle)))
+            eta = eta + 1j * rng.standard_normal(n)
+            z0 = complex(z0, 10.0 ** log_scale * rng.standard_normal())
+        z = model.damped_rotation(pole, eta, z0)
+        want = sim_reference.lfilter_recurrence(pole, eta, z0)
+        assert z.dtype == want.dtype
+        assert np.max(np.abs(z - want)) <= 1e-13 * np.max(np.abs(want))
+        if kind == "zero":
+            assert np.array_equal(z, eta)
+
+    @pytest.mark.parametrize("pole", [
+        complex(np.exp(complex(-1e-4, 0.3))), math.exp(-1e-4),
+        complex(np.exp(complex(-2.0, 1.0))), -math.exp(-300.0),
+        complex(np.exp(complex(-300.0, 1.0)))])
+    def test_shorter_path_is_a_prefix(self, pole):
+        # the last partial chunk takes the operations of a full one, at the
+        # longest chunk and at those shortened for a pole far inside the
+        # unit circle
+        rng = np.random.default_rng(3)
+        n = 3 * model._CHUNK + 2
+        eta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        longest = model.damped_rotation(pole, eta, 2.0 - 1.0j)
+        size = len(model._chunk_powers(pole)[0])
+        for k in sorted({1, size - 1, size, size + 1, 2 * size - 1, 2 * size,
+                         2 * size + 1, model._CHUNK - 1, model._CHUNK,
+                         model._CHUNK + 1, n - 1} - {0}):
+            z = model.damped_rotation(pole, eta[:k], 2.0 - 1.0j)
+            assert np.array_equal(z, longest[:k])
+
 
 class TestSimulate:
     def test_deterministic_closed_form_noiseless(self):
@@ -336,7 +388,9 @@ class TestSimulate:
         # noise of the next one is drawn
         p = SpmParams()
         h = p.Delta
-        s = Step(p.omega_bar, ((100 * h, math.inf), (110 * h, p.omega_bar)))
+        s = Step(p.omega_bar, ((100 * h, 0.0), (110 * h, p.omega_bar)))
+        # a Step rejects an infinite value, so it is set past the check
+        object.__setattr__(s, "jumps", ((100 * h, math.inf), s.jumps[1]))
         rng = np.random.default_rng(5)
         with pytest.raises(IntegrationBlowupError):
             sde_sim.simulate(p, s, 3 * sde_sim._BLOCK * h, substeps=1, seed=rng)
