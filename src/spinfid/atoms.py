@@ -84,10 +84,10 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: int,
     CPU (see ``model.damped_rotation``).  The working set is the output
     plus one block.
     """
-    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1:
+    if not model._holds(k, numbers.Integral) or k < 1:
         raise InvalidParametersError(
             f"atom sample count must be an integer >= 1, got {k!r}")
-    rng = sde_sim._as_rng(seed)
+    rng = np.random.default_rng(seed)
     t2 = model.coherence_time(p)
     shot_std = math.sqrt(model.measurement_noise_variance(p)) / p.g_D
     b = model.discrete_spin_noise_std(p.q, p.N, p.Delta, t2)

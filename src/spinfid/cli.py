@@ -1,6 +1,8 @@
 """Command-line front end: each subcommand runs one experiment from a JSON
 config and writes ``<subcommand>.csv`` plus a ``manifest.json`` with the
-resolved configuration, seed, git revision and wall time.
+resolved configuration, seed, git revision and wall time.  A config is
+checked by the one schema rule, ``model.check_fields``, and the manifest's
+``"config"`` (``model.as_json``) is a ``--config`` file that reproduces the run.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -15,32 +17,13 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import atoms, bounds, harness, pem, sde_sim
+from . import atoms, bounds, harness, model, pem, sde_sim
 from .errors import InvalidParametersError, SpinFidError
 from .harness import ExperimentConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-def _json_safe(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        d = {"kind": type(obj).__name__}
-        d.update({f.name: _json_safe(getattr(obj, f.name))
-                  for f in dataclasses.fields(obj)})
-        return d
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    return obj
 
 
 def _git_revision() -> str:
@@ -58,7 +41,7 @@ def _write_manifest(out_dir: Path, subcommand: str, cfg, seed: int,
                     wall_time: float) -> None:
     manifest = {
         "subcommand": subcommand,
-        "config": _json_safe(cfg),
+        "config": model.as_json(cfg),
         "seed": seed,
         "git_revision": _git_revision(),
         "wall_time_s": wall_time,
@@ -69,18 +52,11 @@ def _write_manifest(out_dir: Path, subcommand: str, cfg, seed: int,
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config is None:
-        cfg = ExperimentConfig()
-    else:
-        cfg = ExperimentConfig.from_json(args.config)
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.runs is not None:
-        updates["runs"] = args.runs
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    return cfg
+    cfg = (ExperimentConfig() if args.config is None
+           else ExperimentConfig.from_json(args.config))
+    overrides = {"seed": args.seed, "runs": args.runs}
+    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items()
+                                       if v is not None})
 
 
 def _cmd_simulate(cfg: ExperimentConfig, path: Path) -> None:

@@ -5,7 +5,8 @@ Every experiment is a pure function of (config, master seed): per-run RNG
 streams are spawned from the master seed by run index, so results are
 reproducible and independent of evaluation order.  Estimator errors are
 always measured against the true instantaneous frequency of the simulated
-shot, never against the nominal value.
+shot, never against the nominal value.  A config's fields are checked by
+the one schema rule, ``model.check_fields``.
 
 A sweep point is a list of independent zero-argument tasks: its
 Monte-Carlo runs in run order, then its ``bcrb_numeric`` bound when one is
@@ -25,12 +26,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import pickle
 import signal
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import Optional
 
 import numpy as np
 
@@ -54,49 +55,42 @@ _RUN_ERRORS = (IntegrationBlowupError, NumericalDegeneracyError,
 @dataclass(frozen=True)
 class ExperimentConfig:
     params: SpmParams = SpmParams()
-    true_signal: SignalModel = None
-    assumed_signal: SignalModel = None    # filter-side model; None -> static frequency
+    true_signal: Optional[SignalModel] = None
+    assumed_signal: Optional[SignalModel] = None  # filter-side model; None -> static frequency
     sigma_omega: float = DEFAULT_SIGMA_OMEGA
     duration: float = 5.0e-3
     substeps: int = 5
     runs: int = 1
     seed: int = 0
-    estimators: tuple = ("ekf",)
-    bounds: tuple = ()
+    estimators: tuple[str, ...] = ("ekf",)
+    bounds: tuple[str, ...] = ()
     bound_samples: int = 200
     sweep_axis: str = "none"
-    sweep_values: tuple = ()
+    sweep_values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for name in ("runs", "seed", "substeps", "bound_samples"):
-            value = getattr(self, name)
-            if not model._holds(value, numbers.Integral):
-                raise InvalidParametersError(
-                    f"{name} must be an integer, got {value!r}")
+        model.check_fields(self)
         if self.runs < 1:
             raise InvalidParametersError("run count must be >= 1")
         if self.seed < 0:
             raise InvalidParametersError("seed must be non-negative")
         for name in ("duration", "sigma_omega"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise InvalidParametersError(
-                    f"{name} must be finite and positive")
+            if not getattr(self, name) > 0.0:
+                raise InvalidParametersError(f"{name} must be strictly positive")
         if self.sweep_axis not in SWEEP_AXES:
             raise InvalidParametersError(f"unknown sweep axis {self.sweep_axis!r}")
         if self.sweep_axis != "none":
             if not self.sweep_values:
                 raise InvalidParametersError("sweep grid must be non-empty")
-            if any(not (model._holds(v, numbers.Real) and math.isfinite(v)
-                        and v > 0.0) for v in self.sweep_values):
-                raise InvalidParametersError(
-                    "sweep grid values must be finite positive numbers")
-        for e in self.estimators:
-            if e not in ESTIMATORS:
-                raise InvalidParametersError(f"unknown estimator {e!r}")
-        for b in self.bounds:
-            if b not in BOUNDS:
-                raise InvalidParametersError(f"unknown bound {b!r}")
+            if not all(v > 0.0 for v in self.sweep_values):
+                raise InvalidParametersError("sweep grid values must be positive")
+        for what, names, known in (("estimator", self.estimators, ESTIMATORS),
+                                   ("bound", self.bounds, BOUNDS)):
+            for i, name in enumerate(names):
+                if name not in known:
+                    raise InvalidParametersError(f"unknown {what} {name!r}")
+                if name in names[:i]:
+                    raise InvalidParametersError(f"{what} {name!r} named twice")
         if "bcrb_numeric" in self.bounds and self.bound_samples < 2:
             raise InvalidParametersError("bcrb_numeric needs bound_samples >= 2")
         if self.true_signal is None:
@@ -111,9 +105,6 @@ class ExperimentConfig:
         for key in ("true_signal", "assumed_signal"):
             if d.get(key) is not None:
                 d[key] = model.signal_from_dict(d[key])
-        for key in ("estimators", "bounds", "sweep_values"):
-            if key in d:
-                d[key] = tuple(d[key])
         return cls(**d)
 
     @classmethod
@@ -156,7 +147,7 @@ class ErrorCurve:
             if name in self.bound_stderr:
                 cols.append(f"stderr_{name}")
                 series.append(self.bound_stderr[name])
-        sde_sim._write_csv(path, ",".join(cols), zip(*series))
+        sde_sim._write_csv(path, ",".join(cols), zip(*series, strict=True))
 
 
 @dataclass

@@ -10,6 +10,9 @@ with isotropic atomic noise of strength Q = q N / T2.  Over a sampling window
 of length ``delta`` the exact discretization is a damped rotation plus
 additive Gaussian noise with isotropic standard deviation
 sqrt((qN/2)(1 - exp(-2 delta/T2))).
+
+``check_fields`` is the one rule for the fields of a config class, and
+``as_json`` writes a config in the format that ``from_dict`` reads.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -26,49 +29,86 @@ from .errors import InvalidParametersError
 
 TWO_PI = 2.0 * math.pi
 
-# field annotation -> (the JSON values it takes, their name); a bool is
-# none of them
-_JSON_TYPES = {
-    "float": (numbers.Real, "a number"),
-    "Optional[float]": ((numbers.Real, type(None)), "a number or null"),
-    "int": (numbers.Integral, "an integer"),
-    "tuple": ((list, tuple), "a list"),
+# The config schema: field annotation -> (the values it takes, what they
+# are, the annotations of a sequence's items: one per place, or one then ...
+# for any length); the config classes' own entries follow the classes.
+_SCHEMA = {
+    "float": (numbers.Real, "a number", None),
+    "Optional[float]": ((numbers.Real, type(None)), "a number or null", None),
+    "int": (numbers.Integral, "an integer", None),
+    "str": (str, "a string", None),
+    "tuple[str, ...]": ((list, tuple), "a list of strings", ("str", ...)),
+    "tuple[float, ...]": ((list, tuple), "a list of numbers", ("float", ...)),
+    "tuple[float, float]": ((list, tuple), "a number pair", ("float", "float")),
+    "tuple[tuple[float, float], ...]": (
+        (list, tuple), "a list of number pairs", ("tuple[float, float]", ...)),
 }
 
 
 def _holds(value, types) -> bool:
-    """Whether a JSON value is one of ``types``; a bool is no number."""
+    """Whether a value is one of ``types``; a bool is no number."""
     return not isinstance(value, bool) and isinstance(value, types)
 
 
+def _conform(value, annotation: str):
+    """``value`` as a field of ``annotation`` stores it, a list or tuple as a
+    tuple; TypeError if it is not what the annotation takes, ValueError or
+    OverflowError if it is or holds a number that is not a finite float."""
+    types, _, items = _SCHEMA[annotation]
+    if not _holds(value, types):
+        raise TypeError
+    if items is None:
+        if _holds(value, numbers.Real) and not math.isfinite(value):
+            raise ValueError
+        return value
+    if items[-1] is ...:
+        items = items[:1] * len(value)
+    elif len(value) != len(items):
+        raise TypeError
+    return tuple(_conform(v, a) for v, a in zip(value, items))
+
+
+def check_fields(obj) -> None:
+    """The one rule for config values: each field of the dataclass ``obj``
+    must hold what ``_SCHEMA`` says its annotation takes, else
+    InvalidParametersError; a sequence is stored as a tuple.  Every config
+    class calls this from ``__post_init__``, however it is built."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        try:
+            object.__setattr__(obj, f.name, _conform(value, f.type))
+        except TypeError:
+            raise InvalidParametersError(
+                f"{type(obj).__name__} {f.name!r} must be "
+                f"{_SCHEMA[f.type][1]}, got {value!r}") from None
+        except (ValueError, OverflowError):
+            raise InvalidParametersError(
+                f"{type(obj).__name__} {f.name} must be finite, "
+                f"got {value!r}") from None
+
+
 def check_json(cls, d, what: str) -> dict:
-    """``d`` if it is a JSON object whose keys are fields of ``cls`` and
-    whose number, integer and list fields hold one; else
-    InvalidParametersError."""
+    """``d`` if it is a JSON object of fields of ``cls``, else
+    InvalidParametersError; ``check_fields`` checks the values."""
     if not isinstance(d, dict):
         raise InvalidParametersError(f"{what} must be an object, got {d!r}")
-    by_name = {f.name: f for f in fields(cls)}
-    unknown = set(d) - set(by_name)
+    unknown = set(d) - {f.name for f in fields(cls)}
     if unknown:
         raise InvalidParametersError(f"unknown {what} keys: {sorted(unknown)}")
-    for key, value in d.items():
-        types, name = _JSON_TYPES.get(by_name[key].type, (object, None))
-        if name and not _holds(value, types):
-            raise InvalidParametersError(
-                f"{what} {key!r} must be {name}, got {value!r}")
     return d
 
 
-def _check_finite(obj) -> None:
-    """InvalidParametersError naming the first field of the dataclass
-    ``obj`` that holds a number that is not finite; None is no number, and a
-    tuple field holds number pairs."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        values = np.ravel(value) if isinstance(value, tuple) else [value]
-        if not all(v is None or math.isfinite(v) for v in values):
-            raise InvalidParametersError(
-                f"{f.name} must be finite, got {value!r}")
+def as_json(value):
+    """The JSON form of a config value that ``from_dict`` reads back: a
+    signal is an object with its ``_SIGNAL_KINDS`` key as "kind", another
+    config object an object of its fields, and a tuple a list."""
+    if is_dataclass(value):
+        d = {f.name: as_json(getattr(value, f.name)) for f in fields(value)}
+        kind = _KIND_OF.get(type(value))
+        return d if kind is None else {"kind": kind, **d}
+    if isinstance(value, tuple):
+        return [as_json(v) for v in value]
+    return value.item() if isinstance(value, np.generic) else value
 
 
 @dataclass(frozen=True)
@@ -92,7 +132,7 @@ class SpmParams:
     T2_override: Optional[float] = 0.87e-3  # coherence time, s; None -> 1/(Gamma + alpha*N)
 
     def __post_init__(self):
-        _check_finite(self)
+        check_fields(self)
         for name in ("g_D", "R", "N", "Delta"):
             if not getattr(self, name) > 0.0:
                 raise InvalidParametersError(f"{name} must be strictly positive")
@@ -127,7 +167,7 @@ class Constant:
     omega0: float  # rad/s
 
     def __post_init__(self):
-        _check_finite(self)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -140,7 +180,7 @@ class OrnsteinUhlenbeck:
     omega_start: Optional[float] = None  # initial value; None -> omega_bar
 
     def __post_init__(self):
-        _check_finite(self)
+        check_fields(self)
         if not self.tau > 0.0:
             raise InvalidParametersError("OU tau must be strictly positive")
         if self.d_c < 0.0:
@@ -155,7 +195,7 @@ class Wiener:
     d_c: float     # rad^2/s^3
 
     def __post_init__(self):
-        _check_finite(self)
+        check_fields(self)
         if self.d_c < 0.0:
             raise InvalidParametersError("Wiener d_c must be non-negative")
 
@@ -167,18 +207,16 @@ class Sinusoid:
     mod_freq: float    # Hz
 
     def __post_init__(self):
-        _check_finite(self)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class Step:
     omega_bar: float
-    jumps: tuple = ()  # ordered (time s, new value rad/s) pairs
+    jumps: tuple[tuple[float, float], ...] = ()  # ordered (time s, new value rad/s)
 
     def __post_init__(self):
-        object.__setattr__(self, "jumps", tuple((float(t), float(w))
-                                                for t, w in self.jumps))
-        _check_finite(self)
+        check_fields(self)
         times = [t for t, _ in self.jumps]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise InvalidParametersError("step jump times must be strictly increasing")
@@ -193,6 +231,11 @@ _SIGNAL_KINDS = {
     "sinusoid": Sinusoid,
     "step": Step,
 }
+_KIND_OF = {cls: kind for kind, cls in _SIGNAL_KINDS.items()}
+
+_SCHEMA["SpmParams"] = (SpmParams, "a parameter object", None)
+_SCHEMA["Optional[SignalModel]"] = (
+    (*_SIGNAL_KINDS.values(), type(None)), "a signal or null", None)
 
 
 def signal_from_dict(d: dict) -> SignalModel:
@@ -203,18 +246,9 @@ def signal_from_dict(d: dict) -> SignalModel:
     if not (isinstance(kind, str) and kind in _SIGNAL_KINDS):
         raise InvalidParametersError(f"unknown signal kind: {kind!r}")
     cls = _SIGNAL_KINDS[kind]
-    check_json(cls, d, f"{kind} signal")
-    number = _JSON_TYPES["float"][0]
-    if cls is Step:
-        for pair in d.get("jumps", ()):
-            if not (_holds(pair, (list, tuple)) and len(pair) == 2
-                    and all(_holds(v, number) for v in pair)):
-                raise InvalidParametersError(
-                    f"step signal jumps must be [time, value] number pairs, "
-                    f"got {pair!r}")
     try:
-        return cls(**d)
-    except (TypeError, ValueError) as exc:  # a missing field, unordered jumps
+        return cls(**check_json(cls, d, f"{kind} signal"))
+    except TypeError as exc:  # a missing field
         raise InvalidParametersError(f"{kind} signal: {exc}") from exc
 
 

@@ -280,12 +280,6 @@ def _states(p: SpmParams, s: SignalModel, n_sub: int, h: float,
     return states
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def simulate(p: SpmParams, s: SignalModel, duration: float, substeps: int = 5,
              seed=0) -> tuple[Trajectory, MeasurementRecord]:
     """Integrate the extended state and emit the synthetic photocurrent record.
@@ -303,7 +297,7 @@ def simulate(p: SpmParams, s: SignalModel, duration: float, substeps: int = 5,
     if substeps < 1:
         raise InvalidParametersError("substeps must be >= 1")
     n_meas = sample_indices([duration], p.Delta)[0]
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     n_sub = n_meas * substeps
     h = p.Delta / substeps
 

@@ -159,7 +159,7 @@ def one_shot_steady_state_outcomes(p: SpmParams, omega: float, k: int,
                                    seed=0) -> np.ndarray:
     """``atoms.sample_steady_state_outcomes`` as it ran before it walked the
     record in blocks: every draw and the whole rotation in one array each."""
-    rng = sde_sim._as_rng(seed)
+    rng = np.random.default_rng(seed)
     t2 = model.coherence_time(p)
     shot_std = math.sqrt(model.measurement_noise_variance(p)) / p.g_D
     b = model.discrete_spin_noise_std(p.q, p.N, p.Delta, t2)

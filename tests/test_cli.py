@@ -6,6 +6,7 @@ import pytest
 
 from spinfid import cli, harness
 from spinfid.errors import NumericalDegeneracyError
+from spinfid.harness import ExperimentConfig
 
 TWO_PI = 2.0 * math.pi
 
@@ -161,6 +162,21 @@ class TestExitCodes:
         assert not (out / "simulate.csv").exists()
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("payload", [
+        {"estimators": ["ekf", "ekf"]},
+        {"bounds": ["floor", "floor"]},
+    ])
+    def test_repeated_names(self, tmp_path, capsys, payload):
+        # a repeated estimator once gave two RMS values per grid point,
+        # which the CSV then wrote one row off
+        cfg = _write_cfg(tmp_path, {"sweep_axis": "sampling",
+                                    "sweep_values": [1e-6, 5e-6, 2e-5],
+                                    "duration": 1e-4, **payload})
+        code, out = _run(tmp_path, "sweep-delta", "--config", cfg)
+        assert code == 2
+        assert "named twice" in capsys.readouterr().err
+        assert not (out / "sweep-delta.csv").exists()
+
     def test_track_without_a_filter(self, tmp_path):
         cfg = _write_cfg(tmp_path, {"estimators": ["pem"], "duration": 1e-4})
         code, out = _run(tmp_path, "track", "--config", cfg)
@@ -183,7 +199,55 @@ class TestExitCodes:
         assert manifest["seed"] == 4
         assert "git_revision" in manifest
         assert manifest["wall_time_s"] >= 0.0
-        assert manifest["config"]["kind"] == "ExperimentConfig"
+        assert ExperimentConfig.from_dict(manifest["config"]) == \
+            ExperimentConfig(seed=4)
+
+
+# one small config per subcommand
+ROUND_TRIP = {
+    "simulate": {"true_signal": {"kind": "step", "omega_bar": TWO_PI * 1e4,
+                                 "jumps": [[1e-4, TWO_PI * 1e4 + 300.0]]},
+                 "duration": 3e-4},
+    "estimate": {"duration": 5e-4, "params": {"N": 1e12, "T2_override": None}},
+    "bcrb": {"duration": 1e-4, "bound_samples": 3},
+    "sweep-time": {"sweep_axis": "time", "sweep_values": [2e-4, 1e-4],
+                   "runs": 2, "estimators": ["ekf", "pem"],
+                   "bounds": ["floor", "crb"],
+                   "assumed_signal": {"kind": "wiener", "omega0": TWO_PI * 1e4,
+                                      "d_c": 10.0}},
+    "sweep-n": {"sweep_axis": "atoms", "sweep_values": [1e11, 1e12],
+                "duration": 1e-4, "runs": 2},
+    "sweep-delta": {"sweep_axis": "sampling", "sweep_values": [1e-5, 5e-6],
+                    "duration": 1e-4, "runs": 2, "substeps": 3},
+    "track": {"true_signal": {"kind": "ou", "omega_bar": TWO_PI * 1e4,
+                              "tau": 1.0, "d_c": 1e7},
+              "assumed_signal": {"kind": "ou", "omega_bar": TWO_PI * 1e4,
+                                 "tau": 1.0, "d_c": 1e7},
+              "estimators": ["ckf"], "duration": 2e-4},
+    "atoms": {"duration": 1e-3, "runs": 2,
+              "true_signal": {"kind": "sinusoid", "omega_bar": 1.0,
+                              "amplitude": 2.0, "mod_freq": 3.0}},
+}
+
+
+class TestManifestRoundTrip:
+    @pytest.mark.parametrize("command", list(ROUND_TRIP))
+    def test_manifest_config_reproduces_the_run(self, tmp_path, command):
+        # the overrides land in the manifest's config too
+        code, first = _run(tmp_path / "a", command, "--config",
+                           _write_cfg(tmp_path, ROUND_TRIP[command]),
+                           "--seed", "3", "--runs", "2")
+        assert code == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        path = tmp_path / "manifest_config.json"
+        path.write_text(json.dumps(manifest["config"], allow_nan=False))
+        code, second = _run(tmp_path / "b", command, "--config", str(path))
+        assert code == 0
+        assert (second / f"{command}.csv").read_bytes() == \
+            (first / f"{command}.csv").read_bytes()
+        again = json.loads((second / "manifest.json").read_text())
+        assert again["config"] == manifest["config"]
+        assert manifest["config"]["seed"] == 3
 
 
 class TestDeterminism:

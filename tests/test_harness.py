@@ -60,6 +60,8 @@ class TestConfig:
         {"sweep_axis": "time", "sweep_values": (1e-4, math.inf)},
         {"sweep_axis": "time", "sweep_values": (math.nan,)},
         {"sweep_axis": "time", "sweep_values": (True, 1e-4)},
+        {"estimators": ("ekf", "ekf")},
+        {"bounds": ("floor", "crb", "floor")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParametersError):
@@ -70,7 +72,7 @@ class TestConfig:
     @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
     def test_counts_must_be_integers(self, name, value):
         with pytest.raises(InvalidParametersError,
-                           match=f"{name} must be an integer"):
+                           match=f"'{name}' must be an integer"):
             ExperimentConfig(**{name: value})
         assert getattr(ExperimentConfig(**{name: np.int64(3)}), name) == 3
 
@@ -103,7 +105,8 @@ class TestConfig:
         ({"runs": 3.0}, "'runs' must be an integer"),
         ({"seed": True}, "'seed' must be an integer"),
         ({"duration": "1e-3"}, "'duration' must be a number"),
-        ({"sweep_axis": "time", "sweep_values": ["1e-4"]}, "positive numbers"),
+        ({"sweep_axis": "time", "sweep_values": ["1e-4"]},
+         "'sweep_values' must be a list of numbers"),
         ({"true_signal": 5}, "signal must be an object"),
         ([("runs", 3)], "config must be an object"),
     ])
@@ -328,6 +331,14 @@ class TestTracking:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,rmse_ekf,stderr_ekf,floor"
         assert lines[1].startswith("1,0.5,0.05,0.1")
+
+    def test_error_curve_csv_rejects_ragged_series(self, tmp_path):
+        # one RMS per axis point, never cut to the shorter length
+        curve = ErrorCurve(
+            "Delta", np.array([1e-6, 5e-6, 2e-5]),
+            {"ekf": np.arange(6.0)}, {"ekf": np.arange(6.0)}, {})
+        with pytest.raises(ValueError, match="zip"):
+            curve.to_csv(tmp_path / "curve.csv")
 
 
 def _sweep_on(monkeypatch, workers, run, cfg):
