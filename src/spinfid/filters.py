@@ -21,6 +21,9 @@ decomposes only a covariance that fails it.
 A filter pass is one loop, ``_steps``, with prediction and correction in
 its body; ``ekf_predict``, ``ckf_predict`` and ``kalman_correct`` are
 one-step views of the same loop, so each piece of the step exists once.
+The PSD test is written out in the loop, and the CKF factors P only when
+it cannot reuse the pivots of the last correction's PSD test, so a step
+calls no Python function unless a safeguard fires.
 """
 
 from __future__ import annotations
@@ -216,16 +219,24 @@ def _steps(cfg: FilterConfig, x: tuple, ys, predict, correct: bool = True,
     downdate loses definiteness to cancellation; it too must pass the PSD
     test.
 
-    A step calls no Python function unless a safeguard fires, apart from the
-    PSD test after each half step and the CKF's factorization of P.
+    The PSD test is ``_cholesky(P, tiny)`` written out, with its arithmetic
+    and order.  When the correction's test passes and tiny vanishes in each
+    diagonal entry of P (P_ii + tiny == P_ii), its pivots are exactly
+    ``_cholesky(P)``, and the next CKF prediction takes them as its factor;
+    otherwise, on the first step and in the one-step views it factors P.
+    A step calls no Python function unless a safeguard fires or the CKF has
+    no pivots to reuse.
     """
     phi, offset, decay, d1, d2, r = cfg.step
     delta, g = cfg.params.Delta, cfg.params.g_D
+    gg = g * g
     ckf = predict == "ckf"
-    cos, sin, isfinite = math.cos, math.sin, math.isfinite
-    cholesky, write_row, row_size = _cholesky, _ROW.pack_into, _ROW.size
+    cos, sin, sqrt, isfinite = math.cos, math.sin, math.sqrt, math.isfinite
+    tiny, write_row, row_size = _TINY, _ROW.pack_into, _ROW.size
     w, jy, jz, p00, p01, p02, p11, p12, p22 = x
     innovation = s_var = None
+    # whether (l00, l10, l20, l11, l21, l22) is the Cholesky factor of P
+    factored = False
     at = 0
     try:
         for y in ys:
@@ -236,9 +247,10 @@ def _steps(cfg: FilterConfig, x: tuple, ys, predict, correct: bool = True,
                 f2 = decay * (jy * c + jz * s)
                 f3 = decay * (-jy * s + jz * c)
                 if ckf:
-                    p = (p00, p01, p02, p11, p12, p22)
-                    l00, l10, l20, l11, l21, l22 = (cholesky(p)
-                                                    or _cholesky_with_jitter(p))
+                    if not factored:
+                        p = (p00, p01, p02, p11, p12, p22)
+                        l00, l10, l20, l11, l21, l22 = (
+                            _cholesky(p) or _cholesky_with_jitter(p))
                     h = _SQRT3 * l00
                     by, bz = _SQRT3 * l10, _SQRT3 * l20
                     # g0 = (f2, f3), and g+- at omega +- h
@@ -288,17 +300,30 @@ def _steps(cfg: FilterConfig, x: tuple, ys, predict, correct: bool = True,
                     s22 = a2 * v0 - es * v1 + ec * v2
                     jy, jz = f2, f3
                 w = phi * w + offset
-                p = (s00 + d1, s01, s02, s11 + d2, s12, s22 + d2)
-                if cholesky(p, _TINY) is None:
-                    p = _clip_to_psd(p)
-                p00, p01, p02, p11, p12, p22 = p
+                p00, p01, p02, p11, p12, p22 = (s00 + d1, s01, s02, s11 + d2,
+                                                s12, s22 + d2)
+                # the PSD test: _cholesky(P, tiny) written out, a NaN pivot
+                # passing; the first pivot that fails stops it, left in a
+                a = p00 + tiny
+                if a > 0.0 or a != a:
+                    l00 = sqrt(a)
+                    l10 = p01 / l00
+                    l20 = p02 / l00
+                    a = p11 + tiny - l10 * l10
+                    if a > 0.0 or a != a:
+                        l11 = sqrt(a)
+                        l21 = (p12 - l20 * l10) / l11
+                        a = p22 + tiny - (l20 * l20 + l21 * l21)
+                if not (a > 0.0 or a != a):
+                    p00, p01, p02, p11, p12, p22 = _clip_to_psd(
+                        (p00, p01, p02, p11, p12, p22))
                 if not (isfinite(w) and isfinite(jy) and isfinite(jz)
                         and isfinite(p00) and isfinite(p01) and isfinite(p02)
                         and isfinite(p11) and isfinite(p12) and isfinite(p22)):
                     raise NumericalDegeneracyError(
                         f"non-finite {cfg.kind.upper()} prediction")
             if correct:
-                s_var = r + g * g * p22
+                s_var = r + gg * p22
                 if not s_var > 0.0:
                     raise NumericalDegeneracyError(
                         f"innovation variance not positive: {s_var}")
@@ -309,15 +334,36 @@ def _steps(cfg: FilterConfig, x: tuple, ys, predict, correct: bool = True,
                 # rows 0 and 1 of (I - K h^T) P; row 2 is c2 * P[2, :]
                 m00, m01, m02 = p00 + c0 * p02, p01 + c0 * p12, p02 + c0 * p22
                 m11, m12 = p11 + c1 * p12, p12 + c1 * p22
-                p = (m00 + c0 * m02 + r * (k0 * k0),
-                     m01 + c1 * m02 + r * (k0 * k1),
-                     c2 * m02 + r * (k0 * k2),
-                     m11 + c1 * m12 + r * (k1 * k1),
-                     c2 * m12 + r * (k1 * k2),
-                     c2 * (c2 * p22) + r * (k2 * k2))
-                if cholesky(p, _TINY) is None:
-                    p = _clip_to_psd(p)
-                p00, p01, p02, p11, p12, p22 = p
+                p00, p01, p02, p11, p12, p22 = (
+                    m00 + c0 * m02 + r * (k0 * k0),
+                    m01 + c1 * m02 + r * (k0 * k1),
+                    c2 * m02 + r * (k0 * k2),
+                    m11 + c1 * m12 + r * (k1 * k1),
+                    c2 * m12 + r * (k1 * k2),
+                    c2 * (c2 * p22) + r * (k2 * k2))
+                # the PSD test again, as after the prediction
+                a = p00 + tiny
+                if a > 0.0 or a != a:
+                    l00 = sqrt(a)
+                    l10 = p01 / l00
+                    l20 = p02 / l00
+                    a = p11 + tiny - l10 * l10
+                    if a > 0.0 or a != a:
+                        l11 = sqrt(a)
+                        l21 = (p12 - l20 * l10) / l11
+                        a = p22 + tiny - (l20 * l20 + l21 * l21)
+                if a > 0.0 or a != a:
+                    if ckf:
+                        # the pivots are _cholesky(P) when tiny shifts no
+                        # diagonal entry (P_ii + tiny == P_ii, false for
+                        # -0.0), and the next prediction reuses them
+                        l22 = sqrt(a)
+                        factored = (p00 + tiny == p00 and p11 + tiny == p11
+                                    and p22 + tiny == p22)
+                else:
+                    p00, p01, p02, p11, p12, p22 = _clip_to_psd(
+                        (p00, p01, p02, p11, p12, p22))
+                    factored = False
                 w, jy, jz = (w + k0 * innovation, jy + k1 * innovation,
                              jz + k2 * innovation)
             if out is not None:

@@ -72,6 +72,8 @@ class ExperimentConfig:
         model.check_fields(self)
         if self.runs < 1:
             raise InvalidParametersError("run count must be >= 1")
+        if self.substeps < 1:
+            raise InvalidParametersError("substeps must be >= 1")
         if self.seed < 0:
             raise InvalidParametersError("seed must be non-negative")
         for name in ("duration", "sigma_omega"):

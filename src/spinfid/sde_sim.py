@@ -70,12 +70,12 @@ class Trajectory:
 
 def _write_csv(path, header: str, rows) -> None:
     """The package's CSV layout: CRLF line ends, floats written with .10g
-    and every other cell with str."""
+    and every other cell with str.  The rows are drawn before the file is
+    opened, so a row source that raises leaves no file behind."""
+    lines = [header] + [",".join(f"{v:.10g}" if isinstance(v, float)
+                                 else str(v) for v in row) for row in rows]
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.10g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\r\n")
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def sample_indices(times, delta: float) -> list[int]:

@@ -72,6 +72,16 @@ class TestExitCodes:
         assert "must be finite" in capsys.readouterr().err
         assert not (out / f"{command}.csv").exists()
 
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("substeps", [0, -3])
+    def test_substeps_below_one(self, tmp_path, capsys, command, substeps):
+        # every subcommand, not only the ones that integrate, rejects it
+        cfg = _write_cfg(tmp_path, {"substeps": substeps, "duration": 1e-4})
+        code, out = _run(tmp_path, command, "--config", cfg)
+        assert code == 2
+        assert "substeps must be >= 1" in capsys.readouterr().err
+        assert not (out / f"{command}.csv").exists()
+
     def test_removed_spin_cov_scale_key(self, tmp_path):
         # the spin prior's scale is no longer a config field
         cfg = _write_cfg(tmp_path, {"spin_cov_scale": 0.01})

@@ -62,6 +62,8 @@ class TestConfig:
         {"sweep_axis": "time", "sweep_values": (True, 1e-4)},
         {"estimators": ("ekf", "ekf")},
         {"bounds": ("floor", "crb", "floor")},
+        {"substeps": 0},
+        {"substeps": -3},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParametersError):

@@ -502,6 +502,15 @@ class TestMeasurementRecord:
         raw = path.read_bytes()
         assert raw.startswith(b"t,y\r\n")
 
+    def test_csv_row_source_that_raises_leaves_no_file(self, tmp_path):
+        def rows():
+            yield (1.0, 2.0)
+            raise RuntimeError("row source failed")
+        path = tmp_path / "rows.csv"
+        with pytest.raises(RuntimeError, match="row source failed"):
+            sde_sim._write_csv(path, "a,b", rows())
+        assert not path.exists()
+
     def test_csv_long_round_trip(self, tmp_path):
         # a long record of an inexact period loads as k * t_1
         rec = sde_sim.MeasurementRecord(1e-5 / 3.0, np.arange(200_000.0))
