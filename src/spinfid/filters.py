@@ -24,6 +24,11 @@ one-step views of the same loop, so each piece of the step exists once.
 The PSD test is written out in the loop, and the CKF factors P only when
 it cannot reuse the pivots of the last correction's PSD test, so a step
 calls no Python function unless a safeguard fires.
+
+``run_filter`` returns the whole pass as a ``FilterTrace``.  The sweeps
+read the estimate only at their probing indices, so they call
+``omega_at``, which runs the same loop from one index to the next, stops
+at the last and builds no trace; it gives the trace's values bit for bit.
 """
 
 from __future__ import annotations
@@ -268,9 +273,10 @@ def _steps(cfg: FilterConfig, x: tuple, ys, predict, correct: bool = True,
                     gmz = decay * (-gy * sa + gz * ca)
                     jy = (4.0 * f2 + gpy + gmy) / 6.0
                     jz = (4.0 * f3 + gpz + gmz) / 6.0
-                    s00 = (phi * l00) * (phi * l00)
-                    s01 = phi * h * (gpy - gmy) / 6.0
-                    s02 = phi * h * (gpz - gmz) / 6.0
+                    # the spread plus D; P is read only through its factor
+                    p00 = (phi * l00) * (phi * l00) + d1
+                    p01 = phi * h * (gpy - gmy) / 6.0
+                    p02 = phi * h * (gpz - gmz) / 6.0
                     # deviations from the spin mean
                     dy, dz = f2 - jy, f3 - jz
                     gpy, gpz, gmy, gmz = gpy - jy, gpz - jz, gmy - jy, gmz - jz
@@ -278,12 +284,12 @@ def _steps(cfg: FilterConfig, x: tuple, ys, predict, correct: bool = True,
                     ay = decay * (l11 * c + l21 * s)
                     az = decay * (-l11 * s + l21 * c)
                     by, bz = decay * (l22 * s), decay * (l22 * c)
-                    s11 = ((4.0 * (dy * dy) + gpy * gpy + gmy * gmy) / 6.0
-                           + (ay * ay + by * by))
-                    s12 = ((4.0 * (dy * dz) + gpy * gpz + gmy * gmz) / 6.0
+                    p11 = ((4.0 * (dy * dy) + gpy * gpy + gmy * gmy) / 6.0
+                           + (ay * ay + by * by) + d2)
+                    p12 = ((4.0 * (dy * dz) + gpy * gpz + gmy * gmz) / 6.0
                            + (ay * az + by * bz))
-                    s22 = ((4.0 * (dz * dz) + gpz * gpz + gmz * gmz) / 6.0
-                           + (az * az + bz * bz))
+                    p22 = ((4.0 * (dz * dz) + gpz * gpz + gmz * gmz) / 6.0
+                           + (az * az + bz * bz) + d2)
                 else:
                     a1, a2 = delta * f3, -delta * f2
                     ec, es = decay * c, decay * s
@@ -294,14 +300,16 @@ def _steps(cfg: FilterConfig, x: tuple, ys, predict, correct: bool = True,
                     v0 = p00 * a2 - p01 * es + p02 * ec
                     v1 = p01 * a2 - p11 * es + p12 * ec
                     v2 = p02 * a2 - p12 * es + p22 * ec
-                    s00, s01, s02 = phi * (phi * p00), phi * u0, phi * v0
-                    s11 = a1 * u0 + ec * u1 + es * u2
-                    s12 = a1 * v0 + ec * v1 + es * v2
-                    s22 = a2 * v0 - es * v1 + ec * v2
+                    # J P J^T + D; past u and v only p00's own update
+                    # reads an old entry
+                    p00 = phi * (phi * p00) + d1
+                    p01 = phi * u0
+                    p02 = phi * v0
+                    p11 = a1 * u0 + ec * u1 + es * u2 + d2
+                    p12 = a1 * v0 + ec * v1 + es * v2
+                    p22 = a2 * v0 - es * v1 + ec * v2 + d2
                     jy, jz = f2, f3
                 w = phi * w + offset
-                p00, p01, p02, p11, p12, p22 = (s00 + d1, s01, s02, s11 + d2,
-                                                s12, s22 + d2)
                 # the PSD test: _cholesky(P, tiny) written out, a NaN pivot
                 # passing; the first pivot that fails stops it, left in a
                 a = p00 + tiny
@@ -334,13 +342,13 @@ def _steps(cfg: FilterConfig, x: tuple, ys, predict, correct: bool = True,
                 # rows 0 and 1 of (I - K h^T) P; row 2 is c2 * P[2, :]
                 m00, m01, m02 = p00 + c0 * p02, p01 + c0 * p12, p02 + c0 * p22
                 m11, m12 = p11 + c1 * p12, p12 + c1 * p22
-                p00, p01, p02, p11, p12, p22 = (
-                    m00 + c0 * m02 + r * (k0 * k0),
-                    m01 + c1 * m02 + r * (k0 * k1),
-                    c2 * m02 + r * (k0 * k2),
-                    m11 + c1 * m12 + r * (k1 * k1),
-                    c2 * m12 + r * (k1 * k2),
-                    c2 * (c2 * p22) + r * (k2 * k2))
+                # p22 last: its own update reads the old p22
+                p00 = m00 + c0 * m02 + r * (k0 * k0)
+                p01 = m01 + c1 * m02 + r * (k0 * k1)
+                p02 = c2 * m02 + r * (k0 * k2)
+                p11 = m11 + c1 * m12 + r * (k1 * k1)
+                p12 = c2 * m12 + r * (k1 * k2)
+                p22 = c2 * (c2 * p22) + r * (k2 * k2)
                 # the PSD test again, as after the prediction
                 a = p00 + tiny
                 if a > 0.0 or a != a:
@@ -409,6 +417,31 @@ def run_filter(cfg: FilterConfig, rec: MeasurementRecord) -> FilterTrace:
     return FilterTrace(times=rec.times, mean=out[:, :3],
                        cov=out[:, 3:12].reshape(-1, 3, 3),
                        innovation=out[:, 12], innovation_var=out[:, 13])
+
+
+def omega_at(cfg: FilterConfig, rec: MeasurementRecord, ks) -> list[float]:
+    """``run_filter(cfg, rec).omega_hat[k - 1]`` for each k of ascending
+    ``ks`` (repeats allowed), bit for bit, from a pass that steps from one
+    k to the next, stops at the last and builds no trace.  The inputs are
+    checked as ``run_filter`` checks them, and ``ks`` as record lengths,
+    before any step.
+
+    A CKF segment factors P afresh where the whole pass might reuse the
+    last correction's pivots; ``_steps`` reuses them only when they are
+    exactly that factor, so the two agree."""
+    if len(rec.outcomes) == 0:
+        raise InvalidParametersError("empty measurement record")
+    rec.check_delta(cfg.params.Delta)
+    ks = rec.check_lengths(ks)
+    ys = rec.outcomes[:ks[-1]].tolist()
+    x = _state(cfg.prior.mean, cfg.prior.cov)
+    out = []
+    start = 0
+    for k in ks:
+        x = _steps(cfg, x, ys[start:k], cfg.kind)[0]
+        start = k
+        out.append(x[0])
+    return out
 
 
 def default_prior(p: SpmParams, sigma_omega: float) -> GaussianPrior:

@@ -6,7 +6,9 @@ streams are spawned from the master seed by run index, so results are
 reproducible and independent of evaluation order.  Estimator errors are
 always measured against the true instantaneous frequency of the simulated
 shot, never against the nominal value.  A config's fields are checked by
-the one schema rule, ``model.check_fields``.
+the one schema rule, ``model.check_fields``.  A sweep run reads each filter
+at its probing indices only (``filters.omega_at``, which builds no trace);
+a tracking run keeps the filter's whole pass.
 
 A sweep point is a list of independent zero-argument tasks: its
 Monte-Carlo runs in run order, then its ``bcrb_numeric`` bound when one is
@@ -232,8 +234,8 @@ def _single_run_errors(cfg: ExperimentConfig, p: SpmParams, rng, ks, substeps):
         if kind in cfg.estimators:
             fcfg = filters.FilterConfig(kind, cfg.filter_signal(p),
                                         _prior(cfg, p), p)
-            trace = filters.run_filter(fcfg, rec)
-            out[kind] = [trace.omega_hat[k - 1] - omega_true for k in ks]
+            out[kind] = [omega_hat - omega_true for omega_hat in
+                         filters.omega_at(fcfg, rec, ks)]
     if "pem" in cfg.estimators:
         out["pem"] = [omega_hat - omega_true for omega_hat, _ in
                       pem.map_estimates(rec, ks, p, *_blocks(_prior(cfg, p)))]

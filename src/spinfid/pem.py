@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import InvalidParametersError, MapBoundaryError
+from .errors import MapBoundaryError
 from .model import GaussianPrior, SpmParams
 from .sde_sim import MeasurementRecord
 
@@ -163,11 +163,7 @@ def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
     1..len(record), and a record sampled at another period than p.Delta,
     raise InvalidParametersError before any pass or table.
     """
-    lengths = list(lengths)
-    if (not lengths or lengths[0] < 1 or lengths[-1] > len(rec.outcomes)
-            or lengths != sorted(lengths)):
-        raise InvalidParametersError(
-            "record lengths must ascend within 1..len(record)")
+    lengths = rec.check_lengths(lengths)
     rec.check_delta(p.Delta)
     ca, sa = _rotation(omega, p)
     neg_sa = -sa

@@ -137,6 +137,18 @@ class MeasurementRecord:
                 f"record sampled every {self.delta} s, but the parameters "
                 f"have Delta = {delta} s")
 
+    def check_lengths(self, lengths) -> list:
+        """``lengths`` as a list, after InvalidParametersError unless they
+        are prefix lengths of this record in ascending order (repeats
+        allowed), at least one, each within 1..len(record)."""
+        lengths = list(lengths)
+        if (not lengths or lengths[0] < 1
+                or lengths[-1] > len(self.outcomes)
+                or lengths != sorted(lengths)):
+            raise InvalidParametersError(
+                "record lengths must ascend within 1..len(record)")
+        return lengths
+
     def truncated(self, k: int) -> "MeasurementRecord":
         return MeasurementRecord(self.delta, self.outcomes[:k])
 

@@ -12,6 +12,9 @@ nine-float state before the rule was evaluated in closed form on three
 rotations: one call of the one-step mean map per cubature point.  Run in
 place of the closed form, with the package's EKF prediction and correction,
 it reproduces the digests recorded before that change bit for bit.
+
+Each pass has an ``omega_at`` form that reads its trace at the probing
+indices, so the sweeps, which call ``filters.omega_at``, run on it too.
 """
 
 from __future__ import annotations
@@ -161,6 +164,14 @@ def run_filter(cfg: FilterConfig, rec: MeasurementRecord) -> FilterTrace:
     return trace
 
 
+def omega_at(cfg: FilterConfig, rec: MeasurementRecord, ks,
+             run=run_filter) -> list[float]:
+    """``filters.omega_at`` read from the whole trace of ``run``, by default
+    the matrix-form pass."""
+    omega_hat = run(cfg, rec).omega_hat
+    return [float(omega_hat[k - 1]) for k in ks]
+
+
 # ------------------------------------------------ scalar six-point cubature
 
 def point_map(w: float, jy: float, jz: float, cfg: FilterConfig) -> tuple:
@@ -237,3 +248,9 @@ def run_stepwise(cfg: FilterConfig, rec: MeasurementRecord,
 def six_point_run_filter(cfg: FilterConfig, rec: MeasurementRecord) -> FilterTrace:
     """``run_filter`` with the six-point cubature prediction."""
     return run_stepwise(cfg, rec, six_point_predict)
+
+
+def six_point_omega_at(cfg: FilterConfig, rec: MeasurementRecord,
+                       ks) -> list[float]:
+    """``omega_at`` with the six-point cubature prediction."""
+    return omega_at(cfg, rec, ks, six_point_run_filter)

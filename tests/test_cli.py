@@ -128,7 +128,7 @@ class TestExitCodes:
         # cap with a typed error
         def boom(*args, **kwargs):
             raise NumericalDegeneracyError("forced failure")
-        monkeypatch.setattr(harness.filters, "run_filter", boom)
+        monkeypatch.setattr(harness.filters, "omega_at", boom)
         cfg = _write_cfg(tmp_path, {"sweep_axis": "time",
                                     "sweep_values": [1e-4], "runs": 3})
         code, out = _run(tmp_path, "sweep-time", "--config", cfg)

@@ -414,20 +414,25 @@ class TestFilterPass:
            d_c=st.one_of(st.just(0.0), _log_uniform(1.0, 1e9)),
            kind=st.sampled_from(["ekf", "ckf"]),
            sigma_omega=_log_uniform(1.0, 1e4), samples=st.integers(1, 300),
-           seed=st.integers(0, 2 ** 16))
+           seed=st.integers(0, 2 ** 16), data=st.data())
     def test_covariance_psd_and_pass_is_step_composition(
             self, n_atoms, delta, t2, tau, d_c, kind, sigma_omega, samples,
-            seed):
+            seed, data):
         # on random configs (OU when tau is set, else Wiener) every
         # corrected covariance passes the PSD test or is what the clip
         # returned, and the pass equals its one-step views composed, bit for
-        # bit; a pass that diverges (the undersampled EKF can) must fail the
-        # same way step by step
+        # bit, as does omega_at at drawn probing indices (a repeat, the
+        # first and the last among them); a pass that diverges (the
+        # undersampled EKF can) must fail the same way step by step and
+        # segment by segment
         p = SpmParams(N=n_atoms, Delta=delta, T2_override=t2)
         s = (Wiener(p.omega_bar, d_c) if tau is None
              else OrnsteinUhlenbeck(p.omega_bar, tau, d_c))
         _, rec = simulate(p, s, samples * delta, substeps=2, seed=seed)
         cfg = FilterConfig(kind, s, default_prior(p, sigma_omega), p)
+        n = len(rec.outcomes)
+        drawn = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6))
+        ks = sorted(drawn + drawn[:1] + [1, n])
         clipped = set()
         clip = filters._clip_to_psd
 
@@ -443,6 +448,9 @@ class TestFilterPass:
                 with pytest.raises(NumericalDegeneracyError,
                                    match=re.escape(str(exc))):
                     reference.run_stepwise(cfg, rec)
+                with pytest.raises(NumericalDegeneracyError,
+                                   match=re.escape(str(exc))):
+                    filters.omega_at(cfg, rec, ks)
                 return
         for cov in trace.cov:
             entries = _upper(cov)
@@ -451,6 +459,7 @@ class TestFilterPass:
         steps = reference.run_stepwise(cfg, rec)
         for name in ("mean", "cov", "innovation", "innovation_var"):
             assert np.array_equal(getattr(trace, name), getattr(steps, name))
+        _assert_omega_at_reads_trace(cfg, rec, ks, trace)
 
     @pytest.mark.parametrize("case", ["variance_below_tiny", "clipped"])
     def test_ckf_factor_reuse_is_exact(self, case):
@@ -470,6 +479,9 @@ class TestFilterPass:
         s = Wiener(p.omega_bar, 0.0)
         cfg = FilterConfig("ckf", s, prior, p)
         _, rec = simulate(p, s, 100 * p.Delta, substeps=2, seed=0)
+        # each segment of omega_at factors P afresh at its start: cut the
+        # pass at every sample, and repeat one
+        ks = sorted([*range(1, len(rec.outcomes) + 1), 50])
         with pytest.MonkeyPatch.context() as mp:
             guards = _Safeguards(mp)
             trace = run_filter(cfg, rec)
@@ -482,6 +494,15 @@ class TestFilterPass:
         steps = reference.run_stepwise(cfg, rec)
         for name in ("mean", "cov", "innovation", "innovation_var"):
             assert np.array_equal(getattr(trace, name), getattr(steps, name))
+        _assert_omega_at_reads_trace(cfg, rec, ks, trace)
+
+
+def _assert_omega_at_reads_trace(cfg, rec, ks, trace):
+    """omega_at at ``ks`` is the trace's omega_hat there, bit for bit."""
+    got = filters.omega_at(cfg, rec, ks)
+    assert all(type(w) is float for w in got)
+    want = trace.omega_hat[np.array(ks) - 1]
+    assert np.array(got).view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 class _Safeguards:
@@ -509,17 +530,23 @@ class _Safeguards:
 def benchmark_runs():
     """Every filter run of the benchmark's mc_sampling sweep (EKF and CKF)
     and track_ou configs at seed 0: (config, record, trace, matrix-reference
-    trace), and the safeguards that fired on the way."""
+    trace), and the safeguards that fired on the way.  The sweep reads its
+    filters through ``omega_at``; each of its runs is also traced whole."""
     runs = []
-    new_run = filters.run_filter
+    new_run, new_omega_at = filters.run_filter, filters.omega_at
 
     def both(cfg, rec):
         trace = new_run(cfg, rec)
         runs.append((cfg, rec, trace, reference.run_filter(cfg, rec)))
         return trace
+
+    def both_at(cfg, rec, ks):
+        both(cfg, rec)
+        return new_omega_at(cfg, rec, ks)
     with pytest.MonkeyPatch.context() as mp:
         guards = _Safeguards(mp)
         mp.setattr(filters, "run_filter", both)
+        mp.setattr(filters, "omega_at", both_at)
         harness.run_error_vs_delta(ExperimentConfig(
             sigma_omega=2000.0, estimators=("ekf", "ckf"), runs=1, seed=0,
             duration=5e-3, sweep_axis="sampling",
@@ -596,13 +623,15 @@ class TestBenchmarkConfigs:
     def test_call_budget(self):
         # while no safeguard fires neither an EKF nor a CKF step calls a
         # Python function: the PSD tests are written into the step, and the
-        # CKF reuses the pivots of the last one as its factor of P
+        # CKF reuses the pivots of the last one as its factor of P; so the
+        # whole pass and omega_at at its last sample call as many on 1000
+        # samples as on one
         p = SpmParams(Delta=1e-6)
         s = OrnsteinUhlenbeck(p.omega_bar, 1.0, 1e9)
         _, rec = simulate(p, s, 1e-3, substeps=8, seed=0)
         assert len(rec.outcomes) == 1000
 
-        def calls(cfg, rec):
+        def calls(run, *args):
             count = 0
 
             def profile(frame, event, arg):
@@ -610,17 +639,20 @@ class TestBenchmarkConfigs:
                 count += event == "call"
             sys.setprofile(profile)
             try:
-                run_filter(cfg, rec)
+                run(*args)
             finally:
                 sys.setprofile(None)
             return count
+        short = rec.truncated(1)
         for kind in ("ekf", "ckf"):
             cfg = FilterConfig(kind, s, default_prior(p, 2000.0), p)
             with pytest.MonkeyPatch.context() as mp:
                 guards = _Safeguards(mp)
                 run_filter(cfg, rec)
             assert (guards.clips, guards.jitters) == (0, [])
-            assert calls(cfg, rec) == calls(cfg, rec.truncated(1))
+            assert calls(run_filter, cfg, rec) == calls(run_filter, cfg, short)
+            assert (calls(filters.omega_at, cfg, rec, [1000])
+                    == calls(filters.omega_at, cfg, short, [1]))
 
 
 class TestConfigAndTrace:
@@ -654,6 +686,23 @@ class TestConfigAndTrace:
         cfg = _cfg()
         with pytest.raises(InvalidParametersError):
             run_filter(cfg, MeasurementRecord(5e-6, np.empty(0)))
+
+    @pytest.mark.parametrize("ks, delta, n, match", [
+        ([], 5e-6, 8, "record lengths must ascend"),
+        ([0], 5e-6, 8, "record lengths must ascend"),
+        ([3, 2], 5e-6, 8, "record lengths must ascend"),
+        ([9], 5e-6, 8, "record lengths must ascend"),
+        ([1], 5e-6, 0, "empty measurement record"),
+        ([1], 1e-6, 8, "Delta"),
+    ])
+    def test_omega_at_rejects_bad_input_before_a_step(
+            self, monkeypatch, ks, delta, n, match):
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped on a bad input")
+        monkeypatch.setattr(filters, "_steps", no_step)
+        rec = MeasurementRecord(delta, np.zeros(n))
+        with pytest.raises(InvalidParametersError, match=match):
+            filters.omega_at(_cfg(), rec, ks)
 
     def test_run_filter_trace_shapes_and_csv(self, tmp_path):
         p = SpmParams()

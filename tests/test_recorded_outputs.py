@@ -53,6 +53,11 @@ loudly if another numpy build rounds a sample by its place in the array.
 Every other oracle runs with it, so that each of them still reproduces every
 digest recorded before its own change.
 
+The sweeps read each filter at its probing indices through
+``filters.omega_at``, which builds no trace.  The matrix-filter and
+six-point fixtures replace it with their oracle's whole pass read at the
+same indices, so every sweep still runs on the oracle filter.
+
 A digest is the leading 16 hex digits of the SHA-256 of the outputs' float64
 bytes, or of a CLI output file's bytes.  They were recorded with numpy 2.4
 and scipy 1.17 on x86-64 Linux; a different libm or BLAS build may
@@ -271,11 +276,13 @@ def brent(monkeypatch, lfilter_recurrence):
 @pytest.fixture
 def matrix_filter(monkeypatch, brent):
     monkeypatch.setattr(filters, "run_filter", reference.run_filter)
+    monkeypatch.setattr(filters, "omega_at", reference.omega_at)
 
 
 @pytest.fixture
 def six_point_cubature(monkeypatch, brent):
     monkeypatch.setattr(filters, "run_filter", reference.six_point_run_filter)
+    monkeypatch.setattr(filters, "omega_at", reference.six_point_omega_at)
 
 
 @pytest.fixture

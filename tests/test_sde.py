@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -584,6 +585,18 @@ class TestMeasurementRecord:
         rec.check_delta(5e-6)  # within a CSV timestamp's rounding
         with pytest.raises(InvalidParametersError, match="Delta = 5e-06"):
             sde_sim.MeasurementRecord(1e-6, np.ones(3)).check_delta(5e-6)
+
+    def test_check_lengths(self):
+        # the one rule for the prefix lengths of the likelihood and of
+        # filters.omega_at: ascending, repeats allowed, within 1..len
+        rec = sde_sim.MeasurementRecord(5e-6, np.ones(3))
+        assert rec.check_lengths(iter([1, 1, 3])) == [1, 1, 3]
+        for bad in ([], [0, 1], [2, 1], [4]):
+            with pytest.raises(InvalidParametersError, match=re.escape(
+                    "record lengths must ascend within 1..len(record)")):
+                rec.check_lengths(bad)
+        with pytest.raises(InvalidParametersError):
+            sde_sim.MeasurementRecord(5e-6, np.ones(0)).check_lengths([1])
 
     def test_csv_nonuniform_times_rejected(self, tmp_path):
         path = tmp_path / "rec.csv"
