@@ -8,7 +8,9 @@ always measured against the true instantaneous frequency of the simulated
 shot, never against the nominal value.  A config's fields are checked by
 the one schema rule, ``model.check_fields``.  A sweep run reads each filter
 at its probing indices only (``filters.omega_at``, which builds no trace);
-a tracking run keeps the filter's whole pass.
+a tracking run keeps the filter's whole pass and the true frequency at the
+sample times only, copied out of the substep path, which is released before
+the filter runs.
 
 A sweep point is a list of independent zero-argument tasks: its
 Monte-Carlo runs in run order, then its ``bcrb_numeric`` bound when one is
@@ -156,10 +158,12 @@ class ErrorCurve:
 
 @dataclass
 class TrackingResult:
-    """One simulated shot plus the filter's view of it."""
+    """One simulated shot plus the filter's view of it: the filter's trace
+    and the true frequency at the sample times.  The shot's substep path is
+    not kept."""
 
     trace: filters.FilterTrace
-    truth_omega: np.ndarray  # true instantaneous omega at measurement times
+    truth_omega: np.ndarray  # true omega at measurement times, its own array
 
     @property
     def true_error(self) -> np.ndarray:
@@ -458,7 +462,9 @@ def run_tracking(cfg: ExperimentConfig) -> TrackingResult:
         raise InvalidParametersError(
             "tracking needs a filter: estimators must include 'ekf' or 'ckf'")
     traj, rec = _shot(cfg)
+    # the truth at the sample times as its own array, so neither the filter
+    # pass nor the result keeps the substep path alive
+    truth = traj.states[cfg.substeps::cfg.substeps, 0].copy()
+    del traj
     fcfg = filters.FilterConfig(kind, cfg.filter_signal(p), _prior(cfg, p), p)
-    trace = filters.run_filter(fcfg, rec)
-    truth = traj.states[cfg.substeps::cfg.substeps, 0]
-    return TrackingResult(trace, truth)
+    return TrackingResult(filters.run_filter(fcfg, rec), truth)

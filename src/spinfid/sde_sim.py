@@ -271,8 +271,9 @@ def _states(p: SpmParams, s: SignalModel, n_sub: int, h: float,
         block = states[start + 1:start + 1 + _BLOCK]
         n = len(block)
         if stochastic:
-            w = rng.standard_normal((n, 2, 3))
-            xi, zeta = _correlated_pair(h, w[:, 0].T, w[:, 1].T)
+            # (2, 3, n): each component's draws contiguous for the pair
+            w = rng.standard_normal((n, 2, 3)).transpose(1, 2, 0).copy()
+            xi, zeta = _correlated_pair(h, w[0], w[1])
             phi, omega_bar, e = _taylor_frequency(h, s, xi[0], zeta[0])
             block[:, 0] = omega_bar + model.damped_rotation(
                 phi, e, states[start, 0] - omega_bar)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import weakref
 from dataclasses import replace
 from functools import partial
 
@@ -15,7 +16,7 @@ from spinfid.harness import (ErrorCurve, ExperimentConfig, run_error_vs_N,
                              run_error_vs_delta, run_error_vs_time,
                              run_tracking)
 from spinfid.model import (Constant, OrnsteinUhlenbeck, Sinusoid, SpmParams,
-                           Wiener, deterministic_omega)
+                           Step, Wiener, deterministic_omega)
 
 TWO_PI = 2.0 * math.pi
 
@@ -306,6 +307,46 @@ class TestTracking:
                                sigma_omega=TWO_PI * 500.0)
         result = run_tracking(cfg)
         assert abs(result.true_error[-1]) < 1.0
+
+    @pytest.mark.parametrize("signal", [
+        OrnsteinUhlenbeck(SpmParams().omega_bar, 1e-3, 1e9),
+        Wiener(SpmParams().omega_bar, 1e9),
+        Step(SpmParams().omega_bar,
+             ((2e-4, SpmParams().omega_bar + TWO_PI * 300.0),)),
+    ], ids=["ou", "wiener", "step"])
+    def test_truth_is_its_own_array_of_the_shot(self, signal):
+        cfg = ExperimentConfig(true_signal=signal, duration=5e-4, substeps=3,
+                               seed=4)
+        truth = run_tracking(cfg).truth_omega
+        traj, _ = harness.sde_sim.simulate(
+            cfg.params, signal, cfg.duration, substeps=cfg.substeps,
+            seed=harness._run_rng(cfg.seed, 0))
+        assert truth.base is None and truth.flags.c_contiguous
+        want = traj.states[cfg.substeps::cfg.substeps, 0]
+        assert truth.dtype == want.dtype and truth.shape == want.shape
+        assert truth.tobytes() == want.tobytes()
+
+    def test_substep_path_is_freed_before_the_filter_pass(self, monkeypatch):
+        shot, run_filter = harness._shot, harness.filters.run_filter
+        refs, passes = [], []
+
+        def kept_shot(cfg):
+            traj, rec = shot(cfg)
+            refs.append(weakref.ref(traj))
+            return traj, rec
+
+        def checked_run_filter(cfg, rec):
+            assert len(refs) == 1 and refs[0]() is None
+            passes.append(cfg.kind)
+            return run_filter(cfg, rec)
+
+        monkeypatch.setattr(harness, "_shot", kept_shot)
+        monkeypatch.setattr(harness.filters, "run_filter", checked_run_filter)
+        cfg = ExperimentConfig(
+            true_signal=OrnsteinUhlenbeck(SpmParams().omega_bar, 1e-3, 1e9),
+            duration=2e-4)
+        assert len(run_tracking(cfg).truth_omega) == 40
+        assert passes == ["ekf"]
 
     def test_rejects_config_without_a_filter(self):
         cfg = ExperimentConfig(estimators=("pem",), duration=1e-4)
