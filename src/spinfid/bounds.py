@@ -1,26 +1,29 @@
 """Bayesian Cramer-Rao bounds: Monte-Carlo evaluation via the score of the
 negative log-joint, and the analytic noiseless Fisher-information family.
 
-The numeric bound samples omega from its Gaussian prior, simulates a
-measurement record, and averages the squared score dJ/d omega of the exact
-negative log-joint J; the bound is the inverse of that average.  The score
-is exact, read by complex step through the likelihood recursion of
-:mod:`spinfid.pem`.  The analytic expressions hold when the atomic
-noise is switched off and the spin starts deterministically polarized; they
-are the damped-sinusoid Fisher information in discrete, continuous,
-short-time, asymptotic and no-decoherence form.
+The numeric bound draws each sample by the one Monte-Carlo shot rule,
+``sde_sim._mc_shot``, as a sweep run is drawn: omega from its Gaussian prior,
+then a measurement record, on the one stream rule ``sde_sim._stream``.  It
+averages the squared score dJ/d omega of the exact negative log-joint J; the
+bound is the inverse of that average.  The score is exact, read by complex
+step through the likelihood recursion of :mod:`spinfid.pem`.  The analytic
+expressions hold when the atomic noise is switched off and the spin starts
+deterministically polarized; they are the damped-sinusoid Fisher
+information in discrete, continuous, short-time, asymptotic and
+no-decoherence form.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model, pem, sde_sim
 from .errors import InvalidParametersError
-from .model import Constant, GaussianPrior, SpmParams
+from .model import GaussianPrior, SpmParams
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,10 @@ def bcrb_numeric_curve(p: SpmParams, prior_omega: GaussianPrior,
                        seed=0, substeps: int = 5):
     """Monte-Carlo bound at several probing times from shared simulations.
 
-    Valid with atomic noise on (q from the parameter set).  Each sample
-    simulates once to max(times); one complex likelihood pass
+    Valid with atomic noise on (q from the parameter set).  Sample m is
+    Monte-Carlo shot m of ``seed`` (``sde_sim._mc_shot``), the shot that
+    run m of a sweep at that seed and substeps simulates: omega drawn from
+    ``prior_omega``, one record to max(times).  One complex likelihood pass
     (:func:`pem.neg_log_joint_score`) gives the exact score of every
     truncated record, so the per-time bounds are correlated.  The standard
     error of each bound is the jackknife error of the inverted mean.  Each
@@ -65,24 +70,22 @@ def bcrb_numeric_curve(p: SpmParams, prior_omega: GaussianPrior,
     InvalidParametersError.  Returns a list of BoundResult in ascending time
     order.
     """
-    if n_samples < 2:
-        raise InvalidParametersError("need at least 2 Monte-Carlo samples")
+    if not model._holds(n_samples, numbers.Integral) or n_samples < 2:
+        raise InvalidParametersError(
+            f"need an integer of at least 2 Monte-Carlo samples, got "
+            f"{n_samples!r}")
     times = sorted(float(t) for t in times)
     if not times:
         raise InvalidParametersError("no probing times")
     ks = sde_sim.sample_indices(times, p.Delta)
     mu = float(prior_omega.mean[0])
     sigma = math.sqrt(float(prior_omega.cov[0, 0]))
-    children = np.random.SeedSequence(seed).spawn(n_samples)
 
     sq_scores = np.empty((len(times), n_samples))
-    for m, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        omega_true = mu + sigma * rng.standard_normal()
-        _, rec = sde_sim.simulate(p, Constant(omega_true), times[-1],
-                                  substeps=substeps, seed=rng)
+    for m in range(n_samples):
+        omega, rec = sde_sim._mc_shot(p, mu, sigma, ks[-1], substeps, seed, m)
         sq_scores[:, m] = np.square(pem.neg_log_joint_score(
-            omega_true, rec, p, prior_omega, prior_spin, ks))
+            omega, rec, p, prior_omega, prior_spin, ks))
 
     # jackknife: the bound with each sample left out in turn
     total = sq_scores.sum(axis=1, keepdims=True)

@@ -1,8 +1,9 @@
 """Command-line front end: each subcommand runs one experiment from a JSON
 config and writes ``<subcommand>.csv`` plus a ``manifest.json`` with the
-resolved configuration, seed, git revision and wall time.  A config is
-checked by the one schema rule, ``model.check_fields``, and the manifest's
-``"config"`` (``model.as_json``) is a ``--config`` file that reproduces the run.
+resolved configuration, seed, git revision of the package's own checkout
+and wall time.  A config is checked by the one schema rule,
+``model.check_fields``, and the manifest's ``"config"`` (``model.as_json``)
+is a ``--config`` file that reproduces the run.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -17,7 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import atoms, bounds, harness, model, pem, sde_sim
+from . import atoms, bounds, filters, harness, model, pem, sde_sim
 from .errors import InvalidParametersError, SpinFidError
 from .harness import ExperimentConfig
 
@@ -27,14 +28,20 @@ EXIT_NUMERICAL = 3
 
 
 def _git_revision() -> str:
+    """HEAD of the git checkout this package's source is tracked in, asked
+    in the package's own directory, whatever the working directory; "unknown"
+    when the source is tracked in none (an installed copy) or git fails."""
+    here = Path(__file__).resolve()
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                             text=True, timeout=5)
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return "unknown"
+        runs = [subprocess.run(["git", *args], cwd=here.parent,
+                               capture_output=True, text=True, timeout=5)
+                for args in (["ls-files", "--error-unmatch", here.name],
+                             ["rev-parse", "HEAD"])]
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    if any(run.returncode for run in runs):
+        return "unknown"
+    return runs[-1].stdout.strip()
 
 
 def _write_manifest(out_dir: Path, subcommand: str, cfg, seed: int,
@@ -67,7 +74,8 @@ def _cmd_estimate(cfg: ExperimentConfig, path: Path) -> None:
     """Simulate one shot and fit the constant-frequency MAP estimate."""
     p = cfg.params
     _, rec = harness._shot(cfg)
-    fit = pem.map_estimate(rec, p, *harness._blocks(harness._prior(cfg, p)))
+    fit = pem.map_estimate(rec, p, *harness._blocks(
+        filters.default_prior(p, cfg.sigma_omega)))
     sde_sim._write_csv(path, "omega_hat,neg_log_joint_per_sample", [fit])
 
 
@@ -75,8 +83,8 @@ def _cmd_bcrb(cfg: ExperimentConfig, path: Path) -> None:
     p = cfg.params
     times = cfg.sweep_values if cfg.sweep_axis == "time" else (cfg.duration,)
     results = bounds.bcrb_numeric_curve(
-        p, *harness._blocks(harness._prior(cfg, p)), times, cfg.bound_samples,
-        seed=cfg.seed, substeps=cfg.substeps)
+        p, *harness._blocks(filters.default_prior(p, cfg.sigma_omega)), times,
+        cfg.bound_samples, seed=cfg.seed, substeps=cfg.substeps)
     sde_sim._write_csv(path, "t,bound,stderr,kind", (
         (r.meta["t"], r.value, r.mc_std_err, "bcrb_numeric") for r in results))
 
@@ -91,7 +99,7 @@ def _cmd_atoms(cfg: ExperimentConfig, path: Path) -> None:
     rows = []
     for r in range(cfg.runs):
         samples = atoms.sample_steady_state_outcomes(
-            p, p.omega_bar, k, seed=harness._run_rng(cfg.seed, r))
+            p, p.omega_bar, k, seed=sde_sim._stream(cfg.seed, r))
         est = atoms.estimate_atom_number(samples, p)
         rows.append((r, est.n_hat, est.sigma_n, est.k_used, int(est.degenerate)))
     sde_sim._write_csv(path, "run,n_hat,sigma_n,k,degenerate", rows)

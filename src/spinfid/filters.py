@@ -446,7 +446,11 @@ def omega_at(cfg: FilterConfig, rec: MeasurementRecord, ks) -> list[float]:
 
 def default_prior(p: SpmParams, sigma_omega: float) -> GaussianPrior:
     """Broad reference prior: omega ~ N(omega_bar, sigma_omega^2), spin mean
-    at the polarized state with isotropic covariance 0.01 N^2."""
+    at the polarized state with isotropic covariance 0.01 N^2.  A spread
+    that is not finite and > 0 raises InvalidParametersError."""
+    if not (math.isfinite(sigma_omega) and sigma_omega > 0.0):
+        raise InvalidParametersError(
+            f"sigma_omega must be finite and > 0, got {sigma_omega!r}")
     mean = np.array([p.omega_bar, 0.0, 0.5 * p.N])
     spin_var = 0.01 * p.N ** 2
     cov = np.diag([sigma_omega ** 2, spin_var, spin_var])

@@ -1,16 +1,20 @@
 """Monte-Carlo experiment orchestration: error-vs-time curves, atom-number
 and sampling-period sweeps, and single-shot tracking runs.
 
-Every experiment is a pure function of (config, master seed): per-run RNG
-streams are spawned from the master seed by run index, so results are
-reproducible and independent of evaluation order.  Estimator errors are
-always measured against the true instantaneous frequency of the simulated
-shot, never against the nominal value.  A config's fields are checked by
-the one schema rule, ``model.check_fields``.  A sweep run reads each filter
-at its probing indices only (``filters.omega_at``, which builds no trace);
-a tracking run keeps the filter's whole pass and the true frequency at the
-sample times only, copied out of the substep path, which is released before
-the filter runs.
+Every experiment is a pure function of (config, master seed).  Run r of a
+sweep is Monte-Carlo shot r of the seed, drawn by the one shot rule
+``sde_sim._mc_shot`` on the one stream rule ``sde_sim._stream``: a
+frequency omega ~ N(omega_bar, sigma_omega^2) and a record at it.  The
+``bcrb_numeric`` bound draws its samples by the same rule from seed + 1, at
+the point's substeps.  So results are reproducible and independent of
+evaluation order, and the runs and the bound draw from one law.  Estimator
+errors are always measured against the true instantaneous frequency of the
+simulated shot, never against the nominal value.  A config's fields are
+checked by the one schema rule, ``model.check_fields``.  A sweep run reads
+each filter at its probing indices only (``filters.omega_at``, which builds
+no trace); a tracking run keeps the filter's whole pass and the true
+frequency at the sample times only, copied out of the substep path, which
+is released before the filter runs.
 
 A sweep point is a list of independent zero-argument tasks: its
 Monte-Carlo runs in run order, then its ``bcrb_numeric`` bound when one is
@@ -180,12 +184,6 @@ class TrackingResult:
                 for k in range(len(tr.times))))
 
 
-def _prior(cfg: ExperimentConfig, p: SpmParams) -> GaussianPrior:
-    """The reference prior over (omega, J_y, J_z) at the configured
-    frequency spread."""
-    return filters.default_prior(p, cfg.sigma_omega)
-
-
 def _blocks(prior: GaussianPrior) -> tuple[GaussianPrior, GaussianPrior]:
     """The (omega, spin) blocks of a prior over (omega, J_y, J_z), the pair
     of priors the likelihood layer takes."""
@@ -193,16 +191,12 @@ def _blocks(prior: GaussianPrior) -> tuple[GaussianPrior, GaussianPrior]:
             GaussianPrior(prior.mean[1:], prior.cov[1:, 1:]))
 
 
-def _run_rng(seed: int, run_index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(run_index,)))
-
-
 def _shot(cfg: ExperimentConfig):
     """(trajectory, record) of run 0 of the configured true signal: the one
     shot that ``simulate``, ``estimate`` and ``track`` work on."""
     return sde_sim.simulate(cfg.params, cfg.true_signal, cfg.duration,
-                            substeps=cfg.substeps, seed=_run_rng(cfg.seed, 0))
+                            substeps=cfg.substeps,
+                            seed=sde_sim._stream(cfg.seed, 0))
 
 
 def _check_exclusions(failures: list, runs: int) -> int:
@@ -225,43 +219,34 @@ def _rms_and_stderr(sq_errors: np.ndarray):
     return rms, np.where(rms > 0.0, se_mse / (2.0 * np.maximum(rms, 1e-300)), 0.0)
 
 
-def _single_run_errors(cfg: ExperimentConfig, p: SpmParams, rng, ks, substeps):
-    """Simulate one shot with a prior-drawn constant frequency and return the
-    per-estimator errors omega_hat - omega_true at the requested sample
-    indices."""
-    omega_true = p.omega_bar + cfg.sigma_omega * rng.standard_normal()
-    duration = max(ks) * p.Delta
-    _, rec = sde_sim.simulate(p, Constant(omega_true), duration,
-                              substeps=substeps, seed=rng)
+def _single_run_errors(cfg: ExperimentConfig, p: SpmParams,
+                       prior: GaussianPrior, r: int, ks, substeps):
+    """Simulate run r, Monte-Carlo shot r of the config's seed
+    (``sde_sim._mc_shot``), and return the per-estimator errors
+    omega_hat - omega_true at the requested sample indices."""
+    omega_true, rec = sde_sim._mc_shot(p, p.omega_bar, cfg.sigma_omega,
+                                       max(ks), substeps, cfg.seed, r)
     out = {}
     for kind in ("ekf", "ckf"):
         if kind in cfg.estimators:
-            fcfg = filters.FilterConfig(kind, cfg.filter_signal(p),
-                                        _prior(cfg, p), p)
+            fcfg = filters.FilterConfig(kind, cfg.filter_signal(p), prior, p)
             out[kind] = [omega_hat - omega_true for omega_hat in
                          filters.omega_at(fcfg, rec, ks)]
     if "pem" in cfg.estimators:
         out["pem"] = [omega_hat - omega_true for omega_hat, _ in
-                      pem.map_estimates(rec, ks, p, *_blocks(_prior(cfg, p)))]
+                      pem.map_estimates(rec, ks, p, *_blocks(prior))]
     return out
 
 
-def _numeric_bound(cfg: ExperimentConfig, p: SpmParams, times):
-    """(bcrb_numeric, its MC standard error) at ``times``, in rad/s."""
-    results = bounds.bcrb_numeric_curve(p, *_blocks(_prior(cfg, p)), times,
-                                        cfg.bound_samples, seed=cfg.seed + 1,
-                                        substeps=cfg.substeps)
-    vals = np.array([r.value for r in results])
-    ses = np.array([r.mc_std_err for r in results])
-    return np.sqrt(vals), ses / (2.0 * np.sqrt(vals))
-
-
 def _time_bounds(cfg: ExperimentConfig, p: SpmParams, times, numeric=None):
-    """The configured bounds at ``times``: ``numeric``, the
-    ``_numeric_bound`` pair a sweep worker computed, and the closed forms."""
+    """The configured bounds at ``times``, in rad/s: ``numeric``, the
+    ``bcrb_numeric_curve`` list of a sweep worker, and the closed forms."""
     out, out_se = {}, {}
     if numeric is not None:
-        out["bcrb_numeric"], out_se["bcrb_numeric"] = numeric
+        vals = np.sqrt([r.value for r in numeric])
+        out["bcrb_numeric"] = vals
+        out_se["bcrb_numeric"] = (np.array([r.mc_std_err for r in numeric])
+                                  / (2.0 * vals))
     if "bcrb_analytic" in cfg.bounds:
         out["bcrb_analytic"] = np.sqrt([
             bounds.bcrb_analytic_gaussian_prior(p, cfg.sigma_omega, t)
@@ -382,10 +367,13 @@ def _sweep(cfg: ExperimentConfig, axis_name: str, axis, points) -> ErrorCurve:
     bound, bound_se = {}, {}
     excluded = 0
     for (p, substeps, times), point_ks in zip(points, ks):
-        tasks = [partial(_single_run_errors, cfg, p, _run_rng(cfg.seed, r),
-                         point_ks, substeps) for r in range(cfg.runs)]
+        prior = filters.default_prior(p, cfg.sigma_omega)
+        tasks = [partial(_single_run_errors, cfg, p, prior, r, point_ks,
+                         substeps) for r in range(cfg.runs)]
         if "bcrb_numeric" in cfg.bounds:
-            tasks.append(partial(_numeric_bound, cfg, p, times))
+            tasks.append(partial(bounds.bcrb_numeric_curve, p, *_blocks(prior),
+                                 times, cfg.bound_samples, seed=cfg.seed + 1,
+                                 substeps=substeps))
         outcomes = _fan_out(tasks)
         sq = {e: [] for e in cfg.estimators}
         failures = []
@@ -440,7 +428,8 @@ def run_error_vs_N(cfg: ExperimentConfig) -> ErrorCurve:
 
 def run_error_vs_delta(cfg: ExperimentConfig) -> ErrorCurve:
     """RMS error at the configured probing time as a function of the sampling
-    period; integrator substeps scale so the internal step stays <= 1 us."""
+    period; integrator substeps scale so the internal step stays <= 1 us,
+    for the runs and the ``bcrb_numeric`` samples alike."""
     if cfg.sweep_axis != "sampling":
         raise InvalidParametersError("config must declare a sampling-period sweep")
     deltas = sorted(cfg.sweep_values)
@@ -466,5 +455,6 @@ def run_tracking(cfg: ExperimentConfig) -> TrackingResult:
     # pass nor the result keeps the substep path alive
     truth = traj.states[cfg.substeps::cfg.substeps, 0].copy()
     del traj
-    fcfg = filters.FilterConfig(kind, cfg.filter_signal(p), _prior(cfg, p), p)
+    fcfg = filters.FilterConfig(kind, cfg.filter_signal(p),
+                                filters.default_prior(p, cfg.sigma_omega), p)
     return TrackingResult(filters.run_filter(fcfg, rec), truth)

@@ -40,11 +40,20 @@ lookup of (1/tau, omega_bar, sqrt(d_c)) per signal, zeros for a waveform;
 the step coefficients, ``drift`` and the Euler-Maruyama reference all read
 it.  ``sample_indices`` is the one rule for how many samples a time holds.
 The one-step functions take the caller's increments and draw nothing.
+
+Monte-Carlo shot i of a master seed has one rule too.  ``_stream`` is the
+one stream rule, SeedSequence(seed, spawn_key=(i,)), the i-th child of
+``SeedSequence(seed).spawn``; the config's shot, the atom-count trials, the
+sweep runs and the numeric bound's samples all draw from it.  ``_mc_shot``
+is the one shot rule of the sweep runs and the bound's samples: on that
+stream, omega = mu + sigma z from the prior, then a record of k samples at
+that constant frequency.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -307,8 +316,9 @@ def simulate(p: SpmParams, s: SignalModel, duration: float, substeps: int = 5,
     deterministic waveforms the exact frozen-frequency step (see the module
     docstring).  Identical inputs give bit-identical outputs.
     """
-    if substeps < 1:
-        raise InvalidParametersError("substeps must be >= 1")
+    if not model._holds(substeps, numbers.Integral) or substeps < 1:
+        raise InvalidParametersError(
+            f"substeps must be an integer >= 1, got {substeps!r}")
     n_meas = sample_indices([duration], p.Delta)[0]
     rng = np.random.default_rng(seed)
     n_sub = n_meas * substeps
@@ -321,3 +331,19 @@ def simulate(p: SpmParams, s: SignalModel, duration: float, substeps: int = 5,
     jz_samples = states[substeps::substeps, 2]
     outcomes = p.g_D * jz_samples + v
     return Trajectory(times, states), MeasurementRecord(p.Delta, outcomes)
+
+
+def _stream(seed: int, i: int) -> np.random.Generator:
+    """The stream of Monte-Carlo shot i of ``seed``: the one stream rule."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+
+
+def _mc_shot(p: SpmParams, mu: float, sigma: float, k: int, substeps: int,
+             seed: int, i: int) -> tuple[float, MeasurementRecord]:
+    """(omega, record) of Monte-Carlo shot i of ``seed``, the one shot rule:
+    omega = mu + sigma z on ``_stream(seed, i)``, then a record of k samples
+    at that constant frequency."""
+    rng = _stream(seed, i)
+    omega = mu + sigma * rng.standard_normal()
+    return omega, simulate(p, model.Constant(omega), k * p.Delta,
+                           substeps=substeps, seed=rng)[1]

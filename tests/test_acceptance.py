@@ -222,10 +222,10 @@ def test_c09_atom_number_sweep(capsys):
     # paired EKF/CKF comparison in the fast-decoherence corner
     p13 = SpmParams().with_atom_number(1e13)
     diffs = []
+    k = sde_sim.sample_indices([duration], p13.Delta)[0]
     for r in range(100):
-        rng = harness._run_rng(0, r)
-        omega_true = p13.omega_bar + sigma * rng.standard_normal()
-        _, rec = sde_sim.simulate(p13, Constant(omega_true), duration, seed=rng)
+        omega_true, rec = sde_sim._mc_shot(p13, p13.omega_bar, sigma, k, 5, 0,
+                                           r)
         errs = {}
         for kind in ("ekf", "ckf"):
             fcfg = filters.FilterConfig(

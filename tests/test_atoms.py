@@ -88,6 +88,11 @@ class TestSampler:
         with pytest.raises(InvalidParametersError):
             sample_steady_state_outcomes(SpmParams(), 1.0, k)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_frequency_that_is_not_finite(self, omega):
+        with pytest.raises(InvalidParametersError, match="finite"):
+            sample_steady_state_outcomes(SpmParams(), omega, 10)
+
     def test_takes_a_numpy_integer_count(self):
         p = SpmParams()
         assert np.array_equal(

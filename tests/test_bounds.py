@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,22 @@ class TestNumericBound:
         with pytest.raises(InvalidParametersError, match="2 Monte-Carlo"):
             bounds.bcrb_numeric_curve(p, prior_omega, prior_spin,
                                       [1e-4, 2e-4], n_samples)
+
+    @pytest.mark.parametrize("n_samples", [2.5, True, np.float64(3.0)])
+    def test_curve_rejects_a_sample_count_that_is_no_integer(self, n_samples):
+        p = SpmParams()
+        prior_omega, prior_spin = _priors(p, 1e3)
+        with pytest.raises(InvalidParametersError,
+                           match="integer.*" + re.escape(repr(n_samples))):
+            bounds.bcrb_numeric_curve(p, prior_omega, prior_spin, [1e-4],
+                                      n_samples)
+
+    def test_curve_takes_a_numpy_integer_sample_count(self):
+        p = SpmParams()
+        prior_omega, prior_spin = _priors(p, 1e3)
+        args = (p, prior_omega, prior_spin, [5e-5])
+        assert (bounds.bcrb_numeric_curve(*args, np.int64(2), seed=1)
+                == bounds.bcrb_numeric_curve(*args, 2, seed=1))
 
     def test_curve_matches_per_time_scores(self):
         # the score read from one complex pass per sample equals the exact

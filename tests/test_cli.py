@@ -1,6 +1,8 @@
 import inspect
 import json
 import math
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +213,43 @@ class TestExitCodes:
         assert manifest["wall_time_s"] >= 0.0
         assert ExperimentConfig.from_dict(manifest["config"]) == \
             ExperimentConfig(seed=4)
+
+
+def _git(cwd, *args) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                           *args], cwd=cwd, capture_output=True, text=True)
+
+
+@pytest.fixture
+def other_repo(tmp_path):
+    """A git repository with one commit, unrelated to the package's."""
+    repo = tmp_path / "other"
+    repo.mkdir()
+    for args in (["init", "-q"], ["commit", "-q", "--allow-empty", "-m", "x"]):
+        assert _git(repo, *args).returncode == 0
+    return repo
+
+
+class TestGitRevision:
+    def test_names_the_package_checkout_not_the_working_directory(
+            self, other_repo, monkeypatch):
+        source = Path(cli.__file__).resolve()
+        tracked = _git(source.parent, "ls-files", "--error-unmatch",
+                       source.name).returncode == 0
+        want = (_git(source.parent, "rev-parse", "HEAD").stdout.strip()
+                if tracked else "unknown")
+        monkeypatch.chdir(other_repo)
+        code, out = _run(other_repo, "simulate", "--config", _write_cfg(
+            other_repo, {"duration": 1e-4}))
+        assert code == 0
+        got = json.loads((out / "manifest.json").read_text())["git_revision"]
+        assert got == want
+        assert got != _git(other_repo, "rev-parse", "HEAD").stdout.strip()
+
+    def test_untracked_source_is_unknown(self, other_repo, monkeypatch):
+        # a copy of the source that its directory's checkout does not track
+        monkeypatch.setattr(cli, "__file__", str(other_repo / "cli.py"))
+        assert cli._git_revision() == "unknown"
 
 
 # one small config per subcommand

@@ -743,6 +743,12 @@ class TestConfigAndTrace:
         tc = run_filter(_cfg("ckf", p=p, sigma_omega=500.0), rec)
         assert te.omega_hat[-1] == pytest.approx(tc.omega_hat[-1], abs=0.05)
 
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, math.nan, math.inf,
+                                       -math.inf])
+    def test_default_prior_rejects_a_spread_that_is_not_positive(self, sigma):
+        with pytest.raises(InvalidParametersError, match="sigma_omega"):
+            default_prior(SpmParams(), sigma)
+
     def test_default_prior_structure(self):
         p = SpmParams()
         prior = default_prior(p, 123.0)

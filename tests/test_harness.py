@@ -25,12 +25,9 @@ def _run_outcomes(cfg: ExperimentConfig, r: int) -> np.ndarray:
     """The outcomes of run r's record in a time sweep, simulated as the
     sweep simulates them."""
     p = cfg.params
-    rng = harness._run_rng(cfg.seed, r)
-    omega = p.omega_bar + cfg.sigma_omega * rng.standard_normal()
     k = max(harness.sde_sim.sample_indices(cfg.sweep_values, p.Delta))
-    _, rec = harness.sde_sim.simulate(p, Constant(omega), k * p.Delta,
-                                      substeps=cfg.substeps, seed=rng)
-    return rec.outcomes
+    return harness.sde_sim._mc_shot(p, p.omega_bar, cfg.sigma_omega, k,
+                                    cfg.substeps, cfg.seed, r)[1].outcomes
 
 
 class TestConfig:
@@ -280,12 +277,69 @@ class TestSweepReductions:
         assert set(curve.bound) == {"floor"}
         assert np.array_equal(curve.bound["floor"], expected)
 
+    def test_delta_sweep_bound_simulates_at_the_point_substeps(
+            self, monkeypatch):
+        # at Delta = 10 us the internal step stays <= 1 us with 10 substeps,
+        # for the bound's samples as for the runs
+        shots = _recorded_shots(monkeypatch)
+        cfg = ExperimentConfig(sweep_axis="sampling", sweep_values=(1e-5,),
+                               duration=1e-4, runs=1, bounds=("bcrb_numeric",),
+                               bound_samples=2)
+        run_error_vs_delta(cfg)
+        assert [substeps for _, _, substeps in shots] == [10, 10, 10]
+
     def test_axis_guards(self):
         cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4,))
         with pytest.raises(InvalidParametersError):
             run_error_vs_N(cfg)
         with pytest.raises(InvalidParametersError):
             run_error_vs_delta(cfg)
+
+
+def _recorded_shots(monkeypatch) -> list:
+    """Run every sweep task here and record each simulated shot as (omega,
+    outcome bytes, substeps) in the list returned."""
+    monkeypatch.setattr(harness, "_cpus", lambda: 1)
+    simulate, shots = harness.sde_sim.simulate, []
+
+    def recorded(p, s, duration, substeps=5, seed=0):
+        traj, rec = simulate(p, s, duration, substeps=substeps, seed=seed)
+        shots.append((s.omega0, rec.outcomes.tobytes(), substeps))
+        return traj, rec
+    monkeypatch.setattr(harness.sde_sim, "simulate", recorded)
+    return shots
+
+
+class TestShotRule:
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_bound_sample_m_is_sweep_run_m(self, monkeypatch, seed):
+        # sample m of the bound at seed s and run m of a time sweep at seed
+        # s are one shot: SeedSequence(s, spawn_key=(m,)), then omega = mu +
+        # sigma z, then a record of k samples at omega
+        cfg = ExperimentConfig(sweep_axis="time", sweep_values=(5e-5, 1e-4),
+                               runs=3, seed=seed, substeps=3)
+        p = cfg.params
+        k = max(harness.sde_sim.sample_indices(cfg.sweep_values, p.Delta))
+        want = []
+        for m in range(cfg.runs):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(m,)))
+            omega = p.omega_bar + cfg.sigma_omega * rng.standard_normal()
+            _, rec = harness.sde_sim.simulate(p, Constant(omega), k * p.Delta,
+                                              substeps=3, seed=rng)
+            want.append((omega, rec.outcomes.tobytes(), 3))
+            got, rec = harness.sde_sim._mc_shot(p, p.omega_bar,
+                                                cfg.sigma_omega, k, 3, seed, m)
+            assert (got, rec.outcomes.tobytes(), 3) == want[-1]
+        shots = _recorded_shots(monkeypatch)
+        harness.bounds.bcrb_numeric_curve(
+            p, *harness._blocks(harness.filters.default_prior(
+                p, cfg.sigma_omega)), cfg.sweep_values, cfg.runs, seed=seed,
+            substeps=3)
+        assert shots[:cfg.runs] == want
+        del shots[:]
+        run_error_vs_time(cfg)
+        assert shots == want
 
 
 class TestTracking:
@@ -320,7 +374,7 @@ class TestTracking:
         truth = run_tracking(cfg).truth_omega
         traj, _ = harness.sde_sim.simulate(
             cfg.params, signal, cfg.duration, substeps=cfg.substeps,
-            seed=harness._run_rng(cfg.seed, 0))
+            seed=harness.sde_sim._stream(cfg.seed, 0))
         assert truth.base is None and truth.flags.c_contiguous
         want = traj.states[cfg.substeps::cfg.substeps, 0]
         assert truth.dtype == want.dtype and truth.shape == want.shape

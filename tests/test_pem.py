@@ -11,7 +11,7 @@ import pem_reference
 import sim_reference
 from spinfid import bounds, harness, pem, sde_sim
 from spinfid.errors import InvalidParametersError, MapBoundaryError
-from spinfid.harness import ExperimentConfig
+from spinfid.filters import default_prior
 from spinfid.model import Constant, GaussianPrior, SpmParams
 from spinfid.sde_sim import MeasurementRecord, simulate
 
@@ -248,16 +248,13 @@ class TestNegLogJoint:
 
 
 def _c06_priors(p, sigma=harness.DEFAULT_SIGMA_OMEGA):
-    return harness._blocks(harness._prior(
-        ExperimentConfig(sigma_omega=sigma), p))
+    return harness._blocks(default_prior(p, sigma))
 
 
 def _c06_record(p, run, sigma=harness.DEFAULT_SIGMA_OMEGA):
     """Run ``run`` of the c06 fixture, simulated to its last probing time."""
-    rng = harness._run_rng(0, run)
-    omega = p.omega_bar + sigma * rng.standard_normal()
-    duration = sde_sim.sample_indices(C06_TIMES, p.Delta)[-1] * p.Delta
-    return simulate(p, Constant(omega), duration, seed=rng)[1]
+    k = sde_sim.sample_indices(C06_TIMES, p.Delta)[-1]
+    return sde_sim._mc_shot(p, p.omega_bar, sigma, k, 5, 0, run)[1]
 
 
 class TestGainTable:
@@ -504,13 +501,10 @@ class TestMapEstimate:
         # the score root against the golden-section minimum on runs of the
         # c06 fixture, and on a prior as narrow as its 50 us bound
         p = SpmParams()
-        priors = harness._blocks(harness._prior(
-            ExperimentConfig(sigma_omega=sigma), p))
+        priors = _c06_priors(p, sigma)
         ks = sde_sim.sample_indices(C06_TIMES, p.Delta)
         for r in range(3):
-            rng = harness._run_rng(0, r)
-            omega = p.omega_bar + sigma * rng.standard_normal()
-            _, rec = simulate(p, Constant(omega), ks[-1] * p.Delta, seed=rng)
+            rec = _c06_record(p, r, sigma)
             fits = pem.map_estimates(rec, ks, p, *priors)
             for oracle in (pem_reference.map_estimates,
                            pem_reference.brent_map_estimates):

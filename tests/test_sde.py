@@ -375,6 +375,19 @@ class TestSimulate:
         with pytest.raises(InvalidParametersError):
             sde_sim.simulate(p, Constant(1.0), 1e-4, substeps=0)
 
+    @pytest.mark.parametrize("substeps", [2.5, True, np.float64(2.0), "2"])
+    def test_rejects_a_substep_count_that_is_no_integer(self, substeps):
+        with pytest.raises(InvalidParametersError, match="integer"):
+            sde_sim.simulate(SpmParams(), Constant(1.0), 1e-4,
+                             substeps=substeps)
+
+    def test_takes_a_numpy_integer_substep_count(self):
+        p = SpmParams()
+        a = sde_sim.simulate(p, Constant(1.0), 1e-4, substeps=np.int64(2))
+        b = sde_sim.simulate(p, Constant(1.0), 1e-4, substeps=2)
+        assert a[0].states.tobytes() == b[0].states.tobytes()
+        assert a[1].outcomes.tobytes() == b[1].outcomes.tobytes()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_detection(self):
         p = SpmParams()
