@@ -36,13 +36,24 @@ class AtomCountEstimate:
 def steady_state_variance(samples) -> float:
     """Variance estimator (1/(k-1)) sum y_k^2 of the renormalized outcomes;
     the sequence mean is known to be zero in steady state, so no sample mean
-    is subtracted."""
+    is subtracted.  Samples that are not one 1-D sequence, or whose sum of
+    squares is not finite (a NaN or an infinite sample), raise
+    InvalidParametersError; the check reads the sum, so it takes no extra
+    pass over the samples."""
     y = np.asarray(samples, dtype=float)
+    if y.ndim != 1:
+        raise InvalidParametersError(
+            f"samples must be one 1-D sequence, got shape {y.shape}")
     k = y.size
     if k < 2:
         raise InvalidParametersError(
             "variance estimation needs at least 2 samples")
-    return float(y @ y) / (k - 1)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        sum_sq = float(y @ y)
+    if not math.isfinite(sum_sq):
+        raise InvalidParametersError(
+            "samples must be finite, with a finite sum of squares")
+    return sum_sq / (k - 1)
 
 
 def estimate_atom_number(samples, p: SpmParams) -> AtomCountEstimate:

@@ -148,9 +148,13 @@ class MeasurementRecord:
 
     def check_lengths(self, lengths) -> list:
         """``lengths`` as a list, after InvalidParametersError unless they
-        are prefix lengths of this record in ascending order (repeats
-        allowed), at least one, each within 1..len(record)."""
+        are integer prefix lengths of this record in ascending order
+        (repeats allowed), at least one, each within 1..len(record).  A
+        float or a bool is no length, even if it holds a whole number."""
         lengths = list(lengths)
+        if not all(model._holds(k, numbers.Integral) for k in lengths):
+            raise InvalidParametersError(
+                f"record lengths must be integers, got {lengths!r}")
         if (not lengths or lengths[0] < 1
                 or lengths[-1] > len(self.outcomes)
                 or lengths != sorted(lengths)):

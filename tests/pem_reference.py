@@ -1,7 +1,7 @@
-"""Golden-section and Brent MAP refinements, central-difference Bayesian
-bound and the likelihood recursion with its coefficients written out in
-every step, kept as the test oracles of ``spinfid.pem`` and
-``spinfid.bounds``.
+"""Golden-section, Brent and grid-start Fisher-scoring MAP refinements,
+central-difference Bayesian bound and the likelihood recursion with its
+coefficients written out in every step, kept as the test oracles of
+``spinfid.pem`` and ``spinfid.bounds``.
 
 ``map_estimates`` and ``bcrb_numeric_curve`` are the two estimators as they
 ran before both read the exact score by complex step, with the same
@@ -13,6 +13,8 @@ The MAP fit refines the grid minimum by a golden-section search to
 sample and reuses it for every sample and probing time.
 ``brent_map_estimates`` is the MAP fit as it ran before Fisher scoring:
 Brent's method on the exact score, then a float pass for J.
+``grid_start_map_estimates`` is the Fisher-scoring fit as it ran before it
+started at the vertex of the grid parabola: it starts at the grid minimum.
 ``neg_log_joint_prefixes`` is the likelihood pass as it ran before its loop
 invariants were computed once per pass, with the gains and the mean
 advanced in one loop.
@@ -167,6 +169,33 @@ def brent_map_estimates(rec, lengths, p, prior_omega, prior_spin):
                 "the score has one sign across the MAP bracket") from exc
         j_hat = pem.neg_log_joint_prefixes(omega_hat, rec, p, prior_omega,
                                            prior_spin, [k])[0]
+        fits.append((omega_hat, j_hat / k))
+    return fits
+
+
+def grid_start_map_estimates(rec, lengths, p, prior_omega, prior_spin):
+    """Drop-in for ``pem.map_estimates``: Fisher scoring started at the grid
+    minimum itself."""
+    lengths = list(lengths)
+    mu = float(prior_omega.mean[0])
+    sigma = math.sqrt(float(prior_omega.cov[0, 0]))
+    grid = np.linspace(mu - pem.MAP_BRACKET_SIGMAS * sigma,
+                       mu + pem.MAP_BRACKET_SIGMAS * sigma, pem.MAP_GRID_POINTS)
+    j_grids = pem.neg_log_joint_prefixes(grid, rec, p, prior_omega, prior_spin,
+                                         lengths)
+    fits = []
+    for k, j_grid in zip(lengths, j_grids):
+        i = int(np.argmin(j_grid))
+        if i == 0 or i == len(grid) - 1:
+            raise MapBoundaryError(
+                "MAP search hit the bracket edge; prior too narrow or data inconsistent")
+
+        def terms(w: float) -> tuple[float, float, float]:
+            return pem.score_and_information(w, rec, p, prior_omega,
+                                             prior_spin, k)
+
+        omega_hat, j_hat = pem._score_root(terms, float(grid[i - 1]),
+                                           float(grid[i]), float(grid[i + 1]))
         fits.append((omega_hat, j_hat / k))
     return fits
 

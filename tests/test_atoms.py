@@ -28,6 +28,23 @@ class TestVarianceEstimator:
         with pytest.raises(ValueError):
             steady_state_variance([1.0])
 
+    @pytest.mark.parametrize("samples", [
+        [math.nan, 1.0, 2.0], [1.0, math.inf, 2.0], [-math.inf, 1.0],
+        [1e200, 1.0]], ids=["nan", "inf", "-inf", "square overflows"])
+    def test_rejects_samples_that_are_not_finite(self, samples):
+        for call in (lambda: steady_state_variance(samples),
+                     lambda: estimate_atom_number(samples, SpmParams())):
+            with pytest.raises(InvalidParametersError, match="finite"):
+                call()
+
+    @pytest.mark.parametrize("samples", [np.ones((2, 2)), np.ones((3, 1)),
+                                         np.float64(1.0)])
+    def test_rejects_samples_that_are_not_one_sequence(self, samples):
+        for call in (lambda: steady_state_variance(samples),
+                     lambda: estimate_atom_number(samples, SpmParams())):
+            with pytest.raises(InvalidParametersError, match="1-D"):
+                call()
+
 
 class TestEstimator:
     def test_plug_in_inversion_exact(self):

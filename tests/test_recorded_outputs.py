@@ -53,6 +53,14 @@ loudly if another numpy build rounds a sample by its place in the array.
 Every other oracle runs with it, so that each of them still reproduces every
 digest recorded before its own change.
 
+The outputs that fit a MAP estimate were re-recorded when Fisher scoring
+moved its start from the grid minimum to the vertex of the parabola through
+the grid minimum and its two neighbours.  The grid-point start is kept as
+``pem_reference.grid_start_map_estimates``; run in place of the new fit, with
+the numpy solve or with scipy's linear filter, it still reproduces the
+digests recorded before, and ``test_pem`` bounds the distance between the
+two.
+
 The sweeps read each filter at its probing indices through
 ``filters.omega_at``, which builds no trace.  The matrix-filter and
 six-point fixtures replace it with their oracle's whole pass read at the
@@ -177,9 +185,9 @@ RECORDED = {
     "simulate sinusoid": "77a5b2dd90681071",
     "simulate step": "d31af5218b5b7ddf",
     "simulate wiener": "b196deef86ff7640",
-    "sweep N": "70a763293964c0bf",
-    "sweep delta": "3b0e309575ae54aa",
-    "sweep time": "58f2210060500b90",
+    "sweep N": "b26654f947ed9818",
+    "sweep delta": "594ffc468a296ff7",
+    "sweep time": "dace8ab5ee2ee2ad",
     "sweep time 13 runs": "70ca2853355ff9b8",
     "track ou ckf": "0f511365827980b9",
     "track ou ekf": "4f5dce05db71f42c",
@@ -249,18 +257,38 @@ RECORDED_LFILTER = {
     "simulate sinusoid": "9490538c3e788554",
     "simulate step": "7cc907eb36f4c259",
     "simulate wiener": "ab8be40e3e877a6a",
-    "sweep N": "8acb62f5284ca016",
-    "sweep delta": "5f1147f0962eb67a",
-    "sweep time": "a12786444d91da48",
+    "sweep N": "7783c375561b7407",
+    "sweep delta": "a1835523a7af966c",
+    "sweep time": "c2c341e65cb53e6d",
     "sweep time 13 runs": "b63e5ecf8296e2b0",
     "track ou ckf": "0ec1678974ce00c3",
     "track ou ekf": "09154eb67c2dadcd",
+}
+
+# the outputs that changed, as Fisher scoring started at the grid minimum
+# gave them, with the numpy solve and with scipy's linear filter
+RECORDED_GRID_START = {
+    "sweep N": "70a763293964c0bf",
+    "sweep delta": "3b0e309575ae54aa",
+    "sweep time": "58f2210060500b90",
+}
+
+RECORDED_GRID_START_LFILTER = {
+    "sweep N": "8acb62f5284ca016",
+    "sweep delta": "5f1147f0962eb67a",
+    "sweep time": "a12786444d91da48",
 }
 
 
 @pytest.fixture
 def lfilter_recurrence(monkeypatch):
     monkeypatch.setattr(model, "_recurrence", sim_reference.lfilter_recurrence)
+
+
+@pytest.fixture
+def grid_start(monkeypatch):
+    monkeypatch.setattr(pem, "map_estimates",
+                        pem_reference.grid_start_map_estimates)
 
 
 @pytest.fixture
@@ -300,6 +328,17 @@ def test_output_matches_recorded(name):
 @pytest.mark.parametrize("name", sorted(RECORDED_LFILTER))
 def test_lfilter_output_matches_recorded(name, lfilter_recurrence):
     assert _digest(CASES[name]()) == RECORDED_LFILTER[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_GRID_START))
+def test_grid_start_output_matches_recorded(name, grid_start):
+    assert _digest(CASES[name]()) == RECORDED_GRID_START[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_GRID_START_LFILTER))
+def test_grid_start_lfilter_output_matches_recorded(name, grid_start,
+                                                    lfilter_recurrence):
+    assert _digest(CASES[name]()) == RECORDED_GRID_START_LFILTER[name]
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED_BRENT))
@@ -363,9 +402,9 @@ CLI_CASES = {
 RECORDED_CSV = {
     "atoms": "8888285670638245",
     "bcrb": "64a4858fc177f70b",
-    "estimate": "89004b7223e647ec",
+    "estimate": "b1519b6ca2147071",
     "sweep-n": "2f5bcf83c88fac7d",
-    "sweep-time": "f01a6d248233b0ab",
+    "sweep-time": "76c7160298b05dd1",
     "track": "b024089ed5726cd3",
 }
 
@@ -387,7 +426,9 @@ RECORDED_GOLDEN_SECTION_CSV = {
     "sweep-time": "5afafaac5d3c4218",
 }
 
-RECORDED_BRENT_CSV = {"sweep-time": "26d240a3a96a2373"}
+# Brent's fit writes the estimate CSV that scoring from the grid minimum wrote
+RECORDED_BRENT_CSV = {"estimate": "89004b7223e647ec",
+                      "sweep-time": "26d240a3a96a2373"}
 
 RECORDED_LOOP_SIMULATOR_CSV = {"track": "98697494fabff3dd"}
 
@@ -396,9 +437,16 @@ RECORDED_LOOP_SIMULATOR_MATRIX_FILTER_CSV = {"track": "4cb516eee932b13d"}
 RECORDED_LFILTER_CSV = {
     "bcrb": "647089fa7e3732be",
     "sweep-n": "e33b298b5c217210",
-    "sweep-time": "24f2153a187cb7b0",
+    "sweep-time": "30294545888b221d",
     "track": "9a479d4ceac395e2",
 }
+
+RECORDED_GRID_START_CSV = {
+    "estimate": "89004b7223e647ec",
+    "sweep-time": "f01a6d248233b0ab",
+}
+
+RECORDED_GRID_START_LFILTER_CSV = {"sweep-time": "24f2153a187cb7b0"}
 
 
 def _cli_digest(name, tmp_path) -> str:
@@ -418,6 +466,19 @@ def test_cli_csv_matches_recorded(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(RECORDED_LFILTER_CSV))
 def test_lfilter_cli_csv_matches_recorded(name, tmp_path, lfilter_recurrence):
     assert _cli_digest(name, tmp_path) == RECORDED_LFILTER_CSV[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_GRID_START_CSV))
+def test_grid_start_cli_csv_matches_recorded(name, tmp_path, grid_start):
+    assert _cli_digest(name, tmp_path) == RECORDED_GRID_START_CSV[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_GRID_START_LFILTER_CSV))
+def test_grid_start_lfilter_cli_csv_matches_recorded(name, tmp_path,
+                                                     grid_start,
+                                                     lfilter_recurrence):
+    assert (_cli_digest(name, tmp_path)
+            == RECORDED_GRID_START_LFILTER_CSV[name])
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED_BRENT_CSV))

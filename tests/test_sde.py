@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sim_reference
-from spinfid import model, sde_sim
+from spinfid import filters, harness, model, pem, sde_sim
 from spinfid.errors import IntegrationBlowupError, InvalidParametersError
+from spinfid.filters import default_prior
 from spinfid.model import (Constant, OrnsteinUhlenbeck, Sinusoid, SpmParams,
                            Step, Wiener)
 
@@ -610,6 +611,30 @@ class TestMeasurementRecord:
                 rec.check_lengths(bad)
         with pytest.raises(InvalidParametersError):
             sde_sim.MeasurementRecord(5e-6, np.ones(0)).check_lengths([1])
+        assert rec.check_lengths([np.int64(2), 3]) == [2, 3]
+
+    @pytest.mark.parametrize("lengths", [[2.5], [5.0], [True, 5], [2, 5.0],
+                                         [np.float64(5.0)], ["5"], [None]])
+    @pytest.mark.parametrize("caller", ["neg_log_joint_prefixes",
+                                        "map_estimates", "omega_at"])
+    def test_lengths_that_are_no_integers_raise(self, caller, lengths):
+        # every caller of the one length rule raises a typed error, not a
+        # TypeError from a slice or an array shape, and never reads a bool
+        # or a whole float as a length
+        p = SpmParams()
+        prior = default_prior(p, 2e3)
+        blocks = harness._blocks(prior)
+        rec = sde_sim.MeasurementRecord(p.Delta, np.zeros(20))
+        call = {
+            "neg_log_joint_prefixes": lambda: pem.neg_log_joint_prefixes(
+                p.omega_bar, rec, p, *blocks, lengths),
+            "map_estimates": lambda: pem.map_estimates(rec, lengths, p,
+                                                       *blocks),
+            "omega_at": lambda: filters.omega_at(filters.FilterConfig(
+                "ekf", Wiener(p.omega_bar, 0.0), prior, p), rec, lengths),
+        }[caller]
+        with pytest.raises(InvalidParametersError, match="integers"):
+            call()
 
     def test_csv_nonuniform_times_rejected(self, tmp_path):
         path = tmp_path / "rec.csv"
