@@ -98,9 +98,7 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: int,
     if not model._holds(k, numbers.Integral) or k < 1:
         raise InvalidParametersError(
             f"atom sample count must be an integer >= 1, got {k!r}")
-    if not math.isfinite(omega):
-        raise InvalidParametersError(
-            f"frequency must be finite, got {omega!r}")
+    model._check_inputs(omega)
     rng = np.random.default_rng(seed)
     t2 = model.coherence_time(p)
     shot_std = math.sqrt(model.measurement_noise_variance(p)) / p.g_D

@@ -34,41 +34,38 @@ class BoundResult:
 
 
 def neg_log_joint_gradient(omega: float, rec: sde_sim.MeasurementRecord,
-                           p: SpmParams, prior_omega: GaussianPrior,
-                           prior_spin: GaussianPrior, h: float) -> float:
+                           p: SpmParams, prior: GaussianPrior,
+                           h: float) -> float:
     """Central-difference derivative of J with respect to omega, the
     finite-difference reference of :func:`pem.neg_log_joint_score`."""
     if not h > 0.0:
         raise InvalidParametersError("finite-difference step must be positive")
-    j_plus = pem.kalman_neg_log_joint(omega + h, rec, p, prior_omega, prior_spin)
-    j_minus = pem.kalman_neg_log_joint(omega - h, rec, p, prior_omega, prior_spin)
+    j_plus = pem.kalman_neg_log_joint(omega + h, rec, p, prior)
+    j_minus = pem.kalman_neg_log_joint(omega - h, rec, p, prior)
     return (j_plus.neg_log_joint - j_minus.neg_log_joint) / (2.0 * h)
 
 
-def bcrb_numeric(p: SpmParams, prior_omega: GaussianPrior,
-                 prior_spin: GaussianPrior, t: float, n_samples: int,
-                 seed=0, substeps: int = 5) -> BoundResult:
+def bcrb_numeric(p: SpmParams, prior: GaussianPrior, t: float,
+                 n_samples: int, seed=0, substeps: int = 5) -> BoundResult:
     """Monte-Carlo Bayesian bound 1 / E[(dJ/d omega)^2] at probing time t,
     the one-time case of :func:`bcrb_numeric_curve`."""
-    return bcrb_numeric_curve(p, prior_omega, prior_spin, [t], n_samples,
-                              seed=seed, substeps=substeps)[0]
+    return bcrb_numeric_curve(p, prior, [t], n_samples, seed=seed,
+                              substeps=substeps)[0]
 
 
-def bcrb_numeric_curve(p: SpmParams, prior_omega: GaussianPrior,
-                       prior_spin: GaussianPrior, times, n_samples: int,
-                       seed=0, substeps: int = 5):
+def bcrb_numeric_curve(p: SpmParams, prior: GaussianPrior, times,
+                       n_samples: int, seed=0, substeps: int = 5):
     """Monte-Carlo bound at several probing times from shared simulations.
 
     Valid with atomic noise on (q from the parameter set).  Sample m is
-    Monte-Carlo shot m of ``seed`` (``sde_sim._mc_shot``), the shot that
-    run m of a sweep at that seed and substeps simulates: omega drawn from
-    ``prior_omega``, one record to max(times).  One complex likelihood pass
-    (:func:`pem.neg_log_joint_score`) gives the exact score of every
-    truncated record, so the per-time bounds are correlated.  The standard
-    error of each bound is the jackknife error of the inverted mean.  Each
-    time maps to its nearest sample; one that rounds to no sample raises
-    InvalidParametersError.  Returns a list of BoundResult in ascending time
-    order.
+    Monte-Carlo shot m of ``seed`` (``sde_sim._mc_shot``), as run m of a
+    sweep at that seed and substeps: omega drawn from ``prior``, one record
+    to max(times).  One complex pass (:func:`pem.neg_log_joint_score`)
+    gives the exact score of every truncated record, so the per-time bounds
+    are correlated; each standard error is the jackknife error of the
+    inverted mean.  A time maps to its nearest sample; one that rounds to
+    none, or a prior that ``pem._prior_terms`` rejects, raises
+    InvalidParametersError.  Returns BoundResults in ascending time order.
     """
     if not model._holds(n_samples, numbers.Integral) or n_samples < 2:
         raise InvalidParametersError(
@@ -78,14 +75,14 @@ def bcrb_numeric_curve(p: SpmParams, prior_omega: GaussianPrior,
     if not times:
         raise InvalidParametersError("no probing times")
     ks = sde_sim.sample_indices(times, p.Delta)
-    mu = float(prior_omega.mean[0])
-    sigma = math.sqrt(float(prior_omega.cov[0, 0]))
+    mu, var = pem._prior_terms(prior)[:2]
+    sigma = math.sqrt(var)
 
     sq_scores = np.empty((len(times), n_samples))
     for m in range(n_samples):
         omega, rec = sde_sim._mc_shot(p, mu, sigma, ks[-1], substeps, seed, m)
         sq_scores[:, m] = np.square(pem.neg_log_joint_score(
-            omega, rec, p, prior_omega, prior_spin, ks))
+            omega, rec, p, prior, ks))
 
     # jackknife: the bound with each sample left out in turn
     total = sq_scores.sum(axis=1, keepdims=True)
@@ -113,6 +110,7 @@ def fi_noiseless_discrete(omega: float, t: float, p: SpmParams) -> float:
     """Fisher information of the sampled damped sinusoid: the sum over the
     samples t_j = j*Delta that a record of duration t holds, counted by
     :func:`sde_sim.sample_indices` as ``simulate`` counts them."""
+    model._check_inputs(omega, t)
     t2 = model.coherence_time(p)
     tj = p.Delta * np.arange(1, sde_sim.sample_indices([t], p.Delta)[0] + 1)
     terms = np.exp(-2.0 * tj / t2) * tj ** 2 * np.sin(omega * tj) ** 2
@@ -123,6 +121,7 @@ def fi_noiseless_continuous(omega: float, t: float, p: SpmParams) -> float:
     """Continuous-probing limit of the Fisher information, by adaptive
     quadrature to 1e-10 relative (the closed form is deliberately not
     transcribed)."""
+    model._check_inputs(omega, t)
     # scipy is imported here, by its only two users, so that importing the
     # package and every simulating path load numpy alone
     from scipy import integrate
@@ -142,11 +141,13 @@ def fi_noiseless_continuous(omega: float, t: float, p: SpmParams) -> float:
 
 def fi_short_time(omega: float, t: float, p: SpmParams) -> float:
     """Leading t^5 expansion, valid for omega*t << 1 and t << T2."""
+    model._check_inputs(omega, t)
     return p.g_D ** 2 * p.N ** 2 * omega ** 2 * t ** 5 / (20.0 * p.R)
 
 
 def fi_asymptotic(omega: float, p: SpmParams) -> float:
     """t -> infinity value; finite because of the coherence-time cutoff."""
+    model._check_inputs(omega)
     t2 = model.coherence_time(p)
     x2 = (omega * t2) ** 2
     return (p.N ** 2 * p.g_D ** 2 * t2 ** 3 / (32.0 * p.R)
@@ -155,6 +156,7 @@ def fi_asymptotic(omega: float, p: SpmParams) -> float:
 
 def fi_no_decoherence(omega: float, t: float, p: SpmParams) -> float:
     """Closed form of the T2 -> infinity Fisher information (pure sinusoid)."""
+    model._check_inputs(omega, t)
     u = omega * t
     if u == 0.0:
         return 0.0
@@ -168,6 +170,7 @@ def noiseless_bcrb_floor(p: SpmParams, sigma_omega: float) -> float:
     """Universal long-time lower bound on the average MSE for any estimator
     (one-sided: the prior average of the asymptotic information is majorized,
     so exact saturation is not expected)."""
+    model._check_inputs(sigma_omega=sigma_omega)
     t2 = model.coherence_time(p)
     info = p.N ** 2 * p.g_D ** 2 * t2 ** 3 / (25.6 * p.R)
     return 1.0 / (info + 1.0 / sigma_omega ** 2)
@@ -178,6 +181,7 @@ def bcrb_analytic_gaussian_prior(p: SpmParams, sigma_omega: float,
     """Noiseless Bayesian bound 1 / (sigma^-2 + E_prior[I_F]) with the prior
     expectation taken by ``HERMITE_NODES``-point Gauss-Hermite quadrature
     over omega."""
+    model._check_inputs(t=t, sigma_omega=sigma_omega)
     from scipy.special import roots_hermite
 
     x, w = roots_hermite(HERMITE_NODES)

@@ -74,8 +74,7 @@ def _cmd_estimate(cfg: ExperimentConfig, path: Path) -> None:
     """Simulate one shot and fit the constant-frequency MAP estimate."""
     p = cfg.params
     _, rec = harness._shot(cfg)
-    fit = pem.map_estimate(rec, p, *harness._blocks(
-        filters.default_prior(p, cfg.sigma_omega)))
+    fit = pem.map_estimate(rec, p, filters.default_prior(p, cfg.sigma_omega))
     sde_sim._write_csv(path, "omega_hat,neg_log_joint_per_sample", [fit])
 
 
@@ -83,8 +82,8 @@ def _cmd_bcrb(cfg: ExperimentConfig, path: Path) -> None:
     p = cfg.params
     times = cfg.sweep_values if cfg.sweep_axis == "time" else (cfg.duration,)
     results = bounds.bcrb_numeric_curve(
-        p, *harness._blocks(filters.default_prior(p, cfg.sigma_omega)), times,
-        cfg.bound_samples, seed=cfg.seed, substeps=cfg.substeps)
+        p, filters.default_prior(p, cfg.sigma_omega), times, cfg.bound_samples,
+        seed=cfg.seed, substeps=cfg.substeps)
     sde_sim._write_csv(path, "t,bound,stderr,kind", (
         (r.meta["t"], r.value, r.mc_std_err, "bcrb_numeric") for r in results))
 

@@ -407,8 +407,6 @@ def kalman_correct(x: tuple, y: float, cfg: FilterConfig):
 def run_filter(cfg: FilterConfig, rec: MeasurementRecord) -> FilterTrace:
     """Alternate predict/correct over the whole record, which must be
     sampled every cfg.params.Delta."""
-    if len(rec.outcomes) == 0:
-        raise InvalidParametersError("empty measurement record")
     rec.check_delta(cfg.params.Delta)
     # the trace's arrays are views of this one buffer
     out = np.empty((len(rec.outcomes), 14))
@@ -429,8 +427,6 @@ def omega_at(cfg: FilterConfig, rec: MeasurementRecord, ks) -> list[float]:
     A CKF segment factors P afresh where the whole pass might reuse the
     last correction's pivots; ``_steps`` reuses them only when they are
     exactly that factor, so the two agree."""
-    if len(rec.outcomes) == 0:
-        raise InvalidParametersError("empty measurement record")
     rec.check_delta(cfg.params.Delta)
     ks = rec.check_lengths(ks)
     ys = rec.outcomes[:ks[-1]].tolist()
@@ -448,9 +444,7 @@ def default_prior(p: SpmParams, sigma_omega: float) -> GaussianPrior:
     """Broad reference prior: omega ~ N(omega_bar, sigma_omega^2), spin mean
     at the polarized state with isotropic covariance 0.01 N^2.  A spread
     that is not finite and > 0 raises InvalidParametersError."""
-    if not (math.isfinite(sigma_omega) and sigma_omega > 0.0):
-        raise InvalidParametersError(
-            f"sigma_omega must be finite and > 0, got {sigma_omega!r}")
+    model._check_inputs(sigma_omega=sigma_omega)
     mean = np.array([p.omega_bar, 0.0, 0.5 * p.N])
     spin_var = 0.01 * p.N ** 2
     cov = np.diag([sigma_omega ** 2, spin_var, spin_var])

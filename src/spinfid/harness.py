@@ -16,18 +16,14 @@ no trace); a tracking run keeps the filter's whole pass and the true
 frequency at the sample times only, copied out of the substep path, which
 is released before the filter runs.
 
-A sweep point is a list of independent zero-argument tasks: its
-Monte-Carlo runs in run order, then its ``bcrb_numeric`` bound when one is
-configured.  Task i runs on worker i mod W, W = the number of CPUs in the
-process's affinity mask (``os.sched_getaffinity``), at most one per task;
-``taskset -c 0`` makes every sweep serial.  The calling process is worker
-0, so task 0 always runs here, and ``os.fork`` starts the others.  Results
-are unchanged, bit for bit: the outcomes come back in task order, and
-failed runs are excluded and the bounds evaluated from them exactly as one
-process would, so excluded runs and raised errors are the same too.
-Fan-out happens only where ``os.fork`` and ``os.sched_getaffinity`` exist
-(Linux); elsewhere, and for a point with one task, everything runs in the
-calling process.
+A sweep point is a list of independent zero-argument tasks, its runs in
+run order and then its ``bcrb_numeric`` bound, which ``_fan_out`` spreads
+over the calling process and ``os.fork`` children, one per CPU of the
+process's affinity mask (``taskset -c 0`` makes every sweep serial).  The
+outcomes come back in task order, so the results, the excluded runs and
+the errors raised are those of one process, bit for bit.  Without
+``os.fork`` and ``os.sched_getaffinity`` (off Linux) everything runs in
+the calling process.
 """
 
 from __future__ import annotations
@@ -184,13 +180,6 @@ class TrackingResult:
                 for k in range(len(tr.times))))
 
 
-def _blocks(prior: GaussianPrior) -> tuple[GaussianPrior, GaussianPrior]:
-    """The (omega, spin) blocks of a prior over (omega, J_y, J_z), the pair
-    of priors the likelihood layer takes."""
-    return (GaussianPrior(prior.mean[:1], prior.cov[:1, :1]),
-            GaussianPrior(prior.mean[1:], prior.cov[1:, 1:]))
-
-
 def _shot(cfg: ExperimentConfig):
     """(trajectory, record) of run 0 of the configured true signal: the one
     shot that ``simulate``, ``estimate`` and ``track`` work on."""
@@ -234,7 +223,7 @@ def _single_run_errors(cfg: ExperimentConfig, p: SpmParams,
                          filters.omega_at(fcfg, rec, ks)]
     if "pem" in cfg.estimators:
         out["pem"] = [omega_hat - omega_true for omega_hat, _ in
-                      pem.map_estimates(rec, ks, p, *_blocks(prior))]
+                      pem.map_estimates(rec, ks, p, prior)]
     return out
 
 
@@ -371,8 +360,8 @@ def _sweep(cfg: ExperimentConfig, axis_name: str, axis, points) -> ErrorCurve:
         tasks = [partial(_single_run_errors, cfg, p, prior, r, point_ks,
                          substeps) for r in range(cfg.runs)]
         if "bcrb_numeric" in cfg.bounds:
-            tasks.append(partial(bounds.bcrb_numeric_curve, p, *_blocks(prior),
-                                 times, cfg.bound_samples, seed=cfg.seed + 1,
+            tasks.append(partial(bounds.bcrb_numeric_curve, p, prior, times,
+                                 cfg.bound_samples, seed=cfg.seed + 1,
                                  substeps=substeps))
         outcomes = _fan_out(tasks)
         sq = {e: [] for e in cfg.estimators}

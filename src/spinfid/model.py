@@ -305,6 +305,17 @@ class GaussianPrior:
             raise InvalidParametersError("prior covariance must be positive semidefinite")
 
 
+def _check_inputs(omega=0.0, t=0.0, sigma_omega=1.0) -> None:
+    """InvalidParametersError unless omega is finite, t is finite and >= 0
+    and sigma_omega is finite and > 0; the defaults pass."""
+    for name, value, ok in (("omega", omega, True), ("t", t, t >= 0.0),
+                            ("sigma_omega", sigma_omega, sigma_omega > 0.0)):
+        if not (ok and math.isfinite(value)):
+            raise InvalidParametersError(
+                f"{name} = {value!r} is out of range: omega must be finite, "
+                "t finite and >= 0, sigma_omega finite and > 0")
+
+
 # --------------------------------------------------------------------------
 # Derived quantities
 # --------------------------------------------------------------------------

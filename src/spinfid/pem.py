@@ -26,11 +26,10 @@ The score dJ/d omega is the complex-step derivative Im J(omega + i eps)/eps
 exact to rounding, with no step to tune.  The same complex pass carries the
 derivatives of every innovation and of every S_j, and so the Fisher
 information of omega (Segal & Weinstein, IEEE Trans. Inf. Theory 35(3),
-1989), which the MAP fit uses for its Fisher-scoring steps.  The steps
-start at the vertex of the parabola through the grid minimum and its two
-neighbours, which the grid pass gives for free; on the reference fixture
-that start lies a median 2 rad/s from the root, against 190 rad/s for the
-grid minimum, and a fit takes two or three complex passes.
+1989), which the MAP fit uses for its Fisher-scoring steps.  They start
+at the vertex of the parabola through the grid minimum and its neighbours,
+a median 2 rad/s from the root on the reference fixture (190 rad/s for the
+grid minimum), where a fit takes two or three complex passes.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import MapBoundaryError
+from .errors import InvalidParametersError, MapBoundaryError
 from .model import GaussianPrior, SpmParams
 from .sde_sim import MeasurementRecord
 
@@ -87,15 +86,29 @@ def _rotation(omega, p: SpmParams):
     return e * cos(omega * p.Delta), e * sin(omega * p.Delta)
 
 
-def _gains(omega, p: SpmParams, prior_spin: GaussianPrior):
+def _prior_terms(prior: GaussianPrior) -> tuple:
+    """(mu, var, (m1, m2), (p11, p12, p22)) of a prior over (omega, J_y,
+    J_z), the only place a prior is split.  InvalidParametersError unless
+    it is 3-dim, omega is uncorrelated with the spin and var > 0."""
+    mean, cov = prior.mean.tolist(), prior.cov
+    if (len(mean) != 3 or cov[0, 1:].any() or cov[1:, 0].any()
+            or not cov[0, 0] > 0.0):
+        raise InvalidParametersError(
+            "need a prior over (omega, J_y, J_z) with omega uncorrelated "
+            "with the spin and of variance > 0")
+    return (mean[0], float(cov[0, 0]), tuple(mean[1:]),
+            (float(cov[1, 1]), float(cov[1, 2]), float(cov[2, 2])))
+
+
+def _gains(omega, p: SpmParams, spin_cov: tuple):
     """Yield (k1, k2, S_j, ln S_j) for steps j = 1, 2, ... without end.
 
     The covariance half of the recursion: it depends on omega, the
-    parameters and the spin prior's covariance, never on the data.  The
-    products of the step's coefficients are formed once, each rounded as
-    the expression it replaces in the written-out recursion (c*c*p is
-    (c*c)*p, and 2*s*c equals 2*c*s exactly), so every J keeps its last
-    bit.
+    parameters and the spin prior's covariance (p11, p12, p22), never on
+    the data.  The products of the step's coefficients are formed once,
+    each rounded as the expression it replaces in the written-out
+    recursion (c*c*p is (c*c)*p, and 2*s*c equals 2*c*s exactly), so every
+    J keeps its last bit.
     """
     log = _functions(omega)[2]
     ca, sa = _rotation(omega, p)
@@ -103,8 +116,7 @@ def _gains(omega, p: SpmParams, prior_spin: GaussianPrior):
                                        model.coherence_time(p))
     g = p.g_D
     r = model.measurement_noise_variance(p)
-    cov = prior_spin.cov
-    p11, p12, p22 = float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1])
+    p11, p12, p22 = spin_cov
 
     cc, ss, cs = ca * ca, sa * sa, ca * sa
     two_cs, neg_cs, cc_ss = 2.0 * ca * sa, -ca * sa, cc - ss
@@ -124,8 +136,7 @@ def _gains(omega, p: SpmParams, prior_spin: GaussianPrior):
         yield k1, k2, s_var, log(s_var)
 
 
-def _grid_gains(omega: np.ndarray, p: SpmParams, prior_spin: GaussianPrior,
-                steps: int):
+def _grid_gains(omega: np.ndarray, p: SpmParams, spin_cov: tuple, steps: int):
     """The gains of the first ``steps`` steps of a grid, from the kept table.
 
     The table is keyed on the grid's bytes, the parameters and the spin
@@ -134,16 +145,16 @@ def _grid_gains(omega: np.ndarray, p: SpmParams, prior_spin: GaussianPrior,
     streamed from ``_gains`` as for a scalar omega.
     """
     key = (omega.dtype.str, omega.shape, omega.tobytes(), repr(p),
-           prior_spin.cov.tobytes())
+           repr(spin_cov))
     table = _gain_memo.get(key)
     if table is not None and len(table) >= steps:
         return table
     _gain_memo.clear()
     dtype = np.result_type(omega, float)
     if 4 * steps * omega.size * dtype.itemsize > _TABLE_BYTES:
-        return _gains(omega, p, prior_spin)
+        return _gains(omega, p, spin_cov)
     table = np.empty((steps, 4) + omega.shape, dtype)
-    for row, gains in zip(table, _gains(omega, p, prior_spin)):
+    for row, gains in zip(table, _gains(omega, p, spin_cov)):
         row[...] = gains
     table.flags.writeable = False
     _gain_memo[key] = table
@@ -151,8 +162,7 @@ def _grid_gains(omega: np.ndarray, p: SpmParams, prior_spin: GaussianPrior,
 
 
 def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
-                           prior_omega: GaussianPrior,
-                           prior_spin: GaussianPrior, lengths,
+                           prior: GaussianPrior, lengths,
                            innovations: list | None = None) -> list:
     """J of the first k samples for each k in ascending ``lengths`` (repeats
     allowed), from one strict left-to-right pass over the record.
@@ -163,24 +173,23 @@ def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
     kept table (see ``_grid_gains``), a scalar from ``_gains`` step by
     step; both give the same bits.  ``innovations``, if given, receives
     (residual, S_j) for every sample processed.  A non-finite J raises
-    FloatingPointError; lengths that are empty, do not ascend or leave
-    1..len(record), and a record sampled at another period than p.Delta,
-    raise InvalidParametersError before any pass or table.
+    FloatingPointError; bad lengths (``rec.check_lengths``), another
+    sampling period than p.Delta, a non-finite omega and a bad prior
+    (``_prior_terms``) raise InvalidParametersError before any pass.
     """
     lengths = rec.check_lengths(lengths)
     rec.check_delta(p.Delta)
+    if not np.isfinite(omega).all():
+        raise InvalidParametersError(f"omega must be finite, got {omega!r}")
+    mu, var, (m1, m2), spin_cov = _prior_terms(prior)
     ca, sa = _rotation(omega, p)
     neg_sa = -sa
     g = p.g_D
     if isinstance(omega, np.ndarray):
-        gains = iter(_grid_gains(omega, p, prior_spin, lengths[-1]))
+        gains = iter(_grid_gains(omega, p, spin_cov, lengths[-1]))
     else:
-        gains = _gains(omega, p, prior_spin)
-
-    m1, m2 = (float(v) for v in prior_spin.mean)
-    mu = float(prior_omega.mean[0])
-    var = float(prior_omega.cov[0, 0])
-    prior = 0.5 * (omega - mu) ** 2 / var
+        gains = _gains(omega, p, spin_cov)
+    prior_term = 0.5 * (omega - mu) ** 2 / var
 
     ys = rec.outcomes[:lengths[-1]].tolist()
     out = []
@@ -199,7 +208,7 @@ def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
                 innovations.append((resid, s_var))
         start = k
         # a new object, so the in-place += on a grid leaves it alone
-        out.append(total + prior)
+        out.append(total + prior_term)
     # a sum that is finite at the longest prefix is finite at every one
     if not np.isfinite(out[-1]).all():
         raise FloatingPointError("non-finite negative log-joint accumulation")
@@ -207,18 +216,16 @@ def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
 
 
 def neg_log_joint_score(omega: float, rec: MeasurementRecord, p: SpmParams,
-                        prior_omega: GaussianPrior, prior_spin: GaussianPrior,
-                        lengths) -> list[float]:
+                        prior: GaussianPrior, lengths) -> list[float]:
     """dJ/d omega at ``omega`` of the first k samples for each k in ascending
     ``lengths``, from one complex pass at omega + i SCORE_STEP sigma."""
-    eps = SCORE_STEP * math.sqrt(float(prior_omega.cov[0, 0]))
+    eps = SCORE_STEP * math.sqrt(_prior_terms(prior)[1])
     return [j.imag / eps for j in neg_log_joint_prefixes(
-        complex(omega, eps), rec, p, prior_omega, prior_spin, lengths)]
+        complex(omega, eps), rec, p, prior, lengths)]
 
 
 def score_and_information(omega: float, rec: MeasurementRecord, p: SpmParams,
-                          prior_omega: GaussianPrior,
-                          prior_spin: GaussianPrior,
+                          prior: GaussianPrior,
                           k: int) -> tuple[float, float, float]:
     """(J, dJ/d omega, I) at ``omega`` of the first k samples, from one
     complex pass at omega + i SCORE_STEP sigma.
@@ -229,11 +236,11 @@ def score_and_information(omega: float, rec: MeasurementRecord, p: SpmParams,
     the S_j.  J is the real part of the pass, equal to the float pass's J
     to O(eps^2).
     """
-    var = float(prior_omega.cov[0, 0])
+    var = _prior_terms(prior)[1]
     eps = SCORE_STEP * math.sqrt(var)
     innovations = []
-    j, = neg_log_joint_prefixes(complex(omega, eps), rec, p, prior_omega,
-                                prior_spin, [k], innovations)
+    j, = neg_log_joint_prefixes(complex(omega, eps), rec, p, prior, [k],
+                                innovations)
     resid, s_var = np.array(innovations).T
     d_resid, s, d_s = resid.imag / eps, s_var.real, s_var.imag / eps
     info = float(np.sum(d_resid * d_resid / s + 0.5 * (d_s / s) ** 2))
@@ -241,28 +248,25 @@ def score_and_information(omega: float, rec: MeasurementRecord, p: SpmParams,
 
 
 def kalman_neg_log_joint(omega: float, rec: MeasurementRecord, p: SpmParams,
-                         prior_omega: GaussianPrior,
-                         prior_spin: GaussianPrior) -> LikelihoodEval:
+                         prior: GaussianPrior) -> LikelihoodEval:
     """Negative log-joint of (record, omega); additive constants dropped.
 
     Accumulation is strict left-to-right over the record, so equal inputs
     reproduce bit-identical values.
     """
     innovations = []
-    total, = neg_log_joint_prefixes(omega, rec, p, prior_omega, prior_spin,
+    total, = neg_log_joint_prefixes(omega, rec, p, prior,
                                     [len(rec.outcomes)], innovations)
     residuals, s_vars = np.array(innovations, dtype=float).reshape(-1, 2).T
     return LikelihoodEval(omega, total, residuals, s_vars)
 
 
 def neg_log_joint_grid(omegas: np.ndarray, rec: MeasurementRecord, p: SpmParams,
-                       prior_omega: GaussianPrior,
-                       prior_spin: GaussianPrior) -> np.ndarray:
+                       prior: GaussianPrior) -> np.ndarray:
     """J over a grid of omega values (the same recursion, broadcast over the
     omega axis)."""
     return neg_log_joint_prefixes(np.asarray(omegas, dtype=float), rec, p,
-                                  prior_omega, prior_spin,
-                                  [len(rec.outcomes)])[0]
+                                  prior, [len(rec.outcomes)])[0]
 
 
 def _vertex(lo: float, w: float, hi: float, a: float, b: float,
@@ -277,11 +281,13 @@ def _vertex(lo: float, w: float, hi: float, a: float, b: float,
 
 def _score_root(terms, lo: float, w: float, hi: float) -> tuple[float, float]:
     """(omega, J) at the root of the score in (lo, hi), by Fisher scoring
-    from w.
+    from w; ``terms(omega)`` is (J, score, I).
 
-    ``terms(omega)`` is (J, score, I).  Safeguarded as Numerical Recipes'
-    rtsafe: a step that leaves the bracket, or that does not halve the
-    step before it, bisects instead.  Every pass moves an end of the
+    I, the expected curvature, can overstate J's (4x on a weak record) and
+    make steps stop short, so from the 4th pass on a secant slope of the
+    last two scores in (0, I) takes its place.  Safeguarded as Numerical
+    Recipes' rtsafe: a step that leaves the bracket, or that does not halve
+    the step before it, bisects instead.  Every pass moves an end of the
     bracket, whose ends are the grid neighbours until a score read there
     replaces them.  A fit ends at a pass whose step is within MAP_TOL once
     scores of both signs have been read, so the root is bracketed; scoring
@@ -291,13 +297,17 @@ def _score_root(terms, lo: float, w: float, hi: float) -> tuple[float, float]:
     """
     neg_seen = pos_seen = False
     dx_old = hi - lo
-    for _ in range(_MAX_PASSES):
+    for n in range(_MAX_PASSES):
         j, score, info = terms(w)
         if score < 0.0:
             lo, neg_seen = w, True
         else:
             hi, pos_seen = w, True
+        if n >= 3 and w != w_old and 0.0 < (
+                slope := (score - score_old) / (w - w_old)) < info:
+            info = slope
         dx = score / info
+        w_old, score_old = w, score
         if neg_seen and pos_seen and min(abs(dx), hi - lo) <= MAP_TOL:
             return w, j
         if hi - lo <= MAP_TOL:
@@ -318,18 +328,16 @@ def _score_root(terms, lo: float, w: float, hi: float) -> tuple[float, float]:
 
 
 def map_estimates(rec: MeasurementRecord, lengths, p: SpmParams,
-                  prior_omega: GaussianPrior,
-                  prior_spin: GaussianPrior) -> list[tuple[float, float]]:
+                  prior: GaussianPrior) -> list[tuple[float, float]]:
     """:func:`map_estimate` of ``rec.truncated(k)`` for each k in ascending
     ``lengths``; one likelihood pass gives the grid at every k, and each
     fit starts at the vertex of its grid's parabola (``_vertex``)."""
     lengths = list(lengths)
-    mu = float(prior_omega.mean[0])
-    sigma = math.sqrt(float(prior_omega.cov[0, 0]))
+    mu, var = _prior_terms(prior)[:2]
+    sigma = math.sqrt(var)
     grid = np.linspace(mu - MAP_BRACKET_SIGMAS * sigma,
                        mu + MAP_BRACKET_SIGMAS * sigma, MAP_GRID_POINTS)
-    j_grids = neg_log_joint_prefixes(grid, rec, p, prior_omega, prior_spin,
-                                     lengths)
+    j_grids = neg_log_joint_prefixes(grid, rec, p, prior, lengths)
     fits = []
     for k, j_grid in zip(lengths, j_grids):
         i = int(np.argmin(j_grid))  # argmin takes the first (smallest omega) on ties
@@ -338,7 +346,7 @@ def map_estimates(rec: MeasurementRecord, lengths, p: SpmParams,
                 "MAP search hit the bracket edge; prior too narrow or data inconsistent")
 
         def terms(w: float) -> tuple[float, float, float]:
-            return score_and_information(w, rec, p, prior_omega, prior_spin, k)
+            return score_and_information(w, rec, p, prior, k)
 
         lo, w, hi = (float(v) for v in grid[i - 1:i + 2])
         start = _vertex(lo, w, hi, *(float(v) for v in j_grid[i - 1:i + 2]))
@@ -348,20 +356,15 @@ def map_estimates(rec: MeasurementRecord, lengths, p: SpmParams,
 
 
 def map_estimate(rec: MeasurementRecord, p: SpmParams,
-                 prior_omega: GaussianPrior,
-                 prior_spin: GaussianPrior) -> tuple[float, float]:
-    """MAP frequency estimate by coarse grid plus Fisher scoring on the
-    exact score.
+                 prior: GaussianPrior) -> tuple[float, float]:
+    """MAP estimate of a constant frequency from the whole record.
 
-    Searches omega within +-5 prior sigmas (prior mass 1 - 6e-7); a grid
-    locates the global basin despite likelihood side-lobes, then Fisher
-    scoring, omega <- omega - score/I, finds the zero of dJ/d omega between
-    the grid neighbours of the grid minimum, to 1e-3 rad/s, with bisection
-    as its safeguard (``_score_root``).  Scoring starts at the vertex of
-    the parabola through the grid minimum and its two neighbours, within
-    half a grid step of the minimum.  Returns (omega_hat, J(omega_hat)/k),
-    J read from the last complex pass.  A minimum on the grid's edge, or a
-    score of one sign between its neighbours, raises MapBoundaryError.
+    A 201-point grid over +-5 prior sigmas (prior mass 1 - 6e-7) finds the
+    basin among the likelihood side lobes; ``_score_root`` then finds the
+    zero of the exact score dJ/d omega between the grid neighbours of the
+    grid minimum, by Fisher scoring with secant and bisection safeguards,
+    to a step within MAP_TOL.  Returns (omega_hat, J(omega_hat)/k), J read
+    from the last complex pass.  A minimum on the grid's edge, or a score
+    of one sign between its neighbours, raises MapBoundaryError.
     """
-    return map_estimates(rec, [len(rec.outcomes)], p, prior_omega,
-                         prior_spin)[0]
+    return map_estimates(rec, [len(rec.outcomes)], p, prior)[0]

@@ -41,13 +41,11 @@ the step coefficients, ``drift`` and the Euler-Maruyama reference all read
 it.  ``sample_indices`` is the one rule for how many samples a time holds.
 The one-step functions take the caller's increments and draw nothing.
 
-Monte-Carlo shot i of a master seed has one rule too.  ``_stream`` is the
-one stream rule, SeedSequence(seed, spawn_key=(i,)), the i-th child of
-``SeedSequence(seed).spawn``; the config's shot, the atom-count trials, the
-sweep runs and the numeric bound's samples all draw from it.  ``_mc_shot``
-is the one shot rule of the sweep runs and the bound's samples: on that
-stream, omega = mu + sigma z from the prior, then a record of k samples at
-that constant frequency.
+Monte-Carlo shot i of a master seed has one rule too: ``_stream`` is its
+stream, SeedSequence(seed, spawn_key=(i,)), the i-th child of
+``SeedSequence(seed).spawn``, for the config's shot, the atom-count trials,
+the sweep runs and the numeric bound's samples; ``_mc_shot`` draws on it
+omega = mu + sigma z and a record of k samples at that frequency.
 """
 
 from __future__ import annotations
@@ -116,7 +114,7 @@ _CSV_TIME_RTOL = 2e-8
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Photocurrent outcomes y_k at t_k = k*delta, k = 1..K."""
+    """Photocurrent outcomes y_k at t_k = k*delta, k = 1..K, with K >= 1."""
 
     delta: float
     outcomes: np.ndarray  # pA
@@ -128,6 +126,8 @@ class MeasurementRecord:
         if np.ndim(self.outcomes) != 1:
             raise InvalidParametersError(
                 "measurement outcomes must be one-dimensional")
+        if len(self.outcomes) == 0:
+            raise InvalidParametersError("empty measurement record")
         # a filter checks its state after each prediction only, so a
         # non-finite last sample would come out as its final estimate
         if not np.isfinite(self.outcomes).all():

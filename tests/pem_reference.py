@@ -39,7 +39,7 @@ GRADIENT_STEP_RTOL = 1e-3
 GRADIENT_STEP_MAX_HALVINGS = 6
 
 
-def neg_log_joint_prefixes(omega, rec, p, prior_omega, prior_spin, lengths):
+def neg_log_joint_prefixes(omega, rec, p, prior, lengths):
     """Drop-in for ``pem.neg_log_joint_prefixes`` without ``innovations``:
     every product of ca and sa formed again in every step."""
     if isinstance(omega, np.ndarray):
@@ -56,12 +56,12 @@ def neg_log_joint_prefixes(omega, rec, p, prior_omega, prior_spin, lengths):
     g = p.g_D
     r = model.measurement_noise_variance(p)
 
-    m1, m2 = (float(v) for v in prior_spin.mean)
-    cov = prior_spin.cov
-    p11, p12, p22 = float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1])
-    mu = float(prior_omega.mean[0])
-    var = float(prior_omega.cov[0, 0])
-    prior = 0.5 * (omega - mu) ** 2 / var
+    m1, m2 = (float(v) for v in prior.mean[1:])
+    cov = prior.cov
+    p11, p12, p22 = float(cov[1, 1]), float(cov[1, 2]), float(cov[2, 2])
+    mu = float(prior.mean[0])
+    var = float(prior.cov[0, 0])
+    prior_term = 0.5 * (omega - mu) ** 2 / var
 
     ys = rec.outcomes[:lengths[-1]].tolist()
     out = []
@@ -86,25 +86,22 @@ def neg_log_joint_prefixes(omega, rec, p, prior_omega, prior_spin, lengths):
             p22 = p22p - s_var * k2 * k2
             total += 0.5 * (resid * resid / s_var + log(s_var))
         start = k
-        out.append(total + prior)
+        out.append(total + prior_term)
     return out
 
 
-def map_estimates(rec, lengths, p, prior_omega, prior_spin):
+def map_estimates(rec, lengths, p, prior):
     """Drop-in for ``pem.map_estimates``: grid plus golden-section search."""
     lengths = list(lengths)
-    if len(rec.outcomes) == 0:
-        raise ValueError("empty measurement record")
     if (not lengths or lengths[0] < 1 or lengths[-1] > len(rec.outcomes)
             or lengths != sorted(lengths)):
         raise InvalidParametersError(
             "record lengths must ascend within 1..len(record)")
-    mu = float(prior_omega.mean[0])
-    sigma = math.sqrt(float(prior_omega.cov[0, 0]))
+    mu = float(prior.mean[0])
+    sigma = math.sqrt(float(prior.cov[0, 0]))
     grid = np.linspace(mu - pem.MAP_BRACKET_SIGMAS * sigma,
                        mu + pem.MAP_BRACKET_SIGMAS * sigma, pem.MAP_GRID_POINTS)
-    j_grids = pem.neg_log_joint_prefixes(grid, rec, p, prior_omega, prior_spin,
-                                         lengths)
+    j_grids = pem.neg_log_joint_prefixes(grid, rec, p, prior, lengths)
     fits = []
     for k, j_grid in zip(lengths, j_grids):
         i = int(np.argmin(j_grid))
@@ -113,8 +110,7 @@ def map_estimates(rec, lengths, p, prior_omega, prior_spin):
                 "MAP search hit the bracket edge; prior too narrow or data inconsistent")
 
         def j_of(w: float) -> float:
-            return pem.neg_log_joint_prefixes(w, rec, p, prior_omega,
-                                              prior_spin, [k])[0]
+            return pem.neg_log_joint_prefixes(w, rec, p, prior, [k])[0]
 
         a, b = grid[i - 1], grid[i + 1]
         c = b - _INV_GOLDEN * (b - a)
@@ -134,22 +130,19 @@ def map_estimates(rec, lengths, p, prior_omega, prior_spin):
     return fits
 
 
-def brent_map_estimates(rec, lengths, p, prior_omega, prior_spin):
+def brent_map_estimates(rec, lengths, p, prior):
     """Drop-in for ``pem.map_estimates``: grid plus Brent's method on the
     score between the grid neighbours of the grid minimum."""
     lengths = list(lengths)
-    if len(rec.outcomes) == 0:
-        raise InvalidParametersError("empty measurement record")
     if (not lengths or lengths[0] < 1 or lengths[-1] > len(rec.outcomes)
             or lengths != sorted(lengths)):
         raise InvalidParametersError(
             "record lengths must ascend within 1..len(record)")
-    mu = float(prior_omega.mean[0])
-    sigma = math.sqrt(float(prior_omega.cov[0, 0]))
+    mu = float(prior.mean[0])
+    sigma = math.sqrt(float(prior.cov[0, 0]))
     grid = np.linspace(mu - pem.MAP_BRACKET_SIGMAS * sigma,
                        mu + pem.MAP_BRACKET_SIGMAS * sigma, pem.MAP_GRID_POINTS)
-    j_grids = pem.neg_log_joint_prefixes(grid, rec, p, prior_omega, prior_spin,
-                                         lengths)
+    j_grids = pem.neg_log_joint_prefixes(grid, rec, p, prior, lengths)
     fits = []
     for k, j_grid in zip(lengths, j_grids):
         i = int(np.argmin(j_grid))
@@ -158,8 +151,7 @@ def brent_map_estimates(rec, lengths, p, prior_omega, prior_spin):
                 "MAP search hit the bracket edge; prior too narrow or data inconsistent")
 
         def score(w: float) -> float:
-            return pem.neg_log_joint_score(w, rec, p, prior_omega, prior_spin,
-                                           [k])[0]
+            return pem.neg_log_joint_score(w, rec, p, prior, [k])[0]
 
         try:
             omega_hat = optimize.brentq(score, grid[i - 1], grid[i + 1],
@@ -167,22 +159,20 @@ def brent_map_estimates(rec, lengths, p, prior_omega, prior_spin):
         except ValueError as exc:  # no sign change across the bracket
             raise MapBoundaryError(
                 "the score has one sign across the MAP bracket") from exc
-        j_hat = pem.neg_log_joint_prefixes(omega_hat, rec, p, prior_omega,
-                                           prior_spin, [k])[0]
+        j_hat = pem.neg_log_joint_prefixes(omega_hat, rec, p, prior, [k])[0]
         fits.append((omega_hat, j_hat / k))
     return fits
 
 
-def grid_start_map_estimates(rec, lengths, p, prior_omega, prior_spin):
+def grid_start_map_estimates(rec, lengths, p, prior):
     """Drop-in for ``pem.map_estimates``: Fisher scoring started at the grid
     minimum itself."""
     lengths = list(lengths)
-    mu = float(prior_omega.mean[0])
-    sigma = math.sqrt(float(prior_omega.cov[0, 0]))
+    mu = float(prior.mean[0])
+    sigma = math.sqrt(float(prior.cov[0, 0]))
     grid = np.linspace(mu - pem.MAP_BRACKET_SIGMAS * sigma,
                        mu + pem.MAP_BRACKET_SIGMAS * sigma, pem.MAP_GRID_POINTS)
-    j_grids = pem.neg_log_joint_prefixes(grid, rec, p, prior_omega, prior_spin,
-                                         lengths)
+    j_grids = pem.neg_log_joint_prefixes(grid, rec, p, prior, lengths)
     fits = []
     for k, j_grid in zip(lengths, j_grids):
         i = int(np.argmin(j_grid))
@@ -191,8 +181,7 @@ def grid_start_map_estimates(rec, lengths, p, prior_omega, prior_spin):
                 "MAP search hit the bracket edge; prior too narrow or data inconsistent")
 
         def terms(w: float) -> tuple[float, float, float]:
-            return pem.score_and_information(w, rec, p, prior_omega,
-                                             prior_spin, k)
+            return pem.score_and_information(w, rec, p, prior, k)
 
         omega_hat, j_hat = pem._score_root(terms, float(grid[i - 1]),
                                            float(grid[i]), float(grid[i + 1]))
@@ -200,15 +189,14 @@ def grid_start_map_estimates(rec, lengths, p, prior_omega, prior_spin):
     return fits
 
 
-def _validated_step(omega, rec, p, prior_omega, prior_spin, sigma_omega):
+def _validated_step(omega, rec, p, prior, sigma_omega):
     """Halve the default step until halving changes the gradient by <= 1e-3
     relative (truncation under control), up to 6 halvings."""
     h = GRADIENT_STEP_FRACTION * sigma_omega
-    grad = bounds.neg_log_joint_gradient(omega, rec, p, prior_omega,
-                                         prior_spin, h)
+    grad = bounds.neg_log_joint_gradient(omega, rec, p, prior, h)
     for _ in range(GRADIENT_STEP_MAX_HALVINGS):
-        grad_half = bounds.neg_log_joint_gradient(omega, rec, p, prior_omega,
-                                                  prior_spin, h / 2.0)
+        grad_half = bounds.neg_log_joint_gradient(omega, rec, p, prior,
+                                                  h / 2.0)
         denom = abs(grad_half) if grad_half != 0.0 else 1.0
         if abs(grad - grad_half) / denom <= GRADIENT_STEP_RTOL:
             return h
@@ -217,7 +205,7 @@ def _validated_step(omega, rec, p, prior_omega, prior_spin, sigma_omega):
     return h
 
 
-def bcrb_numeric_curve(p, prior_omega, prior_spin, times, n_samples, seed=0,
+def bcrb_numeric_curve(p, prior, times, n_samples, seed=0,
                        substeps=5):
     """Drop-in for ``bounds.bcrb_numeric_curve``: the score of every
     truncated record from one likelihood pass at omega + h and one at
@@ -228,8 +216,8 @@ def bcrb_numeric_curve(p, prior_omega, prior_spin, times, n_samples, seed=0,
     if not times:
         raise ValueError("no probing times")
     ks = sde_sim.sample_indices(times, p.Delta)
-    mu = float(prior_omega.mean[0])
-    sigma = math.sqrt(float(prior_omega.cov[0, 0]))
+    mu = float(prior.mean[0])
+    sigma = math.sqrt(float(prior.cov[0, 0]))
     children = np.random.SeedSequence(seed).spawn(n_samples)
 
     sq_grads = np.empty((len(times), n_samples))
@@ -240,12 +228,11 @@ def bcrb_numeric_curve(p, prior_omega, prior_spin, times, n_samples, seed=0,
         _, rec = sde_sim.simulate(p, Constant(omega_true), times[-1],
                                   substeps=substeps, seed=rng)
         if h is None:
-            h = _validated_step(omega_true, rec, p, prior_omega, prior_spin,
-                                sigma)
+            h = _validated_step(omega_true, rec, p, prior, sigma)
         j_plus = pem.neg_log_joint_prefixes(omega_true + h, rec, p,
-                                            prior_omega, prior_spin, ks)
+                                            prior, ks)
         j_minus = pem.neg_log_joint_prefixes(omega_true - h, rec, p,
-                                             prior_omega, prior_spin, ks)
+                                             prior, ks)
         for i, (jp, jm) in enumerate(zip(j_plus, j_minus)):
             grad = (jp - jm) / (2.0 * h)
             sq_grads[i, m] = grad * grad

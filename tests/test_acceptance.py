@@ -19,13 +19,6 @@ from spinfid.model import (Constant, GaussianPrior, OrnsteinUhlenbeck,
 TWO_PI = 2.0 * math.pi
 
 
-def _spin_prior(p: SpmParams) -> GaussianPrior:
-    """The spin block of the filters' default prior; it does not depend on
-    sigma_omega."""
-    return harness._blocks(filters.default_prior(
-        p, harness.DEFAULT_SIGMA_OMEGA))[1]
-
-
 def _report(capsys, num, desc, ok, detail=""):
     with capsys.disabled():
         status = "PASS" if ok else "FAIL"
@@ -166,11 +159,9 @@ def test_c05_numeric_bound_matches_analytic(capsys):
     # regime of the closed-form Gaussian-prior bound
     p = SpmParams(q=0.0)
     sigma = TWO_PI * 2e3
-    prior_omega = GaussianPrior(np.array([p.omega_bar]),
-                                np.array([[sigma ** 2]]))
-    prior_spin = GaussianPrior(np.array([0.0, 0.5 * p.N]), np.zeros((2, 2)))
-    numeric = bounds.bcrb_numeric(p, prior_omega, prior_spin, 1e-3,
-                                  n_samples=1000, seed=0)
+    prior = GaussianPrior(np.array([p.omega_bar, 0.0, 0.5 * p.N]),
+                          np.diag([sigma ** 2, 0.0, 0.0]))
+    numeric = bounds.bcrb_numeric(p, prior, 1e-3, n_samples=1000, seed=0)
     analytic = bounds.bcrb_analytic_gaussian_prior(p, sigma, 1e-3)
     dev = abs(numeric.value / analytic - 1.0)
     _report(capsys, 5, "Monte-Carlo bound within 5% of the analytic bound",
@@ -211,10 +202,8 @@ def test_c09_atom_number_sweep(capsys):
     vals = []
     for n in ns:
         p = SpmParams().with_atom_number(n)
-        prior_omega = GaussianPrior(np.array([p.omega_bar]),
-                                    np.array([[sigma ** 2]]))
-        prior_spin = _spin_prior(p)
-        vals.append(bounds.bcrb_numeric(p, prior_omega, prior_spin, duration,
+        prior = filters.default_prior(p, sigma)
+        vals.append(bounds.bcrb_numeric(p, prior, duration,
                                         n_samples=60, seed=0).value)
     i_min = int(np.argmin(vals))
     interior = 0 < i_min < len(ns) - 1

@@ -12,12 +12,11 @@ from spinfid.sde_sim import simulate
 TWO_PI = 2.0 * math.pi
 
 
-def _priors(p, sigma_omega, spin_sigma=0.0):
-    prior_omega = GaussianPrior(np.array([p.omega_bar]),
-                                np.array([[sigma_omega ** 2]]))
-    prior_spin = GaussianPrior(np.array([0.0, 0.5 * p.N]),
-                               spin_sigma ** 2 * np.eye(2))
-    return prior_omega, prior_spin
+def _prior(p, sigma_omega, spin_sigma=0.0):
+    """The (omega, J_y, J_z) prior: omega ~ N(omega_bar, sigma_omega^2), the
+    spin at the polarized state with isotropic spread spin_sigma."""
+    return GaussianPrior(np.array([p.omega_bar, 0.0, 0.5 * p.N]), np.diag(
+        [sigma_omega ** 2, spin_sigma ** 2, spin_sigma ** 2]))
 
 
 class TestScore:
@@ -26,30 +25,28 @@ class TestScore:
         # information, so the score reduces to the Gaussian prior term
         p = SpmParams(g_D=1e-30)
         sigma = 1e3
-        prior_omega, prior_spin = _priors(p, sigma)
+        prior = _prior(p, sigma)
         omega = p.omega_bar + 700.0
         _, rec = simulate(p, Constant(omega), 1e-3, seed=0)
-        grad = bounds.neg_log_joint_gradient(omega, rec, p, prior_omega,
-                                             prior_spin, h=1e-2)
+        grad = bounds.neg_log_joint_gradient(omega, rec, p, prior, h=1e-2)
         assert grad == pytest.approx(700.0 / sigma ** 2, rel=1e-6)
-        score, = pem.neg_log_joint_score(omega, rec, p, prior_omega,
-                                         prior_spin, [len(rec.outcomes)])
+        score, = pem.neg_log_joint_score(omega, rec, p, prior,
+                                         [len(rec.outcomes)])
         assert score == pytest.approx(700.0 / sigma ** 2, rel=1e-12)
 
     def test_gradient_rejects_bad_step(self):
         p = SpmParams()
-        prior_omega, prior_spin = _priors(p, 1e3)
+        prior = _prior(p, 1e3)
         _, rec = simulate(p, Constant(p.omega_bar), 5e-5, seed=0)
         with pytest.raises(ValueError):
-            bounds.neg_log_joint_gradient(p.omega_bar, rec, p, prior_omega,
-                                          prior_spin, h=0.0)
+            bounds.neg_log_joint_gradient(p.omega_bar, rec, p, prior, h=0.0)
 
 
 class TestNumericBound:
     def test_reproducible_and_seed_sensitive(self):
         p = SpmParams()
-        prior_omega, prior_spin = _priors(p, TWO_PI * 2e3)
-        args = (p, prior_omega, prior_spin, 1e-4, 3)
+        prior = _prior(p, TWO_PI * 2e3)
+        args = (p, prior, 1e-4, 3)
         r1 = bounds.bcrb_numeric(*args, seed=0)
         r2 = bounds.bcrb_numeric(*args, seed=0)
         r3 = bounds.bcrb_numeric(*args, seed=1)
@@ -61,8 +58,8 @@ class TestNumericBound:
         # vanishing gain: the bound must recover the prior variance
         p = SpmParams(g_D=1e-30)
         sigma = 1e3
-        prior_omega, prior_spin = _priors(p, sigma)
-        r = bounds.bcrb_numeric(p, prior_omega, prior_spin, 5e-5, 200, seed=0)
+        prior = _prior(p, sigma)
+        r = bounds.bcrb_numeric(p, prior, 5e-5, 200, seed=0)
         assert r.value == pytest.approx(sigma ** 2, rel=0.3)
         assert r.mc_std_err > 0.0
         # the MC error estimate should be in the right ballpark too
@@ -70,32 +67,31 @@ class TestNumericBound:
 
     def test_requires_two_samples(self):
         p = SpmParams()
-        prior_omega, prior_spin = _priors(p, 1e3)
+        prior = _prior(p, 1e3)
         with pytest.raises(ValueError):
-            bounds.bcrb_numeric(p, prior_omega, prior_spin, 1e-4, 1)
+            bounds.bcrb_numeric(p, prior, 1e-4, 1)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n_samples", [0, 1])
     def test_curve_requires_two_samples(self, n_samples):
         p = SpmParams()
-        prior_omega, prior_spin = _priors(p, 1e3)
+        prior = _prior(p, 1e3)
         with pytest.raises(InvalidParametersError, match="2 Monte-Carlo"):
-            bounds.bcrb_numeric_curve(p, prior_omega, prior_spin,
-                                      [1e-4, 2e-4], n_samples)
+            bounds.bcrb_numeric_curve(p, prior, [1e-4, 2e-4], n_samples)
 
     @pytest.mark.parametrize("n_samples", [2.5, True, np.float64(3.0)])
     def test_curve_rejects_a_sample_count_that_is_no_integer(self, n_samples):
         p = SpmParams()
-        prior_omega, prior_spin = _priors(p, 1e3)
+        prior = _prior(p, 1e3)
         with pytest.raises(InvalidParametersError,
                            match="integer.*" + re.escape(repr(n_samples))):
-            bounds.bcrb_numeric_curve(p, prior_omega, prior_spin, [1e-4],
+            bounds.bcrb_numeric_curve(p, prior, [1e-4],
                                       n_samples)
 
     def test_curve_takes_a_numpy_integer_sample_count(self):
         p = SpmParams()
-        prior_omega, prior_spin = _priors(p, 1e3)
-        args = (p, prior_omega, prior_spin, [5e-5])
+        prior = _prior(p, 1e3)
+        args = (p, prior, [5e-5])
         assert (bounds.bcrb_numeric_curve(*args, np.int64(2), seed=1)
                 == bounds.bcrb_numeric_curve(*args, 2, seed=1))
 
@@ -103,9 +99,9 @@ class TestNumericBound:
         # the score read from one complex pass per sample equals the exact
         # score of each truncated record
         p = SpmParams()
-        prior_omega, prior_spin = _priors(p, TWO_PI * 2e3)
+        prior = _prior(p, TWO_PI * 2e3)
         times = [5e-5, 1e-4, 1e-4, 2e-4]
-        curve = bounds.bcrb_numeric_curve(p, prior_omega, prior_spin, times,
+        curve = bounds.bcrb_numeric_curve(p, prior, times,
                                           2, seed=3)
         sigma = TWO_PI * 2e3
         sq = np.empty((len(times), 2))
@@ -116,15 +112,15 @@ class TestNumericBound:
             for i, t in enumerate(times):
                 k = round(t / p.Delta)
                 score, = pem.neg_log_joint_score(
-                    omega, rec.truncated(k), p, prior_omega, prior_spin, [k])
+                    omega, rec.truncated(k), p, prior, [k])
                 sq[i, m] = score * score
         assert [c.value for c in curve] == list(1.0 / sq.mean(axis=1))
 
     def test_curve_matches_single_time(self):
         p = SpmParams()
-        prior_omega, prior_spin = _priors(p, TWO_PI * 2e3)
-        single = bounds.bcrb_numeric(p, prior_omega, prior_spin, 1e-4, 5, seed=2)
-        curve = bounds.bcrb_numeric_curve(p, prior_omega, prior_spin, [1e-4],
+        prior = _prior(p, TWO_PI * 2e3)
+        single = bounds.bcrb_numeric(p, prior, 1e-4, 5, seed=2)
+        curve = bounds.bcrb_numeric_curve(p, prior, [1e-4],
                                           5, seed=2)
         assert len(curve) == 1
         assert curve[0].value == single.value
@@ -134,23 +130,22 @@ class TestNumericBound:
         # more data cannot loosen the information average by much; check the
         # estimated bounds decrease along the time axis
         p = SpmParams()
-        prior_omega, prior_spin = _priors(p, TWO_PI * 2e3)
-        curve = bounds.bcrb_numeric_curve(p, prior_omega, prior_spin,
+        prior = _prior(p, TWO_PI * 2e3)
+        curve = bounds.bcrb_numeric_curve(p, prior,
                                           [2e-4, 5e-4, 1e-3], 40, seed=0)
         values = [c.value for c in curve]
         assert values[0] > values[1] > values[2]
 
     def test_curve_rejects_bad_times(self):
         p = SpmParams()
-        prior_omega, prior_spin = _priors(p, 1e3)
+        prior = _prior(p, 1e3)
         with pytest.raises(InvalidParametersError):
-            bounds.bcrb_numeric_curve(p, prior_omega, prior_spin, [], 5)
+            bounds.bcrb_numeric_curve(p, prior, [], 5)
         with pytest.raises(InvalidParametersError):
-            bounds.bcrb_numeric_curve(p, prior_omega, prior_spin, [-1e-4], 5)
+            bounds.bcrb_numeric_curve(p, prior, [-1e-4], 5)
         # 1 us rounds to no sample at Delta = 5 us
         with pytest.raises(InvalidParametersError):
-            bounds.bcrb_numeric_curve(p, prior_omega, prior_spin,
-                                      [1e-6, 1e-4], 5)
+            bounds.bcrb_numeric_curve(p, prior, [1e-6, 1e-4], 5)
 
     def test_numeric_agrees_with_analytic_when_noiseless(self):
         # q = 0 and a deterministic polarized start is exactly the regime of
@@ -158,10 +153,10 @@ class TestNumericBound:
         # standard errors of it
         p = SpmParams(q=0.0)
         sigma = TWO_PI * 2e3
-        prior_omega, prior_spin = _priors(p, sigma, spin_sigma=0.0)
+        prior = _prior(p, sigma, spin_sigma=0.0)
         t = 2e-4
         analytic = bounds.bcrb_analytic_gaussian_prior(p, sigma, t)
-        numeric = bounds.bcrb_numeric(p, prior_omega, prior_spin, t, 150, seed=0)
+        numeric = bounds.bcrb_numeric(p, prior, t, 150, seed=0)
         assert numeric.value == pytest.approx(analytic, rel=0.35)
 
 
@@ -272,3 +267,46 @@ class TestAnalyticBound:
         sigma = 1e3
         assert bounds.noiseless_bcrb_floor(p, sigma) == pytest.approx(
             sigma ** 2, rel=1e-9)
+
+
+class TestImpossibleInputs:
+    @pytest.mark.parametrize("call, match", [
+        (lambda p: bounds.fi_noiseless_discrete(math.nan, 1e-4, p), "^omega"),
+        (lambda p: bounds.fi_noiseless_discrete(1e5, -1e-4, p), "t = "),
+        (lambda p: bounds.fi_noiseless_continuous(math.inf, 1e-4, p),
+         "^omega"),
+        (lambda p: bounds.fi_noiseless_continuous(1e5, -1e-4, p), "t = "),
+        (lambda p: bounds.fi_noiseless_continuous(1e5, math.inf, p), "t = "),
+        (lambda p: bounds.fi_short_time(1e5, -1e-4, p), "t = "),
+        (lambda p: bounds.fi_short_time(math.nan, 1e-4, p), "^omega"),
+        (lambda p: bounds.fi_no_decoherence(1e5, -1e-4, p), "t = "),
+        (lambda p: bounds.fi_no_decoherence(math.inf, 1e-4, p), "^omega"),
+        (lambda p: bounds.fi_asymptotic(math.inf, p), "^omega"),
+        (lambda p: bounds.noiseless_bcrb_floor(p, 0.0), "sigma_omega"),
+        (lambda p: bounds.noiseless_bcrb_floor(p, -5.0), "sigma_omega"),
+        (lambda p: bounds.noiseless_bcrb_floor(p, math.inf), "sigma_omega"),
+        (lambda p: bounds.bcrb_analytic_gaussian_prior(p, 0.0, 1e-3),
+         "sigma_omega"),
+        (lambda p: bounds.bcrb_analytic_gaussian_prior(p, 100.0, -1e-3),
+         "t = "),
+        (lambda p: bounds.bcrb_analytic_gaussian_prior(p, 100.0, math.nan),
+         "t = "),
+    ], ids=["discrete nan omega", "discrete t < 0", "continuous inf omega",
+            "continuous t < 0", "continuous inf t", "short-time t < 0",
+            "short-time nan omega", "no-decoherence t < 0",
+            "no-decoherence inf omega", "asymptotic inf omega",
+            "floor sigma 0", "floor sigma < 0", "floor sigma inf",
+            "analytic sigma 0", "analytic t < 0", "analytic nan t"])
+    def test_raises_a_typed_error(self, call, match):
+        # each of these once returned a negative or NaN value or raised an
+        # untyped error
+        with pytest.raises(InvalidParametersError, match=match):
+            call(SpmParams())
+
+    def test_zero_time_stays_defined(self):
+        p, sigma, omega = SpmParams(), 100.0, TWO_PI * 1e4
+        assert bounds.fi_noiseless_continuous(omega, 0.0, p) == 0.0
+        assert bounds.fi_short_time(omega, 0.0, p) == 0.0
+        assert bounds.fi_no_decoherence(omega, 0.0, p) == 0.0
+        assert bounds.bcrb_analytic_gaussian_prior(p, sigma, 0.0) == \
+            pytest.approx(sigma ** 2, rel=1e-15)

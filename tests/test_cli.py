@@ -479,10 +479,10 @@ class TestPublicSurface:
             "Wiener": ["omega0", "d_c"],
             "atomic_noise_strength": ["p"],
             "bcrb_analytic_gaussian_prior": ["p", "sigma_omega", "t"],
-            "bcrb_numeric": ["p", "prior_omega", "prior_spin", "t",
-                             "n_samples", "seed", "substeps"],
-            "bcrb_numeric_curve": ["p", "prior_omega", "prior_spin", "times",
-                                   "n_samples", "seed", "substeps"],
+            "bcrb_numeric": ["p", "prior", "t", "n_samples", "seed",
+                             "substeps"],
+            "bcrb_numeric_curve": ["p", "prior", "times", "n_samples", "seed",
+                                   "substeps"],
             "coherence_time": ["p"],
             "default_prior": ["p", "sigma_omega"],
             "estimate_atom_number": ["samples", "p"],
@@ -491,11 +491,9 @@ class TestPublicSurface:
             "fi_noiseless_continuous": ["omega", "t", "p"],
             "fi_noiseless_discrete": ["omega", "t", "p"],
             "fi_short_time": ["omega", "t", "p"],
-            "kalman_neg_log_joint": ["omega", "rec", "p", "prior_omega",
-                                     "prior_spin"],
-            "map_estimate": ["rec", "p", "prior_omega", "prior_spin"],
-            "neg_log_joint_grid": ["omegas", "rec", "p", "prior_omega",
-                                   "prior_spin"],
+            "kalman_neg_log_joint": ["omega", "rec", "p", "prior"],
+            "map_estimate": ["rec", "p", "prior"],
+            "neg_log_joint_grid": ["omegas", "rec", "p", "prior"],
             "noiseless_bcrb_floor": ["p", "sigma_omega"],
             "run_error_vs_N": ["cfg"],
             "run_error_vs_delta": ["cfg"],

@@ -700,9 +700,8 @@ class TestConfigAndTrace:
         def no_step(*args, **kwargs):
             raise AssertionError("stepped on a bad input")
         monkeypatch.setattr(filters, "_steps", no_step)
-        rec = MeasurementRecord(delta, np.zeros(n))
         with pytest.raises(InvalidParametersError, match=match):
-            filters.omega_at(_cfg(), rec, ks)
+            filters.omega_at(_cfg(), MeasurementRecord(delta, np.zeros(n)), ks)
 
     def test_run_filter_trace_shapes_and_csv(self, tmp_path):
         p = SpmParams()

@@ -333,9 +333,8 @@ class TestShotRule:
             assert (got, rec.outcomes.tobytes(), 3) == want[-1]
         shots = _recorded_shots(monkeypatch)
         harness.bounds.bcrb_numeric_curve(
-            p, *harness._blocks(harness.filters.default_prior(
-                p, cfg.sigma_omega)), cfg.sweep_values, cfg.runs, seed=seed,
-            substeps=3)
+            p, harness.filters.default_prior(p, cfg.sigma_omega),
+            cfg.sweep_values, cfg.runs, seed=seed, substeps=3)
         assert shots[:cfg.runs] == want
         del shots[:]
         run_error_vs_time(cfg)

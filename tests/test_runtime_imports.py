@@ -16,8 +16,7 @@ import sys
 import tempfile
 
 from spinfid import atoms, bounds, cli, filters, pem, sde_sim
-from spinfid.model import (Constant, GaussianPrior, OrnsteinUhlenbeck,
-                           SpmParams, Wiener)
+from spinfid.model import Constant, OrnsteinUhlenbeck, SpmParams, Wiener
 
 p = SpmParams()
 _, rec = sde_sim.simulate(p, Constant(p.omega_bar + 30.0), 2e-4, seed=1)
@@ -26,10 +25,8 @@ prior = filters.default_prior(p, 100.0)
 for kind in ("ekf", "ckf"):
     filters.run_filter(filters.FilterConfig(
         kind, Wiener(p.omega_bar, 0.0), prior, p), rec)
-prior_omega = GaussianPrior(prior.mean[:1], prior.cov[:1, :1])
-prior_spin = GaussianPrior(prior.mean[1:], prior.cov[1:, 1:])
-pem.map_estimate(rec, p, prior_omega, prior_spin)
-bounds.bcrb_numeric(p, prior_omega, prior_spin, 1e-4, 2, seed=3)
+pem.map_estimate(rec, p, prior)
+bounds.bcrb_numeric(p, prior, 1e-4, 2, seed=3)
 atoms.sample_steady_state_outcomes(p, p.omega_bar, 5000, seed=4)
 with tempfile.TemporaryDirectory() as out:
     assert cli.main(["simulate", "--out", out]) == 0

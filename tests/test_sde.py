@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sim_reference
-from spinfid import filters, harness, model, pem, sde_sim
+from spinfid import filters, model, pem, sde_sim
 from spinfid.errors import IntegrationBlowupError, InvalidParametersError
 from spinfid.filters import default_prior
 from spinfid.model import (Constant, OrnsteinUhlenbeck, Sinusoid, SpmParams,
@@ -623,13 +623,11 @@ class TestMeasurementRecord:
         # or a whole float as a length
         p = SpmParams()
         prior = default_prior(p, 2e3)
-        blocks = harness._blocks(prior)
         rec = sde_sim.MeasurementRecord(p.Delta, np.zeros(20))
         call = {
             "neg_log_joint_prefixes": lambda: pem.neg_log_joint_prefixes(
-                p.omega_bar, rec, p, *blocks, lengths),
-            "map_estimates": lambda: pem.map_estimates(rec, lengths, p,
-                                                       *blocks),
+                p.omega_bar, rec, p, prior, lengths),
+            "map_estimates": lambda: pem.map_estimates(rec, lengths, p, prior),
             "omega_at": lambda: filters.omega_at(filters.FilterConfig(
                 "ekf", Wiener(p.omega_bar, 0.0), prior, p), rec, lengths),
         }[caller]
