@@ -68,6 +68,21 @@ def _conform(value, annotation: str):
     return tuple(_conform(v, a) for v, a in zip(value, items))
 
 
+def real_array(value, what: str) -> np.ndarray:
+    """``value`` as a float64 array, a float64 array as is;
+    InvalidParametersError unless it holds integers or floats only (a
+    bool, a complex number or a string is none)."""
+    try:
+        array = np.asarray(value)
+        real = array.dtype.kind in "iuf"
+    except (TypeError, ValueError):  # a ragged sequence
+        real = False
+    if not real:
+        raise InvalidParametersError(
+            f"{what} must be integers or floats, got {value!r}")
+    return array.astype(np.float64, copy=False)
+
+
 def check_fields(obj) -> None:
     """The one rule for config values: each field of the dataclass ``obj``
     must hold what ``_SCHEMA`` says its annotation takes, else
@@ -290,8 +305,8 @@ class GaussianPrior:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        mean = np.atleast_1d(real_array(self.mean, "prior mean"))
+        cov = np.atleast_2d(real_array(self.cov, "prior covariance"))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         if cov.shape != (mean.size, mean.size):

@@ -7,19 +7,22 @@ form of the Kalman filter gives the exact negative log-joint
     J(omega) = 1/2 sum_j [ (y_j - C m_j^-)^2 / S_j + ln S_j ]
                + (omega - omega_prior)^2 / (2 sigma^2)
 
-up to omega-independent constants.  The recursion has two halves, each
-written once and unrolled into scalars because they sit in the inner loop
-of every Monte-Carlo experiment.  ``_gains`` is the Riccati half: the spin
-covariance, the gains and the innovation variances S_j, which the data
-never enter (Anderson & Moore, *Optimal Filtering*, 1979).
-``neg_log_joint_prefixes`` is the data half: the spin mean and the running
-sum J.  Both take omega as a float, a complex number or a numpy grid, and
-J, being a running sum, is returned for every requested record prefix from
-a single pass; the scalar likelihood, the grid, the MAP fit at several
-probing times and the bound's score are all read from it.  The gains of a
-grid are kept in one read-only table and reused by every record with the
-same grid, parameters and spin prior, so a grid pass over a new record
-runs only the data half.
+up to omega-independent constants.  The recursion has two halves, which
+sit in the inner loop of every Monte-Carlo experiment.  ``_gains`` is the
+Riccati half: the spin covariance, the gains and the innovation variances
+S_j, which the data never enter (Anderson & Moore, *Optimal Filtering*,
+1979).  It is written once, unrolled into scalars, and takes omega as a
+float, a complex number or a numpy grid.  ``neg_log_joint_prefixes`` is the
+data half: the spin mean and the running sum J, in two bodies.  A float or
+complex omega runs the Python-scalar loop ``_scalar_totals``; a grid runs
+the block body ``_block_totals``, which advances the stacked mean in 7
+ufunc calls a step and forms and sums J's terms a block of steps at a
+time.  J, being a running sum, is returned for every requested record
+prefix from a single pass; the scalar likelihood, the grid, the MAP fit at
+several probing times and the bound's score are all read from it.  The
+gains of a grid are kept in one read-only table and reused by every record
+with the same grid, parameters and spin prior, so a grid pass over a new
+record runs only the data half.
 
 The score dJ/d omega is the complex-step derivative Im J(omega + i eps)/eps
 (Squire & Trapp, SIAM Review 40(1), 1998): no difference is taken, so it is
@@ -57,6 +60,10 @@ _TABLE_BYTES = 16 * 2 ** 20
 
 # the one gain table kept: {key: read-only (steps, 4, *grid.shape) array}
 _gain_memo: dict = {}
+
+# Steps of a grid pass whose residuals are held, and whose J terms are
+# then formed and summed at once: 64 steps of the MAP grid are 100 KiB.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -107,8 +114,9 @@ def _gains(omega, p: SpmParams, spin_cov: tuple):
     parameters and the spin prior's covariance (p11, p12, p22), never on
     the data.  The products of the step's coefficients are formed once,
     each rounded as the expression it replaces in the written-out
-    recursion (c*c*p is (c*c)*p, and 2*s*c equals 2*c*s exactly), so every
-    J keeps its last bit.
+    recursion (c*c*p is (c*c)*p and 2*c*s*p is (2*c*s)*p, with every
+    product's operands in their written order: numpy's complex multiply
+    need not commute), so every J keeps its last bit.
     """
     log = _functions(omega)[2]
     ca, sa = _rotation(omega, p)
@@ -136,63 +144,54 @@ def _gains(omega, p: SpmParams, spin_cov: tuple):
         yield k1, k2, s_var, log(s_var)
 
 
-def _grid_gains(omega: np.ndarray, p: SpmParams, spin_cov: tuple, steps: int):
-    """The gains of the first ``steps`` steps of a grid, from the kept table.
+def _gain_blocks(omega: np.ndarray, p: SpmParams, spin_cov: tuple,
+                 steps: int):
+    """The gains of the first ``steps`` steps of a grid, as successive
+    (n, 4, *grid.shape) blocks of n <= _BLOCK steps.
 
-    The table is keyed on the grid's bytes, the parameters and the spin
-    prior's covariance; a request it cannot serve evicts it before the new
-    one is built.  A table over ``_TABLE_BYTES`` is not kept: its gains are
-    streamed from ``_gains`` as for a scalar omega.
+    They are slices of the kept table, which is keyed on the grid's bytes,
+    the parameters and the spin prior's covariance; a request it cannot
+    serve evicts it before the new one is built.  A table over
+    ``_TABLE_BYTES`` is not kept: its gains are streamed from ``_gains``
+    into one block buffer, as for a scalar omega.
     """
     key = (omega.dtype.str, omega.shape, omega.tobytes(), repr(p),
            repr(spin_cov))
     table = _gain_memo.get(key)
-    if table is not None and len(table) >= steps:
-        return table
-    _gain_memo.clear()
-    dtype = np.result_type(omega, float)
-    if 4 * steps * omega.size * dtype.itemsize > _TABLE_BYTES:
-        return _gains(omega, p, spin_cov)
-    table = np.empty((steps, 4) + omega.shape, dtype)
-    for row, gains in zip(table, _gains(omega, p, spin_cov)):
-        row[...] = gains
-    table.flags.writeable = False
-    _gain_memo[key] = table
-    return table
+    if table is None or len(table) < steps:
+        _gain_memo.clear()
+        dtype = np.result_type(omega, float)
+        if 4 * steps * omega.size * dtype.itemsize > _TABLE_BYTES:
+            return _streamed_blocks(_gains(omega, p, spin_cov), np.empty(
+                (_BLOCK, 4) + omega.shape, dtype), steps)
+        table = np.empty((steps, 4) + omega.shape, dtype)
+        for row, gains in zip(table, _gains(omega, p, spin_cov)):
+            row[...] = gains
+        table.flags.writeable = False
+        _gain_memo[key] = table
+    return [table[i:min(i + _BLOCK, steps)] for i in range(0, steps, _BLOCK)]
 
 
-def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
-                           prior: GaussianPrior, lengths,
-                           innovations: list | None = None) -> list:
-    """J of the first k samples for each k in ascending ``lengths`` (repeats
-    allowed), from one strict left-to-right pass over the record.
+def _streamed_blocks(gains, buffer: np.ndarray, steps: int):
+    """Blocks of ``_gain_blocks`` filled in ``buffer`` from the ``gains``
+    stream; each is overwritten by the next."""
+    for i in range(0, steps, _BLOCK):
+        block = buffer[:min(_BLOCK, steps - i)]
+        # zip reads the row first, so no step past ``steps`` is taken
+        for row, gains_j in zip(block, gains):
+            row[...] = gains_j
+        yield block
 
-    ``omega`` is a float, a complex number or an array of frequencies; one
-    body serves all three, because ``*``, ``+`` and ``/`` round alike on
-    Python floats and float64 arrays.  An array takes its gains from the
-    kept table (see ``_grid_gains``), a scalar from ``_gains`` step by
-    step; both give the same bits.  ``innovations``, if given, receives
-    (residual, S_j) for every sample processed.  A non-finite J raises
-    FloatingPointError; bad lengths (``rec.check_lengths``), another
-    sampling period than p.Delta, a non-finite omega and a bad prior
-    (``_prior_terms``) raise InvalidParametersError before any pass.
-    """
-    lengths = rec.check_lengths(lengths)
-    rec.check_delta(p.Delta)
-    if not np.isfinite(omega).all():
-        raise InvalidParametersError(f"omega must be finite, got {omega!r}")
-    mu, var, (m1, m2), spin_cov = _prior_terms(prior)
+
+def _scalar_totals(omega, ys: list, lengths: list, p: SpmParams,
+                   mean: tuple, spin_cov: tuple, innovations):
+    """The data half for a float or complex omega, in Python scalars: the
+    sum of J's data terms at each of ``lengths``."""
     ca, sa = _rotation(omega, p)
     neg_sa = -sa
     g = p.g_D
-    if isinstance(omega, np.ndarray):
-        gains = iter(_grid_gains(omega, p, spin_cov, lengths[-1]))
-    else:
-        gains = _gains(omega, p, spin_cov)
-    prior_term = 0.5 * (omega - mu) ** 2 / var
-
-    ys = rec.outcomes[:lengths[-1]].tolist()
-    out = []
+    m1, m2 = mean
+    gains = _gains(omega, p, spin_cov)
     total = 0.0
     start = 0
     for k in lengths:
@@ -205,10 +204,104 @@ def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
             m2 = m2p + k2 * resid
             total += 0.5 * (resid * resid / s_var + ln_s)
             if innovations is not None:
-                innovations.append((resid, s_var))
+                innovations += resid, s_var
         start = k
-        # a new object, so the in-place += on a grid leaves it alone
-        out.append(total + prior_term)
+        yield total
+
+
+def _block_totals(omega: np.ndarray, outcomes: np.ndarray, lengths: list,
+                  p: SpmParams, mean: tuple, spin_cov: tuple):
+    """The data half for an array omega: ``_scalar_totals`` with the mean
+    advanced as one (2, *grid.shape) array in 7 ufunc calls a step, and the
+    terms of J formed and summed for a block of _BLOCK steps at once.
+
+    Each element takes the IEEE operations of the scalar loop, every
+    product with its operands in their order (the two products of the
+    second mean component are only added the other way round), and the
+    running sum is the block's sequential cumulative sum, so J keeps its
+    bits.  A yielded total is a view that the next block overwrites.
+    """
+    ca, sa = _rotation(omega, p)
+    dtype = np.result_type(omega, float)
+    steps = lengths[-1]
+    mul, add, sub = np.multiply, np.add, np.subtract
+    g = np.array(p.g_D)  # 0-d operands are passed faster than floats
+    # mp = ca2 * m + sa2 * m[::-1] is (ca m1 + sa m2, ca m2 - sa m1)
+    ca2, sa2 = np.stack((ca, ca)), np.stack((sa, -sa))
+    m = np.empty((2,) + omega.shape, dtype)
+    m[0], m[1] = mean
+    m_swapped = m[::-1]
+    mp, tmp = np.empty_like(m), np.empty_like(m)
+    m2p, g_m2p = mp[1, ...], np.empty(omega.shape, dtype)
+    resid = np.empty((_BLOCK,) + omega.shape, dtype)
+    resid_rows = [resid[i, ...] for i in range(_BLOCK)]
+    terms = np.empty_like(resid)
+
+    total = 0.0
+    start = 0
+    wanted = iter(lengths)
+    k = next(wanted)
+    for gains in _gain_blocks(omega, p, spin_cov, steps):
+        n = len(gains)
+        y_rows = [outcomes[i, ...] for i in range(start, start + n)]
+        for y, k12, r in zip(y_rows, gains[:, :2], resid_rows):
+            mul(ca2, m, mp)
+            mul(sa2, m_swapped, tmp)
+            add(mp, tmp, mp)
+            mul(g, m2p, g_m2p)
+            sub(y, g_m2p, r)
+            mul(k12, r, tmp)
+            add(mp, tmp, m)
+        # 0.5 (r^2 / S + ln S) for the block, then the running sum
+        block = terms[:n]
+        mul(resid[:n], resid[:n], block)
+        np.divide(block, gains[:, 2], block)
+        add(block, gains[:, 3], block)
+        mul(0.5, block, block)
+        block[0] += total
+        np.cumsum(block, axis=0, out=block)
+        while k <= start + n:
+            yield block[k - 1 - start]
+            k = next(wanted, steps + 1)
+        total = block[n - 1].copy()
+        start += n
+
+
+def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
+                           prior: GaussianPrior, lengths,
+                           innovations: list | None = None) -> list:
+    """J of the first k samples for each k in ascending ``lengths`` (repeats
+    allowed), from one strict left-to-right pass over the record.
+
+    ``omega`` is a float, a complex number or an array of frequencies.  A
+    scalar runs the Python-scalar loop (``_scalar_totals``), its gains
+    drawn from ``_gains`` step by step; an array runs the block body
+    (``_block_totals``), its gains read from the kept table (see
+    ``_gain_blocks``).  Both give the bits of the one recursion.
+    ``innovations``, if given, takes a scalar omega only and is extended
+    by the residual and S_j, in turn, of every sample processed.  A
+    non-finite J raises FloatingPointError; bad lengths
+    (``rec.check_lengths``), another sampling period than p.Delta, a
+    non-finite omega, a bad prior (``_prior_terms``) and innovations asked
+    of an array raise InvalidParametersError before any pass.
+    """
+    lengths = rec.check_lengths(lengths)
+    rec.check_delta(p.Delta)
+    if not np.isfinite(omega).all():
+        raise InvalidParametersError(f"omega must be finite, got {omega!r}")
+    mu, var, mean, spin_cov = _prior_terms(prior)
+    if not isinstance(omega, np.ndarray):
+        totals = _scalar_totals(omega, rec.outcomes[:lengths[-1]].tolist(),
+                                lengths, p, mean, spin_cov, innovations)
+    elif innovations is None:
+        totals = _block_totals(omega, rec.outcomes, lengths, p, mean,
+                               spin_cov)
+    else:
+        raise InvalidParametersError(
+            "innovations are read for a scalar omega only")
+    prior_term = 0.5 * (omega - mu) ** 2 / var
+    # each total is read before the pass goes on
+    out = [total + prior_term for total in totals]
     # a sum that is finite at the longest prefix is finite at every one
     if not np.isfinite(out[-1]).all():
         raise FloatingPointError("non-finite negative log-joint accumulation")
@@ -241,7 +334,8 @@ def score_and_information(omega: float, rec: MeasurementRecord, p: SpmParams,
     innovations = []
     j, = neg_log_joint_prefixes(complex(omega, eps), rec, p, prior, [k],
                                 innovations)
-    resid, s_var = np.array(innovations).T
+    flat = np.array(innovations)
+    resid, s_var = flat[0::2], flat[1::2]
     d_resid, s, d_s = resid.imag / eps, s_var.real, s_var.imag / eps
     info = float(np.sum(d_resid * d_resid / s + 0.5 * (d_s / s) ** 2))
     return j.real, j.imag / eps, info + 1.0 / var
@@ -257,8 +351,8 @@ def kalman_neg_log_joint(omega: float, rec: MeasurementRecord, p: SpmParams,
     innovations = []
     total, = neg_log_joint_prefixes(omega, rec, p, prior,
                                     [len(rec.outcomes)], innovations)
-    residuals, s_vars = np.array(innovations, dtype=float).reshape(-1, 2).T
-    return LikelihoodEval(omega, total, residuals, s_vars)
+    flat = np.array(innovations, dtype=float)
+    return LikelihoodEval(omega, total, flat[0::2], flat[1::2])
 
 
 def neg_log_joint_grid(omegas: np.ndarray, rec: MeasurementRecord, p: SpmParams,

@@ -123,14 +123,16 @@ class MeasurementRecord:
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise InvalidParametersError(
                 "sampling period must be finite and positive")
-        if np.ndim(self.outcomes) != 1:
+        outcomes = model.real_array(self.outcomes, "measurement outcomes")
+        object.__setattr__(self, "outcomes", outcomes)
+        if outcomes.ndim != 1:
             raise InvalidParametersError(
                 "measurement outcomes must be one-dimensional")
-        if len(self.outcomes) == 0:
+        if len(outcomes) == 0:
             raise InvalidParametersError("empty measurement record")
         # a filter checks its state after each prediction only, so a
         # non-finite last sample would come out as its final estimate
-        if not np.isfinite(self.outcomes).all():
+        if not np.isfinite(outcomes).all():
             raise InvalidParametersError("measurement outcomes must be finite")
 
     @property

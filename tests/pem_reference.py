@@ -73,7 +73,9 @@ def neg_log_joint_prefixes(omega, rec, p, prior, lengths):
             m2p = -sa * m1 + ca * m2
             p11p = ca * ca * p11 + 2.0 * ca * sa * p12 + sa * sa * p22 + b2
             p12p = -ca * sa * p11 + (ca * ca - sa * sa) * p12 + ca * sa * p22
-            p22p = sa * sa * p11 - 2.0 * sa * ca * p12 + ca * ca * p22 + b2
+            # 2*ca*sa in both p11p and p22p: on a complex grid numpy's
+            # complex multiply need not commute, so 2*sa*ca could differ
+            p22p = sa * sa * p11 - 2.0 * ca * sa * p12 + ca * ca * p22 + b2
 
             s_var = r + g * g * p22p
             resid = y - g * m2p

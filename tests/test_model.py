@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -218,3 +219,28 @@ class TestGaussianPrior:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InvalidParametersError):
             GaussianPrior(np.zeros(3), np.eye(2))
+
+    @pytest.mark.parametrize("mean, cov", [
+        (np.array([1.0 + 2.0j]), [[1.0]]),
+        ("1", [[1.0]]),
+        ([True], [[1.0]]),
+        ([0.0], np.array([[1.0 + 0.0j]])),
+        ([0.0], [["1"]]),
+    ], ids=["complex mean", "string mean", "bool mean", "complex cov",
+            "string cov"])
+    def test_rejects_what_is_no_real_number(self, mean, cov):
+        # never a ComplexWarning with the imaginary part dropped, nor a
+        # string or a bool read as a number
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParametersError,
+                               match="integers or floats"):
+                GaussianPrior(mean, cov)
+
+    def test_stores_float64_and_keeps_a_float64_mean(self):
+        mean, cov = np.zeros(2), np.eye(2)
+        g = GaussianPrior(mean, cov)
+        assert g.mean is mean and g.cov is cov
+        g = GaussianPrior([1, 2], np.eye(2, dtype=np.float32))
+        assert g.mean.dtype == g.cov.dtype == np.float64
+        assert g.mean.tolist() == [1.0, 2.0]

@@ -351,6 +351,82 @@ class TestGainTable:
         assert again.tobytes() == kept.tobytes()
 
 
+def _bits(values) -> list:
+    """(dtype, shape, bytes) of each value: equal lists are equal J."""
+    return [(a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, values)]
+
+
+class TestBlockBody:
+    """The array body against the oracle's written-out per-step loop, bit
+    for bit, over grid shapes, block edges and the three gain sources."""
+
+    GRIDS = {
+        "0-d": lambda w: np.array(w),
+        "1 point": lambda w: np.array([w]),
+        "5 points": lambda w: np.linspace(w - 0.5, w + 0.5, 5),
+        "201 points": lambda w: np.linspace(w - 2.0, w + 2.0, 201),
+        "2-D": lambda w: np.linspace(w - 1.0, w + 1.0, 12).reshape(3, 4),
+        "complex": lambda w: np.linspace(w - 1.0, w + 1.0, 7) + 1e-20j,
+    }
+
+    @pytest.mark.parametrize("gains", ["cold", "warm", "streamed"])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_matches_reference(self, monkeypatch, grid, gains):
+        p = _small_params()
+        prior = _prior(p, spin_sigma=1.0)
+        b = pem._BLOCK
+        rng = np.random.default_rng(11)
+        # a warm table is built for a longer record
+        rec, longer = (MeasurementRecord(p.Delta, 5.0 * rng.normal(
+            size=size)) for size in (2 * b + 5, 3 * b + 1))
+        lengths = [1, b - 1, b, b, b + 1, 2 * b, 2 * b + 5, 2 * b + 5]
+        omega = self.GRIDS[grid](3.1)
+        pem._gain_memo.clear()
+        if gains == "warm":
+            pem.neg_log_joint_prefixes(omega, longer, p, prior, [3 * b + 1])
+        elif gains == "streamed":
+            monkeypatch.setattr(pem, "_TABLE_BYTES", 0)
+        got = pem.neg_log_joint_prefixes(omega, rec, p, prior, lengths)
+        assert _bits(got) == _bits(pem_reference.neg_log_joint_prefixes(
+            omega, rec, p, prior, lengths))
+        assert len(pem._gain_memo) == (gains != "streamed")
+
+    @settings(max_examples=40, deadline=None)
+    @given(ys=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=30),
+           cuts=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+           omega=st.floats(0.5, 6.0), streamed=st.booleans())
+    def test_j_does_not_depend_on_the_block_size(self, ys, cuts, omega,
+                                                 streamed):
+        p = _small_params()
+        prior = _prior(p, spin_sigma=1.0)
+        rec = MeasurementRecord(p.Delta, np.array(ys))
+        lengths = sorted(min(c, len(ys)) for c in cuts)
+        grid = np.linspace(omega - 0.4, omega + 0.4, 5)
+        want = _bits(pem_reference.neg_log_joint_prefixes(
+            grid, rec, p, prior, lengths))
+        for block in (1, 2, 3, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pem, "_BLOCK", block)
+                if streamed:
+                    patch.setattr(pem, "_TABLE_BYTES", 0)
+                pem._gain_memo.clear()
+                assert _bits(pem.neg_log_joint_prefixes(
+                    grid, rec, p, prior, lengths)) == want
+
+    def test_innovations_are_read_of_a_scalar_only(self):
+        p = _small_params()
+        prior = _prior(p, spin_sigma=1.0)
+        rec = MeasurementRecord(p.Delta, np.arange(6.0))
+        innovations = []
+        pem.neg_log_joint_prefixes(3.1, rec, p, prior, [4, 6], innovations)
+        full = pem.kalman_neg_log_joint(3.1, rec, p, prior)
+        assert innovations[0::2] == full.residuals.tolist()
+        assert innovations[1::2] == full.innovation_vars.tolist()
+        with pytest.raises(InvalidParametersError, match="scalar"):
+            pem.neg_log_joint_prefixes(np.array([3.1]), rec, p, prior, [6],
+                                       [])
+
+
 class TestPriorAndOmegaChecks:
     USERS = {
         "kalman_neg_log_joint": lambda rec, p, prior: pem.kalman_neg_log_joint(

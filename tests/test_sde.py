@@ -594,6 +594,25 @@ class TestMeasurementRecord:
         with pytest.raises(InvalidParametersError, match="one-dimensional"):
             sde_sim.MeasurementRecord(5e-6, outcomes)
 
+    @pytest.mark.parametrize("outcomes", [
+        np.array([1.0, 2.0 + 1e-3j]), np.array(["1.0", "2.0"]),
+        np.array([True, False]), [[1.0], [1.0, 2.0]]],
+        ids=["complex", "string", "bool", "ragged"])
+    def test_outcomes_that_are_no_real_numbers_raise(self, outcomes):
+        # a complex record would give a complex J on a grid; a bool is no
+        # number, as for a config field
+        with pytest.raises(InvalidParametersError, match="integers or floats"):
+            sde_sim.MeasurementRecord(5e-6, outcomes)
+
+    def test_outcomes_are_stored_as_float64(self):
+        kept = np.arange(3.0)
+        assert sde_sim.MeasurementRecord(5e-6, kept).outcomes is kept
+        for outcomes in ([1, 2, 3], np.arange(1, 4, dtype=np.uint8),
+                         np.arange(1.0, 4.0, dtype=np.float32)):
+            rec = sde_sim.MeasurementRecord(5e-6, outcomes)
+            assert rec.outcomes.dtype == np.float64
+            assert rec.outcomes.tolist() == [1.0, 2.0, 3.0]
+
     def test_check_delta(self):
         rec = sde_sim.MeasurementRecord(5e-6 * (1.0 + 1e-8), np.ones(3))
         rec.check_delta(5e-6)  # within a CSV timestamp's rounding
