@@ -10,14 +10,13 @@ relative error shrinks as 1/sqrt(k).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model, sde_sim
 from .errors import InvalidParametersError
-from .model import SpmParams
+from .model import Count, SpmParams
 
 
 @dataclass(frozen=True)
@@ -36,11 +35,11 @@ class AtomCountEstimate:
 def steady_state_variance(samples) -> float:
     """Variance estimator (1/(k-1)) sum y_k^2 of the renormalized outcomes;
     the sequence mean is known to be zero in steady state, so no sample mean
-    is subtracted.  Samples that are not one 1-D sequence, or whose sum of
-    squares is not finite (a NaN or an infinite sample), raise
-    InvalidParametersError; the check reads the sum, so it takes no extra
-    pass over the samples."""
-    y = np.asarray(samples, dtype=float)
+    is subtracted.  Samples that are not one 1-D sequence of integers or
+    floats (``model.real_array``), or whose sum of squares is not finite (a
+    NaN or an infinite sample), raise InvalidParametersError; the check
+    reads the sum, so it takes no extra pass over the samples."""
+    y = model.real_array(samples, "atom samples")
     if y.ndim != 1:
         raise InvalidParametersError(
             f"samples must be one 1-D sequence, got shape {y.shape}")
@@ -64,7 +63,7 @@ def estimate_atom_number(samples, p: SpmParams) -> AtomCountEstimate:
     the shot-noise floor yields a non-positive N_hat, returned as-is with the
     degenerate flag set.
     """
-    y = np.asarray(samples, dtype=float)
+    y = model.real_array(samples, "atom samples")
     k = y.size
     var_hat = steady_state_variance(y)
     shot = p.R / (p.g_D ** 2 * p.Delta)
@@ -73,7 +72,7 @@ def estimate_atom_number(samples, p: SpmParams) -> AtomCountEstimate:
     return AtomCountEstimate(n_hat, sigma_n, k, degenerate=n_hat <= 0.0)
 
 
-def sample_steady_state_outcomes(p: SpmParams, omega: float, k: int,
+def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
                                  seed=0) -> np.ndarray:
     """Draw k renormalized steady-state outcomes y_k / g_D.
 
@@ -95,10 +94,8 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: int,
     CPU (see ``model.damped_rotation``).  The working set is the output
     plus one block.
     """
-    if not model._holds(k, numbers.Integral) or k < 1:
-        raise InvalidParametersError(
-            f"atom sample count must be an integer >= 1, got {k!r}")
-    model._check_inputs(omega)
+    model.check_value("sample_steady_state_outcomes", "k", k, "Count")
+    model._check_inputs("sample_steady_state_outcomes", omega)
     rng = np.random.default_rng(seed)
     t2 = model.coherence_time(p)
     shot_std = math.sqrt(model.measurement_noise_variance(p)) / p.g_D

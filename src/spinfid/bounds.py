@@ -16,14 +16,13 @@ no-decoherence form.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model, pem, sde_sim
 from .errors import InvalidParametersError
-from .model import GaussianPrior, SpmParams
+from .model import GaussianPrior, NonNegative, Positive, SpmParams
 
 
 @dataclass(frozen=True)
@@ -35,11 +34,10 @@ class BoundResult:
 
 def neg_log_joint_gradient(omega: float, rec: sde_sim.MeasurementRecord,
                            p: SpmParams, prior: GaussianPrior,
-                           h: float) -> float:
+                           h: Positive) -> float:
     """Central-difference derivative of J with respect to omega, the
     finite-difference reference of :func:`pem.neg_log_joint_score`."""
-    if not h > 0.0:
-        raise InvalidParametersError("finite-difference step must be positive")
+    model.check_value("neg_log_joint_gradient", "h", h, "Positive")
     j_plus = pem.kalman_neg_log_joint(omega + h, rec, p, prior)
     j_minus = pem.kalman_neg_log_joint(omega - h, rec, p, prior)
     return (j_plus.neg_log_joint - j_minus.neg_log_joint) / (2.0 * h)
@@ -67,10 +65,10 @@ def bcrb_numeric_curve(p: SpmParams, prior: GaussianPrior, times,
     none, or a prior that ``pem._prior_terms`` rejects, raises
     InvalidParametersError.  Returns BoundResults in ascending time order.
     """
-    if not model._holds(n_samples, numbers.Integral) or n_samples < 2:
+    model.check_value("bcrb_numeric_curve", "n_samples", n_samples, "int")
+    if n_samples < 2:
         raise InvalidParametersError(
-            f"need an integer of at least 2 Monte-Carlo samples, got "
-            f"{n_samples!r}")
+            f"need at least 2 Monte-Carlo samples, got {n_samples!r}")
     times = sorted(float(t) for t in times)
     if not times:
         raise InvalidParametersError("no probing times")
@@ -106,22 +104,24 @@ def _fi_prefactor(p: SpmParams) -> float:
     return p.N ** 2 * p.g_D ** 2 / (4.0 * p.R)
 
 
-def fi_noiseless_discrete(omega: float, t: float, p: SpmParams) -> float:
+def fi_noiseless_discrete(omega: float, t: NonNegative,
+                          p: SpmParams) -> float:
     """Fisher information of the sampled damped sinusoid: the sum over the
     samples t_j = j*Delta that a record of duration t holds, counted by
     :func:`sde_sim.sample_indices` as ``simulate`` counts them."""
-    model._check_inputs(omega, t)
+    model._check_inputs("fi_noiseless_discrete", omega, t)
     t2 = model.coherence_time(p)
     tj = p.Delta * np.arange(1, sde_sim.sample_indices([t], p.Delta)[0] + 1)
     terms = np.exp(-2.0 * tj / t2) * tj ** 2 * np.sin(omega * tj) ** 2
     return _fi_prefactor(p) * p.Delta * float(terms.sum())
 
 
-def fi_noiseless_continuous(omega: float, t: float, p: SpmParams) -> float:
+def fi_noiseless_continuous(omega: float, t: NonNegative,
+                            p: SpmParams) -> float:
     """Continuous-probing limit of the Fisher information, by adaptive
     quadrature to 1e-10 relative (the closed form is deliberately not
     transcribed)."""
-    model._check_inputs(omega, t)
+    model._check_inputs("fi_noiseless_continuous", omega, t)
     # scipy is imported here, by its only two users, so that importing the
     # package and every simulating path load numpy alone
     from scipy import integrate
@@ -139,24 +139,24 @@ def fi_noiseless_continuous(omega: float, t: float, p: SpmParams) -> float:
     return _fi_prefactor(p) * value
 
 
-def fi_short_time(omega: float, t: float, p: SpmParams) -> float:
+def fi_short_time(omega: float, t: NonNegative, p: SpmParams) -> float:
     """Leading t^5 expansion, valid for omega*t << 1 and t << T2."""
-    model._check_inputs(omega, t)
+    model._check_inputs("fi_short_time", omega, t)
     return p.g_D ** 2 * p.N ** 2 * omega ** 2 * t ** 5 / (20.0 * p.R)
 
 
 def fi_asymptotic(omega: float, p: SpmParams) -> float:
     """t -> infinity value; finite because of the coherence-time cutoff."""
-    model._check_inputs(omega)
+    model._check_inputs("fi_asymptotic", omega)
     t2 = model.coherence_time(p)
     x2 = (omega * t2) ** 2
     return (p.N ** 2 * p.g_D ** 2 * t2 ** 3 / (32.0 * p.R)
             * x2 * (x2 * x2 + 3.0 * x2 + 6.0) / (1.0 + x2) ** 3)
 
 
-def fi_no_decoherence(omega: float, t: float, p: SpmParams) -> float:
+def fi_no_decoherence(omega: float, t: NonNegative, p: SpmParams) -> float:
     """Closed form of the T2 -> infinity Fisher information (pure sinusoid)."""
-    model._check_inputs(omega, t)
+    model._check_inputs("fi_no_decoherence", omega, t)
     u = omega * t
     if u == 0.0:
         return 0.0
@@ -166,22 +166,23 @@ def fi_no_decoherence(omega: float, t: float, p: SpmParams) -> float:
     return p.g_D ** 2 * p.N ** 2 * t ** 3 / (24.0 * p.R) * bracket
 
 
-def noiseless_bcrb_floor(p: SpmParams, sigma_omega: float) -> float:
+def noiseless_bcrb_floor(p: SpmParams, sigma_omega: Positive) -> float:
     """Universal long-time lower bound on the average MSE for any estimator
     (one-sided: the prior average of the asymptotic information is majorized,
     so exact saturation is not expected)."""
-    model._check_inputs(sigma_omega=sigma_omega)
+    model._check_inputs("noiseless_bcrb_floor", sigma_omega=sigma_omega)
     t2 = model.coherence_time(p)
     info = p.N ** 2 * p.g_D ** 2 * t2 ** 3 / (25.6 * p.R)
     return 1.0 / (info + 1.0 / sigma_omega ** 2)
 
 
-def bcrb_analytic_gaussian_prior(p: SpmParams, sigma_omega: float,
-                                 t: float) -> float:
+def bcrb_analytic_gaussian_prior(p: SpmParams, sigma_omega: Positive,
+                                 t: NonNegative) -> float:
     """Noiseless Bayesian bound 1 / (sigma^-2 + E_prior[I_F]) with the prior
     expectation taken by ``HERMITE_NODES``-point Gauss-Hermite quadrature
     over omega."""
-    model._check_inputs(t=t, sigma_omega=sigma_omega)
+    model._check_inputs("bcrb_analytic_gaussian_prior", t=t,
+                        sigma_omega=sigma_omega)
     from scipy.special import roots_hermite
 
     x, w = roots_hermite(HERMITE_NODES)

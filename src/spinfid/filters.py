@@ -42,7 +42,7 @@ import numpy as np
 
 from . import model
 from .errors import InvalidParametersError, NumericalDegeneracyError
-from .model import GaussianPrior, SignalModel, SpmParams
+from .model import GaussianPrior, Positive, SignalModel, SpmParams
 from .sde_sim import MeasurementRecord, _write_csv
 
 _JITTER_START = 1e-12
@@ -440,12 +440,21 @@ def omega_at(cfg: FilterConfig, rec: MeasurementRecord, ks) -> list[float]:
     return out
 
 
-def default_prior(p: SpmParams, sigma_omega: float) -> GaussianPrior:
+def default_prior(p: SpmParams, sigma_omega: Positive) -> GaussianPrior:
     """Broad reference prior: omega ~ N(omega_bar, sigma_omega^2), spin mean
     at the polarized state with isotropic covariance 0.01 N^2.  A spread
-    that is not finite and > 0 raises InvalidParametersError."""
-    model._check_inputs(sigma_omega=sigma_omega)
+    that is not finite and > 0, or a variance beyond float range, raises
+    InvalidParametersError."""
+    model._check_inputs("default_prior", sigma_omega=sigma_omega)
     mean = np.array([p.omega_bar, 0.0, 0.5 * p.N])
-    spin_var = 0.01 * p.N ** 2
-    cov = np.diag([sigma_omega ** 2, spin_var, spin_var])
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        try:
+            omega_var, spin_var = sigma_omega ** 2, 0.01 * p.N ** 2
+        except OverflowError:  # Python numbers beyond float range
+            omega_var = spin_var = math.inf
+    if not (math.isfinite(omega_var) and math.isfinite(spin_var)):
+        raise InvalidParametersError(
+            f"prior variances sigma_omega^2 and 0.01 N^2 must be finite, got "
+            f"sigma_omega = {sigma_omega!r}, N = {p.N!r}")
+    cov = np.diag([omega_var, spin_var, spin_var])
     return GaussianPrior(mean, cov)

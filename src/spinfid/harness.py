@@ -10,11 +10,11 @@ the point's substeps.  So results are reproducible and independent of
 evaluation order, and the runs and the bound draw from one law.  Estimator
 errors are always measured against the true instantaneous frequency of the
 simulated shot, never against the nominal value.  A config's fields are
-checked by the one schema rule, ``model.check_fields``.  A sweep run reads
-each filter at its probing indices only (``filters.omega_at``, which builds
-no trace); a tracking run keeps the filter's whole pass and the true
-frequency at the sample times only, copied out of the substep path, which
-is released before the filter runs.
+checked, bounds included, by the one schema rule, ``model.check_fields``.
+A sweep run reads each filter at its probing indices only
+(``filters.omega_at``, which builds no trace); a tracking run keeps the
+filter's whole pass and the true frequency at the sample times only,
+copied out of the substep path, which is released before the filter runs.
 
 A sweep point is a list of independent zero-argument tasks, its runs in
 run order and then its ``bcrb_numeric`` bound, which ``_fan_out`` spreads
@@ -43,7 +43,8 @@ from . import bounds, filters, model, pem, sde_sim
 from .errors import (ExclusionLimitError, IntegrationBlowupError,
                      InvalidParametersError, MapBoundaryError,
                      NumericalDegeneracyError)
-from .model import Constant, GaussianPrior, SignalModel, SpmParams, Wiener
+from .model import (Constant, Count, GaussianPrior, Index, Positive,
+                    SignalModel, SpmParams, Wiener)
 
 ESTIMATORS = ("ekf", "ckf", "pem")
 BOUNDS = ("bcrb_numeric", "bcrb_analytic", "crb", "floor")
@@ -61,35 +62,23 @@ class ExperimentConfig:
     params: SpmParams = SpmParams()
     true_signal: Optional[SignalModel] = None
     assumed_signal: Optional[SignalModel] = None  # filter-side model; None -> static frequency
-    sigma_omega: float = DEFAULT_SIGMA_OMEGA
-    duration: float = 5.0e-3
-    substeps: int = 5
-    runs: int = 1
-    seed: int = 0
+    sigma_omega: Positive = DEFAULT_SIGMA_OMEGA
+    duration: Positive = 5.0e-3
+    substeps: Count = 5
+    runs: Count = 1
+    seed: Index = 0
     estimators: tuple[str, ...] = ("ekf",)
     bounds: tuple[str, ...] = ()
     bound_samples: int = 200
     sweep_axis: str = "none"
-    sweep_values: tuple[float, ...] = ()
+    sweep_values: tuple[Positive, ...] = ()
 
     def __post_init__(self):
         model.check_fields(self)
-        if self.runs < 1:
-            raise InvalidParametersError("run count must be >= 1")
-        if self.substeps < 1:
-            raise InvalidParametersError("substeps must be >= 1")
-        if self.seed < 0:
-            raise InvalidParametersError("seed must be non-negative")
-        for name in ("duration", "sigma_omega"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidParametersError(f"{name} must be strictly positive")
         if self.sweep_axis not in SWEEP_AXES:
             raise InvalidParametersError(f"unknown sweep axis {self.sweep_axis!r}")
-        if self.sweep_axis != "none":
-            if not self.sweep_values:
-                raise InvalidParametersError("sweep grid must be non-empty")
-            if not all(v > 0.0 for v in self.sweep_values):
-                raise InvalidParametersError("sweep grid values must be positive")
+        if self.sweep_axis != "none" and not self.sweep_values:
+            raise InvalidParametersError("sweep grid must be non-empty")
         for what, names, known in (("estimator", self.estimators, ESTIMATORS),
                                    ("bound", self.bounds, BOUNDS)):
             for i, name in enumerate(names):

@@ -11,7 +11,11 @@ of length ``delta`` the exact discretization is a damped rotation plus
 additive Gaussian noise with isotropic standard deviation
 sqrt((qN/2)(1 - exp(-2 delta/T2))).
 
-``check_fields`` is the one rule for the fields of a config class, and
+``check_value`` is the one rule for every number spinfid takes: the config
+schema ``_SCHEMA`` holds the types, finiteness and bounds of the config
+fields (``check_fields`` checks a config class's fields by it) and of the
+checked function arguments, which name their annotation (``Positive`` and
+``NonNegative`` numbers, ``Count`` >= 1 and ``Index`` >= 0 integers).
 ``as_json`` writes a config in the format that ``from_dict`` reads.
 """
 
@@ -20,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Optional, Union
 
@@ -29,20 +34,37 @@ from .errors import InvalidParametersError
 
 TWO_PI = 2.0 * math.pi
 
+# Annotations of the bounded numbers: config fields and checked arguments
+# take them by name, so that ``_SCHEMA`` holds their bounds.
+Positive = NonNegative = float
+Count = Index = int
+
 # The config schema: field annotation -> (the values it takes, what they
 # are, the annotations of a sequence's items: one per place, or one then ...
-# for any length); the config classes' own entries follow the classes.
+# for any length, the bound of a number: (">" or ">=", limit)); the config
+# classes' own entries follow the classes.
 _SCHEMA = {
-    "float": (numbers.Real, "a number", None),
-    "Optional[float]": ((numbers.Real, type(None)), "a number or null", None),
-    "int": (numbers.Integral, "an integer", None),
-    "str": (str, "a string", None),
-    "tuple[str, ...]": ((list, tuple), "a list of strings", ("str", ...)),
-    "tuple[float, ...]": ((list, tuple), "a list of numbers", ("float", ...)),
-    "tuple[float, float]": ((list, tuple), "a number pair", ("float", "float")),
+    "float": (numbers.Real, "a number", None, None),
+    "Positive": (numbers.Real, "a number", None, (">", 0)),
+    "NonNegative": (numbers.Real, "a number", None, (">=", 0)),
+    "Optional[float]": ((numbers.Real, type(None)), "a number or null", None,
+                        None),
+    "Optional[Positive]": ((numbers.Real, type(None)), "a number or null",
+                           None, (">", 0)),
+    "int": (numbers.Integral, "an integer", None, None),
+    "Count": (numbers.Integral, "an integer", None, (">=", 1)),
+    "Index": (numbers.Integral, "an integer", None, (">=", 0)),
+    "str": (str, "a string", None, None),
+    "tuple[str, ...]": ((list, tuple), "a list of strings", ("str", ...), None),
+    "tuple[Positive, ...]": (
+        (list, tuple), "a list of numbers", ("Positive", ...), None),
+    "tuple[float, float]": (
+        (list, tuple), "a number pair", ("float", "float"), None),
     "tuple[tuple[float, float], ...]": (
-        (list, tuple), "a list of number pairs", ("tuple[float, float]", ...)),
+        (list, tuple), "a list of number pairs", ("tuple[float, float]", ...),
+        None),
 }
+_WITHIN = {">": operator.gt, ">=": operator.ge}
 
 
 def _holds(value, types) -> bool:
@@ -52,14 +74,22 @@ def _holds(value, types) -> bool:
 
 def _conform(value, annotation: str):
     """``value`` as a field of ``annotation`` stores it, a list or tuple as a
-    tuple; TypeError if it is not what the annotation takes, ValueError or
-    OverflowError if it is or holds a number that is not a finite float."""
-    types, _, items = _SCHEMA[annotation]
+    tuple; TypeError if it is not what the annotation takes, ValueError
+    with what it must be if it is or holds a number that is not a finite
+    float or is outside its bound."""
+    types, _, items, bound = _SCHEMA[annotation]
     if not _holds(value, types):
         raise TypeError
     if items is None:
-        if _holds(value, numbers.Real) and not math.isfinite(value):
-            raise ValueError
+        if _holds(value, numbers.Real):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer beyond float range
+                finite = False
+            if not finite:
+                raise ValueError("finite")
+            if bound is not None and not _WITHIN[bound[0]](value, bound[1]):
+                raise ValueError("%s %s" % bound)
         return value
     if items[-1] is ...:
         items = items[:1] * len(value)
@@ -83,23 +113,35 @@ def real_array(value, what: str) -> np.ndarray:
     return array.astype(np.float64, copy=False)
 
 
+def check_value(owner: str, name: str, value, annotation: str):
+    """The one rule for every checked number: ``value`` as a field of
+    ``annotation`` stores it, if it is what ``_SCHEMA`` says the annotation
+    takes (its type, a finite number, within the number's bound).
+    Otherwise InvalidParametersError names ``owner`` (a config class or a
+    function) and its field or argument ``name``, in one of three shapes:
+    "<owner> 'name' must be <what>, got v" for a wrong type, "<owner> name
+    must be finite, got v", and "<owner> name must be >= 1, got v" for a
+    number outside its bound."""
+    try:
+        return _conform(value, annotation)
+    except TypeError:
+        raise InvalidParametersError(
+            f"{owner} {name!r} must be {_SCHEMA[annotation][1]}, "
+            f"got {value!r}") from None
+    except ValueError as exc:
+        raise InvalidParametersError(
+            f"{owner} {name} must be {exc}, got {value!r}") from None
+
+
 def check_fields(obj) -> None:
-    """The one rule for config values: each field of the dataclass ``obj``
-    must hold what ``_SCHEMA`` says its annotation takes, else
-    InvalidParametersError; a sequence is stored as a tuple.  Every config
-    class calls this from ``__post_init__``, however it is built."""
+    """Each field of the dataclass ``obj`` checked by ``check_value`` against
+    its annotation, a sequence stored as a tuple: so ``_SCHEMA`` holds the
+    types, finiteness and bounds of the config fields.  Every config class
+    calls this from ``__post_init__``, however it is built."""
+    owner = type(obj).__name__
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        try:
-            object.__setattr__(obj, f.name, _conform(value, f.type))
-        except TypeError:
-            raise InvalidParametersError(
-                f"{type(obj).__name__} {f.name!r} must be "
-                f"{_SCHEMA[f.type][1]}, got {value!r}") from None
-        except (ValueError, OverflowError):
-            raise InvalidParametersError(
-                f"{type(obj).__name__} {f.name} must be finite, "
-                f"got {value!r}") from None
+        object.__setattr__(obj, f.name, check_value(
+            owner, f.name, getattr(obj, f.name), f.type))
 
 
 def check_json(cls, d, what: str) -> dict:
@@ -136,27 +178,18 @@ class SpmParams:
     kept for atom-number sweeps, where T2 must be recomputed per N).
     """
 
-    omega_bar: float = TWO_PI * 1.0e4   # nominal Larmor frequency, rad/s
-    g_D: float = 0.00177                # measurement strength, pA per unit spin
-    R: float = 96.0                     # photocurrent noise density, pA^2/Hz
-    N: float = 0.44e12                  # atom number
-    q: float = 0.25                     # per-atom thermal variance, F(F+1)/3 for F=1/2
-    Gamma: float = TWO_PI * 658.5       # linewidth part of 1/T2, rad/s
-    alpha: float = TWO_PI * 3.5e-10     # spin-exchange part of 1/T2, rad/s per atom
-    Delta: float = 5.0e-6               # sampling period, s
-    T2_override: Optional[float] = 0.87e-3  # coherence time, s; None -> 1/(Gamma + alpha*N)
+    omega_bar: float = TWO_PI * 1.0e4      # nominal Larmor frequency, rad/s
+    g_D: Positive = 0.00177                # measurement strength, pA per unit spin
+    R: Positive = 96.0                     # photocurrent noise density, pA^2/Hz
+    N: Positive = 0.44e12                  # atom number
+    q: NonNegative = 0.25                  # per-atom thermal variance, F(F+1)/3 for F=1/2
+    Gamma: NonNegative = TWO_PI * 658.5    # linewidth part of 1/T2, rad/s
+    alpha: NonNegative = TWO_PI * 3.5e-10  # spin-exchange part of 1/T2, rad/s per atom
+    Delta: Positive = 5.0e-6               # sampling period, s
+    T2_override: Optional[Positive] = 0.87e-3  # coherence time, s; None -> 1/(Gamma + alpha*N)
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("g_D", "R", "N", "Delta"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidParametersError(f"{name} must be strictly positive")
-        if self.q < 0.0:
-            raise InvalidParametersError("q must be non-negative")
-        if self.Gamma < 0.0 or self.alpha < 0.0:
-            raise InvalidParametersError("Gamma and alpha must be non-negative")
-        if self.T2_override is not None and not self.T2_override > 0.0:
-            raise InvalidParametersError("T2_override must be strictly positive")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpmParams":
@@ -190,29 +223,23 @@ class OrnsteinUhlenbeck:
     """Mean-reverting frequency noise: d omega = -(omega - omega_bar)/tau dt + sqrt(d_c) dW."""
 
     omega_bar: float      # rad/s
-    tau: float            # mean-reversion time, s
-    d_c: float            # diffusion coefficient, rad^2/s^3
+    tau: Positive         # mean-reversion time, s
+    d_c: NonNegative      # diffusion coefficient, rad^2/s^3
     omega_start: Optional[float] = None  # initial value; None -> omega_bar
 
     def __post_init__(self):
         check_fields(self)
-        if not self.tau > 0.0:
-            raise InvalidParametersError("OU tau must be strictly positive")
-        if self.d_c < 0.0:
-            raise InvalidParametersError("OU d_c must be non-negative")
 
 
 @dataclass(frozen=True)
 class Wiener:
     """Free diffusion of the frequency (the tau -> infinity limit of OU)."""
 
-    omega0: float  # rad/s
-    d_c: float     # rad^2/s^3
+    omega0: float       # rad/s
+    d_c: NonNegative    # rad^2/s^3
 
     def __post_init__(self):
         check_fields(self)
-        if self.d_c < 0.0:
-            raise InvalidParametersError("Wiener d_c must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -248,9 +275,9 @@ _SIGNAL_KINDS = {
 }
 _KIND_OF = {cls: kind for kind, cls in _SIGNAL_KINDS.items()}
 
-_SCHEMA["SpmParams"] = (SpmParams, "a parameter object", None)
+_SCHEMA["SpmParams"] = (SpmParams, "a parameter object", None, None)
 _SCHEMA["Optional[SignalModel]"] = (
-    (*_SIGNAL_KINDS.values(), type(None)), "a signal or null", None)
+    (*_SIGNAL_KINDS.values(), type(None)), "a signal or null", None, None)
 
 
 def signal_from_dict(d: dict) -> SignalModel:
@@ -320,15 +347,13 @@ class GaussianPrior:
             raise InvalidParametersError("prior covariance must be positive semidefinite")
 
 
-def _check_inputs(omega=0.0, t=0.0, sigma_omega=1.0) -> None:
-    """InvalidParametersError unless omega is finite, t is finite and >= 0
-    and sigma_omega is finite and > 0; the defaults pass."""
-    for name, value, ok in (("omega", omega, True), ("t", t, t >= 0.0),
-                            ("sigma_omega", sigma_omega, sigma_omega > 0.0)):
-        if not (ok and math.isfinite(value)):
-            raise InvalidParametersError(
-                f"{name} = {value!r} is out of range: omega must be finite, "
-                "t finite and >= 0, sigma_omega finite and > 0")
+def _check_inputs(owner: str, omega: float = 0.0, t: NonNegative = 0.0,
+                  sigma_omega: Positive = 1.0) -> None:
+    """``check_value`` on the arguments omega, t and sigma_omega of the
+    function ``owner``; the defaults pass."""
+    check_value(owner, "omega", omega, "float")
+    check_value(owner, "t", t, "NonNegative")
+    check_value(owner, "sigma_omega", sigma_omega, "Positive")
 
 
 # --------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,12 +282,17 @@ def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
     ``innovations``, if given, takes a scalar omega only and is extended
     by the residual and S_j, in turn, of every sample processed.  A
     non-finite J raises FloatingPointError; bad lengths
-    (``rec.check_lengths``), another sampling period than p.Delta, a
-    non-finite omega, a bad prior (``_prior_terms``) and innovations asked
-    of an array raise InvalidParametersError before any pass.
+    (``rec.check_lengths``), another sampling period than p.Delta, an
+    omega that is a bool, no number or an array of none, a non-finite
+    omega, a bad prior (``_prior_terms``) and innovations asked of an
+    array raise InvalidParametersError before any pass.
     """
     lengths = rec.check_lengths(lengths)
     rec.check_delta(p.Delta)
+    if not (omega.dtype.kind in "iufc" if isinstance(omega, np.ndarray)
+            else model._holds(omega, numbers.Number)):
+        raise InvalidParametersError(
+            f"omega must be a number or an array of numbers, got {omega!r}")
     if not np.isfinite(omega).all():
         raise InvalidParametersError(f"omega must be finite, got {omega!r}")
     mu, var, mean, spin_cov = _prior_terms(prior)
@@ -359,8 +365,8 @@ def neg_log_joint_grid(omegas: np.ndarray, rec: MeasurementRecord, p: SpmParams,
                        prior: GaussianPrior) -> np.ndarray:
     """J over a grid of omega values (the same recursion, broadcast over the
     omega axis)."""
-    return neg_log_joint_prefixes(np.asarray(omegas, dtype=float), rec, p,
-                                  prior, [len(rec.outcomes)])[0]
+    return neg_log_joint_prefixes(model.real_array(omegas, "omega grid"), rec,
+                                  p, prior, [len(rec.outcomes)])[0]
 
 
 def _vertex(lo: float, w: float, hi: float, a: float, b: float,

@@ -59,7 +59,7 @@ import numpy as np
 
 from . import model
 from .errors import IntegrationBlowupError, InvalidParametersError
-from .model import SignalModel, SpmParams
+from .model import Count, Positive, SignalModel, SpmParams
 
 # substeps per block: the noise is drawn and the recurrence solved one block
 # at a time, which keeps the temporaries this size without changing the
@@ -116,13 +116,12 @@ _CSV_TIME_RTOL = 2e-8
 class MeasurementRecord:
     """Photocurrent outcomes y_k at t_k = k*delta, k = 1..K, with K >= 1."""
 
-    delta: float
+    delta: Positive
     outcomes: np.ndarray  # pA
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise InvalidParametersError(
-                "sampling period must be finite and positive")
+        model.check_value("MeasurementRecord", "delta", self.delta,
+                          "Positive")
         outcomes = model.real_array(self.outcomes, "measurement outcomes")
         object.__setattr__(self, "outcomes", outcomes)
         if outcomes.ndim != 1:
@@ -308,7 +307,8 @@ def _states(p: SpmParams, s: SignalModel, n_sub: int, h: float,
     return states
 
 
-def simulate(p: SpmParams, s: SignalModel, duration: float, substeps: int = 5,
+def simulate(p: SpmParams, s: SignalModel, duration: float,
+             substeps: Count = 5,
              seed=0) -> tuple[Trajectory, MeasurementRecord]:
     """Integrate the extended state and emit the synthetic photocurrent record.
 
@@ -322,9 +322,7 @@ def simulate(p: SpmParams, s: SignalModel, duration: float, substeps: int = 5,
     deterministic waveforms the exact frozen-frequency step (see the module
     docstring).  Identical inputs give bit-identical outputs.
     """
-    if not model._holds(substeps, numbers.Integral) or substeps < 1:
-        raise InvalidParametersError(
-            f"substeps must be an integer >= 1, got {substeps!r}")
+    model.check_value("simulate", "substeps", substeps, "Count")
     n_meas = sample_indices([duration], p.Delta)[0]
     rng = np.random.default_rng(seed)
     n_sub = n_meas * substeps

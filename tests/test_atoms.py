@@ -46,6 +46,32 @@ class TestVarianceEstimator:
                 call()
 
 
+    @pytest.mark.parametrize("samples", [
+        ["1", "2"], [1.0 + 1.0j, 2.0], [True, False, True]],
+        ids=["strings", "complex", "bools"])
+    def test_rejects_samples_that_are_not_real_numbers(self, samples):
+        # once parsed, cut to their real part or read as 0 and 1
+        for call in (lambda: steady_state_variance(samples),
+                     lambda: estimate_atom_number(samples, SpmParams())):
+            with pytest.raises(InvalidParametersError,
+                               match="atom samples must be integers or "
+                                     "floats"):
+                call()
+
+    def test_reads_a_float64_record_without_a_copy(self, monkeypatch):
+        record = np.ones(4)
+        seen = []
+        real_array = model.real_array
+
+        def spy(value, what):
+            array = real_array(value, what)
+            seen.append(array is value)
+            return array
+        monkeypatch.setattr(model, "real_array", spy)
+        estimate_atom_number(record, SpmParams())
+        assert seen == [True, True]
+
+
 class TestEstimator:
     def test_plug_in_inversion_exact(self):
         p = _easy_params()  # shot-noise floor R/(g^2 Delta) = 25

@@ -271,26 +271,31 @@ class TestAnalyticBound:
 
 class TestImpossibleInputs:
     @pytest.mark.parametrize("call, match", [
-        (lambda p: bounds.fi_noiseless_discrete(math.nan, 1e-4, p), "^omega"),
-        (lambda p: bounds.fi_noiseless_discrete(1e5, -1e-4, p), "t = "),
+        (lambda p: bounds.fi_noiseless_discrete(math.nan, 1e-4, p),
+         " omega must be finite"),
+        (lambda p: bounds.fi_noiseless_discrete(1e5, -1e-4, p), " t must be "),
         (lambda p: bounds.fi_noiseless_continuous(math.inf, 1e-4, p),
-         "^omega"),
-        (lambda p: bounds.fi_noiseless_continuous(1e5, -1e-4, p), "t = "),
-        (lambda p: bounds.fi_noiseless_continuous(1e5, math.inf, p), "t = "),
-        (lambda p: bounds.fi_short_time(1e5, -1e-4, p), "t = "),
-        (lambda p: bounds.fi_short_time(math.nan, 1e-4, p), "^omega"),
-        (lambda p: bounds.fi_no_decoherence(1e5, -1e-4, p), "t = "),
-        (lambda p: bounds.fi_no_decoherence(math.inf, 1e-4, p), "^omega"),
-        (lambda p: bounds.fi_asymptotic(math.inf, p), "^omega"),
+         " omega must be finite"),
+        (lambda p: bounds.fi_noiseless_continuous(1e5, -1e-4, p),
+         " t must be "),
+        (lambda p: bounds.fi_noiseless_continuous(1e5, math.inf, p),
+         " t must be "),
+        (lambda p: bounds.fi_short_time(1e5, -1e-4, p), " t must be "),
+        (lambda p: bounds.fi_short_time(math.nan, 1e-4, p),
+         " omega must be finite"),
+        (lambda p: bounds.fi_no_decoherence(1e5, -1e-4, p), " t must be "),
+        (lambda p: bounds.fi_no_decoherence(math.inf, 1e-4, p),
+         " omega must be finite"),
+        (lambda p: bounds.fi_asymptotic(math.inf, p), " omega must be finite"),
         (lambda p: bounds.noiseless_bcrb_floor(p, 0.0), "sigma_omega"),
         (lambda p: bounds.noiseless_bcrb_floor(p, -5.0), "sigma_omega"),
         (lambda p: bounds.noiseless_bcrb_floor(p, math.inf), "sigma_omega"),
         (lambda p: bounds.bcrb_analytic_gaussian_prior(p, 0.0, 1e-3),
          "sigma_omega"),
         (lambda p: bounds.bcrb_analytic_gaussian_prior(p, 100.0, -1e-3),
-         "t = "),
+         " t must be "),
         (lambda p: bounds.bcrb_analytic_gaussian_prior(p, 100.0, math.nan),
-         "t = "),
+         " t must be "),
     ], ids=["discrete nan omega", "discrete t < 0", "continuous inf omega",
             "continuous t < 0", "continuous inf t", "short-time t < 0",
             "short-time nan omega", "no-decoherence t < 0",

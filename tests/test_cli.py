@@ -74,6 +74,21 @@ class TestExitCodes:
         assert "must be finite" in capsys.readouterr().err
         assert not (out / f"{command}.csv").exists()
 
+    @pytest.mark.parametrize("command", ["sweep-time", "estimate", "track"])
+    @pytest.mark.parametrize("payload", [
+        {"sigma_omega": 1e300}, {"params": {"N": 1e200}}],
+        ids=["sigma_omega", "N"])
+    def test_prior_variance_beyond_float_range(self, tmp_path, capsys,
+                                               command, payload):
+        # a configuration error, not a numerical failure (exit 3)
+        cfg = _write_cfg(tmp_path, {**payload, "duration": 1e-4,
+                                    "sweep_axis": "time",
+                                    "sweep_values": [1e-4]})
+        code, out = _run(tmp_path, command, "--config", cfg)
+        assert code == 2
+        assert "prior variances" in capsys.readouterr().err
+        assert not (out / f"{command}.csv").exists()
+
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     @pytest.mark.parametrize("substeps", [0, -3])
     def test_substeps_below_one(self, tmp_path, capsys, command, substeps):

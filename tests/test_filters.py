@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 import sys
@@ -637,11 +638,16 @@ class TestBenchmarkConfigs:
             def profile(frame, event, arg):
                 nonlocal count
                 count += event == "call"
+            # the cyclic GC fires call events when it closes a generator
+            # that an earlier test left in a cycle: none may run in between
+            gc.collect()
+            gc.disable()
             sys.setprofile(profile)
             try:
                 run(*args)
             finally:
                 sys.setprofile(None)
+                gc.enable()
             return count
         short = rec.truncated(1)
         for kind in ("ekf", "ckf"):
@@ -747,6 +753,17 @@ class TestConfigAndTrace:
     def test_default_prior_rejects_a_spread_that_is_not_positive(self, sigma):
         with pytest.raises(InvalidParametersError, match="sigma_omega"):
             default_prior(SpmParams(), sigma)
+
+    @pytest.mark.parametrize("n, sigma", [
+        (0.44e12, 1e300), (1e200, 1e3), (10 ** 200, 1e3),
+        (np.float64(1e200), 1e3), (0.44e12, np.float64(1e300))],
+        ids=["float sigma", "float N", "int N", "numpy N", "numpy sigma"])
+    def test_default_prior_rejects_a_variance_beyond_float_range(self, n,
+                                                                 sigma):
+        # the squares once raised a bare OverflowError
+        with pytest.raises(InvalidParametersError,
+                           match="prior variances .* must be finite"):
+            default_prior(SpmParams(N=n), sigma)
 
     def test_default_prior_structure(self):
         p = SpmParams()

@@ -465,6 +465,40 @@ class TestPriorAndOmegaChecks:
                                    prior)
 
 
+    @pytest.mark.parametrize("omega", [
+        True, np.bool_(False), "1", None, [1.0], np.array(["1"]),
+        np.array([True]), np.array([1.0], dtype=object)],
+        ids=repr)
+    def test_omega_that_is_no_number_raises(self, omega):
+        # True once gave J at 1 rad/s and "1" a bare TypeError
+        p = SpmParams()
+        rec = MeasurementRecord(p.Delta, np.zeros(20))
+        prior = default_prior(p, 1e3)
+        with pytest.raises(InvalidParametersError,
+                           match="omega must be a number or an array of "
+                                 "numbers"):
+            pem.neg_log_joint_prefixes(omega, rec, p, prior, [20])
+
+    @pytest.mark.parametrize("grid", [["1", "2"], [True, False],
+                                      [1.0 + 0j, 2.0]], ids=repr)
+    def test_grid_that_is_not_real_raises(self, grid):
+        p = SpmParams()
+        rec = MeasurementRecord(p.Delta, np.zeros(20))
+        with pytest.raises(InvalidParametersError,
+                           match="omega grid must be integers or floats"):
+            pem.neg_log_joint_grid(grid, rec, p, default_prior(p, 1e3))
+
+    def test_integer_omega_is_a_number(self):
+        p = SpmParams()
+        rec = MeasurementRecord(p.Delta, np.ones(20))
+        prior = default_prior(p, 1e3)
+        assert pem.neg_log_joint_prefixes(62832, rec, p, prior, [20]) == \
+            pem.neg_log_joint_prefixes(62832.0, rec, p, prior, [20])
+        assert pem.neg_log_joint_prefixes(
+            np.array([62832]), rec, p, prior, [20])[0] == \
+            pem.neg_log_joint_grid([62832.0], rec, p, prior)
+
+
 class TestScore:
     @pytest.mark.parametrize("p, spin_scale", [(SpmParams(q=0.0), 0.0),
                                                (SpmParams(), 0.1)],

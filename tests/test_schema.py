@@ -1,8 +1,10 @@
-"""The config schema: one rule (``model.check_fields``) for every field of
-``SpmParams``, the signal models and ``ExperimentConfig``, and one writer
+"""The config schema: one rule (``model.check_value``) for every field of
+``SpmParams``, the signal models and ``ExperimentConfig`` and for every
+checked function argument, bounds included, and one writer
 (``model.as_json``) whose output ``from_dict`` reads back."""
 
 import dataclasses
+import inspect
 import json
 import math
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinfid import model
+from spinfid import atoms, bounds, filters, model, sde_sim
 from spinfid.errors import InvalidParametersError
 from spinfid.harness import BOUNDS, ESTIMATORS, ExperimentConfig
 from spinfid.model import (Constant, OrnsteinUhlenbeck, Sinusoid, SpmParams,
@@ -49,7 +51,7 @@ class TestLint:
         assert not unknown
 
     def test_item_annotations_have_rules(self):
-        items = {a for _, _, places in model._SCHEMA.values()
+        items = {a for _, _, places, _ in model._SCHEMA.values()
                  for a in places or ()}
         assert items - {...} <= model._SCHEMA.keys()
 
@@ -58,7 +60,7 @@ class TestLint:
 BAD = [
     ("1.0", {"str"}),
     (True, set()),
-    ([1.0], {"tuple[float, ...]"}),
+    ([1.0], {"tuple[Positive, ...]"}),
     (math.nan, set()),
     (math.inf, set()),
 ]
@@ -104,6 +106,126 @@ class TestBadValues:
         with pytest.raises(InvalidParametersError,
                            match=r"SpmParams T2_override must be finite, got nan"):
             SpmParams(T2_override=math.nan)
+
+
+# each number annotation: (the values it takes, what they are, its bound as
+# (">" or ">=", limit) or None), written out apart from ``_SCHEMA``
+NUMBERS = {
+    "float": ((int, float), "a number", None),
+    "Optional[float]": ((int, float, type(None)), "a number or null", None),
+    "Positive": ((int, float), "a number", (">", 0)),
+    "Optional[Positive]": ((int, float, type(None)), "a number or null",
+                           (">", 0)),
+    "NonNegative": ((int, float), "a number", (">=", 0)),
+    "int": (int, "an integer", None),
+    "Count": (int, "an integer", (">=", 1)),
+    "Index": (int, "an integer", (">=", 0)),
+}
+BOUNDARY = {(">", 0): 5e-324, (">=", 0): 0, (">=", 1): 1}
+PROBES = [0, -0.0, -1, math.nan, math.inf, 10 ** 400, True, "1"]
+
+
+def _probes(annotation):
+    bound = NUMBERS[annotation][2]
+    return PROBES + ([BOUNDARY[bound]] if bound else [])
+
+
+def _rejection(owner, name, annotation, value, what=None):
+    """The message that rejects ``value``, None if it is taken; ``what``
+    replaces the annotation's own in a type error."""
+    types, own_what, bound = NUMBERS[annotation]
+    if isinstance(value, bool) or not isinstance(value, types):
+        return f"{owner} {name!r} must be {what or own_what}, got "
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        return f"{owner} {name} must be finite, got "
+    if bound and not (value > bound[1] if bound[0] == ">"
+                      else value >= bound[1]):
+        return f"{owner} {name} must be {bound[0]} {bound[1]}, got "
+    return None
+
+
+def _number(annotation):
+    """A number annotation, or that of the items of a list of numbers."""
+    return annotation.removeprefix("tuple[").removesuffix(", ...]")
+
+
+# every number field and every list of numbers, the latter given each probe
+# as its one item
+FIELD_PROBES = [
+    pytest.param(cls, f.name, f.type, value,
+                 id=f"{cls.__name__}.{f.name}={value!r}")
+    for cls in VALID for f in dataclasses.fields(cls)
+    if _number(f.type) in NUMBERS for value in _probes(_number(f.type))]
+
+_P = SpmParams()
+_REC = sde_sim.MeasurementRecord(_P.Delta, np.ones(3))
+_PRIOR = filters.default_prior(_P, 1e3)
+# every function argument that the rule checks, with a call that passes it
+ARGUMENTS = [
+    (sde_sim.simulate, "substeps",
+     lambda v: sde_sim.simulate(_P, Constant(1.0), _P.Delta, substeps=v)),
+    (sde_sim.MeasurementRecord, "delta",
+     lambda v: sde_sim.MeasurementRecord(v, np.ones(3))),
+    (atoms.sample_steady_state_outcomes, "k",
+     lambda v: atoms.sample_steady_state_outcomes(_P, 1.0, v)),
+    (atoms.sample_steady_state_outcomes, "omega",
+     lambda v: atoms.sample_steady_state_outcomes(_P, v, 2)),
+    (bounds.neg_log_joint_gradient, "h",
+     lambda v: bounds.neg_log_joint_gradient(1.0, _REC, _P, _PRIOR, v)),
+    (bounds.fi_short_time, "omega", lambda v: bounds.fi_short_time(v, 1.0, _P)),
+    (bounds.fi_short_time, "t", lambda v: bounds.fi_short_time(1.0, v, _P)),
+    (bounds.fi_no_decoherence, "t",
+     lambda v: bounds.fi_no_decoherence(1.0, v, _P)),
+    (bounds.fi_asymptotic, "omega", lambda v: bounds.fi_asymptotic(v, _P)),
+    (filters.default_prior, "sigma_omega",
+     lambda v: filters.default_prior(_P, v)),
+]
+ARGUMENT_PROBES = [
+    pytest.param(fn.__name__, name, annotation, call, value,
+                 id=f"{fn.__name__}.{name}={value!r}")
+    for fn, name, call in ARGUMENTS
+    for annotation in [inspect.signature(fn).parameters[name].annotation]
+    for value in _probes(annotation)]
+
+
+class TestBounds:
+    """Each number field and each checked argument against the same probes
+    and its boundary value, with the outcome that ``NUMBERS`` predicts."""
+
+    def test_every_number_annotation_is_predicted(self):
+        numbers = {a for a, (_, what, items, _) in model._SCHEMA.items()
+                   if items is None and what.startswith(("a num", "an int"))}
+        assert numbers == NUMBERS.keys()
+
+    @pytest.mark.parametrize("cls, name, annotation, value", FIELD_PROBES)
+    def test_fields(self, cls, name, annotation, value):
+        if annotation in NUMBERS:
+            given, what = value, None
+        else:
+            given, what = (value,), "a list of numbers"
+        expected = _rejection(cls.__name__, name, _number(annotation), value,
+                              what)
+        if expected is None:
+            assert getattr(cls(**{**VALID[cls], name: given}), name) == given
+            return
+        with pytest.raises(InvalidParametersError) as exc:
+            cls(**{**VALID[cls], name: given})
+        assert str(exc.value) == expected + repr(given)
+
+    @pytest.mark.parametrize("owner, name, annotation, call, value",
+                             ARGUMENT_PROBES)
+    def test_arguments(self, owner, name, annotation, call, value):
+        expected = _rejection(owner, name, annotation, value)
+        if expected is None:
+            call(value)
+            return
+        with pytest.raises(InvalidParametersError) as exc:
+            call(value)
+        assert str(exc.value) == expected + repr(value)
 
 
 class TestStorage:

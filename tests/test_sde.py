@@ -578,7 +578,8 @@ class TestMeasurementRecord:
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
     def test_bad_sampling_period_rejected(self, tmp_path, delta):
-        with pytest.raises(InvalidParametersError, match="sampling period"):
+        with pytest.raises(InvalidParametersError,
+                           match="MeasurementRecord delta must be"):
             sde_sim.MeasurementRecord(delta, np.ones(3))
         if math.isfinite(delta):
             # from_csv reports a non-positive t_1 with its own check
