@@ -5,11 +5,19 @@ y_k / g_D is a zero-mean Gaussian sequence with variance qN/2 + R/(g_D^2 Delta):
 the stationary spin fluctuation plus the renormalized shot noise.  Inverting
 the variance estimator for N gives an unbiased atom-number estimate whose
 relative error shrinks as 1/sqrt(k).
+
+The sampler of such outcomes runs on two threads: while the calling thread
+walks the spin recurrence block by block, a second thread draws the next
+block of noise from the same generator, which numpy fills with the GIL
+released.  The thread lives for one call; it is joined before the call
+returns or raises, and the record is bit for bit the serial one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +80,68 @@ def estimate_atom_number(samples, p: SpmParams) -> AtomCountEstimate:
     return AtomCountEstimate(n_hat, sigma_n, k, degenerate=n_hat <= 0.0)
 
 
+# samples per block of the sampler's walk: whole blocks of
+# ``sde_sim._BLOCK``, so whole chunks of the rotation's recurrence; at
+# ``sde_sim._BLOCK`` itself the hand-offs between the two threads cost more
+# than the overlap saves
+_BLOCK = 4 * sde_sim._BLOCK
+
+
+class _Drawer:
+    """Standard normal blocks of the given sizes, drawn in order from one
+    generator on a second thread into a ring of two reused buffers.
+
+    Entering starts the thread and ``blocks`` yields each block as it is
+    filled; the drawer refills a buffer only once the caller has moved on
+    from it.  Leaving stops the thread and joins it, whether the walk ended,
+    raised or was cut short, and an exception raised by a draw is raised
+    again in the caller by ``blocks``.
+    """
+
+    def __init__(self, rng: np.random.Generator, sizes: list, length: int):
+        self._buffers = np.empty((2, length))
+        self._free = threading.Semaphore(2)
+        self._filled = threading.Semaphore(0)
+        self._stop = False
+        self._failure = None
+        self._thread = threading.Thread(target=self._draw, args=(rng, sizes),
+                                        name="spinfid-atoms-drawer",
+                                        daemon=True)
+
+    def __enter__(self) -> "_Drawer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop = True
+        self._free.release()  # wakes a drawer that waits for a buffer
+        self._thread.join()
+
+    def _draw(self, rng, sizes) -> None:
+        try:
+            for i, n in enumerate(sizes):
+                self._free.acquire()
+                if self._stop:
+                    return
+                rng.standard_normal(out=self._buffers[i % 2, :n])
+                self._filled.release()
+        except BaseException as exc:
+            # every exception is raised again in the caller by ``blocks``,
+            # which would otherwise wait for a block that never comes
+            self._failure = exc
+            self._filled.release()
+
+    def blocks(self):
+        """The drawn blocks in order; each is the caller's until it asks for
+        the next."""
+        for i in itertools.count():
+            self._filled.acquire()
+            if self._failure is not None:
+                raise self._failure
+            yield self._buffers[i % 2]
+            self._free.release()
+
+
 def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
                                  seed=0) -> np.ndarray:
     """Draw k renormalized steady-state outcomes y_k / g_D.
@@ -82,17 +152,24 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
     fraction of the cost.
 
     The k real parts of the spin noise are drawn straight into the returned
-    array, which is then walked one block of ``sde_sim._BLOCK`` samples at a
-    time: each block draws its imaginary parts, advances the rotation from
-    the state the previous block left and is overwritten with J_z; a second
-    walk adds the shot noise.  The draws keep their order (k real, k
-    imaginary, k shot) and every sample takes the same operations given its
-    place in its chunk of ``model.damped_rotation``, so the record is bit for
-    bit the same for every block size that is a multiple of the chunk
-    length L (``sde_sim._BLOCK`` is), and the same to rounding for any
-    other; the bit identity was checked with numpy 2.4 on an AVX-512 x86-64
-    CPU (see ``model.damped_rotation``).  The working set is the output
-    plus one block.
+    array, which is then walked one block of ``_BLOCK`` samples at a time
+    (16384, four blocks of ``sde_sim._BLOCK``).  Meanwhile a second thread
+    (``_Drawer``) draws every block of imaginary parts and then every
+    block of shot noise from the same generator into a ring of two
+    buffers; numpy draws and runs its ufuncs with the GIL released, so the
+    draws overlap the walk.  Each block of the walk builds eta from its
+    imaginary parts, advances the rotation from the state the previous
+    block left and is overwritten with J_z; a second walk adds the shot
+    noise.  The draws keep their order (k real, k imaginary, k shot) and
+    every sample takes the same operations given its place in its chunk of
+    ``model.damped_rotation``, so the record is bit for bit the same for
+    every block size that is a multiple of the chunk length L (``_BLOCK``
+    is), and the same to rounding for any other; the bit identity was
+    checked with numpy 2.4 on an AVX-512 x86-64 CPU (see
+    ``model.damped_rotation``).  The working set is the output plus the
+    two buffers and the walk's temporaries, a few blocks in all.  The
+    thread is joined before the call returns or raises, and an exception
+    raised by a draw is raised here.
     """
     model.check_value("sample_steady_state_outcomes", "k", k, "Count")
     model._check_inputs("sample_steady_state_outcomes", omega)
@@ -102,27 +179,29 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
     b = model.discrete_spin_noise_std(p.q, p.N, p.Delta, t2)
     stat_std = math.sqrt(0.5 * p.q * p.N)
     pole = model.rotation_pole(omega, p.Delta, t2)
-    block = sde_sim._BLOCK
+    block = _BLOCK
+    starts = range(0, k, block)
+    sizes = [min(block, k - start) for start in starts]
 
     z = stat_std * (rng.standard_normal() + 1j * rng.standard_normal())
     out = rng.standard_normal(k)
-    eta = np.empty(min(k, block), dtype=complex)
-    noise = np.empty(len(eta))
-    for start in range(0, k, block):
-        y = out[start:start + block]
-        im, e = noise[:len(y)], eta[:len(y)]
-        rng.standard_normal(out=im)
-        # e = b * (y + 1j * im), rounded as on whole arrays
-        np.multiply(1j, im, out=e)
-        np.add(y, e, out=e)
-        e *= b
-        path = model.damped_rotation(pole, e, z)
-        z = path[-1]
-        y[:] = path.imag
-    for start in range(0, k, block):
-        y = out[start:start + block]
-        v = noise[:len(y)]
-        rng.standard_normal(out=v)
-        v *= shot_std
-        y += v
+    eta = np.empty(sizes[0], dtype=complex)
+    with _Drawer(rng, sizes * 2, sizes[0]) as drawer:
+        draws = drawer.blocks()
+        # zip asks ``starts`` first, so each walk takes its own blocks
+        for start, im in zip(starts, draws):
+            y = out[start:start + block]
+            im, e = im[:len(y)], eta[:len(y)]
+            # e = b * (y + 1j * im), rounded as on whole arrays
+            np.multiply(1j, im, out=e)
+            np.add(y, e, out=e)
+            e *= b
+            path = model.damped_rotation(pole, e, z)
+            z = path[-1]
+            y[:] = path.imag
+        for start, v in zip(starts, draws):
+            y = out[start:start + block]
+            v = v[:len(y)]
+            v *= shot_std
+            y += v
     return out

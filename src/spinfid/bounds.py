@@ -16,6 +16,7 @@ no-decoherence form.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,7 @@ def bcrb_numeric_curve(p: SpmParams, prior: GaussianPrior, times,
     if n_samples < 2:
         raise InvalidParametersError(
             f"need at least 2 Monte-Carlo samples, got {n_samples!r}")
+    model.check_value("bcrb_numeric_curve", "n_samples", n_samples, "Count")
     times = sorted(float(t) for t in times)
     if not times:
         raise InvalidParametersError("no probing times")
@@ -98,6 +100,21 @@ def bcrb_numeric_curve(p: SpmParams, prior: GaussianPrior, times,
 
 # nodes of the Gauss-Hermite rule for the prior average of the information
 HERMITE_NODES = 41
+
+
+@contextmanager
+def _float_range(owner: str, **args):
+    """Run a closed form of ``owner``: the OverflowError or
+    ZeroDivisionError that a Python float power or quotient raises beyond
+    float range becomes InvalidParametersError naming the arguments
+    ``args`` (a tiny spread or time whose power underflows to 0 divides by
+    zero; a huge one overflows)."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError):
+        given = ", ".join(f"{name} = {value!r}" for name, value in args.items())
+        raise InvalidParametersError(
+            f"{owner} is beyond float range at {given}") from None
 
 
 def _fi_prefactor(p: SpmParams) -> float:
@@ -142,16 +159,18 @@ def fi_noiseless_continuous(omega: float, t: NonNegative,
 def fi_short_time(omega: float, t: NonNegative, p: SpmParams) -> float:
     """Leading t^5 expansion, valid for omega*t << 1 and t << T2."""
     model._check_inputs("fi_short_time", omega, t)
-    return p.g_D ** 2 * p.N ** 2 * omega ** 2 * t ** 5 / (20.0 * p.R)
+    with _float_range("fi_short_time", omega=omega, t=t):
+        return p.g_D ** 2 * p.N ** 2 * omega ** 2 * t ** 5 / (20.0 * p.R)
 
 
 def fi_asymptotic(omega: float, p: SpmParams) -> float:
     """t -> infinity value; finite because of the coherence-time cutoff."""
     model._check_inputs("fi_asymptotic", omega)
     t2 = model.coherence_time(p)
-    x2 = (omega * t2) ** 2
-    return (p.N ** 2 * p.g_D ** 2 * t2 ** 3 / (32.0 * p.R)
-            * x2 * (x2 * x2 + 3.0 * x2 + 6.0) / (1.0 + x2) ** 3)
+    with _float_range("fi_asymptotic", omega=omega):
+        x2 = (omega * t2) ** 2
+        return (p.N ** 2 * p.g_D ** 2 * t2 ** 3 / (32.0 * p.R)
+                * x2 * (x2 * x2 + 3.0 * x2 + 6.0) / (1.0 + x2) ** 3)
 
 
 def fi_no_decoherence(omega: float, t: NonNegative, p: SpmParams) -> float:
@@ -160,10 +179,17 @@ def fi_no_decoherence(omega: float, t: NonNegative, p: SpmParams) -> float:
     u = omega * t
     if u == 0.0:
         return 0.0
-    a = math.sqrt((1.0 - 2.0 * u * u) ** 2 + 4.0 * u * u)
-    phi = math.atan2(-2.0 * u, 1.0 - 2.0 * u * u)
-    bracket = 1.0 + 3.0 * a / (4.0 * u ** 3) * math.sin(2.0 * u + phi)
-    return p.g_D ** 2 * p.N ** 2 * t ** 3 / (24.0 * p.R) * bracket
+    with _float_range("fi_no_decoherence", omega=omega, t=t):
+        a = math.sqrt((1.0 - 2.0 * u * u) ** 2 + 4.0 * u * u)
+        phi = math.atan2(-2.0 * u, 1.0 - 2.0 * u * u)
+        bracket = 1.0 + 3.0 * a / (4.0 * u ** 3) * math.sin(2.0 * u + phi)
+        return p.g_D ** 2 * p.N ** 2 * t ** 3 / (24.0 * p.R) * bracket
+
+
+def _prior_precision(owner: str, sigma_omega: Positive) -> float:
+    """1 / sigma_omega^2 of the Gaussian prior, in float range."""
+    with _float_range(owner, sigma_omega=sigma_omega):
+        return 1.0 / sigma_omega ** 2
 
 
 def noiseless_bcrb_floor(p: SpmParams, sigma_omega: Positive) -> float:
@@ -173,7 +199,7 @@ def noiseless_bcrb_floor(p: SpmParams, sigma_omega: Positive) -> float:
     model._check_inputs("noiseless_bcrb_floor", sigma_omega=sigma_omega)
     t2 = model.coherence_time(p)
     info = p.N ** 2 * p.g_D ** 2 * t2 ** 3 / (25.6 * p.R)
-    return 1.0 / (info + 1.0 / sigma_omega ** 2)
+    return 1.0 / (info + _prior_precision("noiseless_bcrb_floor", sigma_omega))
 
 
 def bcrb_analytic_gaussian_prior(p: SpmParams, sigma_omega: Positive,
@@ -183,10 +209,11 @@ def bcrb_analytic_gaussian_prior(p: SpmParams, sigma_omega: Positive,
     over omega."""
     model._check_inputs("bcrb_analytic_gaussian_prior", t=t,
                         sigma_omega=sigma_omega)
+    precision = _prior_precision("bcrb_analytic_gaussian_prior", sigma_omega)
     from scipy.special import roots_hermite
 
     x, w = roots_hermite(HERMITE_NODES)
     omegas = p.omega_bar + math.sqrt(2.0) * sigma_omega * x
     values = np.array([fi_noiseless_continuous(om, t, p) for om in omegas])
     expected = float(np.dot(w, values)) / math.sqrt(math.pi)
-    return 1.0 / (1.0 / sigma_omega ** 2 + expected)
+    return 1.0 / (precision + expected)

@@ -449,7 +449,8 @@ def default_prior(p: SpmParams, sigma_omega: Positive) -> GaussianPrior:
     mean = np.array([p.omega_bar, 0.0, 0.5 * p.N])
     with np.errstate(over="ignore"):  # an overflow is reported below
         try:
-            omega_var, spin_var = sigma_omega ** 2, 0.01 * p.N ** 2
+            # a float square: an integer's would be an object array entry
+            omega_var, spin_var = float(sigma_omega) ** 2, 0.01 * p.N ** 2
         except OverflowError:  # Python numbers beyond float range
             omega_var = spin_var = math.inf
     if not (math.isfinite(omega_var) and math.isfinite(spin_var)):

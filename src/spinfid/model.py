@@ -15,7 +15,8 @@ sqrt((qN/2)(1 - exp(-2 delta/T2))).
 schema ``_SCHEMA`` holds the types, finiteness and bounds of the config
 fields (``check_fields`` checks a config class's fields by it) and of the
 checked function arguments, which name their annotation (``Positive`` and
-``NonNegative`` numbers, ``Count`` >= 1 and ``Index`` >= 0 integers).
+``NonNegative`` numbers, ``Count`` integers from 1 to np.intp's largest
+value, and ``Index`` integers >= 0).
 ``as_json`` writes a config in the format that ``from_dict`` reads.
 """
 
@@ -41,30 +42,34 @@ Count = Index = int
 
 # The config schema: field annotation -> (the values it takes, what they
 # are, the annotations of a sequence's items: one per place, or one then ...
-# for any length, the bound of a number: (">" or ">=", limit)); the config
-# classes' own entries follow the classes.
+# for any length, the bounds of a number: each (">", ">=" or "<=", limit));
+# the config classes' own entries follow the classes.  A Count is a size,
+# so it is at most the largest array index; an Index is a seed, which
+# numpy takes however large.
+_SIZE_MAX = int(np.iinfo(np.intp).max)
 _SCHEMA = {
-    "float": (numbers.Real, "a number", None, None),
-    "Positive": (numbers.Real, "a number", None, (">", 0)),
-    "NonNegative": (numbers.Real, "a number", None, (">=", 0)),
+    "float": (numbers.Real, "a number", None, ()),
+    "Positive": (numbers.Real, "a number", None, ((">", 0),)),
+    "NonNegative": (numbers.Real, "a number", None, ((">=", 0),)),
     "Optional[float]": ((numbers.Real, type(None)), "a number or null", None,
-                        None),
+                        ()),
     "Optional[Positive]": ((numbers.Real, type(None)), "a number or null",
-                           None, (">", 0)),
-    "int": (numbers.Integral, "an integer", None, None),
-    "Count": (numbers.Integral, "an integer", None, (">=", 1)),
-    "Index": (numbers.Integral, "an integer", None, (">=", 0)),
-    "str": (str, "a string", None, None),
-    "tuple[str, ...]": ((list, tuple), "a list of strings", ("str", ...), None),
+                           None, ((">", 0),)),
+    "int": (numbers.Integral, "an integer", None, ()),
+    "Count": (numbers.Integral, "an integer", None,
+              ((">=", 1), ("<=", _SIZE_MAX))),
+    "Index": (numbers.Integral, "an integer", None, ((">=", 0),)),
+    "str": (str, "a string", None, ()),
+    "tuple[str, ...]": ((list, tuple), "a list of strings", ("str", ...), ()),
     "tuple[Positive, ...]": (
-        (list, tuple), "a list of numbers", ("Positive", ...), None),
+        (list, tuple), "a list of numbers", ("Positive", ...), ()),
     "tuple[float, float]": (
-        (list, tuple), "a number pair", ("float", "float"), None),
+        (list, tuple), "a number pair", ("float", "float"), ()),
     "tuple[tuple[float, float], ...]": (
         (list, tuple), "a list of number pairs", ("tuple[float, float]", ...),
-        None),
+        ()),
 }
-_WITHIN = {">": operator.gt, ">=": operator.ge}
+_WITHIN = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 def _holds(value, types) -> bool:
@@ -76,8 +81,8 @@ def _conform(value, annotation: str):
     """``value`` as a field of ``annotation`` stores it, a list or tuple as a
     tuple; TypeError if it is not what the annotation takes, ValueError
     with what it must be if it is or holds a number that is not a finite
-    float or is outside its bound."""
-    types, _, items, bound = _SCHEMA[annotation]
+    float or is outside a bound."""
+    types, _, items, bounds = _SCHEMA[annotation]
     if not _holds(value, types):
         raise TypeError
     if items is None:
@@ -88,8 +93,9 @@ def _conform(value, annotation: str):
                 finite = False
             if not finite:
                 raise ValueError("finite")
-            if bound is not None and not _WITHIN[bound[0]](value, bound[1]):
-                raise ValueError("%s %s" % bound)
+            for bound in bounds:
+                if not _WITHIN[bound[0]](value, bound[1]):
+                    raise ValueError("%s %s" % bound)
         return value
     if items[-1] is ...:
         items = items[:1] * len(value)
@@ -116,12 +122,14 @@ def real_array(value, what: str) -> np.ndarray:
 def check_value(owner: str, name: str, value, annotation: str):
     """The one rule for every checked number: ``value`` as a field of
     ``annotation`` stores it, if it is what ``_SCHEMA`` says the annotation
-    takes (its type, a finite number, within the number's bound).
+    takes (its type, a finite number, within the number's bounds).
     Otherwise InvalidParametersError names ``owner`` (a config class or a
     function) and its field or argument ``name``, in one of three shapes:
     "<owner> 'name' must be <what>, got v" for a wrong type, "<owner> name
-    must be finite, got v", and "<owner> name must be >= 1, got v" for a
-    number outside its bound."""
+    must be finite, got v" (an integer beyond float range is not finite),
+    and "<owner> name must be >= 1, got v" for a number outside a bound
+    (a Count above np.intp's largest value reads "must be <=
+    9223372036854775807" on a 64-bit build)."""
     try:
         return _conform(value, annotation)
     except TypeError:
@@ -275,9 +283,9 @@ _SIGNAL_KINDS = {
 }
 _KIND_OF = {cls: kind for kind, cls in _SIGNAL_KINDS.items()}
 
-_SCHEMA["SpmParams"] = (SpmParams, "a parameter object", None, None)
+_SCHEMA["SpmParams"] = (SpmParams, "a parameter object", None, ())
 _SCHEMA["Optional[SignalModel]"] = (
-    (*_SIGNAL_KINDS.values(), type(None)), "a signal or null", None, None)
+    (*_SIGNAL_KINDS.values(), type(None)), "a signal or null", None, ())
 
 
 def signal_from_dict(d: dict) -> SignalModel:

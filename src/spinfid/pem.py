@@ -293,7 +293,11 @@ def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
             else model._holds(omega, numbers.Number)):
         raise InvalidParametersError(
             f"omega must be a number or an array of numbers, got {omega!r}")
-    if not np.isfinite(omega).all():
+    if model._holds(omega, numbers.Real):
+        # np.isfinite cannot read a Python int beyond numpy's integers;
+        # the rule takes one in float range and refuses one beyond it
+        model.check_value("likelihood", "omega", omega, "float")
+    elif not np.isfinite(omega).all():
         raise InvalidParametersError(f"omega must be finite, got {omega!r}")
     mu, var, mean, spin_cov = _prior_terms(prior)
     if not isinstance(omega, np.ndarray):

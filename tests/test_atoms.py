@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -143,16 +145,16 @@ class TestSampler:
             sample_steady_state_outcomes(p, p.omega_bar, 10, seed=2))
 
     @pytest.mark.parametrize("block", [None, 1, 7, model._CHUNK,
-                                       3 * model._CHUNK, 4096])
+                                       3 * model._CHUNK, sde_sim._BLOCK])
     def test_blocks_match_the_one_shot_sampler(self, monkeypatch, block):
         # the blocked walk draws in the one-shot order and takes the same
         # operations on every sample, so the records agree around the
         # boundaries of the default block and of the one in use: bit for
         # bit when each block is whole chunks of the rotation's recurrence,
         # to rounding when blocks split chunks
-        sizes = {sde_sim._BLOCK}
+        sizes = {atoms._BLOCK}
         if block is not None:
-            monkeypatch.setattr(sde_sim, "_BLOCK", block)
+            monkeypatch.setattr(atoms, "_BLOCK", block)
             sizes.add(block)
         p = SpmParams()
         t2 = model.coherence_time(p)
@@ -195,3 +197,92 @@ class TestSampler:
                 p, p.omega_bar, k, seed=1))
         assert v_fast == pytest.approx(expected, rel=0.05)
         assert v_slow == pytest.approx(expected, rel=0.05)
+
+
+class _DrawFailed(RuntimeError):
+    pass
+
+
+class _FailingGenerator(np.random.Generator):
+    """A generator whose standard_normal raises on its ``fail_on``-th call;
+    ``default_rng`` hands a Generator back unchanged."""
+
+    def __init__(self, fail_on):
+        super().__init__(np.random.PCG64(0))
+        self.fail_on = fail_on
+        self.calls = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.fail_on:
+            raise _DrawFailed(f"call {self.calls}")
+        return super().standard_normal(*args, **kwargs)
+
+
+class TestDrawerThread:
+    """The sampler's second thread: joined on every exit, its failures
+    raised in the caller."""
+
+    K = 3 * atoms._BLOCK + 17  # four blocks, the last one partial
+
+    def test_joined_after_a_return(self):
+        before = threading.active_count()
+        sample_steady_state_outcomes(SpmParams(), 1.0, self.K, seed=1)
+        assert threading.active_count() == before
+
+    # calls 1 to 3 draw the start and the real parts on the calling thread;
+    # the drawer makes call 4 (the first imaginary block), 7 (the last
+    # one) and 8 (the first shot-noise block)
+    @pytest.mark.parametrize("fail_on", [3, 4, 7, 8, 11])
+    def test_a_failed_draw_is_raised_in_the_caller(self, fail_on):
+        before = threading.active_count()
+        rng = _FailingGenerator(fail_on)
+        with pytest.raises(_DrawFailed, match=f"call {fail_on}$"):
+            sample_steady_state_outcomes(SpmParams(), 1.0, self.K, seed=rng)
+        assert threading.active_count() == before
+        assert rng.calls == fail_on  # no draw after the failed one
+
+    @pytest.mark.parametrize("fail_on", [1, 2, 4])
+    def test_joined_after_a_failure_in_the_walk(self, monkeypatch, fail_on):
+        rotation = model.damped_rotation
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == fail_on:
+                raise FloatingPointError("walk failed")
+            return rotation(*args)
+        monkeypatch.setattr(model, "damped_rotation", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="walk failed"):
+            sample_steady_state_outcomes(SpmParams(), 1.0, self.K, seed=1)
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_under_fast_switching(self, monkeypatch):
+        # more callers than cores, each with its own drawer, switching
+        # threads every microsecond and handing off one chunk at a time:
+        # a block drawn over one still in use would change a record
+        monkeypatch.setattr(atoms, "_BLOCK", model._CHUNK)
+        p, k = SpmParams(), 20 * model._CHUNK + 3
+        want = [sim_reference.one_shot_steady_state_outcomes(
+            p, p.omega_bar, k, seed=seed) for seed in range(6)]
+        got = {}
+
+        def call(seed):
+            got[seed] = sample_steady_state_outcomes(p, p.omega_bar, k,
+                                                     seed=seed)
+        callers = [threading.Thread(target=call, args=(seed,))
+                   for seed in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for seed in range(6):
+            assert np.array_equal(got[seed].view(np.int64),
+                                  want[seed].view(np.int64))

@@ -88,6 +88,15 @@ class TestNumericBound:
             bounds.bcrb_numeric_curve(p, prior, [1e-4],
                                       n_samples)
 
+    @pytest.mark.parametrize("n_samples", [2 ** 63, 2 ** 64])
+    def test_curve_rejects_a_sample_count_beyond_array_sizes(self, n_samples):
+        # once numpy's bare ValueError "Maximum allowed dimension exceeded"
+        p = SpmParams()
+        with pytest.raises(InvalidParametersError,
+                           match=f"n_samples must be <= {2 ** 63 - 1}, got "
+                                 f"{n_samples}"):
+            bounds.bcrb_numeric_curve(p, _prior(p, 1e3), [1e-4], n_samples)
+
     def test_curve_takes_a_numpy_integer_sample_count(self):
         p = SpmParams()
         prior = _prior(p, 1e3)
@@ -305,6 +314,31 @@ class TestImpossibleInputs:
     def test_raises_a_typed_error(self, call, match):
         # each of these once returned a negative or NaN value or raised an
         # untyped error
+        with pytest.raises(InvalidParametersError, match=match):
+            call(SpmParams())
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda p: bounds.noiseless_bcrb_floor(p, 5e-324),
+         "noiseless_bcrb_floor is beyond float range at sigma_omega = 5e-324$"),
+        (lambda p: bounds.bcrb_analytic_gaussian_prior(p, 5e-324, 1e-5),
+         "bcrb_analytic_gaussian_prior is beyond float range at "
+         "sigma_omega = 5e-324$"),
+        (lambda p: bounds.fi_no_decoherence(1e4, 5e-324, p),
+         "fi_no_decoherence is beyond float range at omega = 10000.0, "
+         "t = 5e-324$"),
+        (lambda p: bounds.fi_short_time(p.omega_bar, 1e300, p),
+         "fi_short_time is beyond float range at omega = 62831.8.*, "
+         "t = 1e[+]300$"),
+        (lambda p: bounds.fi_asymptotic(1e300, p),
+         "fi_asymptotic is beyond float range at omega = 1e[+]300$"),
+        (lambda p: bounds.noiseless_bcrb_floor(p, 1e300),
+         "noiseless_bcrb_floor is beyond float range at "
+         "sigma_omega = 1e[+]300$"),
+    ], ids=["floor tiny sigma", "analytic tiny sigma", "no-decoherence tiny t",
+            "short-time huge t", "asymptotic huge omega", "floor huge sigma"])
+    def test_finite_values_beyond_float_range(self, call, match):
+        # a square or cube of these leaves float range: each once raised a
+        # bare ZeroDivisionError or OverflowError
         with pytest.raises(InvalidParametersError, match=match):
             call(SpmParams())
 

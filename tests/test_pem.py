@@ -465,6 +465,24 @@ class TestPriorAndOmegaChecks:
                                    prior)
 
 
+    @pytest.mark.parametrize("omega", [10 ** 400, -10 ** 400], ids=repr)
+    def test_integer_omega_beyond_float_range_raises(self, omega):
+        # once a bare TypeError from np.isfinite on an object array
+        p = SpmParams()
+        rec = MeasurementRecord(p.Delta, np.zeros(20))
+        with pytest.raises(InvalidParametersError,
+                           match="likelihood omega must be finite"):
+            pem.kalman_neg_log_joint(omega, rec, p, default_prior(p, 1e3))
+
+    def test_integer_omega_beyond_numpy_integers_is_a_number(self):
+        # 2**64 is a float-range number that numpy holds in no integer
+        # dtype; it once raised a bare TypeError from np.isfinite
+        p = SpmParams()
+        rec = MeasurementRecord(p.Delta, np.ones(20))
+        prior = default_prior(p, 1e3)
+        assert pem.kalman_neg_log_joint(2 ** 64, rec, p, prior).neg_log_joint \
+            == pem.kalman_neg_log_joint(2.0 ** 64, rec, p, prior).neg_log_joint
+
     @pytest.mark.parametrize("omega", [
         True, np.bool_(False), "1", None, [1.0], np.array(["1"]),
         np.array([True]), np.array([1.0], dtype=object)],

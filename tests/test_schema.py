@@ -108,32 +108,41 @@ class TestBadValues:
             SpmParams(T2_override=math.nan)
 
 
-# each number annotation: (the values it takes, what they are, its bound as
-# (">" or ">=", limit) or None), written out apart from ``_SCHEMA``
+# each number annotation: (the values it takes, what they are, its bounds,
+# each (">", ">=" or "<=", limit)), written out apart from ``_SCHEMA``
+SIZE_MAX = int(np.iinfo(np.intp).max)
 NUMBERS = {
-    "float": ((int, float), "a number", None),
-    "Optional[float]": ((int, float, type(None)), "a number or null", None),
-    "Positive": ((int, float), "a number", (">", 0)),
+    "float": ((int, float), "a number", ()),
+    "Optional[float]": ((int, float, type(None)), "a number or null", ()),
+    "Positive": ((int, float), "a number", ((">", 0),)),
     "Optional[Positive]": ((int, float, type(None)), "a number or null",
-                           (">", 0)),
-    "NonNegative": ((int, float), "a number", (">=", 0)),
-    "int": (int, "an integer", None),
-    "Count": (int, "an integer", (">=", 1)),
-    "Index": (int, "an integer", (">=", 0)),
+                           ((">", 0),)),
+    "NonNegative": ((int, float), "a number", ((">=", 0),)),
+    "int": (int, "an integer", ()),
+    "Count": (int, "an integer", ((">=", 1), ("<=", SIZE_MAX))),
+    "Index": (int, "an integer", ((">=", 0),)),
 }
+# the lower boundary value, which each bounded number takes
 BOUNDARY = {(">", 0): 5e-324, (">=", 0): 0, (">=", 1): 1}
-PROBES = [0, -0.0, -1, math.nan, math.inf, 10 ** 400, True, "1"]
+# beyond np.intp's range, and numpy's integers' (2**64): a size refuses
+# them, a float or seed takes them
+PROBES = [0, -0.0, -1, math.nan, math.inf, 10 ** 400, True, "1", SIZE_MAX + 1,
+          2 ** 64]
 
 
 def _probes(annotation):
-    bound = NUMBERS[annotation][2]
-    return PROBES + ([BOUNDARY[bound]] if bound else [])
+    bounds = NUMBERS[annotation][2]
+    return PROBES + ([BOUNDARY[bounds[0]]] if bounds else [])
+
+
+_WITHIN = {">": lambda v, limit: v > limit, ">=": lambda v, limit: v >= limit,
+           "<=": lambda v, limit: v <= limit}
 
 
 def _rejection(owner, name, annotation, value, what=None):
     """The message that rejects ``value``, None if it is taken; ``what``
     replaces the annotation's own in a type error."""
-    types, own_what, bound = NUMBERS[annotation]
+    types, own_what, bounds = NUMBERS[annotation]
     if isinstance(value, bool) or not isinstance(value, types):
         return f"{owner} {name!r} must be {what or own_what}, got "
     try:
@@ -142,9 +151,9 @@ def _rejection(owner, name, annotation, value, what=None):
         finite = False
     if not finite:
         return f"{owner} {name} must be finite, got "
-    if bound and not (value > bound[1] if bound[0] == ">"
-                      else value >= bound[1]):
-        return f"{owner} {name} must be {bound[0]} {bound[1]}, got "
+    for op, limit in bounds:
+        if not _WITHIN[op](value, limit):
+            return f"{owner} {name} must be {op} {limit}, got "
     return None
 
 
