@@ -7,17 +7,16 @@ the variance estimator for N gives an unbiased atom-number estimate whose
 relative error shrinks as 1/sqrt(k).
 
 The sampler of such outcomes runs on two threads: while the calling thread
-walks the spin recurrence block by block, a second thread draws the next
-block of noise from the same generator, which numpy fills with the GIL
-released.  The thread lives for one call; it is joined before the call
-returns or raises, and the record is bit for bit the serial one.
+walks the spin recurrence block by block, a second thread (the drawer of
+``sde_sim``) draws the next block of noise from the same generator, which
+numpy fills with the GIL released.  The thread lives for one call; it is
+joined before the call returns or raises, and the record is bit for bit the
+serial one.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,61 +86,6 @@ def estimate_atom_number(samples, p: SpmParams) -> AtomCountEstimate:
 _BLOCK = 4 * sde_sim._BLOCK
 
 
-class _Drawer:
-    """Standard normal blocks of the given sizes, drawn in order from one
-    generator on a second thread into a ring of two reused buffers.
-
-    Entering starts the thread and ``blocks`` yields each block as it is
-    filled; the drawer refills a buffer only once the caller has moved on
-    from it.  Leaving stops the thread and joins it, whether the walk ended,
-    raised or was cut short, and an exception raised by a draw is raised
-    again in the caller by ``blocks``.
-    """
-
-    def __init__(self, rng: np.random.Generator, sizes: list, length: int):
-        self._buffers = np.empty((2, length))
-        self._free = threading.Semaphore(2)
-        self._filled = threading.Semaphore(0)
-        self._stop = False
-        self._failure = None
-        self._thread = threading.Thread(target=self._draw, args=(rng, sizes),
-                                        name="spinfid-atoms-drawer",
-                                        daemon=True)
-
-    def __enter__(self) -> "_Drawer":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop = True
-        self._free.release()  # wakes a drawer that waits for a buffer
-        self._thread.join()
-
-    def _draw(self, rng, sizes) -> None:
-        try:
-            for i, n in enumerate(sizes):
-                self._free.acquire()
-                if self._stop:
-                    return
-                rng.standard_normal(out=self._buffers[i % 2, :n])
-                self._filled.release()
-        except BaseException as exc:
-            # every exception is raised again in the caller by ``blocks``,
-            # which would otherwise wait for a block that never comes
-            self._failure = exc
-            self._filled.release()
-
-    def blocks(self):
-        """The drawn blocks in order; each is the caller's until it asks for
-        the next."""
-        for i in itertools.count():
-            self._filled.acquire()
-            if self._failure is not None:
-                raise self._failure
-            yield self._buffers[i % 2]
-            self._free.release()
-
-
 def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
                                  seed=0) -> np.ndarray:
     """Draw k renormalized steady-state outcomes y_k / g_D.
@@ -153,14 +97,14 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
 
     The k real parts of the spin noise are drawn straight into the returned
     array, which is then walked one block of ``_BLOCK`` samples at a time
-    (16384, four blocks of ``sde_sim._BLOCK``).  Meanwhile a second thread
-    (``_Drawer``) draws every block of imaginary parts and then every
-    block of shot noise from the same generator into a ring of two
-    buffers; numpy draws and runs its ufuncs with the GIL released, so the
-    draws overlap the walk.  Each block of the walk builds eta from its
-    imaginary parts, advances the rotation from the state the previous
-    block left and is overwritten with J_z; a second walk adds the shot
-    noise.  The draws keep their order (k real, k imaginary, k shot) and
+    (16384, four blocks of ``sde_sim._BLOCK``).  Meanwhile the package's
+    one noise drawer (``sde_sim._Drawer``), a second thread, draws every
+    block of imaginary parts and then every block of shot noise from the
+    same generator into a ring of two buffers; numpy draws and runs its
+    ufuncs with the GIL released, so the draws overlap the walk.  Each
+    block of the walk builds eta from its imaginary parts, advances the
+    rotation from the state the previous block left and is overwritten
+    with J_z; a second walk adds the shot noise.  The draws keep their order (k real, k imaginary, k shot) and
     every sample takes the same operations given its place in its chunk of
     ``model.damped_rotation``, so the record is bit for bit the same for
     every block size that is a multiple of the chunk length L (``_BLOCK``
@@ -186,7 +130,7 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
     z = stat_std * (rng.standard_normal() + 1j * rng.standard_normal())
     out = rng.standard_normal(k)
     eta = np.empty(sizes[0], dtype=complex)
-    with _Drawer(rng, sizes * 2, sizes[0]) as drawer:
+    with sde_sim._Drawer(rng, sizes * 2, sizes[0]) as drawer:
         draws = drawer.blocks()
         # zip asks ``starts`` first, so each walk takes its own blocks
         for start, im in zip(starts, draws):

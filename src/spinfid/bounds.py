@@ -137,7 +137,8 @@ def fi_noiseless_continuous(omega: float, t: NonNegative,
                             p: SpmParams) -> float:
     """Continuous-probing limit of the Fisher information, by adaptive
     quadrature to 1e-10 relative (the closed form is deliberately not
-    transcribed)."""
+    transcribed).  A quadrature that fails, as at an omega far beyond the
+    physical range, raises InvalidParametersError naming omega and t."""
     model._check_inputs("fi_noiseless_continuous", omega, t)
     # scipy is imported here, by its only two users, so that importing the
     # package and every simulating path load numpy alone
@@ -152,7 +153,13 @@ def fi_noiseless_continuous(omega: float, t: NonNegative,
                                            epsrel=1e-10, limit=20000,
                                            full_output=True)
     if rest:
-        raise ArithmeticError(f"Fisher-information quadrature failed: {rest[0]}")
+        # as at an omega far beyond the physical range, where the integrand
+        # oscillates faster than the rule resolves (a huge prior spread puts
+        # Hermite nodes there)
+        reason = rest[0].splitlines()[0]
+        raise InvalidParametersError(
+            f"fi_noiseless_continuous quadrature failed at omega = {omega!r}, "
+            f"t = {t!r}: {reason}")
     return _fi_prefactor(p) * value
 
 
@@ -206,14 +213,15 @@ def bcrb_analytic_gaussian_prior(p: SpmParams, sigma_omega: Positive,
                                  t: NonNegative) -> float:
     """Noiseless Bayesian bound 1 / (sigma^-2 + E_prior[I_F]) with the prior
     expectation taken by ``HERMITE_NODES``-point Gauss-Hermite quadrature
-    over omega."""
+    over omega; a spread so wide that the information fails at a node
+    raises InvalidParametersError (:func:`fi_noiseless_continuous`)."""
     model._check_inputs("bcrb_analytic_gaussian_prior", t=t,
                         sigma_omega=sigma_omega)
     precision = _prior_precision("bcrb_analytic_gaussian_prior", sigma_omega)
     from scipy.special import roots_hermite
 
     x, w = roots_hermite(HERMITE_NODES)
-    omegas = p.omega_bar + math.sqrt(2.0) * sigma_omega * x
+    omegas = (p.omega_bar + math.sqrt(2.0) * sigma_omega * x).tolist()
     values = np.array([fi_noiseless_continuous(om, t, p) for om in omegas])
     expected = float(np.dot(w, values)) / math.sqrt(math.pi)
     return 1.0 / (precision + expected)

@@ -284,8 +284,9 @@ def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
     non-finite J raises FloatingPointError; bad lengths
     (``rec.check_lengths``), another sampling period than p.Delta, an
     omega that is a bool, no number or an array of none, a non-finite
-    omega, a bad prior (``_prior_terms``) and innovations asked of an
-    array raise InvalidParametersError before any pass.
+    omega, a bad prior (``_prior_terms``), a scalar omega so far from the
+    prior mean that its prior term is beyond float range and innovations
+    asked of an array raise InvalidParametersError before any pass.
     """
     lengths = rec.check_lengths(lengths)
     rec.check_delta(p.Delta)
@@ -300,6 +301,12 @@ def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
     elif not np.isfinite(omega).all():
         raise InvalidParametersError(f"omega must be finite, got {omega!r}")
     mu, var, mean, spin_cov = _prior_terms(prior)
+    try:
+        prior_term = 0.5 * (omega - mu) ** 2 / var
+    except OverflowError:  # the square of a Python number beyond float range
+        raise InvalidParametersError(
+            f"likelihood prior term is beyond float range at omega = "
+            f"{omega!r}") from None
     if not isinstance(omega, np.ndarray):
         totals = _scalar_totals(omega, rec.outcomes[:lengths[-1]].tolist(),
                                 lengths, p, mean, spin_cov, innovations)
@@ -309,7 +316,6 @@ def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
     else:
         raise InvalidParametersError(
             "innovations are read for a scalar omega only")
-    prior_term = 0.5 * (omega - mu) ** 2 / var
     # each total is read before the pass goes on
     out = [total + prior_term for total in totals]
     # a sum that is finite at the longest prefix is finite at every one

@@ -34,6 +34,12 @@ recurrence with kappa = 1/T2 + i omega and g1 = sqrt(d_c) zeta_omega:
 
 ``simulate`` and ``ito_taylor_1p5_step`` build these with the same code.
 
+The package has one noise drawer, ``_Drawer``: a second thread that draws
+the next block of standard normals, in stream order, while the caller walks
+the previous one.  The Ito-Taylor branch and the atom-count sampler take
+their noise from it; the waveform branch draws on the calling thread, where
+a thread would cost more than it saves (see ``_states``).
+
 Each question about a shot has one answer here.  The frequency starts where
 the signal says (``model.initial_omega``).  ``_frequency_sde`` is the one
 lookup of (1/tau, omega_bar, sqrt(d_c)) per signal, zeros for a waveform;
@@ -50,8 +56,11 @@ omega = mu + sigma z and a record of k samples at that frequency.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import numbers
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -270,9 +279,82 @@ def euler_maruyama_step(x: np.ndarray, h: float, p: SpmParams, s: SignalModel,
     return x_new
 
 
+class _Drawer:
+    """Standard normal blocks of the given sizes, drawn in order from one
+    generator on a second thread into a ring of two reused buffers: the one
+    noise drawer of the package, used by the Ito-Taylor branch of
+    ``_states`` and by ``atoms.sample_steady_state_outcomes``.
+
+    Entering starts the thread and ``blocks`` yields each block as it is
+    filled; the drawer refills a buffer only once the caller has moved on
+    from it, so it runs at most one block ahead of the caller.  Leaving
+    stops the thread and joins it, whether the walk ended, raised or was
+    cut short, and an exception raised by a draw is raised again in the
+    caller by ``blocks``.
+    """
+
+    def __init__(self, rng: np.random.Generator, sizes: list, length: int):
+        self._buffers = np.empty((2, length))
+        self._free = threading.Semaphore(2)
+        self._filled = threading.Semaphore(0)
+        self._stop = False
+        self._failure = None
+        self._thread = threading.Thread(target=self._draw, args=(rng, sizes),
+                                        name="spinfid-drawer", daemon=True)
+
+    def __enter__(self) -> "_Drawer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop = True
+        self._free.release()  # wakes a drawer that waits for a buffer
+        self._thread.join()
+
+    def _draw(self, rng, sizes) -> None:
+        try:
+            for i, n in enumerate(sizes):
+                self._free.acquire()
+                if self._stop:
+                    return
+                rng.standard_normal(out=self._buffers[i % 2, :n])
+                self._filled.release()
+        except BaseException as exc:
+            # every exception is raised again in the caller by ``blocks``,
+            # which would otherwise wait for a block that never comes
+            self._failure = exc
+            self._filled.release()
+
+    def blocks(self):
+        """The drawn blocks in order; each is the caller's until it asks for
+        the next."""
+        for i in itertools.count():
+            self._filled.acquire()
+            if self._failure is not None:
+                raise self._failure
+            yield self._buffers[i % 2]
+            self._free.release()
+
+
 def _states(p: SpmParams, s: SignalModel, n_sub: int, h: float,
             rng: np.random.Generator, x1: float) -> np.ndarray:
-    """Substep path (n_sub + 1, 3) from (x1, 0, N/2), one block at a time."""
+    """Substep path (n_sub + 1, 3) from (x1, 0, N/2), one block at a time.
+
+    A diffusing frequency draws each block's (n, 2, 3) standard normals on
+    a second thread (``_Drawer``), in stream order, while this thread walks
+    the previous block; the thread is joined before this returns or raises.
+    The drawer runs at most one block ahead of the walk, so after a failure
+    (a block that blows up or a draw that raises) a caller-supplied
+    Generator may have been read up to two blocks past the start of the
+    failing block: that block and the next.
+
+    A waveform draws its (n, 2) normals here, block by block, and reads the
+    stream no further than the failing block.  Its blocks are too cheap to
+    hide a draw behind: with the drawer on this branch a 5,000-substep
+    Constant shot took 0.85-1.16 ms against 0.41-0.57 ms here (best of 15,
+    2-core x86-64 VM), the thread's start and hand-offs costing more than
+    the overlap saves.
+    """
     t2 = model.coherence_time(p)
     b = model.discrete_spin_noise_std(p.q, p.N, h, t2)
     stochastic = model.is_stochastic(s)
@@ -281,29 +363,38 @@ def _states(p: SpmParams, s: SignalModel, n_sub: int, h: float,
     states[:, 0] = x1 if stochastic or constant else model.deterministic_omega(
         s, h * np.arange(n_sub + 1))
     states[0, 1:] = (0.0, 0.5 * p.N)
-    for start in range(0, n_sub, _BLOCK):
-        block = states[start + 1:start + 1 + _BLOCK]
-        n = len(block)
+    starts = range(0, n_sub, _BLOCK)
+    sizes = [min(_BLOCK, n_sub - start) for start in starts]
+    with contextlib.ExitStack() as stack:
         if stochastic:
-            # (2, 3, n): each component's draws contiguous for the pair
-            w = rng.standard_normal((n, 2, 3)).transpose(1, 2, 0).copy()
-            xi, zeta = _correlated_pair(h, w[0], w[1])
-            phi, omega_bar, e = _taylor_frequency(h, s, xi[0], zeta[0])
-            block[:, 0] = omega_bar + model.damped_rotation(
-                phi, e, states[start, 0] - omega_bar)
-            pole, eta = _taylor_spin(h, p, s, states[start:start + n, 0], xi,
-                                     zeta)
+            draws = stack.enter_context(_Drawer(
+                rng, [6 * n for n in sizes], 6 * sizes[0])).blocks()
         else:
-            w = rng.standard_normal((n, 2))
-            eta = b * (w[:, 0] + 1j * w[:, 1])
-            # frequency frozen at its start-of-substep value
-            pole = model.rotation_pole(
-                x1 if constant else states[start:start + n, 0], h, t2)
-        z = model.damped_rotation(pole, eta, complex(*states[start, 1:]))
-        block[:, 1] = z.real
-        block[:, 2] = z.imag
-        if not np.all(np.isfinite(block)):
-            raise IntegrationBlowupError("trajectory diverged during simulation")
+            draws = (rng.standard_normal((n, 2)) for n in sizes)
+        # zip asks ``starts`` first, so no block is drawn past the last
+        for start, w in zip(starts, draws):
+            block = states[start + 1:start + 1 + _BLOCK]
+            n = len(block)
+            if stochastic:
+                # (2, 3, n): each component's draws contiguous for the pair
+                w = w[:6 * n].reshape(n, 2, 3).transpose(1, 2, 0).copy()
+                xi, zeta = _correlated_pair(h, w[0], w[1])
+                phi, omega_bar, e = _taylor_frequency(h, s, xi[0], zeta[0])
+                block[:, 0] = omega_bar + model.damped_rotation(
+                    phi, e, states[start, 0] - omega_bar)
+                pole, eta = _taylor_spin(h, p, s, states[start:start + n, 0],
+                                         xi, zeta)
+            else:
+                eta = b * (w[:, 0] + 1j * w[:, 1])
+                # frequency frozen at its start-of-substep value
+                pole = model.rotation_pole(
+                    x1 if constant else states[start:start + n, 0], h, t2)
+            z = model.damped_rotation(pole, eta, complex(*states[start, 1:]))
+            block[:, 1] = z.real
+            block[:, 2] = z.imag
+            if not np.all(np.isfinite(block)):
+                raise IntegrationBlowupError(
+                    "trajectory diverged during simulation")
     return states
 
 

@@ -7,7 +7,9 @@ vectorised recurrence, with the same arithmetic: installed as
 holds the constant-pole recurrence as the linear filter it ran as before it
 was solved in numpy, the exact one-step spin transition as a matrix, and the
 atom-count sampler's integrator route, for the tests that use them as
-references.
+references.  ``CallerDrawer`` draws the noise drawer's blocks on the calling
+thread, as both samplers drew them before the drawer had a thread of its
+own, and ``FailingGenerator`` fails a chosen draw, for the drawer tests.
 """
 
 from __future__ import annotations
@@ -169,3 +171,43 @@ def one_shot_steady_state_outcomes(p: SpmParams, omega: float, k: int,
     eta = b * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
     z = model.damped_rotation(model.rotation_pole(omega, p.Delta, t2), eta, z0)
     return z.imag + shot_std * rng.standard_normal(k)
+
+
+class CallerDrawer:
+    """Drop-in for ``sde_sim._Drawer`` that draws each block on the calling
+    thread when it is asked for, from the same generator in the same
+    order: installed in its place, a sampler draws as it did serially."""
+
+    def __init__(self, rng: np.random.Generator, sizes: list, length: int):
+        self._rng, self._sizes = rng, sizes
+
+    def __enter__(self) -> "CallerDrawer":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+    def blocks(self):
+        for n in self._sizes:
+            yield self._rng.standard_normal(n)
+
+
+class DrawFailed(RuntimeError):
+    pass
+
+
+class FailingGenerator(np.random.Generator):
+    """A generator whose standard_normal raises DrawFailed on its
+    ``fail_on``-th call (None: it only counts its calls); ``default_rng``
+    hands a Generator back unchanged."""
+
+    def __init__(self, fail_on):
+        super().__init__(np.random.PCG64(0))
+        self.fail_on = fail_on
+        self.calls = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.fail_on:
+            raise DrawFailed(f"call {self.calls}")
+        return super().standard_normal(*args, **kwargs)

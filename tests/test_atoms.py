@@ -149,19 +149,19 @@ class TestSampler:
     def test_blocks_match_the_one_shot_sampler(self, monkeypatch, block):
         # the blocked walk draws in the one-shot order and takes the same
         # operations on every sample, so the records agree around the
-        # boundaries of the default block and of the one in use: bit for
+        # boundaries of the block in use (None: the default one): bit for
         # bit when each block is whole chunks of the rotation's recurrence,
         # to rounding when blocks split chunks
-        sizes = {atoms._BLOCK}
-        if block is not None:
+        if block is None:
+            block = atoms._BLOCK
+        else:
             monkeypatch.setattr(atoms, "_BLOCK", block)
-            sizes.add(block)
         p = SpmParams()
         t2 = model.coherence_time(p)
         chunk = len(model._chunk_powers(
             model.rotation_pole(p.omega_bar, p.Delta, t2))[0])
-        whole_chunks = all(b % chunk == 0 for b in sizes)
-        ks = {1} | {k for b in sizes for k in (b - 1, b, b + 1, 3 * b + 17)}
+        whole_chunks = block % chunk == 0
+        ks = {1, block - 1, block, block + 1, 3 * block + 17}
         for k in sorted(ks - {0}):
             want = sim_reference.one_shot_steady_state_outcomes(
                 p, p.omega_bar, k, seed=k)
@@ -199,26 +199,6 @@ class TestSampler:
         assert v_slow == pytest.approx(expected, rel=0.05)
 
 
-class _DrawFailed(RuntimeError):
-    pass
-
-
-class _FailingGenerator(np.random.Generator):
-    """A generator whose standard_normal raises on its ``fail_on``-th call;
-    ``default_rng`` hands a Generator back unchanged."""
-
-    def __init__(self, fail_on):
-        super().__init__(np.random.PCG64(0))
-        self.fail_on = fail_on
-        self.calls = 0
-
-    def standard_normal(self, *args, **kwargs):
-        self.calls += 1
-        if self.calls == self.fail_on:
-            raise _DrawFailed(f"call {self.calls}")
-        return super().standard_normal(*args, **kwargs)
-
-
 class TestDrawerThread:
     """The sampler's second thread: joined on every exit, its failures
     raised in the caller."""
@@ -236,8 +216,8 @@ class TestDrawerThread:
     @pytest.mark.parametrize("fail_on", [3, 4, 7, 8, 11])
     def test_a_failed_draw_is_raised_in_the_caller(self, fail_on):
         before = threading.active_count()
-        rng = _FailingGenerator(fail_on)
-        with pytest.raises(_DrawFailed, match=f"call {fail_on}$"):
+        rng = sim_reference.FailingGenerator(fail_on)
+        with pytest.raises(sim_reference.DrawFailed, match=f"call {fail_on}$"):
             sample_steady_state_outcomes(SpmParams(), 1.0, self.K, seed=rng)
         assert threading.active_count() == before
         assert rng.calls == fail_on  # no draw after the failed one

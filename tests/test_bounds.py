@@ -342,6 +342,32 @@ class TestImpossibleInputs:
         with pytest.raises(InvalidParametersError, match=match):
             call(SpmParams())
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda p: bounds.fi_noiseless_continuous(1e300, 1e-4, p),
+         "omega = 1e[+]300, t = 0.0001: "),
+        (lambda p: bounds.fi_noiseless_continuous(2 ** 64, 1e-4, p),
+         "omega = 18446744073709551616, t = 0.0001: "),
+        (lambda p: bounds.bcrb_analytic_gaussian_prior(p, 2 ** 64, 1e-5),
+         "omega = -2.14.*e[+]20, t = 1e-05: "),
+    ], ids=["huge omega", "2**64 omega", "analytic 2**64 sigma"])
+    def test_a_failed_quadrature_is_a_bad_input(self, call, match):
+        # an omega far beyond the physical range: each once raised a bare
+        # ArithmeticError
+        with pytest.raises(InvalidParametersError, match=(
+                "fi_noiseless_continuous quadrature failed at " + match
+                + "The maximum number of subdivisions")):
+            call(SpmParams())
+
+    def test_gradient_at_a_step_whose_prior_term_overflows(self):
+        # J at omega + h: once a bare OverflowError from its prior term
+        p = SpmParams()
+        rec = simulate(p, Constant(p.omega_bar), 1e-4, seed=0)[1]
+        with pytest.raises(InvalidParametersError,
+                           match="likelihood prior term is beyond float range "
+                                 "at omega = "):
+            bounds.neg_log_joint_gradient(p.omega_bar, rec, p,
+                                          _prior(p, 1e3), h=1e300)
+
     def test_zero_time_stays_defined(self):
         p, sigma, omega = SpmParams(), 100.0, TWO_PI * 1e4
         assert bounds.fi_noiseless_continuous(omega, 0.0, p) == 0.0

@@ -474,6 +474,27 @@ class TestPriorAndOmegaChecks:
                            match="likelihood omega must be finite"):
             pem.kalman_neg_log_joint(omega, rec, p, default_prior(p, 1e3))
 
+    @pytest.mark.parametrize("omega", [1e300, -1e300, complex(1e300, 1.0)],
+                             ids=repr)
+    def test_omega_whose_prior_term_overflows_raises(self, omega):
+        # (omega - mu)^2 leaves float range: once a bare OverflowError,
+        # raised after the pass
+        p = SpmParams()
+        rec = MeasurementRecord(p.Delta, np.zeros(20))
+        with pytest.raises(InvalidParametersError,
+                           match="likelihood prior term is beyond float "
+                                 "range at omega = "):
+            pem.neg_log_joint_prefixes(omega, rec, p, default_prior(p, 1e3),
+                                       [20])
+
+    def test_kalman_neg_log_joint_of_an_omega_whose_prior_term_overflows(
+            self):
+        p = SpmParams()
+        rec = MeasurementRecord(p.Delta, np.zeros(20))
+        with pytest.raises(InvalidParametersError,
+                           match=r"at omega = 1e\+300$"):
+            pem.kalman_neg_log_joint(1e300, rec, p, default_prior(p, 1e3))
+
     def test_integer_omega_beyond_numpy_integers_is_a_number(self):
         # 2**64 is a float-range number that numpy holds in no integer
         # dtype; it once raised a bare TypeError from np.isfinite
