@@ -100,6 +100,15 @@ def bcrb_numeric_curve(p: SpmParams, prior: GaussianPrior, times,
 
 # nodes of the Gauss-Hermite rule for the prior average of the information
 HERMITE_NODES = 41
+# the largest |omega| taken as a Larmor frequency: an alkali spin (about
+# 2 pi x 7 GHz/T) in the strongest laboratory field (45 T) precesses at
+# about 2e12 rad/s
+OMEGA_MAX = 1e13
+# the continuous information is integrated over [0, min(t, T2_SPAN * T2)]:
+# beyond 30 T2 the integrand holds below about 1e-20 of the information,
+# and a quadrature over the whole of a long t loses the peak near tau = T2
+# to roundoff (0.0 at t = 1e4 s, or a failure at t = 10 s)
+T2_SPAN = 30.0
 
 
 @contextmanager
@@ -136,10 +145,16 @@ def fi_noiseless_discrete(omega: float, t: NonNegative,
 def fi_noiseless_continuous(omega: float, t: NonNegative,
                             p: SpmParams) -> float:
     """Continuous-probing limit of the Fisher information, by adaptive
-    quadrature to 1e-10 relative (the closed form is deliberately not
-    transcribed).  A quadrature that fails, as at an omega far beyond the
-    physical range, raises InvalidParametersError naming omega and t."""
+    quadrature to 1e-10 relative over [0, min(t, ``T2_SPAN`` * T2)] (the
+    closed form is deliberately not transcribed).  An |omega| beyond the
+    physical range ``OMEGA_MAX`` raises InvalidParametersError naming omega
+    and t; a quadrature that fails within it, as at an omega*t too large
+    for the rule to resolve, raises ArithmeticError."""
     model._check_inputs("fi_noiseless_continuous", omega, t)
+    if abs(omega) > OMEGA_MAX:
+        raise InvalidParametersError(
+            f"fi_noiseless_continuous omega = {omega!r} at t = {t!r} is "
+            f"beyond the physical range |omega| <= {OMEGA_MAX:g} rad/s")
     # scipy is imported here, by its only two users, so that importing the
     # package and every simulating path load numpy alone
     from scipy import integrate
@@ -149,15 +164,13 @@ def fi_noiseless_continuous(omega: float, t: NonNegative,
     def integrand(tau: float) -> float:
         return math.exp(-2.0 * tau / t2) * tau * tau * math.sin(omega * tau) ** 2
 
-    value, _, info, *rest = integrate.quad(integrand, 0.0, t, epsabs=0.0,
+    value, _, info, *rest = integrate.quad(integrand, 0.0,
+                                           min(t, T2_SPAN * t2), epsabs=0.0,
                                            epsrel=1e-10, limit=20000,
                                            full_output=True)
     if rest:
-        # as at an omega far beyond the physical range, where the integrand
-        # oscillates faster than the rule resolves (a huge prior spread puts
-        # Hermite nodes there)
         reason = rest[0].splitlines()[0]
-        raise InvalidParametersError(
+        raise ArithmeticError(
             f"fi_noiseless_continuous quadrature failed at omega = {omega!r}, "
             f"t = {t!r}: {reason}")
     return _fi_prefactor(p) * value
@@ -213,7 +226,7 @@ def bcrb_analytic_gaussian_prior(p: SpmParams, sigma_omega: Positive,
                                  t: NonNegative) -> float:
     """Noiseless Bayesian bound 1 / (sigma^-2 + E_prior[I_F]) with the prior
     expectation taken by ``HERMITE_NODES``-point Gauss-Hermite quadrature
-    over omega; a spread so wide that the information fails at a node
+    over omega; a spread so wide that a node lies beyond ``OMEGA_MAX``
     raises InvalidParametersError (:func:`fi_noiseless_continuous`)."""
     model._check_inputs("bcrb_analytic_gaussian_prior", t=t,
                         sigma_omega=sigma_omega)

@@ -36,8 +36,9 @@ recurrence with kappa = 1/T2 + i omega and g1 = sqrt(d_c) zeta_omega:
 
 The package has one noise drawer, ``_Drawer``: a second thread that draws
 the next block of standard normals, in stream order, while the caller walks
-the previous one.  The Ito-Taylor branch and the atom-count sampler take
-their noise from it; the waveform branch draws on the calling thread, where
+the previous one.  The atom-count sampler and an Ito-Taylor shot of at
+least ``_DRAWER_BLOCKS`` blocks take their noise from it; a shorter
+Ito-Taylor shot and the waveform branch draw on the calling thread, where
 a thread would cost more than it saves (see ``_states``).
 
 Each question about a shot has one answer here.  The frequency starts where
@@ -74,6 +75,10 @@ from .model import Count, Positive, SignalModel, SpmParams
 # at a time, which keeps the temporaries this size without changing the
 # random stream
 _BLOCK = 4096
+# the fewest blocks for which a diffusing shot draws on the drawer thread:
+# below this the thread's start, join and hand-offs cost more than the
+# overlapped draws save (see ``_states``)
+_DRAWER_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -282,7 +287,7 @@ def euler_maruyama_step(x: np.ndarray, h: float, p: SpmParams, s: SignalModel,
 class _Drawer:
     """Standard normal blocks of the given sizes, drawn in order from one
     generator on a second thread into a ring of two reused buffers: the one
-    noise drawer of the package, used by the Ito-Taylor branch of
+    noise drawer of the package, used by a long Ito-Taylor shot of
     ``_states`` and by ``atoms.sample_steady_state_outcomes``.
 
     Entering starts the thread and ``blocks`` yields each block as it is
@@ -340,20 +345,26 @@ def _states(p: SpmParams, s: SignalModel, n_sub: int, h: float,
             rng: np.random.Generator, x1: float) -> np.ndarray:
     """Substep path (n_sub + 1, 3) from (x1, 0, N/2), one block at a time.
 
-    A diffusing frequency draws each block's (n, 2, 3) standard normals on
-    a second thread (``_Drawer``), in stream order, while this thread walks
-    the previous block; the thread is joined before this returns or raises.
-    The drawer runs at most one block ahead of the walk, so after a failure
-    (a block that blows up or a draw that raises) a caller-supplied
-    Generator may have been read up to two blocks past the start of the
-    failing block: that block and the next.
+    A long diffusing shot, of at least ``_DRAWER_BLOCKS`` blocks, draws
+    each block's (n, 2, 3) standard normals on a second thread
+    (``_Drawer``), in stream order, while this thread walks the previous
+    block; the thread is joined before this returns or raises.  The drawer
+    runs at most one block ahead of the walk, so after a failure (a block
+    that blows up or a draw that raises) a caller-supplied Generator may
+    have been read up to two blocks past the start of the failing block:
+    that block and the next.  What pays is the draws of every block but
+    the first, hidden behind the walk; what costs is the thread's start,
+    join and hand-offs.  Per call, an OU shot at h = 0.125 us took
+    0.85/0.47 ms with/without the drawer at 1,000 substeps, 2.98/2.35 ms
+    at 5,000 (two blocks), 4.50/4.50 ms at three blocks, 5.60/6.02 ms at
+    four and 12.4/14.9 ms at 40,000 (medians of 200-300 interleaved calls,
+    2-core x86-64 VM).
 
-    A waveform draws its (n, 2) normals here, block by block, and reads the
-    stream no further than the failing block.  Its blocks are too cheap to
-    hide a draw behind: with the drawer on this branch a 5,000-substep
-    Constant shot took 0.85-1.16 ms against 0.41-0.57 ms here (best of 15,
-    2-core x86-64 VM), the thread's start and hand-offs costing more than
-    the overlap saves.
+    A shorter diffusing shot and a waveform draw their normals here, block
+    by block, and read the stream no further than the failing block.  A
+    waveform's blocks are too cheap to hide a draw behind at any length:
+    with the drawer on that branch a 5,000-substep Constant shot took
+    0.85-1.16 ms against 0.41-0.57 ms here (best of 15).
     """
     t2 = model.coherence_time(p)
     b = model.discrete_spin_noise_std(p.q, p.N, h, t2)
@@ -366,11 +377,13 @@ def _states(p: SpmParams, s: SignalModel, n_sub: int, h: float,
     starts = range(0, n_sub, _BLOCK)
     sizes = [min(_BLOCK, n_sub - start) for start in starts]
     with contextlib.ExitStack() as stack:
-        if stochastic:
+        if not stochastic:
+            draws = (rng.standard_normal((n, 2)) for n in sizes)
+        elif len(sizes) >= _DRAWER_BLOCKS:
             draws = stack.enter_context(_Drawer(
                 rng, [6 * n for n in sizes], 6 * sizes[0])).blocks()
-        else:
-            draws = (rng.standard_normal((n, 2)) for n in sizes)
+        else:  # too short a shot to pay for the thread: the same draws
+            draws = (rng.standard_normal(6 * n) for n in sizes)
         # zip asks ``starts`` first, so no block is drawn past the last
         for start, w in zip(starts, draws):
             block = states[start + 1:start + 1 + _BLOCK]

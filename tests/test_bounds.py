@@ -344,19 +344,48 @@ class TestImpossibleInputs:
 
     @pytest.mark.parametrize("call, match", [
         (lambda p: bounds.fi_noiseless_continuous(1e300, 1e-4, p),
-         "omega = 1e[+]300, t = 0.0001: "),
+         "omega = 1e[+]300 at t = 0.0001 "),
         (lambda p: bounds.fi_noiseless_continuous(2 ** 64, 1e-4, p),
-         "omega = 18446744073709551616, t = 0.0001: "),
+         "omega = 18446744073709551616 at t = 0.0001 "),
+        (lambda p: bounds.fi_noiseless_continuous(-1.0000001e13, 1e-4, p),
+         "omega = -10000001000000.0 at t = 0.0001 "),
         (lambda p: bounds.bcrb_analytic_gaussian_prior(p, 2 ** 64, 1e-5),
-         "omega = -2.14.*e[+]20, t = 1e-05: "),
-    ], ids=["huge omega", "2**64 omega", "analytic 2**64 sigma"])
-    def test_a_failed_quadrature_is_a_bad_input(self, call, match):
-        # an omega far beyond the physical range: each once raised a bare
-        # ArithmeticError
+         "omega = -2.14.*e[+]20 at t = 1e-05 "),
+    ], ids=["huge omega", "2**64 omega", "just beyond", "analytic 2**64 sigma"])
+    def test_an_omega_beyond_the_physical_range_is_a_bad_input(self, call,
+                                                               match):
+        # each of the first three once raised a bare ArithmeticError from a
+        # quadrature that could not resolve the oscillation
         with pytest.raises(InvalidParametersError, match=(
-                "fi_noiseless_continuous quadrature failed at " + match
-                + "The maximum number of subdivisions")):
+                "fi_noiseless_continuous " + match
+                + r"is beyond the physical range \|omega\| <= 1e[+]13 rad/s")):
             call(SpmParams())
+
+    @pytest.mark.parametrize("omega", [1e10, bounds.OMEGA_MAX])
+    def test_a_failed_quadrature_in_the_range_is_numerical(self, omega):
+        # a physical omega whose oscillation over t the rule cannot resolve:
+        # a numerical failure, not a bad input
+        with pytest.raises(ArithmeticError, match=(
+                f"fi_noiseless_continuous quadrature failed at omega = "
+                f"{omega!r}, t = 0.0001: The maximum number of subdivisions")
+                ) as err:
+            bounds.fi_noiseless_continuous(omega, 1e-4, SpmParams())
+        assert not isinstance(err.value, InvalidParametersError)
+
+    @pytest.mark.parametrize("t", [10.0, 1e4])
+    def test_long_times_keep_the_asymptotic_information(self, t):
+        # beyond T2_SPAN * T2 the integral stops there; over the whole of t
+        # it lost the peak to roundoff: 0.0 at 1e4 s, a failed quadrature
+        # of the analytic bound at 10 s
+        p = SpmParams()
+        t_span = bounds.T2_SPAN * model.coherence_time(p)
+        cont = bounds.fi_noiseless_continuous(p.omega_bar, t, p)
+        assert cont == bounds.fi_noiseless_continuous(p.omega_bar, t_span, p)
+        assert cont == pytest.approx(bounds.fi_asymptotic(p.omega_bar, p),
+                                     rel=1e-9)
+        late = bounds.bcrb_analytic_gaussian_prior(p, 1e3, t)
+        assert late == bounds.bcrb_analytic_gaussian_prior(p, 1e3, t_span)
+        assert bounds.noiseless_bcrb_floor(p, 1e3) <= late < 1e6
 
     def test_gradient_at_a_step_whose_prior_term_overflows(self):
         # J at omega + h: once a bare OverflowError from its prior term

@@ -89,17 +89,31 @@ class TestExitCodes:
         assert "prior variances" in capsys.readouterr().err
         assert not (out / f"{command}.csv").exists()
 
-    def test_analytic_bound_beyond_its_quadrature(self, tmp_path, capsys):
-        # a spread that puts the Hermite nodes far beyond the physical
-        # range: a configuration error, not a numerical failure (exit 3)
+    def test_analytic_bound_beyond_the_physical_range(self, tmp_path,
+                                                       capsys):
+        # a spread that puts the Hermite nodes beyond any Larmor frequency:
+        # a configuration error, not a numerical failure (exit 3)
         cfg = _write_cfg(tmp_path, {
             "sigma_omega": 2 ** 64, "duration": 1e-4, "runs": 1,
             "bounds": ["bcrb_analytic"], "sweep_axis": "time",
             "sweep_values": [1e-5]})
         code, out = _run(tmp_path, "sweep-time", "--config", cfg)
         assert code == 2
-        assert ("configuration error: fi_noiseless_continuous quadrature "
-                "failed at omega = ") in capsys.readouterr().err
+        assert ("configuration error: fi_noiseless_continuous omega = "
+                in capsys.readouterr().err)
+        assert not (out / "sweep-time.csv").exists()
+
+    def test_analytic_bound_whose_quadrature_fails(self, tmp_path, capsys):
+        # nodes within the physical range whose oscillation over t the rule
+        # cannot resolve: a numerical failure
+        cfg = _write_cfg(tmp_path, {
+            "sigma_omega": 1e9, "duration": 1e-4, "runs": 1,
+            "bounds": ["bcrb_analytic"], "sweep_axis": "time",
+            "sweep_values": [1e-4]})
+        code, out = _run(tmp_path, "sweep-time", "--config", cfg)
+        assert code == 3
+        assert ("numerical failure: fi_noiseless_continuous quadrature "
+                "failed at omega = " in capsys.readouterr().err)
         assert not (out / "sweep-time.csv").exists()
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))

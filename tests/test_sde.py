@@ -498,8 +498,9 @@ class TestBlocks:
 
 
 class TestDrawerThread:
-    """The noise drawer of the Ito-Taylor branch: joined on every exit, its
-    failures raised in the caller, its blocks the serial draws."""
+    """The noise drawer of the Ito-Taylor branch: started for long shots
+    only, joined on every exit, its failures raised in the caller, its
+    blocks the serial draws."""
 
     N_SUB = 3 * sde_sim._BLOCK + 17  # four blocks, the last one partial
     DIFFUSING = ["ou", "wiener"]
@@ -520,6 +521,31 @@ class TestDrawerThread:
         monkeypatch.setattr(model, "damped_rotation", spy)
         self._simulate(kind, 1)
         assert ("spinfid-drawer" in names) == (kind in self.DIFFUSING)
+
+    # one block, a full one, two blocks with a short second (the default
+    # experiment's 5,000 substeps) and the longest shot below the drawer's
+    @pytest.mark.parametrize("n_sub", [
+        1, sde_sim._BLOCK, 5000,
+        (sde_sim._DRAWER_BLOCKS - 1) * sde_sim._BLOCK])
+    def test_a_short_shot_draws_on_the_caller(self, monkeypatch, n_sub):
+        made = []
+
+        class Recording(sde_sim._Drawer):
+            def __init__(self, *args):
+                made.append(args[1])
+                super().__init__(*args)
+        monkeypatch.setattr(sde_sim, "_Drawer", Recording)
+        s, x1 = SIGNALS["ou"], model.initial_omega(SIGNALS["ou"])
+
+        def path():
+            return sde_sim._states(P_REF, s, n_sub, P_REF.Delta,
+                                   np.random.default_rng(3), x1)
+        got = path()
+        assert made == []
+        # the same draws as the drawer gives a shot long enough for it
+        monkeypatch.setattr(sde_sim, "_DRAWER_BLOCKS", 1)
+        assert got.tobytes() == path().tobytes()
+        assert len(made) == 1
 
     @pytest.mark.parametrize("kind", DIFFUSING)
     def test_joined_after_a_return(self, kind):
