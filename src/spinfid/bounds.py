@@ -148,8 +148,8 @@ def fi_noiseless_continuous(omega: float, t: NonNegative,
     quadrature to 1e-10 relative over [0, min(t, ``T2_SPAN`` * T2)] (the
     closed form is deliberately not transcribed).  An |omega| beyond the
     physical range ``OMEGA_MAX`` raises InvalidParametersError naming omega
-    and t; a quadrature that fails within it, as at an omega*t too large
-    for the rule to resolve, raises ArithmeticError."""
+    and t; a quadrature that fails within it raises ArithmeticError, as it
+    can from a phase omega * min(t, ``T2_SPAN`` * T2) of about 7e3 rad."""
     model._check_inputs("fi_noiseless_continuous", omega, t)
     if abs(omega) > OMEGA_MAX:
         raise InvalidParametersError(

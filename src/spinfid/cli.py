@@ -1,9 +1,9 @@
 """Command-line front end: each subcommand runs one experiment from a JSON
 config and writes ``<subcommand>.csv`` plus a ``manifest.json`` with the
 resolved configuration, seed, git revision of the package's own checkout
-and wall time.  A config is checked by the one schema rule,
-``model.check_fields``, and the manifest's ``"config"`` (``model.as_json``)
-is a ``--config`` file that reproduces the run.
+and wall time.  A config is read and checked by the one config base,
+``model._Config``, and the manifest's ``"config"`` (``model.as_json``) is
+a ``--config`` file that reproduces the run.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """

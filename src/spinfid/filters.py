@@ -45,6 +45,8 @@ from .errors import InvalidParametersError, NumericalDegeneracyError
 from .model import GaussianPrior, Positive, SignalModel, SpmParams
 from .sde_sim import MeasurementRecord, _write_csv
 
+KINDS = ("ekf", "ckf")  # the filter kinds, in the order a sweep runs them
+
 _JITTER_START = 1e-12
 _JITTER_MAX = 1e-6
 _TINY = float(np.finfo(float).tiny)
@@ -68,7 +70,7 @@ class FilterConfig:
     step: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("ekf", "ckf"):
+        if self.kind not in KINDS:
             raise InvalidParametersError(f"unknown filter kind {self.kind!r}")
         if not model.is_stochastic(self.signal):
             raise InvalidParametersError(

@@ -9,8 +9,9 @@ frequency omega ~ N(omega_bar, sigma_omega^2) and a record at it.  The
 the point's substeps.  So results are reproducible and independent of
 evaluation order, and the runs and the bound draw from one law.  Estimator
 errors are always measured against the true instantaneous frequency of the
-simulated shot, never against the nominal value.  A config's fields are
-checked, bounds included, by the one schema rule, ``model.check_fields``.
+simulated shot, never against the nominal value.  ``ExperimentConfig`` is
+a ``model._Config``: checked on construction by the one schema rule, bounds
+included, and read from and written to JSON by ``model`` alone.
 A sweep run reads each filter at its probing indices only
 (``filters.omega_at``, which builds no trace); a tracking run keeps the
 filter's whole pass and the true frequency at the sample times only,
@@ -28,7 +29,6 @@ the calling process.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import pickle
@@ -46,7 +46,7 @@ from .errors import (ExclusionLimitError, IntegrationBlowupError,
 from .model import (Constant, Count, GaussianPrior, Index, Positive,
                     SignalModel, SpmParams, Wiener)
 
-ESTIMATORS = ("ekf", "ckf", "pem")
+ESTIMATORS = (*filters.KINDS, "pem")
 BOUNDS = ("bcrb_numeric", "bcrb_analytic", "crb", "floor")
 SWEEP_AXES = ("none", "time", "atoms", "sampling")
 MAX_EXCLUSION_FRACTION = 0.01
@@ -58,7 +58,7 @@ _RUN_ERRORS = (IntegrationBlowupError, NumericalDegeneracyError,
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(model._Config):
     params: SpmParams = SpmParams()
     true_signal: Optional[SignalModel] = None
     assumed_signal: Optional[SignalModel] = None  # filter-side model; None -> static frequency
@@ -73,8 +73,10 @@ class ExperimentConfig:
     sweep_axis: str = "none"
     sweep_values: tuple[Positive, ...] = ()
 
+    _what = "config"
+
     def __post_init__(self):
-        model.check_fields(self)
+        super().__post_init__()
         if self.sweep_axis not in SWEEP_AXES:
             raise InvalidParametersError(f"unknown sweep axis {self.sweep_axis!r}")
         if self.sweep_axis != "none" and not self.sweep_values:
@@ -91,21 +93,6 @@ class ExperimentConfig:
         if self.true_signal is None:
             object.__setattr__(self, "true_signal",
                                Constant(self.params.omega_bar))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(model.check_json(cls, d, "config"))
-        if "params" in d:
-            d["params"] = SpmParams.from_dict(d["params"])
-        for key in ("true_signal", "assumed_signal"):
-            if d.get(key) is not None:
-                d[key] = model.signal_from_dict(d[key])
-        return cls(**d)
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
     def filter_signal(self, p: SpmParams) -> SignalModel:
         """Assumed frequency model of the filters; a zero-diffusion random
@@ -205,7 +192,7 @@ def _single_run_errors(cfg: ExperimentConfig, p: SpmParams,
     omega_true, rec = sde_sim._mc_shot(p, p.omega_bar, cfg.sigma_omega,
                                        max(ks), substeps, cfg.seed, r)
     out = {}
-    for kind in ("ekf", "ckf"):
+    for kind in filters.KINDS:
         if kind in cfg.estimators:
             fcfg = filters.FilterConfig(kind, cfg.filter_signal(p), prior, p)
             out[kind] = [omega_hat - omega_true for omega_hat in
@@ -424,7 +411,7 @@ def run_tracking(cfg: ExperimentConfig) -> TrackingResult:
     first filter among the estimators, with its assumed (OU or random-walk)
     model."""
     p = cfg.params
-    kind = next((e for e in cfg.estimators if e in ("ekf", "ckf")), None)
+    kind = next((e for e in cfg.estimators if e in filters.KINDS), None)
     if kind is None:
         raise InvalidParametersError(
             "tracking needs a filter: estimators must include 'ekf' or 'ckf'")

@@ -16,8 +16,10 @@ schema ``_SCHEMA`` holds the types, finiteness and bounds of the config
 fields (``check_fields`` checks a config class's fields by it) and of the
 checked function arguments, which name their annotation (``Positive`` and
 ``NonNegative`` numbers, ``Count`` integers from 1 to np.intp's largest
-value, and ``Index`` integers >= 0).
-``as_json`` writes a config in the format that ``from_dict`` reads.
+value, and ``Index`` integers >= 0).  Every config class derives from
+``_Config``, which checks it on construction and reads back exactly the
+JSON form that ``as_json`` writes: this module alone checks, reads and
+writes a config.
 """
 
 from __future__ import annotations
@@ -144,29 +146,18 @@ def check_value(owner: str, name: str, value, annotation: str):
 def check_fields(obj) -> None:
     """Each field of the dataclass ``obj`` checked by ``check_value`` against
     its annotation, a sequence stored as a tuple: so ``_SCHEMA`` holds the
-    types, finiteness and bounds of the config fields.  Every config class
-    calls this from ``__post_init__``, however it is built."""
+    types, finiteness and bounds of the config fields.  ``_Config`` calls
+    this from ``__post_init__``, however a config is built."""
     owner = type(obj).__name__
     for f in fields(obj):
         object.__setattr__(obj, f.name, check_value(
             owner, f.name, getattr(obj, f.name), f.type))
 
 
-def check_json(cls, d, what: str) -> dict:
-    """``d`` if it is a JSON object of fields of ``cls``, else
-    InvalidParametersError; ``check_fields`` checks the values."""
-    if not isinstance(d, dict):
-        raise InvalidParametersError(f"{what} must be an object, got {d!r}")
-    unknown = set(d) - {f.name for f in fields(cls)}
-    if unknown:
-        raise InvalidParametersError(f"unknown {what} keys: {sorted(unknown)}")
-    return d
-
-
 def as_json(value):
-    """The JSON form of a config value that ``from_dict`` reads back: a
-    signal is an object with its ``_SIGNAL_KINDS`` key as "kind", another
-    config object an object of its fields, and a tuple a list."""
+    """The JSON form of a config value that ``_Config.from_dict`` reads
+    back: a signal is an object with its ``_SIGNAL_KINDS`` key as "kind",
+    another config object an object of its fields, and a tuple a list."""
     if is_dataclass(value):
         d = {f.name: as_json(getattr(value, f.name)) for f in fields(value)}
         kind = _KIND_OF.get(type(value))
@@ -176,8 +167,44 @@ def as_json(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
+class _Config:
+    """Base of the config classes, frozen dataclasses whose fields
+    ``check_fields`` checks.  ``_what`` names a class in the messages of
+    ``from_dict``; a signal is named by its kind."""
+
+    _what = ""
+
+    def __post_init__(self):
+        check_fields(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        """The config whose ``as_json`` form is ``d``, missing keys at their
+        defaults, a nested config read by ``_READERS``; InvalidParametersError
+        naming the class by ``_what`` if ``d`` is no such form."""
+        what = cls._what or f"{_KIND_OF[cls]} signal"
+        if not isinstance(d, dict):
+            raise InvalidParametersError(f"{what} must be an object, got {d!r}")
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(d) - set(types)
+        if unknown:
+            raise InvalidParametersError(f"unknown {what} keys: {sorted(unknown)}")
+        kwargs = {k: _READERS[types[k]](v) if types[k] in _READERS else v
+                  for k, v in d.items()}
+        try:
+            return cls(**kwargs)
+        except TypeError as exc:  # a missing field
+            raise InvalidParametersError(f"{what}: {exc}") from exc
+
+    @classmethod
+    def from_json(cls, path):
+        """``from_dict`` of the JSON file at ``path``."""
+        with open(path) as fh:
+            return cls.from_dict(json.load(fh))
+
+
 @dataclass(frozen=True)
-class SpmParams:
+class SpmParams(_Config):
     """Constants of the simulated magnetometer.
 
     Defaults reproduce the reference hot-vapour experiment: a nominal Larmor
@@ -196,18 +223,7 @@ class SpmParams:
     Delta: Positive = 5.0e-6               # sampling period, s
     T2_override: Optional[Positive] = 0.87e-3  # coherence time, s; None -> 1/(Gamma + alpha*N)
 
-    def __post_init__(self):
-        check_fields(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpmParams":
-        """Build from a JSON-style dict; missing keys keep their defaults."""
-        return cls(**check_json(cls, d, "parameter"))
-
-    @classmethod
-    def from_json(cls, path) -> "SpmParams":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+    _what = "parameter"
 
     def with_atom_number(self, n: float) -> "SpmParams":
         """Copy with a new N and the coherence time recomputed from Gamma/alpha."""
@@ -219,15 +235,12 @@ class SpmParams:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Constant:
+class Constant(_Config):
     omega0: float  # rad/s
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass(frozen=True)
-class OrnsteinUhlenbeck:
+class OrnsteinUhlenbeck(_Config):
     """Mean-reverting frequency noise: d omega = -(omega - omega_bar)/tau dt + sqrt(d_c) dW."""
 
     omega_bar: float      # rad/s
@@ -235,38 +248,29 @@ class OrnsteinUhlenbeck:
     d_c: NonNegative      # diffusion coefficient, rad^2/s^3
     omega_start: Optional[float] = None  # initial value; None -> omega_bar
 
-    def __post_init__(self):
-        check_fields(self)
-
 
 @dataclass(frozen=True)
-class Wiener:
+class Wiener(_Config):
     """Free diffusion of the frequency (the tau -> infinity limit of OU)."""
 
     omega0: float       # rad/s
     d_c: NonNegative    # rad^2/s^3
 
-    def __post_init__(self):
-        check_fields(self)
-
 
 @dataclass(frozen=True)
-class Sinusoid:
+class Sinusoid(_Config):
     omega_bar: float   # rad/s
     amplitude: float   # rad/s
     mod_freq: float    # Hz
 
-    def __post_init__(self):
-        check_fields(self)
-
 
 @dataclass(frozen=True)
-class Step:
+class Step(_Config):
     omega_bar: float
     jumps: tuple[tuple[float, float], ...] = ()  # ordered (time s, new value rad/s)
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         times = [t for t, _ in self.jumps]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise InvalidParametersError("step jump times must be strictly increasing")
@@ -289,17 +293,21 @@ _SCHEMA["Optional[SignalModel]"] = (
 
 
 def signal_from_dict(d: dict) -> SignalModel:
+    """The signal whose ``as_json`` form, tagged with its "kind", is ``d``."""
     if not isinstance(d, dict):
         raise InvalidParametersError(f"signal must be an object, got {d!r}")
     d = dict(d)
     kind = d.pop("kind", None)
     if not (isinstance(kind, str) and kind in _SIGNAL_KINDS):
         raise InvalidParametersError(f"unknown signal kind: {kind!r}")
-    cls = _SIGNAL_KINDS[kind]
-    try:
-        return cls(**check_json(cls, d, f"{kind} signal"))
-    except TypeError as exc:  # a missing field
-        raise InvalidParametersError(f"{kind} signal: {exc}") from exc
+    return _SIGNAL_KINDS[kind].from_dict(d)
+
+
+# ``_Config.from_dict``'s readers of a nested config, by field annotation
+_READERS = {
+    "SpmParams": SpmParams.from_dict,
+    "Optional[SignalModel]": lambda v: None if v is None else signal_from_dict(v),
+}
 
 
 def is_stochastic(s: SignalModel) -> bool:

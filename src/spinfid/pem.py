@@ -45,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import InvalidParametersError, MapBoundaryError
+from .errors import (InvalidParametersError, MapBoundaryError,
+                     NumericalDegeneracyError)
 from .model import GaussianPrior, SpmParams
 from .sde_sim import MeasurementRecord
 
@@ -281,7 +282,7 @@ def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
     ``_gain_blocks``).  Both give the bits of the one recursion.
     ``innovations``, if given, takes a scalar omega only and is extended
     by the residual and S_j, in turn, of every sample processed.  A
-    non-finite J raises FloatingPointError; bad lengths
+    non-finite J raises NumericalDegeneracyError; bad lengths
     (``rec.check_lengths``), another sampling period than p.Delta, an
     omega that is a bool, no number or an array of none, a non-finite
     omega, a bad prior (``_prior_terms``), a scalar omega so far from the
@@ -320,7 +321,8 @@ def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
     out = [total + prior_term for total in totals]
     # a sum that is finite at the longest prefix is finite at every one
     if not np.isfinite(out[-1]).all():
-        raise FloatingPointError("non-finite negative log-joint accumulation")
+        raise NumericalDegeneracyError(
+            "non-finite negative log-joint accumulation")
     return out
 
 

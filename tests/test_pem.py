@@ -12,7 +12,8 @@ from scipy.stats import multivariate_normal
 import pem_reference
 import sim_reference
 from spinfid import bounds, harness, pem, sde_sim
-from spinfid.errors import InvalidParametersError, MapBoundaryError
+from spinfid.errors import (InvalidParametersError, MapBoundaryError,
+                            NumericalDegeneracyError)
 from spinfid.filters import default_prior
 from spinfid.model import Constant, GaussianPrior, SpmParams
 from spinfid.sde_sim import MeasurementRecord, simulate
@@ -203,7 +204,7 @@ class TestNegLogJoint:
         p = _small_params()
         prior = _prior(p)
         rec = MeasurementRecord(p.Delta, np.array([1.0, 1e200]))
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(NumericalDegeneracyError):
             pem.kalman_neg_log_joint(3.0, rec, p, prior)
 
     @pytest.mark.parametrize("lengths", [[], [0], [-1, 3], [4, 3], [5, 6],

@@ -1,7 +1,8 @@
 """The config schema: one rule (``model.check_value``) for every field of
 ``SpmParams``, the signal models and ``ExperimentConfig`` and for every
 checked function argument, bounds included, and one writer
-(``model.as_json``) whose output ``from_dict`` reads back."""
+(``model.as_json``) whose output one reader, ``model._Config.from_dict``,
+reads back."""
 
 import dataclasses
 import inspect
@@ -29,6 +30,9 @@ VALID = {
     Step: {"omega_bar": 1.0},
     ExperimentConfig: {},
 }
+# how each config class is named in the messages of its reader
+NOUN = {SpmParams: "parameter", ExperimentConfig: "config",
+        **{cls: f"{kind} signal" for cls, kind in model._KIND_OF.items()}}
 
 
 def _from_dict(cls, d):
@@ -98,6 +102,38 @@ class TestBadValues:
     def test_mistyped(self, build):
         with pytest.raises(InvalidParametersError):
             build()
+
+    @pytest.mark.parametrize("cls", list(VALID), ids=lambda c: c.__name__)
+    def test_unknown_keys(self, cls):
+        d = {**VALID[cls], "other": 2, "bogus": 1}
+        for read in (cls.from_dict, lambda d: _from_dict(cls, d)):
+            with pytest.raises(InvalidParametersError) as exc:
+                read(d)
+            assert str(exc.value) == \
+                f"unknown {NOUN[cls]} keys: ['bogus', 'other']"
+
+    @pytest.mark.parametrize("cls", list(VALID), ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("d", [[("seed", 1)], "{}", None, 1.0],
+                             ids=repr)
+    def test_not_an_object(self, cls, d):
+        with pytest.raises(InvalidParametersError) as exc:
+            cls.from_dict(d)
+        assert str(exc.value) == f"{NOUN[cls]} must be an object, got {d!r}"
+        if cls in model._KIND_OF:
+            # the reader of the form tagged with a kind finds no kind
+            with pytest.raises(InvalidParametersError) as exc:
+                model.signal_from_dict(d)
+            assert str(exc.value) == f"signal must be an object, got {d!r}"
+
+    @pytest.mark.parametrize("cls", [c for c in VALID if VALID[c]],
+                             ids=lambda c: c.__name__)
+    def test_missing_field(self, cls):
+        with pytest.raises(TypeError) as in_code:
+            cls()
+        for read in (cls.from_dict, lambda d: _from_dict(cls, d)):
+            with pytest.raises(InvalidParametersError) as in_json:
+                read({})
+            assert str(in_json.value) == f"{NOUN[cls]}: {in_code.value}"
 
     def test_messages(self):
         with pytest.raises(InvalidParametersError,
@@ -317,6 +353,9 @@ class TestRoundTrip:
     ], ids=repr)
     def test_every_signal_kind(self, signal):
         assert model.signal_from_dict(_round_trip(signal)) == signal
+        # a signal class reads its own fields, without the kind
+        fields = {k: v for k, v in _round_trip(signal).items() if k != "kind"}
+        assert type(signal).from_dict(fields) == signal
         cfg = ExperimentConfig(true_signal=signal, assumed_signal=None,
                                params=SpmParams(T2_override=None))
         assert ExperimentConfig.from_dict(_round_trip(cfg)) == cfg
