@@ -4,12 +4,44 @@ import re
 import numpy as np
 import pytest
 
+import bounds_reference
 from spinfid import bounds, model, pem
 from spinfid.errors import InvalidParametersError
 from spinfid.model import Constant, GaussianPrior, SpmParams
 from spinfid.sde_sim import simulate
 
 TWO_PI = 2.0 * math.pi
+
+# (omega, t, T2, fi_noiseless_continuous(omega, t, SpmParams(T2_override=T2)))
+# with the integral's closed form evaluated in 300-digit arithmetic (mpmath)
+# on the same double inputs, and checked against a 300-digit quadrature
+# where that converged; among them the phases that the adaptive quadrature
+# once could not resolve
+EXACT = [
+    (TWO_PI * 1e4, 1e-09, 0.00087, 1.247123782702477e-21),
+    (TWO_PI * 1e4, 1e-06, 0.00087, 1.243569977427491e-06),
+    (TWO_PI * 1e4, 1e-05, 0.00087, 0.11131717435950879),
+    (TWO_PI * 1e4, 0.0001, 0.00087, 214.76441182095712),
+    (TWO_PI * 1e4, 0.001, 0.00087, 52482.31726620829),
+    (TWO_PI * 1e4, 0.005, 0.00087, 129909.50787980133),
+    (TWO_PI * 1e4, 0.05, 0.00087, 130013.53837016087),
+    (1e10, 0.0001, 0.00087, 221.78250857328595),
+    (1e13, 0.0001, 0.00087, 221.78230253757874),
+    (1.0, 0.0001, 0.00087, 2.609655029830513e-06),
+    (3e5, 1.7e-06, 0.00087, 0.00037811584865469355),
+    (2.9e5, 1.7e-06, 0.00087, 0.00035477654626089563),
+    (62800.0, 0.108, 1.0, 282306293345.9327),
+    (62800.0, 0.216, 1.0, 1925818679461.0603),
+    (62800.0, 0.43, 1.0, 11142433585390.982),
+    (6e4, 30.0, 1.0, 197437968750000.03),
+    (1e3, 0.001, 0.1, 244000.47890106676),
+    (TWO_PI * 1e4, 0.01, 1e9, 263249624.76361683),
+    (TWO_PI * 1e4, 1e4, 1e9, 2.6324667627221495e+26),
+    (1e6, 1e-07, 1e9, 3.1514938490332077e-09),
+]
+
+# the probing times of criterion 6's error-vs-time curve
+C06_TIMES = (5e-5, 1e-4, 2e-4, 3.5e-4, 5e-4, 1e-3, 2e-3, 5e-3)
 
 
 def _prior(p, sigma_omega, spin_sigma=0.0):
@@ -236,6 +268,32 @@ class TestFisherInformation:
     def test_no_decoherence_zero_frequency(self):
         assert bounds.fi_no_decoherence(0.0, 1.0, SpmParams()) == 0.0
 
+    @pytest.mark.parametrize("omega, t, t2, value", EXACT)
+    def test_continuous_matches_300_digit_values(self, omega, t, t2, value):
+        p = SpmParams(T2_override=t2)
+        assert bounds.fi_noiseless_continuous(omega, t, p) == pytest.approx(
+            value, rel=1e-12)
+
+    @pytest.mark.parametrize("t2", [0.87e-3, 0.1])
+    @pytest.mark.parametrize("omega", [0.0, 1e3, TWO_PI * 1e4, 1e5, 1e6])
+    def test_continuous_matches_the_quadrature(self, omega, t2):
+        # |omega| T2 >= 0.87 or omega = 0, where the closed form keeps its
+        # precision, and phases the quadrature resolves
+        p = SpmParams(T2_override=t2)
+        for t in [1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 0.02, 0.1]:
+            assert bounds.fi_noiseless_continuous(omega, t, p) == \
+                pytest.approx(bounds_reference.fi_noiseless_continuous(
+                    omega, t, p), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("t2", [0.87e-3, 1.0, 1e9])
+    def test_continuous_vanishes_at_zero_frequency_or_time(self, t2):
+        p = SpmParams(T2_override=t2)
+        for t in [0.0, 1e-9, 1e-6, 1e-3, 1.0, 1e4, 1e300]:
+            assert bounds.fi_noiseless_continuous(0.0, t, p) == 0.0
+            assert bounds.fi_noiseless_continuous(-0.0, t, p) == 0.0
+        for omega in [1.0, TWO_PI * 1e4, -bounds.OMEGA_MAX]:
+            assert bounds.fi_noiseless_continuous(omega, 0.0, p) == 0.0
+
     def test_continuous_monotone_in_time(self):
         p = SpmParams()
         omega = TWO_PI * 1e4
@@ -270,6 +328,27 @@ class TestAnalyticBound:
         # the floor absorbs the gap between the peak and the prior-averaged
         # information, so the late-time bound sits within ~25% of it
         assert late <= 1.26 * floor
+
+    def test_matches_the_quadrature_oracle(self):
+        # the closed form on numpy's nodes against the quadrature on
+        # scipy's
+        p = SpmParams()
+        for t in C06_TIMES:
+            assert bounds.bcrb_analytic_gaussian_prior(
+                p, TWO_PI * 2e3, t) == pytest.approx(
+                bounds_reference.bcrb_analytic_gaussian_prior(
+                    p, TWO_PI * 2e3, t), rel=1e-9)
+
+    def test_node_count_is_converged(self, monkeypatch):
+        # at criterion 6's prior spread and times, 4x the nodes moves the
+        # bound by at most 0.27% (at 0.5 ms)
+        p, sigma = SpmParams(), TWO_PI * 2e3
+        base = [bounds.bcrb_analytic_gaussian_prior(p, sigma, t)
+                for t in C06_TIMES]
+        monkeypatch.setattr(bounds, "HERMITE_NODES", 161)
+        fine = [bounds.bcrb_analytic_gaussian_prior(p, sigma, t)
+                for t in C06_TIMES]
+        assert fine == pytest.approx(base, rel=5e-3)
 
     def test_floor_prior_limit(self):
         p = SpmParams(g_D=1e-30)
@@ -361,30 +440,28 @@ class TestImpossibleInputs:
                 + r"is beyond the physical range \|omega\| <= 1e[+]13 rad/s")):
             call(SpmParams())
 
-    @pytest.mark.parametrize("omega", [1e10, bounds.OMEGA_MAX])
-    def test_a_failed_quadrature_in_the_range_is_numerical(self, omega):
-        # a physical omega whose oscillation over t the rule cannot resolve:
-        # a numerical failure, not a bad input
-        with pytest.raises(ArithmeticError, match=(
-                f"fi_noiseless_continuous quadrature failed at omega = "
-                f"{omega!r}, t = 0.0001: The maximum number of subdivisions")
-                ) as err:
-            bounds.fi_noiseless_continuous(omega, 1e-4, SpmParams())
-        assert not isinstance(err.value, InvalidParametersError)
+    @pytest.mark.parametrize("omega", [1e10, bounds.OMEGA_MAX,
+                                       -bounds.OMEGA_MAX])
+    def test_a_fast_oscillation_averages_sin_squared(self, omega):
+        # a physical omega whose oscillation over t an adaptive quadrature
+        # could not resolve (it raised ArithmeticError): sin^2 averages to
+        # 1/2, up to a part of order 1 / (omega t)
+        p, t = SpmParams(), 1e-4
+        x = 2.0 * t / model.coherence_time(p)
+        moment = t ** 3 * (2.0 - math.exp(-x) * (x * x + 2.0 * x + 2.0)) / x ** 3
+        assert bounds.fi_noiseless_continuous(omega, t, p) == pytest.approx(
+            0.5 * bounds._fi_prefactor(p) * moment, rel=1e-5)
 
-    @pytest.mark.parametrize("t", [10.0, 1e4])
+    @pytest.mark.parametrize("t", [10.0, 1e4, 1e300])
     def test_long_times_keep_the_asymptotic_information(self, t):
-        # beyond T2_SPAN * T2 the integral stops there; over the whole of t
-        # it lost the peak to roundoff: 0.0 at 1e4 s, a failed quadrature
-        # of the analytic bound at 10 s
+        # at t >> T2 the closed form is its t -> infinity limit; a
+        # quadrature over the whole of t lost the peak near tau = T2 to
+        # roundoff: 0.0 at 1e4 s, a failure of the analytic bound at 10 s
         p = SpmParams()
-        t_span = bounds.T2_SPAN * model.coherence_time(p)
         cont = bounds.fi_noiseless_continuous(p.omega_bar, t, p)
-        assert cont == bounds.fi_noiseless_continuous(p.omega_bar, t_span, p)
         assert cont == pytest.approx(bounds.fi_asymptotic(p.omega_bar, p),
-                                     rel=1e-9)
+                                     rel=1e-12)
         late = bounds.bcrb_analytic_gaussian_prior(p, 1e3, t)
-        assert late == bounds.bcrb_analytic_gaussian_prior(p, 1e3, t_span)
         assert bounds.noiseless_bcrb_floor(p, 1e3) <= late < 1e6
 
     def test_gradient_at_a_step_whose_prior_term_overflows(self):
