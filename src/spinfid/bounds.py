@@ -16,6 +16,7 @@ no-decoherence form.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -204,8 +205,13 @@ def fi_asymptotic(omega: float, p: SpmParams) -> float:
     t2 = model.coherence_time(p)
     with _float_range("fi_asymptotic", omega=omega):
         x2 = (omega * t2) ** 2
-        return (p.N ** 2 * p.g_D ** 2 * t2 ** 3 / (32.0 * p.R)
-                * x2 * (x2 * x2 + 3.0 * x2 + 6.0) / (1.0 + x2) ** 3)
+        # x2 (x2^2 + 3 x2 + 6) / (1 + x2)^3 as x2 / d in [0, 1) times
+        # 1 + (x2 + 5) / d^2 in (1, 6], with d = 1 + x2, met by t2^3 before
+        # the prefactor, so that neither a large x2 nor a tiny omega at a
+        # huge T2 overflows a partial product
+        d = 1.0 + x2
+        return (t2 ** 3 * (x2 / d) * (1.0 + (x2 + 5.0) / d / d)
+                * (p.N ** 2 * p.g_D ** 2 / (32.0 * p.R)))
 
 
 def fi_no_decoherence(omega: float, t: NonNegative, p: SpmParams) -> float:
@@ -237,6 +243,20 @@ def noiseless_bcrb_floor(p: SpmParams, sigma_omega: Positive) -> float:
     return 1.0 / (info + _prior_precision("noiseless_bcrb_floor", sigma_omega))
 
 
+@functools.cache
+def _hermite_rule(nodes: int) -> tuple:
+    """(nodes, weights) of the ``nodes``-point Gauss-Hermite rule, read-only
+    and computed once per node count (an eigenvalue solve, about 0.5 ms
+    at 41 nodes)."""
+    # imported on first use: at module top numpy.polynomial adds about 4 ms
+    # to importing the package
+    from numpy.polynomial.hermite import hermgauss
+
+    x, w = hermgauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def bcrb_analytic_gaussian_prior(p: SpmParams, sigma_omega: Positive,
                                  t: NonNegative) -> float:
     """Noiseless Bayesian bound 1 / (sigma^-2 + E_prior[I_F]) with the prior
@@ -247,11 +267,7 @@ def bcrb_analytic_gaussian_prior(p: SpmParams, sigma_omega: Positive,
     model._check_inputs("bcrb_analytic_gaussian_prior", t=t,
                         sigma_omega=sigma_omega)
     precision = _prior_precision("bcrb_analytic_gaussian_prior", sigma_omega)
-    # imported on first use: at module top numpy.polynomial adds about 4 ms
-    # to importing the package
-    from numpy.polynomial.hermite import hermgauss
-
-    x, w = hermgauss(HERMITE_NODES)
+    x, w = _hermite_rule(HERMITE_NODES)
     omegas = (p.omega_bar + math.sqrt(2.0) * sigma_omega * x).tolist()
     values = np.array([fi_noiseless_continuous(om, t, p) for om in omegas])
     expected = float(np.dot(w, values)) / math.sqrt(math.pi)

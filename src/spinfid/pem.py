@@ -20,9 +20,11 @@ ufunc calls a step and forms and sums J's terms a block of steps at a
 time.  J, being a running sum, is returned for every requested record
 prefix from a single pass; the scalar likelihood, the grid, the MAP fit at
 several probing times and the bound's score are all read from it.  The
-gains of a grid are kept in one read-only table and reused by every record
-with the same grid, parameters and spin prior, so a grid pass over a new
-record runs only the data half.
+Riccati half of a grid is kept in one read-only (steps, 2, *grid.shape)
+table of the predicted covariance entries (p12-, p22-), reused by every
+record with the same grid, parameters and spin prior; a grid pass over a
+new record derives the gains from it a block of steps at a time and runs
+only the data half.
 
 The score dJ/d omega is the complex-step derivative Im J(omega + i eps)/eps
 (Squire & Trapp, SIAM Review 40(1), 1998): no difference is taken, so it is
@@ -56,11 +58,13 @@ MAP_TOL = 1e-3  # rad/s, absolute
 SCORE_STEP = 1e-20  # complex step of the score, in prior sigmas
 _MAX_PASSES = 100  # complex passes one MAP fit may take
 
-# The most memory a grid's gain table may hold: 16 MiB is 2,600 steps of
-# the 201-point MAP grid.  A longer record streams its gains instead.
+# The most memory a grid's gain table may hold: at two values a step,
+# 16 MiB is 5,216 steps of the 201-point MAP grid.  A longer record streams
+# its gains instead.
 _TABLE_BYTES = 16 * 2 ** 20
 
-# the one gain table kept: {key: read-only (steps, 4, *grid.shape) array}
+# the one gain table kept: {key: read-only (steps, 2, *grid.shape) array of
+# (p12-, p22-)}
 _gain_memo: dict = {}
 
 # Steps of a grid pass whose residuals are held, and whose J terms are
@@ -109,8 +113,10 @@ def _prior_terms(prior: GaussianPrior) -> tuple:
             (float(cov[1, 1]), float(cov[1, 2]), float(cov[2, 2])))
 
 
-def _gains(omega, p: SpmParams, spin_cov: tuple):
-    """Yield (k1, k2, S_j, ln S_j) for steps j = 1, 2, ... without end.
+def _gains(omega, p: SpmParams, spin_cov: tuple, predicted: bool = False):
+    """Yield (k1, k2, S_j, ln S_j) for steps j = 1, 2, ... without end, or
+    with ``predicted`` the predicted covariance entries (p12-, p22-) of
+    each step, from which ``_derived_gains`` forms them a block at a time.
 
     The covariance half of the recursion: it depends on omega, the
     parameters and the spin prior's covariance (p11, p12, p22), never on
@@ -143,46 +149,80 @@ def _gains(omega, p: SpmParams, spin_cov: tuple):
         p11 = p11p - s_k1 * k1
         p12 = p12p - s_k1 * k2
         p22 = p22p - s_var * k2 * k2
-        yield k1, k2, s_var, log(s_var)
+        yield (p12p, p22p) if predicted else (k1, k2, s_var, log(s_var))
 
 
 def _gain_blocks(omega: np.ndarray, p: SpmParams, spin_cov: tuple,
                  steps: int):
     """The gains of the first ``steps`` steps of a grid, as successive
-    (n, 4, *grid.shape) blocks of n <= _BLOCK steps.
+    (k1 k2, S, ln S) blocks of n <= _BLOCK steps (``_derived_gains``).
 
-    They are slices of the kept table, which is keyed on the grid's bytes,
-    the parameters and the spin prior's covariance; a request it cannot
-    serve evicts it before the new one is built.  A table over
-    ``_TABLE_BYTES`` is not kept: its gains are streamed from ``_gains``
-    into one block buffer, as for a scalar omega.
+    They are derived from blocks of the kept table of (p12-, p22-), a
+    read-only (steps, 2, *grid.shape) array keyed on the grid's bytes, the
+    parameters and the spin prior's covariance; a request it cannot serve
+    evicts it before the new one is built.  A table over ``_TABLE_BYTES``
+    (16 MiB: 5,216 steps of the 201-point MAP grid) is not kept: its
+    entries are streamed from ``_gains`` into one block buffer, as for a
+    scalar omega.
     """
     key = (omega.dtype.str, omega.shape, omega.tobytes(), repr(p),
            repr(spin_cov))
     table = _gain_memo.get(key)
+    dtype = np.result_type(omega, float)
     if table is None or len(table) < steps:
         _gain_memo.clear()
-        dtype = np.result_type(omega, float)
-        if 4 * steps * omega.size * dtype.itemsize > _TABLE_BYTES:
-            return _streamed_blocks(_gains(omega, p, spin_cov), np.empty(
-                (_BLOCK, 4) + omega.shape, dtype), steps)
-        table = np.empty((steps, 4) + omega.shape, dtype)
-        for row, gains in zip(table, _gains(omega, p, spin_cov)):
-            row[...] = gains
+        predicted = _gains(omega, p, spin_cov, predicted=True)
+        if 2 * steps * omega.size * dtype.itemsize > _TABLE_BYTES:
+            return _derived_gains(_streamed_blocks(predicted, np.empty(
+                (_BLOCK, 2) + omega.shape, dtype), steps), p, omega.shape,
+                dtype)
+        table = np.empty((steps, 2) + omega.shape, dtype)
+        for row, (p12p, p22p) in zip(table, predicted):
+            row[0], row[1] = p12p, p22p
         table.flags.writeable = False
         _gain_memo[key] = table
-    return [table[i:min(i + _BLOCK, steps)] for i in range(0, steps, _BLOCK)]
+    return _derived_gains((table[i:min(i + _BLOCK, steps)]
+                           for i in range(0, steps, _BLOCK)), p, omega.shape,
+                          dtype)
 
 
-def _streamed_blocks(gains, buffer: np.ndarray, steps: int):
-    """Blocks of ``_gain_blocks`` filled in ``buffer`` from the ``gains``
-    stream; each is overwritten by the next."""
+def _streamed_blocks(predicted, buffer: np.ndarray, steps: int):
+    """Blocks of the table of ``_gain_blocks`` filled in ``buffer`` from the
+    ``predicted`` stream of ``_gains``; each is overwritten by the next."""
     for i in range(0, steps, _BLOCK):
         block = buffer[:min(_BLOCK, steps - i)]
         # zip reads the row first, so no step past ``steps`` is taken
-        for row, gains_j in zip(block, gains):
-            row[...] = gains_j
+        for row, (p12p, p22p) in zip(block, predicted):
+            row[0], row[1] = p12p, p22p
         yield block
+
+
+def _derived_gains(blocks, p: SpmParams, shape: tuple, dtype):
+    """(k1 k2, S, ln S) of each (n, 2, *shape) block of (p12-, p22-):
+    arrays of shape (n, 2, *shape), (n, *shape) and (n, *shape), which the
+    next block overwrites.
+
+    S = r + g^2 p22-, (k1, k2) = g (p12-, p22-) / S and ln S are the
+    expressions of ``_gains``, each rounded as there, so every element
+    keeps its bits.  S and ln S are kept apart, not interleaved: where the
+    output lies within a vector of the input, numpy's log falls back from
+    its AVX-512 loop to libm's, and the two differ in the last bit for
+    about 1 double in 10^4.
+    """
+    g = p.g_D
+    g2 = g * g
+    r = model.measurement_noise_variance(p)
+    k12 = np.empty((_BLOCK, 2) + shape, dtype)
+    s_var, ln_s = np.empty((2, _BLOCK) + shape, dtype)
+    for predicted in blocks:
+        n = len(predicted)
+        k12_n, s_n, ln_n = k12[:n], s_var[:n], ln_s[:n]
+        np.multiply(g2, predicted[:, 1], s_n)
+        np.add(r, s_n, s_n)
+        np.multiply(g, predicted, k12_n)
+        np.divide(k12_n, s_n[:, np.newaxis], k12_n)
+        np.log(s_n, ln_n)
+        yield k12_n, s_n, ln_n
 
 
 def _scalar_totals(omega, ys: list, lengths: list, p: SpmParams,
@@ -243,10 +283,10 @@ def _block_totals(omega: np.ndarray, outcomes: np.ndarray, lengths: list,
     start = 0
     wanted = iter(lengths)
     k = next(wanted)
-    for gains in _gain_blocks(omega, p, spin_cov, steps):
-        n = len(gains)
+    for k12_rows, s_var, ln_s in _gain_blocks(omega, p, spin_cov, steps):
+        n = len(s_var)
         y_rows = [outcomes[i, ...] for i in range(start, start + n)]
-        for y, k12, r in zip(y_rows, gains[:, :2], resid_rows):
+        for y, k12, r in zip(y_rows, k12_rows, resid_rows):
             mul(ca2, m, mp)
             mul(sa2, m_swapped, tmp)
             add(mp, tmp, mp)
@@ -257,8 +297,8 @@ def _block_totals(omega: np.ndarray, outcomes: np.ndarray, lengths: list,
         # 0.5 (r^2 / S + ln S) for the block, then the running sum
         block = terms[:n]
         mul(resid[:n], resid[:n], block)
-        np.divide(block, gains[:, 2], block)
-        add(block, gains[:, 3], block)
+        np.divide(block, s_var, block)
+        add(block, ln_s, block)
         mul(0.5, block, block)
         block[0] += total
         np.cumsum(block, axis=0, out=block)
@@ -278,8 +318,8 @@ def neg_log_joint_prefixes(omega, rec: MeasurementRecord, p: SpmParams,
     ``omega`` is a float, a complex number or an array of frequencies.  A
     scalar runs the Python-scalar loop (``_scalar_totals``), its gains
     drawn from ``_gains`` step by step; an array runs the block body
-    (``_block_totals``), its gains read from the kept table (see
-    ``_gain_blocks``).  Both give the bits of the one recursion.
+    (``_block_totals``), its gains derived a block at a time from the kept
+    table (see ``_gain_blocks``).  Both give the bits of the one recursion.
     ``innovations``, if given, takes a scalar omega only and is extended
     by the residual and S_j, in turn, of every sample processed.  A
     non-finite J raises NumericalDegeneracyError; bad lengths

@@ -40,6 +40,18 @@ EXACT = [
     (1e6, 1e-07, 1e9, 3.1514938490332077e-09),
 ]
 
+# (omega, T2, fi_asymptotic(omega, SpmParams(T2_override=T2))) in 300-digit
+# arithmetic (mpmath) on the same double inputs; among them a tiny omega at
+# a huge T2, where t2^3 times N^2 g^2 once overflowed before x2 met it, and
+# an (omega T2)^2 whose cube leaves float range
+ASYMPTOTIC_EXACT = [
+    (1.98e-185, 8.49e96, 2.0485697547196793e+130),
+    (TWO_PI * 1e4, 0.00087, 130013.53837016087),
+    (1.0, 1e-3, 1.1846248509359973),
+    (1e60, 1e-3, 197437.96875000003),
+    (1e-150, 1e100, 1.1846278125000002e+215),
+]
+
 # the probing times of criterion 6's error-vs-time curve
 C06_TIMES = (5e-5, 1e-4, 2e-4, 3.5e-4, 5e-4, 1e-3, 2e-3, 5e-3)
 
@@ -259,6 +271,34 @@ class TestFisherInformation:
         cont = bounds.fi_noiseless_continuous(omega, 20.0 * t2, p)
         assert bounds.fi_asymptotic(omega, p) == pytest.approx(cont, rel=1e-6)
 
+    @pytest.mark.parametrize("omega, t2, value", ASYMPTOTIC_EXACT)
+    def test_asymptotic_matches_300_digit_values(self, omega, t2, value):
+        p = SpmParams(T2_override=t2)
+        assert bounds.fi_asymptotic(omega, p) == pytest.approx(value,
+                                                               rel=1e-12)
+
+    @pytest.mark.parametrize("omega, t2, value", ASYMPTOTIC_EXACT)
+    def test_asymptotic_values_are_300_digit_arithmetic(self, omega, t2,
+                                                        value):
+        mpmath = pytest.importorskip("mpmath")
+        p = SpmParams(T2_override=t2)
+        with mpmath.workdps(300):
+            t2 = mpmath.mpf(model.coherence_time(p))
+            x2 = (mpmath.mpf(omega) * t2) ** 2
+            exact = (mpmath.mpf(p.N) ** 2 * mpmath.mpf(p.g_D) ** 2 * t2 ** 3
+                     / (32 * mpmath.mpf(p.R))
+                     * x2 * (x2 * x2 + 3 * x2 + 6) / (1 + x2) ** 3)
+            assert abs(exact - value) <= 1e-16 * exact
+
+    def test_continuous_past_the_exp_range_at_a_huge_t2(self):
+        # x = 2t/T2 = 2.4e3: the closed form returns the asymptotic value,
+        # finite where the product once overflowed to inf
+        omega, t2, value = ASYMPTOTIC_EXACT[0]
+        p = SpmParams(T2_override=t2)
+        assert 2.0 * 1e100 / t2 > bounds._EXP_RANGE
+        assert bounds.fi_noiseless_continuous(omega, 1e100, p) == \
+            pytest.approx(value, rel=1e-12)
+
     def test_no_decoherence_limit(self):
         p = SpmParams(T2_override=1e6)
         omega, t = TWO_PI * 1e4, 3e-4
@@ -349,6 +389,28 @@ class TestAnalyticBound:
         fine = [bounds.bcrb_analytic_gaussian_prior(p, sigma, t)
                 for t in C06_TIMES]
         assert fine == pytest.approx(base, rel=5e-3)
+
+    def test_hermite_rule_is_computed_once_per_node_count(self,
+                                                          monkeypatch):
+        from numpy.polynomial import hermite
+
+        hermgauss, rules = hermite.hermgauss, []
+
+        def counted(nodes):
+            rules.append(nodes)
+            return hermgauss(nodes)
+
+        monkeypatch.setattr(hermite, "hermgauss", counted)
+        bounds._hermite_rule.cache_clear()
+        p, sigma = SpmParams(), TWO_PI * 2e3
+        first = bounds.bcrb_analytic_gaussian_prior(p, sigma, 1e-3)
+        again = bounds.bcrb_analytic_gaussian_prior(p, sigma, 1e-3)
+        assert rules == [bounds.HERMITE_NODES]
+        assert again == first
+        x, w = bounds._hermite_rule(bounds.HERMITE_NODES)
+        assert x.tobytes() == hermgauss(bounds.HERMITE_NODES)[0].tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
 
     def test_floor_prior_limit(self):
         p = SpmParams(g_D=1e-30)

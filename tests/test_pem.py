@@ -11,7 +11,7 @@ from scipy.stats import multivariate_normal
 
 import pem_reference
 import sim_reference
-from spinfid import bounds, harness, pem, sde_sim
+from spinfid import bounds, harness, model, pem, sde_sim
 from spinfid.errors import (InvalidParametersError, MapBoundaryError,
                             NumericalDegeneracyError)
 from spinfid.filters import default_prior
@@ -332,9 +332,46 @@ class TestGainTable:
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0, 0] = 0.0
 
+    def test_table_holds_two_values_a_step(self):
+        # the predicted covariance entries (p12-, p22-) of every step
+        p = _small_params()
+        prior = _prior(p, spin_sigma=1.0)
+        grid = np.linspace(2.0, 4.0, 5)
+        rec = MeasurementRecord(p.Delta, np.arange(6.0))
+        pem._gain_memo.clear()
+        pem.neg_log_joint_grid(grid, rec, p, prior)
+        table, = pem._gain_memo.values()
+        assert table.shape == (6, 2) + grid.shape
+        assert table.nbytes == 2 * 6 * grid.size * 8
+
+    def test_five_ms_at_one_us_keep_the_map_grid_table(self, monkeypatch):
+        # 16 MiB hold 5,216 steps of the 201-point grid: a 5 ms record
+        # sampled every 1 us keeps its table, and J from it is the
+        # streamed J, bit for bit
+        p = SpmParams(Delta=1e-6)
+        prior = default_prior(p, harness.DEFAULT_SIGMA_OMEGA)
+        rec = simulate(p, Constant(p.omega_bar), 5e-3, seed=3)[1]
+        steps = len(rec.outcomes)
+        assert steps == 5000
+        sigma = harness.DEFAULT_SIGMA_OMEGA
+        grid = np.linspace(p.omega_bar - pem.MAP_BRACKET_SIGMAS * sigma,
+                           p.omega_bar + pem.MAP_BRACKET_SIGMAS * sigma,
+                           pem.MAP_GRID_POINTS)
+        lengths = [1000, 4999, 5000]
+        pem._gain_memo.clear()
+        kept = pem.neg_log_joint_prefixes(grid, rec, p, prior, lengths)
+        table, = pem._gain_memo.values()
+        assert table.shape == (steps, 2, pem.MAP_GRID_POINTS)
+        assert table.nbytes <= pem._TABLE_BYTES
+        pem._gain_memo.clear()
+        monkeypatch.setattr(pem, "_TABLE_BYTES", 0)
+        streamed = pem.neg_log_joint_prefixes(grid, rec, p, prior, lengths)
+        assert not pem._gain_memo
+        assert _bits(kept) == _bits(streamed)
+
     def test_record_over_the_limit_keeps_no_table(self, monkeypatch):
-        # one step past the limit, the gains are streamed, the table kept
-        # before is evicted, and J keeps its bits
+        # one step past the limit (two values a step), the gains are
+        # streamed, the table kept before is evicted, and J keeps its bits
         p = _small_params()
         prior = _prior(p, spin_sigma=1.0)
         rec = MeasurementRecord(p.Delta,
@@ -342,7 +379,7 @@ class TestGainTable:
         grid = np.linspace(2.0, 4.0, 7)
         kept = pem.neg_log_joint_grid(grid, rec, p, prior)
         assert len(pem._gain_memo) == 1
-        monkeypatch.setattr(pem, "_TABLE_BYTES", 39 * 4 * grid.nbytes)
+        monkeypatch.setattr(pem, "_TABLE_BYTES", 39 * 2 * grid.nbytes)
         streamed = pem.neg_log_joint_grid(grid + 0.5, rec, p, prior)
         assert not pem._gain_memo
         assert streamed.tobytes() == pem_reference.neg_log_joint_prefixes(
@@ -413,6 +450,27 @@ class TestBlockBody:
                 pem._gain_memo.clear()
                 assert _bits(pem.neg_log_joint_prefixes(
                     grid, rec, p, prior, lengths)) == want
+
+    def test_derived_gains_are_those_of_each_step(self, monkeypatch):
+        # a block of a 0-d grid's (p12-, p22-) against ``_gains``'
+        # expressions on each step's numpy scalars: with AVX-512, ln S
+        # written next to S, as in an interleaved layout, would take
+        # libm's log, which differs from numpy's SIMD log in the last bit
+        # for about 1 double in 10^4
+        p = _small_params()
+        n = 50_000
+        monkeypatch.setattr(pem, "_BLOCK", n)
+        rng = np.random.default_rng(2)
+        predicted = np.exp(rng.uniform(-20.0, 20.0, size=(n, 2)))
+        (k12, s_var, ln_s), = pem._derived_gains([predicted], p, (), float)
+        g, r = p.g_D, model.measurement_noise_variance(p)
+        want = []
+        for p12p, p22p in map(tuple, predicted):
+            s = r + g * g * p22p
+            want.append((g * p12p / s, g * p22p / s, s, np.log(s)))
+        want = np.array(want)
+        assert _bits([k12, s_var, ln_s]) == _bits(
+            [want[:, :2], want[:, 2], want[:, 3]])
 
     def test_innovations_are_read_of_a_scalar_only(self):
         p = _small_params()
