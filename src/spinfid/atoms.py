@@ -7,16 +7,16 @@ the variance estimator for N gives an unbiased atom-number estimate whose
 relative error shrinks as 1/sqrt(k).
 
 The sampler of such outcomes runs on two threads: while the calling thread
-walks the spin recurrence block by block, a second thread (the drawer of
-``sde_sim``) draws the next block of noise from the same generator, which
-numpy fills with the GIL released.  The thread lives for one call; it is
-joined before the call returns or raises, and the record is bit for bit the
-serial one.
+walks the spin recurrence block by block, ``_Drawer``, the package's one
+noise drawer, draws the next block of noise from the same generator on a
+second thread, and the record is bit for bit the serial one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,15 +68,82 @@ def estimate_atom_number(samples, p: SpmParams) -> AtomCountEstimate:
     ``samples`` must be renormalized outcomes y_k / g_D taken in steady state
     (t >> T2); that is the caller's responsibility.  A variance estimate below
     the shot-noise floor yields a non-positive N_hat, returned as-is with the
-    degenerate flag set.
+    degenerate flag set.  q = 0, where the variance holds no information on
+    N, and an estimate beyond float range raise InvalidParametersError.
     """
+    if p.q == 0.0:
+        raise InvalidParametersError(
+            "atom counting needs q > 0: at q = 0 the steady-state variance "
+            "carries no information on N")
     y = model.real_array(samples, "atom samples")
     k = y.size
     var_hat = steady_state_variance(y)
-    shot = p.R / (p.g_D ** 2 * p.Delta)
+    gain = p.g_D ** 2 * p.Delta
+    shot = p.R / gain if gain > 0.0 else math.inf  # gain may underflow
     n_hat = 2.0 / p.q * (var_hat - shot)
     sigma_n = math.sqrt(2.0 / (k - 1)) * (n_hat + 2.0 * shot / p.q)
+    if not (math.isfinite(n_hat) and math.isfinite(sigma_n)):
+        raise InvalidParametersError(
+            f"atom-number estimate is beyond float range at q = {p.q!r}, "
+            f"g_D = {p.g_D!r}, R = {p.R!r}, Delta = {p.Delta!r}")
     return AtomCountEstimate(n_hat, sigma_n, k, degenerate=n_hat <= 0.0)
+
+
+class _Drawer:
+    """Standard normal blocks of the given sizes, drawn in order from one
+    generator on a second thread into a ring of two reused buffers: the one
+    noise drawer of the package, used by
+    :func:`sample_steady_state_outcomes`.
+
+    Entering starts the thread and ``blocks`` yields each block as it is
+    filled; the drawer refills a buffer only once the caller has moved on
+    from it, so it runs at most one block ahead of the caller.  Leaving
+    stops the thread and joins it, whether the walk ended, raised or was
+    cut short, and an exception raised by a draw is raised again in the
+    caller by ``blocks``.
+    """
+
+    def __init__(self, rng: np.random.Generator, sizes: list, length: int):
+        self._buffers = np.empty((2, length))
+        self._free = threading.Semaphore(2)
+        self._filled = threading.Semaphore(0)
+        self._stop = False
+        self._failure = None
+        self._thread = threading.Thread(target=self._draw, args=(rng, sizes),
+                                        name="spinfid-drawer", daemon=True)
+
+    def __enter__(self) -> "_Drawer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop = True
+        self._free.release()  # wakes a drawer that waits for a buffer
+        self._thread.join()
+
+    def _draw(self, rng, sizes) -> None:
+        try:
+            for i, n in enumerate(sizes):
+                self._free.acquire()
+                if self._stop:
+                    return
+                rng.standard_normal(out=self._buffers[i % 2, :n])
+                self._filled.release()
+        except BaseException as exc:
+            # every exception is raised again in the caller by ``blocks``,
+            # which would otherwise wait for a block that never comes
+            self._failure = exc
+            self._filled.release()
+
+    def blocks(self):
+        """The drawn blocks in order; each is the caller's until it asks for
+        the next."""
+        for i in itertools.count():
+            self._filled.acquire()
+            if self._failure is not None:
+                raise self._failure
+            yield self._buffers[i % 2]
+            self._free.release()
 
 
 # samples per block of the sampler's walk: whole blocks of
@@ -97,23 +164,22 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
 
     The k real parts of the spin noise are drawn straight into the returned
     array, which is then walked one block of ``_BLOCK`` samples at a time
-    (16384, four blocks of ``sde_sim._BLOCK``).  Meanwhile the package's
-    one noise drawer (``sde_sim._Drawer``), a second thread, draws every
-    block of imaginary parts and then every block of shot noise from the
-    same generator into a ring of two buffers; numpy draws and runs its
-    ufuncs with the GIL released, so the draws overlap the walk.  Each
-    block of the walk builds eta from its imaginary parts, advances the
-    rotation from the state the previous block left and is overwritten
-    with J_z; a second walk adds the shot noise.  The draws keep their order (k real, k imaginary, k shot) and
+    (16384, four blocks of ``sde_sim._BLOCK``).  Meanwhile ``_Drawer``, a
+    second thread, draws every block of imaginary parts and then every
+    block of shot noise from the same generator into a ring of two
+    buffers; numpy draws and runs its ufuncs with the GIL released, so the
+    draws overlap the walk.  Each block of the walk builds eta from its
+    imaginary parts, advances the rotation from the state the previous
+    block left and is overwritten with J_z; a second walk adds the shot
+    noise.  The draws keep their order (k real, k imaginary, k shot) and
     every sample takes the same operations given its place in its chunk of
     ``model.damped_rotation``, so the record is bit for bit the same for
     every block size that is a multiple of the chunk length L (``_BLOCK``
     is), and the same to rounding for any other; the bit identity was
     checked with numpy 2.4 on an AVX-512 x86-64 CPU (see
     ``model.damped_rotation``).  The working set is the output plus the
-    two buffers and the walk's temporaries, a few blocks in all.  The
-    thread is joined before the call returns or raises, and an exception
-    raised by a draw is raised here.
+    two buffers and the walk's temporaries, a few blocks in all.  Noise
+    scales beyond float range raise InvalidParametersError before any draw.
     """
     model.check_value("sample_steady_state_outcomes", "k", k, "Count")
     model._check_inputs("sample_steady_state_outcomes", omega)
@@ -122,6 +188,10 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
     shot_std = math.sqrt(model.measurement_noise_variance(p)) / p.g_D
     b = model.discrete_spin_noise_std(p.q, p.N, p.Delta, t2)
     stat_std = math.sqrt(0.5 * p.q * p.N)
+    if not all(map(math.isfinite, (shot_std, b, stat_std))):
+        raise InvalidParametersError(
+            f"sample_steady_state_outcomes noise is beyond float range at "
+            f"g_D = {p.g_D!r}, q = {p.q!r}, N = {p.N!r}")
     pole = model.rotation_pole(omega, p.Delta, t2)
     block = _BLOCK
     starts = range(0, k, block)
@@ -130,7 +200,7 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
     z = stat_std * (rng.standard_normal() + 1j * rng.standard_normal())
     out = rng.standard_normal(k)
     eta = np.empty(sizes[0], dtype=complex)
-    with sde_sim._Drawer(rng, sizes * 2, sizes[0]) as drawer:
+    with _Drawer(rng, sizes * 2, sizes[0]) as drawer:
         draws = drawer.blocks()
         # zip asks ``starts`` first, so each walk takes its own blocks
         for start, im in zip(starts, draws):

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import cmath
 import functools
+import inspect
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,25 +114,36 @@ _TAYLOR = [(-1) ** n / (math.factorial(n) * (n + 3)) for n in range(20)]
 _EXP_RANGE = 700.0
 
 
-@contextmanager
-def _float_range(owner: str, **args):
-    """Run a closed form of ``owner``: the OverflowError or
-    ZeroDivisionError that a Python float power or quotient raises beyond
-    float range becomes InvalidParametersError naming the arguments
-    ``args`` (a tiny spread or time whose power underflows to 0 divides by
-    zero; a huge one overflows)."""
-    try:
-        yield
-    except (OverflowError, ZeroDivisionError):
-        given = ", ".join(f"{name} = {value!r}" for name, value in args.items())
-        raise InvalidParametersError(
-            f"{owner} is beyond float range at {given}") from None
+def _closed_form(*names):
+    """Decorate a closed form: a value beyond float range becomes
+    InvalidParametersError naming the arguments ``names``, whether a Python
+    float power or quotient raised (OverflowError, or ZeroDivisionError
+    where a tiny power underflowed to 0) or a product, such as a prefactor
+    N^2 g_D^2 / R, came out inf, or nan where it met a 0."""
+    def decorate(f):
+        bind = inspect.signature(f).bind
+
+        @functools.wraps(f)
+        def checked(*args, **kwargs):
+            try:
+                value = f(*args, **kwargs)
+            except (OverflowError, ZeroDivisionError):
+                value = math.nan
+            if math.isfinite(value):
+                return value
+            given = bind(*args, **kwargs).arguments
+            raise InvalidParametersError(
+                f"{f.__name__} is beyond float range at "
+                + ", ".join(f"{name} = {given[name]!r}" for name in names))
+        return checked
+    return decorate
 
 
 def _fi_prefactor(p: SpmParams) -> float:
     return p.N ** 2 * p.g_D ** 2 / (4.0 * p.R)
 
 
+@_closed_form("omega", "t")
 def fi_noiseless_discrete(omega: float, t: NonNegative,
                           p: SpmParams) -> float:
     """Fisher information of the sampled damped sinusoid: the sum over the
@@ -155,6 +166,7 @@ def _moment(z: complex) -> complex:
     return (2.0 - cmath.exp(-z) * (z * z + 2.0 * z + 2.0)) / z ** 3
 
 
+@_closed_form("omega", "t")
 def fi_noiseless_continuous(omega: float, t: NonNegative,
                             p: SpmParams) -> float:
     """Continuous-probing limit of the Fisher information: the prefactor
@@ -179,60 +191,54 @@ def fi_noiseless_continuous(omega: float, t: NonNegative,
     if x > _EXP_RANGE:
         return fi_asymptotic(omega, p)
     z = complex(x, y)
-    with _float_range("fi_noiseless_continuous", omega=omega, t=t):
-        if abs(z) > 1.0:
-            # complex(x) takes z's arithmetic, so omega = 0 gives exactly 0
-            diff = _moment(complex(x)).real - _moment(z).real
-        else:
-            # D_n = x D_(n-1) + y Im z^(n-1), with D_0 = D_1 = 0
-            diff, d, zn = 0.0, 0.0, 1.0 + 0j
-            for c in _TAYLOR[1:]:
-                d, zn = x * d + y * zn.imag, zn * z
-                diff += c * d
-        return _fi_prefactor(p) * t ** 3 * diff / 2.0
+    if abs(z) > 1.0:
+        # complex(x) takes z's arithmetic, so omega = 0 gives exactly 0
+        diff = _moment(complex(x)).real - _moment(z).real
+    else:
+        # D_n = x D_(n-1) + y Im z^(n-1), with D_0 = D_1 = 0
+        diff, d, zn = 0.0, 0.0, 1.0 + 0j
+        for c in _TAYLOR[1:]:
+            d, zn = x * d + y * zn.imag, zn * z
+            diff += c * d
+    return _fi_prefactor(p) * t ** 3 * diff / 2.0
 
 
+@_closed_form("omega", "t")
 def fi_short_time(omega: float, t: NonNegative, p: SpmParams) -> float:
     """Leading t^5 expansion, valid for omega*t << 1 and t << T2."""
     model._check_inputs("fi_short_time", omega, t)
-    with _float_range("fi_short_time", omega=omega, t=t):
-        return p.g_D ** 2 * p.N ** 2 * omega ** 2 * t ** 5 / (20.0 * p.R)
+    return p.g_D ** 2 * p.N ** 2 * omega ** 2 * t ** 5 / (20.0 * p.R)
 
 
+@_closed_form("omega")
 def fi_asymptotic(omega: float, p: SpmParams) -> float:
     """t -> infinity value; finite because of the coherence-time cutoff."""
     model._check_inputs("fi_asymptotic", omega)
     t2 = model.coherence_time(p)
-    with _float_range("fi_asymptotic", omega=omega):
-        x2 = (omega * t2) ** 2
-        # x2 (x2^2 + 3 x2 + 6) / (1 + x2)^3 as x2 / d in [0, 1) times
-        # 1 + (x2 + 5) / d^2 in (1, 6], with d = 1 + x2, met by t2^3 before
-        # the prefactor, so that neither a large x2 nor a tiny omega at a
-        # huge T2 overflows a partial product
-        d = 1.0 + x2
-        return (t2 ** 3 * (x2 / d) * (1.0 + (x2 + 5.0) / d / d)
-                * (p.N ** 2 * p.g_D ** 2 / (32.0 * p.R)))
+    x2 = (omega * t2) ** 2
+    # x2 (x2^2 + 3 x2 + 6) / (1 + x2)^3 as x2 / d in [0, 1) times
+    # 1 + (x2 + 5) / d^2 in (1, 6], with d = 1 + x2, met by t2^3 before
+    # the prefactor, so that neither a large x2 nor a tiny omega at a huge
+    # T2 overflows a partial product
+    d = 1.0 + x2
+    return (t2 ** 3 * (x2 / d) * (1.0 + (x2 + 5.0) / d / d)
+            * (p.N ** 2 * p.g_D ** 2 / (32.0 * p.R)))
 
 
+@_closed_form("omega", "t")
 def fi_no_decoherence(omega: float, t: NonNegative, p: SpmParams) -> float:
     """Closed form of the T2 -> infinity Fisher information (pure sinusoid)."""
     model._check_inputs("fi_no_decoherence", omega, t)
     u = omega * t
     if u == 0.0:
         return 0.0
-    with _float_range("fi_no_decoherence", omega=omega, t=t):
-        a = math.sqrt((1.0 - 2.0 * u * u) ** 2 + 4.0 * u * u)
-        phi = math.atan2(-2.0 * u, 1.0 - 2.0 * u * u)
-        bracket = 1.0 + 3.0 * a / (4.0 * u ** 3) * math.sin(2.0 * u + phi)
-        return p.g_D ** 2 * p.N ** 2 * t ** 3 / (24.0 * p.R) * bracket
+    a = math.sqrt((1.0 - 2.0 * u * u) ** 2 + 4.0 * u * u)
+    phi = math.atan2(-2.0 * u, 1.0 - 2.0 * u * u)
+    bracket = 1.0 + 3.0 * a / (4.0 * u ** 3) * math.sin(2.0 * u + phi)
+    return p.g_D ** 2 * p.N ** 2 * t ** 3 / (24.0 * p.R) * bracket
 
 
-def _prior_precision(owner: str, sigma_omega: Positive) -> float:
-    """1 / sigma_omega^2 of the Gaussian prior, in float range."""
-    with _float_range(owner, sigma_omega=sigma_omega):
-        return 1.0 / sigma_omega ** 2
-
-
+@_closed_form("sigma_omega")
 def noiseless_bcrb_floor(p: SpmParams, sigma_omega: Positive) -> float:
     """Universal long-time lower bound on the average MSE for any estimator
     (one-sided: the prior average of the asymptotic information is majorized,
@@ -240,7 +246,9 @@ def noiseless_bcrb_floor(p: SpmParams, sigma_omega: Positive) -> float:
     model._check_inputs("noiseless_bcrb_floor", sigma_omega=sigma_omega)
     t2 = model.coherence_time(p)
     info = p.N ** 2 * p.g_D ** 2 * t2 ** 3 / (25.6 * p.R)
-    return 1.0 / (info + _prior_precision("noiseless_bcrb_floor", sigma_omega))
+    if info == math.inf:  # the bound would read 0
+        raise OverflowError
+    return 1.0 / (info + 1.0 / sigma_omega ** 2)
 
 
 @functools.cache
@@ -257,6 +265,7 @@ def _hermite_rule(nodes: int) -> tuple:
     return x, w
 
 
+@_closed_form("sigma_omega")
 def bcrb_analytic_gaussian_prior(p: SpmParams, sigma_omega: Positive,
                                  t: NonNegative) -> float:
     """Noiseless Bayesian bound 1 / (sigma^-2 + E_prior[I_F]) with the prior
@@ -266,9 +275,12 @@ def bcrb_analytic_gaussian_prior(p: SpmParams, sigma_omega: Positive,
     InvalidParametersError (:func:`fi_noiseless_continuous`)."""
     model._check_inputs("bcrb_analytic_gaussian_prior", t=t,
                         sigma_omega=sigma_omega)
-    precision = _prior_precision("bcrb_analytic_gaussian_prior", sigma_omega)
+    precision = 1.0 / sigma_omega ** 2
     x, w = _hermite_rule(HERMITE_NODES)
     omegas = (p.omega_bar + math.sqrt(2.0) * sigma_omega * x).tolist()
     values = np.array([fi_noiseless_continuous(om, t, p) for om in omegas])
-    expected = float(np.dot(w, values)) / math.sqrt(math.pi)
+    with np.errstate(over="ignore"):  # an overflow is raised below
+        expected = float(np.dot(w, values)) / math.sqrt(math.pi)
+    if expected == math.inf:  # the bound would read 0
+        raise OverflowError
     return 1.0 / (precision + expected)

@@ -88,8 +88,12 @@ class ExperimentConfig(model._Config):
                     raise InvalidParametersError(f"unknown {what} {name!r}")
                 if name in names[:i]:
                     raise InvalidParametersError(f"{what} {name!r} named twice")
-        if "bcrb_numeric" in self.bounds and self.bound_samples < 2:
-            raise InvalidParametersError("bcrb_numeric needs bound_samples >= 2")
+        if "bcrb_numeric" in self.bounds:  # checked before any run
+            if self.bound_samples < 2:
+                raise InvalidParametersError(
+                    "bcrb_numeric needs bound_samples >= 2")
+            model.check_value("ExperimentConfig", "bound_samples",
+                              self.bound_samples, "Count")
         if self.true_signal is None:
             object.__setattr__(self, "true_signal",
                                Constant(self.params.omega_bar))

@@ -56,8 +56,7 @@ def fi_noiseless_continuous(omega, t, p):
 def bcrb_analytic_gaussian_prior(p, sigma_omega, t):
     model._check_inputs("bcrb_analytic_gaussian_prior", t=t,
                         sigma_omega=sigma_omega)
-    precision = bounds._prior_precision("bcrb_analytic_gaussian_prior",
-                                        sigma_omega)
+    precision = 1.0 / sigma_omega ** 2
     x, w = roots_hermite(bounds.HERMITE_NODES)
     omegas = (p.omega_bar + math.sqrt(2.0) * sigma_omega * x).tolist()
     values = np.array([fi_noiseless_continuous(om, t, p) for om in omegas])

@@ -8,8 +8,9 @@ holds the constant-pole recurrence as the linear filter it ran as before it
 was solved in numpy, the exact one-step spin transition as a matrix, and the
 atom-count sampler's integrator route, for the tests that use them as
 references.  ``CallerDrawer`` draws the noise drawer's blocks on the calling
-thread, as both samplers drew them before the drawer had a thread of its
-own, and ``FailingGenerator`` fails a chosen draw, for the drawer tests.
+thread, as the atom-count sampler drew them before the drawer had a thread
+of its own, and ``FailingGenerator`` fails a chosen draw, for the tests of
+how the samplers draw.
 """
 
 from __future__ import annotations
@@ -174,9 +175,9 @@ def one_shot_steady_state_outcomes(p: SpmParams, omega: float, k: int,
 
 
 class CallerDrawer:
-    """Drop-in for ``sde_sim._Drawer`` that draws each block on the calling
+    """Drop-in for ``atoms._Drawer`` that draws each block on the calling
     thread when it is asked for, from the same generator in the same
-    order: installed in its place, a sampler draws as it did serially."""
+    order: installed in its place, the sampler draws as it did serially."""
 
     def __init__(self, rng: np.random.Generator, sizes: list, length: int):
         self._rng, self._sizes = rng, sizes

@@ -92,6 +92,18 @@ class TestEstimator:
         assert est.degenerate
         assert est.n_hat <= 0.0
 
+    # q = 0: the variance holds no N; g_D^2 Delta underflows to 0, or its
+    # inverse overflows
+    @pytest.mark.parametrize("params, match", [
+        (SpmParams(q=0.0), "q > 0"),
+        (SpmParams(g_D=1e-200), "beyond float range at q = 0.25, g_D = 1e-200"),
+        (SpmParams(g_D=1e-160), "beyond float range at q = 0.25, g_D = 1e-160"),
+    ], ids=["q zero", "g_D squared underflows", "shot noise overflows"])
+    def test_refuses_parameters_that_hold_no_count(self, params, match):
+        # the first two once raised a bare ZeroDivisionError
+        with pytest.raises(InvalidParametersError, match=match):
+            estimate_atom_number([1.0, -1.0, 0.5], params)
+
     def test_estimate_needs_two_samples(self):
         with pytest.raises(ValueError):
             AtomCountEstimate(1.0, 1.0, 1, False)
@@ -137,6 +149,12 @@ class TestSampler:
     def test_rejects_a_frequency_that_is_not_finite(self, omega):
         with pytest.raises(InvalidParametersError, match="finite"):
             sample_steady_state_outcomes(SpmParams(), omega, 10)
+
+    def test_refuses_shot_noise_beyond_float_range(self):
+        # sqrt(R/Delta) / g_D is inf: once +-inf samples
+        with pytest.raises(InvalidParametersError,
+                           match="noise is beyond float range at g_D = 5e-324"):
+            sample_steady_state_outcomes(SpmParams(g_D=5e-324), 1.0, 10)
 
     def test_takes_a_numpy_integer_count(self):
         p = SpmParams()
@@ -209,6 +227,12 @@ class TestDrawerThread:
         before = threading.active_count()
         sample_steady_state_outcomes(SpmParams(), 1.0, self.K, seed=1)
         assert threading.active_count() == before
+
+    def test_blocks_are_the_callers_draws(self, monkeypatch):
+        got = sample_steady_state_outcomes(SpmParams(), 1.0, self.K, seed=2)
+        monkeypatch.setattr(atoms, "_Drawer", sim_reference.CallerDrawer)
+        want = sample_steady_state_outcomes(SpmParams(), 1.0, self.K, seed=2)
+        assert got.tobytes() == want.tobytes()
 
     # calls 1 to 3 draw the start and the real parts on the calling thread;
     # the drawer makes call 4 (the first imaginary block), 7 (the last

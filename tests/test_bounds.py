@@ -52,6 +52,9 @@ ASYMPTOTIC_EXACT = [
     (1e-150, 1e100, 1.1846278125000002e+215),
 ]
 
+# parameters whose information prefactor N^2 g_D^2 / R is beyond float range
+HUGE = SpmParams(N=1e150, g_D=1e10)
+
 # the probing times of criterion 6's error-vs-time curve
 C06_TIMES = (5e-5, 1e-4, 2e-4, 3.5e-4, 5e-4, 1e-3, 2e-3, 5e-3)
 
@@ -475,11 +478,44 @@ class TestImpossibleInputs:
         (lambda p: bounds.noiseless_bcrb_floor(p, 1e300),
          "noiseless_bcrb_floor is beyond float range at "
          "sigma_omega = 1e[+]300$"),
+        (lambda p: bounds.noiseless_bcrb_floor(SpmParams(T2_override=1e103),
+                                               1.0),
+         "noiseless_bcrb_floor is beyond float range at sigma_omega = 1.0$"),
+        # every node's information is 1.5e308, their weighted sum is not
+        (lambda p: bounds.bcrb_analytic_gaussian_prior(
+            SpmParams(T2_override=1e3, g_D=4.9e139), 1.0, 1e6),
+         "bcrb_analytic_gaussian_prior is beyond float range at "
+         "sigma_omega = 1.0$"),
+        # the prefactor N^2 g_D^2 = 1e320 of HUGE is beyond float range
+        (lambda p: bounds.fi_asymptotic(1e-200, HUGE),
+         "fi_asymptotic is beyond float range at omega = 1e-200$"),
+        (lambda p: bounds.fi_no_decoherence(1.0, 1e50, HUGE),
+         "fi_no_decoherence is beyond float range at omega = 1.0, "
+         "t = 1e[+]50$"),
+        (lambda p: bounds.fi_noiseless_discrete(1.0, 1e-4, HUGE),
+         "fi_noiseless_discrete is beyond float range at omega = 1.0, "
+         "t = 0.0001$"),
+        (lambda p: bounds.fi_noiseless_continuous(1.0, 1e-4, HUGE),
+         "fi_noiseless_continuous is beyond float range at omega = 1.0, "
+         "t = 0.0001$"),
+        (lambda p: bounds.noiseless_bcrb_floor(HUGE, 1.0),
+         "noiseless_bcrb_floor is beyond float range at sigma_omega = 1.0$"),
+        # the information at the first Hermite node
+        (lambda p: bounds.bcrb_analytic_gaussian_prior(HUGE, 1.0, 1e-4),
+         "fi_noiseless_continuous is beyond float range at omega = "),
+        # g_D^2 N^2 = 3e294 at N = 1e150, times t^5 = 1e300
+        (lambda p: bounds.fi_short_time(1.0, 1e60, SpmParams(N=1e150)),
+         "fi_short_time is beyond float range at omega = 1.0, t = 1e[+]60$"),
     ], ids=["floor tiny sigma", "analytic tiny sigma", "no-decoherence tiny t",
-            "short-time huge t", "asymptotic huge omega", "floor huge sigma"])
+            "short-time huge t", "asymptotic huge omega", "floor huge sigma",
+            "floor huge T2", "analytic sum", "asymptotic huge prefactor",
+            "no-decoherence huge prefactor", "discrete huge prefactor",
+            "continuous huge prefactor", "floor huge prefactor",
+            "analytic huge prefactor", "short-time huge product"])
     def test_finite_values_beyond_float_range(self, call, match):
-        # a square or cube of these leaves float range: each once raised a
-        # bare ZeroDivisionError or OverflowError
+        # a power, quotient or product of these leaves float range: each
+        # once raised a bare ZeroDivisionError or OverflowError, or returned
+        # nan, inf or a bound of 0.0
         with pytest.raises(InvalidParametersError, match=match):
             call(SpmParams())
 

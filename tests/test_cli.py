@@ -248,6 +248,15 @@ class TestExitCodes:
             assert code == code_wanted
             assert (out / "atoms.csv").exists() == (code_wanted == 0)
 
+    def test_atoms_at_q_zero(self, tmp_path, capsys):
+        # the variance holds no N: once exit 3, "float division by zero"
+        cfg = _write_cfg(tmp_path, {"params": {"q": 0.0}, "duration": 1e-4,
+                                    "runs": 1})
+        code, out = _run(tmp_path, "atoms", "--config", cfg)
+        assert code == 2
+        assert "atom counting needs q > 0" in capsys.readouterr().err
+        assert not (out / "atoms.csv").exists()
+
     def test_success_writes_manifest(self, tmp_path):
         code, out = _run(tmp_path, "simulate", "--seed", "4")
         assert code == 0

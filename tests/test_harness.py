@@ -62,6 +62,8 @@ class TestConfig:
         {"bounds": ("floor", "crb", "floor")},
         {"substeps": 0},
         {"substeps": -3},
+        # once refused only by the bound, after a sweep had run
+        {"bounds": ("bcrb_numeric",), "bound_samples": 2 ** 70},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParametersError):
@@ -79,6 +81,7 @@ class TestConfig:
     def test_bound_samples_checked_only_for_numeric_bound(self):
         cfg = ExperimentConfig(bounds=("crb", "floor"), bound_samples=1)
         assert cfg.bound_samples == 1
+        assert ExperimentConfig(bound_samples=2 ** 70).bound_samples == 2 ** 70
 
     def test_from_dict_round_trip(self):
         d = {

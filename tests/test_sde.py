@@ -1,6 +1,5 @@
 import math
 import re
-import sys
 import threading
 
 import numpy as np
@@ -497,73 +496,34 @@ class TestBlocks:
         assert np.array_equal(long.states[:n], short.states)
 
 
-class TestDrawerThread:
-    """The noise drawer of the Ito-Taylor branch: started for long shots
-    only, joined on every exit, its failures raised in the caller, its
-    blocks the serial draws."""
+class TestCallerDraws:
+    """Every block of every shot draws its noise on the calling thread, in
+    stream order, just before it is walked."""
 
     N_SUB = 3 * sde_sim._BLOCK + 17  # four blocks, the last one partial
-    DIFFUSING = ["ou", "wiener"]
 
-    def _simulate(self, kind, seed):
-        return sde_sim.simulate(P_REF, SIGNALS[kind], self.N_SUB * P_REF.Delta,
+    def _simulate(self, kind, seed, n_sub=N_SUB):
+        return sde_sim.simulate(P_REF, SIGNALS[kind], n_sub * P_REF.Delta,
                                 substeps=1, seed=seed)
 
+    # 40,000 substeps: ten blocks
     @pytest.mark.parametrize("kind", sorted(SIGNALS))
-    def test_only_a_diffusing_frequency_draws_on_a_thread(self, monkeypatch,
-                                                          kind):
+    def test_no_thread_runs_during_simulate(self, monkeypatch, kind):
         rotation = model.damped_rotation
-        names = set()
+        before = threading.enumerate()
+        seen = []
 
         def spy(*args):
-            names.update(t.name for t in threading.enumerate())
+            seen.append(threading.enumerate())
             return rotation(*args)
         monkeypatch.setattr(model, "damped_rotation", spy)
-        self._simulate(kind, 1)
-        assert ("spinfid-drawer" in names) == (kind in self.DIFFUSING)
-
-    # one block, a full one, two blocks with a short second (the default
-    # experiment's 5,000 substeps) and the longest shot below the drawer's
-    @pytest.mark.parametrize("n_sub", [
-        1, sde_sim._BLOCK, 5000,
-        (sde_sim._DRAWER_BLOCKS - 1) * sde_sim._BLOCK])
-    def test_a_short_shot_draws_on_the_caller(self, monkeypatch, n_sub):
-        made = []
-
-        class Recording(sde_sim._Drawer):
-            def __init__(self, *args):
-                made.append(args[1])
-                super().__init__(*args)
-        monkeypatch.setattr(sde_sim, "_Drawer", Recording)
-        s, x1 = SIGNALS["ou"], model.initial_omega(SIGNALS["ou"])
-
-        def path():
-            return sde_sim._states(P_REF, s, n_sub, P_REF.Delta,
-                                   np.random.default_rng(3), x1)
-        got = path()
-        assert made == []
-        # the same draws as the drawer gives a shot long enough for it
-        monkeypatch.setattr(sde_sim, "_DRAWER_BLOCKS", 1)
-        assert got.tobytes() == path().tobytes()
-        assert len(made) == 1
-
-    @pytest.mark.parametrize("kind", DIFFUSING)
-    def test_joined_after_a_return(self, kind):
-        before = threading.active_count()
-        self._simulate(kind, 1)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("kind", DIFFUSING)
-    def test_blocks_are_the_callers_draws(self, monkeypatch, kind):
-        traj, rec = self._simulate(kind, 2)
-        monkeypatch.setattr(sde_sim, "_Drawer", sim_reference.CallerDrawer)
-        want_traj, want_rec = self._simulate(kind, 2)
-        assert traj.states.tobytes() == want_traj.states.tobytes()
-        assert rec.outcomes.tobytes() == want_rec.outcomes.tobytes()
+        self._simulate(kind, 1, n_sub=40_000)
+        assert len(seen) >= 10
+        assert all(threads == before for threads in seen)
 
     # the frequency of the second or of the last, partial block diverges
     @pytest.mark.parametrize("block", [2, 4])
-    def test_joined_after_a_blowup_in_a_later_block(self, monkeypatch, block):
+    def test_a_blowup_in_block_b_reads_b_draws(self, monkeypatch, block):
         frequency = sde_sim._taylor_frequency
         calls = []
 
@@ -575,63 +535,17 @@ class TestDrawerThread:
             return phi, omega_bar, e
         monkeypatch.setattr(sde_sim, "_taylor_frequency", diverging)
         rng = sim_reference.FailingGenerator(fail_on=None)
-        before = threading.active_count()
         with pytest.raises(IntegrationBlowupError):
             self._simulate("ou", rng)
-        assert threading.active_count() == before
-        # one draw per block; the drawer runs at most one block ahead
-        assert block <= rng.calls <= block + 1
+        assert rng.calls == block  # one draw per block, none past b
 
-    # the drawer makes calls 1 to 4, one per block; call 5 draws the shot
-    # noise on the calling thread after the join
+    # calls 1 to 4 draw the four blocks; call 5 draws the shot noise
     @pytest.mark.parametrize("fail_on", [1, 2, 4, 5])
     def test_a_failed_draw_is_raised_in_the_caller(self, fail_on):
-        before = threading.active_count()
         rng = sim_reference.FailingGenerator(fail_on)
         with pytest.raises(sim_reference.DrawFailed, match=f"call {fail_on}$"):
             self._simulate("wiener", rng)
-        assert threading.active_count() == before
         assert rng.calls == fail_on  # no draw after the failed one
-
-    def test_concurrent_callers_under_fast_switching(self, monkeypatch):
-        # more callers than cores, each with its own drawer, switching
-        # threads every microsecond and handing off one chunk at a time:
-        # a block drawn over one still in use would change a path
-        monkeypatch.setattr(sde_sim, "_BLOCK", model._CHUNK)
-        s, n_sub, h = SIGNALS["ou"], 20 * model._CHUNK + 3, P_REF.Delta
-        x1 = model.initial_omega(s)
-
-        def path(seed):
-            return sde_sim._states(P_REF, s, n_sub, h,
-                                   np.random.default_rng(seed), x1)
-        with monkeypatch.context() as m:
-            m.setattr(sde_sim, "_Drawer", sim_reference.CallerDrawer)
-            want = [path(seed) for seed in range(6)]
-        got = {}
-
-        def call(seed):
-            got[seed] = path(seed)
-        callers = [threading.Thread(target=call, args=(seed,))
-                   for seed in range(6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(caller.is_alive() for caller in callers)
-        for seed in range(6):
-            assert got[seed].tobytes() == want[seed].tobytes()
-            # the loops round differently: the bound of TestAgainstLoops
-            loops = sim_reference.states(P_REF, s, n_sub, h,
-                                         np.random.default_rng(seed), x1)
-            assert np.all(np.abs(got[seed][:, 0] - loops[:, 0])
-                          <= 1e-10 * np.abs(loops[:, 0]))
-            assert np.max(np.abs(got[seed][:, 1:] - loops[:, 1:])) <= (
-                1e-10 * 0.5 * P_REF.N)
 
 
 class TestMeasurementRecord:
