@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sim_reference
-from spinfid import filters, model, pem, sde_sim
+from spinfid import atoms, filters, model, pem, sde_sim
 from spinfid.errors import IntegrationBlowupError, InvalidParametersError
 from spinfid.filters import default_prior
 from spinfid.model import (Constant, OrnsteinUhlenbeck, Sinusoid, SpmParams,
@@ -546,6 +546,44 @@ class TestCallerDraws:
         with pytest.raises(sim_reference.DrawFailed, match=f"call {fail_on}$"):
             self._simulate("wiener", rng)
         assert rng.calls == fail_on  # no draw after the failed one
+
+
+class _BlockReplay(np.random.Generator):
+    """A generator whose first standard_normal calls return the given blocks
+    and whose later calls draw from ``rng``'s bit generator."""
+
+    def __init__(self, blocks: list, rng: np.random.Generator):
+        super().__init__(rng.bit_generator)
+        self._blocks = blocks
+
+    def standard_normal(self, *args, **kwargs):
+        if self._blocks:
+            return self._blocks.pop(0)
+        return super().standard_normal(*args, **kwargs)
+
+
+class TestDrawerThread:
+    """A diffusing frequency's blocks are the normals the package's noise
+    drawer gives for the same stream: drawing them on the caller keeps
+    every bit of the path and the record."""
+
+    @pytest.mark.parametrize("kind", ["ou", "wiener"])
+    def test_blocks_are_the_callers_draws(self, kind):
+        n_sub = TestCallerDraws.N_SUB
+        traj, rec = sde_sim.simulate(P_REF, SIGNALS[kind], n_sub * P_REF.Delta,
+                                     substeps=1, seed=2)
+        rng = np.random.default_rng(2)
+        sizes = [6 * min(sde_sim._BLOCK, n_sub - start)
+                 for start in range(0, n_sub, sde_sim._BLOCK)]
+        with atoms._Drawer(rng, sizes, max(sizes)) as drawer:
+            # sizes first: zip must not ask the drawer for a fifth block
+            blocks = [block[:n].copy()
+                      for n, block in zip(sizes, drawer.blocks())]
+        want_traj, want_rec = sde_sim.simulate(
+            P_REF, SIGNALS[kind], n_sub * P_REF.Delta, substeps=1,
+            seed=_BlockReplay(blocks, rng))
+        assert traj.states.tobytes() == want_traj.states.tobytes()
+        assert rec.outcomes.tobytes() == want_rec.outcomes.tobytes()
 
 
 class TestMeasurementRecord:
