@@ -11,8 +11,9 @@ up to omega-independent constants.  The recursion has two halves, which
 sit in the inner loop of every Monte-Carlo experiment.  ``_gains`` is the
 Riccati half: the spin covariance, the gains and the innovation variances
 S_j, which the data never enter (Anderson & Moore, *Optimal Filtering*,
-1979).  It is written once, unrolled into scalars, and takes omega as a
-float, a complex number or a numpy grid.  ``neg_log_joint_prefixes`` is the
+1979).  It is written once, unrolled into scalars, takes omega as a
+float, a complex number or a numpy grid, and yields one record a step to
+every caller.  ``neg_log_joint_prefixes`` is the
 data half: the spin mean and the running sum J, in two bodies.  A float or
 complex omega runs the Python-scalar loop ``_scalar_totals``; a grid runs
 the block body ``_block_totals``, which advances the stacked mean in 7
@@ -59,8 +60,8 @@ SCORE_STEP = 1e-20  # complex step of the score, in prior sigmas
 _MAX_PASSES = 100  # complex passes one MAP fit may take
 
 # The most memory a grid's gain table may hold: at two values a step,
-# 16 MiB is 5,216 steps of the 201-point MAP grid.  A longer record streams
-# its gains instead.
+# 16 MiB is 5,216 steps of the 201-point MAP grid.  A longer record fills
+# one _BLOCK-row buffer instead, block after block.
 _TABLE_BYTES = 16 * 2 ** 20
 
 # the one gain table kept: {key: read-only (steps, 2, *grid.shape) array of
@@ -93,10 +94,17 @@ def _functions(omega):
 
 def _rotation(omega, p: SpmParams):
     """(e cos(omega Delta), e sin(omega Delta)) with e = exp(-Delta/T2): the
-    damped rotation of the spin over one sample."""
+    damped rotation of the spin over one sample.  A complex omega whose
+    cosine is beyond float range raises InvalidParametersError: the
+    score's complex step SCORE_STEP sigma reaches it from a prior spread
+    sigma of about 1e28 rad/s at Delta = 5 us."""
     cos, sin, _ = _functions(omega)
     e = math.exp(-p.Delta / model.coherence_time(p))
-    return e * cos(omega * p.Delta), e * sin(omega * p.Delta)
+    try:
+        return e * cos(omega * p.Delta), e * sin(omega * p.Delta)
+    except OverflowError:
+        raise InvalidParametersError(f"the rotation at omega = {omega!r} is "
+                                     f"beyond float range") from None
 
 
 def _prior_terms(prior: GaussianPrior) -> tuple:
@@ -113,10 +121,12 @@ def _prior_terms(prior: GaussianPrior) -> tuple:
             (float(cov[1, 1]), float(cov[1, 2]), float(cov[2, 2])))
 
 
-def _gains(omega, p: SpmParams, spin_cov: tuple, predicted: bool = False):
-    """Yield (k1, k2, S_j, ln S_j) for steps j = 1, 2, ... without end, or
-    with ``predicted`` the predicted covariance entries (p12-, p22-) of
-    each step, from which ``_derived_gains`` forms them a block at a time.
+def _gains(omega, p: SpmParams, spin_cov: tuple):
+    """Yield the record (p12-, p22-, k1, k2, S_j) of steps j = 1, 2, ...
+    without end: the predicted covariance entries, the gains and the
+    innovation variance of each step, the one output of the Riccati half.
+    The scalar loop reads the gains and S_j; the grid keeps (p12-, p22-),
+    from which ``_derived_gains`` forms the rest a block at a time.
 
     The covariance half of the recursion: it depends on omega, the
     parameters and the spin prior's covariance (p11, p12, p22), never on
@@ -126,7 +136,6 @@ def _gains(omega, p: SpmParams, spin_cov: tuple, predicted: bool = False):
     product's operands in their written order: numpy's complex multiply
     need not commute), so every J keeps its last bit.
     """
-    log = _functions(omega)[2]
     ca, sa = _rotation(omega, p)
     b2 = model.discrete_spin_noise_var(p.q, p.N, p.Delta,
                                        model.coherence_time(p))
@@ -149,52 +158,45 @@ def _gains(omega, p: SpmParams, spin_cov: tuple, predicted: bool = False):
         p11 = p11p - s_k1 * k1
         p12 = p12p - s_k1 * k2
         p22 = p22p - s_var * k2 * k2
-        yield (p12p, p22p) if predicted else (k1, k2, s_var, log(s_var))
+        yield p12p, p22p, k1, k2, s_var
 
 
 def _gain_blocks(omega: np.ndarray, p: SpmParams, spin_cov: tuple,
                  steps: int):
-    """The gains of the first ``steps`` steps of a grid, as successive
-    (k1 k2, S, ln S) blocks of n <= _BLOCK steps (``_derived_gains``).
+    """The predicted covariance entries (p12-, p22-) of the first ``steps``
+    steps of a grid, as successive (n, 2, *grid.shape) blocks of
+    n <= _BLOCK steps, from which ``_derived_gains`` forms the gains.
 
-    They are derived from blocks of the kept table of (p12-, p22-), a
-    read-only (steps, 2, *grid.shape) array keyed on the grid's bytes, the
-    parameters and the spin prior's covariance; a request it cannot serve
-    evicts it before the new one is built.  A table over ``_TABLE_BYTES``
-    (16 MiB: 5,216 steps of the 201-point MAP grid) is not kept: its
-    entries are streamed from ``_gains`` into one block buffer, as for a
-    scalar omega.
+    They are read from the kept table, a read-only (steps, 2, *grid.shape)
+    array keyed on the grid's bytes, the parameters and the spin prior's
+    covariance.  A request it cannot serve evicts it, and one loop fills
+    the rows from the records of ``_gains`` as the blocks are read: into
+    a new table, kept once its last block has been read, or, where that
+    table would exceed ``_TABLE_BYTES`` (16 MiB: 5,216 steps of the
+    201-point MAP grid), into one _BLOCK-row buffer that each block
+    overwrites.
     """
     key = (omega.dtype.str, omega.shape, omega.tobytes(), repr(p),
            repr(spin_cov))
     table = _gain_memo.get(key)
-    dtype = np.result_type(omega, float)
-    if table is None or len(table) < steps:
+    new = table is None or len(table) < steps
+    if new:
         _gain_memo.clear()
-        predicted = _gains(omega, p, spin_cov, predicted=True)
-        if 2 * steps * omega.size * dtype.itemsize > _TABLE_BYTES:
-            return _derived_gains(_streamed_blocks(predicted, np.empty(
-                (_BLOCK, 2) + omega.shape, dtype), steps), p, omega.shape,
-                dtype)
-        table = np.empty((steps, 2) + omega.shape, dtype)
-        for row, (p12p, p22p) in zip(table, predicted):
-            row[0], row[1] = p12p, p22p
+        dtype = np.result_type(omega, float)
+        kept = 2 * steps * omega.size * dtype.itemsize <= _TABLE_BYTES
+        table = np.empty((steps if kept else _BLOCK, 2) + omega.shape, dtype)
+        records = _gains(omega, p, spin_cov)
+    for i in range(0, steps, _BLOCK):
+        j = i % len(table)  # every block of a buffer starts at its row 0
+        block = table[j:j + min(_BLOCK, steps - i)]
+        if new:
+            # zip reads the row first, so no step past ``steps`` is taken
+            for row, (p12p, p22p, *_) in zip(block, records):
+                row[0], row[1] = p12p, p22p
+        yield block
+    if new and kept:
         table.flags.writeable = False
         _gain_memo[key] = table
-    return _derived_gains((table[i:min(i + _BLOCK, steps)]
-                           for i in range(0, steps, _BLOCK)), p, omega.shape,
-                          dtype)
-
-
-def _streamed_blocks(predicted, buffer: np.ndarray, steps: int):
-    """Blocks of the table of ``_gain_blocks`` filled in ``buffer`` from the
-    ``predicted`` stream of ``_gains``; each is overwritten by the next."""
-    for i in range(0, steps, _BLOCK):
-        block = buffer[:min(_BLOCK, steps - i)]
-        # zip reads the row first, so no step past ``steps`` is taken
-        for row, (p12p, p22p) in zip(block, predicted):
-            row[0], row[1] = p12p, p22p
-        yield block
 
 
 def _derived_gains(blocks, p: SpmParams, shape: tuple, dtype):
@@ -202,12 +204,13 @@ def _derived_gains(blocks, p: SpmParams, shape: tuple, dtype):
     arrays of shape (n, 2, *shape), (n, *shape) and (n, *shape), which the
     next block overwrites.
 
-    S = r + g^2 p22-, (k1, k2) = g (p12-, p22-) / S and ln S are the
-    expressions of ``_gains``, each rounded as there, so every element
-    keeps its bits.  S and ln S are kept apart, not interleaved: where the
-    output lies within a vector of the input, numpy's log falls back from
-    its AVX-512 loop to libm's, and the two differ in the last bit for
-    about 1 double in 10^4.
+    S = r + g^2 p22- and (k1, k2) = g (p12-, p22-) / S are the
+    expressions of the records of ``_gains``, each rounded as there, so
+    every element keeps its bits, and ln S is numpy's log of S.  S and
+    ln S are kept apart, not interleaved: where the output lies within a
+    vector of the input, numpy's log falls back from its AVX-512 loop to
+    libm's, and the two differ in the last bit for about 1 double in
+    10^4.
     """
     g = p.g_D
     g2 = g * g
@@ -228,9 +231,10 @@ def _derived_gains(blocks, p: SpmParams, shape: tuple, dtype):
 def _scalar_totals(omega, ys: list, lengths: list, p: SpmParams,
                    mean: tuple, spin_cov: tuple, innovations):
     """The data half for a float or complex omega, in Python scalars: the
-    sum of J's data terms at each of ``lengths``."""
+    sum of J's data terms at each of ``lengths``, with ln S_j taken by the
+    log of omega's kind (``_functions``) from each record of ``_gains``."""
     ca, sa = _rotation(omega, p)
-    neg_sa = -sa
+    log = _functions(omega)[2]
     g = p.g_D
     m1, m2 = mean
     gains = _gains(omega, p, spin_cov)
@@ -238,13 +242,13 @@ def _scalar_totals(omega, ys: list, lengths: list, p: SpmParams,
     start = 0
     for k in lengths:
         # zip reads the sample first, so no step past k is taken
-        for y, (k1, k2, s_var, ln_s) in zip(ys[start:k], gains):
+        for y, (_, _, k1, k2, s_var) in zip(ys[start:k], gains):
             m1p = ca * m1 + sa * m2
-            m2p = neg_sa * m1 + ca * m2
+            m2p = ca * m2 - sa * m1
             resid = y - g * m2p
             m1 = m1p + k1 * resid
             m2 = m2p + k2 * resid
-            total += 0.5 * (resid * resid / s_var + ln_s)
+            total += 0.5 * (resid * resid / s_var + log(s_var))
             if innovations is not None:
                 innovations += resid, s_var
         start = k
@@ -258,10 +262,10 @@ def _block_totals(omega: np.ndarray, outcomes: np.ndarray, lengths: list,
     terms of J formed and summed for a block of _BLOCK steps at once.
 
     Each element takes the IEEE operations of the scalar loop, every
-    product with its operands in their order (the two products of the
-    second mean component are only added the other way round), and the
-    running sum is the block's sequential cumulative sum, so J keeps its
-    bits.  A yielded total is a view that the next block overwrites.
+    product with its operands in their order (for the second mean
+    component the scalar loop subtracts sa m1 from ca m2 where this adds
+    (-sa) m1: negation is exact, so both round alike), and the running
+    sum is the block's sequential cumulative sum, so J keeps its bits.  A yielded total is a view that the next block overwrites.
     """
     ca, sa = _rotation(omega, p)
     dtype = np.result_type(omega, float)
@@ -283,7 +287,8 @@ def _block_totals(omega: np.ndarray, outcomes: np.ndarray, lengths: list,
     start = 0
     wanted = iter(lengths)
     k = next(wanted)
-    for k12_rows, s_var, ln_s in _gain_blocks(omega, p, spin_cov, steps):
+    for k12_rows, s_var, ln_s in _derived_gains(
+            _gain_blocks(omega, p, spin_cov, steps), p, omega.shape, dtype):
         n = len(s_var)
         y_rows = [outcomes[i, ...] for i in range(start, start + n)]
         for y, k12, r in zip(y_rows, k12_rows, resid_rows):

@@ -94,8 +94,10 @@ def sample_indices(times, delta: float) -> list[int]:
     """Index k of the sample t_k = k*delta nearest each time, a time halfway
     between two samples going to the later one: the one rule for how many
     samples a probing time, a record duration or a bound time holds.  A
-    time that is not finite or rounds to no sample (k < 1, i.e. below
-    delta/2) raises InvalidParametersError."""
+    time that is not finite, rounds to no sample (k < 1, i.e. below
+    delta/2) or holds more samples than an array can index (k above
+    np.intp's largest value, the bound of a ``Count``) raises
+    InvalidParametersError."""
     ks = []
     for t in times:
         x = t / delta
@@ -107,6 +109,10 @@ def sample_indices(times, delta: float) -> list[int]:
         if k < 1:
             raise InvalidParametersError(
                 f"time {t} rounds to no sample at Delta = {delta}")
+        if k > model._SIZE_MAX:
+            raise InvalidParametersError(
+                f"time {t} holds more than {model._SIZE_MAX} samples at "
+                f"Delta = {delta}, the most an array can index")
         ks.append(k)
     return ks
 
@@ -282,7 +288,8 @@ def _states(p: SpmParams, s: SignalModel, n_sub: int, h: float,
     Each block draws its standard normals from ``rng`` on this thread just
     before it is walked, (n, 2, 3) for a diffusing frequency and (n, 2)
     for a waveform, so after a block blows up the stream has been read no
-    further than that block.
+    further than that block.  The draws and the increment pair are let go
+    once the step coefficients are formed, before the spin walk.
     """
     t2 = model.coherence_time(p)
     b = model.discrete_spin_noise_std(p.q, p.N, h, t2)
@@ -305,12 +312,14 @@ def _states(p: SpmParams, s: SignalModel, n_sub: int, h: float,
                 phi, e, states[start, 0] - omega_bar)
             pole, eta = _taylor_spin(h, p, s, states[start:start + n, 0],
                                      xi, zeta)
+            del xi, zeta, e
         else:
             w = rng.standard_normal((n, 2))
             eta = b * (w[:, 0] + 1j * w[:, 1])
             # frequency frozen at its start-of-substep value
             pole = model.rotation_pole(
                 x1 if constant else states[start:start + n, 0], h, t2)
+        del w  # the walk needs only the coefficients: free the draws
         z = model.damped_rotation(pole, eta, complex(*states[start, 1:]))
         block[:, 1] = z.real
         block[:, 2] = z.imag
@@ -333,12 +342,20 @@ def simulate(p: SpmParams, s: SignalModel, duration: float,
     ``duration`` (:func:`sample_indices`); the integrator runs at step
     Delta/substeps.  Diffusing frequencies use the order-1.5 Taylor scheme,
     deterministic waveforms the exact frozen-frequency step (see the module
-    docstring).  Identical inputs give bit-identical outputs.
+    docstring).  Identical inputs give bit-identical outputs.  K, and K
+    times ``substeps``, must be at most np.intp's largest value, the most
+    an array can index; a larger count raises InvalidParametersError.  A
+    count within that range can still need more memory than there is.
     """
     model.check_value("simulate", "substeps", substeps, "Count")
     n_meas = sample_indices([duration], p.Delta)[0]
-    rng = np.random.default_rng(seed)
     n_sub = n_meas * substeps
+    if n_sub > model._SIZE_MAX:
+        raise InvalidParametersError(
+            f"simulate duration {duration} at Delta = {p.Delta} with "
+            f"{substeps} substeps a sample takes more than "
+            f"{model._SIZE_MAX} substeps, the most an array can index")
+    rng = np.random.default_rng(seed)
     h = p.Delta / substeps
 
     states = _states(p, s, n_sub, h, rng, model.initial_omega(s))

@@ -519,6 +519,18 @@ class TestImpossibleInputs:
         with pytest.raises(InvalidParametersError, match=match):
             call(SpmParams())
 
+    @pytest.mark.parametrize("call", [
+        lambda p: bounds.bcrb_numeric(p, _prior(p, 1e3), 1e300, 2),
+        lambda p: bounds.fi_noiseless_discrete(p.omega_bar, 1e16, p),
+    ], ids=["numeric bound", "discrete information"])
+    def test_a_time_beyond_the_index_range(self, call):
+        # 2e21 samples or more at Delta = 5 us: once a bare ValueError
+        # from numpy
+        with pytest.raises(InvalidParametersError,
+                           match=r"samples at Delta = 5e-06, the most an "
+                                 r"array can index$"):
+            call(SpmParams())
+
     @pytest.mark.parametrize("call, match", [
         (lambda p: bounds.fi_noiseless_continuous(1e300, 1e-4, p),
          "omega = 1e[+]300 at t = 0.0001 "),

@@ -90,6 +90,39 @@ class TestExitCodes:
         assert "prior variances" in capsys.readouterr().err
         assert not (out / f"{command}.csv").exists()
 
+    @pytest.mark.parametrize("command, payload", [
+        ("estimate", {}),
+        ("sweep-time", {"estimators": ["pem"]}),
+        ("sweep-time", {"estimators": ["ekf"], "bounds": ["bcrb_numeric"]}),
+    ], ids=["estimate", "sweep pem", "sweep bcrb_numeric"])
+    def test_prior_spread_beyond_the_complex_step(self, tmp_path, capsys,
+                                                  command, payload):
+        # the score's complex step 1e-20 sigma = 1e10 rad/s overflows the
+        # rotation's cosine: once "numerical failure: math range error"
+        cfg = _write_cfg(tmp_path, {**payload, "sigma_omega": 1e30,
+                                    "duration": 1e-4, "runs": 1,
+                                    "sweep_axis": "time",
+                                    "sweep_values": [1e-4]})
+        code, out = _run(tmp_path, command, "--config", cfg)
+        assert code == 2
+        assert ("configuration error: the rotation at omega = "
+                in capsys.readouterr().err)
+        assert not (out / f"{command}.csv").exists()
+
+    @pytest.mark.parametrize("command, payload", [
+        ("simulate", {"duration": 1e300}),
+        ("sweep-time", {"sweep_axis": "time", "sweep_values": [1e16],
+                        "bounds": ["crb"], "runs": 1}),
+    ], ids=["simulate", "sweep-time"])
+    def test_sample_count_beyond_the_index_range(self, tmp_path, capsys,
+                                                 command, payload):
+        # once a traceback and exit 1 (numpy's bare ValueError)
+        cfg = _write_cfg(tmp_path, payload)
+        code, out = _run(tmp_path, command, "--config", cfg)
+        assert code == 2
+        assert "the most an array can index" in capsys.readouterr().err
+        assert not (out / f"{command}.csv").exists()
+
     def test_analytic_bound_beyond_the_physical_range(self, tmp_path,
                                                        capsys):
         # a spread that puts the Hermite nodes beyond any Larmor frequency:

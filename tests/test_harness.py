@@ -134,6 +134,17 @@ class TestErrorVsTime:
         with pytest.raises(InvalidParametersError):
             run_error_vs_time(cfg)
 
+    def test_rejects_grid_time_beyond_the_index_range(self, monkeypatch):
+        # once a bare ValueError from numpy, after the config was accepted
+        def no_shot(*args):
+            raise AssertionError("simulated a run")
+        monkeypatch.setattr(harness.sde_sim, "_mc_shot", no_shot)
+        cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e300,),
+                               runs=1, bounds=("crb",))
+        with pytest.raises(InvalidParametersError,
+                           match=r"^time 1e\+300 .* at Delta = 5e-06, "):
+            run_error_vs_time(cfg)
+
     def test_smoke_curve(self):
         cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4, 2e-4),
                                runs=6, estimators=("ekf", "pem"),

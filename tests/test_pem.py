@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 from dataclasses import replace
 
@@ -323,6 +324,18 @@ class TestGainTable:
         warm = pem.neg_log_joint_grid(grid, rec, p, prior)
         assert warm.tobytes() == cold.tobytes()
 
+    def test_a_table_read_in_part_is_not_kept(self):
+        # the rows are filled as the blocks are read: a table is kept only
+        # once its last block has been read
+        p = _small_params()
+        spin_cov = pem._prior_terms(_prior(p, spin_sigma=1.0))[3]
+        pem._gain_memo.clear()
+        blocks = pem._gain_blocks(np.linspace(2.0, 4.0, 5), p, spin_cov,
+                                  2 * pem._BLOCK + 5)
+        next(blocks)
+        blocks.close()
+        assert not pem._gain_memo
+
     def test_table_is_read_only(self):
         p = _small_params()
         prior = _prior(p, spin_sigma=1.0)
@@ -452,6 +465,28 @@ class TestBlockBody:
                     grid, rec, p, prior, lengths)) == want
 
     def test_derived_gains_are_those_of_each_step(self, monkeypatch):
+        # the two derivations of the gains pinned to each other: the
+        # (p12-, p22-) of ``_gains``' records of a 0-d and a 201-point
+        # grid, fed to ``_derived_gains`` a block at a time, give back the
+        # records' own k1, k2 and S, and ln S is np.log of those S
+        p = SpmParams()
+        steps = 5 * pem._BLOCK - 20  # four blocks and a partial one
+        spin_cov = pem._prior_terms(default_prior(p, 1e3))[3]
+        for grid in ("0-d", "201 points"):
+            omega = self.GRIDS[grid](p.omega_bar)
+            records = itertools.islice(pem._gains(omega, p, spin_cov), steps)
+            p12p, p22p, k1, k2, s_var = map(np.array, zip(*records))
+            predicted = np.stack((p12p, p22p), axis=1)
+            blocks = [predicted[i:i + pem._BLOCK]
+                      for i in range(0, steps, pem._BLOCK)]
+            # each block's arrays are overwritten by the next: copy them
+            derived = [[a.copy() for a in block] for block in
+                       pem._derived_gains(blocks, p, omega.shape,
+                                          np.result_type(omega, float))]
+            k12, s, ln_s = map(np.concatenate, zip(*derived))
+            assert _bits([k12, s, ln_s]) == _bits(
+                [np.stack((k1, k2), axis=1), s_var, np.log(s_var)]), grid
+
         # a block of a 0-d grid's (p12-, p22-) against ``_gains``'
         # expressions on each step's numpy scalars: with AVX-512, ln S
         # written next to S, as in an interleaved layout, would take
@@ -666,6 +701,32 @@ class TestScore:
         assert score == pem.neg_log_joint_score(omega, rec, p, prior, [700])[0]
         assert j == pytest.approx(pem.neg_log_joint_prefixes(
             omega, rec, p, prior, [700])[0], rel=1e-14)
+
+    @pytest.mark.parametrize("call", [
+        lambda w, rec, p, prior: pem.neg_log_joint_score(w, rec, p, prior,
+                                                         [20]),
+        lambda w, rec, p, prior: pem.score_and_information(w, rec, p, prior,
+                                                           20),
+        lambda w, rec, p, prior: pem.map_estimate(rec, p, prior),
+    ], ids=["score", "score and information", "map_estimate"])
+    def test_a_complex_step_whose_rotation_overflows(self, call):
+        # the step 1e-20 sigma = 1e10 rad/s at sigma = 1e30 puts
+        # cosh(eps Delta) = cosh(5e4) beyond float range: once a bare
+        # OverflowError ("math range error") from cmath.cos
+        p = SpmParams()
+        rec = simulate(p, Constant(p.omega_bar), 1e-4, seed=0)[1]
+        with pytest.raises(InvalidParametersError,
+                           match=r"^the rotation at omega = .*"
+                                 r"\+10000000000j\) is beyond float range$"):
+            call(p.omega_bar, rec, p, default_prior(p, 1e30))
+
+    def test_a_complex_step_whose_likelihood_overflows(self):
+        # at sigma = 1e27 the step's rotation is finite and J is not
+        p = SpmParams()
+        rec = simulate(p, Constant(p.omega_bar), 1e-4, seed=0)[1]
+        with pytest.raises(NumericalDegeneracyError):
+            pem.neg_log_joint_score(p.omega_bar, rec, p,
+                                    default_prior(p, 1e27), [20])
 
 
 class TestMapEstimate:

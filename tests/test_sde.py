@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import threading
 
 import numpy as np
@@ -365,6 +366,26 @@ class TestSimulate:
         # take 0.49999999999999994 to 1)
         assert sde_sim.sample_indices([math.nextafter(1.5, 0.0)], 1.0) == [1]
 
+    def test_counts_beyond_the_index_range_are_refused(self):
+        # a sample count above np.intp's largest value (2**63 - 1 here),
+        # and a record's substep count above it: each once a bare
+        # ValueError from numpy ("Maximum allowed dimension exceeded")
+        p = SpmParams()
+        assert sde_sim.sample_indices([math.nextafter(2.0 ** 63, 0.0)],
+                                      1.0) == [2 ** 63 - 1024]
+        with pytest.raises(InvalidParametersError,
+                           match="the most an array can index"):
+            sde_sim.sample_indices([2.0 ** 63], 1.0)
+        with pytest.raises(InvalidParametersError,
+                           match=r"^time 1e\+300 .* at Delta = 5e-06, "):
+            sde_sim.simulate(p, Constant(p.omega_bar), 1e300)
+        # 2e18 samples are within the range, 2e24 substeps are not
+        with pytest.raises(InvalidParametersError,
+                           match=r"^simulate duration 10000000000000.0 at "
+                                 r"Delta = 5e-06 with 1000000 substeps "):
+            sde_sim.simulate(p, Constant(p.omega_bar), 1e13,
+                             substeps=10 ** 6)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_nonfinite_time_rejected(self, t):
         with pytest.raises(InvalidParametersError, match="not finite"):
@@ -520,6 +541,24 @@ class TestCallerDraws:
         self._simulate(kind, 1, n_sub=40_000)
         assert len(seen) >= 10
         assert all(threads == before for threads in seen)
+
+    # the draws of both kinds of block, and the increment pair of a
+    # diffusing frequency's, are not held while the spin is walked
+    @pytest.mark.parametrize("kind", sorted(SIGNALS))
+    def test_draws_are_freed_before_the_spin_walk(self, monkeypatch, kind):
+        rotation = model.damped_rotation
+        held = []
+
+        def spy(pole, eta, z0):
+            caller = sys._getframe(1)
+            # the spin walk, not the frequency's or one within the walk
+            if caller.f_code.co_name == "_states" and np.iscomplexobj(eta):
+                held.append(sorted({"w", "xi", "zeta", "e"}
+                                   & set(caller.f_locals)))
+            return rotation(pole, eta, z0)
+        monkeypatch.setattr(model, "damped_rotation", spy)
+        self._simulate(kind, 1)
+        assert held == [[]] * 4
 
     # the frequency of the second or of the last, partial block diverges
     @pytest.mark.parametrize("block", [2, 4])
