@@ -5,7 +5,8 @@ and wall time.  A config is read and checked by the one config base,
 ``model._Config``, and the manifest's ``"config"`` (``model.as_json``) is
 a ``--config`` file that reproduces the run.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure, 1
+any other error (a traceback; e.g. a MemoryError).
 """
 
 from __future__ import annotations

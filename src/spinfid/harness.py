@@ -17,6 +17,15 @@ A sweep run reads each filter at its probing indices only
 filter's whole pass and the true frequency at the sample times only,
 copied out of the substep path, which is released before the filter runs.
 
+A config's one shot (``_shot``) is drawn once for consecutive calls on it:
+the last shot drawn is kept, its truth and record read-only, keyed on
+repr((params, true_signal, duration, substeps, seed)).  So tracking a shot
+with the EKF and then the CKF simulates it once, and configs that differ
+only in what reads the shot (estimators, assumed signal, prior spread)
+share it.  The memo holds one entry, evicted before a new shot is drawn,
+so no call holds two shots at once and a shot that fails to draw leaves
+none kept.  Sweep runs draw through ``sde_sim._mc_shot`` and keep nothing.
+
 A sweep point is a list of independent zero-argument tasks, its runs in
 run order and then its ``bcrb_numeric`` bound, which ``_fan_out`` spreads
 over the calling process and ``os.fork`` children, one per CPU of the
@@ -160,12 +169,35 @@ class TrackingResult:
                 for k in range(len(tr.times))))
 
 
+# the last shot drawn: {key: (truth, record)}, both arrays read-only
+_shot_memo: dict = {}
+
+
 def _shot(cfg: ExperimentConfig):
-    """(trajectory, record) of run 0 of the configured true signal: the one
-    shot that ``simulate``, ``estimate`` and ``track`` work on."""
-    return sde_sim.simulate(cfg.params, cfg.true_signal, cfg.duration,
-                            substeps=cfg.substeps,
-                            seed=sde_sim._stream(cfg.seed, 0))
+    """(truth, record) of run 0 of the configured true signal: the one shot
+    that ``simulate``, ``estimate`` and ``track`` work on, with the true
+    frequency at the sample times copied out of its substep path, which is
+    not kept.
+
+    The last shot drawn is kept, keyed on repr((params, true_signal,
+    duration, substeps, seed)), the inputs the shot is a function of (repr
+    tells -0.0 from 0.0), with its truth and outcomes read-only.  A call
+    with another key evicts it before drawing, so a ``simulate`` that
+    raises leaves nothing kept.
+    """
+    key = repr((cfg.params, cfg.true_signal, cfg.duration, cfg.substeps,
+                cfg.seed))
+    shot = _shot_memo.get(key)
+    if shot is None:
+        _shot_memo.clear()
+        traj, rec = sde_sim.simulate(cfg.params, cfg.true_signal,
+                                     cfg.duration, substeps=cfg.substeps,
+                                     seed=sde_sim._stream(cfg.seed, 0))
+        truth = traj.states[cfg.substeps::cfg.substeps, 0].copy()
+        truth.flags.writeable = False
+        rec.outcomes.flags.writeable = False
+        shot = _shot_memo[key] = truth, rec
+    return shot
 
 
 def _check_exclusions(failures: list, runs: int) -> int:
@@ -411,19 +443,16 @@ def run_error_vs_delta(cfg: ExperimentConfig) -> ErrorCurve:
 
 
 def run_tracking(cfg: ExperimentConfig) -> TrackingResult:
-    """One simulated shot of the configured true signal plus a pass of the
-    first filter among the estimators, with its assumed (OU or random-walk)
-    model."""
+    """One simulated shot of the configured true signal (``_shot``, drawn
+    once for consecutive calls on it) plus a pass of the first filter among
+    the estimators, with its assumed (OU or random-walk) model.  The result
+    holds its own writable copy of the truth."""
     p = cfg.params
     kind = next((e for e in cfg.estimators if e in filters.KINDS), None)
     if kind is None:
         raise InvalidParametersError(
             "tracking needs a filter: estimators must include 'ekf' or 'ckf'")
-    traj, rec = _shot(cfg)
-    # the truth at the sample times as its own array, so neither the filter
-    # pass nor the result keeps the substep path alive
-    truth = traj.states[cfg.substeps::cfg.substeps, 0].copy()
-    del traj
+    truth, rec = _shot(cfg)
     fcfg = filters.FilterConfig(kind, cfg.filter_signal(p),
                                 filters.default_prior(p, cfg.sigma_omega), p)
-    return TrackingResult(filters.run_filter(fcfg, rec), truth)
+    return TrackingResult(filters.run_filter(fcfg, rec), truth.copy())

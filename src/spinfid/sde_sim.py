@@ -342,19 +342,22 @@ def simulate(p: SpmParams, s: SignalModel, duration: float,
     ``duration`` (:func:`sample_indices`); the integrator runs at step
     Delta/substeps.  Diffusing frequencies use the order-1.5 Taylor scheme,
     deterministic waveforms the exact frozen-frequency step (see the module
-    docstring).  Identical inputs give bit-identical outputs.  K, and K
-    times ``substeps``, must be at most np.intp's largest value, the most
-    an array can index; a larger count raises InvalidParametersError.  A
-    count within that range can still need more memory than there is.
+    docstring).  Identical inputs give bit-identical outputs.  K, and the
+    substep path's bytes, (K ``substeps`` + 1) x 3 x 8, must be at most
+    np.intp's largest value, the most an array can index; a larger count
+    raises InvalidParametersError before anything is allocated.  A path
+    within that range can still need more memory than there is
+    (MemoryError).
     """
     model.check_value("simulate", "substeps", substeps, "Count")
     n_meas = sample_indices([duration], p.Delta)[0]
     n_sub = n_meas * substeps
-    if n_sub > model._SIZE_MAX:
+    n_bytes = (n_sub + 1) * 3 * 8  # the (n_sub + 1, 3) float64 path
+    if n_bytes > model._SIZE_MAX:
         raise InvalidParametersError(
             f"simulate duration {duration} at Delta = {p.Delta} with "
-            f"{substeps} substeps a sample takes more than "
-            f"{model._SIZE_MAX} substeps, the most an array can index")
+            f"{substeps} substeps a sample takes a path of {n_bytes} bytes, "
+            f"more than {model._SIZE_MAX}, the most an array can index")
     rng = np.random.default_rng(seed)
     h = p.Delta / substeps
 

@@ -123,6 +123,19 @@ class TestExitCodes:
         assert "the most an array can index" in capsys.readouterr().err
         assert not (out / f"{command}.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "track"])
+    def test_path_beyond_the_index_range(self, tmp_path, capsys, command):
+        # 2e18 substeps, within np.intp, whose path of (n + 1) x 3 doubles
+        # is not: once a traceback and exit 1 (numpy's bare ValueError
+        # "array is too big"); refused before anything is allocated
+        cfg = _write_cfg(tmp_path, {"duration": 1e13, "substeps": 1})
+        code, out = _run(tmp_path, command, "--config", cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: simulate duration ")
+        assert "the most an array can index" in err
+        assert not (out / f"{command}.csv").exists()
+
     def test_analytic_bound_beyond_the_physical_range(self, tmp_path,
                                                        capsys):
         # a spread that puts the Hermite nodes beyond any Larmor frequency:

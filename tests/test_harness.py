@@ -2,7 +2,7 @@ import json
 import math
 import os
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -10,8 +10,9 @@ import pytest
 
 from spinfid import harness
 from spinfid.bounds import noiseless_bcrb_floor
-from spinfid.errors import (ExclusionLimitError, InvalidParametersError,
-                            MapBoundaryError, NumericalDegeneracyError)
+from spinfid.errors import (ExclusionLimitError, IntegrationBlowupError,
+                            InvalidParametersError, MapBoundaryError,
+                            NumericalDegeneracyError)
 from spinfid.harness import (ErrorCurve, ExperimentConfig, run_error_vs_N,
                              run_error_vs_delta, run_error_vs_time,
                              run_tracking)
@@ -394,11 +395,12 @@ class TestTracking:
         assert truth.tobytes() == want.tobytes()
 
     def test_substep_path_is_freed_before_the_filter_pass(self, monkeypatch):
-        shot, run_filter = harness._shot, harness.filters.run_filter
+        simulate, run_filter = (harness.sde_sim.simulate,
+                                harness.filters.run_filter)
         refs, passes = [], []
 
-        def kept_shot(cfg):
-            traj, rec = shot(cfg)
+        def kept_simulate(*args, **kwargs):
+            traj, rec = simulate(*args, **kwargs)
             refs.append(weakref.ref(traj))
             return traj, rec
 
@@ -407,7 +409,8 @@ class TestTracking:
             passes.append(cfg.kind)
             return run_filter(cfg, rec)
 
-        monkeypatch.setattr(harness, "_shot", kept_shot)
+        monkeypatch.setattr(harness, "_shot_memo", {})
+        monkeypatch.setattr(harness.sde_sim, "simulate", kept_simulate)
         monkeypatch.setattr(harness.filters, "run_filter", checked_run_filter)
         cfg = ExperimentConfig(
             true_signal=OrnsteinUhlenbeck(SpmParams().omega_bar, 1e-3, 1e9),
@@ -449,6 +452,117 @@ class TestTracking:
             {"ekf": np.arange(6.0)}, {"ekf": np.arange(6.0)}, {})
         with pytest.raises(ValueError, match="zip"):
             curve.to_csv(tmp_path / "curve.csv")
+
+
+def _counted_draws(monkeypatch) -> list:
+    """Start from an empty shot memo and record each shot ``simulate``
+    draws as the repr of its signal, in the list returned."""
+    monkeypatch.setattr(harness, "_shot_memo", {})
+    simulate, draws = harness.sde_sim.simulate, []
+
+    def counted(p, s, *args, **kwargs):
+        draws.append(repr(s))
+        return simulate(p, s, *args, **kwargs)
+    monkeypatch.setattr(harness.sde_sim, "simulate", counted)
+    return draws
+
+
+def _tracking_bytes(result) -> list:
+    tr = result.trace
+    return [a.tobytes() for a in (tr.mean, tr.cov, tr.innovation,
+                                  tr.innovation_var, result.truth_omega)]
+
+
+class TestShotMemo:
+    CFG = ExperimentConfig(
+        params=SpmParams(Delta=1e-6),
+        true_signal=OrnsteinUhlenbeck(SpmParams().omega_bar, 1.0, 1e9),
+        assumed_signal=OrnsteinUhlenbeck(SpmParams().omega_bar, 1.0, 1e9),
+        duration=2e-4, substeps=4, seed=3)
+
+    def test_both_filters_of_a_config_share_one_draw(self, monkeypatch):
+        cold = {}
+        for kind in ("ekf", "ckf"):
+            monkeypatch.setattr(harness, "_shot_memo", {})
+            cold[kind] = _tracking_bytes(run_tracking(
+                replace(self.CFG, estimators=(kind,))))
+        draws = _counted_draws(monkeypatch)
+        for kind in ("ekf", "ckf"):
+            result = run_tracking(replace(self.CFG, estimators=(kind,)))
+            assert _tracking_bytes(result) == cold[kind]
+        assert len(draws) == 1
+        assert cold["ekf"][-1] == cold["ckf"][-1]  # one truth
+
+    def test_a_change_to_what_draws_the_shot_draws_again(self, monkeypatch):
+        base = self.CFG
+        p = base.params
+        omega_bar = p.omega_bar
+        changed = [replace(base, seed=4), replace(base, substeps=5),
+                   replace(base, duration=3e-4),
+                   replace(base, true_signal=replace(base.true_signal,
+                                                     d_c=2e9)),
+                   replace(base, true_signal=Constant(omega_bar))]
+        for f in fields(SpmParams):
+            changed.append(replace(base, params=replace(
+                p, **{f.name: 1.5 * getattr(p, f.name)})))
+        # equal configs whose signals hold 0.0 and -0.0 draw apart
+        pos, neg = (replace(base, true_signal=Sinusoid(omega_bar, a, 500.0))
+                    for a in (0.0, -0.0))
+        assert pos == neg
+        draws = _counted_draws(monkeypatch)
+        for first, cfg in [(base, c) for c in changed] + [(pos, neg)]:
+            harness._shot_memo.clear()
+            del draws[:]
+            harness._shot(first)
+            harness._shot(cfg)
+            assert len(draws) == 2, cfg
+
+    def test_a_change_to_what_reads_the_shot_does_not(self, monkeypatch):
+        draws = _counted_draws(monkeypatch)
+        for cfg in (self.CFG, replace(self.CFG, estimators=("ckf", "pem")),
+                    replace(self.CFG, assumed_signal=None),
+                    replace(self.CFG, sigma_omega=1.0),
+                    replace(self.CFG, runs=7)):
+            harness._shot(cfg)
+        assert len(draws) == 1
+
+    def test_one_shot_is_kept(self, monkeypatch):
+        draws = _counted_draws(monkeypatch)
+        other = replace(self.CFG, seed=4)
+        for cfg in (self.CFG, other, self.CFG, self.CFG):
+            harness._shot(cfg)
+            assert len(harness._shot_memo) == 1
+        assert len(draws) == 3
+
+    def test_kept_arrays_are_read_only_and_not_the_results(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(harness, "_shot_memo", {})
+        truth, rec = harness._shot(self.CFG)
+        assert not truth.flags.writeable
+        assert not rec.outcomes.flags.writeable
+        with pytest.raises(ValueError):
+            truth[0] = 0.0
+        result = run_tracking(self.CFG)
+        assert harness._shot(self.CFG)[0] is truth
+        assert result.truth_omega.flags.writeable
+        assert not np.shares_memory(result.truth_omega, truth)
+        assert not np.shares_memory(result.truth_omega, rec.outcomes)
+        assert result.truth_omega.tobytes() == truth.tobytes()
+
+    def test_a_failed_draw_keeps_nothing(self, monkeypatch):
+        draws = _counted_draws(monkeypatch)
+        harness._shot(self.CFG)
+        failing = replace(self.CFG, seed=9)
+
+        def blown(*args, **kwargs):
+            draws.append("blown")
+            raise IntegrationBlowupError("trajectory diverged")
+        monkeypatch.setattr(harness.sde_sim, "simulate", blown)
+        for _ in range(2):
+            with pytest.raises(IntegrationBlowupError):
+                run_tracking(failing)
+            assert harness._shot_memo == {}
+        assert draws[1:] == ["blown", "blown"]
 
 
 def _sweep_on(monkeypatch, workers, run, cfg):

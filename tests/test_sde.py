@@ -386,6 +386,30 @@ class TestSimulate:
             sde_sim.simulate(p, Constant(p.omega_bar), 1e13,
                              substeps=10 ** 6)
 
+    def test_paths_beyond_the_index_range_are_refused(self, monkeypatch):
+        # 2e18 substeps fit np.intp, their (n + 1) x 3 doubles do not: once
+        # numpy's bare ValueError ("array is too big") from np.empty.  The
+        # check comes before the path is allocated.
+        def unallocated(*args):
+            raise AssertionError("the path was allocated")
+        monkeypatch.setattr(sde_sim, "_states", unallocated)
+        p = SpmParams()
+        with pytest.raises(InvalidParametersError,
+                           match=r"^simulate duration 10000000000000.0 at "
+                                 r"Delta = 5e-06 with 1 substeps a sample "
+                                 r"takes a path of 47999999999999993880 "
+                                 r"bytes, .* the most an array can index"):
+            sde_sim.simulate(p, Constant(p.omega_bar), 1e13, substeps=1)
+        # one sample of n substeps: the largest path that fits is drawn
+        most = model._SIZE_MAX // 24 - 1
+        with pytest.raises(AssertionError, match="allocated"):
+            sde_sim.simulate(p, Constant(p.omega_bar), p.Delta,
+                             substeps=most)
+        with pytest.raises(InvalidParametersError,
+                           match="the most an array can index"):
+            sde_sim.simulate(p, Constant(p.omega_bar), p.Delta,
+                             substeps=most + 1)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_nonfinite_time_rejected(self, t):
         with pytest.raises(InvalidParametersError, match="not finite"):
