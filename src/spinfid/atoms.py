@@ -179,10 +179,12 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
     checked with numpy 2.4 on an AVX-512 x86-64 CPU (see
     ``model.damped_rotation``).  The working set is the output plus the
     two buffers and the walk's temporaries, a few blocks in all.  Noise
-    scales beyond float range raise InvalidParametersError before any draw.
+    scales beyond float range, and a seed that ``model.check_seed``
+    refuses, raise InvalidParametersError before any draw.
     """
     model.check_value("sample_steady_state_outcomes", "k", k, "Count")
     model._check_inputs("sample_steady_state_outcomes", omega)
+    model.check_seed("sample_steady_state_outcomes", seed)
     rng = np.random.default_rng(seed)
     t2 = model.coherence_time(p)
     shot_std = math.sqrt(model.measurement_noise_variance(p)) / p.g_D

@@ -10,7 +10,10 @@ step through the likelihood recursion of :mod:`spinfid.pem`.  The analytic
 expressions hold when the atomic noise is switched off and the spin starts
 deterministically polarized; they are the damped-sinusoid Fisher
 information in discrete, continuous, short-time, asymptotic and
-no-decoherence form.
+no-decoherence form.  The continuous and the no-decoherence information
+are one closed form, ``_continuous``, at x = 2t/T2 and at x = 0 (the
+T2 -> infinity case); at x = 0 its relative error is below 2e-15 at
+every omega t from 1e-8 to 1e3 against 300-digit arithmetic.
 """
 
 from __future__ import annotations
@@ -65,14 +68,16 @@ def bcrb_numeric_curve(p: SpmParams, prior: GaussianPrior, times,
     gives the exact score of every truncated record, so the per-time bounds
     are correlated; each standard error is the jackknife error of the
     inverted mean.  A time maps to its nearest sample; one that rounds to
-    none, or a prior that ``pem._prior_terms`` rejects, raises
-    InvalidParametersError.  Returns BoundResults in ascending time order.
+    none, a prior that ``pem._prior_terms`` rejects, or a seed that is no
+    integer >= 0 (``model.check_seed``), raises InvalidParametersError.
+    Returns BoundResults in ascending time order.
     """
     model.check_value("bcrb_numeric_curve", "n_samples", n_samples, "int")
     if n_samples < 2:
         raise InvalidParametersError(
             f"need at least 2 Monte-Carlo samples, got {n_samples!r}")
     model.check_value("bcrb_numeric_curve", "n_samples", n_samples, "Count")
+    model.check_seed("bcrb_numeric_curve", seed, streams=False)
     times = sorted(float(t) for t in times)
     if not times:
         raise InvalidParametersError("no probing times")
@@ -166,30 +171,19 @@ def _moment(z: complex) -> complex:
     return (2.0 - cmath.exp(-z) * (z * z + 2.0 * z + 2.0)) / z ** 3
 
 
-@_closed_form("omega", "t")
-def fi_noiseless_continuous(omega: float, t: NonNegative,
-                            p: SpmParams) -> float:
-    """Continuous-probing limit of the Fisher information: the prefactor
-    times the integral of exp(-2 tau/T2) tau^2 sin^2(omega tau) over
-    [0, t], which is t^3 (g(x) - Re g(z)) / 2 in closed form, with
-    x = 2t/T2, z = x - 2i omega t and g of ``_moment``.  Where |z| <= 1 the
-    difference is one joint series in D_n = x^n - Re z^n, so the
-    (omega t)^2 that two separate series would cancel is kept.  Where x is
-    beyond ``_EXP_RANGE`` the exp(-z) terms are below double precision and
-    the value is :func:`fi_asymptotic`'s, the t -> infinity limit.  The
-    relative error is below 4e-15 for |omega| T2 >= 1 (against 300-digit
-    arithmetic); below that, g(x) - Re g(z) cancels where |z| > 1, and the
-    error grows as about 1e-15 / (omega T2)^2 (7e-6 at omega = 0.01 rad/s
-    with T2 = 0.87 ms).  An |omega| beyond the physical range
-    ``OMEGA_MAX`` raises InvalidParametersError naming omega and t."""
-    model._check_inputs("fi_noiseless_continuous", omega, t)
-    if abs(omega) > OMEGA_MAX:
-        raise InvalidParametersError(
-            f"fi_noiseless_continuous omega = {omega!r} at t = {t!r} is "
-            f"beyond the physical range |omega| <= {OMEGA_MAX:g} rad/s")
-    x, y = 2.0 * t / model.coherence_time(p), -2.0 * omega * t
+def _continuous(omega: float, t: float, x: float, p: SpmParams) -> float:
+    """The prefactor times the integral of exp(-x tau/t) tau^2
+    sin^2(omega tau) over [0, t], which is t^3 (g(x) - Re g(z)) / 2 in
+    closed form, with z = x - 2i omega t and g of ``_moment``: the one
+    closed form of :func:`fi_noiseless_continuous` (x = 2t/T2) and of
+    :func:`fi_no_decoherence` (x = 0).  Where |z| <= 1 the difference is
+    one joint series in D_n = x^n - Re z^n, so the (omega t)^2 that two
+    separate series would cancel is kept.  Where x is beyond
+    ``_EXP_RANGE`` the exp(-z) terms are below double precision and the
+    value is :func:`fi_asymptotic`'s, the t -> infinity limit."""
     if x > _EXP_RANGE:
         return fi_asymptotic(omega, p)
+    y = -2.0 * omega * t
     z = complex(x, y)
     if abs(z) > 1.0:
         # complex(x) takes z's arithmetic, so omega = 0 gives exactly 0
@@ -201,6 +195,25 @@ def fi_noiseless_continuous(omega: float, t: NonNegative,
             d, zn = x * d + y * zn.imag, zn * z
             diff += c * d
     return _fi_prefactor(p) * t ** 3 * diff / 2.0
+
+
+@_closed_form("omega", "t")
+def fi_noiseless_continuous(omega: float, t: NonNegative,
+                            p: SpmParams) -> float:
+    """Continuous-probing limit of the Fisher information: the prefactor
+    times the integral of exp(-2 tau/T2) tau^2 sin^2(omega tau) over
+    [0, t], the x = 2t/T2 case of the closed form ``_continuous``.  The
+    relative error is below 4e-15 for |omega| T2 >= 1 (against 300-digit
+    arithmetic); below that, g(x) - Re g(z) cancels where |z| > 1, and the
+    error grows as about 1e-15 / (omega T2)^2 (7e-6 at omega = 0.01 rad/s
+    with T2 = 0.87 ms).  An |omega| beyond the physical range
+    ``OMEGA_MAX`` raises InvalidParametersError naming omega and t."""
+    model._check_inputs("fi_noiseless_continuous", omega, t)
+    if abs(omega) > OMEGA_MAX:
+        raise InvalidParametersError(
+            f"fi_noiseless_continuous omega = {omega!r} at t = {t!r} is "
+            f"beyond the physical range |omega| <= {OMEGA_MAX:g} rad/s")
+    return _continuous(omega, t, 2.0 * t / model.coherence_time(p), p)
 
 
 @_closed_form("omega", "t")
@@ -227,15 +240,13 @@ def fi_asymptotic(omega: float, p: SpmParams) -> float:
 
 @_closed_form("omega", "t")
 def fi_no_decoherence(omega: float, t: NonNegative, p: SpmParams) -> float:
-    """Closed form of the T2 -> infinity Fisher information (pure sinusoid)."""
+    """T2 -> infinity Fisher information (pure sinusoid): the x = 0 case of
+    the closed form ``_continuous``, the prefactor times the integral of
+    tau^2 sin^2(omega tau) over [0, t].  Its relative error is below 2e-15
+    at every omega t from 1e-8 to 1e3 (against 300-digit arithmetic).
+    Unlike :func:`fi_noiseless_continuous` it has no ``OMEGA_MAX`` limit."""
     model._check_inputs("fi_no_decoherence", omega, t)
-    u = omega * t
-    if u == 0.0:
-        return 0.0
-    a = math.sqrt((1.0 - 2.0 * u * u) ** 2 + 4.0 * u * u)
-    phi = math.atan2(-2.0 * u, 1.0 - 2.0 * u * u)
-    bracket = 1.0 + 3.0 * a / (4.0 * u ** 3) * math.sin(2.0 * u + phi)
-    return p.g_D ** 2 * p.N ** 2 * t ** 3 / (24.0 * p.R) * bracket
+    return _continuous(omega, t, 0.0, p)
 
 
 @_closed_form("sigma_omega")

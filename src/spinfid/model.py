@@ -16,7 +16,8 @@ schema ``_SCHEMA`` holds the types, finiteness and bounds of the config
 fields (``check_fields`` checks a config class's fields by it) and of the
 checked function arguments, which name their annotation (``Positive`` and
 ``NonNegative`` numbers, ``Count`` integers from 1 to np.intp's largest
-value, and ``Index`` integers >= 0).  Every config class derives from
+value, and ``Index`` integers >= 0); ``check_seed`` checks the seed of a
+function that draws.  Every config class derives from
 ``_Config``, which checks it on construction and reads back exactly the
 JSON form that ``as_json`` writes: this module alone checks, reads and
 writes a config.
@@ -152,6 +153,29 @@ def check_fields(obj) -> None:
     for f in fields(obj):
         object.__setattr__(obj, f.name, check_value(
             owner, f.name, getattr(obj, f.name), f.type))
+
+
+# the numpy objects that ``check_seed`` takes as a stream's seed
+_STREAMS = (np.random.Generator, np.random.BitGenerator,
+            np.random.SeedSequence)
+
+
+def check_seed(owner: str, seed, streams: bool = True) -> None:
+    """InvalidParametersError naming ``owner`` and seed, in the shapes of
+    ``check_value``, unless ``seed`` is an integer >= 0 of any size or,
+    where ``streams``, a numpy Generator, BitGenerator or SeedSequence:
+    what numpy takes as one seed.  A bool, None (fresh entropy on every
+    call) and a sequence are no seed."""
+    if streams and isinstance(seed, _STREAMS):
+        return
+    if not _holds(seed, numbers.Integral):
+        what = ("an integer, a numpy Generator, BitGenerator or SeedSequence"
+                if streams else "an integer")
+        raise InvalidParametersError(
+            f"{owner} 'seed' must be {what}, got {seed!r}")
+    if seed < 0:
+        raise InvalidParametersError(
+            f"{owner} seed must be >= 0, got {seed!r}")
 
 
 def as_json(value):

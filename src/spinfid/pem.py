@@ -265,7 +265,8 @@ def _block_totals(omega: np.ndarray, outcomes: np.ndarray, lengths: list,
     product with its operands in their order (for the second mean
     component the scalar loop subtracts sa m1 from ca m2 where this adds
     (-sa) m1: negation is exact, so both round alike), and the running
-    sum is the block's sequential cumulative sum, so J keeps its bits.  A yielded total is a view that the next block overwrites.
+    sum is the block's sequential cumulative sum, so J keeps its bits.  A
+    yielded total is a view that the next block overwrites.
     """
     ca, sa = _rotation(omega, p)
     dtype = np.result_type(omega, float)

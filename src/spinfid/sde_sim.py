@@ -183,13 +183,21 @@ class MeasurementRecord:
 
     @classmethod
     def from_csv(cls, path) -> "MeasurementRecord":
-        """Read a ``to_csv`` file; the timestamps must be t_k = k*t_1."""
+        """Read a ``to_csv`` file: a header line, then at least one row of
+        exactly two numbers t,y, with the timestamps t_k = k*t_1; any other
+        shape raises InvalidParametersError."""
         with warnings.catch_warnings():
             # a header-only file is reported below as an empty record
             warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if len(data) < 1:
+            try:
+                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            except ValueError:  # a cell that is no number, or a ragged row
+                data = None
+        if data is not None and len(data) < 1:
             raise InvalidParametersError("empty measurement record")
+        if data is None or data.shape[1] != 2:
+            raise InvalidParametersError(
+                "measurement record rows must each be two numbers t,y")
         times, outcomes = data[:, 0], data[:, 1]
         delta = float(times[0])
         expected = delta * np.arange(1, len(times) + 1)
@@ -347,9 +355,10 @@ def simulate(p: SpmParams, s: SignalModel, duration: float,
     np.intp's largest value, the most an array can index; a larger count
     raises InvalidParametersError before anything is allocated.  A path
     within that range can still need more memory than there is
-    (MemoryError).
+    (MemoryError).  ``seed`` is anything ``model.check_seed`` takes.
     """
     model.check_value("simulate", "substeps", substeps, "Count")
+    model.check_seed("simulate", seed)
     n_meas = sample_indices([duration], p.Delta)[0]
     n_sub = n_meas * substeps
     n_bytes = (n_sub + 1) * 3 * 8  # the (n_sub + 1, 3) float64 path

@@ -52,6 +52,35 @@ ASYMPTOTIC_EXACT = [
     (1e-150, 1e100, 1.1846278125000002e+215),
 ]
 
+# (omega, t, fi_no_decoherence(omega, t, SpmParams())): the prefactor times
+# the integral of tau^2 sin^2(omega tau) over [0, t], from its elementary
+# antiderivative in 300-digit arithmetic (mpmath) on the same double
+# inputs, at omega t from 1e-8 to 1e3; below omega t = 1e-3 a phase
+# formula of its own once cancelled, to a relative error of 0.1 at 1e-4
+# and 1e16 at 1e-8.  Either side of omega t = 0.5 is either side of the
+# series' |z| = 1.
+NO_DECOHERENCE_EXACT = [
+    (1.0, 1e-08, 3.1590075000000005e-26),
+    (1.0, 1e-06, 3.1590074999992474e-16),
+    (1.0, 1e-05, 3.159007499924787e-11),
+    (1.0, 0.0001, 3.159007492478555e-06),
+    (1.0, 0.001, 0.31590067478554357),
+    (1.0, 0.003, 76.76371775612014),
+    (1.0, 0.01, 31589.322863157122),
+    (1.0, 0.1, 3151493849.03321),
+    (1.0, 0.5, 9299299344719.887),
+    (1.0, 0.5000001, 9299308420901.256),
+    (1.0, 1.0, 248047160277147.78),
+    (1.0, 10.0, 2.2576944601180422e+17),
+    (1.0, 100.0, 2.6667965559850077e+20),
+    (1.0, 1000.0, 2.6288352006334072e+23),
+    (TWO_PI * 1e4, 1.5915494309189536e-13, 1.273535489512319e-40),
+    (TWO_PI * 1e4, 1e-09, 1.2471261718307205e-21),
+    (TWO_PI * 1e4, 1e-08, 1.247126055777815e-16),
+    (TWO_PI * 1e4, 0.0001, 253.2483006551556),
+    (-TWO_PI * 1e4, 0.001, 263150.6017565516),
+]
+
 # parameters whose information prefactor N^2 g_D^2 / R is beyond float range
 HUGE = SpmParams(N=1e150, g_D=1e10)
 
@@ -303,10 +332,32 @@ class TestFisherInformation:
             pytest.approx(value, rel=1e-12)
 
     def test_no_decoherence_limit(self):
-        p = SpmParams(T2_override=1e6)
-        omega, t = TWO_PI * 1e4, 3e-4
-        cont = bounds.fi_noiseless_continuous(omega, t, p)
-        assert bounds.fi_no_decoherence(omega, t, p) == pytest.approx(cont, rel=1e-6)
+        # at T2 = 1e300, x = 2t/T2 is below 1e-299: the continuous
+        # information is the x = 0 case to rounding
+        p = SpmParams(T2_override=1e300)
+        for omega in [1e-3, 1.0, TWO_PI * 1e4, -1e6, bounds.OMEGA_MAX]:
+            for t in [1e-9, 1e-6, 3e-4, 0.1, 10.0]:
+                assert bounds.fi_no_decoherence(omega, t, p) == pytest.approx(
+                    bounds.fi_noiseless_continuous(omega, t, p), rel=1e-15)
+
+    @pytest.mark.parametrize("omega, t, value", NO_DECOHERENCE_EXACT)
+    def test_no_decoherence_matches_300_digit_values(self, omega, t, value):
+        assert bounds.fi_no_decoherence(omega, t, SpmParams()) == \
+            pytest.approx(value, rel=1e-14)
+
+    @pytest.mark.parametrize("omega, t, value", NO_DECOHERENCE_EXACT)
+    def test_no_decoherence_values_are_300_digit_arithmetic(self, omega, t,
+                                                            value):
+        mpmath = pytest.importorskip("mpmath")
+        p = SpmParams()
+        with mpmath.workdps(300):
+            t, a = mpmath.mpf(t), 2 * mpmath.mpf(omega)
+            sin, cos = mpmath.sin(a * t), mpmath.cos(a * t)
+            integral = t ** 3 / 6 - (t * t * sin / a + 2 * t * cos / a ** 2
+                                     - 2 * sin / a ** 3) / 2
+            exact = (mpmath.mpf(p.N) ** 2 * mpmath.mpf(p.g_D) ** 2
+                     / (4 * mpmath.mpf(p.R)) * integral)
+            assert float(exact) == value
 
     def test_no_decoherence_zero_frequency(self):
         assert bounds.fi_no_decoherence(0.0, 1.0, SpmParams()) == 0.0
@@ -467,9 +518,6 @@ class TestImpossibleInputs:
         (lambda p: bounds.bcrb_analytic_gaussian_prior(p, 5e-324, 1e-5),
          "bcrb_analytic_gaussian_prior is beyond float range at "
          "sigma_omega = 5e-324$"),
-        (lambda p: bounds.fi_no_decoherence(1e4, 5e-324, p),
-         "fi_no_decoherence is beyond float range at omega = 10000.0, "
-         "t = 5e-324$"),
         (lambda p: bounds.fi_short_time(p.omega_bar, 1e300, p),
          "fi_short_time is beyond float range at omega = 62831.8.*, "
          "t = 1e[+]300$"),
@@ -506,9 +554,9 @@ class TestImpossibleInputs:
         # g_D^2 N^2 = 3e294 at N = 1e150, times t^5 = 1e300
         (lambda p: bounds.fi_short_time(1.0, 1e60, SpmParams(N=1e150)),
          "fi_short_time is beyond float range at omega = 1.0, t = 1e[+]60$"),
-    ], ids=["floor tiny sigma", "analytic tiny sigma", "no-decoherence tiny t",
-            "short-time huge t", "asymptotic huge omega", "floor huge sigma",
-            "floor huge T2", "analytic sum", "asymptotic huge prefactor",
+    ], ids=["floor tiny sigma", "analytic tiny sigma", "short-time huge t",
+            "asymptotic huge omega", "floor huge sigma", "floor huge T2",
+            "analytic sum", "asymptotic huge prefactor",
             "no-decoherence huge prefactor", "discrete huge prefactor",
             "continuous huge prefactor", "floor huge prefactor",
             "analytic huge prefactor", "short-time huge product"])
@@ -583,6 +631,11 @@ class TestImpossibleInputs:
                                  "at omega = "):
             bounds.neg_log_joint_gradient(p.omega_bar, rec, p,
                                           _prior(p, 1e3), h=1e300)
+
+    def test_no_decoherence_at_a_tiny_time_underflows_to_zero(self):
+        # the information is about omega^2 t^5 / 20 times the prefactor,
+        # far below the smallest double: 0.0 is its correctly rounded value
+        assert bounds.fi_no_decoherence(1e4, 5e-324, SpmParams()) == 0.0
 
     def test_zero_time_stays_defined(self):
         p, sigma, omega = SpmParams(), 100.0, TWO_PI * 1e4

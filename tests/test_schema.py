@@ -273,6 +273,71 @@ class TestBounds:
         assert str(exc.value) == expected + repr(value)
 
 
+# every function that draws from a seed, with a call that passes it and
+# reads what it drew; whether it also takes a numpy stream object
+SEEDED = {
+    "simulate": (lambda seed: sde_sim.simulate(
+        _P, Constant(1.0), 3 * _P.Delta, seed=seed)[1].outcomes, True),
+    "sample_steady_state_outcomes": (
+        lambda seed: atoms.sample_steady_state_outcomes(_P, 1.0, 3, seed=seed),
+        True),
+    "bcrb_numeric_curve": (lambda seed: np.array([b.value for b in (
+        bounds.bcrb_numeric_curve(_P, _PRIOR, [_P.Delta], 2, seed=seed))]),
+        False),
+    "bcrb_numeric": (lambda seed: np.array([bounds.bcrb_numeric(
+        _P, _PRIOR, _P.Delta, 2, seed=seed).value]), False),
+}
+# the message owner of each: bcrb_numeric checks through the curve
+SEED_OWNER = {"bcrb_numeric": "bcrb_numeric_curve"}
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-1, -2 ** 70, 1.5, np.float64(2.0),
+                                      True, None, "3", [1, 2]], ids=repr)
+    @pytest.mark.parametrize("fn", list(SEEDED))
+    def test_a_seed_that_is_no_seed_raises(self, fn, seed):
+        # once numpy's bare ValueError (a negative integer) or TypeError
+        # (a float), or a draw from fresh entropy (None)
+        call, streams = SEEDED[fn]
+        owner = SEED_OWNER.get(fn, fn)
+        if isinstance(seed, int) and seed < 0:
+            expected = f"{owner} seed must be >= 0, got {seed!r}"
+        else:
+            what = ("an integer, a numpy Generator, BitGenerator or "
+                    "SeedSequence" if streams else "an integer")
+            expected = f"{owner} 'seed' must be {what}, got {seed!r}"
+        with pytest.raises(InvalidParametersError) as exc:
+            call(seed)
+        assert str(exc.value) == expected
+
+    @pytest.mark.parametrize("seed", [np.random.default_rng(1),
+                                      np.random.SeedSequence(1)], ids=repr)
+    @pytest.mark.parametrize("fn", ["bcrb_numeric_curve", "bcrb_numeric"])
+    def test_the_bound_takes_no_stream_object(self, fn, seed):
+        # its samples are the Monte-Carlo shots of an integer seed; once a
+        # bare TypeError from the stream rule's SeedSequence
+        with pytest.raises(InvalidParametersError) as exc:
+            SEEDED[fn][0](seed)
+        assert str(exc.value) == \
+            f"bcrb_numeric_curve 'seed' must be an integer, got {seed!r}"
+
+    @pytest.mark.parametrize("fn", list(SEEDED))
+    def test_every_seed_form_keeps_its_stream(self, fn):
+        # each form reaches numpy as it was given: the draws are those of
+        # the same seed handed to numpy in any other form
+        call, streams = SEEDED[fn]
+        kept = call(5)
+        assert np.array_equal(call(np.int64(5)), kept)
+        assert np.array_equal(call(np.uint8(5)), kept)
+        assert np.all(np.isfinite(call(10 ** 400)))
+        if streams:
+            for form in (np.random.default_rng(5), np.random.SeedSequence(5),
+                         np.random.PCG64(5)):
+                assert np.array_equal(call(form), kept)
+            assert np.array_equal(call(10 ** 400),
+                                  call(np.random.default_rng(10 ** 400)))
+
+
 class TestStorage:
     def test_sequences_become_tuples(self):
         cfg = ExperimentConfig(estimators=["ekf"], bounds=["floor"],

@@ -808,6 +808,22 @@ class TestMeasurementRecord:
         with pytest.raises(InvalidParametersError, match="integers"):
             call()
 
+    @pytest.mark.parametrize("rows", [
+        b"5e-06\r\n1e-05\r\n", b"5e-06,1.0,7.0\r\n1e-05,2.0,8.0\r\n",
+        b"5e-06,1.0\r\n1e-05,abc\r\n", b"5e-06,1.0\r\n1e-05,2.0,8.0\r\n",
+        b"5e-06,\r\n1e-05,2.0\r\n", b"5e-06\r\n"],
+        ids=["one column", "three columns", "non-numeric", "ragged",
+             "empty cell", "one cell"])
+    def test_csv_rows_that_are_not_two_numbers_rejected(self, tmp_path, rows):
+        # once a bare IndexError (one column), numpy's bare ValueError
+        # (a cell that is no number, a ragged row), or a record that
+        # dropped its third column
+        path = tmp_path / "rec.csv"
+        path.write_bytes(b"t,y\r\n" + rows)
+        with pytest.raises(InvalidParametersError, match=re.escape(
+                "measurement record rows must each be two numbers t,y")):
+            sde_sim.MeasurementRecord.from_csv(path)
+
     def test_csv_nonuniform_times_rejected(self, tmp_path):
         path = tmp_path / "rec.csv"
         path.write_bytes(b"t,y\r\n5e-06,1.0\r\n1e-05,2.0\r\n3e-05,3.0\r\n")
