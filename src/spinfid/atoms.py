@@ -23,20 +23,19 @@ import numpy as np
 
 from . import model, sde_sim
 from .errors import InvalidParametersError
-from .model import Count, SpmParams
+from .model import Count, Samples, Seed, SpmParams
 
 
 @dataclass(frozen=True)
 class AtomCountEstimate:
     n_hat: float
     sigma_n: float
-    k_used: int
+    k_used: Samples
     degenerate: bool  # variance estimate below the shot-noise floor
 
     def __post_init__(self):
-        if self.k_used < 2:
-            raise InvalidParametersError(
-                "atom-count estimate needs at least 2 samples")
+        model.check_value("AtomCountEstimate", "k_used", self.k_used,
+                          "Samples")
 
 
 def steady_state_variance(samples) -> float:
@@ -154,7 +153,7 @@ _BLOCK = 4 * sde_sim._BLOCK
 
 
 def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
-                                 seed=0) -> np.ndarray:
+                                 seed: Seed = 0) -> np.ndarray:
     """Draw k renormalized steady-state outcomes y_k / g_D.
 
     The spin starts from its thermal stationary law (each component
@@ -179,12 +178,12 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
     checked with numpy 2.4 on an AVX-512 x86-64 CPU (see
     ``model.damped_rotation``).  The working set is the output plus the
     two buffers and the walk's temporaries, a few blocks in all.  Noise
-    scales beyond float range, and a seed that ``model.check_seed``
-    refuses, raise InvalidParametersError before any draw.
+    scales beyond float range, and a seed that is no ``model.Seed``, raise
+    InvalidParametersError before any draw.
     """
     model.check_value("sample_steady_state_outcomes", "k", k, "Count")
     model._check_inputs("sample_steady_state_outcomes", omega)
-    model.check_seed("sample_steady_state_outcomes", seed)
+    model.check_value("sample_steady_state_outcomes", "seed", seed, "Seed")
     rng = np.random.default_rng(seed)
     t2 = model.coherence_time(p)
     shot_std = math.sqrt(model.measurement_noise_variance(p)) / p.g_D

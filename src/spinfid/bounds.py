@@ -28,7 +28,8 @@ import numpy as np
 
 from . import model, pem, sde_sim
 from .errors import InvalidParametersError
-from .model import GaussianPrior, NonNegative, Positive, SpmParams
+from .model import (GaussianPrior, Index, NonNegative, Positive, Samples,
+                    SpmParams)
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,8 @@ def neg_log_joint_gradient(omega: float, rec: sde_sim.MeasurementRecord,
 
 
 def bcrb_numeric(p: SpmParams, prior: GaussianPrior, t: float,
-                 n_samples: int, seed=0, substeps: int = 5) -> BoundResult:
+                 n_samples: Samples, seed: Index = 0,
+                 substeps: int = 5) -> BoundResult:
     """Monte-Carlo Bayesian bound 1 / E[(dJ/d omega)^2] at probing time t,
     the one-time case of :func:`bcrb_numeric_curve`."""
     return bcrb_numeric_curve(p, prior, [t], n_samples, seed=seed,
@@ -58,7 +60,8 @@ def bcrb_numeric(p: SpmParams, prior: GaussianPrior, t: float,
 
 
 def bcrb_numeric_curve(p: SpmParams, prior: GaussianPrior, times,
-                       n_samples: int, seed=0, substeps: int = 5):
+                       n_samples: Samples, seed: Index = 0,
+                       substeps: int = 5):
     """Monte-Carlo bound at several probing times from shared simulations.
 
     Valid with atomic noise on (q from the parameter set).  Sample m is
@@ -68,16 +71,14 @@ def bcrb_numeric_curve(p: SpmParams, prior: GaussianPrior, times,
     gives the exact score of every truncated record, so the per-time bounds
     are correlated; each standard error is the jackknife error of the
     inverted mean.  A time maps to its nearest sample; one that rounds to
-    none, a prior that ``pem._prior_terms`` rejects, or a seed that is no
-    integer >= 0 (``model.check_seed``), raises InvalidParametersError.
+    none, a prior that ``pem._prior_terms`` rejects, a sample count that is
+    no ``model.Samples`` (an integer from 2 to np.intp's largest value), or
+    a seed that is no ``model.Index`` (an integer >= 0: the samples are the
+    shots of an integer seed), raises InvalidParametersError.
     Returns BoundResults in ascending time order.
     """
-    model.check_value("bcrb_numeric_curve", "n_samples", n_samples, "int")
-    if n_samples < 2:
-        raise InvalidParametersError(
-            f"need at least 2 Monte-Carlo samples, got {n_samples!r}")
-    model.check_value("bcrb_numeric_curve", "n_samples", n_samples, "Count")
-    model.check_seed("bcrb_numeric_curve", seed, streams=False)
+    model.check_value("bcrb_numeric_curve", "n_samples", n_samples, "Samples")
+    model.check_value("bcrb_numeric_curve", "seed", seed, "Index")
     times = sorted(float(t) for t in times)
     if not times:
         raise InvalidParametersError("no probing times")
@@ -165,10 +166,15 @@ def _moment(z: complex) -> complex:
     """g(z) = integral over [0, 1] of u^2 exp(-z u) du: the Taylor series
     sum_n (-z)^n / (n! (n + 3)) where |z| <= 1, else the closed form
     (2 - exp(-z) (z^2 + 2 z + 2)) / z^3, whose numerator cancels to
-    about z^3 / 3 at small |z|."""
+    about z^3 / 3 at small |z|; where z^3 leaves float range (|z| beyond
+    about 5.6e102), the same divided through by z before the numerator is
+    formed, ((2/z - exp(-z) (z + 2 + 2/z)) / z) / z."""
     if abs(z) <= 1.0:
         return sum(c * z ** n for n, c in enumerate(_TAYLOR))
-    return (2.0 - cmath.exp(-z) * (z * z + 2.0 * z + 2.0)) / z ** 3
+    try:
+        return (2.0 - cmath.exp(-z) * (z * z + 2.0 * z + 2.0)) / z ** 3
+    except OverflowError:
+        return (2.0 / z - cmath.exp(-z) * (z + 2.0 + 2.0 / z)) / z / z
 
 
 def _continuous(omega: float, t: float, x: float, p: SpmParams) -> float:
@@ -180,7 +186,10 @@ def _continuous(omega: float, t: float, x: float, p: SpmParams) -> float:
     one joint series in D_n = x^n - Re z^n, so the (omega t)^2 that two
     separate series would cancel is kept.  Where x is beyond
     ``_EXP_RANGE`` the exp(-z) terms are below double precision and the
-    value is :func:`fi_asymptotic`'s, the t -> infinity limit."""
+    value is :func:`fi_asymptotic`'s, the t -> infinity limit.  Where the
+    prefactor times t^3 leaves float range, t^3 is taken as m^3 2^(3e)
+    with t = m 2^e, and 2^(3e) is applied last, so that a finite value is
+    not lost to an overflowed partial product."""
     if x > _EXP_RANGE:
         return fi_asymptotic(omega, p)
     y = -2.0 * omega * t
@@ -194,7 +203,14 @@ def _continuous(omega: float, t: float, x: float, p: SpmParams) -> float:
         for c in _TAYLOR[1:]:
             d, zn = x * d + y * zn.imag, zn * z
             diff += c * d
-    return _fi_prefactor(p) * t ** 3 * diff / 2.0
+    try:
+        value = _fi_prefactor(p) * t ** 3 * diff / 2.0
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    m, e = math.frexp(t)
+    return math.ldexp(_fi_prefactor(p) * m ** 3 * diff / 2.0, 3 * e)
 
 
 @_closed_form("omega", "t")

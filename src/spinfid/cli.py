@@ -45,12 +45,12 @@ def _git_revision() -> str:
     return runs[-1].stdout.strip()
 
 
-def _write_manifest(out_dir: Path, subcommand: str, cfg, seed: int,
+def _write_manifest(out_dir: Path, subcommand: str, cfg,
                     wall_time: float) -> None:
     manifest = {
         "subcommand": subcommand,
         "config": model.as_json(cfg),
-        "seed": seed,
+        "seed": cfg.seed,
         "git_revision": _git_revision(),
         "wall_time_s": wall_time,
     }
@@ -156,8 +156,7 @@ def main(argv=None) -> int:
     except (SpinFidError, FloatingPointError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _write_manifest(out_dir, args.subcommand, cfg, cfg.seed,
-                    time.monotonic() - start)
+    _write_manifest(out_dir, args.subcommand, cfg, time.monotonic() - start)
     return EXIT_OK
 
 

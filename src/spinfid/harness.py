@@ -98,11 +98,8 @@ class ExperimentConfig(model._Config):
                 if name in names[:i]:
                     raise InvalidParametersError(f"{what} {name!r} named twice")
         if "bcrb_numeric" in self.bounds:  # checked before any run
-            if self.bound_samples < 2:
-                raise InvalidParametersError(
-                    "bcrb_numeric needs bound_samples >= 2")
             model.check_value("ExperimentConfig", "bound_samples",
-                              self.bound_samples, "Count")
+                              self.bound_samples, "Samples")
         if self.true_signal is None:
             object.__setattr__(self, "true_signal",
                                Constant(self.params.omega_bar))

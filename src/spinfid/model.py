@@ -16,11 +16,11 @@ schema ``_SCHEMA`` holds the types, finiteness and bounds of the config
 fields (``check_fields`` checks a config class's fields by it) and of the
 checked function arguments, which name their annotation (``Positive`` and
 ``NonNegative`` numbers, ``Count`` integers from 1 to np.intp's largest
-value, and ``Index`` integers >= 0); ``check_seed`` checks the seed of a
-function that draws.  Every config class derives from
-``_Config``, which checks it on construction and reads back exactly the
-JSON form that ``as_json`` writes: this module alone checks, reads and
-writes a config.
+value, ``Samples`` Monte-Carlo sample counts from 2 to it, ``Index``
+integers >= 0 and the ``Seed`` of a function that draws, an ``Index`` or a
+numpy stream object).  Every config class derives from ``_Config``, which
+checks it on construction and reads back exactly the JSON form that
+``as_json`` writes: this module alone checks, reads and writes a config.
 """
 
 from __future__ import annotations
@@ -41,14 +41,19 @@ TWO_PI = 2.0 * math.pi
 # Annotations of the bounded numbers: config fields and checked arguments
 # take them by name, so that ``_SCHEMA`` holds their bounds.
 Positive = NonNegative = float
-Count = Index = int
+Count = Samples = Index = int
+# the numpy objects that a ``Seed`` takes as a stream's seed
+_STREAMS = (np.random.Generator, np.random.BitGenerator,
+            np.random.SeedSequence)
+Seed = Union[(Index, *_STREAMS)]
 
 # The config schema: field annotation -> (the values it takes, what they
 # are, the annotations of a sequence's items: one per place, or one then ...
 # for any length, the bounds of a number: each (">", ">=" or "<=", limit));
 # the config classes' own entries follow the classes.  A Count is a size,
-# so it is at most the largest array index; an Index is a seed, which
-# numpy takes however large.
+# so it is at most the largest array index, and Samples a size of at least
+# two; an Index is a seed, which numpy takes however large, and a Seed is
+# one or a numpy stream object.
 _SIZE_MAX = int(np.iinfo(np.intp).max)
 _SCHEMA = {
     "float": (numbers.Real, "a number", None, ()),
@@ -61,7 +66,12 @@ _SCHEMA = {
     "int": (numbers.Integral, "an integer", None, ()),
     "Count": (numbers.Integral, "an integer", None,
               ((">=", 1), ("<=", _SIZE_MAX))),
+    "Samples": (numbers.Integral, "an integer", None,
+                ((">=", 2), ("<=", _SIZE_MAX))),
     "Index": (numbers.Integral, "an integer", None, ((">=", 0),)),
+    "Seed": ((numbers.Integral, *_STREAMS),
+             "an integer, a numpy Generator, BitGenerator or SeedSequence",
+             None, ((">=", 0),)),
     "str": (str, "a string", None, ()),
     "tuple[str, ...]": ((list, tuple), "a list of strings", ("str", ...), ()),
     "tuple[Positive, ...]": (
@@ -83,15 +93,17 @@ def _holds(value, types) -> bool:
 def _conform(value, annotation: str):
     """``value`` as a field of ``annotation`` stores it, a list or tuple as a
     tuple; TypeError if it is not what the annotation takes, ValueError
-    with what it must be if it is or holds a number that is not a finite
-    float or is outside a bound."""
+    with what it must be if it is or holds a number outside a bound, or a
+    number that is not a finite float where the annotation takes
+    non-integers (an integer annotation tests its bounds on the exact
+    integer, however large).  A stream object has no bounds."""
     types, _, items, bounds = _SCHEMA[annotation]
     if not _holds(value, types):
         raise TypeError
     if items is None:
         if _holds(value, numbers.Real):
-            try:
-                finite = math.isfinite(value)
+            try:  # an integer annotation's numbers are all finite
+                finite = not isinstance(0.5, types) or math.isfinite(value)
             except OverflowError:  # an integer beyond float range
                 finite = False
             if not finite:
@@ -129,9 +141,9 @@ def check_value(owner: str, name: str, value, annotation: str):
     Otherwise InvalidParametersError names ``owner`` (a config class or a
     function) and its field or argument ``name``, in one of three shapes:
     "<owner> 'name' must be <what>, got v" for a wrong type, "<owner> name
-    must be finite, got v" (an integer beyond float range is not finite),
-    and "<owner> name must be >= 1, got v" for a number outside a bound
-    (a Count above np.intp's largest value reads "must be <=
+    must be finite, got v" for a number of a non-integer annotation, and
+    "<owner> name must be >= 1, got v" for a number outside a bound (a
+    Count above np.intp's largest value reads "must be <=
     9223372036854775807" on a 64-bit build)."""
     try:
         return _conform(value, annotation)
@@ -153,29 +165,6 @@ def check_fields(obj) -> None:
     for f in fields(obj):
         object.__setattr__(obj, f.name, check_value(
             owner, f.name, getattr(obj, f.name), f.type))
-
-
-# the numpy objects that ``check_seed`` takes as a stream's seed
-_STREAMS = (np.random.Generator, np.random.BitGenerator,
-            np.random.SeedSequence)
-
-
-def check_seed(owner: str, seed, streams: bool = True) -> None:
-    """InvalidParametersError naming ``owner`` and seed, in the shapes of
-    ``check_value``, unless ``seed`` is an integer >= 0 of any size or,
-    where ``streams``, a numpy Generator, BitGenerator or SeedSequence:
-    what numpy takes as one seed.  A bool, None (fresh entropy on every
-    call) and a sequence are no seed."""
-    if streams and isinstance(seed, _STREAMS):
-        return
-    if not _holds(seed, numbers.Integral):
-        what = ("an integer, a numpy Generator, BitGenerator or SeedSequence"
-                if streams else "an integer")
-        raise InvalidParametersError(
-            f"{owner} 'seed' must be {what}, got {seed!r}")
-    if seed < 0:
-        raise InvalidParametersError(
-            f"{owner} seed must be >= 0, got {seed!r}")
 
 
 def as_json(value):

@@ -64,7 +64,7 @@ import numpy as np
 
 from . import model
 from .errors import IntegrationBlowupError, InvalidParametersError
-from .model import Count, Positive, SignalModel, SpmParams
+from .model import Count, Positive, Seed, SignalModel, SpmParams
 
 # substeps per block: the noise is drawn and the recurrence solved one block
 # at a time, which keeps the temporaries this size without changing the
@@ -339,7 +339,7 @@ def _states(p: SpmParams, s: SignalModel, n_sub: int, h: float,
 
 def simulate(p: SpmParams, s: SignalModel, duration: float,
              substeps: Count = 5,
-             seed=0) -> tuple[Trajectory, MeasurementRecord]:
+             seed: Seed = 0) -> tuple[Trajectory, MeasurementRecord]:
     """Integrate the extended state and emit the synthetic photocurrent record.
 
     The frequency starts where the signal says (``Constant.omega0``,
@@ -355,10 +355,11 @@ def simulate(p: SpmParams, s: SignalModel, duration: float,
     np.intp's largest value, the most an array can index; a larger count
     raises InvalidParametersError before anything is allocated.  A path
     within that range can still need more memory than there is
-    (MemoryError).  ``seed`` is anything ``model.check_seed`` takes.
+    (MemoryError).  ``seed`` is a ``model.Seed``: an integer >= 0 of any
+    size, or a numpy Generator, BitGenerator or SeedSequence.
     """
     model.check_value("simulate", "substeps", substeps, "Count")
-    model.check_seed("simulate", seed)
+    model.check_value("simulate", "seed", seed, "Seed")
     n_meas = sample_indices([duration], p.Delta)[0]
     n_sub = n_meas * substeps
     n_bytes = (n_sub + 1) * 3 * 8  # the (n_sub + 1, 3) float64 path

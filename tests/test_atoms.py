@@ -105,7 +105,8 @@ class TestEstimator:
             estimate_atom_number([1.0, -1.0, 0.5], params)
 
     def test_estimate_needs_two_samples(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^AtomCountEstimate k_used must be >= 2, got 1$"):
             AtomCountEstimate(1.0, 1.0, 1, False)
 
     def test_unbiased_and_calibrated_on_synthetic_steady_state(self):

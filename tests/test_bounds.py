@@ -58,7 +58,10 @@ ASYMPTOTIC_EXACT = [
 # inputs, at omega t from 1e-8 to 1e3; below omega t = 1e-3 a phase
 # formula of its own once cancelled, to a relative error of 0.1 at 1e-4
 # and 1e16 at 1e-8.  Either side of omega t = 0.5 is either side of the
-# series' |z| = 1.
+# series' |z| = 1.  The last six are finite values past a partial product
+# that once overflowed: the prefactor times t^3 (beyond t = 4.85e97 at
+# these parameters) and z^3 (beyond omega t = 2.82e102), with an input
+# either side of each switch.
 NO_DECOHERENCE_EXACT = [
     (1.0, 1e-08, 3.1590075000000005e-26),
     (1.0, 1e-06, 3.1590074999992474e-16),
@@ -79,6 +82,12 @@ NO_DECOHERENCE_EXACT = [
     (TWO_PI * 1e4, 1e-08, 1.247126055777815e-16),
     (TWO_PI * 1e4, 0.0001, 253.2483006551556),
     (-TWO_PI * 1e4, 0.001, 263150.6017565516),
+    (1e-150, 1e110, 3.159007500000001e+264),
+    (1e150, 1.0, 263250625000000.03),
+    (1e-100, 4.8e97, 8.049232303492242e+302),
+    (1e-100, 4.9e97, 8.923363289495598e+302),
+    (2.8e102, 1.0, 263250625000000.03),
+    (2.9e102, 1.0, 263250625000000.03),
 ]
 
 # parameters whose information prefactor N^2 g_D^2 / R is beyond float range
@@ -152,8 +161,10 @@ class TestNumericBound:
     def test_curve_requires_two_samples(self, n_samples):
         p = SpmParams()
         prior = _prior(p, 1e3)
-        with pytest.raises(InvalidParametersError, match="2 Monte-Carlo"):
+        with pytest.raises(InvalidParametersError) as exc:
             bounds.bcrb_numeric_curve(p, prior, [1e-4, 2e-4], n_samples)
+        assert str(exc.value) == \
+            f"bcrb_numeric_curve n_samples must be >= 2, got {n_samples}"
 
     @pytest.mark.parametrize("n_samples", [2.5, True, np.float64(3.0)])
     def test_curve_rejects_a_sample_count_that_is_no_integer(self, n_samples):
@@ -339,6 +350,15 @@ class TestFisherInformation:
             for t in [1e-9, 1e-6, 3e-4, 0.1, 10.0]:
                 assert bounds.fi_no_decoherence(omega, t, p) == pytest.approx(
                     bounds.fi_noiseless_continuous(omega, t, p), rel=1e-15)
+
+    def test_continuous_at_a_huge_t2_keeps_finite_values(self):
+        # the x = 2t/T2 < 1e-180 case of the same closed form, past the
+        # same overflowed partial products
+        p = SpmParams(T2_override=1e300)
+        for omega, t, value in NO_DECOHERENCE_EXACT[-6:]:
+            if abs(omega) <= bounds.OMEGA_MAX:
+                assert bounds.fi_noiseless_continuous(omega, t, p) == \
+                    pytest.approx(value, rel=1e-14)
 
     @pytest.mark.parametrize("omega, t, value", NO_DECOHERENCE_EXACT)
     def test_no_decoherence_matches_300_digit_values(self, omega, t, value):

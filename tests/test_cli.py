@@ -315,6 +315,21 @@ class TestExitCodes:
             ExperimentConfig(seed=4)
 
 
+    def test_seed_beyond_float_range(self, tmp_path):
+        # every digit reaches the manifest, whose config redraws the shot
+        seed = 10 ** 400
+        code, first = _run(tmp_path / "a", "simulate", "--seed", str(seed))
+        assert code == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["seed"] == manifest["config"]["seed"] == seed
+        path = tmp_path / "manifest_config.json"
+        path.write_text(json.dumps(manifest["config"], allow_nan=False))
+        code, second = _run(tmp_path / "b", "simulate", "--config", str(path))
+        assert code == 0
+        assert (second / "simulate.csv").read_bytes() == \
+            (first / "simulate.csv").read_bytes()
+
+
 def _git(cwd, *args) -> subprocess.CompletedProcess:
     return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
                            *args], cwd=cwd, capture_output=True, text=True)

@@ -84,6 +84,17 @@ class TestConfig:
         assert cfg.bound_samples == 1
         assert ExperimentConfig(bound_samples=2 ** 70).bound_samples == 2 ** 70
 
+    @pytest.mark.parametrize("value, bound", [
+        (1, ">= 2"), (-5, ">= 2"), (10 ** 400, "<= %d" % np.iinfo(np.intp).max),
+    ], ids=["1", "-5", "10**400"])
+    def test_bound_samples_are_samples(self, value, bound):
+        # the Monte-Carlo sample count of the bound's own schema entry
+        with pytest.raises(InvalidParametersError) as exc:
+            ExperimentConfig(bounds=("bcrb_numeric",), bound_samples=value)
+        assert str(exc.value) == \
+            f"ExperimentConfig bound_samples must be {bound}, got {value!r}"
+        assert ExperimentConfig(bound_samples=value).bound_samples == value
+
     def test_from_dict_round_trip(self):
         d = {
             "params": {"N": 1e11},
@@ -354,6 +365,39 @@ class TestShotRule:
         del shots[:]
         run_error_vs_time(cfg)
         assert shots == want
+
+
+class TestSeedBeyondFloatRange:
+    """A seed is an Index however large: 10**400 draws like any other."""
+
+    SEED = 10 ** 400
+
+    def test_tracking_draws_shot_0(self):
+        cfg = ExperimentConfig(duration=5e-4, substeps=3, seed=self.SEED)
+        result = run_tracking(cfg)
+        traj, rec = harness.sde_sim.simulate(
+            cfg.params, cfg.true_signal, cfg.duration, substeps=3,
+            seed=harness.sde_sim._stream(self.SEED, 0))
+        assert result.truth_omega.tobytes() == traj.states[3::3, 0].tobytes()
+        assert harness._shot(cfg)[1].outcomes.tobytes() == \
+            rec.outcomes.tobytes()
+
+    def test_sweep_bound_draws_from_seed_plus_1(self, monkeypatch):
+        cfg = ExperimentConfig(sweep_axis="time", sweep_values=(5e-5, 1e-4),
+                               runs=2, seed=self.SEED, substeps=3,
+                               bounds=("bcrb_numeric",), bound_samples=2)
+        p = cfg.params
+        k = max(harness.sde_sim.sample_indices(cfg.sweep_values, p.Delta))
+        want = []
+        for seed in (self.SEED, self.SEED + 1):
+            for m in range(2):
+                omega, rec = harness.sde_sim._mc_shot(
+                    p, p.omega_bar, cfg.sigma_omega, k, 3, seed, m)
+                want.append((omega, rec.outcomes.tobytes(), 3))
+        shots = _recorded_shots(monkeypatch)
+        curve = run_error_vs_time(cfg)
+        assert shots == want
+        assert np.all(np.isfinite(curve.bound["bcrb_numeric"]))
 
 
 class TestTracking:

@@ -156,12 +156,18 @@ NUMBERS = {
     "NonNegative": ((int, float), "a number", ((">=", 0),)),
     "int": (int, "an integer", ()),
     "Count": (int, "an integer", ((">=", 1), ("<=", SIZE_MAX))),
+    "Samples": (int, "an integer", ((">=", 2), ("<=", SIZE_MAX))),
     "Index": (int, "an integer", ((">=", 0),)),
+    "Seed": ((int, np.random.Generator, np.random.BitGenerator,
+              np.random.SeedSequence),
+             "an integer, a numpy Generator, BitGenerator or SeedSequence",
+             ((">=", 0),)),
 }
 # the lower boundary value, which each bounded number takes
-BOUNDARY = {(">", 0): 5e-324, (">=", 0): 0, (">=", 1): 1}
+BOUNDARY = {(">", 0): 5e-324, (">=", 0): 0, (">=", 1): 1, (">=", 2): 2}
 # beyond np.intp's range, and numpy's integers' (2**64): a size refuses
-# them, a float or seed takes them
+# them, a float or seed takes them; 10**400 is beyond float range too,
+# which only a number that may be a non-integer refuses as not finite
 PROBES = [0, -0.0, -1, math.nan, math.inf, 10 ** 400, True, "1", SIZE_MAX + 1,
           2 ** 64]
 
@@ -181,12 +187,13 @@ def _rejection(owner, name, annotation, value, what=None):
     types, own_what, bounds = NUMBERS[annotation]
     if isinstance(value, bool) or not isinstance(value, types):
         return f"{owner} {name!r} must be {what or own_what}, got "
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:
-        finite = False
-    if not finite:
-        return f"{owner} {name} must be finite, got "
+    if isinstance(0.5, types):  # an integer annotation's numbers are finite
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            return f"{owner} {name} must be finite, got "
     for op, limit in bounds:
         if not _WITHIN[op](value, limit):
             return f"{owner} {name} must be {op} {limit}, got "
@@ -209,16 +216,25 @@ FIELD_PROBES = [
 _P = SpmParams()
 _REC = sde_sim.MeasurementRecord(_P.Delta, np.ones(3))
 _PRIOR = filters.default_prior(_P, 1e3)
-# every function argument that the rule checks, with a call that passes it
+# every function argument that the rule checks, with a call that passes it;
+# a seed's call draws from it
 ARGUMENTS = [
     (sde_sim.simulate, "substeps",
      lambda v: sde_sim.simulate(_P, Constant(1.0), _P.Delta, substeps=v)),
+    (sde_sim.simulate, "seed",
+     lambda v: sde_sim.simulate(_P, Constant(1.0), 3 * _P.Delta, seed=v)),
     (sde_sim.MeasurementRecord, "delta",
      lambda v: sde_sim.MeasurementRecord(v, np.ones(3))),
     (atoms.sample_steady_state_outcomes, "k",
      lambda v: atoms.sample_steady_state_outcomes(_P, 1.0, v)),
     (atoms.sample_steady_state_outcomes, "omega",
      lambda v: atoms.sample_steady_state_outcomes(_P, v, 2)),
+    (atoms.sample_steady_state_outcomes, "seed",
+     lambda v: atoms.sample_steady_state_outcomes(_P, 1.0, 3, seed=v)),
+    (bounds.bcrb_numeric_curve, "n_samples",
+     lambda v: bounds.bcrb_numeric_curve(_P, _PRIOR, [_P.Delta], v)),
+    (bounds.bcrb_numeric_curve, "seed",
+     lambda v: bounds.bcrb_numeric_curve(_P, _PRIOR, [_P.Delta], 2, seed=v)),
     (bounds.neg_log_joint_gradient, "h",
      lambda v: bounds.neg_log_joint_gradient(1.0, _REC, _P, _PRIOR, v)),
     (bounds.fi_short_time, "omega", lambda v: bounds.fi_short_time(v, 1.0, _P)),
