@@ -7,16 +7,15 @@ the variance estimator for N gives an unbiased atom-number estimate whose
 relative error shrinks as 1/sqrt(k).
 
 The sampler of such outcomes runs on two threads: while the calling thread
-walks the spin recurrence block by block, ``_Drawer``, the package's one
-noise drawer, draws the next block of noise from the same generator on a
-second thread, and the record is bit for bit the serial one.
+walks the spin recurrence block by block, ``_drawn_ahead``, the package's
+one noise drawer, has the one worker of a standard-library thread pool draw
+the next block of noise from the same generator, and the record is bit for
+bit the serial one.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,17 +41,16 @@ def steady_state_variance(samples) -> float:
     """Variance estimator (1/(k-1)) sum y_k^2 of the renormalized outcomes;
     the sequence mean is known to be zero in steady state, so no sample mean
     is subtracted.  Samples that are not one 1-D sequence of integers or
-    floats (``model.real_array``), or whose sum of squares is not finite (a
-    NaN or an infinite sample), raise InvalidParametersError; the check
-    reads the sum, so it takes no extra pass over the samples."""
+    floats (``model.real_array``), fewer than two of them (a ``Samples``
+    count), or whose sum of squares is not finite (a NaN or an infinite
+    sample), raise InvalidParametersError; the last check reads the sum, so
+    it takes no extra pass over the samples."""
     y = model.real_array(samples, "atom samples")
     if y.ndim != 1:
         raise InvalidParametersError(
             f"samples must be one 1-D sequence, got shape {y.shape}")
-    k = y.size
-    if k < 2:
-        raise InvalidParametersError(
-            "variance estimation needs at least 2 samples")
+    k = model.check_value("steady_state_variance", "sample count", y.size,
+                          "Samples")
     with np.errstate(over="ignore"):  # an overflow is reported below
         sum_sq = float(y @ y)
     if not math.isfinite(sum_sq):
@@ -88,61 +86,19 @@ def estimate_atom_number(samples, p: SpmParams) -> AtomCountEstimate:
     return AtomCountEstimate(n_hat, sigma_n, k, degenerate=n_hat <= 0.0)
 
 
-class _Drawer:
-    """Standard normal blocks of the given sizes, drawn in order from one
-    generator on a second thread into a ring of two reused buffers: the one
-    noise drawer of the package, used by
-    :func:`sample_steady_state_outcomes`.
-
-    Entering starts the thread and ``blocks`` yields each block as it is
-    filled; the drawer refills a buffer only once the caller has moved on
-    from it, so it runs at most one block ahead of the caller.  Leaving
-    stops the thread and joins it, whether the walk ended, raised or was
-    cut short, and an exception raised by a draw is raised again in the
-    caller by ``blocks``.
-    """
-
-    def __init__(self, rng: np.random.Generator, sizes: list, length: int):
-        self._buffers = np.empty((2, length))
-        self._free = threading.Semaphore(2)
-        self._filled = threading.Semaphore(0)
-        self._stop = False
-        self._failure = None
-        self._thread = threading.Thread(target=self._draw, args=(rng, sizes),
-                                        name="spinfid-drawer", daemon=True)
-
-    def __enter__(self) -> "_Drawer":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop = True
-        self._free.release()  # wakes a drawer that waits for a buffer
-        self._thread.join()
-
-    def _draw(self, rng, sizes) -> None:
-        try:
-            for i, n in enumerate(sizes):
-                self._free.acquire()
-                if self._stop:
-                    return
-                rng.standard_normal(out=self._buffers[i % 2, :n])
-                self._filled.release()
-        except BaseException as exc:
-            # every exception is raised again in the caller by ``blocks``,
-            # which would otherwise wait for a block that never comes
-            self._failure = exc
-            self._filled.release()
-
-    def blocks(self):
-        """The drawn blocks in order; each is the caller's until it asks for
-        the next."""
-        for i in itertools.count():
-            self._filled.acquire()
-            if self._failure is not None:
-                raise self._failure
-            yield self._buffers[i % 2]
-            self._free.release()
+def _drawn_ahead(pool, rng: np.random.Generator, sizes: list):
+    """Standard normal blocks of the given sizes (at least one), drawn in
+    order from ``rng`` by a worker of ``pool`` while the caller uses the
+    block before.  Each block is a fresh array whose draw is waited for
+    before the next is submitted, so one draw at a time is in flight and a
+    failed draw is raised here with nothing drawn after it."""
+    sizes = iter(sizes)
+    ahead = pool.submit(rng.standard_normal, next(sizes))
+    for n in sizes:
+        block = ahead.result()
+        ahead = pool.submit(rng.standard_normal, n)
+        yield block
+    yield ahead.result()
 
 
 # samples per block of the sampler's walk: whole blocks of
@@ -163,23 +119,26 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
 
     The k real parts of the spin noise are drawn straight into the returned
     array, which is then walked one block of ``_BLOCK`` samples at a time
-    (16384, four blocks of ``sde_sim._BLOCK``).  Meanwhile ``_Drawer``, a
-    second thread, draws every block of imaginary parts and then every
-    block of shot noise from the same generator into a ring of two
-    buffers; numpy draws and runs its ufuncs with the GIL released, so the
-    draws overlap the walk.  Each block of the walk builds eta from its
-    imaginary parts, advances the rotation from the state the previous
-    block left and is overwritten with J_z; a second walk adds the shot
-    noise.  The draws keep their order (k real, k imaginary, k shot) and
-    every sample takes the same operations given its place in its chunk of
+    (16384, four blocks of ``sde_sim._BLOCK``).  Meanwhile
+    ``_drawn_ahead`` has the one worker of a ``ThreadPoolExecutor``, a
+    second thread, draw every block of imaginary parts and then every
+    block of shot noise from the same generator, one block ahead of the
+    walk; numpy draws and runs its ufuncs with the GIL released, so the
+    draws overlap the walk.  Leaving the pool joins the worker, whether
+    the walk ended or raised, and a failed draw is raised again here.
+    Each block of the walk builds eta from its imaginary parts, advances
+    the rotation from the state the previous block left and is
+    overwritten with J_z; a second walk adds the shot noise.  The draws
+    keep their order (k real, k imaginary, k shot) and every sample takes
+    the same operations given its place in its chunk of
     ``model.damped_rotation``, so the record is bit for bit the same for
     every block size that is a multiple of the chunk length L (``_BLOCK``
     is), and the same to rounding for any other; the bit identity was
     checked with numpy 2.4 on an AVX-512 x86-64 CPU (see
-    ``model.damped_rotation``).  The working set is the output plus the
-    two buffers and the walk's temporaries, a few blocks in all.  Noise
-    scales beyond float range, and a seed that is no ``model.Seed``, raise
-    InvalidParametersError before any draw.
+    ``model.damped_rotation``).  The working set is the output plus up to
+    three fresh blocks of noise and the walk's temporaries, a few blocks
+    in all.  Noise scales beyond float range, and a seed that is no
+    ``model.Seed``, raise InvalidParametersError before any draw.
     """
     model.check_value("sample_steady_state_outcomes", "k", k, "Count")
     model._check_inputs("sample_steady_state_outcomes", omega)
@@ -201,12 +160,14 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
     z = stat_std * (rng.standard_normal() + 1j * rng.standard_normal())
     out = rng.standard_normal(k)
     eta = np.empty(sizes[0], dtype=complex)
-    with _Drawer(rng, sizes * 2, sizes[0]) as drawer:
-        draws = drawer.blocks()
+    # imported here: at the top it adds milliseconds to ``import spinfid``
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        draws = _drawn_ahead(pool, rng, sizes * 2)
         # zip asks ``starts`` first, so each walk takes its own blocks
         for start, im in zip(starts, draws):
             y = out[start:start + block]
-            im, e = im[:len(y)], eta[:len(y)]
+            e = eta[:len(y)]
             # e = b * (y + 1j * im), rounded as on whole arrays
             np.multiply(1j, im, out=e)
             np.add(y, e, out=e)
@@ -216,7 +177,6 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
             y[:] = path.imag
         for start, v in zip(starts, draws):
             y = out[start:start + block]
-            v = v[:len(y)]
             v *= shot_std
             y += v
     return out

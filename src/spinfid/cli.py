@@ -91,11 +91,9 @@ def _cmd_bcrb(cfg: ExperimentConfig, path: Path) -> None:
 
 def _cmd_atoms(cfg: ExperimentConfig, path: Path) -> None:
     p = cfg.params
-    k = sde_sim.sample_indices([cfg.duration], p.Delta)[0]
-    if k < 2:
-        raise InvalidParametersError(
-            f"atom counting needs at least 2 samples; duration {cfg.duration} "
-            f"holds 1 at Delta = {p.Delta}")
+    k = model.check_value(
+        "atoms", f"sample count of duration {cfg.duration} at Delta {p.Delta}",
+        sde_sim.sample_indices([cfg.duration], p.Delta)[0], "Samples")
     rows = []
     for r in range(cfg.runs):
         samples = atoms.sample_steady_state_outcomes(

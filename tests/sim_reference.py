@@ -7,10 +7,10 @@ vectorised recurrence, with the same arithmetic: installed as
 holds the constant-pole recurrence as the linear filter it ran as before it
 was solved in numpy, the exact one-step spin transition as a matrix, and the
 atom-count sampler's integrator route, for the tests that use them as
-references.  ``CallerDrawer`` draws the noise drawer's blocks on the calling
-thread, as the atom-count sampler drew them before the drawer had a thread
-of its own, and ``FailingGenerator`` fails a chosen draw, for the tests of
-how the samplers draw.
+references.  ``drawn_on_the_caller`` draws the noise drawer's blocks on the
+calling thread, as the atom-count sampler drew them before the drawer had a
+thread of its own, and ``FailingGenerator`` fails a chosen draw, for the
+tests of how the samplers draw.
 """
 
 from __future__ import annotations
@@ -174,23 +174,13 @@ def one_shot_steady_state_outcomes(p: SpmParams, omega: float, k: int,
     return z.imag + shot_std * rng.standard_normal(k)
 
 
-class CallerDrawer:
-    """Drop-in for ``atoms._Drawer`` that draws each block on the calling
-    thread when it is asked for, from the same generator in the same
-    order: installed in its place, the sampler draws as it did serially."""
-
-    def __init__(self, rng: np.random.Generator, sizes: list, length: int):
-        self._rng, self._sizes = rng, sizes
-
-    def __enter__(self) -> "CallerDrawer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-    def blocks(self):
-        for n in self._sizes:
-            yield self._rng.standard_normal(n)
+def drawn_on_the_caller(pool, rng: np.random.Generator, sizes: list):
+    """Stand-in for ``atoms._drawn_ahead`` that leaves ``pool`` idle and
+    draws each block on the calling thread when it is asked for, from the
+    same generator in the same order: installed in its place, the sampler
+    draws as it did serially."""
+    for n in sizes:
+        yield rng.standard_normal(n)
 
 
 class DrawFailed(RuntimeError):

@@ -30,6 +30,14 @@ class TestVarianceEstimator:
         with pytest.raises(ValueError):
             steady_state_variance([1.0])
 
+    @pytest.mark.parametrize("samples, k", [([], 0), (np.array([1.0]), 1)],
+                             ids=["none", "one-element array"])
+    def test_sample_count_is_a_samples_count(self, samples, k):
+        with pytest.raises(InvalidParametersError,
+                           match=f"^steady_state_variance sample count must "
+                                 f"be >= 2, got {k}$"):
+            steady_state_variance(samples)
+
     @pytest.mark.parametrize("samples", [
         [math.nan, 1.0, 2.0], [1.0, math.inf, 2.0], [-math.inf, 1.0],
         [1e200, 1.0]], ids=["nan", "inf", "-inf", "square overflows"])
@@ -219,8 +227,8 @@ class TestSampler:
 
 
 class TestDrawerThread:
-    """The sampler's second thread: joined on every exit, its failures
-    raised in the caller."""
+    """The sampler's second thread, the one worker of its thread pool:
+    joined on every exit, its failures raised in the caller."""
 
     K = 3 * atoms._BLOCK + 17  # four blocks, the last one partial
 
@@ -231,12 +239,13 @@ class TestDrawerThread:
 
     def test_blocks_are_the_callers_draws(self, monkeypatch):
         got = sample_steady_state_outcomes(SpmParams(), 1.0, self.K, seed=2)
-        monkeypatch.setattr(atoms, "_Drawer", sim_reference.CallerDrawer)
+        monkeypatch.setattr(atoms, "_drawn_ahead",
+                            sim_reference.drawn_on_the_caller)
         want = sample_steady_state_outcomes(SpmParams(), 1.0, self.K, seed=2)
         assert got.tobytes() == want.tobytes()
 
     # calls 1 to 3 draw the start and the real parts on the calling thread;
-    # the drawer makes call 4 (the first imaginary block), 7 (the last
+    # the worker makes call 4 (the first imaginary block), 7 (the last
     # one) and 8 (the first shot-noise block)
     @pytest.mark.parametrize("fail_on", [3, 4, 7, 8, 11])
     def test_a_failed_draw_is_raised_in_the_caller(self, fail_on):
@@ -264,7 +273,7 @@ class TestDrawerThread:
         assert threading.active_count() == before
 
     def test_concurrent_callers_under_fast_switching(self, monkeypatch):
-        # more callers than cores, each with its own drawer, switching
+        # more callers than cores, each with its own worker, switching
         # threads every microsecond and handing off one chunk at a time:
         # a block drawn over one still in use would change a record
         monkeypatch.setattr(atoms, "_BLOCK", model._CHUNK)

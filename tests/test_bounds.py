@@ -58,10 +58,12 @@ ASYMPTOTIC_EXACT = [
 # inputs, at omega t from 1e-8 to 1e3; below omega t = 1e-3 a phase
 # formula of its own once cancelled, to a relative error of 0.1 at 1e-4
 # and 1e16 at 1e-8.  Either side of omega t = 0.5 is either side of the
-# series' |z| = 1.  The last six are finite values past a partial product
-# that once overflowed: the prefactor times t^3 (beyond t = 4.85e97 at
-# these parameters) and z^3 (beyond omega t = 2.82e102), with an input
-# either side of each switch.
+# series' |z| = 1.  The seventh from last has a t^3 below the normal range
+# (t below about 2.8e-103), which once lost bits before the prefactor
+# lifted the product back.  The last six are finite values past a partial
+# product that once overflowed: the prefactor times t^3 (beyond t =
+# 4.85e97 at these parameters) and z^3 (beyond omega t = 2.82e102), with
+# an input either side of each switch.
 NO_DECOHERENCE_EXACT = [
     (1.0, 1e-08, 3.1590075000000005e-26),
     (1.0, 1e-06, 3.1590074999992474e-16),
@@ -82,6 +84,7 @@ NO_DECOHERENCE_EXACT = [
     (TWO_PI * 1e4, 1e-08, 1.247126055777815e-16),
     (TWO_PI * 1e4, 0.0001, 253.2483006551556),
     (-TWO_PI * 1e4, 0.001, 263150.6017565516),
+    (1e110, 1e-105, 2.6325090710695442e-301),
     (1e-150, 1e110, 3.159007500000001e+264),
     (1e150, 1.0, 263250625000000.03),
     (1e-100, 4.8e97, 8.049232303492242e+302),

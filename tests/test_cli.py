@@ -294,6 +294,14 @@ class TestExitCodes:
             assert code == code_wanted
             assert (out / "atoms.csv").exists() == (code_wanted == 0)
 
+    def test_atoms_names_the_sample_count(self, tmp_path, capsys):
+        # 6 us holds one sample at the default Delta = 5 us
+        cfg = _write_cfg(tmp_path, {"duration": 6e-6, "runs": 1})
+        code, _ = _run(tmp_path, "atoms", "--config", cfg)
+        assert code == 2
+        assert ("atoms sample count of duration 6e-06 at Delta 5e-06 must "
+                "be >= 2, got 1") in capsys.readouterr().err
+
     def test_atoms_at_q_zero(self, tmp_path, capsys):
         # the variance holds no N: once exit 3, "float division by zero"
         cfg = _write_cfg(tmp_path, {"params": {"q": 0.0}, "duration": 1e-4,

@@ -1,7 +1,9 @@
 """The runtime loads numpy alone: importing the package and the CLI,
 simulating, filtering, fitting, the Monte-Carlo bound, the continuous Fisher
 information, the analytic bound, the atom sampler and ``spinfid simulate``
-import no scipy module."""
+import no scipy module.  Importing the package loads no thread pool: the
+atom sampler imports its executor when it runs, so that the import does not
+add to the start-up of every program that uses the package."""
 
 import os
 import subprocess
@@ -34,8 +36,17 @@ with tempfile.TemporaryDirectory() as out:
 print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
+IMPORT_ONLY = """
+import sys
 
-def _scipy_modules_after(script: str) -> list:
+import spinfid
+import spinfid.atoms
+import spinfid.cli
+print(" ".join(m for m in sys.modules if m.startswith("concurrent.futures")))
+"""
+
+
+def _modules_after(script: str) -> list:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=120,
@@ -44,5 +55,9 @@ def _scipy_modules_after(script: str) -> list:
 
 
 def test_runtime_imports_no_scipy():
-    assert _scipy_modules_after(SCRIPT) == []
+    assert _modules_after(SCRIPT) == []
+
+
+def test_importing_the_package_loads_no_executor():
+    assert _modules_after(IMPORT_ONLY) == []
 

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -627,8 +628,8 @@ class _BlockReplay(np.random.Generator):
 
 class TestDrawerThread:
     """A diffusing frequency's blocks are the normals the package's noise
-    drawer gives for the same stream: drawing them on the caller keeps
-    every bit of the path and the record."""
+    drawer, ``atoms._drawn_ahead``, gives for the same stream: drawing them
+    on the caller keeps every bit of the path and the record."""
 
     @pytest.mark.parametrize("kind", ["ou", "wiener"])
     def test_blocks_are_the_callers_draws(self, kind):
@@ -638,10 +639,8 @@ class TestDrawerThread:
         rng = np.random.default_rng(2)
         sizes = [6 * min(sde_sim._BLOCK, n_sub - start)
                  for start in range(0, n_sub, sde_sim._BLOCK)]
-        with atoms._Drawer(rng, sizes, max(sizes)) as drawer:
-            # sizes first: zip must not ask the drawer for a fifth block
-            blocks = [block[:n].copy()
-                      for n, block in zip(sizes, drawer.blocks())]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            blocks = list(atoms._drawn_ahead(pool, rng, sizes))
         want_traj, want_rec = sde_sim.simulate(
             P_REF, SIGNALS[kind], n_sub * P_REF.Delta, substeps=1,
             seed=_BlockReplay(blocks, rng))
