@@ -108,6 +108,7 @@ def _drawn_ahead(pool, rng: np.random.Generator, sizes: list):
 _BLOCK = 4 * sde_sim._BLOCK
 
 
+@model.checked
 def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
                                  seed: Seed = 0) -> np.ndarray:
     """Draw k renormalized steady-state outcomes y_k / g_D.
@@ -140,9 +141,6 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
     in all.  Noise scales beyond float range, and a seed that is no
     ``model.Seed``, raise InvalidParametersError before any draw.
     """
-    model.check_value("sample_steady_state_outcomes", "k", k, "Count")
-    model._check_inputs("sample_steady_state_outcomes", omega)
-    model.check_value("sample_steady_state_outcomes", "seed", seed, "Seed")
     rng = np.random.default_rng(seed)
     t2 = model.coherence_time(p)
     shot_std = math.sqrt(model.measurement_noise_variance(p)) / p.g_D

@@ -40,17 +40,18 @@ class BoundResult:
     meta: dict
 
 
+@model.checked
 def neg_log_joint_gradient(omega: float, rec: sde_sim.MeasurementRecord,
                            p: SpmParams, prior: GaussianPrior,
                            h: Positive) -> float:
     """Central-difference derivative of J with respect to omega, the
     finite-difference reference of :func:`pem.neg_log_joint_score`."""
-    model.check_value("neg_log_joint_gradient", "h", h, "Positive")
     j_plus = pem.kalman_neg_log_joint(omega + h, rec, p, prior)
     j_minus = pem.kalman_neg_log_joint(omega - h, rec, p, prior)
     return (j_plus.neg_log_joint - j_minus.neg_log_joint) / (2.0 * h)
 
 
+@model.checked
 def bcrb_numeric(p: SpmParams, prior: GaussianPrior, t: float,
                  n_samples: Samples, seed: Index = 0,
                  substeps: int = 5) -> BoundResult:
@@ -60,6 +61,7 @@ def bcrb_numeric(p: SpmParams, prior: GaussianPrior, t: float,
                               substeps=substeps)[0]
 
 
+@model.checked
 def bcrb_numeric_curve(p: SpmParams, prior: GaussianPrior, times,
                        n_samples: Samples, seed: Index = 0,
                        substeps: int = 5):
@@ -71,19 +73,20 @@ def bcrb_numeric_curve(p: SpmParams, prior: GaussianPrior, times,
     to max(times).  One complex pass (:func:`pem.neg_log_joint_score`)
     gives the exact score of every truncated record, so the per-time bounds
     are correlated; each standard error is the jackknife error of the
-    inverted mean.  A time maps to its nearest sample; one that rounds to
-    none, a prior that ``pem._prior_terms`` rejects, a sample count that is
-    no ``model.Samples`` (an integer from 2 to np.intp's largest value), or
-    a seed that is no ``model.Index`` (an integer >= 0: the samples are the
+    inverted mean.  A time maps to its nearest sample; one that is no finite
+    number or rounds to none (:func:`sde_sim.sample_indices`), a prior that
+    ``pem._prior_terms`` rejects, a sample count that is no
+    ``model.Samples`` (an integer from 2 to np.intp's largest value), or a
+    seed that is no ``model.Index`` (an integer >= 0: the samples are the
     shots of an integer seed), raises InvalidParametersError.
     Returns BoundResults in ascending time order.
     """
-    model.check_value("bcrb_numeric_curve", "n_samples", n_samples, "Samples")
-    model.check_value("bcrb_numeric_curve", "seed", seed, "Index")
-    times = sorted(float(t) for t in times)
-    if not times:
-        raise InvalidParametersError("no probing times")
+    times = list(times)
+    # the one time rule checks each time before float() reads it
     ks = sde_sim.sample_indices(times, p.Delta)
+    if not ks:
+        raise InvalidParametersError("no probing times")
+    times, ks = zip(*sorted(zip(map(float, times), ks)))
     mu, var = pem._prior_terms(prior)[:2]
     sigma = math.sqrt(var)
 
@@ -122,27 +125,26 @@ _EXP_RANGE = 700.0
 
 
 def _closed_form(*names):
-    """Decorate a closed form: a value beyond float range becomes
+    """Decorate a closed form: its arguments are checked by
+    ``model.checked``, and a value beyond float range becomes
     InvalidParametersError naming the arguments ``names``, whether a Python
     float power or quotient raised (OverflowError, or ZeroDivisionError
     where a tiny power underflowed to 0) or a product, such as a prefactor
     N^2 g_D^2 / R, came out inf, or nan where it met a 0."""
     def decorate(f):
-        bind = inspect.signature(f).bind
-
         @functools.wraps(f)
-        def checked(*args, **kwargs):
+        def in_range(*args, **kwargs):
             try:
                 value = f(*args, **kwargs)
             except (OverflowError, ZeroDivisionError):
                 value = math.nan
             if math.isfinite(value):
                 return value
-            given = bind(*args, **kwargs).arguments
+            given = inspect.signature(f).bind(*args, **kwargs).arguments
             raise InvalidParametersError(
                 f"{f.__name__} is beyond float range at "
                 + ", ".join(f"{name} = {given[name]!r}" for name in names))
-        return checked
+        return model.checked(in_range)
     return decorate
 
 
@@ -156,7 +158,6 @@ def fi_noiseless_discrete(omega: float, t: NonNegative,
     """Fisher information of the sampled damped sinusoid: the sum over the
     samples t_j = j*Delta that a record of duration t holds, counted by
     :func:`sde_sim.sample_indices` as ``simulate`` counts them."""
-    model._check_inputs("fi_noiseless_discrete", omega, t)
     t2 = model.coherence_time(p)
     tj = p.Delta * np.arange(1, sde_sim.sample_indices([t], p.Delta)[0] + 1)
     terms = np.exp(-2.0 * tj / t2) * tj ** 2 * np.sin(omega * tj) ** 2
@@ -220,7 +221,6 @@ def fi_noiseless_continuous(omega: float, t: NonNegative,
     error grows as about 1e-15 / (omega T2)^2 (7e-6 at omega = 0.01 rad/s
     with T2 = 0.87 ms).  An |omega| beyond the physical range
     ``OMEGA_MAX`` raises InvalidParametersError naming omega and t."""
-    model._check_inputs("fi_noiseless_continuous", omega, t)
     if abs(omega) > OMEGA_MAX:
         raise InvalidParametersError(
             f"fi_noiseless_continuous omega = {omega!r} at t = {t!r} is "
@@ -231,14 +231,12 @@ def fi_noiseless_continuous(omega: float, t: NonNegative,
 @_closed_form("omega", "t")
 def fi_short_time(omega: float, t: NonNegative, p: SpmParams) -> float:
     """Leading t^5 expansion, valid for omega*t << 1 and t << T2."""
-    model._check_inputs("fi_short_time", omega, t)
     return p.g_D ** 2 * p.N ** 2 * omega ** 2 * t ** 5 / (20.0 * p.R)
 
 
 @_closed_form("omega")
 def fi_asymptotic(omega: float, p: SpmParams) -> float:
     """t -> infinity value; finite because of the coherence-time cutoff."""
-    model._check_inputs("fi_asymptotic", omega)
     t2 = model.coherence_time(p)
     x2 = (omega * t2) ** 2
     # x2 (x2^2 + 3 x2 + 6) / (1 + x2)^3 as x2 / d in [0, 1) times
@@ -258,7 +256,6 @@ def fi_no_decoherence(omega: float, t: NonNegative, p: SpmParams) -> float:
     at every omega t from 1e-8 to 1e3 and at t from 1e-105, where t^3 is
     below the normal range, to 1e110 (against 300-digit arithmetic).
     Unlike :func:`fi_noiseless_continuous` it has no ``OMEGA_MAX`` limit."""
-    model._check_inputs("fi_no_decoherence", omega, t)
     return _continuous(omega, t, 0.0, p)
 
 
@@ -267,7 +264,6 @@ def noiseless_bcrb_floor(p: SpmParams, sigma_omega: Positive) -> float:
     """Universal long-time lower bound on the average MSE for any estimator
     (one-sided: the prior average of the asymptotic information is majorized,
     so exact saturation is not expected)."""
-    model._check_inputs("noiseless_bcrb_floor", sigma_omega=sigma_omega)
     t2 = model.coherence_time(p)
     info = p.N ** 2 * p.g_D ** 2 * t2 ** 3 / (25.6 * p.R)
     if info == math.inf:  # the bound would read 0
@@ -297,8 +293,6 @@ def bcrb_analytic_gaussian_prior(p: SpmParams, sigma_omega: Positive,
     ``HERMITE_NODES``-point Gauss-Hermite quadrature over omega; a spread
     so wide that a node lies beyond ``OMEGA_MAX`` raises
     InvalidParametersError (:func:`fi_noiseless_continuous`)."""
-    model._check_inputs("bcrb_analytic_gaussian_prior", t=t,
-                        sigma_omega=sigma_omega)
     precision = 1.0 / sigma_omega ** 2
     x, w = _hermite_rule(HERMITE_NODES)
     omegas = (p.omega_bar + math.sqrt(2.0) * sigma_omega * x).tolist()

@@ -151,7 +151,7 @@ def main(argv=None) -> int:
     except InvalidParametersError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SpinFidError, FloatingPointError, ArithmeticError) as exc:
+    except (SpinFidError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     _write_manifest(out_dir, args.subcommand, cfg, time.monotonic() - start)

@@ -256,8 +256,7 @@ def _steps(cfg: FilterConfig, x: tuple, ys, predict, correct: bool = True,
                 if ckf:
                     if not factored:
                         p = (p00, p01, p02, p11, p12, p22)
-                        l00, l10, l20, l11, l21, l22 = (
-                            _cholesky(p) or _cholesky_with_jitter(p))
+                        l00, l10, l20, l11, l21, l22 = _cholesky_with_jitter(p)
                     h = _SQRT3 * l00
                     by, bz = _SQRT3 * l10, _SQRT3 * l20
                     # g0 = (f2, f3), and g+- at omega +- h
@@ -442,12 +441,12 @@ def omega_at(cfg: FilterConfig, rec: MeasurementRecord, ks) -> list[float]:
     return out
 
 
+@model.checked
 def default_prior(p: SpmParams, sigma_omega: Positive) -> GaussianPrior:
     """Broad reference prior: omega ~ N(omega_bar, sigma_omega^2), spin mean
     at the polarized state with isotropic covariance 0.01 N^2.  A spread
     that is not finite and > 0, or a variance beyond float range, raises
     InvalidParametersError."""
-    model._check_inputs("default_prior", sigma_omega=sigma_omega)
     mean = np.array([p.omega_bar, 0.0, 0.5 * p.N])
     with np.errstate(over="ignore"):  # an overflow is reported below
         try:

@@ -49,9 +49,8 @@ from typing import Optional
 import numpy as np
 
 from . import bounds, filters, model, pem, sde_sim
-from .errors import (ExclusionLimitError, IntegrationBlowupError,
-                     InvalidParametersError, MapBoundaryError,
-                     NumericalDegeneracyError)
+from .errors import (ExclusionLimitError, InvalidParametersError,
+                     MapBoundaryError, NumericalDegeneracyError)
 from .model import (Constant, Count, GaussianPrior, Index, Positive,
                     SignalModel, SpmParams, Wiener)
 
@@ -62,8 +61,7 @@ MAX_EXCLUSION_FRACTION = 0.01
 
 DEFAULT_SIGMA_OMEGA = model.TWO_PI * 2.0e3  # rad/s
 
-_RUN_ERRORS = (IntegrationBlowupError, NumericalDegeneracyError,
-               MapBoundaryError, FloatingPointError)
+_RUN_ERRORS = (NumericalDegeneracyError, MapBoundaryError, FloatingPointError)
 
 
 @dataclass(frozen=True)

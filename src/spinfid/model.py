@@ -11,20 +11,28 @@ of length ``delta`` the exact discretization is a damped rotation plus
 additive Gaussian noise with isotropic standard deviation
 sqrt((qN/2)(1 - exp(-2 delta/T2))).
 
-``check_value`` is the one rule for every number spinfid takes: the config
-schema ``_SCHEMA`` holds the types, finiteness and bounds of the config
-fields (``check_fields`` checks a config class's fields by it) and of the
-checked function arguments, which name their annotation (``Positive`` and
+``check_value`` is the one rule for every number spinfid takes, by its
+annotation in the config schema ``_SCHEMA`` (its types, finiteness and
+bounds): ``check_fields`` applies it to each field of a config class, and
+the decorator ``checked`` to each argument of a function whose annotation
+is a schema key.  The number annotations are ``Positive`` and
 ``NonNegative`` numbers, ``Count`` integers from 1 to np.intp's largest
 value, ``Samples`` Monte-Carlo sample counts from 2 to it, ``Index``
 integers >= 0 and the ``Seed`` of a function that draws, an ``Index`` or a
-numpy stream object).  Every config class derives from ``_Config``, which
-checks it on construction and reads back exactly the JSON form that
-``as_json`` writes: this module alone checks, reads and writes a config.
+numpy stream object; an ``SpmParams`` argument must be a parameter object.
+The simulator, the atom sampler, ``filters.default_prior`` and the bounds
+are decorated, so their ``p``, ``simulate``'s ``duration``,
+``bcrb_numeric``'s ``t``, the Monte-Carlo bound's ``substeps`` and the
+finite-difference score's ``omega`` are checked as well as their bounded
+numbers.  Every config class derives from ``_Config``, which checks it on
+construction and reads back exactly the JSON form that ``as_json`` writes:
+this module alone checks, reads and writes a config.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
 import numbers
@@ -38,7 +46,7 @@ from .errors import InvalidParametersError
 
 TWO_PI = 2.0 * math.pi
 
-# Annotations of the bounded numbers: config fields and checked arguments
+# Annotations of the bounded numbers: config fields and function arguments
 # take them by name, so that ``_SCHEMA`` holds their bounds.
 Positive = NonNegative = float
 Count = Samples = Index = int
@@ -165,6 +173,25 @@ def check_fields(obj) -> None:
     for f in fields(obj):
         object.__setattr__(obj, f.name, check_value(
             owner, f.name, getattr(obj, f.name), f.type))
+
+
+def checked(f):
+    """Decorate ``f`` so that each argument of a call whose annotation is a
+    ``_SCHEMA`` key is checked by ``check_value``, in signature order and
+    named by ``f``'s name, before ``f`` runs: the rule that ``check_fields``
+    applies to a config's fields.  An argument left at its default is not
+    checked."""
+    signature = inspect.signature(f)
+    rules = {name: param.annotation for name, param in
+             signature.parameters.items() if param.annotation in _SCHEMA}
+
+    @functools.wraps(f)
+    def checked_f(*args, **kwargs):
+        for name, value in signature.bind(*args, **kwargs).arguments.items():
+            if name in rules:
+                check_value(f.__name__, name, value, rules[name])
+        return f(*args, **kwargs)
+    return checked_f
 
 
 def as_json(value):
@@ -374,15 +401,6 @@ class GaussianPrior:
             raise InvalidParametersError("prior covariance must be symmetric")
         if np.min(np.linalg.eigvalsh(0.5 * (cov + cov.T))) < -1e-9 * scale:
             raise InvalidParametersError("prior covariance must be positive semidefinite")
-
-
-def _check_inputs(owner: str, omega: float = 0.0, t: NonNegative = 0.0,
-                  sigma_omega: Positive = 1.0) -> None:
-    """``check_value`` on the arguments omega, t and sigma_omega of the
-    function ``owner``; the defaults pass."""
-    check_value(owner, "omega", omega, "float")
-    check_value(owner, "t", t, "NonNegative")
-    check_value(owner, "sigma_omega", sigma_omega, "Positive")
 
 
 # --------------------------------------------------------------------------

@@ -94,13 +94,19 @@ def sample_indices(times, delta: float) -> list[int]:
     """Index k of the sample t_k = k*delta nearest each time, a time halfway
     between two samples going to the later one: the one rule for how many
     samples a probing time, a record duration or a bound time holds.  A
-    time that is not finite, rounds to no sample (k < 1, i.e. below
+    time that is no number (a bool is none), is not finite (an integer
+    beyond float range is not), rounds to no sample (k < 1, i.e. below
     delta/2) or holds more samples than an array can index (k above
     np.intp's largest value, the bound of a ``Count``) raises
     InvalidParametersError."""
     ks = []
     for t in times:
-        x = t / delta
+        try:
+            x = model._conform(t, "float") / delta
+        except TypeError:
+            raise InvalidParametersError(f"time {t!r} is not a number") from None
+        except ValueError:  # an integer beyond float range, or nan or inf
+            x = math.inf
         if not math.isfinite(x):
             raise InvalidParametersError(f"time {t} is not finite")
         # floor(x + 0.5) would round 0.49999999999999994 up to 1
@@ -337,6 +343,7 @@ def _states(p: SpmParams, s: SignalModel, n_sub: int, h: float,
     return states
 
 
+@model.checked
 def simulate(p: SpmParams, s: SignalModel, duration: float,
              substeps: Count = 5,
              seed: Seed = 0) -> tuple[Trajectory, MeasurementRecord]:
@@ -358,8 +365,6 @@ def simulate(p: SpmParams, s: SignalModel, duration: float,
     (MemoryError).  ``seed`` is a ``model.Seed``: an integer >= 0 of any
     size, or a numpy Generator, BitGenerator or SeedSequence.
     """
-    model.check_value("simulate", "substeps", substeps, "Count")
-    model.check_value("simulate", "seed", seed, "Seed")
     n_meas = sample_indices([duration], p.Delta)[0]
     n_sub = n_meas * substeps
     n_bytes = (n_sub + 1) * 3 * 8  # the (n_sub + 1, 3) float64 path

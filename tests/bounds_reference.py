@@ -23,6 +23,7 @@ from scipy.special import roots_hermite
 
 from spinfid import bounds, model
 from spinfid.errors import InvalidParametersError
+from spinfid.model import NonNegative, Positive, SpmParams
 
 # beyond 30 T2 the integrand holds below about 1e-20 of the information,
 # and a quadrature over the whole of a long t loses the peak near tau = T2
@@ -30,8 +31,8 @@ from spinfid.errors import InvalidParametersError
 T2_SPAN = 30.0
 
 
-def fi_noiseless_continuous(omega, t, p):
-    model._check_inputs("fi_noiseless_continuous", omega, t)
+@model.checked
+def fi_noiseless_continuous(omega: float, t: NonNegative, p: SpmParams):
     if abs(omega) > bounds.OMEGA_MAX:
         raise InvalidParametersError(
             f"fi_noiseless_continuous omega = {omega!r} at t = {t!r} is "
@@ -53,9 +54,9 @@ def fi_noiseless_continuous(omega, t, p):
     return bounds._fi_prefactor(p) * value
 
 
-def bcrb_analytic_gaussian_prior(p, sigma_omega, t):
-    model._check_inputs("bcrb_analytic_gaussian_prior", t=t,
-                        sigma_omega=sigma_omega)
+@model.checked
+def bcrb_analytic_gaussian_prior(p: SpmParams, sigma_omega: Positive,
+                                 t: NonNegative):
     precision = 1.0 / sigma_omega ** 2
     x, w = roots_hermite(bounds.HERMITE_NODES)
     omegas = (p.omega_bar + math.sqrt(2.0) * sigma_omega * x).tolist()

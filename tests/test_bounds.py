@@ -1,3 +1,4 @@
+import fractions
 import math
 import re
 
@@ -245,6 +246,32 @@ class TestNumericBound:
         # 1 us rounds to no sample at Delta = 5 us
         with pytest.raises(InvalidParametersError):
             bounds.bcrb_numeric_curve(p, prior, [1e-6, 1e-4], 5)
+
+    @pytest.mark.parametrize("t, message", [
+        (True, "time True is not a number"),
+        ("a", "time 'a' is not a number"),
+        (None, "time None is not a number"),
+        (10 ** 400, f"time {10 ** 400} is not finite"),
+    ], ids=["bool", "string", "None", "10**400"])
+    def test_curve_refuses_a_time_that_is_no_finite_number(self, t, message):
+        # each once converted by float() before any check: a bool read as
+        # 1 s, or a bare ValueError, TypeError or OverflowError
+        p = SpmParams()
+        with pytest.raises(InvalidParametersError) as exc:
+            bounds.bcrb_numeric_curve(p, _prior(p, 1e3), [1e-4, t], 2)
+        assert str(exc.value) == message
+
+    def test_curve_takes_times_of_any_number_type(self):
+        # every number form of a time gives the bits of its float
+        p = SpmParams()
+        prior = _prior(p, TWO_PI * 2e3)
+        floats = bounds.bcrb_numeric_curve(p, prior, [1e-4, 5e-5], 2, seed=1)
+        given = bounds.bcrb_numeric_curve(
+            p, prior, (np.float64(1e-4), fractions.Fraction(1, 20000)), 2,
+            seed=1)
+        assert [(r.value, r.mc_std_err, r.meta) for r in given] == \
+            [(r.value, r.mc_std_err, r.meta) for r in floats]
+        assert [type(r.meta["t"]) for r in given] == [float, float]
 
     def test_numeric_agrees_with_analytic_when_noiseless(self):
         # q = 0 and a deterministic polarized start is exactly the regime of

@@ -4,10 +4,12 @@ checked function argument, bounds included, and one writer
 (``model.as_json``) whose output one reader, ``model._Config.from_dict``,
 reads back."""
 
+import __future__
 import dataclasses
 import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -244,13 +246,81 @@ ARGUMENTS = [
     (bounds.fi_asymptotic, "omega", lambda v: bounds.fi_asymptotic(v, _P)),
     (filters.default_prior, "sigma_omega",
      lambda v: filters.default_prior(_P, v)),
+    (sde_sim.simulate, "duration",
+     lambda v: sde_sim.simulate(_P, Constant(1.0), v)),
+    (bounds.bcrb_numeric, "t",
+     lambda v: bounds.bcrb_numeric(_P, _PRIOR, v, 2)),
+    (bounds.bcrb_numeric, "n_samples",
+     lambda v: bounds.bcrb_numeric(_P, _PRIOR, _P.Delta, v)),
+    (bounds.bcrb_numeric, "seed",
+     lambda v: bounds.bcrb_numeric(_P, _PRIOR, _P.Delta, 2, seed=v)),
+    (bounds.bcrb_numeric, "substeps",
+     lambda v: bounds.bcrb_numeric(_P, _PRIOR, _P.Delta, 2, substeps=v)),
+    (bounds.bcrb_numeric_curve, "substeps",
+     lambda v: bounds.bcrb_numeric_curve(_P, _PRIOR, [_P.Delta], 2,
+                                         substeps=v)),
+    (bounds.neg_log_joint_gradient, "omega",
+     lambda v: bounds.neg_log_joint_gradient(v, _REC, _P, _PRIOR, 1e-3)),
+    (bounds.fi_noiseless_discrete, "omega",
+     lambda v: bounds.fi_noiseless_discrete(v, 1e-4, _P)),
+    (bounds.fi_noiseless_discrete, "t",
+     lambda v: bounds.fi_noiseless_discrete(1.0, v, _P)),
+    (bounds.fi_noiseless_continuous, "omega",
+     lambda v: bounds.fi_noiseless_continuous(v, 1e-4, _P)),
+    (bounds.fi_noiseless_continuous, "t",
+     lambda v: bounds.fi_noiseless_continuous(1.0, v, _P)),
+    (bounds.fi_no_decoherence, "omega",
+     lambda v: bounds.fi_no_decoherence(v, 1e-4, _P)),
+    (bounds.noiseless_bcrb_floor, "sigma_omega",
+     lambda v: bounds.noiseless_bcrb_floor(_P, v)),
+    (bounds.bcrb_analytic_gaussian_prior, "sigma_omega",
+     lambda v: bounds.bcrb_analytic_gaussian_prior(_P, v, 1e-4)),
+    (bounds.bcrb_analytic_gaussian_prior, "t",
+     lambda v: bounds.bcrb_analytic_gaussian_prior(_P, 1e3, v)),
 ]
+# past the rule: the message by which a function refuses a value that the
+# rule takes, for each argument that has such values among the probes
+_SAMPLE_RULE = r"time \S+ (rounds to no sample|holds more than)"
+PAST_THE_RULE = {
+    ("simulate", "duration"): _SAMPLE_RULE,
+    ("bcrb_numeric", "t"): _SAMPLE_RULE,
+    ("fi_noiseless_discrete", "t"): _SAMPLE_RULE,
+    # the curve's substeps reach the simulator, which takes a Count
+    ("bcrb_numeric", "substeps"): "simulate substeps must be ",
+    ("bcrb_numeric_curve", "substeps"): "simulate substeps must be ",
+    ("fi_noiseless_continuous", "omega"): "fi_noiseless_continuous omega = "
+                                          ".* is beyond the physical range",
+    ("noiseless_bcrb_floor", "sigma_omega"):
+        "noiseless_bcrb_floor is beyond float range",
+    ("bcrb_analytic_gaussian_prior", "sigma_omega"):
+        "(bcrb_analytic_gaussian_prior is beyond float range"
+        "|fi_noiseless_continuous omega = .* is beyond the physical range)",
+}
 ARGUMENT_PROBES = [
     pytest.param(fn.__name__, name, annotation, call, value,
                  id=f"{fn.__name__}.{name}={value!r}")
     for fn, name, call in ARGUMENTS
     for annotation in [inspect.signature(fn).parameters[name].annotation]
     for value in _probes(annotation)]
+# each function that ``model.checked`` decorates, with valid arguments
+CHECKED = {
+    sde_sim.simulate: (_P, Constant(1.0), _P.Delta),
+    atoms.sample_steady_state_outcomes: (_P, 1.0, 2),
+    bounds.bcrb_numeric: (_P, _PRIOR, _P.Delta, 2),
+    bounds.bcrb_numeric_curve: (_P, _PRIOR, [_P.Delta], 2),
+    bounds.neg_log_joint_gradient: (1.0, _REC, _P, _PRIOR, 1e-3),
+    bounds.fi_noiseless_discrete: (1.0, 1e-4, _P),
+    bounds.fi_noiseless_continuous: (1.0, 1e-4, _P),
+    bounds.fi_short_time: (1.0, 1e-4, _P),
+    bounds.fi_asymptotic: (1.0, _P),
+    bounds.fi_no_decoherence: (1.0, 1e-4, _P),
+    bounds.noiseless_bcrb_floor: (_P, 1e3),
+    bounds.bcrb_analytic_gaussian_prior: (_P, 1e3, 1e-4),
+    filters.default_prior: (_P, 1e3),
+}
+# the annotations of the bounded arguments, each of which ``ARGUMENTS``
+# probes
+BOUNDED = {"Positive", "NonNegative", "Count", "Samples", "Index", "Seed"}
 
 
 class TestBounds:
@@ -282,7 +352,14 @@ class TestBounds:
     def test_arguments(self, owner, name, annotation, call, value):
         expected = _rejection(owner, name, annotation, value)
         if expected is None:
-            call(value)
+            try:
+                call(value)
+            except InvalidParametersError as exc:
+                # a value the rule takes, refused by the function's own limit
+                if (owner, name) not in PAST_THE_RULE:
+                    raise
+                assert re.fullmatch(PAST_THE_RULE[owner, name] + ".*",
+                                    str(exc))
             return
         with pytest.raises(InvalidParametersError) as exc:
             call(value)
@@ -303,8 +380,33 @@ SEEDED = {
     "bcrb_numeric": (lambda seed: np.array([bounds.bcrb_numeric(
         _P, _PRIOR, _P.Delta, 2, seed=seed).value]), False),
 }
-# the message owner of each: bcrb_numeric checks through the curve
-SEED_OWNER = {"bcrb_numeric": "bcrb_numeric_curve"}
+
+
+class TestArgumentRule:
+    @pytest.mark.parametrize("module", [sde_sim, atoms, bounds, filters],
+                             ids=lambda m: m.__name__)
+    def test_every_bounded_argument_is_probed(self, module):
+        # without postponed evaluation an annotation is the class it names,
+        # float or int, and neither ``model.checked`` nor this test sees it
+        assert module.annotations is __future__.annotations
+        bounded = {
+            (name, arg)
+            for name, fn in inspect.getmembers(module, inspect.isfunction)
+            if fn.__module__ == module.__name__
+            for arg, param in inspect.signature(fn).parameters.items()
+            if param.annotation in BOUNDED}
+        probed = {(fn.__name__, name) for fn, name, _ in ARGUMENTS}
+        assert bounded - probed == set()
+
+    @pytest.mark.parametrize("fn", list(CHECKED), ids=lambda f: f.__name__)
+    def test_a_parameter_argument_is_a_parameter_object(self, fn):
+        call = inspect.signature(fn).bind(*CHECKED[fn])
+        fn(*call.args, **call.kwargs)
+        call.arguments["p"] = {}
+        with pytest.raises(InvalidParametersError) as exc:
+            fn(*call.args, **call.kwargs)
+        assert str(exc.value) == \
+            f"{fn.__name__} 'p' must be a parameter object, got {{}}"
 
 
 class TestSeeds:
@@ -315,13 +417,12 @@ class TestSeeds:
         # once numpy's bare ValueError (a negative integer) or TypeError
         # (a float), or a draw from fresh entropy (None)
         call, streams = SEEDED[fn]
-        owner = SEED_OWNER.get(fn, fn)
         if isinstance(seed, int) and seed < 0:
-            expected = f"{owner} seed must be >= 0, got {seed!r}"
+            expected = f"{fn} seed must be >= 0, got {seed!r}"
         else:
             what = ("an integer, a numpy Generator, BitGenerator or "
                     "SeedSequence" if streams else "an integer")
-            expected = f"{owner} 'seed' must be {what}, got {seed!r}"
+            expected = f"{fn} 'seed' must be {what}, got {seed!r}"
         with pytest.raises(InvalidParametersError) as exc:
             call(seed)
         assert str(exc.value) == expected
@@ -335,7 +436,7 @@ class TestSeeds:
         with pytest.raises(InvalidParametersError) as exc:
             SEEDED[fn][0](seed)
         assert str(exc.value) == \
-            f"bcrb_numeric_curve 'seed' must be an integer, got {seed!r}"
+            f"{fn} 'seed' must be an integer, got {seed!r}"
 
     @pytest.mark.parametrize("fn", list(SEEDED))
     def test_every_seed_form_keeps_its_stream(self, fn):

@@ -416,6 +416,21 @@ class TestSimulate:
         with pytest.raises(InvalidParametersError, match="not finite"):
             sde_sim.sample_indices([1e-4, t], 5e-6)
 
+    @pytest.mark.parametrize("t, message", [
+        (True, "time True is not a number"),
+        (np.True_, f"time {np.True_!r} is not a number"),
+        ("a", "time 'a' is not a number"),
+        (None, "time None is not a number"),
+        (1j, "time 1j is not a number"),
+        (10 ** 400, f"time {10 ** 400} is not finite"),
+    ], ids=["bool", "numpy bool", "string", "None", "complex", "10**400"])
+    def test_a_time_that_is_no_finite_number_is_refused(self, t, message):
+        # once 200000 samples from a bool read as 1 s, a bare TypeError
+        # (a string, None, a complex) or OverflowError (10**400)
+        with pytest.raises(InvalidParametersError) as exc:
+            sde_sim.sample_indices([1e-4, t], 5e-6)
+        assert str(exc.value) == message
+
     def test_rejects_bad_arguments(self):
         p = SpmParams()
         with pytest.raises(InvalidParametersError):
