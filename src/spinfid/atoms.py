@@ -7,14 +7,16 @@ the variance estimator for N gives an unbiased atom-number estimate whose
 relative error shrinks as 1/sqrt(k).
 
 The sampler of such outcomes runs on two threads: while the calling thread
-walks the spin recurrence block by block, ``_drawn_ahead``, the package's
-one noise drawer, has the one worker of a standard-library thread pool draw
-the next block of noise from the same generator, and the record is bit for
-bit the serial one.
+walks the spin recurrence block by block, ``sde_sim._drawn_ahead``, the
+package's one noise drawer, has the one worker of a standard-library
+thread pool draw the next two blocks of noise from the same generator, and
+the record is bit for bit the serial one.  The drawer's other user is the
+Ito-Taylor path of ``sde_sim.simulate``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -86,21 +88,6 @@ def estimate_atom_number(samples, p: SpmParams) -> AtomCountEstimate:
     return AtomCountEstimate(n_hat, sigma_n, k, degenerate=n_hat <= 0.0)
 
 
-def _drawn_ahead(pool, rng: np.random.Generator, sizes: list):
-    """Standard normal blocks of the given sizes (at least one), drawn in
-    order from ``rng`` by a worker of ``pool`` while the caller uses the
-    block before.  Each block is a fresh array whose draw is waited for
-    before the next is submitted, so one draw at a time is in flight and a
-    failed draw is raised here with nothing drawn after it."""
-    sizes = iter(sizes)
-    ahead = pool.submit(rng.standard_normal, next(sizes))
-    for n in sizes:
-        block = ahead.result()
-        ahead = pool.submit(rng.standard_normal, n)
-        yield block
-    yield ahead.result()
-
-
 # samples per block of the sampler's walk: whole blocks of
 # ``sde_sim._BLOCK``, so whole chunks of the rotation's recurrence; at
 # ``sde_sim._BLOCK`` itself the hand-offs between the two threads cost more
@@ -121,12 +108,13 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
     The k real parts of the spin noise are drawn straight into the returned
     array, which is then walked one block of ``_BLOCK`` samples at a time
     (16384, four blocks of ``sde_sim._BLOCK``).  Meanwhile
-    ``_drawn_ahead`` has the one worker of a ``ThreadPoolExecutor``, a
-    second thread, draw every block of imaginary parts and then every
-    block of shot noise from the same generator, one block ahead of the
-    walk; numpy draws and runs its ufuncs with the GIL released, so the
-    draws overlap the walk.  Leaving the pool joins the worker, whether
-    the walk ended or raised, and a failed draw is raised again here.
+    ``sde_sim._drawn_ahead`` has the one worker of a
+    ``ThreadPoolExecutor``, a second thread, draw every block of imaginary
+    parts and then every block of shot noise from the same generator, two
+    blocks ahead of the walk; numpy draws and runs its ufuncs with the GIL
+    released, so the draws overlap the walk.  Closing the drawer joins the
+    worker, whether the walk ended or raised, and a failed draw is raised
+    again here with nothing drawn after it.
     Each block of the walk builds eta from its imaginary parts, advances
     the rotation from the state the previous block left and is
     overwritten with J_z; a second walk adds the shot noise.  The draws
@@ -137,7 +125,7 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
     is), and the same to rounding for any other; the bit identity was
     checked with numpy 2.4 on an AVX-512 x86-64 CPU (see
     ``model.damped_rotation``).  The working set is the output plus up to
-    three fresh blocks of noise and the walk's temporaries, a few blocks
+    four fresh blocks of noise and the walk's temporaries, a few blocks
     in all.  Noise scales beyond float range, and a seed that is no
     ``model.Seed``, raise InvalidParametersError before any draw.
     """
@@ -158,10 +146,7 @@ def sample_steady_state_outcomes(p: SpmParams, omega: float, k: Count,
     z = stat_std * (rng.standard_normal() + 1j * rng.standard_normal())
     out = rng.standard_normal(k)
     eta = np.empty(sizes[0], dtype=complex)
-    # imported here: at the top it adds milliseconds to ``import spinfid``
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        draws = _drawn_ahead(pool, rng, sizes * 2)
+    with contextlib.closing(sde_sim._drawn_ahead(rng, sizes * 2)) as draws:
         # zip asks ``starts`` first, so each walk takes its own blocks
         for start, im in zip(starts, draws):
             y = out[start:start + block]

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import model, pem, sde_sim
 from .errors import InvalidParametersError
-from .model import (GaussianPrior, Index, NonNegative, Positive, Samples,
-                    SpmParams)
+from .model import (Count, GaussianPrior, Index, NonNegative, Positive,
+                    Samples, SpmParams)
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def neg_log_joint_gradient(omega: float, rec: sde_sim.MeasurementRecord,
 @model.checked
 def bcrb_numeric(p: SpmParams, prior: GaussianPrior, t: float,
                  n_samples: Samples, seed: Index = 0,
-                 substeps: int = 5) -> BoundResult:
+                 substeps: Count = 5) -> BoundResult:
     """Monte-Carlo Bayesian bound 1 / E[(dJ/d omega)^2] at probing time t,
     the one-time case of :func:`bcrb_numeric_curve`."""
     return bcrb_numeric_curve(p, prior, [t], n_samples, seed=seed,
@@ -64,7 +64,7 @@ def bcrb_numeric(p: SpmParams, prior: GaussianPrior, t: float,
 @model.checked
 def bcrb_numeric_curve(p: SpmParams, prior: GaussianPrior, times,
                        n_samples: Samples, seed: Index = 0,
-                       substeps: int = 5):
+                       substeps: Count = 5):
     """Monte-Carlo bound at several probing times from shared simulations.
 
     Valid with atomic noise on (q from the parameter set).  Sample m is
@@ -76,9 +76,10 @@ def bcrb_numeric_curve(p: SpmParams, prior: GaussianPrior, times,
     inverted mean.  A time maps to its nearest sample; one that is no finite
     number or rounds to none (:func:`sde_sim.sample_indices`), a prior that
     ``pem._prior_terms`` rejects, a sample count that is no
-    ``model.Samples`` (an integer from 2 to np.intp's largest value), or a
+    ``model.Samples`` (an integer from 2 to np.intp's largest value), a
     seed that is no ``model.Index`` (an integer >= 0: the samples are the
-    shots of an integer seed), raises InvalidParametersError.
+    shots of an integer seed), or a substep count that is no
+    ``model.Count``, raises InvalidParametersError.
     Returns BoundResults in ascending time order.
     """
     times = list(times)
@@ -156,10 +157,11 @@ def _fi_prefactor(p: SpmParams) -> float:
 def fi_noiseless_discrete(omega: float, t: NonNegative,
                           p: SpmParams) -> float:
     """Fisher information of the sampled damped sinusoid: the sum over the
-    samples t_j = j*Delta that a record of duration t holds, counted by
-    :func:`sde_sim.sample_indices` as ``simulate`` counts them."""
+    samples t_j = j*Delta that a record of duration t holds, counted as
+    ``simulate`` counts them (:func:`sde_sim.sample_indices`); a duration
+    below Delta/2 holds none, and its information is 0."""
     t2 = model.coherence_time(p)
-    tj = p.Delta * np.arange(1, sde_sim.sample_indices([t], p.Delta)[0] + 1)
+    tj = p.Delta * np.arange(1, sde_sim._sample_count(t, p.Delta) + 1)
     terms = np.exp(-2.0 * tj / t2) * tj ** 2 * np.sin(omega * tj) ** 2
     return _fi_prefactor(p) * p.Delta * float(terms.sum())
 
@@ -291,12 +293,16 @@ def bcrb_analytic_gaussian_prior(p: SpmParams, sigma_omega: Positive,
     """Noiseless Bayesian bound 1 / (sigma^-2 + E_prior[I_F]) with the prior
     expectation of :func:`fi_noiseless_continuous` taken by
     ``HERMITE_NODES``-point Gauss-Hermite quadrature over omega; a spread
-    so wide that a node lies beyond ``OMEGA_MAX`` raises
-    InvalidParametersError (:func:`fi_noiseless_continuous`)."""
+    so wide that a node lies beyond ``OMEGA_MAX``, or a node's information
+    beyond float range, raises InvalidParametersError as
+    :func:`fi_noiseless_continuous` does."""
     precision = 1.0 / sigma_omega ** 2
     x, w = _hermite_rule(HERMITE_NODES)
     omegas = (p.omega_bar + math.sqrt(2.0) * sigma_omega * x).tolist()
-    values = np.array([fi_noiseless_continuous(om, t, p) for om in omegas])
+    # the information with its range rule but without ``model.checked``,
+    # which would bind and check at every node the p and t checked above
+    information = fi_noiseless_continuous.__wrapped__
+    values = np.array([information(om, t, p) for om in omegas])
     with np.errstate(over="ignore"):  # an overflow is raised below
         expected = float(np.dot(w, values)) / math.sqrt(math.pi)
     if expected == math.inf:  # the bound would read 0

@@ -34,10 +34,15 @@ recurrence with kappa = 1/T2 + i omega and g1 = sqrt(d_c) zeta_omega:
 
 ``simulate`` and ``ito_taylor_1p5_step`` build these with the same code.
 
-Every block of every shot draws its standard normals on the calling
-thread, in stream order, just before it is walked.  The package's one
-noise drawer, a second thread, lives in ``atoms``: the atom-count sampler
-is its only user.
+The package's one noise drawer, ``_drawn_ahead``, draws a long noise
+stream on the one worker of a standard-library thread pool, two blocks
+ahead of the caller that walks it; numpy draws with the GIL released, so
+the draws overlap the walk.  It has two users: ``_states`` for a diffusing
+frequency's shot of more than one block, and the atom-count sampler
+(``atoms``).  A waveform's shot and a one-block diffusing shot draw each
+block on the calling thread, just before it is walked.  Either way the
+blocks come in stream order, so every path and record is the same bit for
+bit.
 
 Each question about a shot has one answer here.  The frequency starts where
 the signal says (``model.initial_omega``).  ``_frequency_sde`` is the one
@@ -55,6 +60,8 @@ omega = mu + sigma z and a record of k samples at that frequency.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
 import numbers
 import warnings
@@ -90,35 +97,43 @@ def _write_csv(path, header: str, rows) -> None:
         fh.write("\r\n".join(lines) + "\r\n")
 
 
-def sample_indices(times, delta: float) -> list[int]:
-    """Index k of the sample t_k = k*delta nearest each time, a time halfway
-    between two samples going to the later one: the one rule for how many
-    samples a probing time, a record duration or a bound time holds.  A
-    time that is no number (a bool is none), is not finite (an integer
-    beyond float range is not), rounds to no sample (k < 1, i.e. below
-    delta/2) or holds more samples than an array can index (k above
+def _sample_count(t, delta: float) -> int:
+    """Index k of the sample t_k = k*delta nearest the time t, a time
+    halfway between two samples going to the later one, and 0 below
+    delta/2: the samples that a record of duration t holds.  A time that
+    is no number (a bool is none), is not finite (an integer beyond float
+    range is not) or holds more samples than an array can index (k above
     np.intp's largest value, the bound of a ``Count``) raises
     InvalidParametersError."""
+    try:
+        x = model._conform(t, "float") / delta
+    except TypeError:
+        raise InvalidParametersError(f"time {t!r} is not a number") from None
+    except ValueError:  # an integer beyond float range, or nan or inf
+        x = math.inf
+    if not math.isfinite(x):
+        raise InvalidParametersError(f"time {t} is not finite")
+    # floor(x + 0.5) would round 0.49999999999999994 up to 1
+    k = math.floor(x)
+    k += x - k >= 0.5
+    if k > model._SIZE_MAX:
+        raise InvalidParametersError(
+            f"time {t} holds more than {model._SIZE_MAX} samples at "
+            f"Delta = {delta}, the most an array can index")
+    return k
+
+
+def sample_indices(times, delta: float) -> list[int]:
+    """``_sample_count`` of each time, the one rule for how many samples a
+    probing time, a record duration or a bound time holds; a time that
+    rounds to no sample (k < 1, i.e. below delta/2) raises
+    InvalidParametersError too."""
     ks = []
     for t in times:
-        try:
-            x = model._conform(t, "float") / delta
-        except TypeError:
-            raise InvalidParametersError(f"time {t!r} is not a number") from None
-        except ValueError:  # an integer beyond float range, or nan or inf
-            x = math.inf
-        if not math.isfinite(x):
-            raise InvalidParametersError(f"time {t} is not finite")
-        # floor(x + 0.5) would round 0.49999999999999994 up to 1
-        k = math.floor(x)
-        k += x - k >= 0.5
+        k = _sample_count(t, delta)
         if k < 1:
             raise InvalidParametersError(
                 f"time {t} rounds to no sample at Delta = {delta}")
-        if k > model._SIZE_MAX:
-            raise InvalidParametersError(
-                f"time {t} holds more than {model._SIZE_MAX} samples at "
-                f"Delta = {delta}, the most an array can index")
         ks.append(k)
     return ks
 
@@ -295,15 +310,52 @@ def euler_maruyama_step(x: np.ndarray, h: float, p: SpmParams, s: SignalModel,
     return x_new
 
 
+def _drawn_ahead(rng: np.random.Generator, sizes: list):
+    """Standard normal blocks of the given sizes, drawn in order from
+    ``rng`` by the one worker of a ``ThreadPoolExecutor`` while the caller
+    uses the block before: the package's one noise drawer.  Two draws are
+    in flight while the caller holds a block, and each block is a fresh
+    array.  A failed draw is raised here, and the draws queued after it
+    find a flag it set and draw nothing.  The caller closes this generator
+    on every exit (``contextlib.closing``), which joins the worker without
+    cancelling a queued draw: a walk that fails in block b has then read
+    the stream to block min(b + 2, last), whatever the threads' timing."""
+    failed = False
+
+    def draw(n):  # one worker: each call sees the flag of the one before
+        nonlocal failed
+        if not failed:
+            try:
+                return rng.standard_normal(n)
+            except BaseException:
+                failed = True
+                raise
+
+    # imported here: at the top it adds milliseconds to ``import spinfid``
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = collections.deque()
+        for n in sizes:
+            ahead.append(pool.submit(draw, n))
+            if len(ahead) > 2:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+
+
 def _states(p: SpmParams, s: SignalModel, n_sub: int, h: float,
             rng: np.random.Generator, x1: float) -> np.ndarray:
     """Substep path (n_sub + 1, 3) from (x1, 0, N/2), one block at a time.
 
-    Each block draws its standard normals from ``rng`` on this thread just
-    before it is walked, (n, 2, 3) for a diffusing frequency and (n, 2)
-    for a waveform, so after a block blows up the stream has been read no
-    further than that block.  The draws and the increment pair are let go
-    once the step coefficients are formed, before the spin walk.
+    A block of n substeps takes 6n standard normals, (n, 2, 3) in stream
+    order, for a diffusing frequency and 2n, (n, 2), for a waveform.  A
+    diffusing shot of more than one block draws them on ``_drawn_ahead``'s
+    worker, two blocks ahead of the walk, and after a blow-up in block b
+    has read the stream to block min(b + 2, last); any other shot draws
+    each block on this thread just before it is walked, and after a
+    blow-up has read the stream no further than that block.  The draws and
+    the increment pair are let go once the step coefficients are formed,
+    before the spin walk.
     """
     t2 = model.coherence_time(p)
     b = model.discrete_spin_noise_std(p.q, p.N, h, t2)
@@ -313,33 +365,39 @@ def _states(p: SpmParams, s: SignalModel, n_sub: int, h: float,
     states[:, 0] = x1 if stochastic or constant else model.deterministic_omega(
         s, h * np.arange(n_sub + 1))
     states[0, 1:] = (0.0, 0.5 * p.N)
-    for start in range(0, n_sub, _BLOCK):
-        block = states[start + 1:start + 1 + _BLOCK]
-        n = len(block)
-        if stochastic:
-            # (2, 3, n): each component's draws contiguous for the pair
-            w = rng.standard_normal(6 * n).reshape(n, 2, 3).transpose(
-                1, 2, 0).copy()
-            xi, zeta = _correlated_pair(h, w[0], w[1])
-            phi, omega_bar, e = _taylor_frequency(h, s, xi[0], zeta[0])
-            block[:, 0] = omega_bar + model.damped_rotation(
-                phi, e, states[start, 0] - omega_bar)
-            pole, eta = _taylor_spin(h, p, s, states[start:start + n, 0],
-                                     xi, zeta)
-            del xi, zeta, e
-        else:
-            w = rng.standard_normal((n, 2))
-            eta = b * (w[:, 0] + 1j * w[:, 1])
-            # frequency frozen at its start-of-substep value
-            pole = model.rotation_pole(
-                x1 if constant else states[start:start + n, 0], h, t2)
-        del w  # the walk needs only the coefficients: free the draws
-        z = model.damped_rotation(pole, eta, complex(*states[start, 1:]))
-        block[:, 1] = z.real
-        block[:, 2] = z.imag
-        if not np.all(np.isfinite(block)):
-            raise IntegrationBlowupError(
-                "trajectory diverged during simulation")
+    starts = range(0, n_sub, _BLOCK)
+    sizes = [(6 if stochastic else 2) * min(_BLOCK, n_sub - start)
+             for start in starts]
+    if stochastic and len(sizes) > 1:
+        draws = _drawn_ahead(rng, sizes)
+    else:
+        draws = (rng.standard_normal(size) for size in sizes)
+    with contextlib.closing(draws):
+        for start, w in zip(starts, draws):
+            block = states[start + 1:start + 1 + _BLOCK]
+            n = len(block)
+            if stochastic:
+                # (2, 3, n): each component's draws contiguous for the pair
+                w = w.reshape(n, 2, 3).transpose(1, 2, 0).copy()
+                xi, zeta = _correlated_pair(h, w[0], w[1])
+                phi, omega_bar, e = _taylor_frequency(h, s, xi[0], zeta[0])
+                block[:, 0] = omega_bar + model.damped_rotation(
+                    phi, e, states[start, 0] - omega_bar)
+                pole, eta = _taylor_spin(h, p, s, states[start:start + n, 0],
+                                         xi, zeta)
+                del xi, zeta, e
+            else:
+                eta = b * (w[0::2] + 1j * w[1::2])
+                # frequency frozen at its start-of-substep value
+                pole = model.rotation_pole(
+                    x1 if constant else states[start:start + n, 0], h, t2)
+            del w  # the walk needs only the coefficients: free the draws
+            z = model.damped_rotation(pole, eta, complex(*states[start, 1:]))
+            block[:, 1] = z.real
+            block[:, 2] = z.imag
+            if not np.all(np.isfinite(block)):
+                raise IntegrationBlowupError(
+                    "trajectory diverged during simulation")
     return states
 
 
@@ -357,7 +415,9 @@ def simulate(p: SpmParams, s: SignalModel, duration: float,
     ``duration`` (:func:`sample_indices`); the integrator runs at step
     Delta/substeps.  Diffusing frequencies use the order-1.5 Taylor scheme,
     deterministic waveforms the exact frozen-frequency step (see the module
-    docstring).  Identical inputs give bit-identical outputs.  K, and the
+    docstring).  A diffusing shot of more than one block draws its noise
+    on the worker of ``_drawn_ahead``, which is joined before this returns
+    or raises.  Identical inputs give bit-identical outputs.  K, and the
     substep path's bytes, (K ``substeps`` + 1) x 3 x 8, must be at most
     np.intp's largest value, the most an array can index; a larger count
     raises InvalidParametersError before anything is allocated.  A path

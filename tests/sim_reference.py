@@ -8,9 +8,9 @@ holds the constant-pole recurrence as the linear filter it ran as before it
 was solved in numpy, the exact one-step spin transition as a matrix, and the
 atom-count sampler's integrator route, for the tests that use them as
 references.  ``drawn_on_the_caller`` draws the noise drawer's blocks on the
-calling thread, as the atom-count sampler drew them before the drawer had a
-thread of its own, and ``FailingGenerator`` fails a chosen draw, for the
-tests of how the samplers draw.
+calling thread, as the simulator and the atom-count sampler drew them
+before the drawer had a thread of its own, and ``FailingGenerator`` fails
+a chosen draw, for the tests of how the samplers draw.
 """
 
 from __future__ import annotations
@@ -174,11 +174,11 @@ def one_shot_steady_state_outcomes(p: SpmParams, omega: float, k: int,
     return z.imag + shot_std * rng.standard_normal(k)
 
 
-def drawn_on_the_caller(pool, rng: np.random.Generator, sizes: list):
-    """Stand-in for ``atoms._drawn_ahead`` that leaves ``pool`` idle and
+def drawn_on_the_caller(rng: np.random.Generator, sizes: list):
+    """Stand-in for ``sde_sim._drawn_ahead`` that starts no thread and
     draws each block on the calling thread when it is asked for, from the
-    same generator in the same order: installed in its place, the sampler
-    draws as it did serially."""
+    same generator in the same order: installed in its place, the
+    simulator and the atom-count sampler draw as they did serially."""
     for n in sizes:
         yield rng.standard_normal(n)
 

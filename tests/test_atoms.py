@@ -239,7 +239,7 @@ class TestDrawerThread:
 
     def test_blocks_are_the_callers_draws(self, monkeypatch):
         got = sample_steady_state_outcomes(SpmParams(), 1.0, self.K, seed=2)
-        monkeypatch.setattr(atoms, "_drawn_ahead",
+        monkeypatch.setattr(sde_sim, "_drawn_ahead",
                             sim_reference.drawn_on_the_caller)
         want = sample_steady_state_outcomes(SpmParams(), 1.0, self.K, seed=2)
         assert got.tobytes() == want.tobytes()
@@ -256,6 +256,8 @@ class TestDrawerThread:
         assert threading.active_count() == before
         assert rng.calls == fail_on  # no draw after the failed one
 
+    # the walk of block b fails: the worker has queued the two blocks after
+    # it, of the eight it draws, and draws them before it is joined
     @pytest.mark.parametrize("fail_on", [1, 2, 4])
     def test_joined_after_a_failure_in_the_walk(self, monkeypatch, fail_on):
         rotation = model.damped_rotation
@@ -268,9 +270,12 @@ class TestDrawerThread:
             return rotation(*args)
         monkeypatch.setattr(model, "damped_rotation", failing)
         before = threading.active_count()
+        rng = sim_reference.FailingGenerator(fail_on=None)
         with pytest.raises(FloatingPointError, match="walk failed"):
-            sample_steady_state_outcomes(SpmParams(), 1.0, self.K, seed=1)
+            sample_steady_state_outcomes(SpmParams(), 1.0, self.K, seed=rng)
         assert threading.active_count() == before
+        # three calls on the caller: the start's two and the real parts
+        assert rng.calls == 3 + fail_on + 2
 
     def test_concurrent_callers_under_fast_switching(self, monkeypatch):
         # more callers than cores, each with its own worker, switching

@@ -312,10 +312,17 @@ class TestFisherInformation:
         assert bounds.fi_noiseless_discrete(omega, t, p) == pytest.approx(
             expected, rel=1e-12)
 
-    def test_discrete_rejects_a_time_below_one_sample(self):
+    def test_discrete_is_zero_for_a_time_below_one_sample(self):
+        # a duration below Delta/2 holds no sample: an empty record, whose
+        # information is 0, as the other informations read at t = 0
         p = SpmParams()
-        with pytest.raises(InvalidParametersError):
-            bounds.fi_noiseless_discrete(TWO_PI * 1e4, 0.4 * p.Delta, p)
+        omega = TWO_PI * 1e4
+        for t in (0.0, 0, 0.4 * p.Delta, math.nextafter(0.5 * p.Delta, 0.0)):
+            assert bounds.fi_noiseless_discrete(omega, t, p) == 0.0
+        assert bounds.fi_noiseless_discrete(omega, 0.5 * p.Delta, p) > 0.0
+        for fi in (bounds.fi_noiseless_continuous, bounds.fi_short_time,
+                   bounds.fi_no_decoherence):
+            assert fi(omega, 0.0, p) == 0.0
 
     def test_discrete_vanishes_at_aliased_frequency(self):
         # sin(omega * j * Delta) = 0 for all j when omega = pi / Delta
@@ -515,6 +522,31 @@ class TestAnalyticBound:
         assert x.tobytes() == hermgauss(bounds.HERMITE_NODES)[0].tobytes()
         with pytest.raises(ValueError, match="read-only"):
             w[0] = 0.0
+
+    @pytest.mark.parametrize("sigma, t", [
+        (TWO_PI * 2e3, 1e-4), (TWO_PI * 2e3, 1e-3), (1e4, 1e-3),
+        (1e6, 2e-5), (10.0, 0.5), (TWO_PI * 2e3, 0.0)])
+    def test_nodes_are_the_checked_information_bit_for_bit(self, sigma, t):
+        p = SpmParams()
+        x, w = bounds._hermite_rule(bounds.HERMITE_NODES)
+        omegas = (p.omega_bar + math.sqrt(2.0) * sigma * x).tolist()
+        values = np.array([bounds.fi_noiseless_continuous(om, t, p)
+                           for om in omegas])
+        want = 1.0 / (1.0 / sigma ** 2
+                      + float(np.dot(w, values)) / math.sqrt(math.pi))
+        assert bounds.bcrb_analytic_gaussian_prior(p, sigma, t) == want
+
+    def test_checks_its_arguments_once(self, monkeypatch):
+        # p, sigma_omega and t, not again at each of the 41 nodes
+        p, check, names = SpmParams(), model.check_value, []
+
+        def counted(owner, name, *args):
+            names.append((owner, name))
+            return check(owner, name, *args)
+        monkeypatch.setattr(model, "check_value", counted)
+        bounds.bcrb_analytic_gaussian_prior(p, 1e4, 1e-3)
+        assert names == [("bcrb_analytic_gaussian_prior", name)
+                         for name in ("p", "sigma_omega", "t")]
 
     def test_floor_prior_limit(self):
         p = SpmParams(g_D=1e-30)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import threading
 import weakref
 from dataclasses import fields, replace
 from functools import partial
@@ -8,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from spinfid import harness
+from spinfid import atoms, harness
 from spinfid.bounds import noiseless_bcrb_floor
 from spinfid.errors import (ExclusionLimitError, IntegrationBlowupError,
                             InvalidParametersError, MapBoundaryError,
@@ -803,6 +804,37 @@ class TestFanOut:
         assert isinstance(error, RuntimeError)
         assert str(error) == ("a sweep worker exited without its results "
                               "(exit code 3)")
+
+    def test_no_drawer_thread_is_alive_at_a_fork(self, monkeypatch):
+        # the noise drawer's worker, used here by a diffusing shot and the
+        # atom sampler, and in each task by a diffusing shot, is joined by
+        # then: every fork finds the threads there were before
+        p = SpmParams()
+        signal = OrnsteinUhlenbeck(p.omega_bar, 0.3, 1e9)
+        duration = 2 * harness.sde_sim._BLOCK * p.Delta  # two blocks
+
+        def task(seed):
+            return harness.sde_sim.simulate(p, signal, duration, substeps=1,
+                                            seed=seed)[1].outcomes.tobytes()
+        tasks = [partial(task, seed) for seed in range(3)]
+        before = threading.enumerate()
+        task(9)
+        atoms.sample_steady_state_outcomes(p, p.omega_bar, 50_000)
+        forks = []
+        fork = os.fork
+
+        def spy():
+            # checked before the fork: a child that needs a thread the fork
+            # did not copy may never finish
+            assert threading.enumerate() == before
+            forks.append(None)
+            return fork()
+        monkeypatch.setattr(harness.os, "fork", spy)
+        monkeypatch.setattr(harness, "_cpus", lambda: 3)
+        assert harness._fan_out(tasks) == [t() for t in tasks]
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_cpus_is_the_affinity_mask(self, monkeypatch):
         assert harness._cpus() == len(os.sched_getaffinity(0))

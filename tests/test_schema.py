@@ -284,10 +284,8 @@ _SAMPLE_RULE = r"time \S+ (rounds to no sample|holds more than)"
 PAST_THE_RULE = {
     ("simulate", "duration"): _SAMPLE_RULE,
     ("bcrb_numeric", "t"): _SAMPLE_RULE,
-    ("fi_noiseless_discrete", "t"): _SAMPLE_RULE,
-    # the curve's substeps reach the simulator, which takes a Count
-    ("bcrb_numeric", "substeps"): "simulate substeps must be ",
-    ("bcrb_numeric_curve", "substeps"): "simulate substeps must be ",
+    # a duration of no sample holds no information
+    ("fi_noiseless_discrete", "t"): r"time \S+ holds more than",
     ("fi_noiseless_continuous", "omega"): "fi_noiseless_continuous omega = "
                                           ".* is beyond the physical range",
     ("noiseless_bcrb_floor", "sigma_omega"):

@@ -2,7 +2,6 @@ import math
 import re
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sim_reference
-from spinfid import atoms, filters, model, pem, sde_sim
+from spinfid import filters, model, pem, sde_sim
 from spinfid.errors import IntegrationBlowupError, InvalidParametersError
 from spinfid.filters import default_prior
 from spinfid.model import (Constant, OrnsteinUhlenbeck, Sinusoid, SpmParams,
@@ -557,9 +556,51 @@ class TestBlocks:
         assert np.array_equal(long.states[:n], short.states)
 
 
+WAVEFORMS = ["constant", "sinusoid", "step"]
+DIFFUSING = ["ou", "wiener"]
+
+
+def _spy_on_rotation(monkeypatch, seen: list, look):
+    """Append look() to ``seen`` at each ``model.damped_rotation`` call."""
+    rotation = model.damped_rotation
+
+    def spy(*args):
+        seen.append(look())
+        return rotation(*args)
+    monkeypatch.setattr(model, "damped_rotation", spy)
+
+
+def _blowup_in_block(monkeypatch, block: int, kind: str):
+    """Make the walk of ``block`` (from 1) diverge: the spin walk of a
+    constant frequency, or a diffusing frequency's frequency path, each
+    computed once a block."""
+    calls = []
+    if kind == "constant":
+        rotation = model.damped_rotation
+
+        def diverging(*args):
+            calls.append(None)
+            z = rotation(*args)
+            if len(calls) == block:
+                z[-1] = math.inf
+            return z
+        monkeypatch.setattr(model, "damped_rotation", diverging)
+    else:
+        frequency = sde_sim._taylor_frequency
+
+        def diverging(*args):
+            calls.append(None)
+            phi, omega_bar, e = frequency(*args)
+            if len(calls) == block:
+                e[-1] = math.inf
+            return phi, omega_bar, e
+        monkeypatch.setattr(sde_sim, "_taylor_frequency", diverging)
+
+
 class TestCallerDraws:
-    """Every block of every shot draws its noise on the calling thread, in
-    stream order, just before it is walked."""
+    """A waveform's shot and a one-block diffusing shot draw each block's
+    noise on the calling thread, in stream order, just before it is
+    walked."""
 
     N_SUB = 3 * sde_sim._BLOCK + 17  # four blocks, the last one partial
 
@@ -567,19 +608,19 @@ class TestCallerDraws:
         return sde_sim.simulate(P_REF, SIGNALS[kind], n_sub * P_REF.Delta,
                                 substeps=1, seed=seed)
 
-    # 40,000 substeps: ten blocks
+    # a waveform's shot of 40,000 substeps (ten blocks), and a diffusing
+    # shot of one whole block
     @pytest.mark.parametrize("kind", sorted(SIGNALS))
     def test_no_thread_runs_during_simulate(self, monkeypatch, kind):
-        rotation = model.damped_rotation
         before = threading.enumerate()
         seen = []
-
-        def spy(*args):
-            seen.append(threading.enumerate())
-            return rotation(*args)
-        monkeypatch.setattr(model, "damped_rotation", spy)
-        self._simulate(kind, 1, n_sub=40_000)
-        assert len(seen) >= 10
+        _spy_on_rotation(monkeypatch, seen, threading.enumerate)
+        if kind in WAVEFORMS:
+            self._simulate(kind, 1, n_sub=40_000)
+            assert len(seen) >= 10
+        else:
+            self._simulate(kind, 1, n_sub=sde_sim._BLOCK)
+            assert seen
         assert all(threads == before for threads in seen)
 
     # the draws of both kinds of block, and the increment pair of a
@@ -600,67 +641,103 @@ class TestCallerDraws:
         self._simulate(kind, 1)
         assert held == [[]] * 4
 
-    # the frequency of the second or of the last, partial block diverges
+    # the spin of a waveform's second or last, partial block diverges
     @pytest.mark.parametrize("block", [2, 4])
     def test_a_blowup_in_block_b_reads_b_draws(self, monkeypatch, block):
-        frequency = sde_sim._taylor_frequency
-        calls = []
-
-        def diverging(*args):  # called once per block
-            calls.append(None)
-            phi, omega_bar, e = frequency(*args)
-            if len(calls) == block:
-                e[-1] = math.inf
-            return phi, omega_bar, e
-        monkeypatch.setattr(sde_sim, "_taylor_frequency", diverging)
+        _blowup_in_block(monkeypatch, block, "constant")
         rng = sim_reference.FailingGenerator(fail_on=None)
         with pytest.raises(IntegrationBlowupError):
-            self._simulate("ou", rng)
+            self._simulate("constant", rng)
         assert rng.calls == block  # one draw per block, none past b
 
-    # calls 1 to 4 draw the four blocks; call 5 draws the shot noise
+    # calls 1 to 4 draw a waveform's four blocks; call 5 the shot noise
     @pytest.mark.parametrize("fail_on", [1, 2, 4, 5])
     def test_a_failed_draw_is_raised_in_the_caller(self, fail_on):
         rng = sim_reference.FailingGenerator(fail_on)
         with pytest.raises(sim_reference.DrawFailed, match=f"call {fail_on}$"):
-            self._simulate("wiener", rng)
+            self._simulate("sinusoid", rng)
         assert rng.calls == fail_on  # no draw after the failed one
 
 
-class _BlockReplay(np.random.Generator):
-    """A generator whose first standard_normal calls return the given blocks
-    and whose later calls draw from ``rng``'s bit generator."""
-
-    def __init__(self, blocks: list, rng: np.random.Generator):
-        super().__init__(rng.bit_generator)
-        self._blocks = blocks
-
-    def standard_normal(self, *args, **kwargs):
-        if self._blocks:
-            return self._blocks.pop(0)
-        return super().standard_normal(*args, **kwargs)
-
-
 class TestDrawerThread:
-    """A diffusing frequency's blocks are the normals the package's noise
-    drawer, ``atoms._drawn_ahead``, gives for the same stream: drawing them
-    on the caller keeps every bit of the path and the record."""
+    """A diffusing shot of more than one block draws its blocks on the one
+    worker of ``sde_sim._drawn_ahead``, two blocks ahead of the walk: the
+    blocks are the caller's draws bit for bit, and the worker is joined
+    on every exit."""
 
-    @pytest.mark.parametrize("kind", ["ou", "wiener"])
-    def test_blocks_are_the_callers_draws(self, kind):
-        n_sub = TestCallerDraws.N_SUB
-        traj, rec = sde_sim.simulate(P_REF, SIGNALS[kind], n_sub * P_REF.Delta,
-                                     substeps=1, seed=2)
-        rng = np.random.default_rng(2)
-        sizes = [6 * min(sde_sim._BLOCK, n_sub - start)
-                 for start in range(0, n_sub, sde_sim._BLOCK)]
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            blocks = list(atoms._drawn_ahead(pool, rng, sizes))
-        want_traj, want_rec = sde_sim.simulate(
-            P_REF, SIGNALS[kind], n_sub * P_REF.Delta, substeps=1,
-            seed=_BlockReplay(blocks, rng))
+    _simulate = TestCallerDraws._simulate
+
+    @pytest.mark.parametrize("kind", DIFFUSING)
+    def test_blocks_are_the_callers_draws(self, monkeypatch, kind):
+        traj, rec = self._simulate(kind, 2)
+        monkeypatch.setattr(sde_sim, "_drawn_ahead",
+                            sim_reference.drawn_on_the_caller)
+        want_traj, want_rec = self._simulate(kind, 2)
         assert traj.states.tobytes() == want_traj.states.tobytes()
         assert rec.outcomes.tobytes() == want_rec.outcomes.tobytes()
+
+    # two blocks, the shortest shot that takes the drawer, and four
+    @pytest.mark.parametrize("n_sub", [sde_sim._BLOCK + 1,
+                                       TestCallerDraws.N_SUB])
+    @pytest.mark.parametrize("kind", DIFFUSING)
+    def test_one_worker_joined_after_a_return(self, monkeypatch, kind,
+                                              n_sub):
+        before = threading.active_count()
+        seen = []
+        _spy_on_rotation(monkeypatch, seen, threading.active_count)
+        self._simulate(kind, 1, n_sub=n_sub)
+        assert seen and all(count == before + 1 for count in seen)
+        assert threading.active_count() == before
+
+    # the worker has queued the two blocks after the failing one and draws
+    # them before it is joined, whatever the threads' timing
+    @pytest.mark.parametrize("block", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", DIFFUSING)
+    def test_a_blowup_in_block_b_reads_b_plus_two_draws(self, monkeypatch,
+                                                        kind, block):
+        _blowup_in_block(monkeypatch, block, kind)
+        before = threading.active_count()
+        rng = sim_reference.FailingGenerator(fail_on=None)
+        with pytest.raises(IntegrationBlowupError):
+            self._simulate(kind, rng)
+        assert threading.active_count() == before
+        assert rng.calls == min(block + 2, 4)
+
+    # calls 1 to 4 draw the four blocks on the worker, which queues two
+    # draws after each one it is asked for; call 5 draws the shot noise
+    @pytest.mark.parametrize("fail_on", [1, 2, 3, 4, 5])
+    def test_a_failed_draw_is_raised_in_the_caller(self, fail_on):
+        before = threading.active_count()
+        rng = sim_reference.FailingGenerator(fail_on)
+        with pytest.raises(sim_reference.DrawFailed, match=f"call {fail_on}$"):
+            self._simulate("wiener", rng)
+        assert threading.active_count() == before
+        assert rng.calls == fail_on  # the queued draws found it failed
+
+    def test_concurrent_callers_under_fast_switching(self):
+        # more callers than cores, each with its own worker, switching
+        # threads every microsecond: a block drawn over one still in use,
+        # or out of order, would change a path
+        want = {seed: self._simulate("ou", seed)[0].states
+                for seed in range(4)}
+        got = {}
+
+        def call(seed):
+            got[seed] = self._simulate("ou", seed)[0].states
+        callers = [threading.Thread(target=call, args=(seed,))
+                   for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for seed in range(4):
+            assert got[seed].tobytes() == want[seed].tobytes()
 
 
 class TestMeasurementRecord:
