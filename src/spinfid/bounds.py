@@ -5,7 +5,10 @@ The numeric bound draws each sample by the one Monte-Carlo shot rule,
 ``sde_sim._mc_shot``, as a sweep run is drawn: omega from its Gaussian prior,
 then a measurement record, on the one stream rule ``sde_sim._stream``.  It
 averages the squared score dJ/d omega of the exact negative log-joint J; the
-bound is the inverse of that average.  The score is exact, read by complex
+bound is the inverse of that average.  It is two pieces: the squared
+scores of a range of samples (``_squared_scores``) and the jackknife over
+all of them (``_bound_results``); a sweep runs the ranges on several
+workers and stacks them in sample order.  The score is exact, read by complex
 step through the likelihood recursion of :mod:`spinfid.pem`.  The analytic
 expressions hold when the atomic noise is switched off and the spin starts
 deterministically polarized; they are the damped-sinusoid Fisher
@@ -88,16 +91,32 @@ def bcrb_numeric_curve(p: SpmParams, prior: GaussianPrior, times,
     if not ks:
         raise InvalidParametersError("no probing times")
     times, ks = zip(*sorted(zip(map(float, times), ks)))
+    return _bound_results(times, _squared_scores(p, prior, ks,
+                                                 range(n_samples), seed,
+                                                 substeps))
+
+
+def _squared_scores(p: SpmParams, prior: GaussianPrior, ks, samples,
+                    seed: int, substeps: int) -> np.ndarray:
+    """(len(ks), len(samples)) array of the squared scores (dJ/d omega)^2
+    of Monte-Carlo shots ``samples`` of ``seed``, each shot simulated to
+    the last of the ascending sample counts ``ks`` and its score read at
+    every one of them."""
     mu, var = pem._prior_terms(prior)[:2]
     sigma = math.sqrt(var)
-
-    sq_scores = np.empty((len(times), n_samples))
-    for m in range(n_samples):
+    sq_scores = np.empty((len(ks), len(samples)))
+    for col, m in enumerate(samples):
         omega, rec = sde_sim._mc_shot(p, mu, sigma, ks[-1], substeps, seed, m)
-        sq_scores[:, m] = np.square(pem.neg_log_joint_score(
+        sq_scores[:, col] = np.square(pem.neg_log_joint_score(
             omega, rec, p, prior, ks))
+    return sq_scores
 
-    # jackknife: the bound with each sample left out in turn
+
+def _bound_results(times, sq_scores: np.ndarray) -> list:
+    """The BoundResult at each of ``times`` from its row of the squared
+    scores of every sample (``_squared_scores``): the inverted mean, with
+    the jackknife error of the bound with each sample left out in turn."""
+    n_samples = sq_scores.shape[1]
     total = sq_scores.sum(axis=1, keepdims=True)
     theta = (n_samples - 1) / (total - sq_scores)
     std_errs = np.sqrt((n_samples - 1) / n_samples * np.sum(

@@ -27,9 +27,15 @@ so no call holds two shots at once and a shot that fails to draw leaves
 none kept.  Sweep runs draw through ``sde_sim._mc_shot`` and keep nothing.
 
 A sweep point is a list of independent zero-argument tasks, its runs in
-run order and then its ``bcrb_numeric`` bound, which ``_fan_out`` spreads
-over the calling process and ``os.fork`` children, one per CPU of the
-process's affinity mask (``taskset -c 0`` makes every sweep serial).  The
+run order and then its ``bcrb_numeric`` bound's samples in contiguous
+chunks, which ``_fan_out`` spreads round robin over the calling process
+and ``os.fork`` children, one per CPU of the process's affinity mask
+(``taskset -c 0`` makes every sweep serial).  With W workers, run r goes
+to worker r mod W, and the bound takes min(W - runs mod W, bound_samples)
+chunks, one on each worker that the runs leave a task short; their
+squared scores are stacked in sample order before the jackknife.  Run 0
+stays in the calling process, whose MAP gain table it keeps warm for the
+next sweep on the same grid: a child's table is lost when it exits.  The
 outcomes come back in task order, so the results, the excluded runs and
 the errors raised are those of one process, bit for bit.  Without
 ``os.fork`` and ``os.sched_getaffinity`` (off Linux) everything runs in
@@ -236,7 +242,8 @@ def _single_run_errors(cfg: ExperimentConfig, p: SpmParams,
 
 def _time_bounds(cfg: ExperimentConfig, p: SpmParams, times, numeric=None):
     """The configured bounds at ``times``, in rad/s: ``numeric``, the
-    ``bcrb_numeric_curve`` list of a sweep worker, and the closed forms."""
+    ``bounds._bound_results`` list of a sweep point, and the closed
+    forms."""
     out, out_se = {}, {}
     if numeric is not None:
         vals = np.sqrt([r.value for r in numeric])
@@ -354,8 +361,9 @@ def _sweep(cfg: ExperimentConfig, axis_name: str, axis, points) -> ErrorCurve:
     each contributes one curve entry per probe time.  Every point runs
     ``cfg.runs`` shots on the same per-run RNG streams, and the configured
     bounds are evaluated at its probe times.  A point's tasks are its runs,
-    then its ``bcrb_numeric`` bound; their outcomes are read in that order,
-    as if the tasks had been run one after the other here.
+    then the chunks of its ``bcrb_numeric`` bound's samples; their outcomes
+    are read in that order, as if the tasks had been run one after the
+    other here.
     """
     ks = [sde_sim.sample_indices(times, p.Delta) for p, _, times in points]
     rmse = {e: [] for e in cfg.estimators}
@@ -367,9 +375,13 @@ def _sweep(cfg: ExperimentConfig, axis_name: str, axis, points) -> ErrorCurve:
         tasks = [partial(_single_run_errors, cfg, p, prior, r, point_ks,
                          substeps) for r in range(cfg.runs)]
         if "bcrb_numeric" in cfg.bounds:
-            tasks.append(partial(bounds.bcrb_numeric_curve, p, prior, times,
-                                 cfg.bound_samples, seed=cfg.seed + 1,
-                                 substeps=substeps))
+            n, workers = cfg.bound_samples, _cpus()
+            # one chunk on each worker that the runs leave a task short
+            parts = min(workers - cfg.runs % workers, n)
+            tasks += [partial(bounds._squared_scores, p, prior, point_ks,
+                              range(c * n // parts, (c + 1) * n // parts),
+                              cfg.seed + 1, substeps)
+                      for c in range(parts)]
         outcomes = _fan_out(tasks)
         sq = {e: [] for e in cfg.estimators}
         failures = []
@@ -386,10 +398,12 @@ def _sweep(cfg: ExperimentConfig, axis_name: str, axis, points) -> ErrorCurve:
             rms, se = _rms_and_stderr(np.array(sq[e]).T)
             rmse[e].append(rms)
             rmse_se[e].append(se)
-        numeric = outcomes[cfg.runs] if len(tasks) > cfg.runs else None
-        if isinstance(numeric, Exception):
-            raise numeric
-        b, b_se = _time_bounds(cfg, p, times, numeric)
+        chunks = outcomes[cfg.runs:]
+        for chunk in chunks:
+            if isinstance(chunk, Exception):
+                raise chunk
+        b, b_se = _time_bounds(cfg, p, times, bounds._bound_results(
+            times, np.concatenate(chunks, axis=1)) if chunks else None)
         for name, vals in b.items():
             bound.setdefault(name, []).append(vals)
         for name, vals in b_se.items():

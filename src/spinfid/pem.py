@@ -24,8 +24,9 @@ several probing times and the bound's score are all read from it.  The
 Riccati half of a grid is kept in one read-only (steps, 2, *grid.shape)
 table of the predicted covariance entries (p12-, p22-), reused by every
 record with the same grid, parameters and spin prior; a grid pass over a
-new record derives the gains from it a block of steps at a time and runs
-only the data half.
+new record runs only the data half, and ``_gain_blocks``, the one
+generator from that table to the grid's gains, derives them a block of
+steps at a time.
 
 The score dJ/d omega is the complex-step derivative Im J(omega + i eps)/eps
 (Squire & Trapp, SIAM Review 40(1), 1998): no difference is taken, so it is
@@ -126,7 +127,7 @@ def _gains(omega, p: SpmParams, spin_cov: tuple):
     without end: the predicted covariance entries, the gains and the
     innovation variance of each step, the one output of the Riccati half.
     The scalar loop reads the gains and S_j; the grid keeps (p12-, p22-),
-    from which ``_derived_gains`` forms the rest a block at a time.
+    from which ``_gain_blocks`` forms the rest a block at a time.
 
     The covariance half of the recursion: it depends on omega, the
     parameters and the spin prior's covariance (p11, p12, p22), never on
@@ -163,46 +164,20 @@ def _gains(omega, p: SpmParams, spin_cov: tuple):
 
 def _gain_blocks(omega: np.ndarray, p: SpmParams, spin_cov: tuple,
                  steps: int):
-    """The predicted covariance entries (p12-, p22-) of the first ``steps``
-    steps of a grid, as successive (n, 2, *grid.shape) blocks of
-    n <= _BLOCK steps, from which ``_derived_gains`` forms the gains.
+    """The gains of the first ``steps`` steps of a grid: (k1 k2, S, ln S)
+    of each block of n <= _BLOCK steps, arrays of shape (n, 2,
+    *grid.shape), (n, *grid.shape) and (n, *grid.shape), which the next
+    block overwrites.
 
-    They are read from the kept table, a read-only (steps, 2, *grid.shape)
-    array keyed on the grid's bytes, the parameters and the spin prior's
+    They are derived from the predicted covariance entries (p12-, p22-),
+    read from the kept table, a read-only (steps, 2, *grid.shape) array
+    keyed on the grid's bytes, the parameters and the spin prior's
     covariance.  A request it cannot serve evicts it, and one loop fills
     the rows from the records of ``_gains`` as the blocks are read: into
     a new table, kept once its last block has been read, or, where that
     table would exceed ``_TABLE_BYTES`` (16 MiB: 5,216 steps of the
     201-point MAP grid), into one _BLOCK-row buffer that each block
     overwrites.
-    """
-    key = (omega.dtype.str, omega.shape, omega.tobytes(), repr(p),
-           repr(spin_cov))
-    table = _gain_memo.get(key)
-    new = table is None or len(table) < steps
-    if new:
-        _gain_memo.clear()
-        dtype = np.result_type(omega, float)
-        kept = 2 * steps * omega.size * dtype.itemsize <= _TABLE_BYTES
-        table = np.empty((steps if kept else _BLOCK, 2) + omega.shape, dtype)
-        records = _gains(omega, p, spin_cov)
-    for i in range(0, steps, _BLOCK):
-        j = i % len(table)  # every block of a buffer starts at its row 0
-        block = table[j:j + min(_BLOCK, steps - i)]
-        if new:
-            # zip reads the row first, so no step past ``steps`` is taken
-            for row, (p12p, p22p, *_) in zip(block, records):
-                row[0], row[1] = p12p, p22p
-        yield block
-    if new and kept:
-        table.flags.writeable = False
-        _gain_memo[key] = table
-
-
-def _derived_gains(blocks, p: SpmParams, shape: tuple, dtype):
-    """(k1 k2, S, ln S) of each (n, 2, *shape) block of (p12-, p22-):
-    arrays of shape (n, 2, *shape), (n, *shape) and (n, *shape), which the
-    next block overwrites.
 
     S = r + g^2 p22- and (k1, k2) = g (p12-, p22-) / S are the
     expressions of the records of ``_gains``, each rounded as there, so
@@ -212,12 +187,28 @@ def _derived_gains(blocks, p: SpmParams, shape: tuple, dtype):
     libm's, and the two differ in the last bit for about 1 double in
     10^4.
     """
+    key = (omega.dtype.str, omega.shape, omega.tobytes(), repr(p),
+           repr(spin_cov))
+    table = _gain_memo.get(key)
+    new = table is None or len(table) < steps
+    dtype = np.result_type(omega, float)
+    if new:
+        _gain_memo.clear()
+        kept = 2 * steps * omega.size * dtype.itemsize <= _TABLE_BYTES
+        table = np.empty((steps if kept else _BLOCK, 2) + omega.shape, dtype)
+        records = _gains(omega, p, spin_cov)
     g = p.g_D
     g2 = g * g
     r = model.measurement_noise_variance(p)
-    k12 = np.empty((_BLOCK, 2) + shape, dtype)
-    s_var, ln_s = np.empty((2, _BLOCK) + shape, dtype)
-    for predicted in blocks:
+    k12 = np.empty((_BLOCK, 2) + omega.shape, dtype)
+    s_var, ln_s = np.empty((2, _BLOCK) + omega.shape, dtype)
+    for i in range(0, steps, _BLOCK):
+        j = i % len(table)  # every block of a buffer starts at its row 0
+        predicted = table[j:j + min(_BLOCK, steps - i)]
+        if new:
+            # zip reads the row first, so no step past ``steps`` is taken
+            for row, (p12p, p22p, *_) in zip(predicted, records):
+                row[0], row[1] = p12p, p22p
         n = len(predicted)
         k12_n, s_n, ln_n = k12[:n], s_var[:n], ln_s[:n]
         np.multiply(g2, predicted[:, 1], s_n)
@@ -226,6 +217,9 @@ def _derived_gains(blocks, p: SpmParams, shape: tuple, dtype):
         np.divide(k12_n, s_n[:, np.newaxis], k12_n)
         np.log(s_n, ln_n)
         yield k12_n, s_n, ln_n
+    if new and kept:
+        table.flags.writeable = False
+        _gain_memo[key] = table
 
 
 def _scalar_totals(omega, ys: list, lengths: list, p: SpmParams,
@@ -288,8 +282,7 @@ def _block_totals(omega: np.ndarray, outcomes: np.ndarray, lengths: list,
     start = 0
     wanted = iter(lengths)
     k = next(wanted)
-    for k12_rows, s_var, ln_s in _derived_gains(
-            _gain_blocks(omega, p, spin_cov, steps), p, omega.shape, dtype):
+    for k12_rows, s_var, ln_s in _gain_blocks(omega, p, spin_cov, steps):
         n = len(s_var)
         y_rows = [outcomes[i, ...] for i in range(start, start + n)]
         for y, k12, r in zip(y_rows, k12_rows, resid_rows):

@@ -3,10 +3,11 @@ central-difference Bayesian bound and the likelihood recursion with its
 coefficients written out in every step, kept as the test oracles of
 ``spinfid.pem`` and ``spinfid.bounds``.
 
-``map_estimates`` and ``bcrb_numeric_curve`` are the two estimators as they
-ran before both read the exact score by complex step, with the same
-arithmetic: installed as ``pem.map_estimates`` and
-``bounds.bcrb_numeric_curve`` they reproduce the outputs that the pinned
+``map_estimates`` and the bound's two pieces, ``squared_scores`` and
+``bound_results``, are the two estimators as they ran before both read the
+exact score by complex step, with the same arithmetic: installed as
+``pem.map_estimates``, ``bounds._squared_scores`` and
+``bounds._bound_results`` they reproduce the outputs that the pinned
 digests in ``test_recorded_outputs.py`` were recorded from bit for bit.
 The MAP fit refines the grid minimum by a golden-section search to
 ``MAP_TOL``; the bound validates one central-difference step on the first
@@ -207,38 +208,40 @@ def _validated_step(omega, rec, p, prior, sigma_omega):
     return h
 
 
-def bcrb_numeric_curve(p, prior, times, n_samples, seed=0,
-                       substeps=5):
-    """Drop-in for ``bounds.bcrb_numeric_curve``: the score of every
-    truncated record from one likelihood pass at omega + h and one at
-    omega - h per sample, with h validated on the first sample."""
-    if n_samples < 2:
-        raise InvalidParametersError("need at least 2 Monte-Carlo samples")
-    times = sorted(float(t) for t in times)
-    if not times:
-        raise ValueError("no probing times")
-    ks = sde_sim.sample_indices(times, p.Delta)
+def squared_scores(p, prior, ks, samples, seed, substeps):
+    """Drop-in for ``bounds._squared_scores``: the squared central-difference
+    gradient of every truncated record of each of ``samples``, from one
+    likelihood pass at omega + h and one at omega - h per sample, with h
+    validated on sample 0 of the seed whichever samples are asked for."""
     mu = float(prior.mean[0])
     sigma = math.sqrt(float(prior.cov[0, 0]))
-    children = np.random.SeedSequence(seed).spawn(n_samples)
 
-    sq_grads = np.empty((len(times), n_samples))
-    h = None
-    for m, child in enumerate(children):
-        rng = np.random.default_rng(child)
+    def shot(m):
+        rng = np.random.default_rng(np.random.SeedSequence(seed,
+                                                           spawn_key=(m,)))
         omega_true = mu + sigma * rng.standard_normal()
-        _, rec = sde_sim.simulate(p, Constant(omega_true), times[-1],
+        _, rec = sde_sim.simulate(p, Constant(omega_true), ks[-1] * p.Delta,
                                   substeps=substeps, seed=rng)
-        if h is None:
-            h = _validated_step(omega_true, rec, p, prior, sigma)
+        return omega_true, rec
+
+    h = _validated_step(*shot(0), p, prior, sigma)
+    sq_grads = np.empty((len(ks), len(samples)))
+    for col, m in enumerate(samples):
+        omega_true, rec = shot(m)
         j_plus = pem.neg_log_joint_prefixes(omega_true + h, rec, p,
                                             prior, ks)
         j_minus = pem.neg_log_joint_prefixes(omega_true - h, rec, p,
                                              prior, ks)
         for i, (jp, jm) in enumerate(zip(j_plus, j_minus)):
             grad = (jp - jm) / (2.0 * h)
-            sq_grads[i, m] = grad * grad
+            sq_grads[i, col] = grad * grad
+    return sq_grads
 
+
+def bound_results(times, sq_grads):
+    """Drop-in for ``bounds._bound_results``: the inverted mean and the
+    jackknife error at each time, a row at a time."""
+    n_samples = sq_grads.shape[1]
     results = []
     for i, t in enumerate(times):
         row = sq_grads[i]
@@ -248,6 +251,5 @@ def bcrb_numeric_curve(p, prior, times, n_samples, seed=0,
         std_err = math.sqrt((n_samples - 1) / n_samples
                             * np.sum((theta - theta.mean()) ** 2))
         results.append(bounds.BoundResult(1.0 / row.mean(), std_err,
-                                          {"t": t, "samples": n_samples,
-                                           "h": h}))
+                                          {"t": t, "samples": n_samples}))
     return results

@@ -675,8 +675,8 @@ class TestFanOut:
         serial = _sweep_on(monkeypatch, 1, run, cfg)
         assert isinstance(serial, ErrorCurve)
         assert set(serial.bound) == set(cfg.bounds)
-        # 2 workers: runs 0, 2 here, runs 1, 3 and the bound in a child;
-        # 4: every item in its own process
+        # 2 workers: runs 0, 2 here, run 1 and the bound in a child; 4:
+        # every item in its own process
         for workers in (2, 4):
             _assert_same_curves(_sweep_on(monkeypatch, workers, run, cfg),
                                 serial)
@@ -713,14 +713,61 @@ class TestFanOut:
                           ErrorCurve)
 
     def test_run_0_warms_the_gain_table_here(self, monkeypatch):
-        # the bound goes to a child, and the MAP table of run 0 stays here
-        monkeypatch.setattr(harness.pem, "_gain_memo", {})
+        # the MAP table of run 0 stays here: with one run the whole bound
+        # goes to a child, with two a chunk of it runs here after run 0
+        for runs in (1, 2):
+            monkeypatch.setattr(harness.pem, "_gain_memo", {})
+            cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4,),
+                                   runs=runs, estimators=("pem",),
+                                   bounds=("bcrb_numeric",), bound_samples=4)
+            assert isinstance(_sweep_on(monkeypatch, 2, run_error_vs_time,
+                                        cfg), ErrorCurve)
+            assert len(harness.pem._gain_memo) == 1, runs
+
+    @pytest.mark.parametrize("runs", [1, 2, 3, 5])
+    @pytest.mark.parametrize("bound_samples", [2, 5])
+    def test_bound_chunks_equal_the_serial_bound(self, monkeypatch, runs,
+                                                 bound_samples):
+        cfg = ExperimentConfig(sweep_axis="time", sweep_values=(5e-5, 1e-4),
+                               runs=runs, seed=6, bounds=("bcrb_numeric",),
+                               bound_samples=bound_samples)
+        serial = _sweep_on(monkeypatch, 1, run_error_vs_time, cfg)
+        assert isinstance(serial, ErrorCurve)
+        for workers in (2, 3, 4):
+            _assert_same_curves(_sweep_on(monkeypatch, workers,
+                                          run_error_vs_time, cfg), serial)
+
+    @pytest.mark.parametrize("runs", [1, 2, 3, 5])
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_run_0_here_and_a_chunk_on_each_worker_a_task_short(
+            self, monkeypatch, workers, runs):
+        # the worker of each task, read off the process that ran it
+        fan_out, placed = harness._fan_out, []
+
+        def where(task):
+            return os.getpid(), task()
+
+        def spy(tasks):
+            outcomes = fan_out([partial(where, task) for task in tasks])
+            placed.append([(task.func, pid)
+                           for task, (pid, _) in zip(tasks, outcomes)])
+            return [outcome for _, outcome in outcomes]
+        monkeypatch.setattr(harness, "_fan_out", spy)
         cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4,),
-                               estimators=("pem",), bounds=("bcrb_numeric",),
-                               bound_samples=4)
-        assert isinstance(_sweep_on(monkeypatch, 2, run_error_vs_time, cfg),
-                          ErrorCurve)
-        assert len(harness.pem._gain_memo) == 1
+                               runs=runs, bounds=("bcrb_numeric",),
+                               bound_samples=5)
+        assert isinstance(_sweep_on(monkeypatch, workers, run_error_vs_time,
+                                    cfg), ErrorCurve)
+        (tasks,) = placed
+        funcs, pids = zip(*tasks)
+        assert funcs[:runs] == (harness._single_run_errors,) * runs
+        assert set(funcs[runs:]) == {harness.bounds._squared_scores}
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == workers
+        run_pids = pids[:runs]
+        short = [pid for pid in set(pids)
+                 if run_pids.count(pid) == runs // workers]
+        assert sorted(pids[runs:]) == sorted(short)
 
     @pytest.mark.parametrize("limit", [0.5, harness.MAX_EXCLUSION_FRACTION])
     def test_runs_failed_in_a_child_are_excluded_as_in_serial(
@@ -763,19 +810,26 @@ class TestFanOut:
     @pytest.mark.parametrize("failed_runs", [{}, {1: MapBoundaryError("run 1")}])
     def test_bound_error_is_raised_after_the_exclusion_check(
             self, monkeypatch, failed_runs):
-        def broken(*args, **kwargs):
-            raise NumericalDegeneracyError("bound broke")
-        monkeypatch.setattr(harness.bounds, "bcrb_numeric_curve", broken)
+        # the bound's last sample fails: with 2 or 4 workers it lies in a
+        # chunk other than the first
         cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4,),
-                               runs=2, estimators=("pem",),
+                               runs=2, estimators=("pem",), bound_samples=4,
                                bounds=("bcrb_numeric", "floor"))
         _fail_runs(monkeypatch, cfg, failed_runs)
+        shot = harness.sde_sim._mc_shot
+
+        def last_sample_fails(*args):
+            if args[-2:] == (cfg.seed + 1, cfg.bound_samples - 1):
+                raise NumericalDegeneracyError("bound broke")
+            return shot(*args)
+        monkeypatch.setattr(harness.sde_sim, "_mc_shot", last_sample_fails)
         serial = _sweep_on(monkeypatch, 1, run_error_vs_time, cfg)
         expected = (ExclusionLimitError if failed_runs
                     else NumericalDegeneracyError)
         assert type(serial) is expected
-        _assert_same_error(_sweep_on(monkeypatch, 2, run_error_vs_time, cfg),
-                           serial)
+        for workers in (2, 3, 4):
+            _assert_same_error(_sweep_on(monkeypatch, workers,
+                                         run_error_vs_time, cfg), serial)
 
     def test_no_fork_runs_everything_here(self, monkeypatch):
         cfg = ExperimentConfig(sweep_axis="time", sweep_values=(1e-4,),

@@ -464,40 +464,46 @@ class TestBlockBody:
                 assert _bits(pem.neg_log_joint_prefixes(
                     grid, rec, p, prior, lengths)) == want
 
-    def test_derived_gains_are_those_of_each_step(self, monkeypatch):
-        # the two derivations of the gains pinned to each other: the
-        # (p12-, p22-) of ``_gains``' records of a 0-d and a 201-point
-        # grid, fed to ``_derived_gains`` a block at a time, give back the
-        # records' own k1, k2 and S, and ln S is np.log of those S
+    def test_gain_blocks_are_the_gains_of_each_step(self, monkeypatch):
+        # the two derivations of the gains pinned to each other: the blocks
+        # of a 0-d and a 201-point grid, from a cold, a warm and a streamed
+        # table, give back the k1, k2 and S of ``_gains``' records, and
+        # ln S is np.log of those S
         p = SpmParams()
         steps = 5 * pem._BLOCK - 20  # four blocks and a partial one
         spin_cov = pem._prior_terms(default_prior(p, 1e3))[3]
         for grid in ("0-d", "201 points"):
             omega = self.GRIDS[grid](p.omega_bar)
             records = itertools.islice(pem._gains(omega, p, spin_cov), steps)
-            p12p, p22p, k1, k2, s_var = map(np.array, zip(*records))
-            predicted = np.stack((p12p, p22p), axis=1)
-            blocks = [predicted[i:i + pem._BLOCK]
-                      for i in range(0, steps, pem._BLOCK)]
-            # each block's arrays are overwritten by the next: copy them
-            derived = [[a.copy() for a in block] for block in
-                       pem._derived_gains(blocks, p, omega.shape,
-                                          np.result_type(omega, float))]
-            k12, s, ln_s = map(np.concatenate, zip(*derived))
-            assert _bits([k12, s, ln_s]) == _bits(
-                [np.stack((k1, k2), axis=1), s_var, np.log(s_var)]), grid
+            _, _, k1, k2, s_var = map(np.array, zip(*records))
+            want = _bits([np.stack((k1, k2), axis=1), s_var, np.log(s_var)])
+            for gains in ("cold", "warm", "streamed"):
+                if gains != "warm":
+                    pem._gain_memo.clear()
+                with pytest.MonkeyPatch.context() as patch:
+                    if gains == "streamed":
+                        patch.setattr(pem, "_TABLE_BYTES", 0)
+                    # each block's arrays are overwritten by the next: copy
+                    blocks = [[a.copy() for a in block] for block in
+                              pem._gain_blocks(omega, p, spin_cov, steps)]
+                assert len(pem._gain_memo) == (gains != "streamed")
+                k12, s, ln_s = map(np.concatenate, zip(*blocks))
+                assert _bits([k12, s, ln_s]) == want, (grid, gains)
 
-        # a block of a 0-d grid's (p12-, p22-) against ``_gains``'
-        # expressions on each step's numpy scalars: with AVX-512, ln S
-        # written next to S, as in an interleaved layout, would take
-        # libm's log, which differs from numpy's SIMD log in the last bit
-        # for about 1 double in 10^4
+        # one block of a 0-d grid's (p12-, p22-), fed through a patched
+        # ``_gains``, against ``_gains``' expressions on each step's numpy
+        # scalars: with AVX-512, ln S written next to S, as in an
+        # interleaved layout, would take libm's log, which differs from
+        # numpy's SIMD log in the last bit for about 1 double in 10^4
         p = _small_params()
         n = 50_000
         monkeypatch.setattr(pem, "_BLOCK", n)
+        monkeypatch.setattr(pem, "_gain_memo", {})
         rng = np.random.default_rng(2)
         predicted = np.exp(rng.uniform(-20.0, 20.0, size=(n, 2)))
-        (k12, s_var, ln_s), = pem._derived_gains([predicted], p, (), float)
+        monkeypatch.setattr(pem, "_gains", lambda omega, p, spin_cov: map(
+            tuple, predicted))
+        (k12, s_var, ln_s), = pem._gain_blocks(np.array(3.1), p, (), n)
         g, r = p.g_D, model.measurement_noise_variance(p)
         want = []
         for p12p, p22p in map(tuple, predicted):

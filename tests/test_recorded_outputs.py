@@ -342,8 +342,9 @@ def six_point_cubature(monkeypatch, brent):
 @pytest.fixture
 def golden_section(monkeypatch, brent):
     monkeypatch.setattr(pem, "map_estimates", pem_reference.map_estimates)
-    monkeypatch.setattr(bounds, "bcrb_numeric_curve",
-                        pem_reference.bcrb_numeric_curve)
+    monkeypatch.setattr(bounds, "_squared_scores",
+                        pem_reference.squared_scores)
+    monkeypatch.setattr(bounds, "_bound_results", pem_reference.bound_results)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
